@@ -60,7 +60,7 @@ type Gateway struct {
 
 	// tel caches the gateway's instrument handles (nil when the OS has
 	// no registry); trace is an armed per-request trace consumed by
-	// the next ProcessKeyed call.
+	// the next serving call.
 	tel   *gwTelemetry
 	trace *gwTrace
 }
@@ -76,7 +76,7 @@ type gwTelemetry struct {
 	inflight  *telemetry.Gauge     // outstanding requests, all workers
 }
 
-// gwTrace carries one armed request trace through a ProcessKeyed call:
+// gwTrace carries one armed request trace through a serving call:
 // dispatch→send→execute→recv→response spans for the request at idx.
 type gwTrace struct {
 	t      *telemetry.Trace
@@ -88,9 +88,9 @@ type gwTrace struct {
 }
 
 // TraceRequest arms tracing for the request at index idx of the next
-// ProcessKeyed call, emitting spans under parent into t. One request
-// per call; the fleet router uses this to extend its trace through the
-// shard's gateway.
+// serving call — ProcessKeyed (and so Process) or ProcessBulk —
+// emitting spans under parent into t. One request per call; the fleet
+// router uses this to extend its trace through the shard's gateway.
 func (g *Gateway) TraceRequest(t *telemetry.Trace, parent, idx int) {
 	if t == nil {
 		g.trace = nil
@@ -507,24 +507,12 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 }
 
 // sendChunk stages payloads[from:from+n] in the staging page and
-// enqueues them on gw's request ring as one batched send.
+// enqueues them on gw's request ring as one batched send. A worker
+// holding a grant drains requests only with bulk_recv, so its chunks
+// go out as bulk_send: the monitor validates every payload as a
+// scatter-gather descriptor message against the grant before
+// publishing any.
 func (g *Gateway) sendChunk(gw *gwWorker, payloads [][]byte, from, n int) error {
-	return g.sendChunkWith(gw, payloads, from, n, func(pa uint64, n int) (int, error) {
-		return g.o.SM.RingSend(gw.reqRing, pa, n)
-	})
-}
-
-// sendBulkChunk is sendChunk over bulk_send: every payload is a
-// scatter-gather descriptor message the monitor validates against gw's
-// grant before anything is published.
-func (g *Gateway) sendBulkChunk(gw *gwWorker, payloads [][]byte, from, n int) error {
-	return g.sendChunkWith(gw, payloads, from, n, func(pa uint64, n int) (int, error) {
-		return g.o.SM.BulkSend(gw.reqRing, pa, n, gw.grant)
-	})
-}
-
-func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
-	send func(pa uint64, n int) (int, error)) error {
 	buf := make([]byte, n*api.RingMsgSize)
 	for i := 0; i < n; i++ {
 		p := payloads[from+i]
@@ -536,7 +524,13 @@ func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
 	if err := g.o.WriteOwned(g.sendPA, buf); err != nil {
 		return err
 	}
-	sent, err := send(g.sendPA, n)
+	var sent int
+	var err error
+	if gw.grant != 0 {
+		sent, err = g.o.SM.BulkSend(gw.reqRing, g.sendPA, n, gw.grant)
+	} else {
+		sent, err = g.o.SM.RingSend(gw.reqRing, g.sendPA, n)
+	}
 	if err != nil {
 		return fmt.Errorf("os: gateway send: %w", err)
 	}
@@ -565,14 +559,9 @@ func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
 
 // drain empties gw's response ring into out, verifying the monitor's
 // sender stamp on every record, and returns how many responses landed.
+// Responses are plain messages even from a bulk worker (a reply need
+// not parse as descriptors), so one recv serves both.
 func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
-	return g.drainWith(gw, out, func(pa uint64, max int) (int, error) {
-		return g.o.SM.RingRecv(gw.respRing, pa, max)
-	})
-}
-
-func (g *Gateway) drainWith(gw *gwWorker, out [][]byte,
-	recv func(pa uint64, max int) (int, error)) (int, error) {
 	total := 0
 	// One clock read serves the whole drain: recv is a host-side
 	// monitor call, so no modeled cycles retire while draining.
@@ -581,7 +570,7 @@ func (g *Gateway) drainWith(gw *gwWorker, out [][]byte,
 		now = g.tel.clock()
 	}
 	for gw.inflight > 0 {
-		n, err := recv(g.recvPA, g.cfg.Batch)
+		n, err := g.o.SM.RingRecv(gw.respRing, g.recvPA, g.cfg.Batch)
 		if errors.Is(err, api.ErrInvalidState) {
 			break // empty
 		}
@@ -648,6 +637,14 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 	if keys != nil && len(keys) != len(payloads) {
 		return nil, fmt.Errorf("os: gateway: %d keys for %d payloads", len(keys), len(payloads))
 	}
+	return g.serve(g.cfg.Router, keys, payloads)
+}
+
+// serve is the gateway's one serving loop, behind ProcessKeyed and
+// ProcessBulk: send every chunk that fits to the worker router picks,
+// run one scheduler wave over the workers the sends woke, drain their
+// response rings, and repeat until every request has its response.
+func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]byte, error) {
 	out := make([][]byte, len(payloads))
 	tr := g.trace
 	g.trace = nil
@@ -663,7 +660,7 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 			if keys != nil {
 				key = keys[cursor]
 			}
-			i := g.cfg.Router.Pick(key, len(g.workers), space)
+			i := router.Pick(key, len(g.workers), space)
 			if i < 0 {
 				break // every ring full: serve a wave first
 			}
@@ -754,58 +751,27 @@ func (g *Gateway) BulkBuffer(i int) (grant, basePA uint64, size int) {
 // request in request order with every monitor stamp verified — the
 // zero-copy analogue of Process. Requests all go to the one worker
 // whose buffer holds the data (payload placement is the caller's job,
-// so routing is too); batching, waves and FIFO response matching work
-// exactly as in Process.
+// so routing is too); batching, waves and FIFO response matching are
+// Process's own serving loop.
 func (g *Gateway) ProcessBulk(worker int, payloads [][]byte) ([][]byte, error) {
 	if worker < 0 || worker >= len(g.workers) {
 		return nil, fmt.Errorf("os: gateway: no worker %d", worker)
 	}
-	gw := g.workers[worker]
-	if gw.grant == 0 {
+	if g.workers[worker].grant == 0 {
 		return nil, fmt.Errorf("os: gateway: bulk plane not configured")
 	}
-	out := make([][]byte, len(payloads))
-	cursor, done := 0, 0
-	for done < len(payloads) {
-		for cursor < len(payloads) {
-			n := g.cfg.RingCapacity - gw.inflight
-			if n == 0 {
-				break // ring full: serve a wave first
-			}
-			if n > g.cfg.Batch {
-				n = g.cfg.Batch
-			}
-			if rem := len(payloads) - cursor; n > rem {
-				n = rem
-			}
-			if err := g.sendBulkChunk(gw, payloads, cursor, n); err != nil {
-				return nil, err
-			}
-			cursor += n
-		}
-		woken := g.takeWoken()
-		if len(woken) == 0 {
-			return nil, fmt.Errorf("os: gateway stalled: %d responses outstanding, no worker woken",
-				len(payloads)-done)
-		}
-		if err := g.wave(woken, api.ParkedExitValue); err != nil {
-			return nil, err
-		}
-		for _, i := range woken {
-			// Responses come back as plain messages (the worker's reply
-			// need not parse as descriptors), so the ordinary drain serves.
-			n, err := g.drain(g.workers[i], out)
-			if err != nil {
-				return nil, err
-			}
-			done += n
-		}
+	return g.serve(pinned(worker), nil, payloads)
+}
+
+// pinned is ProcessBulk's router: every chunk goes to the one worker.
+type pinned int
+
+// Pick returns the pinned worker while its request ring has space.
+func (p pinned) Pick(_ uint64, _ int, space func(int) int) int {
+	if space(int(p)) > 0 {
+		return int(p)
 	}
-	g.Served += len(payloads)
-	if t := g.tel; t != nil {
-		t.served.Add(0, uint64(len(payloads)))
-	}
-	return out, nil
+	return -1
 }
 
 func containsInt(xs []int, v int) bool {

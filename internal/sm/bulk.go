@@ -47,13 +47,10 @@ import (
 // like every monitor object — by a free SM metadata page.
 type Grant struct {
 	mu sync.Mutex
+	endpoints
 
-	ID       uint64
-	BasePA   uint64
-	Pages    uint64
-	Producer uint64 // api.DomainOS or an eid
-	Consumer uint64
-	seq      uint64 // creation order, for FieldEnclaveGrants
+	BasePA uint64
+	Pages  uint64
 
 	// maps records where each enclave endpoint bulk_mapped the buffer
 	// (eid → va), guarded by mu. The OS side never appears here: the
@@ -69,12 +66,6 @@ type Grant struct {
 
 // bytes returns the grant's size in bytes.
 func (g *Grant) bytes() uint64 { return g.Pages * mem.PageSize }
-
-// isEndpoint reports whether who (DomainOS or an eid) is one of the
-// grant's fixed endpoints.
-func (g *Grant) isEndpoint(who uint64) bool {
-	return who == g.Producer || who == g.Consumer
-}
 
 // lookupGrant fetches and transaction-locks a grant; contention fails
 // the transaction with ErrRetry (§V-A). The dead re-check closes the
@@ -110,10 +101,8 @@ func (mon *Monitor) peekGrant(id uint64) *Grant {
 // bulkGrant implements CallBulkGrant (OS-domain): register a grant over
 // [basePA, basePA+pages·4096) in OS-owned memory between a fixed
 // producer and consumer, pinning every page with an alias reference.
-// Endpoint enclaves are held under their transaction locks while the
-// grant registers — paired with deleteEnclave's endpoint guard, the
-// same exclusion ringCreate uses, so a grant can never attach to an
-// enclave mid-deletion and survive it.
+// Endpoints register exactly as a ring's do (lockEndpoints), so a grant
+// can never attach to an enclave mid-deletion and survive it.
 func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64) api.Error {
 	if pages == 0 || pages > api.BulkMaxPages {
 		return api.ErrInvalidValue
@@ -128,42 +117,15 @@ func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64)
 	if !mon.osOwnsRange(basePA, size) {
 		return api.ErrInvalidValue
 	}
-	endpoints := []uint64{producer}
-	if consumer != producer {
-		endpoints = append(endpoints, consumer)
-	}
-	for _, who := range endpoints {
-		if who == api.DomainOS {
-			continue
+	return mon.lockEndpoints(grantID, producer, consumer, func(p endpoints) {
+		for pg := uint64(0); pg < pages; pg++ {
+			mon.machine.Mem.Retain(basePA + pg*mem.PageSize)
 		}
-		e, st := mon.lookupEnclave(who)
-		if st != api.OK {
-			return st
+		mon.grants[grantID] = &Grant{endpoints: p, BasePA: basePA, Pages: pages, maps: make(map[uint64]uint64)}
+		if t := mon.tele; t != nil {
+			t.bulkGrants.Add(1)
 		}
-		defer e.mu.Unlock()
-	}
-	mon.objMu.Lock()
-	defer mon.objMu.Unlock()
-	if st := mon.allocMetaPage(grantID); st != api.OK {
-		return st
-	}
-	for p := uint64(0); p < pages; p++ {
-		mon.machine.Mem.Retain(basePA + p*mem.PageSize)
-	}
-	mon.grantSeq++
-	mon.grants[grantID] = &Grant{
-		ID:       grantID,
-		BasePA:   basePA,
-		Pages:    pages,
-		Producer: producer,
-		Consumer: consumer,
-		seq:      mon.grantSeq,
-		maps:     make(map[uint64]uint64),
-	}
-	if t := mon.tele; t != nil {
-		t.bulkGrants.Add(1)
-	}
-	return api.OK
+	})
 }
 
 // hBulkMap implements CallBulkMap (enclave trap context only): the
@@ -257,11 +219,7 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 		}
 		g.mu.Unlock()
 	}
-	endpoints := []uint64{g.Producer}
-	if g.Consumer != g.Producer {
-		endpoints = append(endpoints, g.Consumer)
-	}
-	for _, who := range endpoints {
+	for _, who := range g.distinct() {
 		va, isMapped := g.maps[who]
 		if !isMapped {
 			continue
@@ -321,227 +279,61 @@ type bulkDesc struct{ off, ln uint64 }
 // grant's byte size: the BulkTag anchor, a descriptor count in
 // 1..BulkMaxDescs, and per descriptor length > 0, no offset+length
 // wraparound, offset+length within the grant, and no pairwise overlap
-// inside the message. Returns the descriptors and their total byte
-// count. Trailing payload bytes beyond the last descriptor are
+// inside the message. Returns the descriptor count and their total
+// byte count. Trailing payload bytes beyond the last descriptor are
 // application-defined (a bulk server reads its opcode there) and not
 // the monitor's concern.
-func parseBulkDescs(payload []byte, grantBytes uint64) (descs [api.BulkMaxDescs]bulkDesc, n int, total uint64, st api.Error) {
+func parseBulkDescs(payload []byte, grantBytes uint64) (n int, total uint64, st api.Error) {
 	if len(payload) < api.RingMsgSize {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
 	if binary.LittleEndian.Uint64(payload) != api.BulkTag {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
 	nd := binary.LittleEndian.Uint64(payload[8:])
 	if nd == 0 || nd > api.BulkMaxDescs {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
+	var descs [api.BulkMaxDescs]bulkDesc
 	n = int(nd)
 	for i := 0; i < n; i++ {
 		off := binary.LittleEndian.Uint64(payload[16+16*i:])
 		ln := binary.LittleEndian.Uint64(payload[24+16*i:])
 		if ln == 0 {
-			return descs, 0, 0, api.ErrInvalidValue
+			return 0, 0, api.ErrInvalidValue
 		}
 		if off+ln < off {
-			return descs, 0, 0, api.ErrInvalidValue // wraparound
+			return 0, 0, api.ErrInvalidValue // wraparound
 		}
 		if off+ln > grantBytes {
-			return descs, 0, 0, api.ErrInvalidValue // out of bounds
+			return 0, 0, api.ErrInvalidValue // out of bounds
 		}
 		for j := 0; j < i; j++ {
 			if off < descs[j].off+descs[j].ln && descs[j].off < off+ln {
-				return descs, 0, 0, api.ErrInvalidValue // overlap
+				return 0, 0, api.ErrInvalidValue // overlap
 			}
 		}
 		descs[i] = bulkDesc{off: off, ln: ln}
 		total += ln
 	}
-	return descs, n, total, api.OK
+	return n, total, api.OK
 }
 
-// hBulkSend is the dual-domain scatter-gather send handler: CallRingSend
-// with every payload validated as a descriptor list into the named
-// grant before anything is published, and the queued descriptors
-// counted in-flight on the grant until received. The sender must be
-// both the ring's producer (checked by the ring transaction) and a
-// grant endpoint (checked here).
+// hBulkSend and hBulkRecv are mailbox_ring_send and mailbox_ring_recv
+// with the grant a3 names: the grant checks live in ringSend and
+// ringRecv, so plain and scatter-gather messages share one path.
 func hBulkSend(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	n, okCount := batchLen(req.Args[2])
-	if !okCount {
-		return fail(api.ErrInvalidValue)
-	}
 	g := mon.peekGrant(req.Args[3])
 	if g == nil {
 		return fail(api.ErrInvalidValue)
 	}
-	var sender uint64
-	var meas [32]byte
-	var msgs []byte
-	from := machine.NoHart
-	if ctx != nil {
-		from = ctx.core.ID
-		sender, meas = ctx.enclave.ID, ctx.enclave.Measurement
-		var okRead bool
-		msgs, okRead = mon.readEnclave(ctx.enclave, req.Args[1], n*api.RingMsgSize)
-		if !okRead {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		sender = api.DomainOS
-		srcPA := req.Args[1]
-		if !mon.osOwnsRange(srcPA, uint64(n)*api.RingMsgSize) {
-			return fail(api.ErrInvalidValue)
-		}
-		msgs = make([]byte, n*api.RingMsgSize)
-		if err := mon.machine.Mem.ReadBytes(srcPA, msgs); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
-	}
-	if !g.isEndpoint(sender) {
-		return fail(api.ErrUnauthorized)
-	}
-	// Validate every message before publishing any: a bad descriptor in
-	// message k must not leave messages 0..k-1 queued.
-	var msgBytes [api.RingMaxBatch]uint64
-	var msgDescs [api.RingMaxBatch]uint64
-	size := g.bytes()
-	for i := 0; i < n; i++ {
-		_, nd, total, st := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], size)
-		if st != api.OK {
-			return fail(st)
-		}
-		msgBytes[i] = total
-		msgDescs[i] = uint64(nd)
-	}
-	// Publish in-flight before checking dead (the revoke protocol's
-	// mirror image): a racing revoke either sees our count and refuses,
-	// or has already marked the grant dead and we abort here.
-	g.inflight.Add(int64(n))
-	if g.dead.Load() {
-		g.inflight.Add(-int64(n))
-		return fail(api.ErrInvalidValue)
-	}
-	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, g.ID, n,
-		func(i int, dst []byte) api.Error {
-			copy(dst, msgs[i*api.RingMsgSize:])
-			return api.OK
-		})
-	if st != api.OK {
-		g.inflight.Add(-int64(n))
-		return fail(st)
-	}
-	if int(sent) < n {
-		g.inflight.Add(-int64(n - int(sent))) // ring filled up mid-batch
-	}
-	if t := mon.tele; t != nil {
-		var total uint64
-		for i := uint64(0); i < sent; i++ {
-			total += msgBytes[i]
-			t.bulkDescs.ObserveOn(from, msgDescs[i])
-		}
-		t.bulkBytes.Add(from, total)
-	}
-	return ok(sent)
+	return mon.ringSend(req, ctx, g)
 }
 
-// hBulkRecv is the dual-domain scatter-gather recv handler: drain the
-// run of descriptor records for the named grant at the ring head
-// (stopping early at a plain message or one for another grant) and
-// release their in-flight pins. The caller must be both the ring's
-// consumer and a grant endpoint.
 func hBulkRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	max, okCount := batchLen(req.Args[2])
-	if !okCount {
-		return fail(api.ErrInvalidValue)
-	}
 	g := mon.peekGrant(req.Args[3])
 	if g == nil {
 		return fail(api.ErrInvalidValue)
 	}
-	var caller uint64 = api.DomainOS
-	if ctx != nil {
-		caller = ctx.enclave.ID
-	}
-	if !g.isEndpoint(caller) {
-		return fail(api.ErrUnauthorized)
-	}
-	r, st := mon.lookupRing(req.Args[0])
-	if st != api.OK {
-		return fail(st)
-	}
-	defer r.mu.Unlock()
-	if r.Consumer != caller {
-		return fail(api.ErrUnauthorized)
-	}
-	if r.count == 0 {
-		return fail(api.ErrInvalidState)
-	}
-	n := r.headRunLocked(g.ID, max)
-	if n == 0 {
-		return fail(api.ErrInvalidValue) // head message is not this grant's
-	}
-	out := r.ringRecords(n)
-	if ctx != nil {
-		if !mon.writeEnclave(ctx.enclave, req.Args[1], out) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(out))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], out); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
-	}
-	r.popLocked(n)
-	g.inflight.Add(-int64(n))
-	if t := mon.tele; t != nil {
-		shard := 0
-		if ctx != nil {
-			shard = ctx.core.ID
-		}
-		t.ringRecvBatch.ObserveOn(shard, uint64(n))
-		t.ringDepth.Add(-int64(n))
-	}
-	return ok(uint64(n))
-}
-
-// grantBytesForEnclave serves FieldEnclaveGrants: the grants the caller
-// is an endpoint of, in creation order, as grant id[8] ‖ role[8] ‖
-// byte size[8] entries (role 0 = consumer, 1 = producer).
-func (mon *Monitor) grantBytesForEnclave(eid uint64) []byte {
-	type entry struct {
-		seq  uint64
-		id   uint64
-		role uint64
-		size uint64
-	}
-	var entries []entry
-	mon.objMu.RLock()
-	for _, g := range mon.grants {
-		if g.Consumer == eid {
-			entries = append(entries, entry{seq: g.seq, id: g.ID, role: 0, size: g.bytes()})
-		}
-		if g.Producer == eid {
-			entries = append(entries, entry{seq: g.seq, id: g.ID, role: 1, size: g.bytes()})
-		}
-	}
-	mon.objMu.RUnlock()
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].seq > entries[j].seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	out := make([]byte, 0, len(entries)*24)
-	var word [8]byte
-	for _, en := range entries {
-		binary.LittleEndian.PutUint64(word[:], en.id)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.role)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.size)
-		out = append(out, word[:]...)
-	}
-	return out
+	return mon.ringRecv(req, ctx, g)
 }

@@ -41,6 +41,23 @@ func (ctx *callContext) transfer(d machine.Disposition) {
 	ctx.disp = d
 }
 
+// domain is the caller's protection domain: the trapping enclave's id,
+// or api.DomainOS for a host-side call (nil context).
+func (ctx *callContext) domain() uint64 {
+	if ctx == nil {
+		return api.DomainOS
+	}
+	return ctx.enclave.ID
+}
+
+// hart is the trapping core, or machine.NoHart for a host-side call.
+func (ctx *callContext) hart() int {
+	if ctx == nil {
+		return machine.NoHart
+	}
+	return ctx.core.ID
+}
+
 // callDef describes one ABI call: which domains may invoke it and how.
 // Calls that operate on a caller-named enclave under its transaction
 // lock (the enclave-build sequence) provide encHandler instead of
@@ -180,8 +197,14 @@ var callTable = map[api.Call]callDef{
 		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 			return fail(mon.ringCreate(req.Args[0], req.Args[1], req.Args[2], req.Args[3]))
 		}},
-	api.CallRingSend: {name: "mailbox_ring_send", domains: domainOS | domainEnclave, handler: hRingSend},
-	api.CallRingRecv: {name: "mailbox_ring_recv", domains: domainOS | domainEnclave, handler: hRingRecv},
+	api.CallRingSend: {name: "mailbox_ring_send", domains: domainOS | domainEnclave,
+		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+			return mon.ringSend(req, ctx, nil)
+		}},
+	api.CallRingRecv: {name: "mailbox_ring_recv", domains: domainOS | domainEnclave,
+		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+			return mon.ringRecv(req, ctx, nil)
+		}},
 	api.CallRingPark: {name: "thread_park", domains: domainEnclave, handler: hRingPark},
 	api.CallRingWake: {name: "mailbox_ring_wake", domains: domainOS | domainEnclave, handler: hRingWake},
 	api.CallRingDestroy: {name: "mailbox_ring_destroy", domains: domainOS,
@@ -250,16 +273,9 @@ func (mon *Monitor) Dispatch(req api.Request) api.Response {
 // host-side (OS) calls and carries the trapping core for enclave calls.
 // When the facade wired a telemetry registry, every call is observed
 // here: count, ErrRetry count, and a cycle-clocked latency histogram,
-// sharded by the trapping core. Without one, the cost is one nil check.
+// sharded by the trapping core. Without one, it costs only nil checks.
 func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
-	t := mon.tele
-	if t == nil {
-		return mon.dispatchCall(req, ctx)
-	}
-	ci := t.call(req.Call)
-	if ci == nil {
-		return mon.dispatchCall(req, ctx)
-	}
+	ci := mon.tele.call(req.Call)
 	// The latency clock is the trapping core's own cycle counter, read
 	// plainly — dispatch runs on that core's goroutine, and only the
 	// core itself retires cycles during the call. Host-side calls
@@ -268,22 +284,13 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 	// of definitional zeros would cost atomics and carry no signal
 	// (DESIGN.md §13), and summing the global clock here would only
 	// pick up other cores' concurrent progress.
-	if ctx == nil {
-		resp := mon.dispatchCall(req, ctx)
-		ci.count.Inc(0)
-		if resp.Status == api.ErrRetry {
-			ci.retries.Inc(0)
-		}
-		return resp
+	if ci == nil || ctx == nil {
+		return ci.record(0, mon.dispatchCall(req, ctx))
 	}
 	shard := ctx.core.ID
 	begin := ctx.core.CPU.Cycles
-	resp := mon.dispatchCall(req, ctx)
-	ci.count.Inc(shard)
+	resp := ci.record(shard, mon.dispatchCall(req, ctx))
 	ci.cycles.ObserveOn(shard, ctx.core.CPU.Cycles-begin)
-	if resp.Status == api.ErrRetry {
-		ci.retries.Inc(shard)
-	}
 	return resp
 }
 
@@ -355,11 +362,9 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 				}
 				held, heldID = e, req.Args[0]
 			}
-			if t := mon.tele; t != nil {
-				out[i] = t.observeEnc(mon, def, held, req)
-			} else {
-				out[i] = def.encHandler(mon, held, req)
-			}
+			// Batched enclave handlers run host-side: like host-side
+			// dispatch, they count but retire no cycles.
+			out[i] = mon.tele.call(req.Call).record(0, def.encHandler(mon, held, req))
 		} else {
 			// Anything else — including unknown or unauthorized calls —
 			// takes the single-call path; the held lock is released
@@ -499,32 +504,25 @@ func hMAC(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 // --- Dual-domain handlers: ctx non-nil means the enclave convention,
 // nil the OS convention ---
 
+// hSendMail delivers a mailbox message stamped with the sender's
+// identity: an enclave sends MailboxSize bytes from its VA a1; the OS
+// sends a2 bytes, zero-padded, from the OS-owned PA a1, carrying the
+// reserved OS identity and a zero measurement so no enclave can mistake
+// it for an enclave.
 func hSendMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+	var msg [api.MailboxSize]byte
+	var meas [32]byte
+	n := uint64(api.MailboxSize)
 	if ctx != nil {
-		e := ctx.enclave
-		msg, okRead := mon.readEnclave(e, req.Args[1], api.MailboxSize)
-		if !okRead {
-			return fail(api.ErrInvalidValue)
-		}
-		return fail(mon.deliverMail(e.ID, e.Measurement, req.Args[0], msg))
-	}
-	// OS convention: a1 = source PA in OS-owned memory, a2 = length.
-	// The message carries the reserved OS identity and a zero
-	// measurement, so no enclave can mistake it for an enclave.
-	n := req.Args[2]
-	if n > api.MailboxSize {
+		meas = ctx.enclave.Measurement
+	} else if n = req.Args[2]; n > api.MailboxSize {
 		return fail(api.ErrInvalidValue)
 	}
-	padded := make([]byte, api.MailboxSize)
-	if n > 0 {
-		if !mon.osOwnsRange(req.Args[1], n) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.ReadBytes(req.Args[1], padded[:n]); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
+	// An empty OS message reads nothing, so its address goes unchecked.
+	if n > 0 && !mon.readCaller(ctx, req.Args[1], msg[:n]) {
+		return fail(api.ErrInvalidValue)
 	}
-	return fail(mon.deliverMail(api.DomainOS, [32]byte{}, req.Args[0], padded))
+	return fail(mon.deliverMail(ctx.domain(), meas, req.Args[0], msg[:]))
 }
 
 func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
@@ -536,28 +534,12 @@ func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	if st != api.OK {
 		return fail(st)
 	}
-	if uint64(len(data)) > req.Args[2] {
+	if uint64(len(data)) > req.Args[2] || !mon.writeCaller(ctx, req.Args[1], data) {
 		return fail(api.ErrInvalidValue)
-	}
-	if ctx != nil {
-		if !mon.writeEnclave(caller, req.Args[1], data) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(data))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], data); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
 	}
 	return ok(uint64(len(data)))
 }
 
 func hBlockRegion(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	owner := api.DomainOS
-	if ctx != nil {
-		owner = ctx.enclave.ID
-	}
-	return fail(mon.blockRegionAs(owner, indexArg(req.Args[0])))
+	return fail(mon.blockRegionAs(ctx.domain(), indexArg(req.Args[0])))
 }

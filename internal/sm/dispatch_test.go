@@ -33,6 +33,7 @@ var osOnlyCalls = []api.Call{
 	api.CallCleanRegion,
 	api.CallSnapshotEnclave, api.CallCloneEnclave, api.CallReleaseSnapshot,
 	api.CallRingCreate, api.CallRingDestroy,
+	api.CallBulkGrant, api.CallBulkRevoke,
 }
 
 var enclaveOnlyCalls = []api.Call{
@@ -41,13 +42,13 @@ var enclaveOnlyCalls = []api.Call{
 	api.CallAcceptRegion, api.CallAttestSign, api.CallResumeAEX,
 	api.CallSetFaultHandler, api.CallResumeFault, api.CallMyEnclaveID,
 	api.CallKADerive, api.CallKACombine, api.CallMAC,
-	api.CallRingPark,
+	api.CallRingPark, api.CallBulkMap,
 }
 
 func TestDispatchUnknownCallNumbers(t *testing.T) {
 	f := newFixture(t)
 	before := snapshot(f.mon)
-	for _, call := range []api.Call{0x00, 0x13, 0x1E, 0x33, 0x3F, 0x46, 0x100, 0xFFFF, 1 << 40, ^api.Call(0)} {
+	for _, call := range []api.Call{0x00, 0x13, 0x1E, 0x33, 0x3F, 0x46, 0x4F, 0x55, 0x100, 0xFFFF, 1 << 40, ^api.Call(0)} {
 		resp := f.mon.Dispatch(api.OSRequest(call, 1, 2, 3, 4, 5, 6))
 		if resp.Status != api.ErrNotSupported {
 			t.Errorf("undefined call %#x: %v, want ErrNotSupported", uint64(call), resp.Status)
@@ -80,7 +81,8 @@ func TestDispatchRefusesWrongDomain(t *testing.T) {
 	allCalls := append(append([]api.Call{}, osOnlyCalls...), enclaveOnlyCalls...)
 	allCalls = append(allCalls, api.CallSendMail, api.CallGetField,
 		api.CallBlockRegion, api.CallGetABIVersion,
-		api.CallRingSend, api.CallRingRecv, api.CallRingWake)
+		api.CallRingSend, api.CallRingRecv, api.CallRingWake,
+		api.CallBulkSend, api.CallBulkRecv)
 	for _, call := range allCalls {
 		req := api.Request{Caller: eid, Call: call, Args: [6]uint64{eid, 2, 3}}
 		if resp := f.mon.Dispatch(req); resp.Status != api.ErrUnauthorized {
@@ -118,6 +120,16 @@ func TestDispatchOutOfRangeArguments(t *testing.T) {
 	if st := f.InitEnclave(sealed); st != api.OK {
 		t.Fatalf("init sealed: %v", st)
 	}
+	// A live OS↔OS ring and grant, so the ring and bulk sweeps exercise
+	// the checks past the object lookups.
+	ring, grant := f.metaPage(12), f.metaPage(13)
+	if st := f.call(api.CallRingCreate, ring, api.DomainOS, api.DomainOS, 8); st != api.OK {
+		t.Fatalf("ring_create: %v", st)
+	}
+	if st := f.call(api.CallBulkGrant, grant, f.m.DRAM.Base(2), 1, api.DomainOS, api.DomainOS); st != api.OK {
+		t.Fatalf("bulk_grant: %v", st)
+	}
+	stage, buf := f.m.DRAM.Base(1), f.m.DRAM.Base(3) // OS-owned
 	before := snapshot(f.mon)
 	huge := ^uint64(0)
 	cases := []struct {
@@ -166,6 +178,24 @@ func TestDispatchOutOfRangeArguments(t *testing.T) {
 		{"recv from unknown ring", api.OSRequest(api.CallRingRecv, 0xBAD, 0x1000, 1), api.ErrInvalidValue},
 		{"wake unknown ring", api.OSRequest(api.CallRingWake, 0xBAD), api.ErrInvalidValue},
 		{"destroy unknown ring", api.OSRequest(api.CallRingDestroy, huge), api.ErrInvalidValue},
+		{"send from SM memory", api.OSRequest(api.CallRingSend, ring, f.meta, 1), api.ErrInvalidValue},
+		{"recv count 0", api.OSRequest(api.CallRingRecv, ring, stage, 0), api.ErrInvalidValue},
+		{"grant id outside metadata region", api.OSRequest(api.CallBulkGrant, 0x1000, buf, 1, api.DomainOS, api.DomainOS), api.ErrInvalidValue},
+		{"grant of 0 pages", api.OSRequest(api.CallBulkGrant, f.metaPage(8), buf, 0, api.DomainOS, api.DomainOS), api.ErrInvalidValue},
+		{"grant of all-ones pages", api.OSRequest(api.CallBulkGrant, f.metaPage(8), buf, huge, api.DomainOS, api.DomainOS), api.ErrInvalidValue},
+		{"grant unaligned base", api.OSRequest(api.CallBulkGrant, f.metaPage(8), buf+8, 1, api.DomainOS, api.DomainOS), api.ErrInvalidValue},
+		{"grant SM-owned base", api.OSRequest(api.CallBulkGrant, f.metaPage(8), f.meta, 1, api.DomainOS, api.DomainOS), api.ErrInvalidValue},
+		{"grant junk endpoint", api.OSRequest(api.CallBulkGrant, f.metaPage(8), buf, 1, 0xBAD, api.DomainOS), api.ErrInvalidValue},
+		{"revoke unknown grant", api.OSRequest(api.CallBulkRevoke, 0xBAD), api.ErrInvalidValue},
+		{"bulk send on unknown grant", api.OSRequest(api.CallBulkSend, ring, stage, 1, 0xBAD), api.ErrInvalidValue},
+		{"bulk recv on unknown grant", api.OSRequest(api.CallBulkRecv, ring, stage, 1, 0xBAD), api.ErrInvalidValue},
+		{"bulk send count all-ones", api.OSRequest(api.CallBulkSend, ring, stage, huge, grant), api.ErrInvalidValue},
+		{"bulk recv count all-ones", api.OSRequest(api.CallBulkRecv, ring, stage, huge, grant), api.ErrInvalidValue},
+		// An empty OS message reads nothing, so its source address goes
+		// unchecked — even one past the end of memory — and the refusal
+		// comes from the mailbox.
+		{"empty mail from SM address", api.OSRequest(api.CallSendMail, sealed, f.meta, 0), api.ErrInvalidState},
+		{"empty mail from all-ones address", api.OSRequest(api.CallSendMail, sealed, huge, 0), api.ErrInvalidState},
 	}
 	for _, c := range cases {
 		if resp := f.mon.Dispatch(c.req); resp.Status != c.want {
@@ -210,9 +240,9 @@ func TestDispatchBatchSequentialEquivalence(t *testing.T) {
 		for _, r := range resps {
 			statuses = append(statuses, r.Status)
 		}
-		_, meas, st := f.mon.EnclaveInfo(eid)
-		if st != api.OK {
-			t.Fatalf("enclave info after build: %v", st)
+		_, meas, found := f.enclaveInfo(eid)
+		if !found {
+			t.Fatal("enclave missing after build")
 		}
 		var sig [2]uint64
 		for i := 0; i < 8; i++ {

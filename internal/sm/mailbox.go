@@ -89,18 +89,6 @@ func (mon *Monitor) deliverMail(senderID uint64, senderMeas [32]byte, recipientE
 	return api.ErrInvalidState
 }
 
-// SendMailFromOS lets the untrusted OS send a message (Fig 5 allows
-// sends "by any enclave or OS"); it carries the reserved OS identity
-// and a zero measurement, so no enclave can mistake it for an enclave.
-func (mon *Monitor) SendMailFromOS(recipientEID uint64, msg []byte) api.Error {
-	padded := make([]byte, api.MailboxSize)
-	if len(msg) > api.MailboxSize {
-		return api.ErrInvalidValue
-	}
-	copy(padded, msg)
-	return mon.deliverMail(api.DomainOS, [32]byte{}, recipientEID, padded)
-}
-
 // getMail drains mailbox idx (get_mail by the recipient, Fig 5),
 // returning the message and the monitor-attested sender measurement.
 func (mon *Monitor) getMail(e *Enclave, idx int) ([]byte, [32]byte, api.Error) {

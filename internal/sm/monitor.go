@@ -13,9 +13,7 @@
 // host Go code standing in for S-mode — submits the same api.Request
 // values through Monitor.Dispatch or DispatchBatch, normally via the
 // smcall client. Both entries land in the single routing table in
-// dispatch.go, where the per-caller-domain authorization lives; the
-// legacy exported methods (compat.go) are thin deprecated shims over
-// Dispatch kept to stage the migration.
+// dispatch.go, where the per-caller-domain authorization lives.
 //
 // # Concurrency model (paper §V-A)
 //
@@ -129,9 +127,8 @@ type Monitor struct {
 	threads   map[uint64]*Thread
 	snapshots map[uint64]*Snapshot
 	rings     map[uint64]*Ring
-	ringSeq   uint64 // ring creation order (under objMu)
 	grants    map[uint64]*Grant
-	grantSeq  uint64 // grant creation order (under objMu)
+	pairSeq   uint64 // ring and grant creation order (under objMu)
 
 	regions []regionMeta
 	cores   []coreSlot

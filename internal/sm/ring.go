@@ -24,24 +24,46 @@ package sm
 // monitor still verifies).
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/sm/api"
 )
 
+// endpoints is what rings and grants share: the object's id, its fixed
+// producer and consumer domains (api.DomainOS or an eid), and its
+// creation order for the FieldEnclaveRings/FieldEnclaveGrants
+// directories. Immutable after creation.
+type endpoints struct {
+	ID       uint64
+	Producer uint64
+	Consumer uint64
+	seq      uint64
+}
+
+// isEndpoint reports whether who is the producer or the consumer.
+func (p *endpoints) isEndpoint(who uint64) bool {
+	return who == p.Producer || who == p.Consumer
+}
+
+// distinct returns the pair's endpoints, producer first, once each.
+func (p *endpoints) distinct() []uint64 {
+	if p.Consumer == p.Producer {
+		return []uint64{p.Producer}
+	}
+	return []uint64{p.Producer, p.Consumer}
+}
+
 // Ring is the monitor's metadata for one mailbox ring. The mutex is
 // the ring's §V-A transaction lock, taken with TryLock; contended
 // calls fail with ErrRetry having changed nothing.
 type Ring struct {
 	mu sync.Mutex
-
-	ID       uint64
-	Producer uint64 // api.DomainOS or an eid
-	Consumer uint64
-	seq      uint64 // creation order, for FieldEnclaveRings
-	dead     bool   // set by destroy under mu; a racing lookup re-checks
+	endpoints
+	dead bool // set by destroy under mu; a racing lookup re-checks
 
 	slots []ringMsg
 	head  int // oldest undelivered message
@@ -58,10 +80,10 @@ type Ring struct {
 	// park→wake wait. Zero when telemetry is disabled.
 	parkStamp uint64
 
-	// scratch is the ring's recv staging buffer, reused across calls
-	// (guarded by mu like the slots) so batched recv allocates nothing
-	// per message.
-	scratch []byte
+	// records is the recv staging buffer of RingMaxBatch records,
+	// reused across calls (guarded by mu like the slots), so recv
+	// neither allocates nor zeroes a buffer per call.
+	records []byte
 }
 
 // ringMsg is one queued message with its monitor-attested stamp. grant
@@ -76,27 +98,23 @@ type ringMsg struct {
 	payload [api.RingMsgSize]byte
 }
 
-// headRunLocked counts the consecutive messages at the ring head
-// stamped with the given grant id (zero = plain), up to max. Caller
-// holds r.mu.
-func (r *Ring) headRunLocked(grant uint64, max int) int {
-	n := max
-	if n > r.count {
-		n = r.count
-	}
-	for i := 0; i < n; i++ {
-		if r.slots[(r.head+i)%len(r.slots)].grant != grant {
-			return i
-		}
-	}
-	return n
-}
-
-// takeWaiterLocked pops the parked waiter, if any. Caller holds r.mu.
-func (r *Ring) takeWaiterLocked() (eid, tid uint64) {
-	eid, tid = r.waiterEID, r.waiterTID
+// unlockAndWake releases r's transaction lock and wakes its parked
+// consumer, if any, recording the park→wake wait; from is the posting
+// hart. Reports whether a consumer was woken. Caller holds r.mu.
+func (mon *Monitor) unlockAndWake(r *Ring, from int) bool {
+	weid, wtid := r.waiterEID, r.waiterTID
 	r.waiterEID, r.waiterTID = 0, 0
-	return eid, tid
+	stamp := r.parkStamp
+	r.mu.Unlock()
+	if wtid == 0 {
+		return false
+	}
+	if t := mon.tele; t != nil {
+		t.ringWakes.Inc(from)
+		t.ringParkWait.ObserveOn(from, t.clock()-stamp)
+	}
+	mon.postWake(from, r.ID, weid, wtid)
+	return true
 }
 
 // lookupRing fetches and transaction-locks a ring; contention fails
@@ -153,25 +171,17 @@ func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
 	mon.machine.RunOn(0, from, func(*machine.Core) { sink(ringID, eid, tid) })
 }
 
-// ringCreate implements CallRingCreate (OS-domain): register a ring
-// between a fixed producer and consumer. Endpoints are DomainOS or
-// existing enclaves; the reserved SM identity is refused. The ring id
-// is claimed exactly like enclave, thread and snapshot ids — a free
-// page inside an SM metadata region. Each enclave endpoint is held
-// under its transaction lock while the ring registers, which — paired
-// with deleteEnclave's endpoint guard — excludes the race where a
-// ring attaches to an enclave mid-deletion and survives it: either
+// lockEndpoints registers a new ring or grant: it claims id — a free
+// page inside an SM metadata region, like every other monitor object
+// id — and publishes the object through add, under objMu, while every
+// enclave endpoint is held under its transaction lock. Paired with
+// deleteEnclave's endpoint guard, this excludes the race where an
+// object attaches to an enclave mid-deletion and survives it: either
 // the create sees the enclave and the delete then refuses, or the
 // delete wins and the create fails (retry or unknown id).
-func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.Error {
-	if capacity == 0 || capacity > api.RingMaxCapacity {
-		return api.ErrInvalidValue
-	}
-	endpoints := []uint64{producer}
-	if consumer != producer {
-		endpoints = append(endpoints, consumer)
-	}
-	for _, who := range endpoints {
+func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, add func(p endpoints)) api.Error {
+	p := endpoints{ID: id, Producer: producer, Consumer: consumer}
+	for _, who := range p.distinct() {
 		if who == api.DomainOS {
 			continue
 		}
@@ -183,18 +193,67 @@ func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.
 	}
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
-	if st := mon.allocMetaPage(ringID); st != api.OK {
+	if st := mon.allocMetaPage(id); st != api.OK {
 		return st
 	}
-	mon.ringSeq++
-	mon.rings[ringID] = &Ring{
-		ID:       ringID,
-		Producer: producer,
-		Consumer: consumer,
-		seq:      mon.ringSeq,
-		slots:    make([]ringMsg, capacity),
-	}
+	mon.pairSeq++
+	p.seq = mon.pairSeq
+	add(p)
 	return api.OK
+}
+
+// directory serves FieldEnclaveRings and, with grants set,
+// FieldEnclaveGrants: the rings (grants) eid is an endpoint of, in
+// creation order, as id[8] ‖ role[8] entries (role 0 = consumer, 1 =
+// producer), each grant's followed by its byte size[8].
+func (mon *Monitor) directory(eid uint64, grants bool) []byte {
+	type entry struct {
+		endpoints
+		role, size uint64
+	}
+	var entries []entry
+	add := func(p endpoints, size uint64) {
+		if p.Consumer == eid {
+			entries = append(entries, entry{p, 0, size})
+		}
+		if p.Producer == eid {
+			entries = append(entries, entry{p, 1, size})
+		}
+	}
+	mon.objMu.RLock()
+	if grants {
+		for _, g := range mon.grants {
+			add(g.endpoints, g.bytes())
+		}
+	} else {
+		for _, r := range mon.rings {
+			add(r.endpoints, 0)
+		}
+	}
+	mon.objMu.RUnlock()
+	slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]byte, 0, len(entries)*24)
+	for _, en := range entries {
+		out = binary.LittleEndian.AppendUint64(out, en.ID)
+		out = binary.LittleEndian.AppendUint64(out, en.role)
+		if grants {
+			out = binary.LittleEndian.AppendUint64(out, en.size)
+		}
+	}
+	return out
+}
+
+// ringCreate implements CallRingCreate (OS-domain): register a ring
+// between a fixed producer and consumer. Endpoints are DomainOS or
+// existing enclaves; the reserved SM identity is refused.
+func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.Error {
+	if capacity == 0 || capacity > api.RingMaxCapacity {
+		return api.ErrInvalidValue
+	}
+	return mon.lockEndpoints(ringID, producer, consumer, func(p endpoints) {
+		mon.rings[ringID] = &Ring{endpoints: p, slots: make([]ringMsg, capacity),
+			records: make([]byte, api.RingMaxBatch*api.RingRecordSize)}
+	})
 }
 
 // ringDestroy implements CallRingDestroy (OS-domain): unregister the
@@ -207,7 +266,7 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 	if st != api.OK {
 		return st
 	}
-	weid, wtid := r.takeWaiterLocked()
+	weid, wtid := r.waiterEID, r.waiterTID
 	r.dead = true
 	queued := r.count
 	// Undelivered scatter-gather descriptors die with the ring; their
@@ -241,17 +300,12 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 	return api.OK
 }
 
-// ringEnqueue appends up to count messages to the ring under its
-// transaction lock, waking a parked consumer. fill(i, dst) copies
-// message i's payload into a free slot — straight from the staged
-// source, so batched sends allocate nothing per message; it runs with
-// the lock held but only touches slots not yet published (a failure
-// aborts before the count advances). sender and meas are the
-// monitor-attested stamp; grant is zero for plain messages and the
-// grant id for scatter-gather descriptors (bulk.go). Returns the count
-// actually enqueued.
-func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, count int,
-	fill func(i int, dst []byte) api.Error) (uint64, api.Error) {
+// ringEnqueue appends the staged messages msgs (RingMsgSize bytes
+// each) to the ring under its transaction lock, as many as fit, and
+// wakes a parked consumer. sender and meas are the monitor-attested
+// stamp; grant is zero for plain messages and the grant id for
+// scatter-gather descriptors (bulk.go). Returns the count enqueued.
+func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, msgs []byte) (int, api.Error) {
 	r, st := mon.lookupRing(ringID)
 	if st != api.OK {
 		return 0, st
@@ -260,101 +314,23 @@ func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, 
 		r.mu.Unlock()
 		return 0, api.ErrUnauthorized
 	}
-	space := len(r.slots) - r.count
-	if space == 0 {
+	n := min(len(msgs)/api.RingMsgSize, len(r.slots)-r.count)
+	if n == 0 {
 		r.mu.Unlock()
 		return 0, api.ErrInvalidState
 	}
-	n := count
-	if n > space {
-		n = space
-	}
 	for i := 0; i < n; i++ {
 		slot := &r.slots[(r.head+r.count+i)%len(r.slots)]
-		if st := fill(i, slot.payload[:]); st != api.OK {
-			r.mu.Unlock()
-			return 0, st
-		}
-		slot.sender = sender
-		slot.meas = meas
-		slot.grant = grant
+		copy(slot.payload[:], msgs[i*api.RingMsgSize:])
+		slot.sender, slot.meas, slot.grant = sender, meas, grant
 	}
 	r.count += n
-	weid, wtid := r.takeWaiterLocked()
-	stamp := r.parkStamp
-	r.mu.Unlock()
 	if t := mon.tele; t != nil {
 		t.ringSendBatch.ObserveOn(from, uint64(n))
 		t.ringDepth.Add(int64(n))
-		if wtid != 0 {
-			t.ringWakes.Inc(from)
-			t.ringParkWait.ObserveOn(from, t.clock()-stamp)
-		}
 	}
-	if wtid != 0 {
-		mon.postWake(from, ringID, weid, wtid)
-	}
-	return uint64(n), api.OK
-}
-
-// ringRecords serializes the ring's oldest n messages as recv records
-// (measurement ‖ sender id ‖ payload) into the ring's scratch buffer,
-// valid until the lock is released. Caller holds r.mu.
-func (r *Ring) ringRecords(n int) []byte {
-	if cap(r.scratch) < api.RingMaxBatch*api.RingRecordSize {
-		r.scratch = make([]byte, api.RingMaxBatch*api.RingRecordSize)
-	}
-	out := r.scratch[:n*api.RingRecordSize]
-	for i := 0; i < n; i++ {
-		slot := &r.slots[(r.head+i)%len(r.slots)]
-		rec := out[i*api.RingRecordSize:]
-		copy(rec, slot.meas[:])
-		binary.LittleEndian.PutUint64(rec[32:], slot.sender)
-		copy(rec[api.RingStampSize:api.RingRecordSize], slot.payload[:])
-	}
-	return out
-}
-
-// popLocked drops the oldest n messages. Caller holds r.mu.
-func (r *Ring) popLocked(n int) {
-	r.head = (r.head + n) % len(r.slots)
-	r.count -= n
-}
-
-// ringBytesForEnclave serves FieldEnclaveRings: the rings the caller
-// is an endpoint of, in creation order, as ring id[8] ‖ role[8]
-// entries (role 0 = consumer, 1 = producer).
-func (mon *Monitor) ringBytesForEnclave(eid uint64) []byte {
-	type entry struct {
-		seq  uint64
-		id   uint64
-		role uint64
-	}
-	var entries []entry
-	mon.objMu.RLock()
-	for _, r := range mon.rings {
-		if r.Consumer == eid {
-			entries = append(entries, entry{seq: r.seq, id: r.ID, role: 0})
-		}
-		if r.Producer == eid {
-			entries = append(entries, entry{seq: r.seq, id: r.ID, role: 1})
-		}
-	}
-	mon.objMu.RUnlock()
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].seq > entries[j].seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	out := make([]byte, 0, len(entries)*16)
-	var word [8]byte
-	for _, en := range entries {
-		binary.LittleEndian.PutUint64(word[:], en.id)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.role)
-		out = append(out, word[:]...)
-	}
-	return out
+	mon.unlockAndWake(r, from)
+	return n, api.OK
 }
 
 // --- dispatch handlers ---
@@ -367,64 +343,95 @@ func batchLen(count uint64) (int, bool) {
 	return int(count), true
 }
 
-// hRingSend is the dual-domain send handler. Enclave payloads are
-// read through the enclave's tables before the ring transaction (the
-// read has no side effects, so a contended ring still means no state
-// changed); OS payloads are range-checked up front and then copied
-// from physical memory straight into the slots — no intermediate
-// buffer on the hot batched path.
-func hRingSend(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+// ringSend is the one send path of both domains: mailbox_ring_send
+// with g nil, bulk_send with the grant a3 names. The caller's messages
+// are staged before the ring transaction (reading has no side effects,
+// so a contended ring still means no state changed). A bulk sender
+// must be a grant endpoint as well as the ring's producer, every
+// message must parse as a descriptor list inside the grant before any
+// is published — a bad descriptor in message k must not leave messages
+// 0..k-1 queued — and the queued descriptors count in flight on the
+// grant until received.
+func (mon *Monitor) ringSend(req api.Request, ctx *callContext, g *Grant) api.Response {
 	n, okCount := batchLen(req.Args[2])
 	if !okCount {
 		return fail(api.ErrInvalidValue)
 	}
-	var sender uint64
-	var meas [32]byte
-	var fill func(i int, dst []byte) api.Error
-	from := machine.NoHart
-	if ctx != nil {
-		from = ctx.core.ID
-		sender, meas = ctx.enclave.ID, ctx.enclave.Measurement
-		msgs, okRead := mon.readEnclave(ctx.enclave, req.Args[1], n*api.RingMsgSize)
-		if !okRead {
-			return fail(api.ErrInvalidValue)
-		}
-		fill = func(i int, dst []byte) api.Error {
-			copy(dst, msgs[i*api.RingMsgSize:])
-			return api.OK
-		}
-	} else {
-		sender = api.DomainOS
-		srcPA := req.Args[1]
-		if !mon.osOwnsRange(srcPA, uint64(n)*api.RingMsgSize) {
-			return fail(api.ErrInvalidValue)
-		}
-		fill = func(i int, dst []byte) api.Error {
-			if err := mon.machine.Mem.ReadBytes(srcPA+uint64(i)*api.RingMsgSize, dst); err != nil {
-				return api.ErrInvalidValue
-			}
-			return api.OK
-		}
+	var staged [api.RingMaxBatch * api.RingMsgSize]byte
+	msgs := staged[:n*api.RingMsgSize]
+	if !mon.readCaller(ctx, req.Args[1], msgs) {
+		return fail(api.ErrInvalidValue)
 	}
-	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, 0, n, fill)
+	sender, from := ctx.domain(), ctx.hart()
+	var meas [32]byte
+	if ctx != nil {
+		meas = ctx.enclave.Measurement
+	}
+	var gid uint64
+	if g != nil {
+		if !g.isEndpoint(sender) {
+			return fail(api.ErrUnauthorized)
+		}
+		for i := 0; i < n; i++ {
+			if _, _, st := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], g.bytes()); st != api.OK {
+				return fail(st)
+			}
+		}
+		// Publish in-flight before checking dead (the revoke protocol's
+		// mirror image): a racing revoke either sees our count and
+		// refuses, or has already marked the grant dead and we abort.
+		g.inflight.Add(int64(n))
+		if g.dead.Load() {
+			g.inflight.Add(-int64(n))
+			return fail(api.ErrInvalidValue)
+		}
+		gid = g.ID
+	}
+	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, gid, msgs)
+	if g != nil {
+		// Unsent messages — all of them on failure, the tail when the
+		// ring filled mid-batch — are not in flight.
+		g.inflight.Add(-int64(n - sent))
+	}
 	if st != api.OK {
 		return fail(st)
 	}
-	return ok(sent)
+	if t := mon.tele; t != nil && g != nil {
+		// The accepted messages parsed above; parse them again for their
+		// descriptor and byte counts rather than stage counts for every
+		// send, telemetry or not.
+		var total uint64
+		for i := 0; i < sent; i++ {
+			nd, bytes, _ := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], g.bytes())
+			total += bytes
+			t.bulkDescs.ObserveOn(from, uint64(nd))
+		}
+		t.bulkBytes.Add(from, total)
+	}
+	return ok(uint64(sent))
 }
 
-// hRingRecv is the dual-domain recv handler. The records are written
-// while the ring transaction holds the lock and popped only after the
-// copy-out succeeded, so a recv into an invalid buffer consumes
-// nothing.
-func hRingRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+// ringRecv is the one receive path of both domains: mailbox_ring_recv
+// with g nil, bulk_recv with the grant a3 names. It drains the run of
+// messages at the ring head stamped with the grant (plain messages for
+// a plain recv): a plain recv refuses a descriptor head, because only
+// bulk_recv knows the grant and releases the in-flight pins — a plain
+// recv draining it would strand the grant un-revocable. The records
+// are written while the ring transaction holds the lock and popped
+// only after the copy-out succeeded, so a recv into an invalid buffer
+// consumes nothing.
+func (mon *Monitor) ringRecv(req api.Request, ctx *callContext, g *Grant) api.Response {
 	max, okCount := batchLen(req.Args[2])
 	if !okCount {
 		return fail(api.ErrInvalidValue)
 	}
-	var caller uint64 = api.DomainOS
-	if ctx != nil {
-		caller = ctx.enclave.ID
+	caller := ctx.domain()
+	var gid uint64
+	if g != nil {
+		if !g.isEndpoint(caller) {
+			return fail(api.ErrUnauthorized)
+		}
+		gid = g.ID
 	}
 	r, st := mon.lookupRing(req.Args[0])
 	if st != api.OK {
@@ -437,36 +444,35 @@ func hRingRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	if r.count == 0 {
 		return fail(api.ErrInvalidState)
 	}
-	// A scatter-gather descriptor head (bulk.go) must go through
-	// bulk_recv, which knows the grant and releases the in-flight pins;
-	// a plain recv draining it would strand the grant un-revocable.
-	n := r.headRunLocked(0, max)
+	n := 0
+	for n < max && n < r.count && r.slots[(r.head+n)%len(r.slots)].grant == gid {
+		n++
+	}
 	if n == 0 {
+		return fail(api.ErrInvalidValue) // the head message is not this grant's
+	}
+	// Each record is measurement ‖ sender id ‖ payload.
+	recs := r.records[:n*api.RingRecordSize]
+	for i := 0; i < n; i++ {
+		slot := &r.slots[(r.head+i)%len(r.slots)]
+		rec := recs[i*api.RingRecordSize:]
+		copy(rec, slot.meas[:])
+		binary.LittleEndian.PutUint64(rec[32:], slot.sender)
+		copy(rec[api.RingStampSize:], slot.payload[:])
+	}
+	// Writing into a clone may resolve a COW alias; the enclave
+	// transaction lock it takes is never held while anyone waits on a
+	// ring lock, so the order ring → enclave cannot deadlock.
+	if !mon.writeCaller(ctx, req.Args[1], recs) {
 		return fail(api.ErrInvalidValue)
 	}
-	out := r.ringRecords(n)
-	if ctx != nil {
-		// Writing into a clone may resolve a COW alias; the enclave
-		// transaction lock it takes is never held while anyone waits on
-		// a ring lock, so the order ring → enclave cannot deadlock.
-		if !mon.writeEnclave(ctx.enclave, req.Args[1], out) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(out))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], out); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
+	r.head = (r.head + n) % len(r.slots)
+	r.count -= n
+	if g != nil {
+		g.inflight.Add(-int64(n))
 	}
-	r.popLocked(n)
 	if t := mon.tele; t != nil {
-		shard := 0
-		if ctx != nil {
-			shard = ctx.core.ID
-		}
-		t.ringRecvBatch.ObserveOn(shard, uint64(n))
+		t.ringRecvBatch.ObserveOn(ctx.hart(), uint64(n))
 		t.ringDepth.Add(-int64(n))
 	}
 	return ok(uint64(n))
@@ -515,28 +521,16 @@ func hRingPark(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 // hRingWake is the dual-domain explicit wake, authorized against the
 // producer (wake-spoofing by any other domain is refused).
 func hRingWake(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	caller, from := api.DomainOS, machine.NoHart
-	if ctx != nil {
-		caller, from = ctx.enclave.ID, ctx.core.ID
-	}
 	r, st := mon.lookupRing(req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}
-	if r.Producer != caller {
+	if r.Producer != ctx.domain() {
 		r.mu.Unlock()
 		return fail(api.ErrUnauthorized)
 	}
-	weid, wtid := r.takeWaiterLocked()
-	stamp := r.parkStamp
-	r.mu.Unlock()
-	if wtid == 0 {
-		return ok(0)
+	if mon.unlockAndWake(r, ctx.hart()) {
+		return ok(1)
 	}
-	if t := mon.tele; t != nil {
-		t.ringWakes.Inc(from)
-		t.ringParkWait.ObserveOn(from, t.clock()-stamp)
-	}
-	mon.postWake(from, req.Args[0], weid, wtid)
-	return ok(1)
+	return ok(0)
 }

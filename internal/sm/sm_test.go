@@ -92,10 +92,17 @@ func newFixture(t testing.TB) *fixture {
 
 func (f *fixture) metaPage(i int) uint64 { return f.meta + uint64(i)*mem.PageSize }
 
+// enclaveInfo reads an enclave's lifecycle state and measurement from
+// the invariant suite's state capture; found is false for an unknown
+// eid.
+func (f *fixture) enclaveInfo(eid uint64) (state EnclaveState, meas [32]byte, found bool) {
+	e, found := f.mon.CaptureState().Enclaves[eid]
+	return e.State, e.Measurement, found
+}
+
 // ABI-path call helpers: the white-box tests drive the same Dispatch
-// surface the OS and the adversary battery use, so the deprecated
-// compat shims are exercised nowhere outside compat_test.go. The
-// signatures mirror the old method surface to keep the tests readable.
+// surface the OS and the adversary battery use. The signatures mirror
+// the call arguments to keep the tests readable.
 func (f *fixture) call(c api.Call, args ...uint64) api.Error {
 	return f.mon.Dispatch(api.OSRequest(c, args...)).Status
 }
@@ -280,7 +287,7 @@ func TestEnclaveLifecycleHappyPath(t *testing.T) {
 	if st := f.InitEnclave(eid); st != api.OK {
 		t.Fatalf("init: %v", st)
 	}
-	state, meas, _ := f.mon.EnclaveInfo(eid)
+	state, meas, _ := f.enclaveInfo(eid)
 	if state != EnclaveInitialized {
 		t.Fatalf("state: %v", state)
 	}
@@ -439,7 +446,7 @@ func TestMeasurementIndependentOfPlacement(t *testing.T) {
 		if st := f.InitEnclave(eid); st != api.OK {
 			t.Fatalf("init: %v", st)
 		}
-		_, meas, _ := f.mon.EnclaveInfo(eid)
+		_, meas, _ := f.enclaveInfo(eid)
 		return meas
 	}
 	m1 := build(0, 10)
@@ -461,7 +468,7 @@ func TestMeasurementSensitiveToContentAndLayout(t *testing.T) {
 		f.LoadPage(eid, testEvBase, src, perms)
 		f.LoadThread(eid, f.metaPage(slot+1), entry, 0)
 		f.InitEnclave(eid)
-		_, meas, _ := f.mon.EnclaveInfo(eid)
+		_, meas, _ := f.enclaveInfo(eid)
 		return meas
 	}
 	base := build(0, 10, 1, pt.R|pt.X, testEvBase)
@@ -647,7 +654,10 @@ func TestMailboxStateMachine(t *testing.T) {
 	}
 	// OS mail carries the zero measurement.
 	f.mon.acceptMail(a, 0, api.DomainOS)
-	if st := f.mon.SendMailFromOS(eidA, []byte("os ping")); st != api.OK {
+	ping := []byte("os ping")
+	src := f.m.DRAM.Base(1) // OS-owned
+	f.m.Mem.WriteBytes(src, ping)
+	if st := f.call(api.CallSendMail, eidA, src, uint64(len(ping))); st != api.OK {
 		t.Fatalf("os send: %v", st)
 	}
 	_, senderMeas, _ = f.mon.getMail(a, 0)
@@ -668,7 +678,7 @@ func TestMailboxBounds(t *testing.T) {
 	if st := f.mon.acceptMail(e, api.MailboxesPerEnclave, 0); st != api.ErrInvalidValue {
 		t.Errorf("index past end: %v", st)
 	}
-	if st := f.mon.SendMailFromOS(eid, make([]byte, api.MailboxSize+1)); st != api.ErrInvalidValue {
+	if st := f.call(api.CallSendMail, eid, f.m.DRAM.Base(1), api.MailboxSize+1); st != api.ErrInvalidValue {
 		t.Errorf("oversized message: %v", st)
 	}
 	if st := f.mon.deliverMail(api.DomainOS, [32]byte{}, 0xBAD, make([]byte, api.MailboxSize)); st != api.ErrInvalidValue {

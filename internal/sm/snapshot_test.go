@@ -83,11 +83,11 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 	if st := f.CloneEnclave(clone, snapID, tidBase, 0); st != api.OK {
 		t.Fatalf("clone: %v", st)
 	}
-	state, meas, st := f.mon.EnclaveInfo(clone)
-	if st != api.OK || state != EnclaveInitialized {
-		t.Fatalf("clone state: %v/%v", state, st)
+	state, meas, found := f.enclaveInfo(clone)
+	if !found || state != EnclaveInitialized {
+		t.Fatalf("clone state: %v (found %v)", state, found)
 	}
-	_, tmplMeas, _ := f.mon.EnclaveInfo(tmpl)
+	_, tmplMeas, _ := f.enclaveInfo(tmpl)
 	if meas != tmplMeas {
 		t.Fatal("clone did not inherit the template measurement")
 	}
@@ -109,7 +109,8 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 	f.mon.objMu.RLock()
 	ce := f.mon.enclaves[clone]
 	f.mon.objMu.RUnlock()
-	if got, ok := f.mon.readEnclave(ce, testEvBase+0x1000, 4); !ok || !bytes.Equal(got, []byte{0xDA, 0xDA, 0xDA, 0xDA}) {
+	got := make([]byte, 4)
+	if ok := f.mon.readEnclave(ce, testEvBase+0x1000, got); !ok || !bytes.Equal(got, []byte{0xDA, 0xDA, 0xDA, 0xDA}) {
 		t.Fatalf("clone read of aliased data page: %v %x", ok, got)
 	}
 	// Releasing the snapshot with a live clone must fail.

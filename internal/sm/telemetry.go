@@ -38,12 +38,29 @@ type callInstr struct {
 	cycles  *telemetry.Histogram
 }
 
-// call returns the instruments for c, nil for calls outside the table.
+// call returns the instruments for c: nil when telemetry is disabled
+// or c is outside the table.
 func (tl *monTelemetry) call(c api.Call) *callInstr {
+	if tl == nil {
+		return nil
+	}
 	if i := int(c); i >= 0 && i < len(tl.calls) {
 		return tl.calls[i]
 	}
 	return nil
+}
+
+// record counts one completed call on shard, and its retry when the
+// call was refused for contention, and passes its response through.
+// A nil receiver (an uninstrumented call) records nothing.
+func (ci *callInstr) record(shard int, resp api.Response) api.Response {
+	if ci != nil {
+		ci.count.Inc(shard)
+		if resp.Status == api.ErrRetry {
+			ci.retries.Inc(shard)
+		}
+	}
+	return resp
 }
 
 // SetTelemetry instruments the monitor against reg: every dispatch-
@@ -81,22 +98,4 @@ func (mon *Monitor) SetTelemetry(reg *telemetry.Registry) {
 	tl.bulkGrants = reg.Gauge("sm.bulk.grants")
 	tl.bulkDescs = reg.Histogram("sm.bulk.descs")
 	mon.tele = tl
-}
-
-// observeEnc wraps a batched enclave-handler invocation with the same
-// per-call instruments the single-call path records.
-func (tl *monTelemetry) observeEnc(mon *Monitor, def callDef, held *Enclave, req api.Request) api.Response {
-	ci := tl.call(req.Call)
-	if ci == nil {
-		return def.encHandler(mon, held, req)
-	}
-	// Batched enclave handlers run host-side: no core retires cycles
-	// during the call, so — like host-side dispatch — they count but
-	// feed no definitional zeros into the cycle histogram.
-	resp := def.encHandler(mon, held, req)
-	ci.count.Inc(0)
-	if resp.Status == api.ErrRetry {
-		ci.retries.Inc(0)
-	}
-	return resp
 }

@@ -211,26 +211,9 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 	}
 	sendPA, _ := sys.OS.AllocPagePA()
 	recvPA, _ := sys.OS.AllocPagePA()
-	go func() {
-		for i := 0; i < total; {
-			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
-				if errors.Is(err, api.ErrInvalidState) {
-					runtime.Gosched() // ring full: the consumer will drain
-					continue
-				}
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-			i++
-		}
-	}()
-
-	served := 0
-	for served < total {
+	var served atomic.Int64
+	streamEchoRequests(t, sys, reqRing, sendPA, total, 8 /* response ring capacity */, &served)
+	for served.Load() < total {
 		<-wakes
 		for {
 			st := sys.OS.EnterEnclave(0, eid, tids[0])
@@ -256,11 +239,11 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served += n
+			served.Add(int64(n))
 		}
 	}
-	if served != total {
-		t.Fatalf("served %d responses, want %d", served, total)
+	if got := served.Load(); got != total {
+		t.Fatalf("served %d responses, want %d", got, total)
 	}
 	if stormed := acquisitions.Load(); stormed < total {
 		t.Fatalf("fault hook saw only %d ring acquisitions over %d messages", stormed, total)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"sanctorum"
@@ -59,6 +60,38 @@ func echoPayload(i int) []byte {
 	binary.LittleEndian.PutUint64(msg[8:], ^uint64(i))
 	msg[63] = byte(i)
 	return msg
+}
+
+// streamEchoRequests sends total echo requests into reqRing, one per
+// ring send, from a producer goroutine running beside the test's
+// consumer hart. It keeps at most window requests unanswered, where
+// answered counts the responses the test has drained — the gateway's
+// own inflight rule. The test drains the response ring only between
+// Machine.Run calls, so a producer further ahead would let the worker
+// fill its response ring and spin on backpressure until the step limit.
+func streamEchoRequests(t *testing.T, sys *sanctorum.System, reqRing, sendPA uint64,
+	total, window int, answered *atomic.Int64) {
+	go func() {
+		for i := 0; i < total; {
+			if int64(i)-answered.Load() >= int64(window) {
+				runtime.Gosched() // window full: wait for the test to drain
+				continue
+			}
+			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
+				if errors.Is(err, api.ErrInvalidState) {
+					runtime.Gosched() // ring full: the consumer will drain
+					continue
+				}
+				t.Errorf("send %d: %v", i, err)
+				return
+			}
+			i++
+		}
+	}()
 }
 
 // TestEnclaveRingService serves an echo workload through the gateway
@@ -241,28 +274,11 @@ func TestRingParkWakeRace(t *testing.T) {
 		t.Fatalf("worker did not park at startup: a0=%#x", a0)
 	}
 
-	// Producer: stream all requests, yielding through full rings. Runs
-	// concurrently with the consumer hart below.
-	go func() {
-		for i := 0; i < total; {
-			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
-				if errors.Is(err, api.ErrInvalidState) {
-					runtime.Gosched() // ring full: the consumer will drain
-					continue
-				}
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-			i++
-		}
-	}()
-
-	served := 0
-	for served < total {
+	// Producer: stream all requests, at most a response ring's worth
+	// unanswered. Runs concurrently with the consumer hart below.
+	var served atomic.Int64
+	streamEchoRequests(t, sys, reqRing, sendPA, total, 32 /* response ring capacity */, &served)
+	for served.Load() < total {
 		<-wakes
 		// Enter may race the park transition (the wake can beat the
 		// monitor's stopThread): retry until the thread is schedulable.
@@ -288,11 +304,11 @@ func TestRingParkWakeRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served += n
+			served.Add(int64(n))
 		}
 	}
-	if served != total {
-		t.Fatalf("served %d responses, want %d", served, total)
+	if got := served.Load(); got != total {
+		t.Fatalf("served %d responses, want %d", got, total)
 	}
 }
 
