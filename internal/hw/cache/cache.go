@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -23,12 +24,15 @@ type Config struct {
 	HitCycles  uint64 // latency of a hit
 	MissCycles uint64 // latency of a miss (includes fill)
 
-	// PartitionOf, when non-nil, maps a physical address to a partition
-	// index in [0, Partitions); each partition owns Sets/Partitions
-	// consecutive sets. This models Sanctum's page-colored LLC where the
-	// partition is the DRAM region. When nil the cache is fully shared.
-	PartitionOf func(pa uint64) int
-	Partitions  int
+	// Partitions, when non-zero, splits the cache into that many
+	// partitions of Sets/Partitions consecutive sets; an address's
+	// partition is pa>>PartitionShift modulo Partitions. This models
+	// Sanctum's page-colored LLC, where PartitionShift is the DRAM
+	// region shift: the set index is the region bits followed by the
+	// low line-address bits, so a region's lines sit only in its own
+	// sets. Zero leaves the cache fully shared.
+	Partitions     int
+	PartitionShift uint
 }
 
 // Validate reports whether the configuration is usable.
@@ -42,9 +46,13 @@ func (c Config) Validate() error {
 	if c.LineBits < 3 || c.LineBits > 12 {
 		return fmt.Errorf("cache: line bits %d outside [3,12]", c.LineBits)
 	}
-	if c.PartitionOf != nil {
+	if c.Partitions != 0 || c.PartitionShift != 0 {
 		if c.Partitions <= 0 || c.Sets%c.Partitions != 0 {
 			return fmt.Errorf("cache: %d partitions does not divide %d sets", c.Partitions, c.Sets)
+		}
+		// Below the line bits a line would straddle partitions.
+		if c.PartitionShift < c.LineBits || c.PartitionShift > 63 {
+			return fmt.Errorf("cache: partition shift %d outside [%d,63]", c.PartitionShift, c.LineBits)
 		}
 	}
 	return nil
@@ -66,7 +74,16 @@ type Cache struct {
 	sets     [][]line
 	stamp    uint64
 	lineBits uint
-	setMask  uint64 // Sets-1; Sets is validated to be a power of two
+
+	// The set index of pa is (pa>>partShift & partMask)<<perBits |
+	// pa>>lineBits & perMask: the partition's first set plus the low
+	// line-address bits. Sets is a power of two that Partitions
+	// divides, so both fields are masks. An unpartitioned cache is one
+	// partition of every set (partMask 0, partShift 64).
+	partShift uint
+	partMask  uint64
+	perBits   uint
+	perMask   uint64
 
 	// fillGen advances whenever the set of resident lines changes (any
 	// fill, eviction or flush). A LineRef from an older generation is
@@ -188,9 +205,18 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
 	}
+	parts, partShift := 1, uint(64)
+	if cfg.Partitions != 0 {
+		parts, partShift = cfg.Partitions, cfg.PartitionShift
+	}
+	per := cfg.Sets / parts
 	// fillGen starts above the zero value so a zero LineRef never
 	// matches and TouchFast needs no nil check on its line pointer.
-	return &Cache{cfg: cfg, sets: sets, lineBits: cfg.LineBits, setMask: uint64(cfg.Sets - 1), fillGen: 1}
+	return &Cache{
+		cfg: cfg, sets: sets, lineBits: cfg.LineBits, fillGen: 1,
+		partShift: partShift, partMask: uint64(parts - 1),
+		perBits: uint(bits.TrailingZeros(uint(per))), perMask: uint64(per - 1),
+	}
 }
 
 // Config returns the cache configuration.
@@ -199,17 +225,10 @@ func (c *Cache) Config() Config { return c.cfg }
 // setIndex computes the set for a physical address, honouring
 // partitioning.
 func (c *Cache) setIndex(pa uint64) int {
-	lineAddr := pa >> c.lineBits
-	if c.cfg.PartitionOf == nil {
-		// Sets is a power of two, so the mask is the modulo.
-		return int(lineAddr & c.setMask)
-	}
-	per := c.cfg.Sets / c.cfg.Partitions
-	part := c.cfg.PartitionOf(pa) % c.cfg.Partitions
-	if part < 0 {
-		part = 0
-	}
-	return part*per + int(lineAddr%uint64(per))
+	// Masking the shift counts with 63 lets the compiler emit bare
+	// shifts. Only an unpartitioned cache's partShift of 64 changes
+	// under the mask, and its partMask of 0 discards that term anyway.
+	return int((pa>>(c.partShift&63)&c.partMask)<<(c.perBits&63) | pa>>(c.lineBits&63)&c.perMask)
 }
 
 // Access performs a cached access to pa, returning whether it hit and
@@ -289,24 +308,63 @@ func (c *Cache) FlushAll() {
 	c.fillGen++
 }
 
-// FlushIf invalidates lines whose physical line address matches pred,
-// returning the count. The SM uses this to clean a DRAM region's cache
-// footprint on re-allocation when partitioning is not available.
-func (c *Cache) FlushIf(pred func(lineAddr uint64) bool) int {
+// FlushRange invalidates every resident line overlapping [pa, pa+n),
+// returning the count: the cache half of cleaning a DRAM region on
+// re-allocation. It visits only the sets those lines index — on a
+// partitioned cache a region is its own partition's sets — and sweeps
+// the whole cache when the range could index every set. No other
+// line's state or statistic changes.
+func (c *Cache) FlushRange(pa, n uint64) int {
 	if c.shared {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
+	c.fillGen++
+	if n == 0 {
+		return 0
+	}
+	first, last := pa>>c.lineBits, (pa+n-1)>>c.lineBits
+	if pa+n-1 < pa {
+		last = math.MaxUint64 >> c.lineBits // clip at the top of memory
+	}
+	// Between two partition boundaries (a run) the set index is the
+	// partition's first set plus the low line bits, so a run indexes at
+	// most span consecutive sets of its partition. A range whose runs
+	// could index every set is one sweep, which also bounds the loop.
+	runBits := c.partShift - c.lineBits
+	runs := last>>runBits - first>>runBits + 1
+	span := min(c.perMask+1, uint64(1)<<runBits)
+	sets := uint64(len(c.sets))
+	flushed := 0
+	if last-first >= sets-1 && runs >= sets/span {
+		for _, set := range c.sets {
+			flushed += c.flushSet(set, first, last)
+		}
+		return flushed
+	}
+	for l := first; ; {
+		runEnd := min(last, (l>>runBits+1)<<runBits-1)
+		base := (l >> runBits & c.partMask) << c.perBits
+		for i, end := l, min(runEnd, l+span-1); i <= end; i++ {
+			flushed += c.flushSet(c.sets[base|i&c.perMask], first, last)
+		}
+		if runEnd == last {
+			return flushed
+		}
+		l = runEnd + 1
+	}
+}
+
+// flushSet invalidates the resident lines of set whose line address
+// lies in [first, last].
+func (c *Cache) flushSet(set []line, first, last uint64) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].live(c.epoch) && pred(set[i].tag) {
-				set[i].valid = false
-				n++
-			}
+	for i := range set {
+		if set[i].live(c.epoch) && set[i].tag >= first && set[i].tag <= last {
+			set[i].valid = false
+			n++
 		}
 	}
-	c.fillGen++
 	return n
 }
 
@@ -325,6 +383,29 @@ func (c *Cache) Live() int {
 		}
 	}
 	return n
+}
+
+// LineState is one way's white-box state.
+type LineState struct {
+	Tag      uint64 // line address (pa >> LineBits)
+	Resident bool
+	LRU      uint64 // last-access stamp
+}
+
+// Snapshot returns every way's state, set by set, so tests can check
+// that an operation touched exactly the lines it should have.
+func (c *Cache) Snapshot() []LineState {
+	if c.shared {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	out := make([]LineState, 0, c.cfg.Sets*c.cfg.Ways)
+	for _, set := range c.sets {
+		for i := range set {
+			out = append(out, LineState{Tag: set[i].tag, Resident: set[i].live(c.epoch), LRU: set[i].lru})
+		}
+	}
+	return out
 }
 
 // SetOf exposes the set index mapping for tests and attack tooling.

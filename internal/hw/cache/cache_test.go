@@ -74,22 +74,11 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
-func TestFlushIf(t *testing.T) {
-	c := New(sharedCfg())
-	c.Access(0x0000)
-	c.Access(0x10000)
-	n := c.FlushIf(func(lineAddr uint64) bool { return lineAddr<<6 >= 0x10000 })
-	if n != 1 || c.Probe(0x10000) || !c.Probe(0x0000) {
-		t.Fatalf("selective flush wrong: n=%d", n)
-	}
-}
-
 func TestPartitionIsolation(t *testing.T) {
 	// Two domains get disjoint halves of the cache; an access by one can
 	// never evict the other, whatever the addresses.
-	regionOf := func(pa uint64) int { return int(pa >> 16) } // 64 KiB regions
 	cfg := sharedCfg()
-	cfg.PartitionOf = regionOf
+	cfg.PartitionShift = 16 // 64 KiB regions
 	cfg.Partitions = 2
 	c := New(cfg)
 
@@ -148,12 +137,40 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Sets: 4, Ways: 0, LineBits: 6},
 		{Sets: 4, Ways: 1, LineBits: 2},
 		{Sets: 4, Ways: 1, LineBits: 13},
-		{Sets: 64, Ways: 2, LineBits: 6, PartitionOf: func(uint64) int { return 0 }, Partitions: 0},
-		{Sets: 64, Ways: 2, LineBits: 6, PartitionOf: func(uint64) int { return 0 }, Partitions: 7},
+		{Sets: 64, Ways: 2, LineBits: 6, PartitionShift: 16, Partitions: 0},
+		{Sets: 64, Ways: 2, LineBits: 6, PartitionShift: 16, Partitions: 7},
+		{Sets: 64, Ways: 2, LineBits: 6, PartitionShift: 16, Partitions: -2},
+		{Sets: 64, Ways: 2, LineBits: 6, PartitionShift: 5, Partitions: 2},  // a line would straddle partitions
+		{Sets: 64, Ways: 2, LineBits: 6, PartitionShift: 64, Partitions: 2}, // past the address width
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// The shift/mask set index is the division form it replaced: partition
+// (pa>>PartitionShift) mod Partitions owns Sets/Partitions consecutive
+// sets, indexed by the line address modulo that count.
+func TestSetIndexMatchesPartitionFormula(t *testing.T) {
+	for _, cfg := range []Config{
+		{Sets: 1024, Ways: 8, LineBits: 6, PartitionShift: 18, Partitions: 64},
+		{Sets: 64, Ways: 4, LineBits: 6, PartitionShift: 6, Partitions: 4},
+		{Sets: 64, Ways: 4, LineBits: 6, PartitionShift: 63, Partitions: 4},
+		sharedCfg(),
+	} {
+		c := New(cfg)
+		want := func(pa uint64) int {
+			if cfg.Partitions == 0 {
+				return int(pa >> cfg.LineBits % uint64(cfg.Sets))
+			}
+			per := uint64(cfg.Sets / cfg.Partitions)
+			part := pa >> cfg.PartitionShift % uint64(cfg.Partitions)
+			return int(part*per + pa>>cfg.LineBits%per)
+		}
+		if err := quick.Check(func(pa uint64) bool { return c.SetOf(pa) == want(pa) }, nil); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 		}
 	}
 }

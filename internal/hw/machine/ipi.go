@@ -26,6 +26,7 @@ import (
 type ipiMailbox struct {
 	mu     sync.Mutex
 	queue  []func(*Core)
+	spare  []func(*Core) // the last drained queue, cleared, for the next post
 	posted uint64        // requests ever posted (under mu)
 	acked  atomic.Uint64 // requests executed
 }
@@ -33,6 +34,9 @@ type ipiMailbox struct {
 // post appends a request and returns its sequence number.
 func (b *ipiMailbox) post(fn func(*Core)) uint64 {
 	b.mu.Lock()
+	if b.queue == nil {
+		b.queue, b.spare = b.spare, nil
+	}
 	b.queue = append(b.queue, fn)
 	b.posted++
 	seq := b.posted
@@ -44,9 +48,13 @@ func (b *ipiMailbox) post(fn func(*Core)) uint64 {
 // holds the core's runMu (the run loop at an instruction boundary, or a
 // poster that found the core idle).
 func (c *Core) drainIPIs() {
+	var done []func(*Core)
 	for {
 		c.ipi.mu.Lock()
 		c.pending.And(^pendingIPI)
+		if done != nil {
+			c.ipi.spare = done
+		}
 		fns := c.ipi.queue
 		c.ipi.queue = nil
 		c.ipi.mu.Unlock()
@@ -57,8 +65,11 @@ func (c *Core) drainIPIs() {
 			fn(c)
 			c.ipi.acked.Add(1)
 		}
-		// A request executed above may itself have posted to this core;
-		// loop so the ack sequence stays dense.
+		// Hand the slice back for reuse, cleared so the closures it held
+		// can be freed. A request executed above may itself have posted
+		// to this core; loop so the ack sequence stays dense.
+		clear(fns)
+		done = fns[:0]
 	}
 }
 

@@ -106,8 +106,8 @@ type Config struct {
 }
 
 // DefaultConfig returns a 2-core machine with the default DRAM layout
-// and modest cache sizes. The L2 partition function is installed by
-// New when the Sanctum isolation kind is selected.
+// and modest cache sizes. New partitions the L2 by DRAM region when the
+// Sanctum isolation kind is selected.
 func DefaultConfig(kind IsolationKind) Config {
 	return Config{
 		Cores:      2,
@@ -203,18 +203,13 @@ func New(cfg Config) (*Machine, error) {
 	}
 	l2cfg := cfg.L2
 	if cfg.Kind == IsolationSanctum {
-		// Page-colored LLC: each DRAM region owns a disjoint set group.
-		layout := cfg.DRAM
-		l2cfg.Partitions = layout.RegionCount
-		l2cfg.PartitionOf = func(pa uint64) int {
-			if r := layout.RegionOf(pa); r >= 0 {
-				return r
-			}
-			return 0
-		}
-		if l2cfg.Sets%l2cfg.Partitions != 0 {
-			return nil, fmt.Errorf("machine: %d L2 sets not divisible by %d regions",
-				l2cfg.Sets, l2cfg.Partitions)
+		// Page-colored LLC: each DRAM region owns a disjoint set group,
+		// selected by the region bits. Every PA that reaches the L2 has
+		// passed physOK, so it lies inside the layout.
+		l2cfg.Partitions = cfg.DRAM.RegionCount
+		l2cfg.PartitionShift = cfg.DRAM.RegionShift
+		if err := l2cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("machine: L2 page coloring over %d regions: %w", l2cfg.Partitions, err)
 		}
 	}
 	var entropy trng.Source

@@ -93,16 +93,22 @@ func (b *batch) add(label string, req api.Request) {
 // run submits the sequence through the client's batched path and
 // converts the first failed element into an error.
 func (b *batch) run(o *OS) error {
-	if len(b.reqs) == 0 {
+	return submit(o, b.reqs, func(i int) string { return b.labels[i] })
+}
+
+// submit is batch.run for callers that name a failed element only
+// once it failed: label(i) is called for the first non-OK element.
+func submit(o *OS, reqs []api.Request, label func(i int) string) error {
+	if len(reqs) == 0 {
 		return nil
 	}
-	resps, err := o.SM.Batch(b.reqs)
+	resps, err := o.SM.Batch(reqs)
 	if err != nil {
 		return fmt.Errorf("os: batched monitor call: %w", err)
 	}
 	for i, resp := range resps {
 		if resp.Status != api.OK {
-			return fmt.Errorf("os: %s: %w", b.labels[i], resp.Status)
+			return fmt.Errorf("os: %s: %w", label(i), resp.Status)
 		}
 	}
 	return nil

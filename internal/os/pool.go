@@ -115,16 +115,22 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 		}
 	}
 
-	b := &batch{}
-	b.add("create_enclave (clone)",
-		api.OSRequest(api.CallCreateEnclave, eid, p.evBase, p.evMask))
+	reqs := make([]api.Request, 0, len(regions)+2)
+	reqs = append(reqs, api.OSRequest(api.CallCreateEnclave, eid, p.evBase, p.evMask))
 	for _, r := range regions {
-		b.add(fmt.Sprintf("grant region %d (clone)", r),
-			api.OSRequest(api.CallGrantRegion, uint64(r), eid))
+		reqs = append(reqs, api.OSRequest(api.CallGrantRegion, uint64(r), eid))
 	}
-	b.add("clone_enclave",
-		api.OSRequest(api.CallCloneEnclave, eid, p.SnapID, tidBase, sharedPA))
-	if err := b.run(p.o); err != nil {
+	reqs = append(reqs, api.OSRequest(api.CallCloneEnclave, eid, p.SnapID, tidBase, sharedPA))
+	err = submit(p.o, reqs, func(i int) string {
+		switch {
+		case i == 0:
+			return "create_enclave (clone)"
+		case i <= len(regions):
+			return fmt.Sprintf("grant region %d (clone)", regions[i-1])
+		}
+		return "clone_enclave"
+	})
+	if err != nil {
 		// Unwind a partial fork so the pool stays usable: the shell may
 		// exist and may own some of the regions (deleting it blocks
 		// them; cleaning makes them grantable again). The regions were

@@ -53,15 +53,14 @@ func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
 	return nil
 }
 
-// CleanRegion still scrubs contents (the monitor logic requires it).
+// CleanRegion still scrubs contents (the monitor logic requires it)
+// and flushes the region's lines from the shared L2.
 func (Platform) CleanRegion(m *machine.Machine, r int) error {
-	if err := m.Mem.ZeroRange(m.DRAM.Base(r), m.DRAM.RegionSize()); err != nil {
+	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
+	if err := m.Mem.ZeroRange(base, size); err != nil {
 		return err
 	}
-	l2Line := m.L2.Config().LineBits
-	m.L2.FlushIf(func(lineAddr uint64) bool {
-		return m.DRAM.RegionOf(lineAddr<<l2Line) == r
-	})
+	m.L2.FlushRange(base, size)
 	return nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pmp"
 	"sanctorum/internal/hw/tlb"
+	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
 
@@ -149,29 +150,10 @@ func (p *Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) erro
 }
 
 // CleanRegion zeroes the region and flushes its cache footprint. The
-// shared LLC is not partitioned under Keystone, but cleaning on
-// re-allocation is still required for confidentiality of the contents.
-// Per-core L1 flushes travel as IPI mailbox requests acknowledged at
-// instruction boundaries.
-func (p *Platform) CleanRegion(m *machine.Machine, r int) error {
-	base := m.DRAM.Base(r)
-	if err := m.Mem.ZeroRange(base, m.DRAM.RegionSize()); err != nil {
-		return err
-	}
-	l2Line := m.L2.Config().LineBits
-	m.L2.FlushIf(func(lineAddr uint64) bool {
-		return m.DRAM.RegionOf(lineAddr<<l2Line) == r
-	})
-	for _, c := range m.Cores {
-		m.RunOn(c.ID, machine.NoHart, func(c *machine.Core) {
-			l1Line := c.L1.Config().LineBits
-			c.L1.FlushIf(func(lineAddr uint64) bool {
-				return m.DRAM.RegionOf(lineAddr<<l1Line) == r
-			})
-		})
-	}
-	return nil
-}
+// shared LLC is not partitioned under Keystone, so its flush sweeps the
+// whole cache, but cleaning on re-allocation is still required for
+// confidentiality of the contents.
+func (p *Platform) CleanRegion(m *machine.Machine, r int) error { return clean.Region(m, r) }
 
 // ShootdownRegion invalidates TLB entries into the region on all cores,
 // as IPIs acknowledged at instruction boundaries; returns once every

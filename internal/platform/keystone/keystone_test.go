@@ -3,6 +3,7 @@ package keystone
 import (
 	"testing"
 
+	"sanctorum/internal/hw/cache"
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/pmp"
@@ -113,6 +114,66 @@ func TestPMPEntryExhaustion(t *testing.T) {
 // unified call ABI on the PMP backend: the batched client path must
 // produce the canonical measurement, and a granted region must vanish
 // from the OS's PMP-checked view.
+// TestCleanRegionScrubsMemoryAndCaches cleans a region on Keystone's
+// shared LLC: its memory is zeroed, its lines leave the L2 and every
+// L1, and every line of any other region stays exactly as it was.
+func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
+	m, p := newMachine(t)
+	r := 2
+	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
+	if err := m.Mem.WriteBytes(base+size-1, []byte{0xCC}); err != nil {
+		t.Fatal(err)
+	}
+	caches := map[string]*cache.Cache{"L2": m.L2, "core 0 L1": m.Cores[0].L1, "core 1 L1": m.Cores[1].L1}
+	before := map[string][]cache.LineState{}
+	for name, c := range caches {
+		for q := 0; q < m.DRAM.RegionCount; q++ {
+			for k := uint64(0); k < 8; k++ {
+				c.Access(m.DRAM.Base(q) + k*size/8 + k*64)
+			}
+		}
+		for _, pa := range []uint64{base - 64, base, base + size - 64, base + size} {
+			c.Access(pa)
+		}
+		before[name] = c.Snapshot()
+	}
+
+	if err := p.CleanRegion(m, r); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if err := m.Mem.ReadBytes(base+size-1, b); err != nil {
+		t.Fatal(err)
+	}
+	if b[0] != 0 {
+		t.Fatalf("region contents survived cleaning: %x", b)
+	}
+	for name, c := range caches {
+		if c.Probe(base) || c.Probe(base+size-64) {
+			t.Fatalf("%s: a line of region %d survived cleaning", name, r)
+		}
+		if !c.Probe(base-64) || !c.Probe(base+size) {
+			t.Fatalf("%s: a neighbouring region's line was flushed", name)
+		}
+		after, flushed := c.Snapshot(), 0
+		for i, was := range before[name] {
+			if was.Resident && m.DRAM.RegionOf(was.Tag<<6) == r {
+				if after[i].Resident {
+					t.Fatalf("%s: line %#x of region %d survived cleaning", name, was.Tag<<6, r)
+				}
+				flushed++
+				continue
+			}
+			if after[i] != was {
+				t.Fatalf("%s: way %d outside region %d changed: %+v -> %+v", name, i, r, was, after[i])
+			}
+		}
+		if flushed == 0 {
+			t.Fatalf("%s held no line of region %d: the check is vacuous", name, r)
+		}
+	}
+}
+
 func TestUnifiedABIOnKeystone(t *testing.T) {
 	m, p := newMachine(t)
 	mfr := boot.NewManufacturer("acme", []byte("seed"))

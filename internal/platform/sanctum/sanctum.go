@@ -11,6 +11,7 @@ import (
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/tlb"
+	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
 
@@ -59,32 +60,8 @@ func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
 }
 
 // CleanRegion zeroes a region's memory and flushes its footprint from
-// the shared LLC and every private L1, so the next owner observes
-// neither data nor cache-tag state from the previous one (Fig 2:
-// clean(resource)). The per-core L1 flushes are delivered through each
-// core's IPI mailbox: a running hart performs its own flush at an
-// instruction boundary, an idle hart's flush executes synchronously on
-// this goroutine. The call returns only after every hart acknowledged.
-func (Platform) CleanRegion(m *machine.Machine, r int) error {
-	base := m.DRAM.Base(r)
-	size := m.DRAM.RegionSize()
-	if err := m.Mem.ZeroRange(base, size); err != nil {
-		return err
-	}
-	l2Line := m.L2.Config().LineBits
-	m.L2.FlushIf(func(lineAddr uint64) bool {
-		return m.DRAM.RegionOf(lineAddr<<l2Line) == r
-	})
-	for _, c := range m.Cores {
-		m.RunOn(c.ID, machine.NoHart, func(c *machine.Core) {
-			l1Line := c.L1.Config().LineBits
-			c.L1.FlushIf(func(lineAddr uint64) bool {
-				return m.DRAM.RegionOf(lineAddr<<l1Line) == r
-			})
-		})
-	}
-	return nil
-}
+// the page-colored LLC and every private L1 (Fig 2: clean(resource)).
+func (Platform) CleanRegion(m *machine.Machine, r int) error { return clean.Region(m, r) }
 
 // ShootdownRegion removes all TLB translations targeting region r on
 // every core (the page-walk invariant of §VII-A requires this whenever

@@ -3,6 +3,7 @@ package sanctum
 import (
 	"testing"
 
+	"sanctorum/internal/hw/cache"
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
@@ -62,17 +63,36 @@ func TestApplyViewsProgramCoreState(t *testing.T) {
 	}
 }
 
+// TestCleanRegionScrubsMemoryAndCaches fills the L2 and both L1s with
+// lines from every region — the first and last lines of r and of its
+// neighbours last, so they are resident — then cleans r: its memory is
+// zeroed, no line of r survives in any cache, and every other way is
+// exactly as it was, LRU stamp included.
 func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	m := newMachine(t)
 	p := New()
 	r := 3
-	base := m.DRAM.Base(r)
+	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
 	if err := m.Mem.WriteBytes(base+100, []byte{0xAA, 0xBB}); err != nil {
 		t.Fatal(err)
 	}
-	m.L2.Access(base + 100)
-	m.Cores[0].L1.Access(base + 100)
-	m.Cores[1].L1.Access(base + 100)
+	caches := map[string]*cache.Cache{"L2": m.L2, "core 0 L1": m.Cores[0].L1, "core 1 L1": m.Cores[1].L1}
+	var edges []uint64 // first and last lines of r-1, r, r+1
+	for q := r - 1; q <= r+1; q++ {
+		edges = append(edges, m.DRAM.Base(q), m.DRAM.Base(q)+size-64)
+	}
+	before := map[string][]cache.LineState{}
+	for name, c := range caches {
+		for q := 0; q < m.DRAM.RegionCount; q++ {
+			for k := uint64(0); k < 16; k++ {
+				c.Access(m.DRAM.Base(q) + k*size/16 + k%4*64)
+			}
+		}
+		for _, pa := range append(edges, base+100) {
+			c.Access(pa)
+		}
+		before[name] = c.Snapshot()
+	}
 
 	if err := p.CleanRegion(m, r); err != nil {
 		t.Fatal(err)
@@ -84,12 +104,32 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	if b[0] != 0 || b[1] != 0 {
 		t.Fatalf("region contents survived cleaning: %x", b)
 	}
-	if m.L2.Probe(base + 100) {
-		t.Fatal("L2 line survived cleaning")
-	}
-	for i, c := range m.Cores {
-		if c.L1.Probe(base + 100) {
-			t.Fatalf("core %d L1 line survived cleaning", i)
+	inR := func(tag uint64) bool { return m.DRAM.RegionOf(tag<<6) == r }
+	for name, c := range caches {
+		if c.Probe(base+100) || c.Probe(base) || c.Probe(base+size-64) {
+			t.Fatalf("%s: a line of region %d survived cleaning", name, r)
+		}
+		for _, pa := range []uint64{edges[0], edges[1], edges[4], edges[5]} {
+			if !c.Probe(pa) {
+				t.Fatalf("%s: neighbouring line %#x was flushed", name, pa)
+			}
+		}
+		after, flushed := c.Snapshot(), 0
+		for i, was := range before[name] {
+			now := after[i]
+			if now.Resident && inR(now.Tag) {
+				t.Fatalf("%s: line %#x of region %d survived cleaning", name, now.Tag<<6, r)
+			}
+			if was.Resident && inR(was.Tag) {
+				flushed++
+				continue
+			}
+			if now != was {
+				t.Fatalf("%s: way %d outside region %d changed: %+v -> %+v", name, i, r, was, now)
+			}
+		}
+		if flushed == 0 {
+			t.Fatalf("%s held no line of region %d: the check is vacuous", name, r)
 		}
 	}
 }
