@@ -6,6 +6,7 @@ package sanctorum_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sanctorum"
@@ -238,5 +239,99 @@ func TestBulkKVService(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestFailedAddWorkerLeavesServingSet pins the rule that a failed
+// AddWorker leaves the gateway's serving set as it was. Two workers'
+// 16-page bulk buffers fill the bulk region, so a third worker forks
+// and gets its rings but no buffer. The failed worker must be unwired
+// and its clone region returned to the pool, and the gateway must keep
+// serving over the two wired workers: a worker left in the serving set
+// without its startup wave never parks, so a send to it is never
+// answered.
+func TestFailedAddWorkerLeavesServingSet(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := enclaves.DefaultLayout()
+	regions := sys.OS.FreeRegions()
+	sharedPA, err := sys.SetupShared(l.SharedVA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := enclaves.BulkSpec(l, enclaves.BulkEchoServer(l), regions[:1], sharedPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := sys.NewPool(spec, regions[1:4], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bulkPages = 16
+	// Bulk buffers come only from a bulk region: a gateway without one
+	// is refused before it takes anything from the pool.
+	if _, err := sys.NewGateway(pool, sanctorum.GatewayConfig{Workers: 2, BulkPages: bulkPages}); err == nil {
+		t.Fatal("bulk gateway without a BulkRegion was built")
+	}
+	if free := pool.FreeWorkers(); free != 3 {
+		t.Fatalf("refused gateway left the pool %d free workers, want 3", free)
+	}
+	gw, err := sys.NewGateway(pool, sanctorum.GatewayConfig{
+		Workers:    2,
+		BulkPages:  bulkPages,
+		BulkRegion: regions[4],
+		Sched:      sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := sys.Machine.DRAM.RegionSize(); size != 2*bulkPages*4096 {
+		t.Fatalf("region size %d: two workers' buffers no longer fill the bulk region", size)
+	}
+	if free := pool.FreeWorkers(); free != 1 {
+		t.Fatalf("pool has %d free workers before AddWorker, want 1", free)
+	}
+	err = gw.AddWorker()
+	if err == nil || !strings.Contains(err.Error(), "too small for worker 2") {
+		t.Fatalf("AddWorker = %v, want the bulk region refusal", err)
+	}
+	if n := gw.NumWorkers(); n != 2 {
+		t.Fatalf("failed AddWorker left %d workers, want 2", n)
+	}
+	if free := pool.FreeWorkers(); free != 1 {
+		t.Fatalf("failed AddWorker left the pool %d free workers, want 1", free)
+	}
+
+	buf := make([]byte, bulkPages*4096)
+	fillPattern(buf, 0x5A)
+	for w := 0; w < 2; w++ {
+		_, basePA, _ := gw.BulkBuffer(w)
+		if err := sys.OS.WriteOwned(basePA, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := make([][]byte, 24)
+	for i := range reqs {
+		reqs[i] = sg([2]uint64{uint64(i%bulkPages) * 4096, 4096})
+	}
+	out, err := gw.Process(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		if want := enclaves.BulkEchoExpected(req, buf); !bytes.Equal(out[i], want) {
+			t.Fatalf("request %d:\n got %x\nwant %x", i, out[i], want)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if refs := sys.Machine.Mem.TotalRefs(); refs != 0 {
+		t.Fatalf("page refs leaked: %d", refs)
 	}
 }

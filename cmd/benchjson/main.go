@@ -77,26 +77,72 @@ var suites = []struct {
 	{"./internal/sm", "^BenchmarkDispatch$"},
 }
 
-// ratioChecks are machine-independent targets enforced on the new run:
-// numerator / denominator must be at least min. A check whose
-// benchmarks are both absent is skipped — stress soak files (E17)
-// carry only the StressGateway rows — but exactly one half missing is
-// still a failure (a renamed or dropped benchmark, not a different
-// file kind).
-var ratioChecks = []struct {
-	name, num, den string
-	min            float64
-}{
-	{"ring batching amortization (E16)",
-		"BenchmarkServeThroughput/per-message", "BenchmarkServeThroughput/batched", 5},
-	{"snapshot clone vs full build (E15)",
-		"BenchmarkCloneColdStart/full-build", "BenchmarkCloneColdStart/clone", 5},
+// A metric names one number in a benchmark file: a row's metric, or
+// the row's ns/op when name is empty.
+type metric struct{ row, name string }
+
+// ns names a row's ns/op.
+func ns(row string) metric { return metric{row: row} }
+
+// of reads the metric from f; ok is false when the number is missing
+// (no such row) or not positive.
+func (m metric) of(f File) (v float64, ok bool) {
+	r, found := f.Benchmarks[m.row]
+	if !found {
+		return 0, false
+	}
+	v = r.NsPerOp
+	if m.name != "" {
+		v = r.Metrics[m.name]
+	}
+	return v, v > 0
+}
+
+func (m metric) String() string {
+	if m.name == "" {
+		return m.row
+	}
+	return m.row + " " + m.name
+}
+
+// The file kinds, named by the row-name prefix each one's rows carry:
+// `run` and `gate` write go-test benchmark rows, cmd/stress writes
+// endurance-soak rows.
+const (
+	benchRows  = "Benchmark"
+	stressRows = "Stress"
+)
+
+// check is one machine-independent ratio target: num/den must stay at
+// least floor, or at most ceiling when ceiling is set. A check applies
+// to every file holding any row of its kind, and there a missing number
+// fails it; files of the other kind skip it.
+type check struct {
+	name     string
+	kind     string
+	num, den metric
+	floor    float64
+	ceiling  float64
+	// floorByCPUs, when set, replaces floor with the entry indexed by
+	// the denominator row's "cpus" metric (the last entry covers every
+	// larger count).
+	floorByCPUs []float64
+}
+
+// checks are the ratio targets compare enforces on the new run, in
+// report order. Every floor and ceiling is a regression tripwire set
+// well inside the measured steady ratio, not a target.
+var checks = []check{
+	{name: "ring batching amortization (E16)", kind: benchRows,
+		num: ns("BenchmarkServeThroughput/per-message"), den: ns("BenchmarkServeThroughput/batched"), floor: 5},
+	{name: "snapshot clone vs full build (E15)", kind: benchRows,
+		num: ns("BenchmarkCloneColdStart/full-build"), den: ns("BenchmarkCloneColdStart/clone"), floor: 5},
 	// The block-compilation tier (E18). Two families of floors, both
 	// within-run ratios (one process, so host-speed drift cancels to
 	// first order — but the rows still run ~tens of seconds apart, so
 	// the shared-host window drift of up to ±30% does NOT cancel; the
 	// floors below are the measured steady ratios with that margin
-	// taken off, i.e. regression tripwires, not targets):
+	// taken off):
 	//
 	//   fast-noblock/fast — the block tier's own contribution on top of
 	//   the per-instruction fast path. Interleaved A/B measurement puts
@@ -104,73 +150,50 @@ var ratioChecks = []struct {
 	//
 	//   reference/fast — the whole fast-path stack. Measured 4-6x
 	//   across windows; floor 3.
-	{"block tier over per-instruction fast path, none (E18)",
-		"BenchmarkThroughput/fast-noblock/none", "BenchmarkThroughput/fast/none", 1.4},
-	{"block tier over per-instruction fast path, sanctum (E18)",
-		"BenchmarkThroughput/fast-noblock/sanctum", "BenchmarkThroughput/fast/sanctum", 1.4},
-	{"block tier over per-instruction fast path, keystone (E18)",
-		"BenchmarkThroughput/fast-noblock/keystone", "BenchmarkThroughput/fast/keystone", 1.4},
-	{"full fast path vs reference, none (E18)",
-		"BenchmarkThroughput/reference/none", "BenchmarkThroughput/fast/none", 3},
-	{"full fast path vs reference, sanctum (E18)",
-		"BenchmarkThroughput/reference/sanctum", "BenchmarkThroughput/fast/sanctum", 3},
-	{"full fast path vs reference, keystone (E18)",
-		"BenchmarkThroughput/reference/keystone", "BenchmarkThroughput/fast/keystone", 3},
-}
-
-// telemetryOverheadFloor is the minimum off-ns/req / on-ns/req ratio
-// for the BenchmarkTelemetryOverhead rows (DESIGN.md §13): the
-// telemetry-off half may beat the telemetry-on half by at most ~5%.
-// Both halves come from ONE benchmark row — alternating waves inside
-// the same process — because separate benchmark rows drift apart by
-// more than the 5% budget on a shared host; that is why this check
-// reads the row's metrics rather than living in the static
-// ratioChecks table above.
-const telemetryOverheadFloor = 0.95
-
-// bulkSpeedupFloor is the minimum bulk-MB/s / chunked-MB/s ratio for
-// the BenchmarkBulkThroughput row (EXPERIMENTS.md E21): the zero-copy
-// scatter-gather plane must move payload at least 5× faster than
-// chunking the same bytes through 64-byte ring messages. Both halves
-// come from ONE interleaved row (the E20 methodology), so the ratio is
-// machine-independent by construction; the measured steady ratio is
-// ~20×, so 5 is a regression tripwire, not a target.
-const bulkSpeedupFloor = 5
-
-// fleetScalingFloor is the minimum shards=1 / shards=4 ns ratio for
-// BenchmarkFleetServe (EXPERIMENTS.md E19), keyed on the harness's
-// GOMAXPROCS as reported by the benchmark's "cpus" metric. Fleet
-// shards run on real OS threads, so the achievable aggregate scaling
-// is bounded by the host's cores: a 4-core runner must show near-
-// linear gains, a 1-core runner can at best break even and only has
-// to stay within routing-overhead distance of the single shard.
-// Floors sit well under the measured steady ratios — they are
-// regression tripwires, not targets.
-func fleetScalingFloor(cpus float64) float64 {
-	switch {
-	case cpus >= 4:
-		return 1.8
-	case cpus >= 3:
-		return 1.5
-	case cpus >= 2:
-		return 1.2
-	default:
-		return 0.7
-	}
-}
-
-// maxRatioChecks are ceilings: numerator / denominator must stay at
-// most max. The endurance soak's tail-latency targets (E17) live here;
-// the same both-absent-skip rule applies, so ordinary benchmark files
-// without StressGateway rows are unaffected.
-var maxRatioChecks = []struct {
-	name, num, den string
-	max            float64
-}{
-	{"endurance p99 tail (E17)",
-		"StressGateway/p99", "StressGateway/p50", 8},
-	{"endurance p999 tail (E17)",
-		"StressGateway/p999", "StressGateway/p50", 40},
+	{name: "block tier over per-instruction fast path, none (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/fast-noblock/none"), den: ns("BenchmarkThroughput/fast/none"), floor: 1.4},
+	{name: "block tier over per-instruction fast path, sanctum (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/fast-noblock/sanctum"), den: ns("BenchmarkThroughput/fast/sanctum"), floor: 1.4},
+	{name: "block tier over per-instruction fast path, keystone (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/fast-noblock/keystone"), den: ns("BenchmarkThroughput/fast/keystone"), floor: 1.4},
+	{name: "full fast path vs reference, none (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/reference/none"), den: ns("BenchmarkThroughput/fast/none"), floor: 3},
+	{name: "full fast path vs reference, sanctum (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/reference/sanctum"), den: ns("BenchmarkThroughput/fast/sanctum"), floor: 3},
+	{name: "full fast path vs reference, keystone (E18)", kind: benchRows,
+		num: ns("BenchmarkThroughput/reference/keystone"), den: ns("BenchmarkThroughput/fast/keystone"), floor: 3},
+	// Fleet aggregate scaling (E19): fleet shards run on real OS
+	// threads, so the achievable scaling is bounded by the harness's
+	// GOMAXPROCS, which the benchmark reports as its "cpus" metric. A
+	// 4-core runner must show near-linear gains; a 1-core runner can
+	// at best break even and only has to stay within routing-overhead
+	// distance of the single shard.
+	{name: "fleet aggregate scaling (E19)", kind: benchRows,
+		num: ns("BenchmarkFleetServe/shards=1"), den: ns("BenchmarkFleetServe/shards=4"),
+		floorByCPUs: []float64{0: 0.7, 1: 0.7, 2: 1.2, 3: 1.5, 4: 1.8}},
+	// Telemetry overhead (E20, DESIGN.md §13): the telemetry-off half
+	// may beat the telemetry-on half by at most ~5%. Both halves come
+	// from ONE row — alternating waves inside the same process —
+	// because separate benchmark rows drift apart by more than the 5%
+	// budget on a shared host.
+	{name: "gateway telemetry overhead ≤5% (E20)", kind: benchRows,
+		num: metric{"BenchmarkTelemetryOverhead/gateway", "off-ns/req"},
+		den: metric{"BenchmarkTelemetryOverhead/gateway", "on-ns/req"}, floor: 0.95},
+	{name: "fleet telemetry overhead ≤5% (E20)", kind: benchRows,
+		num: metric{"BenchmarkTelemetryOverhead/fleet", "off-ns/req"},
+		den: metric{"BenchmarkTelemetryOverhead/fleet", "on-ns/req"}, floor: 0.95},
+	// The bulk plane (E21) must move payload at least 5× faster than
+	// chunking the same bytes through 64-byte ring messages; both
+	// halves come from one interleaved row, and the measured steady
+	// ratio is ~20×.
+	{name: "bulk zero-copy vs chunked messages (E21)", kind: benchRows,
+		num: metric{"BenchmarkBulkThroughput", "bulk-MB/s"},
+		den: metric{"BenchmarkBulkThroughput", "chunked-MB/s"}, floor: 5},
+	// The endurance soak's tail-latency ceilings (E17).
+	{name: "endurance p99 tail (E17)", kind: stressRows,
+		num: ns("StressGateway/p99"), den: ns("StressGateway/p50"), ceiling: 8},
+	{name: "endurance p999 tail (E17)", kind: stressRows,
+		num: ns("StressGateway/p999"), den: ns("StressGateway/p50"), ceiling: 40},
 }
 
 func main() {
@@ -388,131 +411,59 @@ func evaluate(base, cur File, threshold float64) (failures, suspects []string) {
 		fmt.Printf("  %-48s %12.1f → %10.1f ns/op  %+6.1f%%  %s\n",
 			name, b.NsPerOp, norm, reg*100, verdict)
 	}
-	for _, rc := range ratioChecks {
-		num, okN := cur.Benchmarks[rc.num]
-		den, okD := cur.Benchmarks[rc.den]
-		if !okN && !okD {
-			continue // different file kind (e.g. a stress soak)
-		}
-		if !okN || !okD || den.NsPerOp <= 0 {
-			failures = append(failures, fmt.Sprintf("%s: benchmarks missing", rc.name))
+	for _, c := range checks {
+		if !hasKind(cur, c.kind) {
 			continue
 		}
-		ratio := num.NsPerOp / den.NsPerOp
-		verdict := "ok"
-		if ratio < rc.min {
+		num, okN := c.num.of(cur)
+		den, okD := c.den.of(cur)
+		if !okN {
+			failures = append(failures, fmt.Sprintf("%s: %v missing", c.name, c.num))
+		}
+		if !okD {
+			failures = append(failures, fmt.Sprintf("%s: %v missing", c.name, c.den))
+		}
+		if !okN || !okD {
+			continue
+		}
+		name, floor := c.name, c.floor
+		if c.floorByCPUs != nil {
+			cpus := cur.Benchmarks[c.den.row].Metrics["cpus"]
+			floor = c.floorByCPUs[min(max(int(cpus), 0), len(c.floorByCPUs)-1)]
+			name = fmt.Sprintf("%s, %g cpus)", strings.TrimSuffix(name, ")"), cpus)
+		}
+		ratio := num / den
+		bound, verdict, failure := fmt.Sprintf("target ≥%g×", floor), "ok", ""
+		if c.ceiling > 0 {
+			bound = fmt.Sprintf("ceiling ≤%g×", c.ceiling)
+			if ratio > c.ceiling {
+				verdict = "ABOVE CEILING"
+				failure = fmt.Sprintf("%s: ratio %.2f× above the %g× ceiling", name, ratio, c.ceiling)
+			}
+		} else if ratio < floor {
 			verdict = "BELOW TARGET"
-			suspects = append(suspects, rc.num, rc.den)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %.0f× target",
-				rc.name, ratio, rc.min))
+			failure = fmt.Sprintf("%s: ratio %.2f× below the %g× floor", name, ratio, floor)
 		}
-		fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", rc.name, ratio, rc.min, verdict)
-	}
-	// The fleet-scaling check (E19) is a ratio floor whose target
-	// depends on the runner's parallelism, so it cannot live in the
-	// static ratioChecks table: the floor is picked per run from the
-	// benchmark's own "cpus" metric. Both-absent skip as usual.
-	{
-		num, okN := cur.Benchmarks["BenchmarkFleetServe/shards=1"]
-		den, okD := cur.Benchmarks["BenchmarkFleetServe/shards=4"]
-		switch {
-		case !okN && !okD:
-			// different file kind
-		case !okN || !okD || den.NsPerOp <= 0:
-			failures = append(failures, "fleet aggregate scaling (E19): benchmarks missing")
-		default:
-			min := fleetScalingFloor(den.Metrics["cpus"])
-			ratio := num.NsPerOp / den.NsPerOp
-			name := fmt.Sprintf("fleet aggregate scaling (E19, %g cpus)", den.Metrics["cpus"])
-			verdict := "ok"
-			if ratio < min {
-				verdict = "BELOW TARGET"
-				suspects = append(suspects, "BenchmarkFleetServe/shards=1", "BenchmarkFleetServe/shards=4")
-				failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-					name, ratio, min))
-			}
-			fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", name, ratio, min, verdict)
-		}
-	}
-	// The telemetry-overhead floors (E20) read both halves of the
-	// comparison from one interleaved row's metrics, so they also
-	// cannot live in the static ratioChecks table. A missing row is a
-	// failure only in a file that has the serving benchmarks at all —
-	// stress soak files skip, same as the fleet-scaling check.
-	for _, tc := range []struct{ name, row string }{
-		{"gateway telemetry overhead ≤5% (E20)", "BenchmarkTelemetryOverhead/gateway"},
-		{"fleet telemetry overhead ≤5% (E20)", "BenchmarkTelemetryOverhead/fleet"},
-	} {
-		row, ok := cur.Benchmarks[tc.row]
-		if !ok {
-			if _, serving := cur.Benchmarks["BenchmarkGatewayServe/telemetry"]; serving {
-				failures = append(failures, tc.name+": benchmark missing")
-			}
-			continue // different file kind (e.g. a stress soak)
-		}
-		on, off := row.Metrics["on-ns/req"], row.Metrics["off-ns/req"]
-		if on <= 0 || off <= 0 {
-			failures = append(failures, tc.name+": on/off metrics missing")
-			continue
-		}
-		ratio := off / on
-		verdict := "ok"
-		if ratio < telemetryOverheadFloor {
-			verdict = "BELOW TARGET"
-			suspects = append(suspects, tc.row)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-				tc.name, ratio, telemetryOverheadFloor))
-		}
-		fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", tc.name, ratio, telemetryOverheadFloor, verdict)
-	}
-	// The bulk-plane speedup (E21) also reads both halves from one
-	// interleaved row's metrics. Same skip rule: a missing row only
-	// fails files that carry the serving benchmarks at all.
-	{
-		const name = "bulk zero-copy vs chunked messages (E21)"
-		row, ok := cur.Benchmarks["BenchmarkBulkThroughput"]
-		if !ok {
-			if _, serving := cur.Benchmarks["BenchmarkGatewayServe/telemetry"]; serving {
-				failures = append(failures, name+": benchmark missing")
-			}
-		} else {
-			bulk, chunked := row.Metrics["bulk-MB/s"], row.Metrics["chunked-MB/s"]
-			if bulk <= 0 || chunked <= 0 {
-				failures = append(failures, name+": MB/s metrics missing")
-			} else {
-				ratio := bulk / chunked
-				verdict := "ok"
-				if ratio < bulkSpeedupFloor {
-					verdict = "BELOW TARGET"
-					suspects = append(suspects, "BenchmarkBulkThroughput")
-					failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-						name, ratio, float64(bulkSpeedupFloor)))
-				}
-				fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", name, ratio, float64(bulkSpeedupFloor), verdict)
+		if failure != "" {
+			failures = append(failures, failure)
+			suspects = append(suspects, c.num.row)
+			if c.den.row != c.num.row {
+				suspects = append(suspects, c.den.row)
 			}
 		}
-	}
-	for _, rc := range maxRatioChecks {
-		num, okN := cur.Benchmarks[rc.num]
-		den, okD := cur.Benchmarks[rc.den]
-		if !okN && !okD {
-			continue // ordinary benchmark file, no stress rows
-		}
-		if !okN || !okD || den.NsPerOp <= 0 {
-			failures = append(failures, fmt.Sprintf("%s: benchmarks missing", rc.name))
-			continue
-		}
-		ratio := num.NsPerOp / den.NsPerOp
-		verdict := "ok"
-		if ratio > rc.max {
-			verdict = "ABOVE CEILING"
-			suspects = append(suspects, rc.num, rc.den)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× above the %.0f× ceiling",
-				rc.name, ratio, rc.max))
-		}
-		fmt.Printf("  %-48s %38.2f×  (ceiling ≤%.0f×)  %s\n", rc.name, ratio, rc.max, verdict)
+		fmt.Printf("  %-48s %38.2f×  (%s)  %s\n", name, ratio, bound, verdict)
 	}
 	return failures, suspects
+}
+
+// hasKind reports whether f holds any row of the given kind.
+func hasKind(f File, kind string) bool {
+	for name := range f.Benchmarks {
+		if strings.HasPrefix(name, kind) {
+			return true
+		}
+	}
+	return false
 }
 
 func cmdCompare(args []string) {

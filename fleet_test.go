@@ -354,4 +354,20 @@ func TestFleetParallelServing(t *testing.T) {
 	if f.Served != 128 {
 		t.Fatalf("fleet served %d, want 128", f.Served)
 	}
+	// The routing tier's and the gateways' fields are the only copy of
+	// their numbers; the registry reads them. This traffic spills, so
+	// the spill reads are pinned to a nonzero count.
+	snap := f.Telemetry().Snapshot()
+	route, spills := snap.Counters["fleet.route.spill"], snap.Counters["fleet.spills"]
+	if f.Spills == 0 || route != uint64(f.Spills) || spills != uint64(f.Spills) {
+		t.Fatalf("fleet.route.spill %d, fleet.spills %d, Fleet.Spills %d: want equal and nonzero",
+			route, spills, f.Spills)
+	}
+	served := 0
+	for _, st := range f.Stats() {
+		served += st.Served
+	}
+	if got := snap.Counters["os.gateway.served"]; got != uint64(served) {
+		t.Fatalf("os.gateway.served %d, shard gateways served %d", got, served)
+	}
 }

@@ -41,14 +41,9 @@ type Host struct {
 
 // Config configures New. Zero fields take defaults.
 type Config struct {
-	// WorkersPerShard is each shard's initial gateway size (default 2).
-	WorkersPerShard int
 	// SpareWorkers reserves clone regions per shard for rebalance
 	// warm-ups (default 1).
 	SpareWorkers int
-	// RingCapacity and Batch pass through to each shard's gateway.
-	RingCapacity int
-	Batch        int
 	// Sched configures each shard's per-wave OS scheduler. The default
 	// (deterministic mode) makes the whole fleet bit-reproducible.
 	Sched ios.SchedConfig
@@ -56,14 +51,6 @@ type Config struct {
 	// multi-machine concurrency (each shard is its own Machine), at
 	// the cost of reproducible interleaving.
 	Parallel bool
-	// Replicas is the number of virtual nodes per shard on the
-	// consistent-hash ring (default 16).
-	Replicas int
-	// SpillFactor: a new session spills off its consistent-hash home
-	// when the home holds more than SpillFactor times the least-loaded
-	// shard's sessions (default 2; a small absolute slack keeps tiny
-	// fleets from spilling immediately).
-	SpillFactor float64
 	// Workload selects the shard worker program: "echo" (default) or
 	// "kv".
 	Workload string
@@ -79,19 +66,10 @@ type Config struct {
 }
 
 func (cfg *Config) fill() {
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = 2
-	}
 	if cfg.SpareWorkers < 0 {
 		cfg.SpareWorkers = 0
 	} else if cfg.SpareWorkers == 0 {
 		cfg.SpareWorkers = 1
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 16
-	}
-	if cfg.SpillFactor <= 0 {
-		cfg.SpillFactor = 2
 	}
 	if cfg.Workload == "" {
 		cfg.Workload = "echo"
@@ -125,7 +103,7 @@ type Fleet struct {
 
 	// Served counts requests completed; Spills counts sessions placed
 	// off their consistent-hash home; Rebalanced counts sessions moved
-	// by Drain.
+	// by Drain. They are the only copy: the registry reads them lazily.
 	Served     int
 	Spills     int
 	Rebalanced int
@@ -140,7 +118,6 @@ type Fleet struct {
 // fleetTelemetry is the routing tier's cached instrument set.
 type fleetTelemetry struct {
 	home      *telemetry.Counter   // sessions placed on their hash home
-	spills    *telemetry.Counter   // sessions spilled off an overloaded home
 	drains    *telemetry.Counter   // Drain operations completed
 	handshake *telemetry.Histogram // Connect handshake latency, cycles
 	batch     *telemetry.Histogram // requests per Process call
@@ -187,7 +164,6 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 	if reg := cfg.Telemetry; reg != nil {
 		f.tel = &fleetTelemetry{
 			home:      reg.Counter("fleet.route.home"),
-			spills:    reg.Counter("fleet.route.spill"),
 			drains:    reg.Counter("fleet.drains"),
 			handshake: reg.Histogram("fleet.handshake.cycles"),
 			batch:     reg.Histogram("fleet.process.batch"),
@@ -201,7 +177,9 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 			defer f.mu.Unlock()
 			return uint64(f.Served)
 		})
-		reg.RegisterFunc("fleet.spills", func() uint64 { return uint64(f.Spills) })
+		spills := func() uint64 { return uint64(f.Spills) }
+		reg.RegisterFunc("fleet.spills", spills)
+		reg.RegisterFunc("fleet.route.spill", spills)
 		reg.RegisterFunc("fleet.rebalanced", func() uint64 { return uint64(f.Rebalanced) })
 		for i := range f.shards {
 			i := i

@@ -6,7 +6,7 @@ import (
 )
 
 // Session routing (DESIGN.md §12): a session key consistent-hashes
-// onto the shard ring (Replicas virtual nodes per shard, so a shard's
+// onto the shard ring (replicas virtual nodes per shard, so a shard's
 // departure only re-homes its own arc). New sessions land on their
 // hash home unless the home is overloaded relative to the least-loaded
 // shard, in which case they spill there; established sessions stay put
@@ -29,7 +29,7 @@ func mix(x uint64) uint64 {
 
 // addPoints inserts shard s's virtual nodes into the ring.
 func (f *Fleet) addPoints(s int) {
-	for r := 0; r < f.cfg.Replicas; r++ {
+	for r := 0; r < replicas; r++ {
 		f.points = append(f.points, hashPoint{mix(uint64(s)<<32 | uint64(r)), s})
 	}
 	sort.Slice(f.points, func(i, j int) bool { return f.points[i].hash < f.points[j].hash })
@@ -67,10 +67,17 @@ func (f *Fleet) Where(session uint64) (int, bool) {
 	return s, ok
 }
 
-// spillSlack is the absolute session count below which a home shard is
-// never considered overloaded — tiny fleets shouldn't spill on the
-// first handful of sessions.
-const spillSlack = 8
+// replicas is the number of virtual nodes per shard on the ring.
+const replicas = 16
+
+// A new session spills off its home when the home holds at least
+// spillSlack sessions and more than spillFactor times the least-loaded
+// shard's. The slack is an absolute floor: tiny fleets shouldn't spill
+// on the first handful of sessions.
+const (
+	spillFactor = 2
+	spillSlack  = 8
+)
 
 // route returns the shard serving this session, assigning new sessions
 // to their consistent-hash home or — when the home is overloaded —
@@ -93,12 +100,9 @@ func (f *Fleet) route(session uint64) (int, error) {
 		}
 	}
 	target := home
-	if f.load[home] >= spillSlack && float64(f.load[home]) > f.cfg.SpillFactor*float64(f.load[least]) {
+	if f.load[home] >= spillSlack && f.load[home] > spillFactor*f.load[least] {
 		target = least
 		f.Spills++
-		if t := f.tel; t != nil {
-			t.spills.Inc(0)
-		}
 	} else if t := f.tel; t != nil {
 		t.home.Inc(0)
 	}

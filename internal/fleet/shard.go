@@ -14,6 +14,9 @@ import (
 // plus key-confirmation MAC — is well under a quarter of this.
 const nicCapacity = 64
 
+// workersPerShard is each shard's initial gateway size.
+const workersPerShard = 2
+
 // shard is one machine's serving stack plus its fleet wiring: the
 // attestation enclave pair (signing enclave ES and attested client
 // E1), the clone pool and key-affinity gateway serving requests, and
@@ -43,7 +46,7 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 	lE1 := enclaves.DefaultLayout()
 	lE1.SharedVA = 0x50002000
 	regions := o.FreeRegions()
-	need := 3 + cfg.WorkersPerShard + cfg.SpareWorkers
+	need := 3 + workersPerShard + cfg.SpareWorkers
 	if len(regions) < need {
 		return nil, fmt.Errorf("need %d free regions, have %d", need, len(regions))
 	}
@@ -88,11 +91,9 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 		return nil, err
 	}
 	if s.gw, err = ios.NewGateway(o, h.Monitor, s.pool, ios.GatewayConfig{
-		Workers:      cfg.WorkersPerShard,
-		RingCapacity: cfg.RingCapacity,
-		Batch:        cfg.Batch,
-		Sched:        cfg.Sched,
-		Router:       ios.KeyAffinity{},
+		Workers: workersPerShard,
+		Sched:   cfg.Sched,
+		Router:  ios.KeyAffinity{},
 	}); err != nil {
 		return nil, err
 	}

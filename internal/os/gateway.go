@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sanctorum/internal/hw/machine"
@@ -47,14 +46,17 @@ type Gateway struct {
 	sendPA uint64 // staging page for outbound payload batches
 	recvPA uint64 // staging page for inbound record batches
 
-	// woken collects wake notifications (worker indexes). The sink runs
-	// on whatever goroutine drains the posted IPI — during gateway
-	// sends the cores are idle, so in practice the gateway's own — but
-	// it is locked for the parallel-scheduler case regardless.
-	wokenMu sync.Mutex
-	woken   map[int]bool
+	// woken[i] marks worker i woken by the monitor; wokenIdx is the
+	// reused buffer takeWoken returns. The sink runs on whatever
+	// goroutine drains the posted IPI — during gateway sends the cores
+	// are idle, so in practice the gateway's own — but it is locked for
+	// the parallel-scheduler case regardless.
+	wokenMu  sync.Mutex
+	woken    []bool
+	wokenIdx []int
 
-	// Served and Waves count gateway activity for reporting.
+	// Served and Waves count gateway activity. They are the only copy:
+	// the registry's os.gateway.served and os.gateway.waves read them.
 	Served int
 	Waves  int
 
@@ -69,8 +71,6 @@ type Gateway struct {
 // modeled cycles from the machine, never wall time.
 type gwTelemetry struct {
 	clock     func() uint64
-	served    *telemetry.Counter
-	waves     *telemetry.Counter
 	chunk     *telemetry.Histogram // requests per batched ring send
 	reqCycles *telemetry.Histogram // per-request end-to-end cycles
 	inflight  *telemetry.Gauge     // outstanding requests, all workers
@@ -100,7 +100,8 @@ func (g *Gateway) TraceRequest(t *telemetry.Trace, parent, idx int) {
 }
 
 // gwWorker is one pool worker wired to its ring pair (and, when the
-// gateway runs a bulk data plane, its grant and shared buffer).
+// gateway runs a bulk data plane, its grant and shared buffer). A zero
+// ring or grant id means that object was never created.
 type gwWorker struct {
 	w        *Worker
 	reqRing  uint64
@@ -108,34 +109,51 @@ type gwWorker struct {
 	grant    uint64 // bulk grant id (0 when bulk is off)
 	bulkPA   uint64 // bulk buffer base PA
 	bulkVA   uint64 // where this worker bulk_maps the buffer
-	inflight int    // requests sent, responses not yet drained
-	pending  []int  // request indexes awaiting responses, FIFO
 
-	// stamps parallels pending with each request's send-time cycle
-	// stamp (maintained only when telemetry is wired); stampHead is
-	// the FIFO read position, so the backing array is reused across
-	// waves instead of sliding — drains reset it when it empties.
-	// depth is this worker's queue-depth gauge.
-	stamps    []uint64
-	stampHead int
-	depth     *telemetry.Gauge
+	// fifo[head:] are the requests sent and not yet answered, oldest
+	// first. A send to an empty FIFO rewinds it, so the backing array
+	// is reused across waves instead of sliding. depth is this
+	// worker's queue-depth gauge.
+	fifo  []sentReq
+	head  int
+	depth *telemetry.Gauge
 }
+
+// sentReq is one in-flight request: its index in the serving call and
+// its send-time cycle stamp (zero when telemetry is off).
+type sentReq struct {
+	idx   int
+	stamp uint64
+}
+
+// inflight reports the worker's requests sent but not yet answered.
+func (gw *gwWorker) inflight() int { return len(gw.fifo) - gw.head }
+
+// The gateway's fixed shape; no caller ever varied it.
+const (
+	// ringCapacity is each request and response ring's capacity in
+	// messages.
+	ringCapacity = 64
+	// maxStepsPerWake bounds a worker's instructions per wave; a worker
+	// still running past it is forced off and reported as an error.
+	maxStepsPerWake = 5_000_000
+	// bulkVABase is where worker 0 maps its bulk buffer; worker i maps
+	// at bulkVABase + i·BulkPages·4096. Every worker's window must fit
+	// the 2 MiB leaf BulkSpec's shared window allocates: under Sanctum
+	// all workers resolve these VAs through the one OS page table, which
+	// is why the addresses differ per worker in the first place.
+	bulkVABase = 0x50001000
+)
 
 // GatewayConfig configures NewGateway. Zero fields take defaults.
 type GatewayConfig struct {
 	// Workers is the number of pool workers to acquire (default 2).
 	Workers int
-	// RingCapacity is each ring's capacity in messages (default 64).
-	RingCapacity int
 	// Batch bounds the messages per ring send/recv the gateway issues
 	// (default 8, capped at api.RingMaxBatch).
 	Batch int
 	// Sched configures the per-wave OS scheduler (mode, quantum).
 	Sched SchedConfig
-	// MaxStepsPerWake bounds a worker's instructions per wave; a worker
-	// still running past it is forced off and reported as an error
-	// (default 5,000,000).
-	MaxStepsPerWake int
 	// Router selects the worker for each request chunk (default a
 	// RoundRobin; fleet shards install KeyAffinity).
 	Router Router
@@ -147,18 +165,10 @@ type GatewayConfig struct {
 	// (internal/enclaves.BulkEchoServer / BulkKVServer) built with
 	// BulkSpec. At most api.BulkMaxPages.
 	BulkPages int
-	// BulkVABase is where worker 0 maps its bulk buffer; worker i maps
-	// at BulkVABase + i·BulkPages·4096 (default 0x50001000, inside the
-	// 2 MiB leaf BulkSpec's shared window allocates). Every worker's
-	// window must fit that leaf: under Sanctum all workers resolve
-	// these VAs through the one OS page table, which is why the
-	// addresses differ per worker in the first place.
-	BulkVABase uint64
-	// BulkRegion, when positive, is a free OS-owned DRAM region whose
-	// pages back the bulk buffers (worker i at offset i·BulkPages·4096)
-	// — the usual choice, since the kernel region is small. While any
-	// grant lives, the page pins make the monitor refuse to scrub the
-	// region for reassignment. Zero allocates from the kernel region.
+	// BulkRegion is the free OS-owned DRAM region whose pages back the
+	// bulk buffers (worker i at offset i·BulkPages·4096); required with
+	// BulkPages. While any grant lives, the page pins make the monitor
+	// refuse to scrub the region for reassignment.
 	BulkRegion int
 }
 
@@ -172,20 +182,11 @@ func (cfg *GatewayConfig) fill() {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 64
-	}
-	if cfg.RingCapacity > api.RingMaxCapacity {
-		cfg.RingCapacity = api.RingMaxCapacity
-	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = 8
 	}
 	if cfg.Batch > api.RingMaxBatch {
 		cfg.Batch = api.RingMaxBatch
-	}
-	if cfg.MaxStepsPerWake <= 0 {
-		cfg.MaxStepsPerWake = 5_000_000
 	}
 	if cfg.Router == nil {
 		cfg.Router = &RoundRobin{}
@@ -193,56 +194,35 @@ func (cfg *GatewayConfig) fill() {
 	if cfg.BulkPages > api.BulkMaxPages {
 		cfg.BulkPages = api.BulkMaxPages
 	}
-	if cfg.BulkVABase == 0 {
-		cfg.BulkVABase = 0x50001000
-	}
 }
 
 // NewGateway forks cfg.Workers ring-serving workers from the pool's
-// template, wires each to a request/response ring pair, registers the
-// park/wake sink, and runs one startup wave so every worker discovers
-// its rings and parks. The pool's template must be a single-thread
-// ring server (internal/enclaves.RingEchoServer / RingKVServer).
+// template, registers the park/wake sink, and wires the workers in
+// (addWorkers). The pool's template must be a single-thread ring
+// server (internal/enclaves.RingEchoServer / RingKVServer). A failed
+// constructor unwinds what it built, so retrying gateway construction
+// leaks neither pool capacity nor SM metadata pages.
 func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gateway, error) {
 	cfg.fill()
+	if cfg.BulkPages > 0 && cfg.BulkRegion <= 0 {
+		return nil, fmt.Errorf("os: gateway: BulkPages needs a BulkRegion")
+	}
 	g := &Gateway{
 		o:     o,
 		pool:  pool,
 		wakes: wakes,
 		cfg:   cfg,
 		byEID: make(map[uint64]int),
-		woken: make(map[int]bool),
 	}
 	if reg := o.Telemetry; reg != nil {
 		g.tel = &gwTelemetry{
 			clock:     o.M.CycleNow,
-			served:    reg.Counter("os.gateway.served"),
-			waves:     reg.Counter("os.gateway.waves"),
 			chunk:     reg.Histogram("os.gateway.chunk.size"),
 			reqCycles: reg.Histogram("os.gateway.request.cycles"),
 			inflight:  reg.Gauge("os.gateway.inflight"),
 		}
-	}
-	// A failed constructor unwinds what it built — rings destroyed,
-	// workers released to the pool — so retrying gateway construction
-	// leaks neither pool capacity nor SM metadata pages. Best-effort:
-	// the original error is the one reported.
-	fail := func(err error) (*Gateway, error) {
-		for _, gw := range g.workers {
-			if o.SM.RingDestroy(gw.reqRing) == nil {
-				o.ReleaseMetaPage(gw.reqRing)
-			}
-			if o.SM.RingDestroy(gw.respRing) == nil {
-				o.ReleaseMetaPage(gw.respRing)
-			}
-			// Rings first: destroying them releases any queued descriptor
-			// pins, so the revoke cannot be refused for in-flight data.
-			if gw.grant != 0 && o.SM.BulkRevoke(gw.grant) == nil {
-				o.ReleaseMetaPage(gw.grant)
-			}
-			pool.Release(gw.w)
-		}
-		return nil, err
+		reg.RegisterFunc("os.gateway.served", func() uint64 { return uint64(g.Served) })
+		reg.RegisterFunc("os.gateway.waves", func() uint64 { return uint64(g.Waves) })
 	}
 	var err error
 	if g.sendPA, err = o.AllocPagePA(); err != nil {
@@ -251,97 +231,144 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 	if g.recvPA, err = o.AllocPagePA(); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		gw, err := g.newWorker()
-		if err != nil {
-			return fail(fmt.Errorf("os: gateway worker %d: %w", i, err))
-		}
-		g.byEID[gw.w.EID] = i
-		g.workers = append(g.workers, gw)
-		g.wireWorkerGauge(gw, i)
-	}
-	// Bulk buffers and grants must exist before the startup wave: the
-	// workers discover their grants in it.
-	if cfg.BulkPages > 0 {
-		for i, gw := range g.workers {
-			if err := g.setupBulk(gw, i); err != nil {
-				return fail(fmt.Errorf("os: gateway bulk worker %d: %w", i, err))
-			}
-		}
-	}
-	wakes.SetWakeSink(func(ringID, eid, tid uint64) {
-		g.wokenMu.Lock()
-		if i, known := g.byEID[eid]; known {
-			g.woken[i] = true
-		}
-		g.wokenMu.Unlock()
-	})
-	// Startup wave: every worker runs from its entry, reads its ring
-	// directory, finds the request ring empty, and parks.
-	var all []int
-	for i := range g.workers {
-		all = append(all, i)
-	}
-	if err := g.wave(all, api.ParkedExitValue); err != nil {
+	wakes.SetWakeSink(g.wake)
+	if err := g.addWorkers(cfg.Workers); err != nil {
 		wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-		return fail(fmt.Errorf("os: gateway startup: %w", err))
-	}
-	// Second boot phase for bulk workers: each is parked waiting for
-	// the setup message naming its window VA; send it, then run the
-	// wave in which every worker bulk_maps its buffer and parks serving.
-	if cfg.BulkPages > 0 {
-		for i, gw := range g.workers {
-			if err := g.sendBulkSetup(gw); err != nil {
-				wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-				return fail(fmt.Errorf("os: gateway bulk setup %d: %w", i, err))
-			}
-		}
-		if err := g.wave(g.takeWoken(), api.ParkedExitValue); err != nil {
-			wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-			return fail(fmt.Errorf("os: gateway bulk map: %w", err))
-		}
+		return nil, err
 	}
 	return g, nil
 }
 
-// setupBulk gives one worker its bulk data plane: contiguous OS pages,
-// a monitor grant between the OS and the worker, and the OS-side user
-// mapping at the worker's distinct VA. The OS mapping is the Sanctum
-// path (enclaves there resolve non-evrange VAs through the one OS page
-// table); under Keystone the worker's own tables serve the VA after
-// bulk_map and the OS mapping is inert.
+// AddWorker forks one more worker from the pool and wires it into the
+// serving set, running its startup wave (the worker discovers its
+// rings and parks) before returning. This is the fleet rebalancer's
+// warm-up hook: a drain target gains serving capacity before any
+// traffic cuts over to it. The pool must still have clone regions. A
+// failed AddWorker leaves the serving set as it was.
+func (g *Gateway) AddWorker() error {
+	if err := g.addWorkers(1); err != nil {
+		return fmt.Errorf("os: gateway add worker: %w", err)
+	}
+	return nil
+}
+
+// addWorkers is the one path that wires workers into the serving set:
+// fork each from the pool with its ring pair, give each its bulk
+// buffer and grant, run the startup wave in which every new worker
+// discovers its rings and parks, then the bulk VA handshake. On
+// failure it unwires every worker it added, so the serving set is
+// unchanged; the original error is the one reported.
+func (g *Gateway) addWorkers(n int) (err error) {
+	base := len(g.workers)
+	defer func() {
+		if err != nil {
+			g.unwire(base)
+		}
+	}()
+	for i := base; i < base+n; i++ {
+		if err := g.newWorker(); err != nil {
+			return fmt.Errorf("os: gateway worker %d: %w", i, err)
+		}
+	}
+	// Bulk buffers and grants must exist before the startup wave: the
+	// workers discover their grants in it.
+	bulk := g.cfg.BulkPages > 0
+	if bulk {
+		for i := base; i < base+n; i++ {
+			if err := g.setupBulk(g.workers[i], i); err != nil {
+				return fmt.Errorf("os: gateway bulk worker %d: %w", i, err)
+			}
+		}
+	}
+	fresh := make([]int, 0, n)
+	for i := base; i < base+n; i++ {
+		fresh = append(fresh, i)
+	}
+	if err := g.wave(fresh, api.ParkedExitValue); err != nil {
+		return fmt.Errorf("os: gateway startup: %w", err)
+	}
+	if !bulk {
+		return nil
+	}
+	// Second boot phase for bulk workers: each is parked waiting for
+	// the setup message naming its window VA; send it, then run the
+	// wave in which every worker bulk_maps its buffer and parks serving.
+	for i := base; i < base+n; i++ {
+		if err := g.sendBulkSetup(g.workers[i]); err != nil {
+			return fmt.Errorf("os: gateway bulk setup %d: %w", i, err)
+		}
+	}
+	if err := g.wave(g.takeWoken(base), api.ParkedExitValue); err != nil {
+		return fmt.Errorf("os: gateway bulk map: %w", err)
+	}
+	return nil
+}
+
+// newWorker forks one pool worker, publishes it in the serving set
+// (the wake sink reads byEID, so under the sink's lock), and creates
+// its ring pair. A failure leaves the worker published with whatever
+// it got; the caller's unwire tears it down.
+func (g *Gateway) newWorker() error {
+	w, err := g.pool.Acquire(0)
+	if err != nil {
+		return err
+	}
+	gw := &gwWorker{w: w}
+	g.wokenMu.Lock()
+	idx := len(g.workers)
+	g.byEID[w.EID] = idx
+	g.workers = append(g.workers, gw)
+	g.woken = append(g.woken, false)
+	g.wokenMu.Unlock()
+	if len(w.TIDs) != 1 {
+		return fmt.Errorf("os: gateway template has %d threads, want 1", len(w.TIDs))
+	}
+	if gw.reqRing, err = g.newRing(api.DomainOS, w.EID); err != nil {
+		return fmt.Errorf("os: gateway request ring: %w", err)
+	}
+	if gw.respRing, err = g.newRing(w.EID, api.DomainOS); err != nil {
+		return fmt.Errorf("os: gateway response ring: %w", err)
+	}
+	// In a fleet every shard shares one registry, so the gauge for
+	// worker idx aggregates across shards (Add-based deltas).
+	if g.tel != nil {
+		gw.depth = g.o.Telemetry.Gauge(fmt.Sprintf("os.gateway.worker%d.inflight", idx))
+	}
+	return nil
+}
+
+// newRing creates one ring on a fresh metadata page, returning the
+// page to the allocator if the monitor refuses the ring.
+func (g *Gateway) newRing(producer, consumer uint64) (uint64, error) {
+	id, err := g.o.AllocMetaPage()
+	if err != nil {
+		return 0, err
+	}
+	if err := g.o.SM.RingCreate(id, producer, consumer, ringCapacity); err != nil {
+		g.o.ReleaseMetaPage(id)
+		return 0, err
+	}
+	return id, nil
+}
+
+// setupBulk gives one worker its bulk data plane: its span of the
+// bulk region, a monitor grant between the OS and the worker, and the
+// OS-side user mapping at the worker's distinct VA. The OS mapping is
+// the Sanctum path (enclaves there resolve non-evrange VAs through the
+// one OS page table); under Keystone the worker's own tables serve the
+// VA after bulk_map and the OS mapping is inert.
 func (g *Gateway) setupBulk(gw *gwWorker, idx int) error {
 	pages := uint64(g.cfg.BulkPages)
 	size := pages * mem.PageSize
-	gw.bulkVA = g.cfg.BulkVABase + uint64(idx)*size
-	if r := g.cfg.BulkRegion; r > 0 {
-		off := uint64(idx) * size
-		if off+size > g.o.M.DRAM.RegionSize() {
-			return fmt.Errorf("os: bulk region %d too small for worker %d", r, idx)
-		}
-		gw.bulkPA = g.o.M.DRAM.Base(r) + off
-		for p := uint64(0); p < pages; p++ {
-			if err := g.o.MapUser(gw.bulkVA+p*mem.PageSize, gw.bulkPA+p*mem.PageSize, pt.R|pt.W|pt.U); err != nil {
-				return err
-			}
-		}
-	} else {
-		for p := uint64(0); p < pages; p++ {
-			pa, err := g.o.AllocPagePA()
-			if err != nil {
-				return err
-			}
-			if p == 0 {
-				gw.bulkPA = pa
-			} else if pa != gw.bulkPA+p*mem.PageSize {
-				// The page allocator is a bump allocator, so sequential
-				// allocations are contiguous unless it crossed into a
-				// non-adjacent range.
-				return fmt.Errorf("os: bulk buffer not contiguous at page %d", p)
-			}
-			if err := g.o.MapUser(gw.bulkVA+p*mem.PageSize, pa, pt.R|pt.W|pt.U); err != nil {
-				return err
-			}
+	off := uint64(idx) * size
+	if off+size > g.o.M.DRAM.RegionSize() {
+		return fmt.Errorf("os: bulk region %d too small for worker %d", g.cfg.BulkRegion, idx)
+	}
+	gw.bulkVA = bulkVABase + off
+	gw.bulkPA = g.o.M.DRAM.Base(g.cfg.BulkRegion) + off
+	for p := uint64(0); p < pages; p++ {
+		if err := g.o.MapUser(gw.bulkVA+p*mem.PageSize, gw.bulkPA+p*mem.PageSize, pt.R|pt.W|pt.U); err != nil {
+			return err
 		}
 	}
 	grant, err := g.o.AllocMetaPage()
@@ -373,106 +400,89 @@ func (g *Gateway) sendBulkSetup(gw *gwWorker) error {
 	return nil
 }
 
-// newWorker forks one pool worker and wires its ring pair, unwinding
-// its own partial state on failure so the caller sees either a fully
-// wired worker or nothing.
-func (g *Gateway) newWorker() (*gwWorker, error) {
-	w, err := g.pool.Acquire(0)
-	if err != nil {
-		return nil, err
-	}
-	gw := &gwWorker{w: w}
-	fail := func(err error) (*gwWorker, error) {
-		if gw.reqRing != 0 && g.o.SM.RingDestroy(gw.reqRing) == nil {
-			g.o.ReleaseMetaPage(gw.reqRing)
+// unwire tears down workers[from:] and removes them from the serving
+// set — Close's whole set, or what a failed addWorkers added: destroy
+// each ring pair (waking the parked workers into failing parks, their
+// shutdown signal), revoke each grant, run the wave in which the woken
+// workers exit cleanly, and release every worker back to the pool.
+// Best-effort — every step runs and the first error is the one
+// reported — so a failed wave still returns what it can to the pool.
+func (g *Gateway) unwire(from int) error {
+	var firstErr error
+	keep := func(err error) {
+		if firstErr == nil && err != nil {
+			firstErr = err
 		}
-		if gw.respRing != 0 && g.o.SM.RingDestroy(gw.respRing) == nil {
-			g.o.ReleaseMetaPage(gw.respRing)
+	}
+	gone := g.workers[from:]
+	for _, gw := range gone {
+		if gw.reqRing != 0 {
+			if err := g.o.SM.RingDestroy(gw.reqRing); err == nil {
+				g.o.ReleaseMetaPage(gw.reqRing)
+			} else {
+				keep(fmt.Errorf("os: gateway destroy request ring: %w", err))
+			}
 		}
-		g.pool.Release(w)
-		return nil, err
+		if gw.respRing != 0 {
+			if err := g.o.SM.RingDestroy(gw.respRing); err == nil {
+				g.o.ReleaseMetaPage(gw.respRing)
+			} else {
+				keep(fmt.Errorf("os: gateway destroy response ring: %w", err))
+			}
+		}
+		// After both rings are gone no descriptor into the grant can be
+		// in flight, so the revoke cannot be refused.
+		if gw.grant != 0 {
+			if err := g.o.SM.BulkRevoke(gw.grant); err == nil {
+				g.o.ReleaseMetaPage(gw.grant)
+			} else {
+				keep(fmt.Errorf("os: gateway bulk revoke: %w", err))
+			}
+		}
 	}
-	if len(w.TIDs) != 1 {
-		return fail(fmt.Errorf("os: gateway template has %d threads, want 1", len(w.TIDs)))
+	keep(g.wave(g.takeWoken(from), enclaveExitStatus))
+	for i, gw := range gone {
+		if err := g.pool.Release(gw.w); err != nil {
+			keep(fmt.Errorf("os: gateway release worker %d: %w", from+i, err))
+		}
 	}
-	if gw.reqRing, err = g.o.AllocMetaPage(); err != nil {
-		return fail(err)
-	}
-	if err := g.o.SM.RingCreate(gw.reqRing, api.DomainOS, w.EID, g.cfg.RingCapacity); err != nil {
-		gw.reqRing = 0
-		return fail(fmt.Errorf("os: gateway request ring: %w", err))
-	}
-	if gw.respRing, err = g.o.AllocMetaPage(); err != nil {
-		return fail(err)
-	}
-	if err := g.o.SM.RingCreate(gw.respRing, w.EID, api.DomainOS, g.cfg.RingCapacity); err != nil {
-		gw.respRing = 0
-		return fail(fmt.Errorf("os: gateway response ring: %w", err))
-	}
-	return gw, nil
-}
-
-// AddWorker forks one more worker from the pool and wires it into the
-// serving set, running its startup wave (the worker discovers its
-// rings and parks) before returning. This is the fleet rebalancer's
-// warm-up hook: a drain target gains serving capacity before any
-// traffic cuts over to it. The pool must still have clone regions.
-func (g *Gateway) AddWorker() error {
-	gw, err := g.newWorker()
-	if err != nil {
-		return fmt.Errorf("os: gateway add worker: %w", err)
-	}
-	// byEID is read by the wake sink under wokenMu; publish the new
-	// worker under the same lock.
 	g.wokenMu.Lock()
-	g.byEID[gw.w.EID] = len(g.workers)
-	g.workers = append(g.workers, gw)
-	idx := len(g.workers) - 1
+	for _, gw := range gone {
+		delete(g.byEID, gw.w.EID)
+	}
+	g.workers = g.workers[:from]
+	g.woken = g.woken[:from]
 	g.wokenMu.Unlock()
-	g.wireWorkerGauge(gw, idx)
-	if g.cfg.BulkPages > 0 {
-		if err := g.setupBulk(gw, idx); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk: %w", err)
-		}
-	}
-	if err := g.wave([]int{idx}, api.ParkedExitValue); err != nil {
-		return fmt.Errorf("os: gateway add worker startup: %w", err)
-	}
-	if g.cfg.BulkPages > 0 {
-		if err := g.sendBulkSetup(gw); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk setup: %w", err)
-		}
-		if err := g.wave(g.takeWoken(), api.ParkedExitValue); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk map: %w", err)
-		}
-	}
-	return nil
+	return firstErr
 }
 
-// wireWorkerGauge gives a freshly wired worker its per-worker queue
-// depth gauge. In a fleet every shard shares one registry, so the
-// gauge for worker idx aggregates across shards (Add-based deltas).
-func (g *Gateway) wireWorkerGauge(gw *gwWorker, idx int) {
-	if g.tel != nil {
-		gw.depth = g.o.Telemetry.Gauge(fmt.Sprintf("os.gateway.worker%d.inflight", idx))
+// wake is the gateway's park/wake sink: it marks the woken worker.
+func (g *Gateway) wake(ringID, eid, tid uint64) {
+	g.wokenMu.Lock()
+	if i, known := g.byEID[eid]; known {
+		g.woken[i] = true
 	}
+	g.wokenMu.Unlock()
 }
 
 // NumWorkers reports the current serving-set size.
 func (g *Gateway) NumWorkers() int { return len(g.workers) }
 
-// takeWoken drains the wake set in worker order (deterministic under
-// the deterministic scheduler, where sinks fire synchronously on the
-// sending goroutine).
-func (g *Gateway) takeWoken() []int {
+// takeWoken drains the wake marks of workers from onward, returning
+// their indexes in worker order (deterministic under the deterministic
+// scheduler, where sinks fire synchronously on the sending goroutine).
+// The result is valid until the next call.
+func (g *Gateway) takeWoken(from int) []int {
 	g.wokenMu.Lock()
-	idxs := make([]int, 0, len(g.woken))
-	for i := range g.woken {
-		idxs = append(idxs, i)
+	idxs := g.wokenIdx[:0]
+	for i := from; i < len(g.woken); i++ {
+		if g.woken[i] {
+			g.woken[i] = false
+			idxs = append(idxs, i)
+		}
 	}
-	g.woken = make(map[int]bool)
+	g.wokenIdx = idxs
 	g.wokenMu.Unlock()
-	sort.Ints(idxs)
 	return idxs
 }
 
@@ -487,12 +497,9 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 	tasks := make([]Task, 0, len(idxs))
 	for _, i := range idxs {
 		gw := g.workers[i]
-		tasks = append(tasks, Task{EID: gw.w.EID, TID: gw.w.TIDs[0], MaxSteps: g.cfg.MaxStepsPerWake})
+		tasks = append(tasks, Task{EID: gw.w.EID, TID: gw.w.TIDs[0], MaxSteps: maxStepsPerWake})
 	}
 	g.Waves++
-	if t := g.tel; t != nil {
-		t.waves.Inc(0)
-	}
 	results := g.o.NewScheduler(g.cfg.Sched).RunAll(tasks)
 	for i, res := range results {
 		if res.Err != nil {
@@ -538,21 +545,18 @@ func (g *Gateway) sendChunk(gw *gwWorker, payloads [][]byte, from, n int) error 
 		// Unreachable: inflight accounting keeps n within free slots.
 		return fmt.Errorf("os: gateway send transferred %d of %d", sent, n)
 	}
-	for i := 0; i < n; i++ {
-		gw.pending = append(gw.pending, from+i)
-	}
-	gw.inflight += n
+	var now uint64
 	if t := g.tel; t != nil {
-		if gw.stampHead == len(gw.stamps) {
-			gw.stamps, gw.stampHead = gw.stamps[:0], 0
-		}
-		now := t.clock()
-		for i := 0; i < n; i++ {
-			gw.stamps = append(gw.stamps, now)
-		}
+		now = t.clock()
 		t.chunk.Observe(uint64(n))
 		t.inflight.Add(int64(n))
 		gw.depth.Add(int64(n))
+	}
+	if gw.head == len(gw.fifo) {
+		gw.fifo, gw.head = gw.fifo[:0], 0
+	}
+	for i := 0; i < n; i++ {
+		gw.fifo = append(gw.fifo, sentReq{idx: from + i, stamp: now})
 	}
 	return nil
 }
@@ -566,10 +570,10 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
 	// One clock read serves the whole drain: recv is a host-side
 	// monitor call, so no modeled cycles retire while draining.
 	var now uint64
-	if g.tel != nil && gw.inflight > 0 {
+	if g.tel != nil && gw.inflight() > 0 {
 		now = g.tel.clock()
 	}
-	for gw.inflight > 0 {
+	for gw.inflight() > 0 {
 		n, err := g.o.SM.RingRecv(gw.respRing, g.recvPA, g.cfg.Batch)
 		if errors.Is(err, api.ErrInvalidState) {
 			break // empty
@@ -590,19 +594,17 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
 				return total, fmt.Errorf("os: gateway response stamp mismatch: sender %#x meas %x",
 					sender, meas[:4])
 			}
-			if len(gw.pending) == 0 {
+			if gw.inflight() == 0 {
 				return total, fmt.Errorf("os: gateway response with no pending request")
 			}
-			idx := gw.pending[0]
-			gw.pending = gw.pending[1:]
-			gw.inflight--
+			req := gw.fifo[gw.head]
+			gw.head++
 			if t := g.tel; t != nil {
-				t.reqCycles.Observe(now - gw.stamps[gw.stampHead])
-				gw.stampHead++
+				t.reqCycles.Observe(now - req.stamp)
 			}
 			payload := make([]byte, api.RingMsgSize)
 			copy(payload, rec[api.RingStampSize:])
-			out[idx] = payload
+			out[req.idx] = payload
 			total++
 		}
 	}
@@ -652,7 +654,7 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]by
 		tr = nil
 	}
 	cursor, done := 0, 0
-	space := func(i int) int { return g.cfg.RingCapacity - g.workers[i].inflight }
+	space := func(i int) int { return ringCapacity - g.workers[i].inflight() }
 	for done < len(payloads) {
 		// Assign as many requests as ring capacity allows.
 		for cursor < len(payloads) {
@@ -695,7 +697,7 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]by
 			cursor += n
 		}
 		// The sends woke every parked worker that got traffic; run them.
-		woken := g.takeWoken()
+		woken := g.takeWoken(0)
 		if len(woken) == 0 {
 			return nil, fmt.Errorf("os: gateway stalled: %d responses outstanding, no worker woken",
 				len(payloads)-done)
@@ -727,9 +729,6 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]by
 		}
 	}
 	g.Served += len(payloads)
-	if t := g.tel; t != nil {
-		t.served.Add(0, uint64(len(payloads)))
-	}
 	return out, nil
 }
 
@@ -783,49 +782,16 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// Close shuts the service down: destroy every ring (waking the parked
-// workers into failing parks — their shutdown signal), run the final
-// wave in which each worker exits cleanly, and release the workers
-// back to the pool. Teardown is best-effort — every step runs and the
-// first error is the one reported — so a failed wave still unhooks
-// the wake sink and returns what it can to the pool. The gateway is
-// unusable afterwards; the pool remains open for the caller to Close.
+// Close shuts the service down: unwire every worker — rings destroyed,
+// the final wave in which each worker exits cleanly, workers released
+// back to the pool — then unhook the wake sink. Teardown is
+// best-effort and the first error is the one reported. The gateway
+// serves nothing afterwards; the pool remains open for the caller to
+// Close.
 func (g *Gateway) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	for _, gw := range g.workers {
-		if err := g.o.SM.RingDestroy(gw.reqRing); err == nil {
-			g.o.ReleaseMetaPage(gw.reqRing)
-		} else {
-			keep(fmt.Errorf("os: gateway destroy request ring: %w", err))
-		}
-		if err := g.o.SM.RingDestroy(gw.respRing); err == nil {
-			g.o.ReleaseMetaPage(gw.respRing)
-		} else {
-			keep(fmt.Errorf("os: gateway destroy response ring: %w", err))
-		}
-		// After both rings are gone no descriptor into the grant can be
-		// in flight, so the revoke cannot be refused.
-		if gw.grant != 0 {
-			if err := g.o.SM.BulkRevoke(gw.grant); err == nil {
-				g.o.ReleaseMetaPage(gw.grant)
-			} else {
-				keep(fmt.Errorf("os: gateway bulk revoke: %w", err))
-			}
-		}
-	}
-	keep(g.wave(g.takeWoken(), enclaveExitStatus))
+	err := g.unwire(0)
 	g.wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-	for i, gw := range g.workers {
-		if err := g.pool.Release(gw.w); err != nil {
-			keep(fmt.Errorf("os: gateway release worker %d: %w", i, err))
-		}
-	}
-	return firstErr
+	return err
 }
 
 // enclaveExitStatus mirrors internal/enclaves.WorkerExitStatus without

@@ -8,6 +8,7 @@ package sanctorum_test
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -212,7 +213,10 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 	sendPA, _ := sys.OS.AllocPagePA()
 	recvPA, _ := sys.OS.AllocPagePA()
 	var served atomic.Int64
-	streamEchoRequests(t, sys, reqRing, sendPA, total, 8 /* response ring capacity */, &served)
+	// The invariant check below captures the request ring's state; it
+	// holds sending so the producer is never inside a send meanwhile.
+	var sending sync.Mutex
+	streamEchoRequests(t, sys, reqRing, sendPA, total, 8 /* response ring capacity */, &served, &sending)
 	for served.Load() < total {
 		<-wakes
 		for {
@@ -228,7 +232,10 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 		if a0 := sys.Machine.Cores[0].CPU.Reg(isa.RegA0); a0 != api.ParkedExitValue {
 			t.Fatalf("worker stopped with a0=%#x, want park", a0)
 		}
-		if err := sys.Monitor.CheckInvariants(); err != nil {
+		sending.Lock()
+		err := sys.Monitor.CheckInvariants()
+		sending.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 		for {

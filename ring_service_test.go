@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -69,19 +70,26 @@ func echoPayload(i int) []byte {
 // own inflight rule. The test drains the response ring only between
 // Machine.Run calls, so a producer further ahead would let the worker
 // fill its response ring and spin on backpressure until the step limit.
+// The producer holds sending across each send, so a test that holds it
+// too can inspect monitor state while no send is inside the ring.
 func streamEchoRequests(t *testing.T, sys *sanctorum.System, reqRing, sendPA uint64,
-	total, window int, answered *atomic.Int64) {
+	total, window int, answered *atomic.Int64, sending *sync.Mutex) {
+	send := func(i int) error {
+		sending.Lock()
+		defer sending.Unlock()
+		if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
+			return err
+		}
+		_, err := sys.OS.SM.RingSend(reqRing, sendPA, 1)
+		return err
+	}
 	go func() {
 		for i := 0; i < total; {
 			if int64(i)-answered.Load() >= int64(window) {
 				runtime.Gosched() // window full: wait for the test to drain
 				continue
 			}
-			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
+			if err := send(i); err != nil {
 				if errors.Is(err, api.ErrInvalidState) {
 					runtime.Gosched() // ring full: the consumer will drain
 					continue
@@ -126,6 +134,14 @@ func TestEnclaveRingService(t *testing.T) {
 			}
 			if gw.Served != n {
 				t.Fatalf("gateway served %d, want %d", gw.Served, n)
+			}
+			// The gateway's fields are the only copy; the registry reads them.
+			snap := sys.Telemetry.Snapshot()
+			if got := snap.Counters["os.gateway.served"]; got != uint64(gw.Served) {
+				t.Fatalf("os.gateway.served %d, Gateway.Served %d", got, gw.Served)
+			}
+			if got := snap.Counters["os.gateway.waves"]; got != uint64(gw.Waves) {
+				t.Fatalf("os.gateway.waves %d, Gateway.Waves %d", got, gw.Waves)
 			}
 			if err := gw.Close(); err != nil {
 				t.Fatal(err)
@@ -277,7 +293,7 @@ func TestRingParkWakeRace(t *testing.T) {
 	// Producer: stream all requests, at most a response ring's worth
 	// unanswered. Runs concurrently with the consumer hart below.
 	var served atomic.Int64
-	streamEchoRequests(t, sys, reqRing, sendPA, total, 32 /* response ring capacity */, &served)
+	streamEchoRequests(t, sys, reqRing, sendPA, total, 32 /* response ring capacity */, &served, new(sync.Mutex))
 	for served.Load() < total {
 		<-wakes
 		// Enter may race the park transition (the wake can beat the
