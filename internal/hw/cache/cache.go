@@ -85,12 +85,6 @@ type Cache struct {
 	perBits   uint
 	perMask   uint64
 
-	// fillGen advances whenever the set of resident lines changes (any
-	// fill, eviction or flush). A LineRef from an older generation is
-	// dead; one from the current generation still points at a valid
-	// resident line.
-	fillGen uint64
-
 	// epoch implements O(1) full flushes: lines filled in an older
 	// epoch are not resident, so FlushAll is one increment instead of
 	// a sweep over every way. Core cleaning runs on every protection-
@@ -132,35 +126,37 @@ func (c *Cache) SetShared(on bool) {
 	}
 }
 
-// LineRef is a consumer-held handle to the line of the last access, the
+// LineRef is a consumer-held handle to the way of the last access, the
 // cache-model analogue of the machine's last-translation caches: while
-// the cache's resident-line set is unchanged, a repeat access to the
-// same line can skip the set scan. TouchFast performs bookkeeping
-// identical to a scanning hit (stamp, LRU, hit statistic), so the
-// observable cache state — contents, replacement order, statistics,
-// timing — is bit-identical to calling Access.
+// that way still holds the same line in the current epoch, a repeat
+// access to the line can skip the set scan. A line is live in at most
+// one way of its set (a fill happens only after the scan missed), so
+// the way a ref names is exactly the way a scan would hit; fills,
+// evictions and flushes elsewhere in the cache leave the ref valid.
+// TouchFast performs bookkeeping identical to a scanning hit (stamp,
+// LRU, hit statistic), so the observable cache state — contents,
+// replacement order, statistics, timing — is bit-identical to calling
+// Access.
 type LineRef struct {
-	gen  uint64
 	line *line
 }
 
-// TouchFast re-performs a hit through the ref if it is still valid for
-// pa; the hit latency is the cache's Config().HitCycles, which hot
-// callers keep in a local. false means the caller must fall back to
-// Access/AccessRef.
-func (c *Cache) TouchFast(pa uint64, ref *LineRef) bool {
-	// A live gen implies ref was set by AccessRef (fillGen never
-	// returns to an old value), so line is non-nil and still resident,
-	// and its tag is authoritative for the line address.
-	if ref.gen != c.fillGen {
-		return false
-	}
+// holds reports whether ref's way holds pa's line in the current epoch.
+func (c *Cache) holds(pa uint64, ref *LineRef) bool {
 	l := ref.line
-	if l.tag != pa>>c.lineBits {
+	return l != nil && l.live(c.epoch) && l.tag == pa>>c.lineBits
+}
+
+// TouchFast re-performs a hit through the ref if its way still holds
+// pa's line; the hit latency is the cache's Config().HitCycles, which
+// hot callers keep in a local. false means the caller must fall back
+// to Access/AccessRef.
+func (c *Cache) TouchFast(pa uint64, ref *LineRef) bool {
+	if !c.holds(pa, ref) {
 		return false
 	}
 	c.stamp++
-	l.lru = c.stamp
+	ref.line.lru = c.stamp
 	c.Hits++
 	return true
 }
@@ -173,15 +169,11 @@ func (c *Cache) TouchFast(pa uint64, ref *LineRef) bool {
 // stamps, and n hits are recorded. false means the caller must fall
 // back to per-access TouchFast/AccessRef, which re-establishes the ref.
 func (c *Cache) TouchFastN(pa uint64, ref *LineRef, n uint64) bool {
-	if ref.gen != c.fillGen {
-		return false
-	}
-	l := ref.line
-	if l.tag != pa>>c.lineBits {
+	if !c.holds(pa, ref) {
 		return false
 	}
 	c.stamp += n
-	l.lru = c.stamp
+	ref.line.lru = c.stamp
 	c.Hits += n
 	return true
 }
@@ -189,8 +181,7 @@ func (c *Cache) TouchFastN(pa uint64, ref *LineRef, n uint64) bool {
 // AccessRef is Access, additionally pointing ref at the touched line so
 // the next same-line access can go through TouchFast.
 func (c *Cache) AccessRef(pa uint64, ref *LineRef) (hit bool, cycles uint64) {
-	hit, cycles, l := c.access(pa)
-	*ref = LineRef{line: l, gen: c.fillGen}
+	hit, cycles, ref.line = c.access(pa)
 	return hit, cycles
 }
 
@@ -210,10 +201,8 @@ func New(cfg Config) *Cache {
 		parts, partShift = cfg.Partitions, cfg.PartitionShift
 	}
 	per := cfg.Sets / parts
-	// fillGen starts above the zero value so a zero LineRef never
-	// matches and TouchFast needs no nil check on its line pointer.
 	return &Cache{
-		cfg: cfg, sets: sets, lineBits: cfg.LineBits, fillGen: 1,
+		cfg: cfg, sets: sets, lineBits: cfg.LineBits,
 		partShift: partShift, partMask: uint64(parts - 1),
 		perBits: uint(bits.TrailingZeros(uint(per))), perMask: uint64(per - 1),
 	}
@@ -258,7 +247,6 @@ func (c *Cache) access(pa uint64) (hit bool, cycles uint64, l *line) {
 		}
 	}
 	c.Misses++
-	c.fillGen++
 	// Fill: choose a non-resident way, else LRU.
 	victim := 0
 	for i := range set {
@@ -300,12 +288,10 @@ func (c *Cache) FlushAll() {
 	if c.shared {
 		c.mu.Lock()
 		c.epoch++
-		c.fillGen++
 		c.mu.Unlock()
 		return
 	}
 	c.epoch++
-	c.fillGen++
 }
 
 // FlushRange invalidates every resident line overlapping [pa, pa+n),
@@ -319,7 +305,6 @@ func (c *Cache) FlushRange(pa, n uint64) int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	c.fillGen++
 	if n == 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -135,19 +136,30 @@ func TestFlushRange(t *testing.T) {
 			}
 		})
 	}
-	// FlushRange stays a flush: lines it invalidated miss, lines it kept
-	// still hit, and the generation moves so no LineRef outlives it.
+	// FlushRange stays a flush: lines it invalidated miss and lines it
+	// kept still hit. A LineRef follows its own line: the flushed line's
+	// ref dies, while the kept line's ref (same set) still hits, exactly
+	// as a scanning access on a twin cache does.
 	t.Run("selective", func(t *testing.T) {
-		c := New(sharedCfg())
-		c.Access(0x0000)
-		c.Access(0x10000)
-		var ref LineRef
-		c.AccessRef(0x0000, &ref)
+		c, twin := New(sharedCfg()), New(sharedCfg())
+		var kept, flushed LineRef
+		c.AccessRef(0x0000, &kept)
+		c.AccessRef(0x10000, &flushed)
+		twin.Access(0x0000)
+		twin.Access(0x10000)
 		if n := c.FlushRange(0x10000, 1); n != 1 || c.Probe(0x10000) || !c.Probe(0x0000) {
 			t.Fatalf("selective flush wrong: n=%d", n)
 		}
-		if c.TouchFast(0x0000, &ref) {
-			t.Fatal("a LineRef survived FlushRange")
+		twin.FlushRange(0x10000, 1)
+		if c.TouchFast(0x10000, &flushed) {
+			t.Fatal("the flushed line's LineRef survived FlushRange")
+		}
+		if !c.TouchFast(0x0000, &kept) {
+			t.Fatal("the kept line's LineRef died in FlushRange")
+		}
+		twin.Access(0x0000)
+		if !slices.Equal(c.Snapshot(), twin.Snapshot()) || c.Hits != twin.Hits || c.Misses != twin.Misses {
+			t.Fatal("a hit through the kept line's LineRef differs from a scanning hit")
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"sanctorum/internal/hw/cache"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
@@ -21,11 +23,18 @@ import (
 // tests enforce.
 //
 // A block is discovered when a control-transfer target crosses the heat
-// threshold, and spans decoded instructions from its entry VA up to and
+// threshold, and traces decoded instructions from its entry VA up to and
 // including the first control-flow instruction — or up to (excluding)
 // the first system op (ECALL, EBREAK, HALT, RDCYCLE), illegal word,
-// page boundary or the length cap. Blocks never span pages, so one
-// translation covers every fetch in the block.
+// page boundary or the length cap. A plain jump (JAL x0) whose aligned
+// target lies in the same page and walk root, is not the entry and is
+// not already in the block is followed rather than ending the trace: it
+// retires inside the block, charging only its fetch and base cycles. A
+// top-tested loop (body; j top; top: branch body) therefore compiles to
+// one block whose terminal branches back to its own entry, which
+// execBlock chains. Blocks never span pages, so one translation covers
+// every fetch in the block; a block records each instruction's VA, and
+// each segment records its first VA, the resume PC of a guard bail.
 //
 // The block is divided into segments: a segment is a maximal run whose
 // only observable effects are register updates, ended by a memory
@@ -150,15 +159,17 @@ type fetchRun struct {
 // block is one compiled superinstruction chain.
 type block struct {
 	entryVA uint64
+	fallPC  uint64          // PC after a pass with no terminal
 	paPage  uint64          // physical page holding the block's code
 	icGen   uint64          // guard: core's decode-cache generation at (re)validation
 	tgMode  uint64          // guard: TLB generation + privilege mode pack
 	root    uint64          // page-table root every VA in the block walks from
 	n       int             // total instructions; 0 marks a negative-cache entry
-	hasTerm bool            // ends in control flow (else falls through to entry+n*8)
+	hasTerm bool            // ends in control flow (else falls through to fallPC)
 	words   []uint64        // original instruction words, for revalidation
+	vas     []uint64        // each instruction's VA, in execution order
 	lrefs   []cache.LineRef // L1 refs for the code lines, shared by segments
-	segs    []segEnv        // fused segments, in program order
+	segs    []segEnv        // fused segments, in execution order
 }
 
 // blockFor returns a ready-to-execute block for pc, or nil to stay on
@@ -241,7 +252,7 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 		passes++
 		c.brun.base += b.n
 		if !b.hasTerm {
-			cpu.PC = b.entryVA + uint64(b.n)*isa.InstrSize
+			cpu.PC = b.fallPC
 		}
 		if cpu.PC != b.entryVA || c.brun.base+b.n > budget {
 			c.bstats.Instrs += uint64(c.brun.base)
@@ -267,14 +278,14 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 	}
 }
 
-// guardFail records a guard bail at segBase instructions into the
-// current pass and points the PC at the first un-executed instruction.
-func (c *Core) guardFail(b *block, segBase int) {
-	// Every pass starts at the entry VA, so the resume PC depends only
-	// on the bailing segment's offset — while the retired count also
-	// carries the chained passes completed before this one.
-	c.CPU.PC = b.entryVA + uint64(segBase)*isa.InstrSize
-	c.brun.retired = c.brun.base + segBase
+// guardFail records a guard bail at the start of segment e and points
+// the PC at its first, un-executed instruction. The resume PC is the
+// segment's own first VA — after a followed jump it is not entry +
+// offset — while the retired count also carries the chained passes
+// completed before this one.
+func (c *Core) guardFail(e *segEnv) {
+	c.CPU.PC = e.startVA
+	c.brun.retired = c.brun.base + e.segBase
 	c.bstats.GuardBails++
 }
 
@@ -288,7 +299,7 @@ func (c *Core) memTrap(segEnd int, tr *isa.Trap) {
 }
 
 // fetchChargeSlow is the exact per-fetch fallback when a segment's
-// batched L1 touch fails (dead line ref after any fill or flush): the
+// batched L1 touch fails (the line left its way, or a flush took it): the
 // hit-or-refill sequence of the per-instruction fetch path, which also
 // re-arms the ref for the next pass.
 func (c *Core) fetchChargeSlow(pa uint64, ref *cache.LineRef, n uint64) uint64 {
@@ -306,16 +317,18 @@ func (c *Core) fetchChargeSlow(pa uint64, ref *cache.LineRef, n uint64) uint64 {
 // segSpec collects one segment during compilation, before it is fused
 // into its closure.
 type segSpec struct {
-	base   int    // instructions retired before this segment
-	n      int    // instructions in this segment
-	static uint64 // batched base cycle cost
-	fetch  []fetchRun
-	alu    []isa.Instr // fused computational ops, in program order
-	mem    *isa.Instr  // trailing load/store, nil if none
-	memVA  uint64
-	term   func(*isa.CPU) uint64 // block terminal (last segment only)
-	termIn isa.Instr             // the terminal instruction, for uop fusion
-	termVA uint64
+	base    int    // instructions retired before this segment
+	n       int    // instructions in this segment
+	startVA uint64 // VA of the segment's first instruction
+	static  uint64 // batched base cycle cost
+	fetch   []fetchRun
+	alu     []isa.Instr // fused computational ops, in execution order
+	isMem   bool        // the segment ends in a load or store
+	mem     isa.Instr   // the trailing load/store
+	memVA   uint64
+	term    func(*isa.CPU) uint64 // block terminal (last segment only)
+	termIn  isa.Instr             // the terminal instruction, for uop fusion
+	termVA  uint64
 }
 
 // segFetchMulti is the fetch-accounting loop for the rare segment that
@@ -399,6 +412,7 @@ type segEnv struct {
 
 	segBase int    // instructions retired before this segment
 	segEnd  int    // segBase + segment length
+	startVA uint64 // VA of the first instruction: a guard bail resumes here
 	static  uint64 // batched base cycle cost of the fused ops
 
 	// Fetch accounting. The single-line case covers nearly every
@@ -440,6 +454,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 		b:       b,
 		segBase: s.base,
 		segEnd:  s.base + s.n,
+		startVA: s.startVA,
 		static:  s.static,
 		fetch1:  len(s.fetch) == 1,
 		pa0:     b.paPage | f0.off,
@@ -449,7 +464,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 		term:    s.term,
 	}
 	if !e.fetch1 {
-		e.fetchRest = s.fetch
+		e.fetchRest = slices.Clone(s.fetch) // s.fetch is compileBlock's scratch
 	}
 	e.nalu = len(s.alu)
 	if e.nalu > 3 {
@@ -466,8 +481,8 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 	for i := 3; i < len(s.alu); i++ {
 		e.aluRest = append(e.aluRest, isa.BlockALU(s.alu[i]))
 	}
-	if s.mem != nil {
-		in := *s.mem
+	if s.isMem {
+		in := s.mem
 		e.isMem = true
 		e.memVA = s.memVA
 		e.isLoad = isa.IsLoad(in.Op)
@@ -499,7 +514,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 	// Guard (elided when the previous segment proved it stable).
 	if !clean && (e.b.icGen != c.icGen.Load() || e.b.tgMode != tgMode(c.TLB.Gen(), cpu.Mode)) {
-		c.guardFail(e.b, e.segBase)
+		c.guardFail(e)
 		return segStop
 	}
 	// Batched fetch accounting for the whole segment: each fetch is a
@@ -573,9 +588,9 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			return segStop
 		}
 		clean := true
-		tc := &c.storeTC
+		tc, ref := &c.storeTC, &c.storeRef
 		if e.isLoad {
-			tc = &c.loadTC
+			tc, ref = &c.loadTC, &c.loadRef
 		}
 		var pa uint64
 		root, _ := c.walkRoot(addr)
@@ -593,17 +608,17 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			}
 			clean = false
 		}
-		if c.L1.TouchFast(pa, &c.dataRef) {
+		if c.L1.TouchFast(pa, ref) {
 			cpu.Cycles += c.l1Hit
 		} else {
-			cpu.Cycles += c.cachedAccessRef(pa, &c.dataRef)
+			cpu.Cycles += c.cachedAccessRef(pa, ref)
 		}
 		if e.isLoad {
 			var val uint64
 			if e.width == 8 {
-				val = c.dataWin.Load64(pa)
+				val = c.loadWin.Load64(pa)
 			} else {
-				val = c.dataWin.LoadFast(pa, e.width)
+				val = c.loadWin.LoadFast(pa, e.width)
 			}
 			if e.signed {
 				val = isa.SignExtendVal(val, e.width)
@@ -632,9 +647,9 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 		}
 		var cow, hitCode bool
 		if e.width == 8 {
-			cow, hitCode = c.dataWin.Store64Block(pa, val)
+			cow, hitCode = c.storeWin.Store64Block(pa, val)
 		} else {
-			cow, hitCode = c.dataWin.StoreFastBlock(pa, e.width, val)
+			cow, hitCode = c.storeWin.StoreFastBlock(pa, e.width, val)
 		}
 		if cow {
 			c.segCOWTrap(e.memVA, addr, e.segEnd)
@@ -719,89 +734,153 @@ func (c *Core) compileBlock(pc uint64) *block {
 		return nil
 	}
 	pageMask := uint64(mem.PageMask)
-	paPage := e.pa &^ pageMask
+	page, paPage := pc&^pageMask, e.pa&^pageMask
 	// Mark the code page BEFORE reading any word (fetchSlow's snoop race
 	// protocol): a racing store that lands after the mark bumps icGen,
 	// and the block carries the pre-read generation, so it can never
 	// pass its guard.
 	c.machine.markCodePage(paPage)
 
+	// Trace the block in execution order. It never holds a VA twice:
+	// followJump refuses a target already traced, and sequential flow
+	// back into the trace (after a backward jump) ends it. The fixed
+	// arrays keep the trace off the heap; the block keeps exact-size
+	// copies.
 	var (
-		words []uint64
-		ins   []isa.Instr
+		vas   [blockCap]uint64
+		words [blockCap]uint64
+		ins   [blockCap]isa.Instr
+		n     int
 		term  func(*isa.CPU) uint64
 	)
-	for va := pc; len(ins) < blockCap; va += isa.InstrSize {
-		if va&^pageMask != pc&^pageMask {
-			break // blocks never span pages
-		}
+	va := pc
+	for n < blockCap && va&^pageMask == page && !slices.Contains(vas[:n], va) {
 		if r, _ := c.walkRoot(va); r != root {
 			break // evrange edge inside the page
 		}
 		w := c.fetchWin.LoadFast(paPage|(va&pageMask), 8)
 		in := isa.Decode(w)
+		vas[n], words[n], ins[n] = va, w, in
+		if target, ok := c.followJump(in, va, root, vas[:n+1]); ok {
+			n++
+			va = target
+			continue
+		}
 		if t := isa.BlockTerm(in, va); t != nil {
-			words, ins, term = append(words, w), append(ins, in), t
+			n++
+			term = t
 			break
 		}
 		if isa.BlockALU(in) == nil && !isa.IsLoad(in.Op) && !isa.IsStore(in.Op) {
 			break // system op, HALT, RDCYCLE or illegal word: never fused
 		}
-		words, ins = append(words, w), append(ins, in)
+		n++
+		va += isa.InstrSize
 	}
 
 	idx := (pc >> 3) & (bcEntries - 1)
-	if len(ins) < blockMinLen {
+	if n < blockMinLen {
 		c.blocks[idx] = &block{entryVA: pc, icGen: icGen}
 		c.bstats.Rejected++
 		return nil
 	}
 
 	b := &block{
-		entryVA: pc, paPage: paPage,
+		entryVA: pc, fallPC: va, paPage: paPage,
 		icGen: icGen, tgMode: tg, root: root,
-		n: len(ins), hasTerm: term != nil, words: words,
+		n: n, hasTerm: term != nil,
 	}
-	lineBits := c.L1.Config().LineBits
-	pcOff := pc & pageMask
-	firstLine := pcOff >> lineBits
-	b.lrefs = make([]cache.LineRef, (pcOff+uint64(b.n-1)*isa.InstrSize)>>lineBits-firstLine+1)
+	buf := make([]uint64, 2*n)
+	b.words, b.vas = buf[:n:n], buf[n:]
+	copy(b.words, words[:n])
+	copy(b.vas, vas[:n])
 
-	seg := segSpec{}
-	flush := func() {
-		if seg.n > 0 {
-			b.segs = append(b.segs, c.buildSeg(b, seg))
-			seg = segSpec{base: seg.base + seg.n}
+	// Each distinct L1 line of the trace gets one ref, in first-fetch
+	// order; a memory op ends its segment, and so does the last op.
+	var (
+		lines  [blockCap]uint64
+		lineOf [blockCap]int
+		nl     int
+		nsegs  int
+	)
+	lineBits := c.L1.Config().LineBits
+	for i := 0; i < n; i++ {
+		line := (vas[i] & pageMask) >> lineBits
+		j := slices.Index(lines[:nl], line)
+		if j < 0 {
+			j, lines[nl] = nl, line
+			nl++
+		}
+		lineOf[i] = j
+		if isa.IsLoad(ins[i].Op) || isa.IsStore(ins[i].Op) || i == n-1 {
+			nsegs++
 		}
 	}
-	for i := range ins {
-		in := ins[i]
-		off := pcOff + uint64(i)*isa.InstrSize
-		if line := int(off>>lineBits - firstLine); len(seg.fetch) > 0 && seg.fetch[len(seg.fetch)-1].line == line {
-			seg.fetch[len(seg.fetch)-1].n++
+	b.lrefs = make([]cache.LineRef, nl)
+	b.segs = make([]segEnv, 0, nsegs)
+
+	var (
+		runs [blockCap]fetchRun
+		alus [blockCap]isa.Instr
+	)
+	var seg segSpec
+	r0, nr, a0, na := 0, 0, 0, 0 // the open segment's runs[r0:nr] and alus[a0:na]
+	for i := 0; i < n; i++ {
+		in, va := ins[i], vas[i]
+		if nr > r0 && runs[nr-1].line == lineOf[i] {
+			runs[nr-1].n++
 		} else {
-			seg.fetch = append(seg.fetch, fetchRun{line: line, off: off, n: 1})
+			runs[nr] = fetchRun{line: lineOf[i], off: va & pageMask, n: 1}
+			nr++
+		}
+		if seg.n == 0 {
+			seg.startVA = va
 		}
 		seg.n++
 		seg.static += isa.BlockCost(in.Op)
-		va := pc + uint64(i)*isa.InstrSize
 		switch {
-		case i == b.n-1 && term != nil:
+		case i == n-1 && term != nil:
 			seg.term, seg.termIn, seg.termVA = term, in, va
+		case in.Op == isa.OpJAL:
+			// A followed plain jump: its fetch and base cycles only.
 		case isa.IsLoad(in.Op) || isa.IsStore(in.Op):
 			// A memory op always ends its segment: its data access must
 			// stay ordered between the fetch before it and the fetch
 			// after it, so the next fetch batch starts a new segment.
-			seg.mem, seg.memVA = &ins[i], va
-			flush()
+			seg.isMem, seg.mem, seg.memVA = true, in, va
 		default:
-			seg.alu = append(seg.alu, in)
+			alus[na] = in
+			na++
+		}
+		if seg.isMem || i == n-1 {
+			seg.fetch, seg.alu = runs[r0:nr], alus[a0:na]
+			b.segs = append(b.segs, c.buildSeg(b, seg))
+			seg = segSpec{base: seg.base + seg.n}
+			r0, a0 = nr, na
 		}
 	}
-	flush()
 	c.blocks[idx] = b
 	c.bstats.Compiled++
 	return b
+}
+
+// followJump reports whether the trace continues through in at va: a
+// plain jump (JAL x0) whose target is aligned, lies in the same page and
+// walk root, and is not in the trace so far (seen, which includes the
+// entry and in itself). It returns the jump's target.
+func (c *Core) followJump(in isa.Instr, va, root uint64, seen []uint64) (uint64, bool) {
+	if in.Op != isa.OpJAL || in.Rd != isa.RegZero {
+		return 0, false
+	}
+	target := va + uint64(int64(in.Imm))
+	pageMask := uint64(mem.PageMask)
+	if target&(isa.InstrSize-1) != 0 || target&^pageMask != va&^pageMask || slices.Contains(seen, target) {
+		return 0, false
+	}
+	if r, _ := c.walkRoot(target); r != root {
+		return 0, false
+	}
+	return target, true
 }
 
 // revalidateBlock revives a block whose guard generations went stale
@@ -823,15 +902,14 @@ func (c *Core) revalidateBlock(b *block) bool {
 	if e.pa&^uint64(mem.PageMask) != b.paPage {
 		return false // page remapped: only a recompile can retarget it
 	}
-	for i := 0; i < b.n; i++ {
-		if r, _ := c.walkRoot(b.entryVA + uint64(i)*isa.InstrSize); r != e.root {
+	for _, va := range b.vas {
+		if r, _ := c.walkRoot(va); r != e.root {
 			return false
 		}
 	}
 	c.machine.markCodePage(b.paPage) // re-mark before reading (snoop race)
-	off := b.entryVA & uint64(mem.PageMask)
 	for i, w := range b.words {
-		if c.fetchWin.LoadFast(b.paPage|(off+uint64(i)*isa.InstrSize), 8) != w {
+		if c.fetchWin.LoadFast(b.paPage|(b.vas[i]&uint64(mem.PageMask)), 8) != w {
 			return false
 		}
 	}

@@ -1,8 +1,12 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
+	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/isa"
 )
 
@@ -121,6 +125,121 @@ func TestBlockSelfModifyBail(t *testing.T) {
 	}
 }
 
+// TestBlockFollowsPlainJumps: a top-tested copy loop of the bulk KV
+// server's shape (body; j top; top: bltu i, n, body) copies 2 KiB from
+// data page 0 to data page 1. The block at the body follows the plain
+// jump back to the loop-top branch, so it ends in a branch to its own
+// entry: one block, chained pass after pass, retiring nearly every
+// instruction. The end state — registers, PC, cycles, TLB counters,
+// every L1 and L2 way and the data pages — must match the
+// per-instruction engine on every isolation kind.
+func TestBlockFollowsPlainJumps(t *testing.T) {
+	const size = 2048
+	prog := []isa.Instr{
+		{Op: isa.OpLI, Rd: 5, Imm: 0},                 // i
+		{Op: isa.OpLI, Rd: 6, Imm: size},              // n
+		{Op: isa.OpADDI, Rd: 12, Rs1: 8, Imm: 0x1000}, // destination: data page 1
+		// top:
+		{Op: isa.OpBLTU, Rs1: 5, Rs2: 6, Imm: 2 * 8}, // → body
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: 7 * 8}, // → done
+		// body:
+		{Op: isa.OpADD, Rd: 13, Rs1: 8, Rs2: 5},
+		{Op: isa.OpLD, Rd: 13, Rs1: 13},
+		{Op: isa.OpADD, Rd: 14, Rs1: 12, Rs2: 5},
+		{Op: isa.OpSD, Rs1: 14, Rs2: 13},
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 8},
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -7 * 8}, // → top
+		// done:
+		{Op: isa.OpHALT},
+	}
+	words := make([]uint64, len(prog))
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	src := make([]byte, size)
+	for i := 0; i < size; i += 8 {
+		binary.LittleEndian.PutUint64(src[i:], uint64(i)*0x9e3779b97f4a7c15)
+	}
+	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c := bfCompare(t, kind, words, src)
+			dst := make([]byte, size)
+			if err := c.machine.Mem.ReadBytes(bfDataPA+mem.PageSize, dst); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, src) {
+				t.Fatal("the loop did not copy data page 0 to data page 1")
+			}
+			bs := c.BlockStats()
+			if bs.Compiled != 1 {
+				t.Errorf("compiled %d blocks, want 1: %+v", bs.Compiled, bs)
+			}
+			if bs.Loops == 0 {
+				t.Errorf("the copy loop never chained inside the engine: %+v", bs)
+			}
+			// 3 setup instructions, 7 per iteration, the exit branch and
+			// jump, and the HALT.
+			steps := 3 + 7*size/8 + 3
+			if frac := float64(bs.Instrs) / float64(steps); frac < 0.9 {
+				t.Errorf("only %.1f%% of instructions retired in blocks: %+v", 100*frac, bs)
+			}
+			if bs.GuardBails != 0 {
+				t.Errorf("%d guard bails in a steady-state loop, want 0", bs.GuardBails)
+			}
+		})
+	}
+}
+
+// TestBlockFollowedJumpBail: a store inside a block patches the
+// instruction after it, in a segment the block reached through a
+// followed jump. The guard must bail at that segment's first VA — not
+// at entry + retired offset, which after the jump names the store's own
+// predecessor — and the interpreter must execute the new word. The
+// patch is aimed at a scratch data word for the first two iterations so
+// the loop compiles with a clean seed (see TestBlockSelfModifyBail).
+func TestBlockFollowedJumpBail(t *testing.T) {
+	const target = 12 // index of the patched LI
+	prog := []isa.Instr{
+		{Op: isa.OpLI, Rd: 12, Imm: 5},                      // iterations
+		{Op: isa.OpADDI, Rd: 14, Rs1: 9, Imm: target * 8},   // x14 = code target
+		{Op: isa.OpSUB, Rd: 13, Rs1: 14, Rs2: 8},            // x13 = code target - data scratch
+		{Op: isa.OpLD, Rd: 4, Rs1: 9, Imm: 0x100},           // loop: replacement word
+		{Op: isa.OpSLTIU, Rd: 15, Rs1: 5, Imm: 2},           // 1 while iteration < 2
+		{Op: isa.OpMUL, Rd: 16, Rs1: 15, Rs2: 13},           // x13 while iteration < 2, else 0
+		{Op: isa.OpSUB, Rd: 17, Rs1: 14, Rs2: 16},           // store target: data scratch, then the LI
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: 3 * 8},        // followed: skips two words
+		{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: 1},           // skipped
+		{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: 1},           // skipped
+		{Op: isa.OpADDI, Rd: 21, Rs1: 21, Imm: 1},           // counts passes
+		{Op: isa.OpSD, Rs1: 17, Rs2: 4, Imm: 0},             // patch the LI (iterations ≥ 2)
+		{Op: isa.OpLI, Rd: 3, Imm: 1},                       // becomes LI x3, 42
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},             // iteration++
+		{Op: isa.OpBLT, Rs1: 5, Rs2: 12, Imm: (3 - 14) * 8}, // → loop
+		{Op: isa.OpHALT},
+	}
+	words := make([]uint64, 0x100/8+1)
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	words[0x100/8] = isa.Instr{Op: isa.OpLI, Rd: 3, Imm: 42}.Encode()
+	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c := bfCompare(t, kind, words, nil)
+			if c.CPU.Regs[3] != 42 {
+				t.Fatalf("x3 = %d: block executed a stale instruction past a code write", c.CPU.Regs[3])
+			}
+			if bs := c.BlockStats(); bs.GuardBails == 0 {
+				t.Errorf("the patching store did not bail the block: %+v", bs)
+			}
+			entry := bfCodeVA + 3*isa.InstrSize
+			b := c.blocks[(entry>>3)&(bcEntries-1)]
+			if b == nil || b.entryVA != entry || !slices.Contains(b.vas, bfCodeVA+target*isa.InstrSize) {
+				t.Fatal("the loop's block does not reach the patched word through the jump")
+			}
+		})
+	}
+}
+
 // TestBlockChainedPassBail: a guard bail on a chained pass (not the
 // first) must resume at entry + segment offset, not at entry + total
 // retired — the two agree only on pass zero. The store walks down
@@ -145,7 +264,7 @@ func TestBlockChainedPassBail(t *testing.T) {
 		words[i] = in.Encode()
 	}
 	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
-		bfCompare(t, kind, words)
+		bfCompare(t, kind, words, nil)
 	}
 }
 

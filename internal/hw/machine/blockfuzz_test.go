@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sanctorum/internal/hw/cache"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pmp"
 	"sanctorum/internal/hw/pt"
@@ -15,8 +16,9 @@ import (
 // instruction stream is executed on a machine with the block engine
 // forced hot (threshold 1) and on one with it disabled, and every
 // architecturally visible observable — registers, PC, modeled cycles,
-// TLB and cache statistics, the full trap stream, and the final
-// contents of the code and data pages — must be identical. The
+// TLB and cache statistics, every L1 and L2 way (tag, residency and LRU
+// stamp), the full trap stream, and the final contents of the code and
+// data pages — must be identical. The
 // generator is biased toward the cases with their own bail-out
 // machinery: self-modifying stores over the code pages, accesses that
 // straddle the last mapped page into unmapped space, mid-block faults,
@@ -139,12 +141,17 @@ func bfGenerate(data []byte) []uint64 {
 			if off == 0 {
 				off = isa.InstrSize
 			}
-			if sel < 205 {
+			switch {
+			case sel < 205:
 				in = isa.Instr{
 					Op:  bfBranchOps[int(b1)%len(bfBranchOps)],
 					Rs1: b2 % isa.NumRegs, Rs2: b3 % isa.NumRegs, Imm: off,
 				}
-			} else {
+			case b3&1 == 0:
+				// A plain jump, forward or backward: the kind of jump a
+				// block follows rather than ending at.
+				in = isa.Instr{Op: isa.OpJAL, Rd: isa.RegZero, Imm: off}
+			default:
 				in = isa.Instr{Op: isa.OpJAL, Rd: b2 % isa.NumRegs, Imm: off}
 			}
 		case sel < 225: // system ops: block formation must stop before them
@@ -170,15 +177,22 @@ type bfState struct {
 	tlb    [4]uint64
 	l1     [3]uint64
 	l2     [3]uint64
+	l1Ways []cache.LineState
+	l2Ways []cache.LineState
 	causes []isa.Cause
 	values []uint64
 	code   []byte
 	data   []byte
 }
 
-func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) bfState {
+// bfRun runs words on a fresh machine, with data (if non-nil) loaded at
+// the start of the data pages, and returns the end state and the core.
+func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64, data []byte) (bfState, *Core) {
 	t.Helper()
 	m, c := bfMachine(t, kind, blockEngine, 1, words)
+	if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
+		t.Fatal(err)
+	}
 	fw := &skipFirmware{}
 	m.Firmware = fw
 	res, err := m.Run(0, 4096)
@@ -190,6 +204,7 @@ func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) b
 		tlb:    [4]uint64{c.TLB.Hits, c.TLB.Misses, c.TLB.Flushes, c.TLB.Shootdown},
 		l1:     [3]uint64{c.L1.Hits, c.L1.Misses, c.L1.Evictions},
 		l2:     [3]uint64{m.L2.Hits, m.L2.Misses, m.L2.Evictions},
+		l1Ways: c.L1.Snapshot(), l2Ways: m.L2.Snapshot(),
 		causes: fw.causes, values: fw.values,
 		code: make([]byte, bfCodeLen), data: make([]byte, bfDataLen),
 	}
@@ -199,13 +214,17 @@ func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) b
 	if err := m.Mem.ReadBytes(bfDataPA, s.data); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, c
 }
 
-func bfCompare(t *testing.T, kind IsolationKind, words []uint64) {
+// bfCompare runs words on both engines, with data (if non-nil) loaded at
+// the start of the data pages, and requires identical end states. It
+// returns the block engine's core, for checks of the engine's own
+// counters and blocks.
+func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte) *Core {
 	t.Helper()
-	blk := bfRun(t, kind, true, words)
-	ref := bfRun(t, kind, false, words)
+	blk, c := bfRun(t, kind, true, words, data)
+	ref, _ := bfRun(t, kind, false, words, data)
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -225,6 +244,12 @@ func bfCompare(t *testing.T, kind IsolationKind, words []uint64) {
 	}
 	if blk.l2 != ref.l2 {
 		t.Errorf("%v: L2 stats block %v, reference %v", kind, blk.l2, ref.l2)
+	}
+	if i := firstWayDiff(blk.l1Ways, ref.l1Ways); i >= 0 {
+		t.Errorf("%v: L1 way %d block %+v, reference %+v", kind, i, blk.l1Ways[i], ref.l1Ways[i])
+	}
+	if i := firstWayDiff(blk.l2Ways, ref.l2Ways); i >= 0 {
+		t.Errorf("%v: L2 way %d block %+v, reference %+v", kind, i, blk.l2Ways[i], ref.l2Ways[i])
 	}
 	if len(blk.causes) != len(ref.causes) {
 		t.Fatalf("%v: trap streams differ in length: %v vs %v", kind, blk.causes, ref.causes)
@@ -247,6 +272,21 @@ func bfCompare(t *testing.T, kind IsolationKind, words []uint64) {
 				kind, i, blk.data[i], ref.data[i])
 		}
 	}
+	return c
+}
+
+// firstWayDiff returns the index of the first way two cache snapshots
+// disagree on, or -1 if they are equal.
+func firstWayDiff(a, b []cache.LineState) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // FuzzBlockDifferential is the open-ended harness; the nightly deep-CI
@@ -267,7 +307,7 @@ func FuzzBlockDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		words := bfGenerate(data)
 		for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
-			bfCompare(t, kind, words)
+			bfCompare(t, kind, words, nil)
 		}
 	})
 }
@@ -281,6 +321,6 @@ func TestBlockDifferentialRandom(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		data := make([]byte, 64+rng.Intn(192))
 		rng.Read(data)
-		bfCompare(t, kinds[i%len(kinds)], bfGenerate(data))
+		bfCompare(t, kinds[i%len(kinds)], bfGenerate(data), nil)
 	}
 }

@@ -77,8 +77,8 @@ func (c *Core) fetchSlow(va uint64) (isa.Instr, uint64, *isa.MemFault) {
 	e := &c.icache[(va>>3)&(icEntries-1)]
 	if e.gen == icGen && e.va == va &&
 		e.tgMode == tgMode(c.TLB.Gen(), c.CPU.Mode) && e.root == root {
-		// Translation and decode are valid; only the L1 resident set
-		// moved. Redo the cache access, keep everything else.
+		// Translation and decode are valid; only the instruction's L1
+		// line left its way. Redo the cache access, keep everything else.
 		c.TLB.Hits++
 		cyc := c.cachedAccessRef(e.pa, &e.lref)
 		return e.in, cyc, nil
@@ -129,12 +129,12 @@ func (c *Core) Load(va uint64, width int) (uint64, uint64, *isa.MemFault) {
 			return 0, walkCyc, fault
 		}
 		cyc := c.l1Hit
-		if !c.L1.TouchFast(pa, &c.dataRef) {
-			cyc = c.cachedAccessRef(pa, &c.dataRef)
+		if !c.L1.TouchFast(pa, &c.loadRef) {
+			cyc = c.cachedAccessRef(pa, &c.loadRef)
 		}
 		// pa is aligned and isolation-bounded, so the unchecked window
 		// access is safe (see Window.LoadFast).
-		return c.dataWin.LoadFast(pa, width), walkCyc + cyc, nil
+		return c.loadWin.LoadFast(pa, width), walkCyc + cyc, nil
 	}
 	pa, walkCyc, fault := c.translate(va, uint64(width), pt.Load, c.CPU.Mode)
 	if fault != nil {
@@ -164,13 +164,13 @@ func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 			return walkCyc, fault
 		}
 		cyc := c.l1Hit
-		if !c.L1.TouchFast(pa, &c.dataRef) {
-			cyc = c.cachedAccessRef(pa, &c.dataRef)
+		if !c.L1.TouchFast(pa, &c.storeRef) {
+			cyc = c.cachedAccessRef(pa, &c.storeRef)
 		}
 		if c.machine.Mem.IsCOW(pa) {
 			return walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
 		}
-		c.dataWin.StoreFast(pa, width, val)
+		c.storeWin.StoreFast(pa, width, val)
 		return walkCyc + cyc, nil
 	}
 	pa, walkCyc, fault := c.translate(va, uint64(width), pt.Store, c.CPU.Mode)

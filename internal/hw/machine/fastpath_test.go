@@ -74,8 +74,10 @@ func newEquivMachine(t *testing.T, kind IsolationKind, reference bool, prog *asm
 
 // mixedWorkload is the equivalence program: ALU traffic, loads and
 // stores across several pages, branches, a cycle-counter read, a
-// self-modifying store over upcoming code, an ECALL and a misaligned
-// load (both skipped by the firmware), then HALT.
+// top-tested loop copying data page 0 to data page 1 (so loads and
+// stores alternate between two lines and two pages on every
+// iteration), a self-modifying store over upcoming code, an ECALL and a
+// misaligned load (both skipped by the firmware), then HALT.
 func mixedWorkload() *asm.Program {
 	p := asm.New()
 	p.Li64(isa.RegS0, 0x40000) // data page 0
@@ -93,6 +95,22 @@ func mixedWorkload() *asm.Program {
 	p.I(isa.OpXOR, 12, 12, 11, 0)
 	p.I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 1)
 	p.Branch(isa.OpBLT, isa.RegT0, isa.RegT1, "loop")
+	// Copy 512 bytes from data page 0 to data page 1.
+	p.Li64(18, 0x40000)
+	p.Li64(19, 0x41000)
+	p.Li(isa.RegT0, 0)
+	p.Li(isa.RegT1, 512)
+	p.Label("copy")
+	p.Branch(isa.OpBLTU, isa.RegT0, isa.RegT1, "copybody")
+	p.J("copied")
+	p.Label("copybody")
+	p.I(isa.OpADD, 20, 18, isa.RegT0, 0)
+	p.I(isa.OpLD, 20, 20, 0, 0)
+	p.I(isa.OpADD, 21, 19, isa.RegT0, 0)
+	p.I(isa.OpSD, 0, 21, 20, 0)
+	p.I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 8)
+	p.J("copy")
+	p.Label("copied")
 	// Self-modifying code: overwrite "patchme" (initially LI x13, 1)
 	// with LI x13, 42, then execute it.
 	p.La(14, "patchme")
@@ -172,6 +190,13 @@ func TestFastSlowEquivalence(t *testing.T) {
 			if fm.L2.Hits != rm.L2.Hits || fm.L2.Misses != rm.L2.Misses || fm.L2.Evictions != rm.L2.Evictions {
 				t.Errorf("L2 stats: fast %d/%d/%d, reference %d/%d/%d",
 					fm.L2.Hits, fm.L2.Misses, fm.L2.Evictions, rm.L2.Hits, rm.L2.Misses, rm.L2.Evictions)
+			}
+			// Every way's tag, residency and LRU stamp, not only the counts.
+			if i := firstWayDiff(fc.L1.Snapshot(), rc.L1.Snapshot()); i >= 0 {
+				t.Errorf("L1 way %d differs between the engines", i)
+			}
+			if i := firstWayDiff(fm.L2.Snapshot(), rm.L2.Snapshot()); i >= 0 {
+				t.Errorf("L2 way %d differs between the engines", i)
 			}
 			if len(ffw.causes) != len(rfw.causes) {
 				t.Fatalf("trap streams differ in length: %v vs %v", ffw.causes, rfw.causes)

@@ -240,7 +240,8 @@ func New(cfg Config) (*Machine, error) {
 		}
 		c.icGen.Store(1)
 		c.fetchWin.Reset(m.Mem)
-		c.dataWin.Reset(m.Mem)
+		c.loadWin.Reset(m.Mem)
+		c.storeWin.Reset(m.Mem)
 		if c.fastPath && !cfg.DisableBlockEngine {
 			c.blockHot = defaultBlockHot
 			if cfg.BlockThreshold > 0 {
@@ -314,12 +315,17 @@ type Core struct {
 	l1Hit    uint64              // L1 hit latency, the cycle cost of every fast-path hit
 	icGen    atomic.Uint64       // decode-cache generation; entries from older gens are dead
 	icache   *[icEntries]icEntry // direct-mapped decoded-instruction cache, keyed by VA
+	// The last-translation caches, L1 line refs and page windows are
+	// kept per access class, so a loop that loads from one page and
+	// stores to another keeps every one of them hitting.
 	fetchTC  transCache
 	loadTC   transCache
 	storeTC  transCache
-	dataRef  cache.LineRef // L1 line of the last data access
+	loadRef  cache.LineRef // L1 line of the last load
+	storeRef cache.LineRef // L1 line of the last store
 	fetchWin mem.Window    // last code page touched
-	dataWin  mem.Window    // last data page touched
+	loadWin  mem.Window    // last page loaded from
+	storeWin mem.Window    // last page stored to
 	irqTrap  isa.Trap      // reusable interrupt trap buffer
 
 	// Block-engine state (block.go). seqPC tracks fetch sequentiality
