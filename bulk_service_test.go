@@ -70,7 +70,8 @@ func fillPattern(buf []byte, seed byte) {
 // worker's granted buffer, 64-byte descriptor messages name spans of
 // it, and the enclave's checksums prove it dereferenced its mapping —
 // with every worker holding a distinct window VA, which is what makes
-// the plane work under Sanctum's single OS page table.
+// the plane work under Sanctum's single OS page table. The invariant
+// suite runs after each worker's batch, with every grant live.
 func TestBulkEchoService(t *testing.T) {
 	for _, kind := range []sanctorum.Kind{sanctorum.Sanctum, sanctorum.Keystone, sanctorum.Baseline} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -105,6 +106,11 @@ func TestBulkEchoService(t *testing.T) {
 					if !bytes.Equal(out[i], want) {
 						t.Errorf("worker %d request %d:\n got %x\nwant %x", w, i, out[i], want)
 					}
+				}
+				// Live grants, mapped by their workers, with nothing in
+				// flight: the invariant suite must account for them.
+				if err := sys.Monitor.CheckInvariants(); err != nil {
+					t.Fatalf("worker %d: %v", w, err)
 				}
 			}
 			if err := gw.Close(); err != nil {

@@ -177,7 +177,7 @@ func installPreemption(t *testing.T, mon *sm.Monitor, kind sm.LockKind, id uint6
 // TestMCRegression_RingCreateVsDeleteEnclave pins the lookup/free
 // TOCTOU the explorer's fault hook surfaces: delete_enclave completing
 // between ring_create's endpoint fetch and its lock acquisition. The
-// dead-state recheck in lookupEnclave must refuse the attach; without
+// dead re-check in the monitor's lookup must refuse the attach; without
 // it the ring registers against a freed eid, and a future tenant
 // recreated under that id would inherit the ring.
 func TestMCRegression_RingCreateVsDeleteEnclave(t *testing.T) {
@@ -211,7 +211,7 @@ func TestMCRegression_RingCreateVsDeleteEnclave(t *testing.T) {
 
 // TestMCRegression_CloneVsReleaseSnapshot pins the snapshot variant:
 // release_snapshot completing between clone_enclave's snapshot fetch
-// and its lock. The dead recheck in lookupSnapshot must refuse the
+// and its lock. The lookup's dead re-check must refuse the
 // clone; without it the clone aliases pages whose references were just
 // dropped — an isolation break once the template's regions are
 // recycled.
@@ -254,7 +254,7 @@ func TestMCRegression_CloneVsReleaseSnapshot(t *testing.T) {
 
 // TestMCRegression_AssignVsDeleteThread pins the thread variant:
 // delete_thread completing between assign_thread's fetch and its lock.
-// The dead recheck in lookupThread must refuse the offer; without it a
+// The lookup's dead re-check must refuse the offer; without it a
 // freed thread id ends up Offered to an enclave.
 func TestMCRegression_AssignVsDeleteThread(t *testing.T) {
 	w := newWorld(t, 4)
@@ -276,6 +276,44 @@ func TestMCRegression_AssignVsDeleteThread(t *testing.T) {
 	mon.SetLockFaultHook(nil)
 	if st == api.OK {
 		t.Fatal("assign_thread offered a deleted thread")
+	}
+	if err := mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Teardown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMCRegression_RevokeVsRevoke pins the grant variant: a racing
+// bulk_revoke completing between the victim revoke's grant fetch and
+// its lock. The dead re-check in the monitor's lookup must refuse the
+// victim; without it the victim revokes the dissolved grant a second
+// time — dropping page pins the grant no longer holds and freeing a
+// metadata page it no longer names.
+func TestMCRegression_RevokeVsRevoke(t *testing.T) {
+	w := newWorld(t, 6)
+	mon := w.Sys.Monitor
+	if st := w.BuildMinimal("peer", 1); st != api.OK {
+		t.Fatal(st)
+	}
+	grant, _ := w.MetaPage("grant")
+	buf, err := w.Sys.OS.AllocPagePA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Call(api.CallBulkGrant, grant, buf, 1, api.DomainOS, w.IDs["peer"]); st != api.OK {
+		t.Fatalf("grant: %v", st)
+	}
+	installPreemption(t, mon, sm.LockGrant, grant, func() {
+		if st := w.Call(api.CallBulkRevoke, grant); st != api.OK {
+			t.Fatalf("racing revoke: %v", st)
+		}
+	})
+	st := w.Call(api.CallBulkRevoke, grant)
+	mon.SetLockFaultHook(nil)
+	if st != api.ErrInvalidValue {
+		t.Fatalf("victim revoke of a revoked grant: %v, want ErrInvalidValue", st)
 	}
 	if err := mon.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -173,10 +173,10 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 
 // Teardown drives the monitor back to an empty state through the
 // public ABI — the universal destructor every schedule must survive:
-// resume any thread still holding a core, destroy rings, delete
-// clones, release snapshots, delete remaining enclaves, unassign and
-// delete leftover threads, then clean blocked regions — repeated to a
-// fixpoint. It then requires total emptiness: no live objects, no
+// resume any thread still holding a core, destroy rings, revoke
+// grants, delete clones, release snapshots, delete remaining enclaves,
+// unassign and delete leftover threads, then clean blocked regions —
+// repeated to a fixpoint. It then requires total emptiness: no live objects, no
 // metadata pages, zero physical page references, and every invariant
 // holding. A teardown that cannot reach zero is a refcount or
 // ownership leak some interleaving planted.
@@ -200,6 +200,11 @@ func (w *World) Teardown() error {
 		}
 		for _, id := range sortedKeys(s.Rings) {
 			if w.Call(api.CallRingDestroy, id) == api.OK {
+				progress = true
+			}
+		}
+		for _, id := range sortedKeys(s.Grants) {
+			if w.Call(api.CallBulkRevoke, id) == api.OK {
 				progress = true
 			}
 		}
@@ -233,15 +238,15 @@ func (w *World) Teardown() error {
 		}
 		if !progress {
 			s = mon.CaptureState()
-			return fmt.Errorf("mc: teardown stuck: %d enclaves, %d threads, %d snapshots, %d rings, %d meta pages",
-				len(s.Enclaves), len(s.Threads), len(s.Snapshots), len(s.Rings), len(s.MetaPages))
+			return fmt.Errorf("mc: teardown stuck: %d enclaves, %d threads, %d snapshots, %d rings, %d grants, %d meta pages",
+				len(s.Enclaves), len(s.Threads), len(s.Snapshots), len(s.Rings), len(s.Grants), len(s.MetaPages))
 		}
 	}
 	return fmt.Errorf("mc: teardown did not reach a fixpoint in 256 rounds")
 }
 
 func (w *World) teardownDone(s *sm.StateSnapshot) bool {
-	if len(s.Enclaves) != 0 || len(s.Threads) != 0 || len(s.Snapshots) != 0 || len(s.Rings) != 0 {
+	if len(s.Enclaves) != 0 || len(s.Threads) != 0 || len(s.Snapshots) != 0 || len(s.Rings) != 0 || len(s.Grants) != 0 {
 		return false
 	}
 	for _, rm := range s.Regions {

@@ -69,28 +69,30 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 	}
 }
 
-// attestSign signs enclave-supplied bytes with the monitor attestation
-// key. Only the signing enclave — identified by the measurement
-// hard-coded at boot (§VI-C) — may invoke it. The signature itself is
-// computed by the monitor on the signing enclave's behalf (see
-// DESIGN.md's substitution table: the simulated ISA does not run
-// Ed25519, and the trust relation "only code measuring as the signing
-// enclave can produce attestations" is preserved exactly).
-func (mon *Monitor) attestSign(e *Enclave, inVA, inLen uint64) ([]byte, api.Error) {
+// attestSign signs a1 enclave-supplied bytes at a0 with the monitor
+// attestation key and writes the signature to a2. Only the signing
+// enclave — identified by the measurement hard-coded at boot (§VI-C) —
+// may invoke it. The signature itself is computed by the monitor on the
+// signing enclave's behalf (see DESIGN.md's substitution table: the
+// simulated ISA does not run Ed25519, and the trust relation "only code
+// measuring as the signing enclave can produce attestations" is
+// preserved exactly).
+func (mon *Monitor) attestSign(req api.Request, ctx *callContext) api.Response {
+	e, inVA, inLen := ctx.enclave, req.Args[0], req.Args[1]
 	if mon.signingMeasurement == ([32]byte{}) {
-		return nil, api.ErrNotSupported
+		return fail(api.ErrNotSupported)
 	}
 	if e.Measurement != mon.signingMeasurement {
-		return nil, api.ErrUnauthorized
+		return fail(api.ErrUnauthorized)
 	}
 	if inLen == 0 || inLen > maxSignInput {
-		return nil, api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	data := make([]byte, inLen)
-	if !mon.readEnclave(e, inVA, data) {
-		return nil, api.ErrInvalidValue
+	if !mon.readEnclave(e, inVA, data) || !mon.writeEnclave(e, req.Args[2], ed25519.Sign(mon.id.AttestPriv, data)) {
+		return fail(api.ErrInvalidValue)
 	}
-	return ed25519.Sign(mon.id.AttestPriv, data), api.OK
+	return ok()
 }
 
 // The three calls below form the monitor's crypto service for enclave
@@ -99,61 +101,63 @@ func (mon *Monitor) attestSign(e *Enclave, inVA, inLen uint64) ([]byte, api.Erro
 // tionally — performs it on key material that never leaves enclave
 // memory plus the monitor.
 
-// kaDerive writes the X25519 public share for an enclave private scalar.
-func (mon *Monitor) kaDerive(e *Enclave, privVA, outVA uint64) api.Error {
+// kaDerive writes to a1 the X25519 public share for the enclave
+// private scalar at a0.
+func (mon *Monitor) kaDerive(req api.Request, ctx *callContext) api.Response {
+	e := ctx.enclave
 	var scalar [32]byte
-	if !mon.readEnclave(e, privVA, scalar[:]) {
-		return api.ErrInvalidValue
+	if !mon.readEnclave(e, req.Args[0], scalar[:]) {
+		return fail(api.ErrInvalidValue)
 	}
 	priv, err := ecdh.X25519().NewPrivateKey(scalar[:])
-	if err != nil {
-		return api.ErrInvalidValue
+	if err != nil || !mon.writeEnclave(e, req.Args[1], priv.PublicKey().Bytes()) {
+		return fail(api.ErrInvalidValue)
 	}
-	if !mon.writeEnclave(e, outVA, priv.PublicKey().Bytes()) {
-		return api.ErrInvalidValue
-	}
-	return api.OK
+	return ok()
 }
 
 // kaCombine derives the session key from the enclave's private scalar
-// and a peer public share.
-func (mon *Monitor) kaCombine(e *Enclave, privVA, peerVA, outVA uint64) api.Error {
+// at a0 and the peer public share at a1, writing it to a2.
+func (mon *Monitor) kaCombine(req api.Request, ctx *callContext) api.Response {
+	e := ctx.enclave
 	var scalar, peerBytes [32]byte
-	if !mon.readEnclave(e, privVA, scalar[:]) || !mon.readEnclave(e, peerVA, peerBytes[:]) {
-		return api.ErrInvalidValue
+	if !mon.readEnclave(e, req.Args[0], scalar[:]) || !mon.readEnclave(e, req.Args[1], peerBytes[:]) {
+		return fail(api.ErrInvalidValue)
 	}
 	priv, err := ecdh.X25519().NewPrivateKey(scalar[:])
 	if err != nil {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	peer, err := ecdh.X25519().NewPublicKey(peerBytes[:])
 	if err != nil {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	secret, err := priv.ECDH(peer)
 	if err != nil {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	key := kdf.SessionKey(secret, priv.PublicKey().Bytes(), peerBytes[:])
-	if !mon.writeEnclave(e, outVA, key) {
-		return api.ErrInvalidValue
+	if !mon.writeEnclave(e, req.Args[2], key) {
+		return fail(api.ErrInvalidValue)
 	}
-	return api.OK
+	return ok()
 }
 
-// macService computes a keyed authenticator over enclave memory.
-func (mon *Monitor) macService(e *Enclave, keyVA, msgVA, msgLen, outVA uint64) api.Error {
+// mac computes a keyed authenticator with the key at a0 over a2 bytes
+// of enclave memory at a1, writing the tag to a3.
+func (mon *Monitor) mac(req api.Request, ctx *callContext) api.Response {
+	e, msgLen := ctx.enclave, req.Args[2]
 	if msgLen == 0 || msgLen > maxSignInput {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	var key [32]byte
 	msg := make([]byte, msgLen)
-	if !mon.readEnclave(e, keyVA, key[:]) || !mon.readEnclave(e, msgVA, msg) {
-		return api.ErrInvalidValue
+	if !mon.readEnclave(e, req.Args[0], key[:]) || !mon.readEnclave(e, req.Args[1], msg) {
+		return fail(api.ErrInvalidValue)
 	}
 	tag := kdf.MAC(key[:], msg)
-	if !mon.writeEnclave(e, outVA, tag[:]) {
-		return api.ErrInvalidValue
+	if !mon.writeEnclave(e, req.Args[3], tag[:]) {
+		return fail(api.ErrInvalidValue)
 	}
-	return api.OK
+	return ok()
 }

@@ -22,19 +22,18 @@ package sm
 // into the grant is still queued in a ring, because in-flight data
 // keeps the buffer alive.
 //
-// Concurrency: the grant's mutex is its §V-A transaction lock, taken
-// with TryLock by map and revoke. The send/recv hot paths never take
-// it — they use the dead/inflight atomics, ordered so the two cannot
-// both win: send publishes inflight before checking dead, revoke
-// publishes dead before checking inflight (both sequentially
-// consistent), so either the send sees the revoke and aborts, or the
-// revoke sees the send's descriptors and refuses. This keeps grant
-// locks out of the ring lock order entirely: a ring-transaction holder
-// never waits on a grant.
+// Concurrency: the grant's header lock is its §V-A transaction lock,
+// taken with TryLock by map and revoke. The send/recv hot paths never
+// take it — they use the header's dead flag and the inflight count,
+// ordered so the two cannot both win: send publishes inflight before
+// checking dead, revoke publishes dead before checking inflight (both
+// sequentially consistent), so either the send sees the revoke and
+// aborts, or the revoke sees the send's descriptors and refuses. This
+// keeps grant locks out of the ring lock order entirely: a
+// ring-transaction holder never waits on a grant.
 
 import (
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 
 	"sanctorum/internal/hw/machine"
@@ -46,7 +45,7 @@ import (
 // Grant is the monitor's metadata for one bulk buffer grant, named —
 // like every monitor object — by a free SM metadata page.
 type Grant struct {
-	mu sync.Mutex
+	objHeader
 	endpoints
 
 	BasePA uint64
@@ -57,78 +56,40 @@ type Grant struct {
 	// buffer is OS-owned memory the OS reaches through its own tables.
 	maps map[uint64]uint64
 
-	// dead and inflight are the revoke/send race protocol (see the
-	// package comment above): send never takes mu, so a ring-lock
-	// holder never waits on a grant transaction.
-	dead     atomic.Bool
+	// inflight and the header's dead flag are the revoke/send race
+	// protocol (see the comment above): send never takes the lock, so
+	// a ring-lock holder never waits on a grant transaction.
 	inflight atomic.Int64 // descriptors queued in rings
 }
 
 // bytes returns the grant's size in bytes.
 func (g *Grant) bytes() uint64 { return g.Pages * mem.PageSize }
 
-// lookupGrant fetches and transaction-locks a grant; contention fails
-// the transaction with ErrRetry (§V-A). The dead re-check closes the
-// lookup/revoke race exactly as lookupRing does for rings.
-func (mon *Monitor) lookupGrant(id uint64) (*Grant, api.Error) {
-	mon.objMu.RLock()
-	g := mon.grants[id]
-	mon.objMu.RUnlock()
-	if g == nil {
-		return nil, api.ErrInvalidValue
-	}
-	if !mon.tryLock(&g.mu, LockGrant, id) {
-		return nil, api.ErrRetry
-	}
-	if g.dead.Load() {
-		g.mu.Unlock()
-		return nil, api.ErrInvalidValue
-	}
-	return g, api.OK
-}
-
-// peekGrant fetches a grant without locking it, for the send/recv hot
-// paths, which synchronize through the dead/inflight atomics instead.
-// A pointer to a grant revoked after the fetch is harmless: its dead
-// flag is set, so the send protocol aborts.
-func (mon *Monitor) peekGrant(id uint64) *Grant {
-	mon.objMu.RLock()
-	g := mon.grants[id]
-	mon.objMu.RUnlock()
-	return g
-}
-
-// bulkGrant implements CallBulkGrant (OS-domain): register a grant over
-// [basePA, basePA+pages·4096) in OS-owned memory between a fixed
-// producer and consumer, pinning every page with an alias reference.
-// Endpoints register exactly as a ring's do (lockEndpoints), so a grant
-// can never attach to an enclave mid-deletion and survive it.
-func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64) api.Error {
-	if pages == 0 || pages > api.BulkMaxPages {
-		return api.ErrInvalidValue
-	}
-	if basePA&mem.PageMask != 0 {
-		return api.ErrInvalidValue
-	}
+// bulkGrant implements CallBulkGrant (OS-domain): register grant a0
+// over [a1, a1+a2·4096) in OS-owned memory between a fixed producer a3
+// and consumer a4, pinning every page with an alias reference. The base
+// must be page-aligned and the span must not wrap. Endpoints register
+// exactly as a ring's do (lockEndpoints), so a grant can never attach
+// to an enclave mid-deletion and survive it.
+func (mon *Monitor) bulkGrant(req api.Request, _ *callContext) api.Response {
+	basePA, pages := req.Args[1], req.Args[2]
 	size := pages * mem.PageSize
-	if basePA+size < basePA {
-		return api.ErrInvalidValue // physical wraparound
+	if pages == 0 || pages > api.BulkMaxPages || basePA&mem.PageMask != 0 || basePA+size < basePA ||
+		!mon.osOwnsRange(basePA, size) {
+		return fail(api.ErrInvalidValue)
 	}
-	if !mon.osOwnsRange(basePA, size) {
-		return api.ErrInvalidValue
-	}
-	return mon.lockEndpoints(grantID, producer, consumer, func(p endpoints) {
+	return mon.lockEndpoints(req.Args[0], req.Args[3], req.Args[4], func(p endpoints) object {
 		for pg := uint64(0); pg < pages; pg++ {
 			mon.machine.Mem.Retain(basePA + pg*mem.PageSize)
 		}
-		mon.grants[grantID] = &Grant{endpoints: p, BasePA: basePA, Pages: pages, maps: make(map[uint64]uint64)}
 		if t := mon.tele; t != nil {
 			t.bulkGrants.Add(1)
 		}
+		return &Grant{endpoints: p, BasePA: basePA, Pages: pages, maps: make(map[uint64]uint64)}
 	})
 }
 
-// hBulkMap implements CallBulkMap (enclave trap context only): the
+// bulkMap implements CallBulkMap (enclave trap context only): the
 // accept half of the grant handshake. The calling enclave maps the
 // grant's pages read-write into its own tables at va — page-aligned,
 // outside the evrange, with the covering leaf tables already allocated
@@ -142,8 +103,8 @@ func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64)
 // snapshot of the enclave must not capture it and a clone must not
 // inherit it (each clone bulk_maps its own grant). Double-mapping is
 // excluded by the PTE-must-be-invalid check instead.
-func hBulkMap(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	g, st := mon.lookupGrant(req.Args[0])
+func (mon *Monitor) bulkMap(req api.Request, ctx *callContext) api.Response {
+	g, st := lookup[*Grant](mon, LockGrant, req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}
@@ -187,7 +148,7 @@ func hBulkMap(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 }
 
 // bulkRevoke implements CallBulkRevoke (OS, no-hart context only):
-// unmap the grant from every endpoint that mapped it, drop the page
+// unmap grant a0 from every endpoint that mapped it, drop the page
 // pins, free the id, and shoot down the mapped translations on every
 // core. Refused with ErrInvalidState while descriptors into the grant
 // are queued in a ring — the dead/inflight protocol guarantees a
@@ -203,10 +164,11 @@ func hBulkMap(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 // window is benign — the grant is already unregistered, and a stale
 // translation reaches only OS-owned memory the enclave could touch
 // moments earlier; by return, every core has acknowledged the flush.
-func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
-	g, st := mon.lookupGrant(grantID)
+func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
+	grantID := req.Args[0]
+	g, st := lookup[*Grant](mon, LockGrant, grantID)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	type mapping struct {
 		e  *Enclave
@@ -226,10 +188,10 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 		}
 		// The endpoint must still exist: deleteEnclave refuses while the
 		// enclave is a grant endpoint.
-		e, st := mon.lookupEnclave(who)
+		e, st := lookup[*Enclave](mon, LockEnclave, who)
 		if st != api.OK {
 			unwind()
-			return st
+			return fail(st)
 		}
 		mappings = append(mappings, mapping{e: e, va: va})
 	}
@@ -237,7 +199,7 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 	if g.inflight.Load() != 0 {
 		g.dead.Store(false) // rollback: queued descriptors keep it alive
 		unwind()
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	var vpns []uint64
 	for _, m := range mappings {
@@ -255,8 +217,7 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 		mon.machine.Mem.ReleaseRef(g.BasePA + p*mem.PageSize)
 	}
 	mon.objMu.Lock()
-	delete(mon.grants, grantID)
-	mon.freeMetaPage(grantID)
+	mon.unregister(grantID)
 	mon.objMu.Unlock()
 	unwind()
 	for id := range mon.machine.Cores {
@@ -269,7 +230,7 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 	if t := mon.tele; t != nil {
 		t.bulkGrants.Add(-1)
 	}
-	return api.OK
+	return ok()
 }
 
 // bulkDesc is one parsed scatter-gather descriptor.
@@ -317,23 +278,4 @@ func parseBulkDescs(payload []byte, grantBytes uint64) (n int, total uint64, st 
 		total += ln
 	}
 	return n, total, api.OK
-}
-
-// hBulkSend and hBulkRecv are mailbox_ring_send and mailbox_ring_recv
-// with the grant a3 names: the grant checks live in ringSend and
-// ringRecv, so plain and scatter-gather messages share one path.
-func hBulkSend(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	g := mon.peekGrant(req.Args[3])
-	if g == nil {
-		return fail(api.ErrInvalidValue)
-	}
-	return mon.ringSend(req, ctx, g)
-}
-
-func hBulkRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	g := mon.peekGrant(req.Args[3])
-	if g == nil {
-		return fail(api.ErrInvalidValue)
-	}
-	return mon.ringRecv(req, ctx, g)
 }

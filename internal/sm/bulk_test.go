@@ -31,8 +31,18 @@ func bulkFixture(t testing.TB, pages uint64) (f *fixture, ringID, grantID, bufPA
 	if st := f.call(api.CallBulkGrant, grantID, bufPA, pages, api.DomainOS, api.DomainOS); st != api.OK {
 		t.Fatalf("bulk_grant: %v", st)
 	}
+	checkInvariants(t, f, "after grant")
 	stagePA = f.m.DRAM.Base(1)
 	return f, ringID, grantID, bufPA, stagePA
+}
+
+// checkInvariants runs the invariant suite — grant pins, endpoint
+// liveness and the in-flight law included — at one station of a test.
+func checkInvariants(t testing.TB, f *fixture, when string) {
+	t.Helper()
+	if err := f.mon.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 }
 
 // stageSG writes a descriptor message at stagePA and returns it.
@@ -54,7 +64,9 @@ func TestBulkDescBounds(t *testing.T) {
 	size := uint64(pages * mem.PageSize)
 	send := func(descs ...[2]uint64) api.Error {
 		stageSG(t, f, stagePA, descs...)
-		return f.call(api.CallBulkSend, ringID, stagePA, 1, grantID)
+		st := f.call(api.CallBulkSend, ringID, stagePA, 1, grantID)
+		checkInvariants(t, f, "after send")
+		return st
 	}
 	if st := send([2]uint64{0, 0}); st != api.ErrInvalidValue {
 		t.Errorf("zero-length descriptor: %v, want ErrInvalidValue", st)
@@ -73,10 +85,12 @@ func TestBulkDescBounds(t *testing.T) {
 		if st := f.call(api.CallBulkRecv, ringID, stagePA+0x1000, 8, grantID); st != api.OK {
 			t.Fatalf("draining boundary send: %v", st)
 		}
+		checkInvariants(t, f, "after recv")
 	}
 	if st := f.call(api.CallBulkRevoke, grantID); st != api.OK {
 		t.Fatalf("revoke: %v", st)
 	}
+	checkInvariants(t, f, "after revoke")
 	if refs := f.m.Mem.TotalRefs(); refs != 0 {
 		t.Fatalf("refs after revoke = %d", refs)
 	}
@@ -92,11 +106,18 @@ func TestBulkMaxDescriptors(t *testing.T) {
 	if st := f.call(api.CallBulkSend, ringID, stagePA, 1, grantID); st != api.OK {
 		t.Fatalf("max-descriptor send: %v", st)
 	}
+	checkInvariants(t, f, "after send")
+	// A queued descriptor keeps the grant alive.
+	if st := f.call(api.CallBulkRevoke, grantID); st != api.ErrInvalidState {
+		t.Fatalf("revoke with a descriptor in flight: %v, want ErrInvalidState", st)
+	}
+	checkInvariants(t, f, "after refused revoke")
 	outPA := stagePA + 0x1000
 	resp := f.mon.Dispatch(api.OSRequest(api.CallBulkRecv, ringID, outPA, 8, grantID))
 	if resp.Status != api.OK || resp.Values[0] != 1 {
 		t.Fatalf("recv: %v, n=%d", resp.Status, resp.Values[0])
 	}
+	checkInvariants(t, f, "after recv")
 	rec := make([]byte, api.RingRecordSize)
 	if err := f.m.Mem.ReadBytes(outPA, rec); err != nil {
 		t.Fatal(err)
@@ -118,6 +139,7 @@ func TestBulkMaxDescriptors(t *testing.T) {
 	if st := f.call(api.CallBulkRevoke, grantID); st != api.OK {
 		t.Fatalf("revoke: %v", st)
 	}
+	checkInvariants(t, f, "after revoke")
 }
 
 // TestBulkRevokeRacesInFlightSend hammers the dead/inflight protocol
@@ -202,4 +224,5 @@ func TestBulkRevokeRacesInFlightSend(t *testing.T) {
 	if refs := f.m.Mem.TotalRefs(); refs != 0 {
 		t.Errorf("refs after revoke = %d", refs)
 	}
+	checkInvariants(t, f, "after the race")
 }

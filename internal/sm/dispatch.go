@@ -17,6 +17,7 @@ import (
 const (
 	domainOS      uint8 = 1 << 0
 	domainEnclave uint8 = 1 << 1
+	domainAny           = domainOS | domainEnclave
 )
 
 // callContext is the machine context of an enclave ECALL: the trapping
@@ -58,18 +59,18 @@ func (ctx *callContext) hart() int {
 	return ctx.core.ID
 }
 
-// callDef describes one ABI call: which domains may invoke it and how.
-// Calls that operate on a caller-named enclave under its transaction
-// lock (the enclave-build sequence) provide encHandler instead of
-// handler; dispatch acquires the lock, and DispatchBatch keeps it
-// across consecutive same-enclave requests to amortize the per-call
-// locking.
+// callDef describes one ABI call: its telemetry name, which domains may
+// invoke it, and its handler. Every handler takes the request and the
+// call context (nil for a host-side call) and unpacks its own
+// arguments. Calls that operate on a caller-named enclave under its
+// transaction lock (the enclave-build sequence) provide encHandler
+// instead: dispatch looks the enclave named by Args[0] up and locks it,
+// and DispatchBatch keeps it locked across consecutive same-enclave
+// requests to amortize the per-call locking.
 type callDef struct {
-	name    string
-	domains uint8
-	handler func(mon *Monitor, req api.Request, ctx *callContext) api.Response
-	// encHandler runs with the enclave named by Args[0] looked up and
-	// transaction-locked.
+	name       string
+	domains    uint8
+	handler    func(mon *Monitor, req api.Request, ctx *callContext) api.Response
 	encHandler func(mon *Monitor, e *Enclave, req api.Request) api.Response
 }
 
@@ -83,164 +84,87 @@ func ok(values ...uint64) api.Response {
 // into a Response with no values.
 func fail(st api.Error) api.Response { return api.Response{Status: st} }
 
-// callTable is the one routing table of the ABI. The call-number
+// callTable is the one routing table of the ABI, indexed by call
+// number; an unnamed entry is an unknown call. The call-number
 // inventory (arguments, results, error sets) is documented in DESIGN.md
 // §"Monitor call ABI".
-var callTable = map[api.Call]callDef{
+var callTable = [...]callDef{
 	// Probe — any domain.
-	api.CallGetABIVersion: {name: "get_abi_version", domains: domainOS | domainEnclave,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return ok(api.Version)
-		}},
+	api.CallGetABIVersion: {"get_abi_version", domainAny, (*Monitor).abiVersion, nil},
 
 	// Enclave-domain calls (trap context only).
-	api.CallExitEnclave:     {name: "exit_enclave", domains: domainEnclave, handler: hExitEnclave},
-	api.CallGetRandom:       {name: "get_random", domains: domainEnclave, handler: hGetRandom},
-	api.CallAcceptMail:      {name: "accept_mail", domains: domainEnclave, handler: hAcceptMail},
-	api.CallGetMail:         {name: "get_mail", domains: domainEnclave, handler: hGetMail},
-	api.CallAcceptThread:    {name: "accept_thread", domains: domainEnclave, handler: hAcceptThread},
-	api.CallReleaseThread:   {name: "release_thread", domains: domainEnclave, handler: hReleaseThread},
-	api.CallAcceptRegion:    {name: "accept_region", domains: domainEnclave, handler: hAcceptRegion},
-	api.CallAttestSign:      {name: "attest_sign", domains: domainEnclave, handler: hAttestSign},
-	api.CallResumeAEX:       {name: "resume_aex", domains: domainEnclave, handler: hResumeAEX},
-	api.CallSetFaultHandler: {name: "set_fault_handler", domains: domainEnclave, handler: hSetFaultHandler},
-	api.CallResumeFault:     {name: "resume_fault", domains: domainEnclave, handler: hResumeFault},
-	api.CallMyEnclaveID:     {name: "my_enclave_id", domains: domainEnclave, handler: hMyEnclaveID},
-	api.CallKADerive:        {name: "ka_derive", domains: domainEnclave, handler: hKADerive},
-	api.CallKACombine:       {name: "ka_combine", domains: domainEnclave, handler: hKACombine},
-	api.CallMAC:             {name: "mac", domains: domainEnclave, handler: hMAC},
+	api.CallExitEnclave:     {"exit_enclave", domainEnclave, (*Monitor).exitEnclave, nil},
+	api.CallGetRandom:       {"get_random", domainEnclave, (*Monitor).getRandom, nil},
+	api.CallAcceptMail:      {"accept_mail", domainEnclave, (*Monitor).acceptMail, nil},
+	api.CallGetMail:         {"get_mail", domainEnclave, (*Monitor).getMail, nil},
+	api.CallAcceptThread:    {"accept_thread", domainEnclave, (*Monitor).acceptThread, nil},
+	api.CallReleaseThread:   {"release_thread", domainEnclave, (*Monitor).releaseThread, nil},
+	api.CallAcceptRegion:    {"accept_region", domainEnclave, (*Monitor).acceptRegion, nil},
+	api.CallAttestSign:      {"attest_sign", domainEnclave, (*Monitor).attestSign, nil},
+	api.CallResumeAEX:       {"resume_aex", domainEnclave, (*Monitor).resumeAEX, nil},
+	api.CallSetFaultHandler: {"set_fault_handler", domainEnclave, (*Monitor).setFaultHandler, nil},
+	api.CallResumeFault:     {"resume_fault", domainEnclave, (*Monitor).resumeFault, nil},
+	api.CallMyEnclaveID:     {"my_enclave_id", domainEnclave, (*Monitor).myEnclaveID, nil},
+	api.CallKADerive:        {"ka_derive", domainEnclave, (*Monitor).kaDerive, nil},
+	api.CallKACombine:       {"ka_combine", domainEnclave, (*Monitor).kaCombine, nil},
+	api.CallMAC:             {"mac", domainEnclave, (*Monitor).mac, nil},
 
 	// Dual-domain calls: one number, per-domain argument convention.
-	api.CallSendMail:    {name: "send_mail", domains: domainOS | domainEnclave, handler: hSendMail},
-	api.CallGetField:    {name: "get_field", domains: domainOS | domainEnclave, handler: hGetField},
-	api.CallBlockRegion: {name: "block_region", domains: domainOS | domainEnclave, handler: hBlockRegion},
+	api.CallSendMail:    {"send_mail", domainAny, (*Monitor).sendMail, nil},
+	api.CallGetField:    {"get_field", domainAny, (*Monitor).getField, nil},
+	api.CallBlockRegion: {"block_region", domainAny, (*Monitor).blockRegion, nil},
 
 	// OS-domain calls (Figs 2–4 resource management).
-	api.CallCreateEnclave: {name: "create_enclave", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.createEnclave(req.Args[0], req.Args[1], req.Args[2]))
-		}},
-	api.CallAllocPageTable: {name: "allocate_page_table", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			return fail(mon.allocatePageTableLocked(e, req.Args[1], int(req.Args[2])))
-		}},
-	api.CallLoadPage: {name: "load_page", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			return fail(mon.loadPageLocked(e, req.Args[1], req.Args[2], req.Args[3]))
-		}},
-	api.CallMapShared: {name: "map_shared", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			return fail(mon.mapSharedLocked(e, req.Args[1], req.Args[2]))
-		}},
-	api.CallInitEnclave: {name: "init_enclave", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			return fail(mon.initEnclaveLocked(e))
-		}},
-	api.CallDeleteEnclave: {name: "delete_enclave", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.deleteEnclave(req.Args[0]))
-		}},
-	api.CallEnclaveStatus: {name: "enclave_status", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			state, st := mon.enclaveStatusLocked(e, req.Args[1])
-			if st != api.OK {
-				return fail(st)
-			}
-			return ok(state)
-		}},
-	api.CallLoadThread: {name: "load_thread", domains: domainOS,
-		encHandler: func(mon *Monitor, e *Enclave, req api.Request) api.Response {
-			return fail(mon.loadThreadLocked(e, req.Args[1], req.Args[2], req.Args[3]))
-		}},
-	api.CallCreateThread: {name: "create_thread", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.createThread(req.Args[0]))
-		}},
-	api.CallAssignThread: {name: "assign_thread", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.assignThread(req.Args[0], req.Args[1]))
-		}},
-	api.CallUnassignThread: {name: "unassign_thread", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.unassignThread(req.Args[0]))
-		}},
-	api.CallDeleteThread: {name: "delete_thread", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.deleteThread(req.Args[0]))
-		}},
-	api.CallEnterEnclave: {name: "enter_enclave", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			// int() maps any register value ≥ 2^63 to a negative number,
-			// which the core-range check refuses.
-			return fail(mon.enterEnclave(int(req.Args[0]), req.Args[1], req.Args[2]))
-		}},
-	api.CallRegionInfo: {name: "region_info", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			state, owner, st := mon.regionInfo(indexArg(req.Args[0]))
-			if st != api.OK {
-				return fail(st)
-			}
-			return ok(uint64(state), owner)
-		}},
-	api.CallGrantRegion: {name: "grant_region", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.grantRegion(indexArg(req.Args[0]), req.Args[1]))
-		}},
-	api.CallCleanRegion: {name: "clean_region", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.cleanRegion(indexArg(req.Args[0])))
-		}},
+	api.CallCreateEnclave:  {"create_enclave", domainOS, (*Monitor).createEnclave, nil},
+	api.CallAllocPageTable: {"allocate_page_table", domainOS, nil, (*Monitor).allocatePageTable},
+	api.CallLoadPage:       {"load_page", domainOS, nil, (*Monitor).loadPage},
+	api.CallMapShared:      {"map_shared", domainOS, nil, (*Monitor).mapShared},
+	api.CallInitEnclave:    {"init_enclave", domainOS, nil, (*Monitor).initEnclave},
+	api.CallDeleteEnclave:  {"delete_enclave", domainOS, (*Monitor).deleteEnclave, nil},
+	api.CallEnclaveStatus:  {"enclave_status", domainOS, nil, (*Monitor).enclaveStatus},
+	api.CallLoadThread:     {"load_thread", domainOS, nil, (*Monitor).loadThread},
+	api.CallCreateThread:   {"create_thread", domainOS, (*Monitor).createThread, nil},
+	api.CallAssignThread:   {"assign_thread", domainOS, (*Monitor).assignThread, nil},
+	api.CallUnassignThread: {"unassign_thread", domainOS, (*Monitor).unassignThread, nil},
+	api.CallDeleteThread:   {"delete_thread", domainOS, (*Monitor).deleteThread, nil},
+	api.CallEnterEnclave:   {"enter_enclave", domainOS, (*Monitor).enterEnclave, nil},
+	api.CallRegionInfo:     {"region_info", domainOS, (*Monitor).regionInfo, nil},
+	api.CallGrantRegion:    {"grant_region", domainOS, (*Monitor).grantRegion, nil},
+	api.CallCleanRegion:    {"clean_region", domainOS, (*Monitor).cleanRegion, nil},
 
 	// Mailbox-ring calls (0x40–0x45, ABI minor 2): streaming IPC with
 	// batched send/recv and park/wake scheduling (DESIGN.md §9).
-	api.CallRingCreate: {name: "mailbox_ring_create", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.ringCreate(req.Args[0], req.Args[1], req.Args[2], req.Args[3]))
-		}},
-	api.CallRingSend: {name: "mailbox_ring_send", domains: domainOS | domainEnclave,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return mon.ringSend(req, ctx, nil)
-		}},
-	api.CallRingRecv: {name: "mailbox_ring_recv", domains: domainOS | domainEnclave,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return mon.ringRecv(req, ctx, nil)
-		}},
-	api.CallRingPark: {name: "thread_park", domains: domainEnclave, handler: hRingPark},
-	api.CallRingWake: {name: "mailbox_ring_wake", domains: domainOS | domainEnclave, handler: hRingWake},
-	api.CallRingDestroy: {name: "mailbox_ring_destroy", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.ringDestroy(req.Args[0]))
-		}},
+	api.CallRingCreate:  {"mailbox_ring_create", domainOS, (*Monitor).ringCreate, nil},
+	api.CallRingSend:    {"mailbox_ring_send", domainAny, (*Monitor).ringSend, nil},
+	api.CallRingRecv:    {"mailbox_ring_recv", domainAny, (*Monitor).ringRecv, nil},
+	api.CallRingPark:    {"thread_park", domainEnclave, (*Monitor).ringPark, nil},
+	api.CallRingWake:    {"mailbox_ring_wake", domainAny, (*Monitor).ringWake, nil},
+	api.CallRingDestroy: {"mailbox_ring_destroy", domainOS, (*Monitor).ringDestroy, nil},
 
 	// Bulk-grant calls (0x50–0x54, ABI minor 3): the zero-copy data
 	// plane — monitor-granted shared buffers with scatter-gather
-	// descriptors over the rings (DESIGN.md §14).
-	api.CallBulkGrant: {name: "bulk_grant", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.bulkGrant(req.Args[0], req.Args[1], req.Args[2], req.Args[3], req.Args[4]))
-		}},
-	api.CallBulkMap: {name: "bulk_map", domains: domainEnclave, handler: hBulkMap},
-	api.CallBulkRevoke: {name: "bulk_revoke", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.bulkRevoke(req.Args[0]))
-		}},
-	api.CallBulkSend: {name: "bulk_send", domains: domainOS | domainEnclave, handler: hBulkSend},
-	api.CallBulkRecv: {name: "bulk_recv", domains: domainOS | domainEnclave, handler: hBulkRecv},
+	// descriptors over the rings (DESIGN.md §14). bulk_send and
+	// bulk_recv are the ring send and recv with the grant a3 names.
+	api.CallBulkGrant:  {"bulk_grant", domainOS, (*Monitor).bulkGrant, nil},
+	api.CallBulkMap:    {"bulk_map", domainEnclave, (*Monitor).bulkMap, nil},
+	api.CallBulkRevoke: {"bulk_revoke", domainOS, (*Monitor).bulkRevoke, nil},
+	api.CallBulkSend:   {"bulk_send", domainAny, (*Monitor).ringSend, nil},
+	api.CallBulkRecv:   {"bulk_recv", domainAny, (*Monitor).ringRecv, nil},
 
 	// Snapshot/clone calls (0x30–0x32, ABI minor 1): fork-from-measured-
 	// template lifecycle (DESIGN.md §8).
-	api.CallSnapshotEnclave: {name: "snapshot_enclave", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.snapshotEnclave(req.Args[0], req.Args[1]))
-		}},
-	api.CallCloneEnclave: {name: "clone_enclave", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.cloneEnclave(req.Args[0], req.Args[1], req.Args[2], req.Args[3]))
-		}},
-	api.CallReleaseSnapshot: {name: "release_snapshot", domains: domainOS,
-		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-			return fail(mon.releaseSnapshot(req.Args[0]))
-		}},
+	api.CallSnapshotEnclave: {"snapshot_enclave", domainOS, (*Monitor).snapshotEnclave, nil},
+	api.CallCloneEnclave:    {"clone_enclave", domainOS, (*Monitor).cloneEnclave, nil},
+	api.CallReleaseSnapshot: {"release_snapshot", domainOS, (*Monitor).releaseSnapshot, nil},
+}
+
+// callDefOf returns the table entry for call number c, or nil when c
+// names no call.
+func callDefOf(c api.Call) *callDef {
+	if c < api.Call(len(callTable)) && callTable[c].name != "" {
+		return &callTable[c]
+	}
+	return nil
 }
 
 // indexArg narrows a register argument to a small index (region or
@@ -295,8 +219,8 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 }
 
 func (mon *Monitor) dispatchCall(req api.Request, ctx *callContext) api.Response {
-	def, known := callTable[req.Call]
-	if !known {
+	def := callDefOf(req.Call)
+	if def == nil {
 		return fail(api.ErrNotSupported)
 	}
 	if ctx == nil {
@@ -307,7 +231,7 @@ func (mon *Monitor) dispatchCall(req api.Request, ctx *callContext) api.Response
 		return fail(api.ErrUnauthorized)
 	}
 	if def.encHandler != nil {
-		e, st := mon.lookupEnclave(req.Args[0])
+		e, st := lookup[*Enclave](mon, LockEnclave, req.Args[0])
 		if st != api.OK {
 			return fail(st)
 		}
@@ -344,12 +268,12 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 	defer release()
 	for i := range reqs {
 		req := reqs[i]
-		def, known := callTable[req.Call]
-		if known && def.encHandler != nil &&
+		def := callDefOf(req.Call)
+		if def != nil && def.encHandler != nil &&
 			req.Caller == api.DomainOS && def.domains&domainOS != 0 {
 			if held == nil || heldID != req.Args[0] {
 				release()
-				e, st := mon.lookupEnclave(req.Args[0])
+				e, st := lookup[*Enclave](mon, LockEnclave, req.Args[0])
 				if st == api.ErrRetry {
 					for j := i; j < len(reqs); j++ {
 						out[j] = fail(api.ErrRetry)
@@ -384,16 +308,18 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 	return out
 }
 
+func (mon *Monitor) abiVersion(api.Request, *callContext) api.Response { return ok(api.Version) }
+
 // --- Enclave-domain handlers (ctx is always non-nil: the table only
 // routes these from a trap context) ---
 
-func hExitEnclave(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) exitEnclave(req api.Request, ctx *callContext) api.Response {
 	mon.stopThread(uint64(ctx.core.ID), req.Args[0], false)
 	ctx.transfer(machine.DispReturnToOS)
 	return ok()
 }
 
-func hResumeAEX(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) resumeAEX(_ api.Request, ctx *callContext) api.Response {
 	t := ctx.thread
 	t.mu.Lock()
 	if !t.AEXValid {
@@ -408,7 +334,7 @@ func hResumeAEX(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	return ok()
 }
 
-func hResumeFault(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) resumeFault(_ api.Request, ctx *callContext) api.Response {
 	t := ctx.thread
 	t.mu.Lock()
 	if !t.inFault {
@@ -423,7 +349,7 @@ func hResumeFault(mon *Monitor, req api.Request, ctx *callContext) api.Response 
 	return ok()
 }
 
-func hSetFaultHandler(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) setFaultHandler(req api.Request, ctx *callContext) api.Response {
 	pc, sp := req.Args[0], req.Args[1]
 	if pc != 0 && !ctx.enclave.InEvrange(pc) {
 		return fail(api.ErrInvalidValue)
@@ -435,7 +361,7 @@ func hSetFaultHandler(mon *Monitor, req api.Request, ctx *callContext) api.Respo
 	return ok()
 }
 
-func hGetRandom(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) getRandom(api.Request, *callContext) api.Response {
 	var b [8]byte
 	mon.machine.Entropy.Read(b[:])
 	var v uint64
@@ -445,71 +371,19 @@ func hGetRandom(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	return ok(v)
 }
 
-func hMyEnclaveID(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) myEnclaveID(_ api.Request, ctx *callContext) api.Response {
 	return ok(ctx.enclave.ID)
-}
-
-func hAcceptMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.acceptMail(ctx.enclave, indexArg(req.Args[0]), req.Args[1]))
-}
-
-func hGetMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	e := ctx.enclave
-	msg, senderMeas, st := mon.getMail(e, indexArg(req.Args[0]))
-	if st != api.OK {
-		return fail(st)
-	}
-	out := append(append([]byte(nil), senderMeas[:]...), msg...)
-	if !mon.writeEnclave(e, req.Args[1], out) {
-		return fail(api.ErrInvalidValue)
-	}
-	return ok()
-}
-
-func hAcceptThread(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.acceptThread(ctx.enclave, req.Args[0], req.Args[1], req.Args[2]))
-}
-
-func hReleaseThread(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.releaseThread(ctx.enclave, req.Args[0]))
-}
-
-func hAcceptRegion(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.acceptRegion(ctx.enclave, indexArg(req.Args[0])))
-}
-
-func hAttestSign(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	sig, st := mon.attestSign(ctx.enclave, req.Args[0], req.Args[1])
-	if st != api.OK {
-		return fail(st)
-	}
-	if !mon.writeEnclave(ctx.enclave, req.Args[2], sig) {
-		return fail(api.ErrInvalidValue)
-	}
-	return ok()
-}
-
-func hKADerive(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.kaDerive(ctx.enclave, req.Args[0], req.Args[1]))
-}
-
-func hKACombine(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.kaCombine(ctx.enclave, req.Args[0], req.Args[1], req.Args[2]))
-}
-
-func hMAC(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.macService(ctx.enclave, req.Args[0], req.Args[1], req.Args[2], req.Args[3]))
 }
 
 // --- Dual-domain handlers: ctx non-nil means the enclave convention,
 // nil the OS convention ---
 
-// hSendMail delivers a mailbox message stamped with the sender's
+// sendMail delivers a mailbox message stamped with the sender's
 // identity: an enclave sends MailboxSize bytes from its VA a1; the OS
 // sends a2 bytes, zero-padded, from the OS-owned PA a1, carrying the
 // reserved OS identity and a zero measurement so no enclave can mistake
 // it for an enclave.
-func hSendMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) sendMail(req api.Request, ctx *callContext) api.Response {
 	var msg [api.MailboxSize]byte
 	var meas [32]byte
 	n := uint64(api.MailboxSize)
@@ -525,7 +399,7 @@ func hSendMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	return fail(mon.deliverMail(ctx.domain(), meas, req.Args[0], msg[:]))
 }
 
-func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+func (mon *Monitor) getField(req api.Request, ctx *callContext) api.Response {
 	var caller *Enclave
 	if ctx != nil {
 		caller = ctx.enclave
@@ -538,8 +412,4 @@ func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 		return fail(api.ErrInvalidValue)
 	}
 	return ok(uint64(len(data)))
-}
-
-func hBlockRegion(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	return fail(mon.blockRegionAs(ctx.domain(), indexArg(req.Args[0])))
 }

@@ -10,17 +10,19 @@ import (
 )
 
 // BenchmarkDispatch measures the cost the unified ABI adds to one
-// monitor call: the same region_info transaction invoked through the
-// internal function (the pre-ABI direct-method path) and through the
-// full Dispatch route (table lookup, domain authorization, argument
-// narrowing). The difference is the dispatch overhead every call now
-// pays for having exactly one privilege boundary.
+// monitor call: the same region_info request handed to the handler
+// itself (regionInfo(req, nil), which still unpacks and narrows its
+// argument) and routed through the full Dispatch path (call-table
+// index, domain authorization, telemetry nil check). The difference is
+// the dispatch overhead every call pays for having exactly one
+// privilege boundary.
 func BenchmarkDispatch(b *testing.B) {
 	f := newFixture(b)
 	b.Run("direct", func(b *testing.B) {
+		req := api.OSRequest(api.CallRegionInfo, 3)
 		for i := 0; i < b.N; i++ {
-			if _, _, st := f.mon.regionInfo(3); st != api.OK {
-				b.Fatal(st)
+			if resp := f.mon.regionInfo(req, nil); resp.Status != api.OK {
+				b.Fatal(resp.Status)
 			}
 		}
 	})
@@ -91,17 +93,16 @@ func buildReqs(f *fixture, slot, region, nPages int) []api.Request {
 
 func teardownBuilt(b *testing.B, f *fixture, slot, region int) {
 	b.Helper()
-	eid := f.metaPage(slot)
-	if st := f.mon.deleteEnclave(eid); st != api.OK {
+	if st := f.DeleteEnclave(f.metaPage(slot)); st != api.OK {
 		b.Fatalf("delete: %v", st)
 	}
-	if st := f.mon.deleteThread(f.metaPage(slot + 1)); st != api.OK {
+	if st := f.DeleteThread(f.metaPage(slot + 1)); st != api.OK {
 		b.Fatalf("delete thread: %v", st)
 	}
-	if st := f.mon.cleanRegion(region); st != api.OK {
+	if st := f.CleanRegion(region); st != api.OK {
 		b.Fatalf("clean: %v", st)
 	}
-	if st := f.mon.grantRegion(region, api.DomainOS); st != api.OK {
+	if st := f.GrantRegion(region, api.DomainOS); st != api.OK {
 		b.Fatalf("grant back: %v", st)
 	}
 }

@@ -45,10 +45,24 @@ var enclaveOnlyCalls = []api.Call{
 	api.CallRingPark, api.CallBulkMap,
 }
 
+// TestDispatchUnknownCallNumbers sends every unnamed call-table entry
+// — the holes of the array table — and numbers past its end, each of
+// which must be refused with ErrNotSupported, no values and no state
+// change.
 func TestDispatchUnknownCallNumbers(t *testing.T) {
 	f := newFixture(t)
 	before := snapshot(f.mon)
-	for _, call := range []api.Call{0x00, 0x13, 0x1E, 0x33, 0x3F, 0x46, 0x4F, 0x55, 0x100, 0xFFFF, 1 << 40, ^api.Call(0)} {
+	var unknown []api.Call
+	for c := range callTable {
+		if callTable[c].name == "" {
+			unknown = append(unknown, api.Call(c))
+		}
+	}
+	if len(unknown) == 0 || len(unknown) == len(callTable) {
+		t.Fatalf("%d of %d table entries unnamed", len(unknown), len(callTable))
+	}
+	unknown = append(unknown, api.Call(len(callTable)), 0x100, 0xFFFF, 1<<40, ^api.Call(0))
+	for _, call := range unknown {
 		resp := f.mon.Dispatch(api.OSRequest(call, 1, 2, 3, 4, 5, 6))
 		if resp.Status != api.ErrNotSupported {
 			t.Errorf("undefined call %#x: %v, want ErrNotSupported", uint64(call), resp.Status)
@@ -92,9 +106,7 @@ func TestDispatchRefusesWrongDomain(t *testing.T) {
 	}
 	// OS-only calls from a (simulated) enclave trap context: the same
 	// path trap.go drives, with a live enclave and thread.
-	f.mon.objMu.RLock()
-	e := f.mon.enclaves[eid]
-	f.mon.objMu.RUnlock()
+	e := f.enclave(eid)
 	ctx := &callContext{core: f.m.Cores[0], enclave: e, thread: &Thread{}}
 	for _, call := range osOnlyCalls {
 		req := api.Request{Caller: eid, Call: call, Args: [6]uint64{eid, 2, 3}}
@@ -274,9 +286,7 @@ func TestDispatchBatchSequentialEquivalence(t *testing.T) {
 func TestDispatchBatchContentionCut(t *testing.T) {
 	f := newFixture(t)
 	eid := f.createLoading(t, 0, 10)
-	f.mon.objMu.RLock()
-	e := f.mon.enclaves[eid]
-	f.mon.objMu.RUnlock()
+	e := f.enclave(eid)
 	e.mu.Lock() // the contending transaction
 	defer e.mu.Unlock()
 

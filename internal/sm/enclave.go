@@ -2,7 +2,6 @@ package sm
 
 import (
 	"sort"
-	"sync"
 
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/mem"
@@ -26,7 +25,7 @@ const (
 // region (§V-C), which guarantees IDs are unforgeable names for
 // SM-private state.
 type Enclave struct {
-	mu sync.Mutex
+	objHeader
 
 	ID     uint64
 	State  EnclaveState
@@ -92,19 +91,12 @@ type ptKey struct {
 }
 
 // createEnclave starts the lifecycle (Fig 3: create_enclave by the OS,
-// CallCreateEnclave). eid must be a free page inside an SM metadata
-// region; evBase/evMask define the enclave virtual range.
-func (mon *Monitor) createEnclave(eid, evBase, evMask uint64) api.Error {
+// CallCreateEnclave). The eid a0 must be a free page inside an SM
+// metadata region; a1/a2 define the enclave virtual range.
+func (mon *Monitor) createEnclave(req api.Request, _ *callContext) api.Response {
+	eid, evBase, evMask := req.Args[0], req.Args[1], req.Args[2]
 	if !validEvrange(evBase, evMask) {
-		return api.ErrInvalidValue
-	}
-	mon.objMu.Lock()
-	defer mon.objMu.Unlock()
-	if _, exists := mon.enclaves[eid]; exists {
-		return api.ErrInvalidValue
-	}
-	if st := mon.allocMetaPage(eid); st != api.OK {
-		return st
+		return fail(api.ErrInvalidValue)
 	}
 	e := &Enclave{
 		ID:      eid,
@@ -117,12 +109,16 @@ func (mon *Monitor) createEnclave(eid, evBase, evMask uint64) api.Error {
 		Threads: make(map[uint64]*Thread),
 	}
 	e.meas.ExtendCreate(evBase, evMask)
-	mon.enclaves[eid] = e
+	mon.objMu.Lock()
+	defer mon.objMu.Unlock()
+	if !mon.register(eid, e) {
+		return fail(api.ErrInvalidValue)
+	}
 	// Mirror the lifecycle state into the metadata page so SM-owned
 	// memory actually holds it (and tests can assert the OS cannot
 	// read it).
 	mon.machine.Mem.Store(eid, 8, uint64(e.State))
-	return api.OK
+	return ok()
 }
 
 // validEvrange requires a left-contiguous mask covering at least one
@@ -151,29 +147,6 @@ func (e *Enclave) InEvrange(va uint64) bool {
 // template (a clone reads its aliased pages there). Ownership
 // accounting — deletion, blocking — uses Regions alone.
 func (e *Enclave) accessRegions() dram.Bitmap { return e.Regions | e.Borrowed }
-
-// lookupEnclave fetches and transaction-locks an enclave; contention on
-// the enclave's lock fails the transaction with ErrRetry (§V-A). The
-// dead re-check closes the lookup/free race: a hart that fetched the
-// pointer before a concurrent delete removed it must not operate on
-// the orphaned object — a ring could attach to a deleted enclave and
-// survive into a recreated one under the same eid.
-func (mon *Monitor) lookupEnclave(eid uint64) (*Enclave, api.Error) {
-	mon.objMu.RLock()
-	e := mon.enclaves[eid]
-	mon.objMu.RUnlock()
-	if e == nil {
-		return nil, api.ErrInvalidValue
-	}
-	if !mon.tryLock(&e.mu, LockEnclave, eid) {
-		return nil, api.ErrRetry
-	}
-	if e.State == EnclaveDead {
-		e.mu.Unlock()
-		return nil, api.ErrInvalidValue
-	}
-	return e, api.OK
-}
 
 // freezePagesLocked fixes the enclave's physical page list from its
 // owned regions. After this point region grants to the loading enclave
@@ -204,21 +177,19 @@ func (e *Enclave) nextPageLocked() (uint64, bool) {
 	return p, true
 }
 
-// allocatePageTableLocked allocates the enclave page-table page that
-// holds the PTEs for va at the given level (2 = root, 0 = leaf table),
-// in the enclave's own memory (Fig 3: allocate_page_table by the OS,
+// allocatePageTable allocates the enclave page-table page that holds
+// the PTEs for VA a1 at level a2 (2 = root, 0 = leaf table), in the
+// enclave's own memory (Fig 3: allocate_page_table by the OS,
 // CallAllocPageTable). Tables must be allocated top-down and before any
 // data page, which places them at the base of the enclave's physical
 // space as §VI-A requires. The caller holds e's transaction lock.
-func (mon *Monitor) allocatePageTableLocked(e *Enclave, va uint64, level int) api.Error {
-	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
-	}
-	if e.dataStarted {
-		return api.ErrInvalidState
+func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response {
+	va, level := req.Args[1], int(req.Args[2])
+	if e.State != EnclaveLoading || e.dataStarted {
+		return fail(api.ErrInvalidState)
 	}
 	if level < 0 || level >= pt.Levels {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	// Tables may also serve VAs outside evrange: Keystone enclaves map
 	// an OS-provided shared window through their own tables (§VII-B).
@@ -226,26 +197,26 @@ func (mon *Monitor) allocatePageTableLocked(e *Enclave, va uint64, level int) ap
 
 	key := ptKey{level: level, prefix: vaPrefix(va, level)}
 	if _, dup := e.ptPages[key]; dup {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 
 	// The parent table must already exist (top-down construction).
 	var parentPPN uint64
 	if level == pt.Levels-1 {
 		if e.RootPPN != 0 {
-			return api.ErrInvalidValue // root already allocated
+			return fail(api.ErrInvalidValue) // root already allocated
 		}
 	} else {
-		parent, ok := e.ptPages[ptKey{level: level + 1, prefix: vaPrefix(va, level+1)}]
-		if !ok {
-			return api.ErrInvalidState
+		parent, found := e.ptPages[ptKey{level: level + 1, prefix: vaPrefix(va, level+1)}]
+		if !found {
+			return fail(api.ErrInvalidState)
 		}
 		parentPPN = parent
 	}
 
-	ppn, ok := e.nextPageLocked()
-	if !ok {
-		return api.ErrNoResources
+	ppn, found := e.nextPageLocked()
+	if !found {
+		return fail(api.ErrNoResources)
 	}
 	mon.machine.Mem.ZeroPage(ppn << mem.PageBits)
 	e.ptPages[key] = ppn
@@ -257,7 +228,7 @@ func (mon *Monitor) allocatePageTableLocked(e *Enclave, va uint64, level int) ap
 	}
 	// Measure the table's normalized VA prefix, not raw caller bits.
 	e.meas.ExtendPageTable(vaPrefix(va, level)<<(mem.PageBits+9*uint(level+1)), level)
-	return api.OK
+	return ok()
 }
 
 func vaPrefix(va uint64, level int) uint64 {
@@ -272,42 +243,40 @@ func NormalizeTableVA(va uint64, level int) uint64 {
 	return vaPrefix(va, level) << (mem.PageBits + 9*uint(level+1))
 }
 
-// loadPageLocked copies one page of initial contents from untrusted OS
-// memory into the enclave's next physical page and maps it at va
-// (Fig 3: load_page by the OS, CallLoadPage). perms is a combination of
-// pt.R/pt.W/pt.X. The caller holds e's transaction lock.
-func (mon *Monitor) loadPageLocked(e *Enclave, va, srcPA, perms uint64) api.Error {
+// loadPage copies one page of initial contents from untrusted OS memory
+// at a2 into the enclave's next physical page and maps it at VA a1
+// (Fig 3: load_page by the OS, CallLoadPage). The permissions a3 are a
+// combination of pt.R/pt.W/pt.X. The caller holds e's transaction lock.
+func (mon *Monitor) loadPage(e *Enclave, req api.Request) api.Response {
+	va, srcPA, perms := req.Args[1], req.Args[2], req.Args[3]
 	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if va&mem.PageMask != 0 || !e.InEvrange(va) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	if perms&^uint64(pt.R|pt.W|pt.X) != 0 || perms == 0 {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	if e.mapped[va] {
-		return api.ErrInvalidValue // aliasing is forbidden (§VI-A)
+		return fail(api.ErrInvalidValue) // aliasing is forbidden (§VI-A)
 	}
 	// The source must be OS-owned untrusted memory.
 	if !mon.osOwnsRange(srcPA, mem.PageSize) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
-	leaf, ok := e.ptPages[ptKey{level: 0, prefix: vaPrefix(va, 0)}]
-	if !ok {
-		return api.ErrInvalidState // leaf table missing
+	leaf, found := e.ptPages[ptKey{level: 0, prefix: vaPrefix(va, 0)}]
+	if !found {
+		return fail(api.ErrInvalidState) // leaf table missing
 	}
-	ppn, okPage := e.nextPageLocked()
-	if !okPage {
-		return api.ErrNoResources
+	ppn, found := e.nextPageLocked()
+	if !found {
+		return fail(api.ErrNoResources)
 	}
 
 	var content [mem.PageSize]byte
-	if err := mon.machine.Mem.ReadBytes(srcPA, content[:]); err != nil {
-		return api.ErrInvalidValue
-	}
-	if err := mon.machine.Mem.WriteBytes(ppn<<mem.PageBits, content[:]); err != nil {
-		return api.ErrInvalidValue
+	if mon.machine.Mem.ReadBytes(srcPA, content[:]) != nil || mon.machine.Mem.WriteBytes(ppn<<mem.PageBits, content[:]) != nil {
+		return fail(api.ErrInvalidValue)
 	}
 	pteAddr := leaf<<mem.PageBits + pt.VPN(va, 0)*pt.EntrySize
 	mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, perms|pt.V|pt.U))
@@ -315,40 +284,34 @@ func (mon *Monitor) loadPageLocked(e *Enclave, va, srcPA, perms uint64) api.Erro
 	e.mapped[va] = true
 	e.dataStarted = true
 	e.meas.ExtendPage(va, perms, content[:])
-	return api.OK
+	return ok()
 }
 
-// mapSharedLocked maps an OS-owned physical page into the enclave's
-// page tables at a virtual address outside evrange: the Keystone-style
-// untrusted shared buffer (§VII-B, CallMapShared). The mapping's
-// address is measured (it is configuration) but its contents are not
-// (they are untrusted by definition and the OS can change them at any
-// time). The caller holds e's transaction lock.
-func (mon *Monitor) mapSharedLocked(e *Enclave, va, pa uint64) api.Error {
+// mapShared maps the OS-owned physical page a2 into the enclave's page
+// tables at VA a1 outside evrange: the Keystone-style untrusted shared
+// buffer (§VII-B, CallMapShared). The mapping's address is measured (it
+// is configuration) but its contents are not (they are untrusted by
+// definition and the OS can change them at any time). The caller holds
+// e's transaction lock.
+func (mon *Monitor) mapShared(e *Enclave, req api.Request) api.Response {
+	va, pa := req.Args[1], req.Args[2]
 	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	if va&mem.PageMask != 0 || pa&mem.PageMask != 0 {
-		return api.ErrInvalidValue
+	// The private range must hold only private pages, aliasing is
+	// forbidden, and the page must be OS-owned.
+	if va&mem.PageMask != 0 || pa&mem.PageMask != 0 || e.InEvrange(va) || e.mapped[va] ||
+		!mon.osOwnsRange(pa, mem.PageSize) {
+		return fail(api.ErrInvalidValue)
 	}
-	if e.InEvrange(va) {
-		return api.ErrInvalidValue // the private range must hold only private pages
+	pteAddr, found := mon.leafPTEAddr(e, va)
+	if !found {
+		return fail(api.ErrInvalidState)
 	}
-	if e.mapped[va] {
-		return api.ErrInvalidValue
-	}
-	if !mon.osOwnsRange(pa, mem.PageSize) {
-		return api.ErrInvalidValue
-	}
-	leaf, ok := e.ptPages[ptKey{level: 0, prefix: vaPrefix(va, 0)}]
-	if !ok {
-		return api.ErrInvalidState
-	}
-	pteAddr := leaf<<mem.PageBits + pt.VPN(va, 0)*pt.EntrySize
 	mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pa>>mem.PageBits, pt.R|pt.W|pt.V|pt.U))
 	e.mapped[va] = true
 	e.meas.ExtendShared(va)
-	return api.OK
+	return ok()
 }
 
 // osOwnsRange reports whether [pa, pa+n) lies wholly in OS-owned
@@ -357,40 +320,32 @@ func (mon *Monitor) osOwnsRange(pa, n uint64) bool {
 	return mon.osRegions().ContainsRange(mon.machine.DRAM, pa, n)
 }
 
-// initEnclaveLocked seals the enclave (Fig 3: init_enclave by the OS,
+// initEnclave seals the enclave (Fig 3: init_enclave by the OS,
 // CallInitEnclave): the measurement is finalized and threads become
-// schedulable. The caller holds e's transaction lock.
-func (mon *Monitor) initEnclaveLocked(e *Enclave) api.Error {
-	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
-	}
-	if e.RootPPN == 0 {
-		return api.ErrInvalidState // an enclave without page tables cannot run
+// schedulable. An enclave without page tables cannot run. The caller
+// holds e's transaction lock.
+func (mon *Monitor) initEnclave(e *Enclave, _ api.Request) api.Response {
+	if e.State != EnclaveLoading || e.RootPPN == 0 {
+		return fail(api.ErrInvalidState)
 	}
 	e.Measurement = e.meas.Finalize()
 	e.State = EnclaveInitialized
 	mon.machine.Mem.Store(e.ID, 8, uint64(e.State))
 	mon.machine.Mem.WriteBytes(e.ID+8, e.Measurement[:])
-	return api.OK
+	return ok()
 }
 
-// enclaveStatusLocked reports the enclave lifecycle state and, when
-// measOutPA is non-zero, writes the 32-byte measurement to that
-// OS-owned physical address (CallEnclaveStatus). The caller holds e's
-// transaction lock.
-func (mon *Monitor) enclaveStatusLocked(e *Enclave, measOutPA uint64) (uint64, api.Error) {
-	if measOutPA != 0 {
-		if !mon.osOwnsRange(measOutPA, uint64(len(e.Measurement))) {
-			return 0, api.ErrInvalidValue
-		}
-		if err := mon.machine.Mem.WriteBytes(measOutPA, e.Measurement[:]); err != nil {
-			return 0, api.ErrInvalidValue
-		}
+// enclaveStatus reports the enclave lifecycle state and, when a1 is
+// non-zero, writes the 32-byte measurement to that OS-owned physical
+// address (CallEnclaveStatus). The caller holds e's transaction lock.
+func (mon *Monitor) enclaveStatus(e *Enclave, req api.Request) api.Response {
+	if pa := req.Args[1]; pa != 0 && !mon.writeCaller(nil, pa, e.Measurement[:]) {
+		return fail(api.ErrInvalidValue)
 	}
-	return uint64(e.State), api.OK
+	return ok(uint64(e.State))
 }
 
-// deleteEnclave tears an enclave down (Fig 3: delete_enclave by the
+// deleteEnclave tears enclave a0 down (Fig 3: delete_enclave by the
 // OS, CallDeleteEnclave): refused while any thread is scheduled; all
 // owned regions become blocked and must be cleaned before
 // re-allocation; threads revert to the available pool.
@@ -404,100 +359,77 @@ func (mon *Monitor) enclaveStatusLocked(e *Enclave, measOutPA uint64) (uint64, a
 // tables, COW copies) block and clean normally.
 //
 // The transaction acquires every lock it will need — the enclave, the
-// snapshot it clones (if any), all of its threads, and every region it
-// owns or has pending — with TryLock before mutating anything, so
-// under contention it fails with ErrRetry having changed no state
-// (§V-A).
-func (mon *Monitor) deleteEnclave(eid uint64) api.Error {
-	e, st := mon.lookupEnclave(eid)
+// snapshot it clones (if any), every thread, and every region it owns
+// or has pending — with TryLock before mutating anything, so under
+// contention it fails with ErrRetry having changed no state (§V-A).
+func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response {
+	eid := req.Args[0]
+	e, st := lookup[*Enclave](mon, LockEnclave, eid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer e.mu.Unlock()
-	if e.running > 0 {
-		return api.ErrInvalidState
+	if e.running > 0 || e.snap != nil { // live snapshot: release it first
+		return fail(api.ErrInvalidState)
 	}
-	if e.snap != nil {
-		return api.ErrInvalidState // live snapshot: release it first
-	}
-	// A live mailbox-ring endpoint blocks deletion, like a live
-	// snapshot: a freed eid could otherwise be recreated and inherit
-	// the dead enclave's rings — including undelivered messages meant
-	// for the previous tenant. The OS destroys the rings first.
-	// Endpoint identities are immutable after ring creation, and
-	// ringCreate registers only while holding the endpoint enclave's
-	// lock (held here for the whole transaction), so the scan cannot
-	// race a new attachment.
+	// One registry scan. A live ring or grant endpoint blocks deletion,
+	// like a live snapshot: a freed eid could otherwise be recreated and
+	// inherit the dead enclave's rings — including undelivered messages
+	// meant for the previous tenant — and a revoke relies on its
+	// endpoints existing. The OS destroys and revokes them first.
+	// Endpoint identities are immutable, and lockEndpoints registers only
+	// while holding the endpoint enclave's lock (held here for the whole
+	// transaction), so the scan cannot race a new attachment. The scan
+	// also collects every thread: threads offered to this enclave are not
+	// in e.Threads, but their Owner names it, and leaving that dangling
+	// would let a new enclave recreated under the freed eid accept_thread
+	// a thread the dead tenant was offered.
+	busy := false
 	mon.objMu.RLock()
-	for _, r := range mon.rings {
-		if r.Producer == eid || r.Consumer == eid {
-			mon.objMu.RUnlock()
-			return api.ErrInvalidState
-		}
-	}
-	// Bulk-grant endpoints block deletion for the same reason (and so a
-	// revoke can rely on its endpoints existing); bulkGrant registers
-	// only while holding the endpoint enclave's lock, so the scan
-	// cannot race a new attachment either.
-	for _, g := range mon.grants {
-		if g.Producer == eid || g.Consumer == eid {
-			mon.objMu.RUnlock()
-			return api.ErrInvalidState
+	threads := make([]*Thread, 0, len(mon.objects))
+	for _, o := range mon.objects {
+		switch o := o.(type) {
+		case *Thread:
+			threads = append(threads, o)
+		case *Ring:
+			busy = busy || o.isEndpoint(eid)
+		case *Grant:
+			busy = busy || o.isEndpoint(eid)
 		}
 	}
 	mon.objMu.RUnlock()
+	if busy {
+		return fail(api.ErrInvalidState)
+	}
 	var snap *Snapshot
 	if e.CloneOf != 0 {
-		mon.objMu.RLock()
-		snap = mon.snapshots[e.CloneOf]
-		mon.objMu.RUnlock()
-		if snap != nil {
+		if snap, _ = get[*Snapshot](mon, e.CloneOf); snap != nil {
 			if !mon.tryLock(&snap.mu, LockSnapshot, e.CloneOf) {
-				return api.ErrRetry
+				return fail(api.ErrRetry)
 			}
 			defer snap.mu.Unlock()
 		}
 	}
-	var lockedThreads []*Thread
+	// Ownership is thread state, checked under each thread's own lock;
+	// holding e.mu excludes new offers and accepts racing the pass. The
+	// kept threads reuse the scan's slice.
+	owned := threads[:0]
 	var lockedRegions []int
 	unlockAll := func() {
-		for _, th := range lockedThreads {
+		for _, th := range owned {
 			th.mu.Unlock()
 		}
 		for _, r := range lockedRegions {
 			mon.regions[r].mu.Unlock()
 		}
 	}
-	for _, th := range e.Threads {
+	for _, th := range threads {
 		if !mon.tryLock(&th.mu, LockThread, th.ID) {
 			unlockAll()
-			return api.ErrRetry
+			return fail(api.ErrRetry)
 		}
-		lockedThreads = append(lockedThreads, th)
-	}
-	// Threads offered to this enclave are not yet in e.Threads, but
-	// their Owner field names it; leaving that dangling would let a new
-	// enclave recreated under the freed eid accept_thread a thread the
-	// dead tenant was offered. Scan the global table — membership is
-	// checked under each thread's own lock (Owner is thread state), and
-	// holding e.mu excludes new offers racing the scan.
-	mon.objMu.RLock()
-	others := make([]*Thread, 0, len(mon.threads))
-	for tid, th := range mon.threads {
-		if _, mine := e.Threads[tid]; !mine {
-			others = append(others, th)
-		}
-	}
-	mon.objMu.RUnlock()
-	var offered []*Thread
-	for _, th := range others {
-		if !mon.tryLock(&th.mu, LockThread, th.ID) {
-			unlockAll()
-			return api.ErrRetry
-		}
-		if th.State == ThreadOffered && th.Owner == eid {
-			offered = append(offered, th)
-			lockedThreads = append(lockedThreads, th)
+		if th.Owner == eid {
+			owned = append(owned, th)
 		} else {
 			th.mu.Unlock()
 		}
@@ -509,7 +441,7 @@ func (mon *Monitor) deleteEnclave(eid uint64) api.Error {
 		rm := &mon.regions[r]
 		if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
 			unlockAll()
-			return api.ErrRetry
+			return fail(api.ErrRetry)
 		}
 		if e.Regions.Has(r) || (rm.state == RegionPending && rm.owner == eid) {
 			lockedRegions = append(lockedRegions, r)
@@ -550,25 +482,18 @@ func (mon *Monitor) deleteEnclave(eid uint64) api.Error {
 		e.cow, e.roAliases = nil, nil
 		snap.clones--
 	}
-
+	for _, th := range owned {
+		th.State, th.Owner = ThreadAvailable, 0
+		th.clearContext()
+	}
 	mon.objMu.Lock()
-	for tid, th := range e.Threads {
-		th.State = ThreadAvailable
-		th.Owner = 0
-		th.clearContext()
-		delete(e.Threads, tid)
-	}
-	for _, th := range offered {
-		th.State = ThreadAvailable
-		th.Owner = 0
-		th.clearContext()
-	}
-	delete(mon.enclaves, eid)
-	mon.freeMetaPage(eid)
+	mon.unregister(eid)
 	mon.objMu.Unlock()
 	unlockAll()
 	mon.refreshViews()
-
+	// The lifecycle state follows the dead flag, so a transaction that
+	// fetched e before the delete and locks it without the lookup (a
+	// region grant) refuses a dead enclave.
 	e.State = EnclaveDead
-	return api.OK
+	return ok()
 }

@@ -14,9 +14,9 @@ package sm
 //   - Returning false after running a racing operation synchronously
 //     inside the hook emulates an adversarially timed preemption: the
 //     victim transaction resumes against mutated state at the worst
-//     possible instant, deterministically. The lookup/free re-checks
-//     (lookupEnclave, lookupThread, lookupSnapshot, lookupRing) are
-//     tested exactly this way.
+//     possible instant, deterministically. The dead re-check in the
+//     object lookup (monitor.go), which serves enclaves, threads,
+//     snapshots, rings and grants, is tested exactly this way.
 //
 // The hook is monitor test/verification surface, not ABI: production
 // paths never install one, and the fast path is a single atomic nil
@@ -66,7 +66,7 @@ func (k LockKind) String() string {
 
 // LockPoint identifies one transaction-lock acquisition at runtime:
 // the lock class and the object id (eid, tid, snapshot id, ring id,
-// region index, or core id).
+// grant id, region index, or core id).
 type LockPoint struct {
 	Kind LockKind
 	ID   uint64

@@ -5,11 +5,12 @@ package sm
 // plain-data StateSnapshot, and Monitor.CheckInvariants validates the
 // global consistency conditions the lifecycle state machine promises:
 // metadata-page accounting, region-ownership partition, refcount sums,
-// the no-writable-while-COW rule, ring waiter liveness, and the
-// thread/enclave/core cross-references. One suite serves three
-// consumers — dispatch_test's error-leaves-state-untouched sweeps, the
-// internal/mc interleaving explorer, and the adversary battery —
-// replacing the ad-hoc per-test copies the PR 3 fuzz harness grew.
+// the no-writable-while-COW rule, ring waiter liveness, grant endpoint
+// liveness and in-flight accounting, and the thread/enclave/core
+// cross-references. One suite serves three consumers —
+// dispatch_test's error-leaves-state-untouched sweeps, the internal/mc
+// interleaving explorer, and the adversary battery — replacing the
+// ad-hoc per-test copies the dispatch fuzz harness grew.
 //
 // Both entry points require a quiescent monitor: no hart is mutating
 // monitor state and no core is mid-run. Each object's lock is taken
@@ -20,6 +21,7 @@ package sm
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -75,6 +77,20 @@ type RingShot struct {
 	Count     int
 	WaiterEID uint64
 	WaiterTID uint64
+	// Queued counts the scatter-gather descriptor messages queued per
+	// grant id (nil when the ring holds none).
+	Queued map[uint64]int
+}
+
+// GrantShot is one bulk grant's invariant-relevant state.
+type GrantShot struct {
+	Producer uint64
+	Consumer uint64
+	BasePA   uint64
+	Pages    uint64
+	InFlight int64
+	// Mapped is each enclave endpoint's bulk_map VA (nil when none).
+	Mapped map[uint64]uint64
 }
 
 // RegionShot is one DRAM region's state and owner.
@@ -96,6 +112,7 @@ type StateSnapshot struct {
 	Threads   map[uint64]ThreadShot
 	Snapshots map[uint64]SnapshotShot
 	Rings     map[uint64]RingShot
+	Grants    map[uint64]GrantShot
 	MetaPages []uint64
 	Regions   []RegionShot
 	Cores     []CoreShot
@@ -103,7 +120,7 @@ type StateSnapshot struct {
 	PageRefs  uint64
 }
 
-func sortedU64(m map[uint64]bool) []uint64 {
+func sortedU64[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -122,6 +139,16 @@ func snapLock(mu *sync.Mutex) func() {
 	return func() {}
 }
 
+// registered copies the object registry under objMu, so each object
+// can then be read under its own lock — never both at once
+// (deleteEnclave holds object locks while taking objMu, so nesting the
+// other way could deadlock).
+func (mon *Monitor) registered() map[uint64]object {
+	mon.objMu.RLock()
+	defer mon.objMu.RUnlock()
+	return maps.Clone(mon.objects)
+}
+
 // CaptureState snapshots the monitor's full state (see the package
 // comment above for the quiescence contract).
 func (mon *Monitor) CaptureState() *StateSnapshot {
@@ -130,74 +157,42 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 		Threads:   make(map[uint64]ThreadShot),
 		Snapshots: make(map[uint64]SnapshotShot),
 		Rings:     make(map[uint64]RingShot),
+		Grants:    make(map[uint64]GrantShot),
 	}
-	// Collect object pointers under objMu, then copy each under its own
-	// lock — never both at once (deleteEnclave holds object locks while
-	// taking objMu, so nesting the other way could deadlock).
-	mon.objMu.RLock()
-	s.MetaPages = sortedU64(mon.metaPages)
-	enclaves := make(map[uint64]*Enclave, len(mon.enclaves))
-	for id, e := range mon.enclaves {
-		enclaves[id] = e
-	}
-	threads := make(map[uint64]*Thread, len(mon.threads))
-	for id, t := range mon.threads {
-		threads[id] = t
-	}
-	snapshots := make(map[uint64]*Snapshot, len(mon.snapshots))
-	for id, sn := range mon.snapshots {
-		snapshots[id] = sn
-	}
-	rings := make(map[uint64]*Ring, len(mon.rings))
-	for id, r := range mon.rings {
-		rings[id] = r
-	}
-	mon.objMu.RUnlock()
-
-	for id, e := range enclaves {
-		unlock := snapLock(&e.mu)
-		shot := EnclaveShot{
-			State: e.State, Regions: e.Regions, Borrowed: e.Borrowed,
-			RootPPN: e.RootPPN, Measurement: e.Measurement,
-			Running: e.running, CloneOf: e.CloneOf,
-			LoadCursor: e.loadCursor, Mailboxes: e.Mailboxes,
-			Mapped: sortedU64(e.mapped),
-		}
-		if e.snap != nil {
-			shot.SnapID = e.snap.ID
-		}
-		for tid := range e.Threads {
-			shot.Threads = append(shot.Threads, tid)
-		}
-		sort.Slice(shot.Threads, func(i, j int) bool { return shot.Threads[i] < shot.Threads[j] })
-		if len(e.cow) > 0 {
-			shot.COW = make(map[uint64]uint64, len(e.cow))
-			for va, pg := range e.cow {
-				shot.COW[va] = pg.ppn
+	objects := mon.registered()
+	s.MetaPages = sortedU64(objects)
+	for id, o := range objects {
+		unlock := snapLock(&o.hdr().mu)
+		switch o := o.(type) {
+		case *Enclave:
+			s.Enclaves[id] = captureEnclave(o)
+		case *Thread:
+			s.Threads[id] = ThreadShot{State: o.State, Owner: o.Owner,
+				EntryPC: o.EntryPC, EntrySP: o.EntrySP, CoreID: o.CoreID, AEXValid: o.AEXValid}
+		case *Snapshot:
+			s.Snapshots[id] = SnapshotShot{TemplateID: o.TemplateID, Meas: o.Meas,
+				Regions: o.Regions, Pages: len(o.pages), Clones: o.clones}
+		case *Ring:
+			shot := RingShot{Producer: o.Producer, Consumer: o.Consumer,
+				Capacity: len(o.slots), Count: o.count,
+				WaiterEID: o.waiterEID, WaiterTID: o.waiterTID}
+			for i := 0; i < o.count; i++ {
+				if gid := o.slots[(o.head+i)%len(o.slots)].grant; gid != 0 {
+					if shot.Queued == nil {
+						shot.Queued = make(map[uint64]int)
+					}
+					shot.Queued[gid]++
+				}
 			}
+			s.Rings[id] = shot
+		case *Grant:
+			shot := GrantShot{Producer: o.Producer, Consumer: o.Consumer,
+				BasePA: o.BasePA, Pages: o.Pages, InFlight: o.inflight.Load()}
+			if len(o.maps) > 0 {
+				shot.Mapped = maps.Clone(o.maps)
+			}
+			s.Grants[id] = shot
 		}
-		shot.ROAliases = append([]uint64(nil), e.roAliases...)
-		sort.Slice(shot.ROAliases, func(i, j int) bool { return shot.ROAliases[i] < shot.ROAliases[j] })
-		unlock()
-		s.Enclaves[id] = shot
-	}
-	for id, t := range threads {
-		unlock := snapLock(&t.mu)
-		s.Threads[id] = ThreadShot{State: t.State, Owner: t.Owner,
-			EntryPC: t.EntryPC, EntrySP: t.EntrySP, CoreID: t.CoreID, AEXValid: t.AEXValid}
-		unlock()
-	}
-	for id, sn := range snapshots {
-		unlock := snapLock(&sn.mu)
-		s.Snapshots[id] = SnapshotShot{TemplateID: sn.TemplateID, Meas: sn.Meas,
-			Regions: sn.Regions, Pages: len(sn.pages), Clones: sn.clones}
-		unlock()
-	}
-	for id, r := range rings {
-		unlock := snapLock(&r.mu)
-		s.Rings[id] = RingShot{Producer: r.Producer, Consumer: r.Consumer,
-			Capacity: len(r.slots), Count: r.count,
-			WaiterEID: r.waiterEID, WaiterTID: r.waiterTID}
 		unlock()
 	}
 	for i := range mon.regions {
@@ -215,6 +210,34 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 	s.OSBitmap = mon.osBitmap.Load()
 	s.PageRefs = mon.machine.Mem.TotalRefs()
 	return s
+}
+
+// captureEnclave copies one enclave's state; the caller holds its lock
+// (or the monitor is quiescent).
+func captureEnclave(e *Enclave) EnclaveShot {
+	shot := EnclaveShot{
+		State: e.State, Regions: e.Regions, Borrowed: e.Borrowed,
+		RootPPN: e.RootPPN, Measurement: e.Measurement,
+		Running: e.running, CloneOf: e.CloneOf,
+		LoadCursor: e.loadCursor, Mailboxes: e.Mailboxes,
+		Mapped: sortedU64(e.mapped),
+	}
+	for tid := range e.Threads {
+		shot.Threads = append(shot.Threads, tid)
+	}
+	sort.Slice(shot.Threads, func(i, j int) bool { return shot.Threads[i] < shot.Threads[j] })
+	if e.snap != nil {
+		shot.SnapID = e.snap.ID
+	}
+	if len(e.cow) > 0 {
+		shot.COW = make(map[uint64]uint64, len(e.cow))
+		for va, pg := range e.cow {
+			shot.COW[va] = pg.ppn
+		}
+	}
+	shot.ROAliases = append([]uint64(nil), e.roAliases...)
+	sort.Slice(shot.ROAliases, func(i, j int) bool { return shot.ROAliases[i] < shot.ROAliases[j] })
+	return shot
 }
 
 // Equal reports whether two snapshots are bit-identical.
@@ -244,8 +267,8 @@ func (s *StateSnapshot) Diff(o *StateSnapshot) string {
 func (mon *Monitor) CheckInvariants() error {
 	s := mon.CaptureState()
 
-	// Metadata accounting: the allocated page set is exactly the union
-	// of the four object-id spaces, each page SM-owned.
+	// Metadata accounting: the registry's page set is exactly the union
+	// of the five object-id spaces, each page SM-owned.
 	ids := make(map[uint64]string)
 	claim := func(id uint64, kind string) error {
 		if prev, dup := ids[id]; dup {
@@ -271,6 +294,11 @@ func (mon *Monitor) CheckInvariants() error {
 	}
 	for id := range s.Rings {
 		if err := claim(id, "ring"); err != nil {
+			return err
+		}
+	}
+	for id := range s.Grants {
+		if err := claim(id, "grant"); err != nil {
 			return err
 		}
 	}
@@ -321,8 +349,9 @@ func (mon *Monitor) CheckInvariants() error {
 		}
 	}
 
-	// Refcount sum: every physical reference is either a snapshot's
-	// frozen-page hold or a clone's live alias (COW or read-only).
+	// Refcount sum: every physical reference is a snapshot's
+	// frozen-page hold, a clone's live alias (COW or read-only), or a
+	// grant's pin on its buffer pages.
 	var want uint64
 	for _, sn := range s.Snapshots {
 		want += uint64(sn.Pages)
@@ -332,8 +361,11 @@ func (mon *Monitor) CheckInvariants() error {
 			want += uint64(len(e.COW) + len(e.ROAliases))
 		}
 	}
+	for _, g := range s.Grants {
+		want += g.Pages
+	}
 	if s.PageRefs != want {
-		return fmt.Errorf("page refcounts %d, want %d (snapshots + clone aliases)",
+		return fmt.Errorf("page refcounts %d, want %d (snapshots + clone aliases + grant pins)",
 			s.PageRefs, want)
 	}
 
@@ -418,17 +450,31 @@ func (mon *Monitor) CheckInvariants() error {
 		}
 	}
 
-	// Rings: endpoints and parked waiters must name live objects, and a
-	// registered waiter implies the ring was empty when it parked (every
-	// enqueue and wake pops the waiter) — a non-empty ring holding one
-	// is a lost wake.
+	// Rings and grants: endpoints, grant mappers and parked waiters must
+	// name live objects, and a registered waiter implies the ring was
+	// empty when it parked (every enqueue and wake pops the waiter) — a
+	// non-empty ring holding one is a lost wake. A grant's in-flight
+	// count is exactly its descriptor messages queued across rings, and
+	// queued descriptors name live grants (revoke refuses while any is
+	// queued).
+	endpointLive := func(kind string, id, who uint64) error {
+		if _, ok := s.Enclaves[who]; who != api.DomainOS && !ok {
+			return fmt.Errorf("%s %#x endpoint %#x is dead", kind, id, who)
+		}
+		return nil
+	}
+	queued := make(map[uint64]int64)
 	for id, r := range s.Rings {
 		for _, who := range []uint64{r.Producer, r.Consumer} {
-			if who != api.DomainOS {
-				if _, live := s.Enclaves[who]; !live {
-					return fmt.Errorf("ring %#x endpoint %#x is dead", id, who)
-				}
+			if err := endpointLive("ring", id, who); err != nil {
+				return err
 			}
+		}
+		for gid, n := range r.Queued {
+			if _, ok := s.Grants[gid]; !ok {
+				return fmt.Errorf("ring %#x queues %d descriptors of dead grant %#x", id, n, gid)
+			}
+			queued[gid] += int64(n)
 		}
 		if r.WaiterTID != 0 {
 			t, live := s.Threads[r.WaiterTID]
@@ -439,6 +485,21 @@ func (mon *Monitor) CheckInvariants() error {
 				return fmt.Errorf("ring %#x holds %d messages with a registered waiter (lost wake)",
 					id, r.Count)
 			}
+		}
+	}
+	for id, g := range s.Grants {
+		for _, who := range []uint64{g.Producer, g.Consumer} {
+			if err := endpointLive("grant", id, who); err != nil {
+				return err
+			}
+		}
+		for who := range g.Mapped {
+			if who != g.Producer && who != g.Consumer {
+				return fmt.Errorf("grant %#x mapped by non-endpoint %#x", id, who)
+			}
+		}
+		if g.InFlight != queued[id] {
+			return fmt.Errorf("grant %#x: %d descriptors in flight, %d queued in rings", id, g.InFlight, queued[id])
 		}
 	}
 	for c, slot := range s.Cores {
@@ -464,16 +525,16 @@ func (mon *Monitor) CheckInvariants() error {
 // frozen page marked, and snapshot frozen pages are marked while the
 // snapshot lives.
 func (mon *Monitor) checkPageTables() error {
-	mon.objMu.RLock()
-	enclaves := make([]*Enclave, 0, len(mon.enclaves))
-	for _, e := range mon.enclaves {
-		enclaves = append(enclaves, e)
+	var enclaves []*Enclave
+	var snapshots []*Snapshot
+	for _, o := range mon.registered() {
+		switch o := o.(type) {
+		case *Enclave:
+			enclaves = append(enclaves, o)
+		case *Snapshot:
+			snapshots = append(snapshots, o)
+		}
 	}
-	snapshots := make([]*Snapshot, 0, len(mon.snapshots))
-	for _, sn := range mon.snapshots {
-		snapshots = append(snapshots, sn)
-	}
-	mon.objMu.RUnlock()
 	for _, e := range enclaves {
 		unlock := snapLock(&e.mu)
 		err := func() error {

@@ -9,7 +9,8 @@ import (
 
 // TestCheckInvariantsThroughLifecycle runs the full invariant suite at
 // every station of a representative lifecycle — fresh boot, sealed
-// template, live snapshot with a clone, rings, a blocked region — so
+// template, live snapshot with a clone, rings, a grant, a blocked
+// region — so
 // the checker's happy paths are exercised by the monitor's own test
 // package, not only by the external model checker.
 func TestCheckInvariantsThroughLifecycle(t *testing.T) {
@@ -40,6 +41,15 @@ func TestCheckInvariantsThroughLifecycle(t *testing.T) {
 		t.Fatalf("ring create: %v", st)
 	}
 	check("ring attached")
+
+	grant := f.metaPage(8)
+	if st := f.call(api.CallBulkGrant, grant, f.m.DRAM.Base(2), 2, api.DomainOS, clone); st != api.OK {
+		t.Fatalf("bulk grant: %v", st)
+	}
+	check("grant live")
+	if st := f.call(api.CallBulkRevoke, grant); st != api.OK {
+		t.Fatalf("bulk revoke: %v", st)
+	}
 
 	if st := f.BlockRegion(7); st != api.OK {
 		t.Fatalf("block: %v", st)
@@ -85,13 +95,30 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("clean: %v", st)
 	}
 
-	// A metadata page with no owning object: a leak.
-	f.mon.metaPages[0xBAD000] = true
+	// An object registered on a page outside SM memory: a forged id.
+	f.mon.objects[0xBAD000] = &Thread{ID: 0xBAD000}
 	err = f.mon.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "leak or orphan") {
-		t.Fatalf("orphaned metadata page not caught: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "not in SM-owned memory") {
+		t.Fatalf("object outside SM memory not caught: %v", err)
 	}
-	delete(f.mon.metaPages, 0xBAD000)
+	delete(f.mon.objects, 0xBAD000)
+
+	// A grant whose in-flight count disagrees with the descriptors its
+	// rings hold: a revoke would be refused forever, or allowed early.
+	ring, grant := f.metaPage(12), f.metaPage(13)
+	if st := f.call(api.CallRingCreate, ring, api.DomainOS, api.DomainOS, 8); st != api.OK {
+		t.Fatalf("ring create: %v", st)
+	}
+	if st := f.call(api.CallBulkGrant, grant, f.m.DRAM.Base(2), 1, api.DomainOS, api.DomainOS); st != api.OK {
+		t.Fatalf("bulk grant: %v", st)
+	}
+	g, _ := get[*Grant](f.mon, grant)
+	g.inflight.Add(1)
+	err = f.mon.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "in flight") {
+		t.Fatalf("skewed in-flight count not caught: %v", err)
+	}
+	g.inflight.Add(-1)
 
 	if err := f.mon.CheckInvariants(); err != nil {
 		t.Fatalf("state not restored: %v", err)
@@ -146,7 +173,7 @@ func TestLockFaultHookForcesRetry(t *testing.T) {
 	}
 
 	kinds := []LockKind{LockEnclave, LockThread, LockSnapshot, LockRing,
-		LockRegion, LockCoreSlot, LockCore, LockKind(250)}
+		LockGrant, LockRegion, LockCoreSlot, LockCore, LockKind(250)}
 	names := map[string]bool{}
 	for _, k := range kinds {
 		names[k.String()] = true

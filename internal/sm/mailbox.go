@@ -40,23 +40,24 @@ type Mailbox struct {
 	Msg            [api.MailboxSize]byte
 }
 
-// acceptMail arms mailbox idx to receive from expectedSender
+// acceptMail arms mailbox a0 to receive from the sender a1
 // (accept_mail by the recipient enclave, Fig 5).
-func (mon *Monitor) acceptMail(e *Enclave, idx int, expectedSender uint64) api.Error {
+func (mon *Monitor) acceptMail(req api.Request, ctx *callContext) api.Response {
+	e, idx := ctx.enclave, indexArg(req.Args[0])
 	if idx < 0 || idx >= len(e.Mailboxes) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer e.mu.Unlock()
 	mb := &e.Mailboxes[idx]
 	if mb.State == MailboxFull {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	mb.State = MailboxExpecting
-	mb.ExpectedSender = expectedSender
-	return api.OK
+	mb.ExpectedSender = req.Args[1]
+	return ok()
 }
 
 // deliverMail places a message in the recipient's mailbox if the
@@ -67,7 +68,7 @@ func (mon *Monitor) deliverMail(senderID uint64, senderMeas [32]byte, recipientE
 	if len(msg) != api.MailboxSize {
 		return api.ErrInvalidValue
 	}
-	rec, st := mon.lookupEnclave(recipientEID)
+	rec, st := lookup[*Enclave](mon, LockEnclave, recipientEID)
 	if st != api.OK {
 		return st
 	}
@@ -89,26 +90,29 @@ func (mon *Monitor) deliverMail(senderID uint64, senderMeas [32]byte, recipientE
 	return api.ErrInvalidState
 }
 
-// getMail drains mailbox idx (get_mail by the recipient, Fig 5),
-// returning the message and the monitor-attested sender measurement.
-func (mon *Monitor) getMail(e *Enclave, idx int) ([]byte, [32]byte, api.Error) {
-	var zero [32]byte
+// getMail drains mailbox a0 (get_mail by the recipient, Fig 5) and
+// writes the monitor-attested sender measurement followed by the
+// message to the enclave's buffer at a1. The copy-out runs after the
+// enclave lock is released (writing into a clone may resolve a COW
+// alias, which takes that lock); the mailbox is drained either way.
+func (mon *Monitor) getMail(req api.Request, ctx *callContext) api.Response {
+	e, idx := ctx.enclave, indexArg(req.Args[0])
 	if idx < 0 || idx >= len(e.Mailboxes) {
-		return nil, zero, api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return nil, zero, api.ErrRetry
+		return fail(api.ErrRetry)
 	}
-	defer e.mu.Unlock()
 	mb := &e.Mailboxes[idx]
 	if mb.State != MailboxFull {
-		return nil, zero, api.ErrInvalidState
+		e.mu.Unlock()
+		return fail(api.ErrInvalidState)
 	}
-	msg := append([]byte(nil), mb.Msg[:]...)
-	meas := mb.SenderMeas
-	mb.State = MailboxEmpty
-	mb.ExpectedSender = 0
-	mb.SenderMeas = zero
-	mb.Msg = [api.MailboxSize]byte{}
-	return msg, meas, api.OK
+	out := append(append([]byte(nil), mb.SenderMeas[:]...), mb.Msg[:]...)
+	*mb = Mailbox{}
+	e.mu.Unlock()
+	if !mon.writeEnclave(e, req.Args[1], out) {
+		return fail(api.ErrInvalidValue)
+	}
+	return ok()
 }

@@ -20,14 +20,16 @@
 // The monitor is built for many harts calling it at once. There is no
 // global monitor lock; instead:
 //
-//   - Every object — enclave, thread, DRAM region, core slot — carries
-//     its own transaction lock, acquired with TryLock. A call that
-//     cannot take a lock fails with api.ErrRetry ("the SM fails
-//     transactions in case of a concurrent operation") without having
-//     changed any state; callers retry.
-//   - The object maps and the metadata-page set sit behind objMu, a
+//   - Every object — enclave, thread, snapshot, ring, grant, DRAM
+//     region, core slot — carries its own transaction lock, acquired
+//     with TryLock. A call that cannot take a lock fails with
+//     api.ErrRetry ("the SM fails transactions in case of a concurrent
+//     operation") without having changed any state; callers retry.
+//   - The object registry — one map from metadata page to enclave,
+//     thread, snapshot, ring or grant — sits behind objMu, a
 //     reader/writer lock held only for map operations, never while
-//     waiting for another hart.
+//     waiting for another hart. One generic lookup fetches an object,
+//     TryLocks it and re-checks its dead flag.
 //   - The OS-owned region set is a single atomic bitmap (osBitmap),
 //     updated by whichever transaction moves a region and read without
 //     locks by the DMA policy and ownership checks.
@@ -115,20 +117,15 @@ type Monitor struct {
 	// monitor pays one nil check per dispatch.
 	tele *monTelemetry
 
-	// objMu guards the object maps and the metadata bookkeeping; it is
+	// objMu guards the object registry and the metadata regions; it is
 	// held only across map reads/writes. The objects themselves carry
-	// their own transaction locks (per-enclave, per-thread, per-region,
+	// their own transaction locks (per-object header, per-region,
 	// per-core-slot), taken with TryLock so transactions fail with
 	// ErrRetry instead of blocking (§V-A).
-	objMu     sync.RWMutex
-	metaRgn   map[int]bool    // SM regions usable for metadata
-	metaPages map[uint64]bool // allocated metadata pages, by phys addr
-	enclaves  map[uint64]*Enclave
-	threads   map[uint64]*Thread
-	snapshots map[uint64]*Snapshot
-	rings     map[uint64]*Ring
-	grants    map[uint64]*Grant
-	pairSeq   uint64 // ring and grant creation order (under objMu)
+	objMu   sync.RWMutex
+	metaRgn map[int]bool      // SM regions usable for metadata
+	objects map[uint64]object // every live object, by its metadata page
+	pairSeq uint64            // ring and grant creation order (under objMu)
 
 	regions []regionMeta
 	cores   []coreSlot
@@ -194,12 +191,7 @@ func New(cfg Config) (*Monitor, error) {
 		signingMeasurement: cfg.SigningEnclave,
 		regions:            make([]regionMeta, cfg.Machine.DRAM.RegionCount),
 		metaRgn:            make(map[int]bool),
-		metaPages:          make(map[uint64]bool),
-		enclaves:           make(map[uint64]*Enclave),
-		threads:            make(map[uint64]*Thread),
-		snapshots:          make(map[uint64]*Snapshot),
-		rings:              make(map[uint64]*Ring),
-		grants:             make(map[uint64]*Grant),
+		objects:            make(map[uint64]object),
 		cores:              make([]coreSlot, len(cfg.Machine.Cores)),
 	}
 	for i := range mon.regions {
@@ -289,27 +281,78 @@ func (mon *Monitor) refreshViews() {
 	}
 }
 
-// inMetaRegion returns whether pa lies inside an SM metadata region.
-// Caller holds objMu.
-func (mon *Monitor) inMetaRegion(pa uint64) bool {
+// objHeader is what every monitor object — enclave, thread, snapshot,
+// ring, grant — embeds: its §V-A transaction lock, taken with TryLock,
+// and its dead flag. Unregistering sets dead under the lock, and every
+// lookup re-checks it (a grant's revoke also sets it transiently, see
+// bulk.go). An object's id is its metadata page: a page inside an
+// SM-owned metadata region (§V-C), which makes ids unforgeable names
+// for SM-private state.
+type objHeader struct {
+	mu   sync.Mutex
+	dead atomic.Bool
+}
+
+func (h *objHeader) hdr() *objHeader { return h }
+
+// object is an entry of the registry.
+type object interface{ hdr() *objHeader }
+
+// metaPageFree reports whether pa can name a new object: page-aligned,
+// inside a metadata region, and unused. Caller holds objMu.
+func (mon *Monitor) metaPageFree(pa uint64) bool {
 	r := mon.machine.DRAM.RegionOf(pa)
-	return r >= 0 && mon.metaRgn[r]
+	return pa&mem.PageMask == 0 && r >= 0 && mon.metaRgn[r] && mon.objects[pa] == nil
 }
 
-// allocMetaPage claims the metadata page at pa (page-aligned, inside a
-// metadata region, unused). Caller holds objMu for writing.
-func (mon *Monitor) allocMetaPage(pa uint64) api.Error {
-	if pa&mem.PageMask != 0 || !mon.inMetaRegion(pa) {
-		return api.ErrInvalidValue
+// register enters o under id, claiming the metadata page; false when
+// the page cannot name a new object. Caller holds objMu for writing.
+func (mon *Monitor) register(id uint64, o object) bool {
+	if !mon.metaPageFree(id) {
+		return false
 	}
-	if mon.metaPages[pa] {
-		return api.ErrInvalidValue
-	}
-	mon.metaPages[pa] = true
-	return api.OK
+	mon.objects[id] = o
+	return true
 }
 
-func (mon *Monitor) freeMetaPage(pa uint64) {
-	delete(mon.metaPages, pa)
-	mon.machine.Mem.ZeroPage(pa)
+// unregister marks the object dead, frees its metadata page and zeroes
+// it. Caller holds objMu for writing and the object's lock.
+func (mon *Monitor) unregister(id uint64) {
+	mon.objects[id].hdr().dead.Store(true)
+	delete(mon.objects, id)
+	mon.machine.Mem.ZeroPage(id)
+}
+
+// get fetches the object of type T named id without locking it: false
+// for an unknown id or one naming another kind.
+func get[T object](mon *Monitor, id uint64) (T, bool) {
+	mon.objMu.RLock()
+	o, found := mon.objects[id].(T)
+	mon.objMu.RUnlock()
+	return o, found
+}
+
+// lookup fetches the object of type T named id and takes its
+// transaction lock with the given lock class: an unknown id is
+// ErrInvalidValue and contention ErrRetry (§V-A). The dead re-check
+// closes the lookup/free race: a hart that fetched the pointer before
+// a concurrent delete unregistered it must not operate on the orphaned
+// object — a ring could attach to a deleted enclave and survive into a
+// recreated one under the same eid, and a clone could fork from a
+// released snapshot whose thawed pages are writable again.
+func lookup[T object](mon *Monitor, kind LockKind, id uint64) (T, api.Error) {
+	o, found := get[T](mon, id)
+	var none T
+	if !found {
+		return none, api.ErrInvalidValue
+	}
+	h := o.hdr()
+	if !mon.tryLock(&h.mu, kind, id) {
+		return none, api.ErrRetry
+	}
+	if h.dead.Load() {
+		h.mu.Unlock()
+		return none, api.ErrInvalidValue
+	}
+	return o, api.OK
 }

@@ -30,31 +30,34 @@ type regionMeta struct {
 	owner uint64 // DomainOS, DomainSM, or eid
 }
 
-// regionInfo reports a region's state and owner (CallRegionInfo).
-func (mon *Monitor) regionInfo(r int) (RegionState, uint64, api.Error) {
+// regionInfo reports region a0's state and owner (CallRegionInfo).
+func (mon *Monitor) regionInfo(req api.Request, _ *callContext) api.Response {
+	r := indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
-		return 0, 0, api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	rm := &mon.regions[r]
 	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return 0, 0, api.ErrRetry
+		return fail(api.ErrRetry)
 	}
-	defer rm.mu.Unlock()
-	return rm.state, rm.owner, api.OK
+	resp := api.Response{Status: api.OK, Values: [2]uint64{uint64(rm.state), rm.owner}}
+	rm.mu.Unlock()
+	return resp
 }
 
-// grantRegion re-allocates an available region to a new owner, or — for
-// a loading enclave or the SM — transfers it directly. Called by the
-// untrusted OS (grant(resource, new_owner) in Fig 2, CallGrantRegion).
-// Granting to the SM turns the region into a metadata region (§V-B:
-// metadata must wholly reside in SM-owned memory).
-func (mon *Monitor) grantRegion(r int, newOwner uint64) api.Error {
+// grantRegion re-allocates an available region a0 to a new owner a1,
+// or — for a loading enclave or the SM — transfers it directly. Called
+// by the untrusted OS (grant(resource, new_owner) in Fig 2,
+// CallGrantRegion). Granting to the SM turns the region into a metadata
+// region (§V-B: metadata must wholly reside in SM-owned memory).
+func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
+	r, newOwner := indexArg(req.Args[0]), req.Args[1]
 	if r < 0 || r >= len(mon.regions) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	rm := &mon.regions[r]
 	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer rm.mu.Unlock()
 
@@ -64,10 +67,10 @@ func (mon *Monitor) grantRegion(r int, newOwner uint64) api.Error {
 	case RegionAvailable:
 	case RegionOwned:
 		if rm.owner != api.DomainOS {
-			return api.ErrUnauthorized
+			return fail(api.ErrUnauthorized)
 		}
 	default:
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 
 	switch newOwner {
@@ -81,14 +84,12 @@ func (mon *Monitor) grantRegion(r int, newOwner uint64) api.Error {
 		mon.metaRgn[r] = true
 		mon.objMu.Unlock()
 	default:
-		mon.objMu.RLock()
-		e := mon.enclaves[newOwner]
-		mon.objMu.RUnlock()
-		if e == nil {
-			return api.ErrInvalidValue
+		e, found := get[*Enclave](mon, newOwner)
+		if !found {
+			return fail(api.ErrInvalidValue)
 		}
 		if !mon.tryLock(&e.mu, LockEnclave, newOwner) {
-			return api.ErrRetry
+			return fail(api.ErrRetry)
 		}
 		defer e.mu.Unlock()
 		switch e.State {
@@ -97,7 +98,7 @@ func (mon *Monitor) grantRegion(r int, newOwner uint64) api.Error {
 			// precede any page loads so the ascending-page invariant
 			// can be established over the final region set.
 			if e.pagesFrozen {
-				return api.ErrInvalidState
+				return fail(api.ErrInvalidState)
 			}
 			rm.state, rm.owner = RegionOwned, newOwner
 			e.Regions = e.Regions.Set(r)
@@ -105,86 +106,83 @@ func (mon *Monitor) grantRegion(r int, newOwner uint64) api.Error {
 			// Running enclaves must accept offered resources (Fig 2).
 			rm.state, rm.owner = RegionPending, newOwner
 		default:
-			return api.ErrInvalidState
+			return fail(api.ErrInvalidState)
 		}
 		mon.setOSOwned(r, false)
 	}
 
 	mon.refreshViews()
-	return api.OK
+	return ok()
 }
 
-// blockRegionAs relinquishes a region on behalf of its owner
-// (block(resource) in Fig 2, CallBlockRegion): the OS from a host-side
-// Request, an enclave from its trap context.
-func (mon *Monitor) blockRegionAs(owner uint64, r int) api.Error {
+// blockRegion relinquishes region a0 on behalf of its owner, the
+// caller (block(resource) in Fig 2, CallBlockRegion): the OS from a
+// host-side Request, an enclave from its trap context.
+func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response {
+	r := indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	rm := &mon.regions[r]
 	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer rm.mu.Unlock()
 	// Take every lock the transaction needs before mutating anything,
 	// so a contention failure leaves no state half-changed.
 	var e *Enclave
-	if owner != api.DomainOS && owner != api.DomainSM {
-		mon.objMu.RLock()
-		e = mon.enclaves[owner]
-		mon.objMu.RUnlock()
-		if e != nil {
-			if !mon.tryLock(&e.mu, LockEnclave, owner) {
-				return api.ErrRetry
-			}
-			defer e.mu.Unlock()
+	if ctx != nil {
+		e = ctx.enclave
+		if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
+			return fail(api.ErrRetry)
 		}
+		defer e.mu.Unlock()
 	}
 	if rm.state != RegionOwned {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	if rm.owner != owner {
-		return api.ErrUnauthorized
+	if rm.owner != ctx.domain() {
+		return fail(api.ErrUnauthorized)
 	}
 	if e != nil && e.snap != nil {
 		// A frozen template's regions hold pages clones alias; they
 		// cannot leave the template until the snapshot is released.
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	// Ownership reverts to the OS pool immediately: nothing reads the
 	// old owner once the state is Blocked (clean_region resets it
 	// anyway), and leaving it would let a region name an enclave that
 	// has since been deleted.
 	rm.state, rm.owner = RegionBlocked, api.DomainOS
-	if owner == api.DomainOS {
+	if e == nil {
 		mon.setOSOwned(r, false)
-	}
-	if e != nil {
+	} else {
 		e.Regions = e.Regions.Clear(r)
 	}
 
 	mon.refreshViews()
-	return api.OK
+	return ok()
 }
 
-// cleanRegion scrubs a blocked region and makes it available
+// cleanRegion scrubs the blocked region a0 and makes it available
 // (clean(resource) by the OS in Fig 2, CallCleanRegion). The monitor
 // zeroes the region, flushes its cache footprint, and shoots down TLB
 // entries on every core — the cross-core work travels as
 // inter-processor mailbox requests that running harts acknowledge at
 // instruction boundaries — before the region can reach a new protection
 // domain. OS (no-hart) context only.
-func (mon *Monitor) cleanRegion(r int) api.Error {
+func (mon *Monitor) cleanRegion(req api.Request, _ *callContext) api.Response {
+	r := indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	rm := &mon.regions[r]
 	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer rm.mu.Unlock()
 	if rm.state != RegionBlocked {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	// Defense in depth for the snapshot subsystem: a region whose pages
 	// still carry alias references (frozen snapshot pages with live
@@ -192,39 +190,40 @@ func (mon *Monitor) cleanRegion(r int) api.Error {
 	// prevent reaching here, but the refcount is the ground truth.
 	layout := mon.machine.DRAM
 	if mon.machine.Mem.RangeHasRefs(layout.Base(r), layout.RegionSize()) {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if err := mon.plat.CleanRegion(mon.machine, r); err != nil {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	mon.plat.ShootdownRegion(mon.machine, r)
 	rm.state, rm.owner = RegionAvailable, api.DomainOS
 
 	mon.refreshViews()
-	return api.OK
+	return ok()
 }
 
-// acceptRegion completes a pending grant (accept_resource by the
-// enclave, Fig 2).
-func (mon *Monitor) acceptRegion(e *Enclave, r int) api.Error {
+// acceptRegion completes a pending grant of region a0 (accept_resource
+// by the enclave, Fig 2).
+func (mon *Monitor) acceptRegion(req api.Request, ctx *callContext) api.Response {
+	e, r := ctx.enclave, indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	rm := &mon.regions[r]
 	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer rm.mu.Unlock()
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer e.mu.Unlock()
 	if rm.state != RegionPending || rm.owner != e.ID {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	rm.state = RegionOwned
 	e.Regions = e.Regions.Set(r)
 
 	mon.refreshViews()
-	return api.OK
+	return ok()
 }

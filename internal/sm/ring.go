@@ -27,7 +27,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"slices"
-	"sync"
 
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/sm/api"
@@ -57,13 +56,11 @@ func (p *endpoints) distinct() []uint64 {
 	return []uint64{p.Producer, p.Consumer}
 }
 
-// Ring is the monitor's metadata for one mailbox ring. The mutex is
-// the ring's §V-A transaction lock, taken with TryLock; contended
-// calls fail with ErrRetry having changed nothing.
+// Ring is the monitor's metadata for one mailbox ring. Contended calls
+// fail with ErrRetry having changed nothing.
 type Ring struct {
-	mu sync.Mutex
+	objHeader
 	endpoints
-	dead bool // set by destroy under mu; a racing lookup re-checks
 
 	slots []ringMsg
 	head  int // oldest undelivered message
@@ -117,29 +114,6 @@ func (mon *Monitor) unlockAndWake(r *Ring, from int) bool {
 	return true
 }
 
-// lookupRing fetches and transaction-locks a ring; contention fails
-// the transaction with ErrRetry (§V-A). The dead re-check closes the
-// lookup/destroy race: a hart that fetched the pointer before a
-// concurrent destroy removed it must not operate on the orphaned
-// object (messages would vanish, and a recreated ring under the same
-// id would split into two objects).
-func (mon *Monitor) lookupRing(id uint64) (*Ring, api.Error) {
-	mon.objMu.RLock()
-	r := mon.rings[id]
-	mon.objMu.RUnlock()
-	if r == nil {
-		return nil, api.ErrInvalidValue
-	}
-	if !mon.tryLock(&r.mu, LockRing, id) {
-		return nil, api.ErrRetry
-	}
-	if r.dead {
-		r.mu.Unlock()
-		return nil, api.ErrInvalidValue
-	}
-	return r, api.OK
-}
-
 // SetWakeSink registers the untrusted OS's wake notification handler.
 // When a send (or explicit wake, or destroy) finds a parked consumer,
 // the monitor posts a request through a core's IPI mailbox whose body
@@ -171,35 +145,35 @@ func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
 	mon.machine.RunOn(0, from, func(*machine.Core) { sink(ringID, eid, tid) })
 }
 
-// lockEndpoints registers a new ring or grant: it claims id — a free
-// page inside an SM metadata region, like every other monitor object
-// id — and publishes the object through add, under objMu, while every
-// enclave endpoint is held under its transaction lock. Paired with
-// deleteEnclave's endpoint guard, this excludes the race where an
-// object attaches to an enclave mid-deletion and survives it: either
-// the create sees the enclave and the delete then refuses, or the
-// delete wins and the create fails (retry or unknown id).
-func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, add func(p endpoints)) api.Error {
+// lockEndpoints registers a new ring or grant: under objMu, it claims
+// id — a free metadata page, like every other monitor object id — and
+// registers the object build returns, while every enclave endpoint is
+// held under its transaction lock. Paired with deleteEnclave's
+// endpoint guard, this excludes the race where an object attaches to an
+// enclave mid-deletion and survives it: either the create sees the
+// enclave and the delete then refuses, or the delete wins and the
+// create fails (retry or unknown id).
+func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, build func(p endpoints) object) api.Response {
 	p := endpoints{ID: id, Producer: producer, Consumer: consumer}
 	for _, who := range p.distinct() {
 		if who == api.DomainOS {
 			continue
 		}
-		e, st := mon.lookupEnclave(who)
+		e, st := lookup[*Enclave](mon, LockEnclave, who)
 		if st != api.OK {
-			return st
+			return fail(st)
 		}
 		defer e.mu.Unlock()
 	}
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
-	if st := mon.allocMetaPage(id); st != api.OK {
-		return st
+	if !mon.metaPageFree(id) {
+		return fail(api.ErrInvalidValue)
 	}
 	mon.pairSeq++
 	p.seq = mon.pairSeq
-	add(p)
-	return api.OK
+	mon.objects[id] = build(p)
+	return ok()
 }
 
 // directory serves FieldEnclaveRings and, with grants set,
@@ -221,13 +195,16 @@ func (mon *Monitor) directory(eid uint64, grants bool) []byte {
 		}
 	}
 	mon.objMu.RLock()
-	if grants {
-		for _, g := range mon.grants {
-			add(g.endpoints, g.bytes())
-		}
-	} else {
-		for _, r := range mon.rings {
-			add(r.endpoints, 0)
+	for _, o := range mon.objects {
+		switch o := o.(type) {
+		case *Grant:
+			if grants {
+				add(o.endpoints, o.bytes())
+			}
+		case *Ring:
+			if !grants {
+				add(o.endpoints, 0)
+			}
 		}
 	}
 	mon.objMu.RUnlock()
@@ -243,31 +220,33 @@ func (mon *Monitor) directory(eid uint64, grants bool) []byte {
 	return out
 }
 
-// ringCreate implements CallRingCreate (OS-domain): register a ring
-// between a fixed producer and consumer. Endpoints are DomainOS or
-// existing enclaves; the reserved SM identity is refused.
-func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.Error {
+// ringCreate implements CallRingCreate (OS-domain): register ring a0
+// of capacity a3 between a fixed producer a1 and consumer a2. Endpoints
+// are DomainOS or existing enclaves; the reserved SM identity is
+// refused.
+func (mon *Monitor) ringCreate(req api.Request, _ *callContext) api.Response {
+	capacity := req.Args[3]
 	if capacity == 0 || capacity > api.RingMaxCapacity {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
-	return mon.lockEndpoints(ringID, producer, consumer, func(p endpoints) {
-		mon.rings[ringID] = &Ring{endpoints: p, slots: make([]ringMsg, capacity),
+	return mon.lockEndpoints(req.Args[0], req.Args[1], req.Args[2], func(p endpoints) object {
+		return &Ring{endpoints: p, slots: make([]ringMsg, capacity),
 			records: make([]byte, api.RingMaxBatch*api.RingRecordSize)}
 	})
 }
 
-// ringDestroy implements CallRingDestroy (OS-domain): unregister the
-// ring, free its id, and wake any parked consumer — whose re-executed
+// ringDestroy implements CallRingDestroy (OS-domain): unregister ring
+// a0, free its id, and wake any parked consumer — whose re-executed
 // park then fails with ErrInvalidValue, the consumer's shutdown
 // signal. Undelivered messages are dropped (the ring is monitor
 // memory; nothing leaks to any untrusted domain).
-func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
-	r, st := mon.lookupRing(ringID)
+func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
+	ringID := req.Args[0]
+	r, st := lookup[*Ring](mon, LockRing, ringID)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	weid, wtid := r.waiterEID, r.waiterTID
-	r.dead = true
 	queued := r.count
 	// Undelivered scatter-gather descriptors die with the ring; their
 	// in-flight pins on the grants must die too, or the grants could
@@ -280,10 +259,9 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 		}
 	}
 	mon.objMu.Lock()
-	delete(mon.rings, ringID)
-	mon.freeMetaPage(ringID)
+	mon.unregister(ringID)
 	for gid, c := range sgQueued {
-		if g := mon.grants[gid]; g != nil {
+		if g, found := mon.objects[gid].(*Grant); found {
 			g.inflight.Add(-c)
 		}
 	}
@@ -297,7 +275,7 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 	if wtid != 0 {
 		mon.postWake(machine.NoHart, ringID, weid, wtid)
 	}
-	return api.OK
+	return ok()
 }
 
 // ringEnqueue appends the staged messages msgs (RingMsgSize bytes
@@ -306,7 +284,7 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 // stamp; grant is zero for plain messages and the grant id for
 // scatter-gather descriptors (bulk.go). Returns the count enqueued.
 func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, msgs []byte) (int, api.Error) {
-	r, st := mon.lookupRing(ringID)
+	r, st := lookup[*Ring](mon, LockRing, ringID)
 	if st != api.OK {
 		return 0, st
 	}
@@ -343,16 +321,31 @@ func batchLen(count uint64) (int, bool) {
 	return int(count), true
 }
 
-// ringSend is the one send path of both domains: mailbox_ring_send
-// with g nil, bulk_send with the grant a3 names. The caller's messages
-// are staged before the ring transaction (reading has no side effects,
-// so a contended ring still means no state changed). A bulk sender
-// must be a grant endpoint as well as the ring's producer, every
-// message must parse as a descriptor list inside the grant before any
-// is published — a bad descriptor in message k must not leave messages
+// callGrant is the grant a3 names for bulk_send and bulk_recv — nil
+// for the plain ring calls — and false when a bulk call names none. The
+// send/recv paths do not lock it; they synchronize through its dead and
+// inflight atomics (bulk.go).
+func (mon *Monitor) callGrant(req api.Request) (*Grant, bool) {
+	if req.Call != api.CallBulkSend && req.Call != api.CallBulkRecv {
+		return nil, true
+	}
+	return get[*Grant](mon, req.Args[3])
+}
+
+// ringSend is the one send path of both domains: mailbox_ring_send,
+// and bulk_send with the grant a3 names. The caller's messages are
+// staged before the ring transaction (reading has no side effects, so
+// a contended ring still means no state changed). A bulk sender must
+// be a grant endpoint as well as the ring's producer, every message
+// must parse as a descriptor list inside the grant before any is
+// published — a bad descriptor in message k must not leave messages
 // 0..k-1 queued — and the queued descriptors count in flight on the
 // grant until received.
-func (mon *Monitor) ringSend(req api.Request, ctx *callContext, g *Grant) api.Response {
+func (mon *Monitor) ringSend(req api.Request, ctx *callContext) api.Response {
+	g, found := mon.callGrant(req)
+	if !found {
+		return fail(api.ErrInvalidValue)
+	}
 	n, okCount := batchLen(req.Args[2])
 	if !okCount {
 		return fail(api.ErrInvalidValue)
@@ -411,8 +404,8 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext, g *Grant) api.Re
 	return ok(uint64(sent))
 }
 
-// ringRecv is the one receive path of both domains: mailbox_ring_recv
-// with g nil, bulk_recv with the grant a3 names. It drains the run of
+// ringRecv is the one receive path of both domains: mailbox_ring_recv,
+// and bulk_recv with the grant a3 names. It drains the run of
 // messages at the ring head stamped with the grant (plain messages for
 // a plain recv): a plain recv refuses a descriptor head, because only
 // bulk_recv knows the grant and releases the in-flight pins — a plain
@@ -420,7 +413,11 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext, g *Grant) api.Re
 // are written while the ring transaction holds the lock and popped
 // only after the copy-out succeeded, so a recv into an invalid buffer
 // consumes nothing.
-func (mon *Monitor) ringRecv(req api.Request, ctx *callContext, g *Grant) api.Response {
+func (mon *Monitor) ringRecv(req api.Request, ctx *callContext) api.Response {
+	g, found := mon.callGrant(req)
+	if !found {
+		return fail(api.ErrInvalidValue)
+	}
 	max, okCount := batchLen(req.Args[2])
 	if !okCount {
 		return fail(api.ErrInvalidValue)
@@ -433,7 +430,7 @@ func (mon *Monitor) ringRecv(req api.Request, ctx *callContext, g *Grant) api.Re
 		}
 		gid = g.ID
 	}
-	r, st := mon.lookupRing(req.Args[0])
+	r, st := lookup[*Ring](mon, LockRing, req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}
@@ -478,7 +475,7 @@ func (mon *Monitor) ringRecv(req api.Request, ctx *callContext, g *Grant) api.Re
 	return ok(uint64(n))
 }
 
-// hRingPark implements thread_park (enclave trap context only). A
+// ringPark implements thread_park (enclave trap context only). A
 // non-empty ring returns immediately; an empty one registers the
 // thread as the ring's waiter and performs an AEX-style exit whose
 // saved context re-executes this ECALL on resume — so a woken thread
@@ -486,8 +483,8 @@ func (mon *Monitor) ringRecv(req api.Request, ctx *callContext, g *Grant) api.Re
 // again. The ring lock is released before stopThread's blocking
 // thread/enclave acquisitions, keeping ring locks leaves of the lock
 // order.
-func hRingPark(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	r, st := mon.lookupRing(req.Args[0])
+func (mon *Monitor) ringPark(req api.Request, ctx *callContext) api.Response {
+	r, st := lookup[*Ring](mon, LockRing, req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}
@@ -518,10 +515,10 @@ func hRingPark(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	return ok()
 }
 
-// hRingWake is the dual-domain explicit wake, authorized against the
+// ringWake is the dual-domain explicit wake, authorized against the
 // producer (wake-spoofing by any other domain is refused).
-func hRingWake(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	r, st := mon.lookupRing(req.Args[0])
+func (mon *Monitor) ringWake(req api.Request, ctx *callContext) api.Response {
+	r, st := lookup[*Ring](mon, LockRing, req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}

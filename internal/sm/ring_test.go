@@ -269,9 +269,7 @@ func TestRingBlocksEndpointDeletion(t *testing.T) {
 func TestRingContention(t *testing.T) {
 	f, ringID, stagePA := ringFixture(t, 4)
 	stageMsgs(t, f, stagePA, 1, 0xE0)
-	f.mon.objMu.RLock()
-	r := f.mon.rings[ringID]
-	f.mon.objMu.RUnlock()
+	r, _ := get[*Ring](f.mon, ringID)
 	r.mu.Lock() // the contending transaction
 	defer r.mu.Unlock()
 	before := snapshot(f.mon)

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -91,6 +92,21 @@ func newFixture(t testing.TB) *fixture {
 }
 
 func (f *fixture) metaPage(i int) uint64 { return f.meta + uint64(i)*mem.PageSize }
+
+// enclave fetches a registered enclave for white-box inspection.
+func (f *fixture) enclave(eid uint64) *Enclave {
+	e, _ := get[*Enclave](f.mon, eid)
+	return e
+}
+
+// encCall issues an enclave-domain call as enclave e from a simulated
+// trap context on core 0 — the dispatch path trap.go drives — and
+// returns its status.
+func (f *fixture) encCall(e *Enclave, c api.Call, args ...uint64) api.Error {
+	req := api.OSRequest(c, args...)
+	req.Caller = e.ID
+	return f.mon.dispatch(req, &callContext{core: f.m.Cores[0], enclave: e, thread: &Thread{}}).Status
+}
 
 // enclaveInfo reads an enclave's lifecycle state and measurement from
 // the invariant suite's state capture; found is false for an unknown
@@ -508,14 +524,14 @@ func TestThreadStateMachine(t *testing.T) {
 	eid := f.createLoading(t, 0, 10)
 	f.loadMinimal(t, eid, 1)
 	f.InitEnclave(eid)
-	e := f.mon.enclaves[eid]
+	e := f.enclave(eid)
 
 	tid := f.metaPage(3)
 	if st := f.CreateThread(tid); st != api.OK {
 		t.Fatalf("create thread: %v", st)
 	}
 	// Accept before assign must fail.
-	if st := f.mon.acceptThread(e, tid, testEvBase, 0); st != api.ErrInvalidState {
+	if st := f.encCall(e, api.CallAcceptThread, tid, testEvBase, 0); st != api.ErrInvalidState {
 		t.Fatalf("accept unoffered: %v", st)
 	}
 	if st := f.AssignThread(eid, tid); st != api.OK {
@@ -526,18 +542,18 @@ func TestThreadStateMachine(t *testing.T) {
 		t.Fatalf("double assign: %v", st)
 	}
 	// Enclave accepts with an entry point inside evrange.
-	if st := f.mon.acceptThread(e, tid, testEvBase+0x100, testEvBase+0x900); st != api.OK {
+	if st := f.encCall(e, api.CallAcceptThread, tid, testEvBase+0x100, testEvBase+0x900); st != api.OK {
 		t.Fatalf("accept: %v", st)
 	}
 	// Accepting an entry outside evrange must fail for a fresh offer.
 	tid2 := f.metaPage(4)
 	f.CreateThread(tid2)
 	f.AssignThread(eid, tid2)
-	if st := f.mon.acceptThread(e, tid2, 0x1234000, 0); st != api.ErrInvalidValue {
+	if st := f.encCall(e, api.CallAcceptThread, tid2, 0x1234000, 0); st != api.ErrInvalidValue {
 		t.Fatalf("accept with foreign entry: %v", st)
 	}
 	// Release and delete.
-	if st := f.mon.releaseThread(e, tid); st != api.OK {
+	if st := f.encCall(e, api.CallReleaseThread, tid); st != api.OK {
 		t.Fatalf("release: %v", st)
 	}
 	if st := f.DeleteThread(tid); st != api.OK {
@@ -609,13 +625,29 @@ func TestMailboxStateMachine(t *testing.T) {
 	f := newFixture(t)
 	eidA := f.createLoading(t, 0, 10)
 	f.loadMinimal(t, eidA, 1)
+	// A's inbox: a writable page get_mail copies out to.
+	inbox := testEvBase + mem.PageSize
+	if st := f.LoadPage(eidA, inbox, 0x1000, pt.R|pt.W); st != api.OK {
+		t.Fatalf("load inbox page: %v", st)
+	}
 	f.InitEnclave(eidA)
-	a := f.mon.enclaves[eidA]
+	a := f.enclave(eidA)
 
 	eidB := f.createLoading(t, 2, 11)
 	f.loadMinimal(t, eidB, 3)
 	f.InitEnclave(eidB)
-	b := f.mon.enclaves[eidB]
+	b := f.enclave(eidB)
+
+	// getMail drains mailbox idx into the inbox and returns the stamped
+	// sender measurement and the message.
+	getMail := func(idx uint64) ([32]byte, []byte, api.Error) {
+		st := f.encCall(a, api.CallGetMail, idx, inbox)
+		out := make([]byte, 32+api.MailboxSize)
+		if !f.mon.readEnclave(a, inbox, out) {
+			t.Fatal("inbox unreadable")
+		}
+		return [32]byte(out[:32]), out[32:], st
+	}
 
 	msg := make([]byte, api.MailboxSize)
 	copy(msg, "hello from B")
@@ -625,20 +657,20 @@ func TestMailboxStateMachine(t *testing.T) {
 		t.Fatalf("unsolicited send: %v", st)
 	}
 	// Accept from the wrong sender does not help.
-	if st := f.mon.acceptMail(a, 0, 0xDEAD000); st != api.OK {
+	if st := f.encCall(a, api.CallAcceptMail, 0, 0xDEAD000); st != api.OK {
 		t.Fatalf("accept: %v", st)
 	}
 	if st := f.mon.deliverMail(eidB, b.Measurement, eidA, msg); st != api.ErrInvalidState {
 		t.Fatalf("send to mismatched accept: %v", st)
 	}
 	// Proper accept/send/get round trip.
-	if st := f.mon.acceptMail(a, 1, eidB); st != api.OK {
+	if st := f.encCall(a, api.CallAcceptMail, 1, eidB); st != api.OK {
 		t.Fatalf("accept: %v", st)
 	}
 	if st := f.mon.deliverMail(eidB, b.Measurement, eidA, msg); st != api.OK {
 		t.Fatalf("send: %v", st)
 	}
-	got, senderMeas, st := f.mon.getMail(a, 1)
+	senderMeas, got, st := getMail(1)
 	if st != api.OK {
 		t.Fatalf("get: %v", st)
 	}
@@ -649,20 +681,19 @@ func TestMailboxStateMachine(t *testing.T) {
 		t.Fatal("sender measurement not stamped by the monitor")
 	}
 	// The mailbox drained back to empty.
-	if _, _, st := f.mon.getMail(a, 1); st != api.ErrInvalidState {
+	if _, _, st := getMail(1); st != api.ErrInvalidState {
 		t.Fatalf("double get: %v", st)
 	}
 	// OS mail carries the zero measurement.
-	f.mon.acceptMail(a, 0, api.DomainOS)
+	f.encCall(a, api.CallAcceptMail, 0, api.DomainOS)
 	ping := []byte("os ping")
 	src := f.m.DRAM.Base(1) // OS-owned
 	f.m.Mem.WriteBytes(src, ping)
 	if st := f.call(api.CallSendMail, eidA, src, uint64(len(ping))); st != api.OK {
 		t.Fatalf("os send: %v", st)
 	}
-	_, senderMeas, _ = f.mon.getMail(a, 0)
-	if senderMeas != ([32]byte{}) {
-		t.Fatal("OS mail forged a measurement")
+	if senderMeas, _, st = getMail(0); st != api.OK || senderMeas != ([32]byte{}) {
+		t.Fatalf("OS mail: %v, measurement %x (want zero)", st, senderMeas)
 	}
 }
 
@@ -671,11 +702,11 @@ func TestMailboxBounds(t *testing.T) {
 	eid := f.createLoading(t, 0, 10)
 	f.loadMinimal(t, eid, 1)
 	f.InitEnclave(eid)
-	e := f.mon.enclaves[eid]
-	if st := f.mon.acceptMail(e, -1, 0); st != api.ErrInvalidValue {
+	e := f.enclave(eid)
+	if st := f.encCall(e, api.CallAcceptMail, ^uint64(0), 0); st != api.ErrInvalidValue {
 		t.Errorf("negative index: %v", st)
 	}
-	if st := f.mon.acceptMail(e, api.MailboxesPerEnclave, 0); st != api.ErrInvalidValue {
+	if st := f.encCall(e, api.CallAcceptMail, api.MailboxesPerEnclave, 0); st != api.ErrInvalidValue {
 		t.Errorf("index past end: %v", st)
 	}
 	if st := f.call(api.CallSendMail, eid, f.m.DRAM.Base(1), api.MailboxSize+1); st != api.ErrInvalidValue {
@@ -717,28 +748,40 @@ func TestAttestSignRestrictedToSigningEnclave(t *testing.T) {
 	f := newFixture(t)
 	eid := f.createLoading(t, 0, 10)
 	f.loadMinimal(t, eid, 1)
+	// A writable page the signature is copied out to.
+	out := testEvBase + mem.PageSize
+	if st := f.LoadPage(eid, out, 0x1000, pt.R|pt.W); st != api.OK {
+		t.Fatalf("load output page: %v", st)
+	}
 	f.InitEnclave(eid)
-	e := f.mon.enclaves[eid]
+	e := f.enclave(eid)
+	sign := func(n uint64) api.Error { return f.encCall(e, api.CallAttestSign, testEvBase, n, out) }
 	// No signing enclave configured in this fixture.
-	if _, st := f.mon.attestSign(e, testEvBase, 32); st != api.ErrNotSupported {
+	if st := sign(32); st != api.ErrNotSupported {
 		t.Fatalf("sign with no config: %v", st)
 	}
 	// Configure some other measurement: still unauthorized.
 	f.mon.signingMeasurement = [32]byte{1, 2, 3}
-	if _, st := f.mon.attestSign(e, testEvBase, 32); st != api.ErrUnauthorized {
+	if st := sign(32); st != api.ErrUnauthorized {
 		t.Fatalf("sign from non-signing enclave: %v", st)
 	}
 	// Authorized, but length bounds still apply.
 	f.mon.signingMeasurement = e.Measurement
-	if _, st := f.mon.attestSign(e, testEvBase, 0); st != api.ErrInvalidValue {
+	if st := sign(0); st != api.ErrInvalidValue {
 		t.Fatalf("zero length: %v", st)
 	}
-	if _, st := f.mon.attestSign(e, testEvBase, maxSignInput+1); st != api.ErrInvalidValue {
+	if st := sign(maxSignInput + 1); st != api.ErrInvalidValue {
 		t.Fatalf("oversized: %v", st)
 	}
-	sig, st := f.mon.attestSign(e, testEvBase, 32)
-	if st != api.OK || len(sig) != 64 {
-		t.Fatalf("sign: %v (%d bytes)", st, len(sig))
+	if st := sign(32); st != api.OK {
+		t.Fatalf("sign: %v", st)
+	}
+	data, sig := make([]byte, 32), make([]byte, ed25519.SignatureSize)
+	if !f.mon.readEnclave(e, testEvBase, data) || !f.mon.readEnclave(e, out, sig) {
+		t.Fatal("enclave memory unreadable")
+	}
+	if !ed25519.Verify(f.mon.Identity().AttestPub, data, sig) {
+		t.Fatal("signature does not verify under the monitor attestation key")
 	}
 }
 

@@ -23,7 +23,6 @@ package sm
 
 import (
 	"sort"
-	"sync"
 
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
@@ -33,12 +32,10 @@ import (
 	"sanctorum/internal/sm/api"
 )
 
-// Snapshot is the monitor's metadata for one frozen template. Like
-// enclaves and threads, its ID is the physical address of a metadata
-// page in SM-owned memory, so snapshot names are unforgeable. The
-// mutex is the snapshot's §V-A transaction lock, taken with TryLock.
+// Snapshot is the monitor's metadata for one frozen template, named
+// like every monitor object by its metadata page.
 type Snapshot struct {
-	mu sync.Mutex
+	objHeader
 
 	ID         uint64
 	TemplateID uint64
@@ -55,30 +52,6 @@ type Snapshot struct {
 	threads []threadTemplate
 
 	clones int
-	dead   bool // set by release under mu; a racing lookup re-checks
-}
-
-// lookupSnapshot fetches and transaction-locks a snapshot; contention
-// fails with ErrRetry (§V-A). The dead re-check closes the lookup/free
-// race: a clone_enclave that fetched the pointer before a concurrent
-// release removed it must not fork from the dissolved snapshot — the
-// template has already thawed, so the "frozen" pages it would alias
-// are writable again, which breaks clone isolation.
-func (mon *Monitor) lookupSnapshot(snapID uint64) (*Snapshot, api.Error) {
-	mon.objMu.RLock()
-	snap := mon.snapshots[snapID]
-	mon.objMu.RUnlock()
-	if snap == nil {
-		return nil, api.ErrInvalidValue
-	}
-	if !mon.tryLock(&snap.mu, LockSnapshot, snapID) {
-		return nil, api.ErrRetry
-	}
-	if snap.dead {
-		snap.mu.Unlock()
-		return nil, api.ErrInvalidValue
-	}
-	return snap, api.OK
 }
 
 // tableSlot records one page-table page of the template in canonical
@@ -110,21 +83,19 @@ type threadTemplate struct {
 }
 
 // snapshotEnclave implements CallSnapshotEnclave: freeze the template
-// and register the snapshot. The template must be initialized, parked
-// (no running threads), and neither already snapshotted nor itself a
-// clone (chained forks would layer alias graphs; the OS can instead
-// build a new template from the clone's spec).
-func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
-	e, st := mon.lookupEnclave(eid)
+// a0 and register the snapshot a1. The template must be initialized,
+// parked (no running threads), and neither already snapshotted nor
+// itself a clone (chained forks would layer alias graphs; the OS can
+// instead build a new template from the clone's spec).
+func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Response {
+	eid, snapID := req.Args[0], req.Args[1]
+	e, st := lookup[*Enclave](mon, LockEnclave, eid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer e.mu.Unlock()
-	if e.State != EnclaveInitialized || e.running > 0 {
-		return api.ErrInvalidState
-	}
-	if e.snap != nil || e.CloneOf != 0 {
-		return api.ErrInvalidState
+	if e.State != EnclaveInitialized || e.running > 0 || e.snap != nil || e.CloneOf != 0 {
+		return fail(api.ErrInvalidState)
 	}
 
 	// Collect thread entry specs first — the only step that can still
@@ -138,7 +109,7 @@ func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
 	for _, tid := range tids {
 		t := e.Threads[tid]
 		if !mon.tryLock(&t.mu, LockThread, tid) {
-			return api.ErrRetry
+			return fail(api.ErrRetry)
 		}
 		if t.State == ThreadAssigned {
 			threads = append(threads, threadTemplate{entryPC: t.EntryPC, entrySP: t.EntrySP})
@@ -146,16 +117,10 @@ func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
 		t.mu.Unlock()
 	}
 
-	// Claim the snapshot's metadata page; this is the commit point —
-	// everything after is infallible reads of the enclave's own tables
-	// plus the freeze itself.
-	mon.objMu.Lock()
-	if st := mon.allocMetaPage(snapID); st != api.OK {
-		mon.objMu.Unlock()
-		return st
-	}
-	mon.objMu.Unlock()
-
+	// Register the snapshot, locked until it is frozen (a racing lookup
+	// fails with ErrRetry); this is the commit point — everything after
+	// is infallible reads of the enclave's own tables plus the freeze
+	// itself.
 	snap := &Snapshot{
 		ID:         snapID,
 		TemplateID: eid,
@@ -165,6 +130,14 @@ func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
 		Regions:    e.Regions,
 		threads:    threads,
 		tables:     canonicalTables(e),
+	}
+	snap.mu.Lock()
+	mon.objMu.Lock()
+	registered := mon.register(snapID, snap)
+	mon.objMu.Unlock()
+	if !registered {
+		snap.mu.Unlock()
+		return fail(api.ErrInvalidValue)
 	}
 
 	if e.cow == nil {
@@ -197,13 +170,11 @@ func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
 		}
 	}
 
-	mon.objMu.Lock()
-	mon.snapshots[snapID] = snap
-	mon.objMu.Unlock()
 	e.snap = snap
 	// Mirror the measurement into the snapshot's metadata page, as the
 	// enclave lifecycle does for its own.
 	mon.machine.Mem.WriteBytes(snapID+8, snap.Meas[:])
+	snap.mu.Unlock()
 
 	// The template last ran before this transaction (running == 0, and
 	// every exit cleans the core), so no writable translations linger;
@@ -212,7 +183,7 @@ func (mon *Monitor) snapshotEnclave(eid, snapID uint64) api.Error {
 	for _, r := range snap.Regions.Regions() {
 		mon.plat.ShootdownRegion(mon.machine, r)
 	}
-	return api.OK
+	return ok()
 }
 
 // canonicalTables lists an enclave's page-table pages in the canonical
@@ -260,60 +231,58 @@ func (mon *Monitor) leafPTEAddr(e *Enclave, va uint64) (uint64, bool) {
 // own memory holds its page tables and future COW copies. The build is
 // O(snapshot tables + mapped pages): no page contents are copied and
 // nothing is hashed; the measurement identity is inherited.
-func (mon *Monitor) cloneEnclave(eid, snapID, tidBase, sharedPA uint64) api.Error {
-	e, st := mon.lookupEnclave(eid)
+func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
+	eid, snapID, tidBase, sharedPA := req.Args[0], req.Args[1], req.Args[2], req.Args[3]
+	e, st := lookup[*Enclave](mon, LockEnclave, eid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer e.mu.Unlock()
 	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if e.pagesFrozen || e.RootPPN != 0 || len(e.mapped) != 0 || len(e.ptPages) != 0 {
-		return api.ErrInvalidState // clone only into an untouched enclave
+		return fail(api.ErrInvalidState) // clone only into an untouched enclave
 	}
 
-	snap, st := mon.lookupSnapshot(snapID)
+	snap, st := lookup[*Snapshot](mon, LockSnapshot, snapID)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer snap.mu.Unlock()
 
 	if e.EvBase != snap.EvBase || e.EvMask != snap.EvMask {
-		return api.ErrInvalidValue // the inherited measurement covers the evrange
+		return fail(api.ErrInvalidValue) // the inherited measurement covers the evrange
 	}
 	if sharedPA != 0 {
 		if len(snap.shared) != 1 || sharedPA&mem.PageMask != 0 ||
 			!mon.osOwnsRange(sharedPA, mem.PageSize) {
-			return api.ErrInvalidValue
+			return fail(api.ErrInvalidValue)
 		}
 	}
 	// Capacity: the clone's own regions must hold every table page.
 	capacity := uint64(e.Regions.Count()) * mon.machine.DRAM.PagesPerRegion()
 	if uint64(len(snap.tables)) > capacity {
-		return api.ErrNoResources
+		return fail(api.ErrNoResources)
 	}
 
 	// Validate every clone thread id before committing any.
 	n := len(snap.threads)
 	if n > 0 && (tidBase == 0 || tidBase&mem.PageMask != 0) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
 	mon.objMu.Lock()
 	for i := 0; i < n; i++ {
-		tid := tidBase + uint64(i)*mem.PageSize
-		if !mon.inMetaRegion(tid) || mon.metaPages[tid] {
+		if !mon.metaPageFree(tidBase + uint64(i)*mem.PageSize) {
 			mon.objMu.Unlock()
-			return api.ErrInvalidValue
+			return fail(api.ErrInvalidValue)
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i, spec := range snap.threads {
 		tid := tidBase + uint64(i)*mem.PageSize
-		mon.allocMetaPage(tid) // cannot fail: validated above under objMu
-		spec := snap.threads[i]
 		t := &Thread{ID: tid, State: ThreadAssigned, Owner: eid,
 			EntryPC: spec.entryPC, EntrySP: spec.entrySP}
-		mon.threads[tid] = t
+		mon.register(tid, t) // cannot fail: validated above under objMu
 		e.Threads[tid] = t
 	}
 	mon.objMu.Unlock()
@@ -326,7 +295,7 @@ func (mon *Monitor) cloneEnclave(eid, snapID, tidBase, sharedPA uint64) api.Erro
 		if !okPage {
 			// Unreachable: capacity was checked against the frozen page
 			// list above.
-			return api.ErrNoResources
+			return fail(api.ErrNoResources)
 		}
 		mon.machine.Mem.ZeroPage(ppn << mem.PageBits)
 		e.ptPages[ptKey{level: ts.level, prefix: ts.prefix}] = ppn
@@ -346,9 +315,9 @@ func (mon *Monitor) cloneEnclave(eid, snapID, tidBase, sharedPA uint64) api.Erro
 		e.cow = make(map[uint64]snapPage)
 	}
 	for _, pg := range snap.pages {
-		pteAddr, ok := mon.leafPTEAddr(e, pg.va)
-		if !ok {
-			return api.ErrInvalidState // unreachable: tables replayed above
+		pteAddr, found := mon.leafPTEAddr(e, pg.va)
+		if !found {
+			return fail(api.ErrInvalidState) // unreachable: tables replayed above
 		}
 		perms := pg.perms
 		if perms&pt.W != 0 {
@@ -366,9 +335,9 @@ func (mon *Monitor) cloneEnclave(eid, snapID, tidBase, sharedPA uint64) api.Erro
 		if sharedPA != 0 {
 			pa = sharedPA
 		}
-		pteAddr, ok := mon.leafPTEAddr(e, sh.va)
-		if !ok {
-			return api.ErrInvalidState // unreachable
+		pteAddr, found := mon.leafPTEAddr(e, sh.va)
+		if !found {
+			return fail(api.ErrInvalidState) // unreachable
 		}
 		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pa>>mem.PageBits, pt.R|pt.W|pt.V|pt.U))
 		e.mapped[sh.va] = true
@@ -386,33 +355,35 @@ func (mon *Monitor) cloneEnclave(eid, snapID, tidBase, sharedPA uint64) api.Erro
 	snap.clones++
 	mon.machine.Mem.Store(eid, 8, uint64(e.State))
 	mon.machine.Mem.WriteBytes(eid+8, e.Measurement[:])
-	return api.OK
+	return ok()
 }
 
 // parentPTEChild is the PPN stored in a parent table entry for a child
 // table page (identity — named for readability at the call site).
 func parentPTEChild(ppn uint64) uint64 { return ppn }
 
-// releaseSnapshot implements CallReleaseSnapshot: dissolve a snapshot
-// with no outstanding clones. The template thaws — every page still
-// aliased copy-on-write gets its W bit back — and the snapshot's page
-// references drop, returning the refcounts to baseline.
-func (mon *Monitor) releaseSnapshot(snapID uint64) api.Error {
-	snap, st := mon.lookupSnapshot(snapID)
+// releaseSnapshot implements CallReleaseSnapshot: dissolve the
+// snapshot a0, which must have no outstanding clones. The template
+// thaws — every page still aliased copy-on-write gets its W bit back —
+// and the snapshot's page references drop, returning the refcounts to
+// baseline.
+func (mon *Monitor) releaseSnapshot(req api.Request, _ *callContext) api.Response {
+	snapID := req.Args[0]
+	snap, st := lookup[*Snapshot](mon, LockSnapshot, snapID)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer snap.mu.Unlock()
 	if snap.clones > 0 {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	e, st := mon.lookupEnclave(snap.TemplateID)
+	e, st := lookup[*Enclave](mon, LockEnclave, snap.TemplateID)
 	if st != api.OK {
-		return st // ErrRetry under contention; the template cannot be gone
+		return fail(st) // ErrRetry under contention; the template cannot be gone
 	}
 	defer e.mu.Unlock()
 	if e.running > 0 {
-		return api.ErrInvalidState // park the template before thawing it
+		return fail(api.ErrInvalidState) // park the template before thawing it
 	}
 
 	for _, pg := range snap.pages {
@@ -431,17 +402,14 @@ func (mon *Monitor) releaseSnapshot(snapID uint64) api.Error {
 		mon.machine.Mem.ReleaseRef(pa)
 	}
 	e.snap = nil
-	snap.dead = true
-
 	mon.objMu.Lock()
-	delete(mon.snapshots, snapID)
-	mon.freeMetaPage(snapID)
+	mon.unregister(snapID)
 	mon.objMu.Unlock()
 
 	for _, r := range snap.Regions.Regions() {
 		mon.plat.ShootdownRegion(mon.machine, r)
 	}
-	return api.OK
+	return ok()
 }
 
 // resolveCOWLocked performs the copy half of the copy-then-retry
@@ -517,10 +485,8 @@ func (mon *Monitor) resolveCOWForWrite(e *Enclave, va uint64) bool {
 // falls through to the ordinary enclave fault path, and contended
 // transactions resolve through the OS re-entering the thread.
 func (mon *Monitor) cowFault(c *machine.Core, slot slotView, tr *isa.Trap) (machine.Disposition, bool) {
-	mon.objMu.RLock()
-	e := mon.enclaves[slot.owner]
-	mon.objMu.RUnlock()
-	if e == nil {
+	e, found := get[*Enclave](mon, slot.owner)
+	if !found {
 		return 0, false
 	}
 	vaPage := tr.Value &^ uint64(mem.PageMask)

@@ -74,7 +74,7 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 	if st := f.DeleteEnclave(tmpl); st != api.ErrInvalidState {
 		t.Fatalf("delete frozen template: %v", st)
 	}
-	if st := f.mon.blockRegionAs(tmpl, 10); st != api.ErrInvalidState {
+	if st := f.encCall(f.enclave(tmpl), api.CallBlockRegion, 10); st != api.ErrInvalidState {
 		t.Fatalf("block frozen template region: %v", st)
 	}
 
@@ -92,9 +92,7 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 		t.Fatal("clone did not inherit the template measurement")
 	}
 	// One thread recreated, assigned to the clone.
-	f.mon.objMu.RLock()
-	th := f.mon.threads[tidBase]
-	f.mon.objMu.RUnlock()
+	th, _ := get[*Thread](f.mon, tidBase)
 	if th == nil || th.State != ThreadAssigned || th.Owner != clone {
 		t.Fatalf("clone thread: %+v", th)
 	}
@@ -106,9 +104,7 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 		t.Fatalf("refs after clone = %d, want 4", refs)
 	}
 	// The clone reads the template's pages through its own tables.
-	f.mon.objMu.RLock()
-	ce := f.mon.enclaves[clone]
-	f.mon.objMu.RUnlock()
+	ce := f.enclave(clone)
 	got := make([]byte, 4)
 	if ok := f.mon.readEnclave(ce, testEvBase+0x1000, got); !ok || !bytes.Equal(got, []byte{0xDA, 0xDA, 0xDA, 0xDA}) {
 		t.Fatalf("clone read of aliased data page: %v %x", ok, got)
@@ -238,9 +234,7 @@ func TestCOWFaultCopiesPage(t *testing.T) {
 	if st := f.CloneEnclave(clone, snapID, f.metaPage(5), 0); st != api.OK {
 		t.Fatalf("clone: %v", st)
 	}
-	f.mon.objMu.RLock()
-	ce := f.mon.enclaves[clone]
-	f.mon.objMu.RUnlock()
+	ce := f.enclave(clone)
 
 	dataVA := testEvBase + 0x1000
 	// The physical backstop refuses in-place writes to the frozen page.
@@ -309,9 +303,7 @@ func TestMonitorWriteResolvesCOW(t *testing.T) {
 	if st := f.CloneEnclave(clone, snapID, f.metaPage(5), 0); st != api.OK {
 		t.Fatalf("clone: %v", st)
 	}
-	f.mon.objMu.RLock()
-	ce := f.mon.enclaves[clone]
-	f.mon.objMu.RUnlock()
+	ce := f.enclave(clone)
 
 	dataVA := testEvBase + 0x1000
 	frozenPA, _ := f.mon.enclaveVAtoPA(ce, dataVA, pt.Load)
@@ -349,9 +341,7 @@ func TestTemplateCOWDoesNotUnderflowRefs(t *testing.T) {
 	if st := f.SnapshotEnclave(tmpl, snapID); st != api.OK {
 		t.Fatalf("snapshot: %v", st)
 	}
-	f.mon.objMu.RLock()
-	te := f.mon.enclaves[tmpl]
-	f.mon.objMu.RUnlock()
+	te := f.enclave(tmpl)
 
 	dataVA := testEvBase + 0x1000
 	refsBefore := f.m.Mem.TotalRefs()
@@ -393,9 +383,7 @@ func TestFieldEnclaveIdentity(t *testing.T) {
 	if st := f.CloneEnclave(clone, snapID, f.metaPage(5), 0); st != api.OK {
 		t.Fatalf("clone: %v", st)
 	}
-	f.mon.objMu.RLock()
-	te, ce := f.mon.enclaves[tmpl], f.mon.enclaves[clone]
-	f.mon.objMu.RUnlock()
+	te, ce := f.enclave(tmpl), f.enclave(clone)
 
 	tID, st := f.mon.fieldBytes(api.FieldEnclaveIdentity, te)
 	if st != api.OK || len(tID) != 48 {

@@ -8,8 +8,7 @@ import (
 // monTelemetry caches the monitor's instrument handles so the dispatch
 // and ring hot paths never touch the registry (no map lookups, no
 // allocation). Per-call instruments live in a dense array indexed by
-// call number — one bounds check instead of a second map probe in the
-// ~tens-of-ns dispatch path. The clock is the machine's summed
+// call number, parallel to the call table. The clock is the machine's summed
 // per-core modeled cycle counter: telemetry stamps are simulated
 // cycles, never wall time, so instrumented runs replay bit-identically.
 //
@@ -73,16 +72,12 @@ func (mon *Monitor) SetTelemetry(reg *telemetry.Registry) {
 		mon.tele = nil
 		return
 	}
-	tl := &monTelemetry{clock: mon.machine.CycleNow}
-	maxCall := api.Call(0)
-	for c := range callTable {
-		if c > maxCall {
-			maxCall = c
-		}
-	}
-	tl.calls = make([]*callInstr, int(maxCall)+1)
+	tl := &monTelemetry{clock: mon.machine.CycleNow, calls: make([]*callInstr, len(callTable))}
 	for c, def := range callTable {
-		tl.calls[int(c)] = &callInstr{
+		if def.name == "" {
+			continue
+		}
+		tl.calls[c] = &callInstr{
 			count:   reg.Counter("sm.call." + def.name + ".count"),
 			retries: reg.Counter("sm.call." + def.name + ".retries"),
 			cycles:  reg.Histogram("sm.call." + def.name + ".cycles"),

@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"sync"
-
 	"sanctorum/internal/isa"
 	"sanctorum/internal/sm/api"
 )
@@ -37,16 +35,14 @@ func (s ThreadState) String() string {
 	}
 }
 
-// Thread is the monitor's metadata for one enclave thread. Like
-// enclaves, the thread ID is the physical address of its metadata page
-// in SM-owned memory.
+// Thread is the monitor's metadata for one enclave thread, named like
+// every monitor object by its metadata page.
 type Thread struct {
-	mu sync.Mutex
+	objHeader
 
 	ID    uint64
 	State ThreadState
 	Owner uint64 // owning eid when offered/assigned/running
-	dead  bool   // set by delete_thread under mu; a racing lookup re-checks
 
 	EntryPC uint64
 	EntrySP uint64
@@ -77,190 +73,161 @@ func (t *Thread) clearContext() {
 	t.faultRegs = [isa.NumRegs]uint64{}
 }
 
-// lookupThread fetches and transaction-locks a thread; contention fails
-// the transaction with ErrRetry (§V-A). The dead re-check closes the
-// lookup/free race: without it, an assign_thread racing delete_thread
-// could mutate the orphaned object and report success for a thread
-// that no longer exists.
-func (mon *Monitor) lookupThread(tid uint64) (*Thread, api.Error) {
-	mon.objMu.RLock()
-	t := mon.threads[tid]
-	mon.objMu.RUnlock()
-	if t == nil {
-		return nil, api.ErrInvalidValue
-	}
-	if !mon.tryLock(&t.mu, LockThread, tid) {
-		return nil, api.ErrRetry
-	}
-	if t.dead {
-		t.mu.Unlock()
-		return nil, api.ErrInvalidValue
-	}
-	return t, api.OK
-}
-
-// loadThreadLocked creates a thread during enclave loading (Fig 3/4:
-// load_thread by the OS, CallLoadThread). The thread is measured into
-// the enclave and is immediately in the assigned state. The caller
-// holds e's transaction lock.
-func (mon *Monitor) loadThreadLocked(e *Enclave, tid, entryPC, entrySP uint64) api.Error {
+// loadThread creates thread a1 with entry a2/a3 during enclave loading
+// (Fig 3/4: load_thread by the OS, CallLoadThread). The thread is
+// measured into the enclave and is immediately in the assigned state.
+// The caller holds e's transaction lock.
+func (mon *Monitor) loadThread(e *Enclave, req api.Request) api.Response {
+	tid, entryPC, entrySP := req.Args[1], req.Args[2], req.Args[3]
 	if e.State != EnclaveLoading {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if !e.InEvrange(entryPC) {
-		return api.ErrInvalidValue
-	}
-	mon.objMu.Lock()
-	defer mon.objMu.Unlock()
-	if _, exists := mon.threads[tid]; exists {
-		return api.ErrInvalidValue
-	}
-	if st := mon.allocMetaPage(tid); st != api.OK {
-		return st
+		return fail(api.ErrInvalidValue)
 	}
 	t := &Thread{ID: tid, State: ThreadAssigned, Owner: e.ID, EntryPC: entryPC, EntrySP: entrySP}
-	mon.threads[tid] = t
+	mon.objMu.Lock()
+	defer mon.objMu.Unlock()
+	if !mon.register(tid, t) {
+		return fail(api.ErrInvalidValue)
+	}
 	e.Threads[tid] = t
 	e.meas.ExtendThread(entryPC, entrySP)
-	return api.OK
+	return ok()
 }
 
 // createThread creates an unbound thread after enclave initialization
 // (Fig 4: the available state, CallCreateThread). It is not measured;
 // an enclave must explicitly accept it.
-func (mon *Monitor) createThread(tid uint64) api.Error {
+func (mon *Monitor) createThread(req api.Request, _ *callContext) api.Response {
+	tid := req.Args[0]
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
-	if _, exists := mon.threads[tid]; exists {
-		return api.ErrInvalidValue
+	if !mon.register(tid, &Thread{ID: tid, State: ThreadAvailable}) {
+		return fail(api.ErrInvalidValue)
 	}
-	if st := mon.allocMetaPage(tid); st != api.OK {
-		return st
-	}
-	mon.threads[tid] = &Thread{ID: tid, State: ThreadAvailable}
-	return api.OK
+	return ok()
 }
 
-// assignThread offers an available thread to an initialized enclave
-// (Fig 4: assign_thread by the OS, CallAssignThread).
-func (mon *Monitor) assignThread(eid, tid uint64) api.Error {
-	e, st := mon.lookupEnclave(eid)
+// assignThread offers the available thread a1 to the initialized
+// enclave a0 (Fig 4: assign_thread by the OS, CallAssignThread).
+func (mon *Monitor) assignThread(req api.Request, _ *callContext) api.Response {
+	eid, tid := req.Args[0], req.Args[1]
+	e, st := lookup[*Enclave](mon, LockEnclave, eid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer e.mu.Unlock()
 	if e.State != EnclaveInitialized {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	t, st := mon.lookupThread(tid)
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	if t.State != ThreadAvailable {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	t.State, t.Owner = ThreadOffered, eid
-	return api.OK
+	return ok()
 }
 
-// unassignThread takes a non-running thread away from an enclave
+// unassignThread takes the non-running thread a0 away from its enclave
 // (Fig 4: unassign_thread by the OS, CallUnassignThread). The thread
 // context is scrubbed so no enclave state leaks through the metadata.
-func (mon *Monitor) unassignThread(tid uint64) api.Error {
-	t, st := mon.lookupThread(tid)
+func (mon *Monitor) unassignThread(req api.Request, _ *callContext) api.Response {
+	tid := req.Args[0]
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	switch t.State {
 	case ThreadOffered, ThreadAssigned:
 	default:
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	mon.objMu.RLock()
-	e := mon.enclaves[t.Owner]
-	mon.objMu.RUnlock()
-	if e != nil {
+	if e, found := get[*Enclave](mon, t.Owner); found {
 		if !mon.tryLock(&e.mu, LockEnclave, t.Owner) {
-			return api.ErrRetry
+			return fail(api.ErrRetry)
 		}
 		delete(e.Threads, tid)
 		e.mu.Unlock()
 	}
 	t.State, t.Owner = ThreadAvailable, 0
 	t.clearContext()
-	return api.OK
+	return ok()
 }
 
-// acceptThread completes the OS's offer (Fig 4: accept_thread by the
-// enclave). The enclave provides the entry point for the new thread.
-// Called from the enclave's trap context with no locks held; the
-// enclave's own lock is taken because the thread table is enclave
-// state.
-func (mon *Monitor) acceptThread(e *Enclave, tid, entryPC, entrySP uint64) api.Error {
+// acceptThread completes the OS's offer of thread a0 with entry a1/a2
+// (Fig 4: accept_thread by the enclave). Called from the enclave's trap
+// context with no locks held; the enclave's own lock is taken because
+// the thread table is enclave state.
+func (mon *Monitor) acceptThread(req api.Request, ctx *callContext) api.Response {
+	e, tid, entryPC, entrySP := ctx.enclave, req.Args[0], req.Args[1], req.Args[2]
 	if !e.InEvrange(entryPC) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
-	t, st := mon.lookupThread(tid)
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	if t.State != ThreadOffered || t.Owner != e.ID {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer e.mu.Unlock()
 	t.State = ThreadAssigned
 	t.EntryPC, t.EntrySP = entryPC, entrySP
 	e.Threads[tid] = t
-	return api.OK
+	return ok()
 }
 
-// releaseThread lets an enclave give a thread back (Fig 4:
+// releaseThread lets an enclave give thread a0 back (Fig 4:
 // release_thread by the enclave).
-func (mon *Monitor) releaseThread(e *Enclave, tid uint64) api.Error {
-	t, st := mon.lookupThread(tid)
+func (mon *Monitor) releaseThread(req api.Request, ctx *callContext) api.Response {
+	e, tid := ctx.enclave, req.Args[0]
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	if t.State != ThreadAssigned || t.Owner != e.ID {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	defer e.mu.Unlock()
 	delete(e.Threads, tid)
 	t.State, t.Owner = ThreadAvailable, 0
 	t.clearContext()
-	return api.OK
+	return ok()
 }
 
-// deleteThread destroys an available thread (Fig 4: delete_thread by
-// the OS, CallDeleteThread).
-func (mon *Monitor) deleteThread(tid uint64) api.Error {
-	t, st := mon.lookupThread(tid)
+// deleteThread destroys the available thread a0 (Fig 4: delete_thread
+// by the OS, CallDeleteThread).
+func (mon *Monitor) deleteThread(req api.Request, _ *callContext) api.Response {
+	tid := req.Args[0]
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	if t.State != ThreadAvailable {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	t.dead = true
 	mon.objMu.Lock()
-	delete(mon.threads, tid)
-	mon.freeMetaPage(tid)
+	mon.unregister(tid)
 	mon.objMu.Unlock()
-	return api.OK
+	return ok()
 }
 
-// enterEnclave schedules an enclave thread onto a core (Fig 4:
+// enterEnclave schedules thread a2 of enclave a1 onto core a0 (Fig 4:
 // enter_enclave by the OS, CallEnterEnclave). The monitor cleans the
 // core, programs the enclave view, and points execution at the thread's
 // entry; the OS then drives the core with machine.Run. On entry,
@@ -272,34 +239,37 @@ func (mon *Monitor) deleteThread(tid uint64) api.Error {
 // on the enclave, the thread, the core slot, or the core's run mutex —
 // e.g. two harts racing to schedule threads of one enclave, or an IPI
 // poster briefly holding the idle core — fails with ErrRetry.
-func (mon *Monitor) enterEnclave(coreID int, eid, tid uint64) api.Error {
+func (mon *Monitor) enterEnclave(req api.Request, _ *callContext) api.Response {
+	// int() maps any register value ≥ 2^63 to a negative number, which
+	// the core-range check refuses.
+	coreID, eid, tid := int(req.Args[0]), req.Args[1], req.Args[2]
 	if coreID < 0 || coreID >= len(mon.machine.Cores) {
-		return api.ErrInvalidValue
+		return fail(api.ErrInvalidValue)
 	}
-	e, st := mon.lookupEnclave(eid)
+	e, st := lookup[*Enclave](mon, LockEnclave, eid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer e.mu.Unlock()
 	if e.State != EnclaveInitialized {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
-	t, st := mon.lookupThread(tid)
+	t, st := lookup[*Thread](mon, LockThread, tid)
 	if st != api.OK {
-		return st
+		return fail(st)
 	}
 	defer t.mu.Unlock()
 	if t.State != ThreadAssigned || t.Owner != eid {
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 
 	slot := &mon.cores[coreID]
 	if !mon.tryLock(&slot.mu, LockCoreSlot, uint64(coreID)) {
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	if slot.owner != api.DomainOS {
 		slot.mu.Unlock()
-		return api.ErrInvalidState
+		return fail(api.ErrInvalidState)
 	}
 	core := mon.machine.Cores[coreID]
 	// Core microarchitectural state may only be touched while holding
@@ -309,7 +279,7 @@ func (mon *Monitor) enterEnclave(coreID int, eid, tid uint64) api.Error {
 	// acquisition too — it is a §V-A transaction step like any mutex.
 	if mon.lockFault(LockCore, uint64(coreID)) || !core.TryAcquire() {
 		slot.mu.Unlock()
-		return api.ErrRetry
+		return fail(api.ErrRetry)
 	}
 	slot.owner, slot.tid = eid, tid
 	slot.mu.Unlock()
@@ -332,7 +302,7 @@ func (mon *Monitor) enterEnclave(coreID int, eid, tid uint64) api.Error {
 		slot.mu.Lock()
 		slot.owner, slot.tid = api.DomainOS, 0
 		slot.mu.Unlock()
-		return api.ErrNoResources
+		return fail(api.ErrNoResources)
 	}
 	core.CPU.Mode = isa.PrivU
 	core.CPU.PC = t.EntryPC
@@ -345,7 +315,7 @@ func (mon *Monitor) enterEnclave(coreID int, eid, tid uint64) api.Error {
 	t.State = ThreadRunning
 	t.CoreID = coreID
 	e.running++
-	return api.OK
+	return ok()
 }
 
 // stopThread moves a running thread off its core: shared tail of
@@ -362,8 +332,8 @@ func (mon *Monitor) stopThread(core, exitValue uint64, saveAEX bool) {
 	slot.owner, slot.tid = api.DomainOS, 0
 	slot.mu.Unlock()
 	mon.objMu.RLock()
-	e := mon.enclaves[eid]
-	t := mon.threads[tid]
+	e, _ := mon.objects[eid].(*Enclave)
+	t, _ := mon.objects[tid].(*Thread)
 	mon.objMu.RUnlock()
 	osRegions := mon.osRegions()
 

@@ -85,10 +85,7 @@ func (mon *Monitor) readSlot(id int) slotView {
 // possible (enclaves can implement demand paging, §V-A), otherwise
 // performs an AEX and delegates to the OS.
 func (mon *Monitor) enclaveFault(c *machine.Core, slot slotView, tr *isa.Trap) machine.Disposition {
-	mon.objMu.RLock()
-	t := mon.threads[slot.tid]
-	mon.objMu.RUnlock()
-	if t != nil {
+	if t, found := get[*Thread](mon, slot.tid); found {
 		t.mu.Lock()
 		if t.FaultPC != 0 && !t.inFault {
 			t.inFault = true
@@ -116,8 +113,8 @@ func (mon *Monitor) enclaveFault(c *machine.Core, slot slotView, tr *isa.Trap) m
 // dispatch.
 func (mon *Monitor) enclaveCall(c *machine.Core, slot slotView) machine.Disposition {
 	mon.objMu.RLock()
-	e := mon.enclaves[slot.owner]
-	t := mon.threads[slot.tid]
+	e, _ := mon.objects[slot.owner].(*Enclave)
+	t, _ := mon.objects[slot.tid].(*Thread)
 	mon.objMu.RUnlock()
 	if e == nil || t == nil {
 		mon.stopThread(uint64(c.ID), 0, false)
