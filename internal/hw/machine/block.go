@@ -14,13 +14,12 @@ import (
 // The per-instruction fast path (bus.go) still pays fetch validation,
 // decode dispatch and statistic updates once per instruction. This file
 // adds a second tier on top of it: straight-line runs of hot code are
-// compiled into blocks of fused closures (internal/isa/block.go) that
-// execute the whole run with the scaffolding hoisted to segment
-// granularity. Like the rest of the fast path, the tier is purely a
-// host-side accelerator: modeled cycles, TLB and cache statistics,
-// trap causes and deterministic replay are bit-identical to the
-// reference interpreter, which the equivalence and differential-fuzz
-// tests enforce.
+// compiled into blocks of fused segments that execute the whole run
+// with the scaffolding hoisted to segment granularity. Like the rest of
+// the fast path, the tier is purely a host-side accelerator: modeled
+// cycles, TLB and cache statistics, trap causes and deterministic
+// replay are bit-identical to the reference interpreter, which the
+// equivalence and differential-fuzz tests enforce.
 //
 // A block is discovered when a control-transfer target crosses the heat
 // threshold, and traces decoded instructions from its entry VA up to and
@@ -39,7 +38,8 @@ import (
 // The block is divided into segments: a segment is a maximal run whose
 // only observable effects are register updates, ended by a memory
 // access (which must stay ordered against the fetches around it) or by
-// the terminal. Each segment is compiled into ONE closure that:
+// the terminal. Each segment is compiled into one flat segEnv whose run
+// method:
 //
 //   - re-checks the guard word (decode-cache generation + TLB
 //     generation + privilege mode) unless the previous segment proved
@@ -54,8 +54,16 @@ import (
 //   - batches the base cycle cost of the segment's fused ops into one
 //     addition (exact: fused ALU ops cannot trap, so entering the
 //     segment implies they all retire);
-//   - runs the fused register kernels and, inline, the memory-op body
-//     (the exact Core.Load/Store fast-path sequence) or the terminal.
+//   - runs the segment's register ops through one switch over the
+//     opcode, then the memory-op body (the exact Core.Load/Store
+//     fast-path sequence) or the terminal through a second.
+//
+// Every fused instruction is one uop: opcode, register fields reduced
+// mod 32, immediate pre-extended. Each switch case is ExecDecoded's
+// update for its op, applied to the register file directly. That is
+// exact for x0 because x0 is hardwired in storage (CPU.Regs[0] is never
+// written), so reads of x0 need no accessor, and the compiler drops ALU
+// ops whose destination is x0 and skips load and link writes to it.
 //
 // Guard elision: a segment that ends in a load served by the
 // last-translation cache provably touched neither the decode-cache
@@ -116,7 +124,7 @@ const (
 // lets every cpu.Regs access elide its bounds check.
 const regIdxMask = isa.NumRegs - 1
 
-// Segment closure status codes.
+// segEnv.run status codes.
 const (
 	segStop  = iota // trap or guard bail; details in Core.brun
 	segDirty        // continue; the next segment must re-check the guard
@@ -141,7 +149,7 @@ func (c *Core) BlockStats() BlockStats { return c.bstats }
 
 // blockRun is the per-core scratch a block execution communicates
 // through: base is the instruction count retired by completed passes,
-// retired/trap are set by a segment closure returning segStop.
+// retired/trap are set by a segment returning segStop.
 type blockRun struct {
 	base    int
 	retired int
@@ -291,7 +299,7 @@ func (c *Core) guardFail(e *segEnv) {
 
 // memTrap records a trap from a segment's memory op, which is the
 // segment's last instruction: like the interpreter, the trapping
-// instruction counts as a retired step, and the kernel already left
+// instruction counts as a retired step, and the segment already left
 // PC on it.
 func (c *Core) memTrap(segEnd int, tr *isa.Trap) {
 	c.brun.retired = c.brun.base + segEnd
@@ -314,26 +322,22 @@ func (c *Core) fetchChargeSlow(pa uint64, ref *cache.LineRef, n uint64) uint64 {
 	return cyc
 }
 
-// segSpec collects one segment during compilation, before it is fused
-// into its closure.
+// segSpec collects one segment during compilation, before it is built
+// into its segEnv.
 type segSpec struct {
 	base    int    // instructions retired before this segment
 	n       int    // instructions in this segment
 	startVA uint64 // VA of the segment's first instruction
 	static  uint64 // batched base cycle cost
 	fetch   []fetchRun
-	alu     []isa.Instr // fused computational ops, in execution order
-	isMem   bool        // the segment ends in a load or store
-	mem     isa.Instr   // the trailing load/store
-	memVA   uint64
-	term    func(*isa.CPU) uint64 // block terminal (last segment only)
-	termIn  isa.Instr             // the terminal instruction, for uop fusion
-	termVA  uint64
+	ops     []uop     // register ops, in execution order
+	last    isa.Instr // the trailing load/store or terminal; NOP if none
+	lastVA  uint64
 }
 
 // segFetchMulti is the fetch-accounting loop for the rare segment that
-// straddles L1 lines; split out so the common single-line case keeps the
-// segment closures' frames small.
+// straddles L1 lines; split out so the common single-line case keeps
+// segEnv.run's frame small.
 func (c *Core) segFetchMulti(b *block, runs []fetchRun) uint64 {
 	var cyc uint64
 	for fi := range runs {
@@ -349,8 +353,8 @@ func (c *Core) segFetchMulti(b *block, runs []fetchRun) uint64 {
 }
 
 // segMemWalk is a segment memory op's translation miss: the full
-// translateFast path, recording the trap on a fault. Split out of the
-// segment closures so their hot frames hold no fault pointer.
+// translateFast path, recording the trap on a fault. Split out of
+// segEnv.run so its hot frame holds no fault pointer.
 func (c *Core) segMemWalk(tc *transCache, isLoad bool, addr, w64, memVA uint64, segEnd int) (uint64, bool) {
 	acc := pt.Store
 	if isLoad {
@@ -387,26 +391,44 @@ func (c *Core) segCOWTrap(memVA, addr uint64, segEnd int) {
 	c.memTrap(segEnd, c.CPU.Trapped(isa.CauseStoreAccess, memVA, addr))
 }
 
-// aluUop is one fused computational op. The common direct-register ops
-// (isa.BlockUop's set) carry a non-zero kind and execute inline in
-// segEnv.run's switch; everything else — x0 operands, shifts by
-// register, compares, mul/div — keeps kind 0 and calls the BlockALU
-// kernel fn. The inline cases must mirror the direct-form BlockALU
-// kernels exactly.
-type aluUop struct {
-	fn       func(*isa.CPU) // BlockALU kernel; nil when kind != 0
-	imm      uint64         // pre-extended immediate / pre-masked shift
-	kind     uint8          // isa.Uop* constant, 0 = use fn
-	rd, a, b uint8          // pre-masked register indices
+// uop is one fused instruction: its opcode, its register fields reduced
+// mod 32, and its immediate pre-extended — for an immediate shift the
+// masked amount, for a branch or JAL the absolute taken target.
+type uop struct {
+	imm      uint64
+	op       isa.Op
+	rd, a, b uint8
+}
+
+// newUop fuses in, the instruction at va.
+func newUop(in isa.Instr, va uint64) uop {
+	u := uop{
+		imm: uint64(int64(in.Imm)), op: in.Op,
+		rd: in.Rd % isa.NumRegs, a: in.Rs1 % isa.NumRegs, b: in.Rs2 % isa.NumRegs,
+	}
+	switch in.Op {
+	case isa.OpSLLI, isa.OpSRLI, isa.OpSRAI:
+		u.imm &= 63
+	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU, isa.OpJAL:
+		u.imm += va
+	}
+	return u
+}
+
+// fusesOp reports whether in compiles to a register op: a computational
+// instruction with an effect. A NOP, or an ALU op whose destination is
+// x0, retires with its fetch and base cycles only.
+func fusesOp(in isa.Instr) bool {
+	return isa.IsALU(in.Op) && in.Op != isa.OpNOP && in.Rd%isa.NumRegs != isa.RegZero
 }
 
 // segEnv is one fused segment: every constant its run method needs,
 // resolved at compile time and laid out flat so a pass touches only
-// this struct (the block's segs slice is contiguous), the register file
-// and the guarded machine state — no interpretive structures. A plain
-// struct + method beats a closure here: the method call is static, and
-// fields are loaded on demand instead of the closure prologue copying
-// the whole environment per call.
+// this struct (the block's segs slice is contiguous), its uops, the
+// register file and the guarded machine state — no interpretive
+// structures. A plain struct + method beats a closure here: the method
+// call is static, and fields are loaded on demand instead of the closure
+// prologue copying the whole environment per call.
 type segEnv struct {
 	b *block
 
@@ -425,26 +447,16 @@ type segEnv struct {
 	ref0      *cache.LineRef
 	fetchRest []fetchRun
 
-	// Register micro-ops, inline array three deep (longer tails are
-	// rare and spill to aluRest as plain kernels).
-	nalu    int
-	alu     [3]aluUop
-	aluRest []func(*isa.CPU)
+	ops []uop // register ops, in execution order
 
-	// Terminal (last segment only). The common constant-target forms
-	// (JAL, direct-register branches) execute inline through termKind's
-	// switch; the rest (JALR, x0-operand branches) call the term closure.
-	term          func(*isa.CPU) uint64
-	termKind      uint8
-	tA, tB, tRd   uint8
-	tTaken, tFall uint64
-
-	// Trailing memory op (zero values when the segment has none).
-	isMem, isLoad, signed, direct bool
-	width                         int
-	w64, wmask, imm               uint64
-	rs1, rs2, rd                  uint8
-	memVA                         uint64
+	// The segment's last instruction when it is a load or store (isMem)
+	// or, on the last segment, the block's terminal; otherwise the zero
+	// uop, a NOP.
+	last                  uop
+	lastVA                uint64
+	isMem, isLoad, signed bool
+	width                 int
+	w64, wmask            uint64
 }
 
 // buildSeg fuses one segment.
@@ -461,49 +473,23 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 		fn0:     f0.n,
 		hit0:    f0.n * c.l1Hit,
 		ref0:    &b.lrefs[f0.line],
-		term:    s.term,
+		ops:     s.ops,
+		last:    newUop(s.last, s.lastVA),
+		lastVA:  s.lastVA,
 	}
 	if !e.fetch1 {
 		e.fetchRest = slices.Clone(s.fetch) // s.fetch is compileBlock's scratch
 	}
-	e.nalu = len(s.alu)
-	if e.nalu > 3 {
-		e.nalu = 3
-	}
-	for i := 0; i < e.nalu; i++ {
-		in := s.alu[i]
-		if kind, rd, a, b, imm, ok := isa.BlockUop(in); ok {
-			e.alu[i] = aluUop{kind: kind, rd: rd, a: a, b: b, imm: imm}
-		} else {
-			e.alu[i] = aluUop{fn: isa.BlockALU(in)}
-		}
-	}
-	for i := 3; i < len(s.alu); i++ {
-		e.aluRest = append(e.aluRest, isa.BlockALU(s.alu[i]))
-	}
-	if s.isMem {
-		in := s.mem
+	if op := s.last.Op; isa.IsLoad(op) || isa.IsStore(op) {
 		e.isMem = true
-		e.memVA = s.memVA
-		e.isLoad = isa.IsLoad(in.Op)
+		e.isLoad = isa.IsLoad(op)
 		if e.isLoad {
-			e.width, e.signed = isa.LoadSpec(in.Op)
-			e.direct = in.Rd != isa.RegZero && in.Rs1 != isa.RegZero
+			e.width, e.signed = isa.LoadSpec(op)
 		} else {
-			e.width = isa.StoreSpec(in.Op)
-			e.direct = in.Rs1 != isa.RegZero && in.Rs2 != isa.RegZero
+			e.width = isa.StoreSpec(op)
 		}
 		e.w64 = uint64(e.width)
 		e.wmask = e.w64 - 1
-		e.imm = uint64(int64(in.Imm))
-		e.rs1, e.rs2, e.rd = in.Rs1%isa.NumRegs, in.Rs2%isa.NumRegs, in.Rd%isa.NumRegs
-	}
-	if s.term != nil {
-		if kind, a, bb, rd, taken, fall, ok := isa.BlockTermUop(s.termIn, s.termVA); ok {
-			e.term = nil
-			e.termKind, e.tA, e.tB, e.tRd = kind, a, bb, rd
-			e.tTaken, e.tFall = taken, fall
-		}
 	}
 	return e
 }
@@ -533,58 +519,78 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 	}
 	cpu.Cycles += cyc
 
-	// Fused register micro-ops: the common direct-register ops execute
-	// through a jump table, the rest through their BlockALU kernels.
-	// Each case is the direct-form BlockALU kernel for its op, inlined.
-	for i := 0; i < e.nalu; i++ {
-		u := &e.alu[i]
-		switch u.kind {
-		case isa.UopADD:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] + cpu.Regs[u.b&regIdxMask]
-		case isa.UopSUB:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] - cpu.Regs[u.b&regIdxMask]
-		case isa.UopAND:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] & cpu.Regs[u.b&regIdxMask]
-		case isa.UopOR:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] | cpu.Regs[u.b&regIdxMask]
-		case isa.UopXOR:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] ^ cpu.Regs[u.b&regIdxMask]
-		case isa.UopADDI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] + u.imm
-		case isa.UopANDI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] & u.imm
-		case isa.UopORI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] | u.imm
-		case isa.UopXORI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] ^ u.imm
-		case isa.UopSLLI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] << u.imm
-		case isa.UopSRLI:
-			cpu.Regs[u.rd&regIdxMask] = cpu.Regs[u.a&regIdxMask] >> u.imm
-		case isa.UopLI:
-			cpu.Regs[u.rd&regIdxMask] = u.imm
-		default:
-			u.fn(cpu)
+	// Register ops: each case is ExecDecoded's update for its op, on
+	// the register file directly (see the file comment for why that is
+	// exact for x0).
+	for i := range e.ops {
+		u := &e.ops[i]
+		x, y := cpu.Regs[u.a&regIdxMask], cpu.Regs[u.b&regIdxMask]
+		var v uint64
+		switch u.op {
+		case isa.OpADD:
+			v = x + y
+		case isa.OpSUB:
+			v = x - y
+		case isa.OpAND:
+			v = x & y
+		case isa.OpOR:
+			v = x | y
+		case isa.OpXOR:
+			v = x ^ y
+		case isa.OpSLL:
+			v = x << (y & 63)
+		case isa.OpSRL:
+			v = x >> (y & 63)
+		case isa.OpSRA:
+			v = uint64(int64(x) >> (y & 63))
+		case isa.OpSLT:
+			v = b2u(int64(x) < int64(y))
+		case isa.OpSLTU:
+			v = b2u(x < y)
+		case isa.OpMUL:
+			v = x * y
+		case isa.OpDIVU:
+			v = ^uint64(0) // RISC-V semantics: no trap
+			if y != 0 {
+				v = x / y
+			}
+		case isa.OpREMU:
+			v = x
+			if y != 0 {
+				v = x % y
+			}
+		case isa.OpADDI:
+			v = x + u.imm
+		case isa.OpANDI:
+			v = x & u.imm
+		case isa.OpORI:
+			v = x | u.imm
+		case isa.OpXORI:
+			v = x ^ u.imm
+		case isa.OpSLLI:
+			v = x << u.imm
+		case isa.OpSRLI:
+			v = x >> u.imm
+		case isa.OpSRAI:
+			v = uint64(int64(x) >> u.imm)
+		case isa.OpSLTI:
+			v = b2u(int64(x) < int64(u.imm))
+		case isa.OpSLTIU:
+			v = b2u(x < u.imm)
+		case isa.OpLI:
+			v = u.imm
 		}
-	}
-	if e.aluRest != nil {
-		for _, op := range e.aluRest {
-			op(cpu)
-		}
+		cpu.Regs[u.rd&regIdxMask] = v
 	}
 
+	u := &e.last
 	if e.isMem {
-		// Inline memory-op body: the exact Core.Load/Store fast-path
-		// sequence plus ExecDecoded's register update, minus everything
+		// Memory-op body: the exact Core.Load/Store fast-path sequence
+		// plus ExecDecoded's register update, minus everything
 		// segment-hoisted (fetch, base cycles, PC).
-		var addr uint64
-		if e.direct {
-			addr = cpu.Regs[e.rs1&regIdxMask] + e.imm
-		} else {
-			addr = cpu.Reg(e.rs1) + e.imm
-		}
+		addr := cpu.Regs[u.a&regIdxMask] + u.imm
 		if addr&e.wmask != 0 {
-			c.segAlignTrap(e.isLoad, e.memVA, addr, e.segEnd)
+			c.segAlignTrap(e.isLoad, e.lastVA, addr, e.segEnd)
 			return segStop
 		}
 		clean := true
@@ -603,7 +609,7 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			pa = tc.paPage | addr&uint64(mem.PageMask)
 		} else {
 			var ok bool
-			if pa, ok = c.segMemWalk(tc, e.isLoad, addr, e.w64, e.memVA, e.segEnd); !ok {
+			if pa, ok = c.segMemWalk(tc, e.isLoad, addr, e.w64, e.lastVA, e.segEnd); !ok {
 				return segStop
 			}
 			clean = false
@@ -621,12 +627,10 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 				val = c.loadWin.LoadFast(pa, e.width)
 			}
 			if e.signed {
-				val = isa.SignExtendVal(val, e.width)
+				val = isa.SignExtend(val, e.width)
 			}
-			if e.direct {
-				cpu.Regs[e.rd&regIdxMask] = val
-			} else {
-				cpu.SetReg(e.rd, val)
+			if u.rd != isa.RegZero {
+				cpu.Regs[u.rd&regIdxMask] = val
 			}
 			if clean {
 				return segClean
@@ -639,20 +643,15 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 		// code page bumped icGen and must force the next guard, while a
 		// plain data-page store (through a still-live translation)
 		// provably left the guard word unmoved.
-		var val uint64
-		if e.direct {
-			val = cpu.Regs[e.rs2&regIdxMask]
-		} else {
-			val = cpu.Reg(e.rs2)
-		}
+		val := cpu.Regs[u.b&regIdxMask]
 		var cow, hitCode bool
 		if e.width == 8 {
-			cow, hitCode = c.storeWin.Store64Block(pa, val)
+			cow, hitCode = c.storeWin.Store64(pa, val)
 		} else {
-			cow, hitCode = c.storeWin.StoreFastBlock(pa, e.width, val)
+			cow, hitCode = c.storeWin.StoreFast(pa, e.width, val)
 		}
 		if cow {
-			c.segCOWTrap(e.memVA, addr, e.segEnd)
+			c.segCOWTrap(e.lastVA, addr, e.segEnd)
 			return segStop
 		}
 		if hitCode || !clean {
@@ -661,57 +660,52 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 		return segClean
 	}
 
-	// Terminal: the constant-target forms pick between two burned-in
-	// next-PC values inline; everything else calls the fused kernel.
-	// Each inline case is the direct-form BlockTerm kernel for its op.
-	switch e.termKind {
-	case isa.TermJAL:
-		if e.tRd != 0 {
-			cpu.Regs[e.tRd&regIdxMask] = e.tFall
+	// Terminal, by the same rule. A branch picks between its burned-in
+	// target and the fall-through; JAL and JALR write their link unless
+	// rd is x0, and JALR reads rs1 first, so rd == rs1 jumps to the old
+	// value. A block without a terminal leaves PC to execBlock.
+	x, y := cpu.Regs[u.a&regIdxMask], cpu.Regs[u.b&regIdxMask]
+	var taken bool
+	switch u.op {
+	case isa.OpBEQ:
+		taken = x == y
+	case isa.OpBNE:
+		taken = x != y
+	case isa.OpBLT:
+		taken = int64(x) < int64(y)
+	case isa.OpBGE:
+		taken = int64(x) >= int64(y)
+	case isa.OpBLTU:
+		taken = x < y
+	case isa.OpBGEU:
+		taken = x >= y
+	case isa.OpJAL:
+		if u.rd != isa.RegZero {
+			cpu.Regs[u.rd&regIdxMask] = e.lastVA + isa.InstrSize
 		}
-		cpu.PC = e.tTaken
-	case isa.TermBEQ:
-		if cpu.Regs[e.tA&regIdxMask] == cpu.Regs[e.tB&regIdxMask] {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
+		taken = true
+	case isa.OpJALR:
+		if u.rd != isa.RegZero {
+			cpu.Regs[u.rd&regIdxMask] = e.lastVA + isa.InstrSize
 		}
-	case isa.TermBNE:
-		if cpu.Regs[e.tA&regIdxMask] != cpu.Regs[e.tB&regIdxMask] {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
-		}
-	case isa.TermBLT:
-		if int64(cpu.Regs[e.tA&regIdxMask]) < int64(cpu.Regs[e.tB&regIdxMask]) {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
-		}
-	case isa.TermBGE:
-		if int64(cpu.Regs[e.tA&regIdxMask]) >= int64(cpu.Regs[e.tB&regIdxMask]) {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
-		}
-	case isa.TermBLTU:
-		if cpu.Regs[e.tA&regIdxMask] < cpu.Regs[e.tB&regIdxMask] {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
-		}
-	case isa.TermBGEU:
-		if cpu.Regs[e.tA&regIdxMask] >= cpu.Regs[e.tB&regIdxMask] {
-			cpu.PC = e.tTaken
-		} else {
-			cpu.PC = e.tFall
-		}
+		cpu.PC = x + u.imm
+		return segClean
 	default:
-		if e.term != nil {
-			cpu.PC = e.term(cpu)
-		}
+		return segClean
+	}
+	if taken {
+		cpu.PC = u.imm
+	} else {
+		cpu.PC = e.lastVA + isa.InstrSize
 	}
 	return segClean
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // compileBlock builds and installs a block at pc, seeded from the
@@ -747,11 +741,11 @@ func (c *Core) compileBlock(pc uint64) *block {
 	// arrays keep the trace off the heap; the block keeps exact-size
 	// copies.
 	var (
-		vas   [blockCap]uint64
-		words [blockCap]uint64
-		ins   [blockCap]isa.Instr
-		n     int
-		term  func(*isa.CPU) uint64
+		vas     [blockCap]uint64
+		words   [blockCap]uint64
+		ins     [blockCap]isa.Instr
+		n       int
+		hasTerm bool
 	)
 	va := pc
 	for n < blockCap && va&^pageMask == page && !slices.Contains(vas[:n], va) {
@@ -766,12 +760,12 @@ func (c *Core) compileBlock(pc uint64) *block {
 			va = target
 			continue
 		}
-		if t := isa.BlockTerm(in, va); t != nil {
+		if isa.IsControl(in.Op) {
 			n++
-			term = t
+			hasTerm = true
 			break
 		}
-		if isa.BlockALU(in) == nil && !isa.IsLoad(in.Op) && !isa.IsStore(in.Op) {
+		if !isa.IsALU(in.Op) && !isa.IsLoad(in.Op) && !isa.IsStore(in.Op) {
 			break // system op, HALT, RDCYCLE or illegal word: never fused
 		}
 		n++
@@ -788,7 +782,7 @@ func (c *Core) compileBlock(pc uint64) *block {
 	b := &block{
 		entryVA: pc, fallPC: va, paPage: paPage,
 		icGen: icGen, tgMode: tg, root: root,
-		n: n, hasTerm: term != nil,
+		n: n, hasTerm: hasTerm,
 	}
 	buf := make([]uint64, 2*n)
 	b.words, b.vas = buf[:n:n], buf[n:]
@@ -796,12 +790,14 @@ func (c *Core) compileBlock(pc uint64) *block {
 	copy(b.vas, vas[:n])
 
 	// Each distinct L1 line of the trace gets one ref, in first-fetch
-	// order; a memory op ends its segment, and so does the last op.
+	// order; a memory op ends its segment, and so does the last op. The
+	// block's register ops share one exact-size array.
 	var (
 		lines  [blockCap]uint64
 		lineOf [blockCap]int
 		nl     int
 		nsegs  int
+		nops   int
 	)
 	lineBits := c.L1.Config().LineBits
 	for i := 0; i < n; i++ {
@@ -815,16 +811,17 @@ func (c *Core) compileBlock(pc uint64) *block {
 		if isa.IsLoad(ins[i].Op) || isa.IsStore(ins[i].Op) || i == n-1 {
 			nsegs++
 		}
+		if fusesOp(ins[i]) {
+			nops++
+		}
 	}
 	b.lrefs = make([]cache.LineRef, nl)
 	b.segs = make([]segEnv, 0, nsegs)
+	ops := make([]uop, 0, nops)
 
-	var (
-		runs [blockCap]fetchRun
-		alus [blockCap]isa.Instr
-	)
+	var runs [blockCap]fetchRun
 	var seg segSpec
-	r0, nr, a0, na := 0, 0, 0, 0 // the open segment's runs[r0:nr] and alus[a0:na]
+	r0, nr, o0 := 0, 0, 0 // the open segment's runs[r0:nr] and ops[o0:]
 	for i := 0; i < n; i++ {
 		in, va := ins[i], vas[i]
 		if nr > r0 && runs[nr-1].line == lineOf[i] {
@@ -838,25 +835,23 @@ func (c *Core) compileBlock(pc uint64) *block {
 		}
 		seg.n++
 		seg.static += isa.BlockCost(in.Op)
+		// A memory op always ends its segment: its data access must stay
+		// ordered between the fetch before it and the fetch after it, so
+		// the next fetch batch starts a new segment. A followed plain
+		// jump, a NOP or an ALU op writing x0 charges only its fetch and
+		// base cycles.
+		isMem := isa.IsLoad(in.Op) || isa.IsStore(in.Op)
 		switch {
-		case i == n-1 && term != nil:
-			seg.term, seg.termIn, seg.termVA = term, in, va
-		case in.Op == isa.OpJAL:
-			// A followed plain jump: its fetch and base cycles only.
-		case isa.IsLoad(in.Op) || isa.IsStore(in.Op):
-			// A memory op always ends its segment: its data access must
-			// stay ordered between the fetch before it and the fetch
-			// after it, so the next fetch batch starts a new segment.
-			seg.isMem, seg.mem, seg.memVA = true, in, va
-		default:
-			alus[na] = in
-			na++
+		case isMem || i == n-1 && hasTerm:
+			seg.last, seg.lastVA = in, va
+		case fusesOp(in):
+			ops = append(ops, newUop(in, va))
 		}
-		if seg.isMem || i == n-1 {
-			seg.fetch, seg.alu = runs[r0:nr], alus[a0:na]
+		if isMem || i == n-1 {
+			seg.fetch, seg.ops = runs[r0:nr], ops[o0:]
 			b.segs = append(b.segs, c.buildSeg(b, seg))
 			seg = segSpec{base: seg.base + seg.n}
-			r0, a0 = nr, na
+			r0, o0 = nr, len(ops)
 		}
 	}
 	c.blocks[idx] = b

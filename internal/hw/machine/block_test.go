@@ -12,7 +12,8 @@ import (
 
 // Directed tests for the block-compilation tier (block.go): discovery
 // and promotion, loop chaining, guard bails under self-modifying code,
-// revalidation across generation bumps, and the disable knob. The
+// revalidation across generation bumps, the disable knob, and every
+// case of the uop switches. The
 // broad equivalence net is TestFastSlowEquivalence plus the
 // differential fuzzer in blockfuzz_test.go; these tests pin the
 // engine's internal behaviour via BlockStats.
@@ -37,11 +38,11 @@ func bfLoopWords() []uint64 {
 
 // TestBlockHotLoop: a tight loop is promoted to one block, nearly all
 // instructions retire inside it, consecutive iterations chain without
-// leaving the engine, and the final state matches the per-instruction
-// engine exactly.
+// leaving the engine, and the final state matches the reference
+// interpreter exactly.
 func TestBlockHotLoop(t *testing.T) {
 	const steps = 8192
-	m, c := bfMachine(t, IsolationNone, true, 1, bfLoopWords())
+	m, c := bfMachine(t, IsolationNone, bfBlocks, 1, bfLoopWords())
 	if _, err := m.Run(0, steps); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestBlockHotLoop(t *testing.T) {
 		t.Errorf("%d guard bails in a steady-state loop, want 0", bs.GuardBails)
 	}
 
-	rm, rc := bfMachine(t, IsolationNone, false, 1, bfLoopWords())
+	rm, rc := bfMachine(t, IsolationNone, bfReference, 1, bfLoopWords())
 	if _, err := rm.Run(0, steps); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestBlockSelfModifyBail(t *testing.T) {
 	for i, in := range prog {
 		words[i] = in.Encode()
 	}
-	m, c := bfMachine(t, IsolationNone, true, 1, words)
+	m, c := bfMachine(t, IsolationNone, bfBlocks, 1, words)
 	if err := m.Mem.Store(bfCodePA+0x100, 8, patched); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestBlockChainedPassBail(t *testing.T) {
 // the block's guard word stale; the next hot entry must revive the
 // block by revalidation, not recompilation.
 func TestBlockRevalidation(t *testing.T) {
-	m, c := bfMachine(t, IsolationNone, true, 1, bfLoopWords())
+	m, c := bfMachine(t, IsolationNone, bfBlocks, 1, bfLoopWords())
 	if _, err := m.Run(0, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestBlockRevalidation(t *testing.T) {
 // TestBlockThreshold: a site below the heat threshold stays on the
 // per-instruction path; crossing it compiles.
 func TestBlockThreshold(t *testing.T) {
-	m, c := bfMachine(t, IsolationNone, true, 50, bfLoopWords())
+	m, c := bfMachine(t, IsolationNone, bfBlocks, 50, bfLoopWords())
 	if _, err := m.Run(0, 6*40); err != nil { // 40 entries < 50
 		t.Fatal(err)
 	}
@@ -312,11 +313,102 @@ func TestBlockThreshold(t *testing.T) {
 
 // TestBlockEngineDisabled: the knob really disables the tier.
 func TestBlockEngineDisabled(t *testing.T) {
-	m, c := bfMachine(t, IsolationNone, false, 1, bfLoopWords())
+	m, c := bfMachine(t, IsolationNone, bfNoBlocks, 1, bfLoopWords())
 	if _, err := m.Run(0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	if bs := c.BlockStats(); bs != (BlockStats{}) {
 		t.Errorf("disabled engine recorded activity: %+v", bs)
+	}
+}
+
+// TestBlockEveryUop covers every case of segEnv.run's two switches
+// inside blocks. A hot loop runs three blocks: the first fuses every
+// ALU op with x0 and its alias 32 as operands, loads into x0 and x32,
+// and ends in a linking JAL; the second gives every ALU op an x0 or x32
+// destination (compiled to nothing) and ends in a JALR with rd == rs1;
+// the third ends in the loop's branch against x0. The JAL and the JALR
+// each skip a word that would set x5, so a link written before the
+// target is read shows. The end state must match the reference
+// interpreter on every backend, and every pass after the first two
+// (which seed the decode cache the compiler reads) must retire inside
+// blocks.
+func TestBlockEveryUop(t *testing.T) {
+	const iters = 24
+	const x0a = isa.NumRegs // x0's alias
+	setup := []isa.Instr{
+		{Op: isa.OpLI, Rd: 6, Imm: iters},
+		{Op: isa.OpLI, Rd: 7, Imm: 3},
+		{Op: isa.OpLI, Rd: 12, Imm: -5},
+	}
+	ops := []isa.Instr{ // every ALU op but NOP, reading x0 or x32 in most
+		{Op: isa.OpADD, Rd: 13, Rs1: 6, Rs2: 0},
+		{Op: isa.OpSUB, Rd: 14, Rs1: x0a, Rs2: 6},
+		{Op: isa.OpAND, Rd: 15, Rs1: 12, Rs2: 6},
+		{Op: isa.OpOR, Rd: 16, Rs1: 0, Rs2: 12},
+		{Op: isa.OpXOR, Rd: 17, Rs1: 13, Rs2: x0a},
+		{Op: isa.OpSLL, Rd: 18, Rs1: 6, Rs2: 7},
+		{Op: isa.OpSRL, Rd: 19, Rs1: 12, Rs2: x0a},
+		{Op: isa.OpSRA, Rd: 20, Rs1: 12, Rs2: 6},
+		{Op: isa.OpSLT, Rd: 21, Rs1: 12, Rs2: 0},
+		{Op: isa.OpSLTU, Rd: 22, Rs1: x0a, Rs2: 12},
+		{Op: isa.OpMUL, Rd: 23, Rs1: 6, Rs2: 12},
+		{Op: isa.OpDIVU, Rd: 24, Rs1: 12, Rs2: 0},
+		{Op: isa.OpREMU, Rd: 25, Rs1: 12, Rs2: x0a},
+		{Op: isa.OpADDI, Rd: 26, Rs1: x0a, Imm: 77},
+		{Op: isa.OpANDI, Rd: 27, Rs1: 12, Imm: 0xff},
+		{Op: isa.OpORI, Rd: 28, Rs1: 0, Imm: 5},
+		{Op: isa.OpXORI, Rd: 29, Rs1: 6, Imm: -1},
+		{Op: isa.OpSLLI, Rd: 30, Rs1: 6, Imm: 60},
+		{Op: isa.OpSRLI, Rd: 31, Rs1: 12, Imm: 4},
+		{Op: isa.OpSRAI, Rd: 4, Rs1: 12, Imm: 1},
+		{Op: isa.OpSLTI, Rd: 3, Rs1: x0a, Imm: 1},
+		{Op: isa.OpSLTIU, Rd: 2, Rs1: 0, Imm: 1},
+		{Op: isa.OpLI, Rd: 11, Imm: 1234},
+	}
+	var prog []isa.Instr
+	prog = append(prog, setup...)
+	loop := len(prog)
+	prog = append(prog, ops...)
+	prog = append(prog,
+		isa.Instr{Op: isa.OpLD, Rd: 0, Rs1: 8},
+		isa.Instr{Op: isa.OpLW, Rd: x0a, Rs1: 8, Imm: 4},
+		isa.Instr{Op: isa.OpJAL, Rd: 1, Imm: 2 * 8},
+		isa.Instr{Op: isa.OpLI, Rd: 5, Imm: 666}, // skipped by the JAL
+	)
+	for i, in := range ops { // the same ops, their results discarded
+		in.Rd = []uint8{0, x0a}[i%2]
+		prog = append(prog, in)
+	}
+	jalr := len(prog) + 2
+	prog = append(prog,
+		isa.Instr{Op: isa.OpNOP},
+		isa.Instr{Op: isa.OpLI, Rd: 9, Imm: int32(bfCodeVA) + int32(jalr+2)*8},
+		isa.Instr{Op: isa.OpJALR, Rd: 9, Rs1: 9},
+		isa.Instr{Op: isa.OpLI, Rd: 5, Imm: 667}, // skipped by the JALR
+		isa.Instr{Op: isa.OpADDI, Rd: 6, Rs1: 6, Imm: -1},
+		isa.Instr{Op: isa.OpBNE, Rs1: 6, Rs2: 0, Imm: int32(loop-(jalr+3)) * 8},
+		isa.Instr{Op: isa.OpHALT},
+	)
+	words := make([]uint64, len(prog))
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	data := bytes.Repeat([]byte{0xa5}, 16) // what the x0 loads must not keep
+	body := len(prog) - len(setup) - 3     // per pass: less the skipped words and the HALT
+	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c := bfCompare(t, kind, words, data)
+			if c.CPU.Regs[5] != 0 {
+				t.Errorf("x5 = %d: a word after the JAL or JALR ran", c.CPU.Regs[5])
+			}
+			bs := c.BlockStats()
+			if bs.Compiled != 3 {
+				t.Errorf("compiled %d blocks, want 3: %+v", bs.Compiled, bs)
+			}
+			if want := uint64((iters - 2) * body); bs.Instrs < want {
+				t.Errorf("%d instructions retired in blocks, want at least %d: %+v", bs.Instrs, want, bs)
+			}
+		})
 	}
 }

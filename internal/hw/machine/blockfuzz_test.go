@@ -13,16 +13,17 @@ import (
 )
 
 // Differential fuzzing of the block-compilation tier: the same random
-// instruction stream is executed on a machine with the block engine
-// forced hot (threshold 1) and on one with it disabled, and every
-// architecturally visible observable — registers, PC, modeled cycles,
-// TLB and cache statistics, every L1 and L2 way (tag, residency and LRU
-// stamp), the full trap stream, and the final contents of the code and
-// data pages — must be identical. The
-// generator is biased toward the cases with their own bail-out
-// machinery: self-modifying stores over the code pages, accesses that
-// straddle the last mapped page into unmapped space, mid-block faults,
-// and system ops that must terminate block formation.
+// instruction stream is executed on the production engine (the fast
+// path with the block engine forced hot, threshold 1) and on the
+// reference interpreter (DisableFastPath), and every architecturally
+// visible observable — registers, PC, modeled cycles, TLB and cache
+// statistics, every L1 and L2 way (tag, residency and LRU stamp), the
+// full trap stream, and the final contents of the code and data pages —
+// must be identical. The generator is biased toward the cases with their
+// own bail-out machinery: self-modifying stores over the code pages,
+// accesses that straddle the last mapped page into unmapped space,
+// mid-block faults, and system ops that must terminate block formation;
+// it also emits JALR (half with rd == rs1) and names x0 by its alias 32.
 
 const (
 	bfCodeVA   = uint64(0x10000)
@@ -34,15 +35,24 @@ const (
 	bfDataLen  = 3 * mem.PageSize
 )
 
+// bfEngine selects the execution engine a fuzz machine runs.
+type bfEngine int
+
+const (
+	bfBlocks    bfEngine = iota // production: the fast path plus the block tier
+	bfNoBlocks                  // the fast path with the block tier disabled
+	bfReference                 // the reference interpreter (DisableFastPath)
+)
+
 // bfMachine builds a paged S-mode machine with the fuzz address space
-// and the program words loaded. blockEngine selects the engine under
-// test versus the per-instruction control; threshold sets the heat
-// count at which a transfer target is promoted (1 = on first sight,
-// for maximal block coverage).
-func bfMachine(t *testing.T, kind IsolationKind, blockEngine bool, threshold int, words []uint64) (*Machine, *Core) {
+// and the program words loaded, running engine; threshold sets the heat
+// count at which a transfer target is promoted (1 = on first sight, for
+// maximal block coverage).
+func bfMachine(t *testing.T, kind IsolationKind, engine bfEngine, threshold int, words []uint64) (*Machine, *Core) {
 	t.Helper()
 	cfg := smallConfig(kind)
-	cfg.DisableBlockEngine = !blockEngine
+	cfg.DisableFastPath = engine == bfReference
+	cfg.DisableBlockEngine = engine == bfNoBlocks
 	cfg.BlockThreshold = threshold
 	m, err := New(cfg)
 	if err != nil {
@@ -84,9 +94,9 @@ func bfMachine(t *testing.T, kind IsolationKind, blockEngine bool, threshold int
 		}
 	}
 	// Base registers the generator builds addresses from: data base,
-	// code base (self-modifying stores), the last mapped data word
-	// (offsets from here straddle into unmapped space), and a wholly
-	// unmapped base (mid-block faults).
+	// code base (self-modifying stores and JALR targets), the last
+	// mapped data word (offsets from here straddle into unmapped space),
+	// and a wholly unmapped base (mid-block faults).
 	c.CPU.Regs[8] = bfDataVA
 	c.CPU.Regs[9] = bfCodeVA
 	c.CPU.Regs[10] = bfDataVA + bfDataLen - 8
@@ -111,8 +121,10 @@ var bfMemOps = []isa.Op{
 var bfBranchOps = []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU}
 
 // bfGenerate maps fuzz bytes to an instruction stream. Four bytes per
-// instruction: a class selector and three operand bytes. The stream is
-// capped at the code region less one word for the trailing HALT.
+// instruction: a class selector and three operand bytes. Register fields
+// are drawn mod 32, and one instruction in eight then names x0 by its
+// alias 32 in one field. The stream is capped at the code region less
+// one word for the trailing HALT.
 func bfGenerate(data []byte) []uint64 {
 	max := int(bfCodeLen/isa.InstrSize) - 1
 	var words []uint64
@@ -127,6 +139,8 @@ func bfGenerate(data []byte) []uint64 {
 				Imm: int32(int8(b3)) * int32(b1),
 			}
 		case sel < 190: // memory: base register picks the fault class
+			// rd comes from b2's upper bits, so it does not fix the base:
+			// a load into x0 runs through every fault class.
 			base := uint8(8 + b2%4)
 			imm := int32(b3) * 8
 			if b2&0x10 != 0 {
@@ -134,18 +148,26 @@ func bfGenerate(data []byte) []uint64 {
 			}
 			in = isa.Instr{
 				Op: bfMemOps[int(b1)%len(bfMemOps)],
-				Rd: b2 % isa.NumRegs, Rs1: base, Rs2: b3 % isa.NumRegs, Imm: imm,
+				Rd: (b2 >> 2) % isa.NumRegs, Rs1: base, Rs2: b3 % isa.NumRegs, Imm: imm,
 			}
-		case sel < 215: // control flow: short aligned hops inside the region
+		case sel < 215: // control flow: aligned hops inside the region
 			off := (int32(int8(b2)) % 24) * isa.InstrSize
 			if off == 0 {
 				off = isa.InstrSize
 			}
 			switch {
-			case sel < 205:
+			case sel < 202:
 				in = isa.Instr{
 					Op:  bfBranchOps[int(b1)%len(bfBranchOps)],
 					Rs1: b2 % isa.NumRegs, Rs2: b3 % isa.NumRegs, Imm: off,
+				}
+			case sel >= 210:
+				// An indirect jump off the code base to one of the
+				// program's first 32 words; in half of them rd == rs1,
+				// so the target must be read before the link write.
+				in = isa.Instr{Op: isa.OpJALR, Rd: b2 % isa.NumRegs, Rs1: 9, Imm: int32(b1%32) * isa.InstrSize}
+				if b3&1 == 0 {
+					in.Rd = 9
 				}
 			case b3&1 == 0:
 				// A plain jump, forward or backward: the kind of jump a
@@ -161,6 +183,16 @@ func bfGenerate(data []byte) []uint64 {
 		default: // raw word: undecodable garbage must trap identically
 			words = append(words, binary.LittleEndian.Uint64([]byte{sel, b1, b2, b3, b1, b2, b3, sel}))
 			continue
+		}
+		if sel%8 == 7 { // x0's alias, in the field sel's upper bits pick
+			switch (sel >> 3) % 3 {
+			case 0:
+				in.Rd = isa.NumRegs
+			case 1:
+				in.Rs1 = isa.NumRegs
+			default:
+				in.Rs2 = isa.NumRegs
+			}
 		}
 		words = append(words, in.Encode())
 	}
@@ -185,11 +217,12 @@ type bfState struct {
 	data   []byte
 }
 
-// bfRun runs words on a fresh machine, with data (if non-nil) loaded at
-// the start of the data pages, and returns the end state and the core.
-func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64, data []byte) (bfState, *Core) {
+// bfRun runs words on a fresh machine with engine, with data (if
+// non-nil) loaded at the start of the data pages, and returns the end
+// state and the core.
+func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, words []uint64, data []byte) (bfState, *Core) {
 	t.Helper()
-	m, c := bfMachine(t, kind, blockEngine, 1, words)
+	m, c := bfMachine(t, kind, engine, 1, words)
 	if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +250,15 @@ func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64, d
 	return s, c
 }
 
-// bfCompare runs words on both engines, with data (if non-nil) loaded at
-// the start of the data pages, and requires identical end states. It
-// returns the block engine's core, for checks of the engine's own
-// counters and blocks.
+// bfCompare runs words on the production engine and on the reference
+// interpreter, with data (if non-nil) loaded at the start of the data
+// pages, and requires identical end states. It returns the production
+// engine's core, for checks of the block engine's own counters and
+// blocks.
 func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte) *Core {
 	t.Helper()
-	blk, c := bfRun(t, kind, true, words, data)
-	ref, _ := bfRun(t, kind, false, words, data)
+	blk, c := bfRun(t, kind, bfBlocks, words, data)
+	ref, _ := bfRun(t, kind, bfReference, words, data)
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -289,9 +323,9 @@ func firstWayDiff(a, b []cache.LineState) int {
 	return -1
 }
 
-// FuzzBlockDifferential is the open-ended harness; the nightly deep-CI
-// job runs it with -fuzz for an extended period. Each input drives all
-// three isolation backends.
+// FuzzBlockDifferential is the open-ended harness; CI runs it with
+// -fuzz, briefly on every change and for an extended period nightly.
+// Each input drives all three isolation backends.
 func FuzzBlockDifferential(f *testing.F) {
 	// Seeds aimed at the interesting regimes: a tight ALU loop, a
 	// store-over-code sequence, page-straddling and unmapped accesses,

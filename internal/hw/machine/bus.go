@@ -167,10 +167,9 @@ func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 		if !c.L1.TouchFast(pa, &c.storeRef) {
 			cyc = c.cachedAccessRef(pa, &c.storeRef)
 		}
-		if c.machine.Mem.IsCOW(pa) {
+		if cow, _ := c.storeWin.StoreFast(pa, width, val); cow {
 			return walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
 		}
-		c.storeWin.StoreFast(pa, width, val)
 		return walkCyc + cyc, nil
 	}
 	pa, walkCyc, fault := c.translate(va, uint64(width), pt.Store, c.CPU.Mode)

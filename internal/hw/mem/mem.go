@@ -128,15 +128,12 @@ func (m *Phys) MarkCodePage(addr uint64) {
 }
 
 // noteWrite fires the code-write hook if [addr, addr+n) touches a
-// marked page, reporting whether it did. n > 0; the range is already
-// validated.
-func (m *Phys) noteWrite(addr, n uint64) bool {
-	for p, last := addr>>PageBits, (addr+n-1)>>PageBits; ; p++ {
+// marked page. n > 0; the range is already validated.
+func (m *Phys) noteWrite(addr, n uint64) {
+	for p, last := addr>>PageBits, (addr+n-1)>>PageBits; p <= last; p++ {
 		if m.codePages[p>>6].Load()&(1<<(p&63)) != 0 {
-			return m.codeWriteHit()
-		}
-		if p >= last {
-			return false
+			m.codeWriteHit()
+			return
 		}
 	}
 }
@@ -212,8 +209,7 @@ func (m *Phys) ClearCOW(addr uint64) {
 }
 
 // IsCOW reports whether the page containing addr is frozen
-// copy-on-write. The machine's store path uses it to fault guest
-// stores that reach a frozen page through a stale translation.
+// copy-on-write.
 func (m *Phys) IsCOW(addr uint64) bool {
 	p := addr >> PageBits
 	return m.cowPages[p>>6].Load()&(1<<(p&63)) != 0
@@ -403,13 +399,13 @@ func (m *Phys) ZeroPage(addr uint64) error {
 	return m.ZeroRange(addr&^uint64(PageMask), PageSize)
 }
 
-// Window is a last-page pointer cache in front of a Phys. The common
-// same-page access skips the page-table lookup entirely; semantics
-// (alignment, width, range checks, error values) are identical to
-// Phys.Load/Store, which the machine's fast-vs-reference equivalence
-// tests rely on. A Window is single-consumer state (one per core per
-// traffic class) and is invalidated automatically when ZeroRange may
-// have de-materialized its page.
+// Window is a last-page pointer cache in front of a Phys: the common
+// same-page access skips the page-table lookup entirely. Its accessors
+// are unchecked — LoadFast's caller contract below — and exist for the
+// machine's fast path, whose results the fast-vs-reference equivalence
+// tests hold to Phys.Load/Store's. A Window is single-consumer state
+// (one per core per traffic class) and is invalidated automatically
+// when ZeroRange may have de-materialized its page.
 type Window struct {
 	m    *Phys
 	ppn  uint64
@@ -423,20 +419,10 @@ func (w *Window) Reset(m *Phys) {
 	w.page = nil
 }
 
-// lookup returns the backing page for addr, which the caller has
-// already range-checked. LoadFast/StoreFast repeat this hit check
-// inline (one call frame per access, as the interpreter's hot loop
-// requires); the zeroGen load is atomic, which is a plain load on the
-// host ISAs we target.
-func (w *Window) lookup(addr uint64) *[PageSize]byte {
-	ppn := addr >> PageBits
-	if w.page != nil && w.ppn == ppn && w.gen == w.m.zeroGen.Load() {
-		return w.page
-	}
-	return w.refill(ppn)
-}
-
-// refill re-validates the window after a miss or a ZeroRange.
+// refill re-validates the window after a miss or a ZeroRange. The
+// accessors open-code the hit check (one call frame per access, as the
+// interpreter's hot loop requires); the zeroGen load is atomic, which
+// is a plain load on the host ISAs we target.
 func (w *Window) refill(ppn uint64) *[PageSize]byte {
 	gen := w.m.zeroGen.Load()
 	p := w.m.page(ppn)
@@ -444,20 +430,10 @@ func (w *Window) refill(ppn uint64) *[PageSize]byte {
 	return p
 }
 
-// Load is Phys.Load through the window's page cache.
-func (w *Window) Load(addr uint64, width int) (uint64, error) {
-	if err := w.m.checkAccess(addr, width); err != nil {
-		return 0, err
-	}
-	return loadFrom(w.lookup(addr), addr&PageMask, width), nil
-}
-
-// LoadFast is Load without the width/alignment/range checks, for
+// LoadFast is Phys.Load without the width/alignment/range checks, for
 // callers that can prove them: the machine's translated fast path only
 // produces naturally-aligned accesses of ISA widths to physical
-// addresses its isolation check already bounded. The window hit check
-// is open-coded (not via lookup) so the whole access stays one call
-// frame deep.
+// addresses its isolation check already bounded.
 func (w *Window) LoadFast(addr uint64, width int) uint64 {
 	ppn := addr >> PageBits
 	p := w.page
@@ -479,39 +455,15 @@ func (w *Window) Load64(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(p[addr&PageMask&^uint64(7):])
 }
 
-// StoreFast is Store without the width/alignment/range checks, under
-// LoadFast's caller contract — which now also includes the COW check:
-// the caller must have established the page is not frozen (IsCOW), as
-// the machine's fast store path does after translation. The code-write
-// check still observes the store.
-func (w *Window) StoreFast(addr uint64, width int, val uint64) {
-	w.StoreFastNoted(addr, width, val)
-}
-
-// StoreFastNoted is StoreFast, additionally reporting whether the
-// write landed in a marked code page (and therefore fired the
-// code-write hook). The block engine uses the verdict to decide
-// whether the store could have moved its guard word.
-func (w *Window) StoreFastNoted(addr uint64, width int, val uint64) bool {
-	hitCode := w.m.noteWrite(addr, uint64(width))
-	ppn := addr >> PageBits
-	p := w.page
-	if p == nil || w.ppn != ppn || w.gen != w.m.zeroGen.Load() {
-		p = w.refill(ppn)
-	}
-	storeTo(p, addr&PageMask, width, val)
-	return hitCode
-}
-
-// StoreFastBlock is the block engine's fused store: the COW backstop,
-// the code-write check and the window write in one call frame, sharing
-// one page-number computation. cow reports the store was refused (a
-// frozen page — the caller raises the store-access trap, nothing was
-// written); hitCode reports the write landed in a marked code page and
-// fired the code-write hook. The caller contract is StoreFast's plus
-// natural alignment, so the access never crosses a page and one page's
-// bits decide both checks.
-func (w *Window) StoreFastBlock(addr uint64, width int, val uint64) (cow, hitCode bool) {
+// StoreFast is Phys.Store under LoadFast's caller contract: the
+// copy-on-write backstop, the code-write check and the window write in
+// one call frame, sharing one page-number computation. cow reports the
+// store was refused (a frozen page — the caller raises the access
+// fault; nothing was written); hitCode reports the write landed in a
+// marked code page and fired the code-write hook. The access is
+// naturally aligned, so it never crosses a page and one page's bits
+// decide both checks.
+func (w *Window) StoreFast(addr uint64, width int, val uint64) (cow, hitCode bool) {
 	pg := addr >> PageBits
 	bit := uint64(1) << (pg & 63)
 	if w.m.cowPages[pg>>6].Load()&bit != 0 {
@@ -528,15 +480,15 @@ func (w *Window) StoreFastBlock(addr uint64, width int, val uint64) (cow, hitCod
 	return false, hitCode
 }
 
-// Store64Block is StoreFastBlock specialized to the 8-byte width,
-// shaped to inline: the two page-bit checks fold into one OR-ed branch
-// and the write is fixed-width, with the refused/marked-page cases
-// outlined. Both bitmaps are still read directly — the OR is a pure
+// Store64 is StoreFast specialized to the 8-byte width: the two
+// page-bit checks fold into one OR-ed branch and the write is
+// fixed-width, with the refused and marked-page cases left to
+// StoreFast. Both bitmaps are still read directly — the OR is a pure
 // fast-path fold, not a derived union.
-func (w *Window) Store64Block(addr, val uint64) (cow, hitCode bool) {
+func (w *Window) Store64(addr, val uint64) (cow, hitCode bool) {
 	pg := addr >> PageBits
 	if (w.m.cowPages[pg>>6].Load()|w.m.codePages[pg>>6].Load())&(1<<(pg&63)) != 0 {
-		return w.store64BlockSlow(addr, pg, val)
+		return w.StoreFast(addr, 8, val)
 	}
 	p := w.page
 	if p == nil || w.ppn != pg || w.gen != w.m.zeroGen.Load() {
@@ -544,31 +496,4 @@ func (w *Window) Store64Block(addr, val uint64) (cow, hitCode bool) {
 	}
 	binary.LittleEndian.PutUint64(p[addr&PageMask&^uint64(7):], val)
 	return false, false
-}
-
-// store64BlockSlow disambiguates Store64Block's marked-page branch: a
-// frozen page refuses the store, a marked code page takes the
-// code-write hit and then writes.
-func (w *Window) store64BlockSlow(addr, pg, val uint64) (cow, hitCode bool) {
-	if w.m.cowPages[pg>>6].Load()&(1<<(pg&63)) != 0 {
-		return true, false
-	}
-	hitCode = w.m.codeWriteHit()
-	p := w.lookup(addr)
-	binary.LittleEndian.PutUint64(p[addr&PageMask&^uint64(7):], val)
-	return false, hitCode
-}
-
-// Store is Phys.Store through the window's page cache. The code-write
-// and COW checks still observe the store.
-func (w *Window) Store(addr uint64, width int, val uint64) error {
-	if err := w.m.checkAccess(addr, width); err != nil {
-		return err
-	}
-	if w.m.IsCOW(addr) {
-		return fmt.Errorf("%w: %#x", ErrCOWProtected, addr)
-	}
-	w.m.noteWrite(addr, uint64(width))
-	storeTo(w.lookup(addr), addr&PageMask, width, val)
-	return nil
 }

@@ -52,16 +52,16 @@ func TestZeroRangeDematerializes(t *testing.T) {
 
 // TestWindowMatchesPhys drives a Window and a bare Phys through the
 // same traffic, including a ZeroRange that de-materializes the cached
-// page, and requires identical values and errors.
+// page, and requires identical values.
 func TestWindowMatchesPhys(t *testing.T) {
 	m := New(1 << 16)
 	var w Window
 	w.Reset(m)
-	if err := w.Store(0x1000, 8, 0xDEAD); err != nil {
-		t.Fatal(err)
+	if cow, _ := w.StoreFast(0x1000, 8, 0xDEAD); cow {
+		t.Fatal("window store refused on an unfrozen page")
 	}
-	if v, err := w.Load(0x1000, 8); err != nil || v != 0xDEAD {
-		t.Fatalf("window load = %#x, %v", v, err)
+	if v := w.LoadFast(0x1000, 8); v != 0xDEAD {
+		t.Fatalf("window load = %#x", v)
 	}
 	// Same-page access uses the cached pointer; cross-check via Phys.
 	if v, _ := m.Load(0x1000, 8); v != 0xDEAD {
@@ -72,24 +72,14 @@ func TestWindowMatchesPhys(t *testing.T) {
 	if err := m.ZeroRange(0x1000&^uint64(PageMask), PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := w.Load(0x1000, 8); err != nil || v != 0 {
-		t.Fatalf("window read stale page after ZeroRange: %#x, %v", v, err)
+	if v := w.LoadFast(0x1000, 8); v != 0 {
+		t.Fatalf("window read stale page after ZeroRange: %#x", v)
 	}
-	if err := w.Store(0x1000, 8, 7); err != nil {
-		t.Fatal(err)
+	if cow, _ := w.StoreFast(0x1000, 8, 7); cow {
+		t.Fatal("window store refused after ZeroRange")
 	}
 	if v, _ := m.Load(0x1000, 8); v != 7 {
 		t.Fatal("window store after ZeroRange lost")
-	}
-	// Errors are identical to Phys semantics.
-	if _, err := w.Load(3, 8); !errors.Is(err, ErrUnaligned) {
-		t.Errorf("unaligned window load: %v", err)
-	}
-	if _, err := w.Load(1<<16, 8); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("out-of-range window load: %v", err)
-	}
-	if _, err := w.Load(0, 3); !errors.Is(err, ErrBadWidth) {
-		t.Errorf("bad-width window load: %v", err)
 	}
 }
 

@@ -190,8 +190,11 @@ func TestCOWMarkBlocksWrites(t *testing.T) {
 	}
 	var w Window
 	w.Reset(m)
-	if err := w.Store(pa, 8, 1); !errors.Is(err, ErrCOWProtected) {
-		t.Fatalf("window store into frozen page: %v", err)
+	if cow, _ := w.StoreFast(pa, 4, 1); !cow {
+		t.Fatal("window store into frozen page not refused")
+	}
+	if cow, _ := w.Store64(pa, 1); !cow {
+		t.Fatal("8-byte window store into frozen page not refused")
 	}
 	// Reads still work, and the frozen contents are intact.
 	if v, err := m.Load(pa, 8); err != nil || v != 0x1234 {

@@ -1,322 +1,19 @@
 package isa
 
-// Block-executable instruction kernels.
-//
-// The machine's trace-compilation tier (internal/hw/machine/block.go)
-// promotes hot straight-line runs of decoded instructions into
-// "superinstruction" chains: one Go closure per instruction, specialized
-// at compile time against the decoded operands, executed back to back
-// with the per-instruction fetch/decode/dispatch scaffolding hoisted out
-// of the loop. This file holds the ISA half of that tier: the fused
-// kernels for every computational and control-flow opcode, plus the
-// small hooks (trap-buffer fill, fault-cause mapping, access-spec
-// queries) the machine-side memory kernels need to reproduce
-// ExecDecoded's semantics bit-for-bit.
-//
-// Specialization rules, in order of what they buy:
-//
-//   - Operands are burned into the closure as pre-masked array indices,
-//     so the register file is accessed directly (no Reg/SetReg calls,
-//     no bounds checks): the "block-level register caching" of the
-//     tier. This is only legal when no operand names x0 — the x0 slot
-//     of CPU.Regs is not architecturally observable and must be neither
-//     read nor written — so any kernel touching x0 falls back to the
-//     accessor-based variant, which is exact by construction.
-//   - Immediates are sign-extended (and shift amounts masked) once, at
-//     compile time.
-//   - Branch and jump targets are absolute addresses computed at
-//     compile time from the instruction's VA; only JALR resolves its
-//     target at runtime.
-//
-// Base cycle costs are NOT charged by the kernels: the block compiler
-// batches them (BlockCost) into one addition per segment, which is
-// exact because kernels of this file cannot trap and therefore always
-// retire once their segment is entered.
-
-// BlockALU returns the fused kernel for a computational instruction —
-// ALU register/immediate ops, LI, NOP — or nil if in is not in that
-// class (memory, control flow, system, or an undecodable word). The
-// kernel performs exactly ExecDecoded's register update for the op and
-// nothing else: no cycles, no PC movement, no traps.
-func BlockALU(in Instr) func(*CPU) {
-	direct := in.Rd != RegZero && in.Rs1 != RegZero && in.Rs2 != RegZero
-	rd, a, b := in.Rd%NumRegs, in.Rs1%NumRegs, in.Rs2%NumRegs
-	imm := sext(in.Imm)
-	sh := uint32(in.Imm) & 63
-
-	switch in.Op {
-	case OpNOP:
-		return func(*CPU) {}
-
-	case OpADD:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] + c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)+c.Reg(b)) }
-	case OpSUB:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] - c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)-c.Reg(b)) }
-	case OpAND:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] & c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)&c.Reg(b)) }
-	case OpOR:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] | c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)|c.Reg(b)) }
-	case OpXOR:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] ^ c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)^c.Reg(b)) }
-	case OpSLL:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] << (c.Regs[b] & 63) }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)<<(c.Reg(b)&63)) }
-	case OpSRL:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] >> (c.Regs[b] & 63) }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)>>(c.Reg(b)&63)) }
-	case OpSRA:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = uint64(int64(c.Regs[a]) >> (c.Regs[b] & 63)) }
-		}
-		return func(c *CPU) { c.SetReg(rd, uint64(int64(c.Reg(a))>>(c.Reg(b)&63))) }
-	case OpSLT:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = b2u(int64(c.Regs[a]) < int64(c.Regs[b])) }
-		}
-		return func(c *CPU) { c.SetReg(rd, b2u(int64(c.Reg(a)) < int64(c.Reg(b)))) }
-	case OpSLTU:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = b2u(c.Regs[a] < c.Regs[b]) }
-		}
-		return func(c *CPU) { c.SetReg(rd, b2u(c.Reg(a) < c.Reg(b))) }
-	case OpMUL:
-		if direct {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] * c.Regs[b] }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)*c.Reg(b)) }
-	case OpDIVU:
-		if direct {
-			return func(c *CPU) {
-				if d := c.Regs[b]; d == 0 {
-					c.Regs[rd] = ^uint64(0)
-				} else {
-					c.Regs[rd] = c.Regs[a] / d
-				}
-			}
-		}
-		return func(c *CPU) {
-			if d := c.Reg(b); d == 0 {
-				c.SetReg(rd, ^uint64(0))
-			} else {
-				c.SetReg(rd, c.Reg(a)/d)
-			}
-		}
-	case OpREMU:
-		if direct {
-			return func(c *CPU) {
-				if d := c.Regs[b]; d == 0 {
-					c.Regs[rd] = c.Regs[a]
-				} else {
-					c.Regs[rd] = c.Regs[a] % d
-				}
-			}
-		}
-		return func(c *CPU) {
-			if d := c.Reg(b); d == 0 {
-				c.SetReg(rd, c.Reg(a))
-			} else {
-				c.SetReg(rd, c.Reg(a)%d)
-			}
-		}
-
-	case OpADDI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] + imm }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)+imm) }
-	case OpANDI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] & imm }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)&imm) }
-	case OpORI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] | imm }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)|imm) }
-	case OpXORI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] ^ imm }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)^imm) }
-	case OpSLLI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] << sh }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)<<sh) }
-	case OpSRLI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = c.Regs[a] >> sh }
-		}
-		return func(c *CPU) { c.SetReg(rd, c.Reg(a)>>sh) }
-	case OpSRAI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = uint64(int64(c.Regs[a]) >> sh) }
-		}
-		return func(c *CPU) { c.SetReg(rd, uint64(int64(c.Reg(a))>>sh)) }
-	case OpSLTI:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = b2u(int64(c.Regs[a]) < int64(imm)) }
-		}
-		return func(c *CPU) { c.SetReg(rd, b2u(int64(c.Reg(a)) < int64(imm))) }
-	case OpSLTIU:
-		if in.Rd != RegZero && in.Rs1 != RegZero {
-			return func(c *CPU) { c.Regs[rd] = b2u(c.Regs[a] < imm) }
-		}
-		return func(c *CPU) { c.SetReg(rd, b2u(c.Reg(a) < imm)) }
-	case OpLI:
-		if in.Rd != RegZero {
-			return func(c *CPU) { c.Regs[rd] = imm }
-		}
-		return func(*CPU) {}
-	}
-	return nil
-}
-
-// BlockTerm returns the fused kernel for a control-flow instruction at
-// va — conditional branches, JAL, JALR — or nil if in is not control
-// flow. The kernel performs the op's register update and returns the
-// next PC; branch and JAL targets are absolute addresses burned in at
-// compile time. As with BlockALU, base cycles are the compiler's job.
-func BlockTerm(in Instr, va uint64) func(*CPU) uint64 {
-	rd, a, b := in.Rd%NumRegs, in.Rs1%NumRegs, in.Rs2%NumRegs
-	taken := va + sext(in.Imm)
-	fall := va + InstrSize
-
-	switch in.Op {
-	case OpBEQ:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if c.Regs[a] == c.Regs[b] {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if c.Reg(a) == c.Reg(b) {
-				return taken
-			}
-			return fall
-		}
-	case OpBNE:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if c.Regs[a] != c.Regs[b] {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if c.Reg(a) != c.Reg(b) {
-				return taken
-			}
-			return fall
-		}
-	case OpBLT:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if int64(c.Regs[a]) < int64(c.Regs[b]) {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if int64(c.Reg(a)) < int64(c.Reg(b)) {
-				return taken
-			}
-			return fall
-		}
-	case OpBGE:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if int64(c.Regs[a]) >= int64(c.Regs[b]) {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if int64(c.Reg(a)) >= int64(c.Reg(b)) {
-				return taken
-			}
-			return fall
-		}
-	case OpBLTU:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if c.Regs[a] < c.Regs[b] {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if c.Reg(a) < c.Reg(b) {
-				return taken
-			}
-			return fall
-		}
-	case OpBGEU:
-		if in.Rs1 != RegZero && in.Rs2 != RegZero {
-			return func(c *CPU) uint64 {
-				if c.Regs[a] >= c.Regs[b] {
-					return taken
-				}
-				return fall
-			}
-		}
-		return func(c *CPU) uint64 {
-			if c.Reg(a) >= c.Reg(b) {
-				return taken
-			}
-			return fall
-		}
-
-	case OpJAL:
-		return func(c *CPU) uint64 {
-			c.SetReg(rd, fall)
-			return taken
-		}
-	case OpJALR:
-		imm := sext(in.Imm)
-		// The target reads rs1 before the link write, exactly as
-		// ExecDecoded does: JALR with rd == rs1 must jump to the old
-		// value.
-		return func(c *CPU) uint64 {
-			target := c.Reg(a) + imm
-			c.SetReg(rd, fall)
-			return target
-		}
-	}
-	return nil
-}
+// Hooks for the machine's trace-compilation tier
+// (internal/hw/machine/block.go). The tier runs hot straight-line runs
+// of decoded instructions as fused segments: one switch over the opcode
+// executes each register op and terminal, each case being ExecDecoded's
+// register update for its op, with base cycle costs batched per
+// segment. This file holds what the tier needs from the ISA beyond
+// ExecDecoded's exported helpers (LoadSpec, StoreSpec, SignExtend,
+// Trapped): the classes of instruction it fuses, their base costs, and
+// the trap causes of its memory ops.
 
 // BlockCost returns the base cycle cost ExecDecoded charges for op —
 // the cost the block compiler batches per segment. Memory ops return 0:
-// their cost is entirely bus cycles, charged at runtime by the machine's
-// memory kernels.
+// their cost is entirely bus cycles, charged at runtime by the block's
+// memory-op body.
 func BlockCost(op Op) uint64 {
 	switch op {
 	case OpMUL:
@@ -336,12 +33,27 @@ func BlockCost(op Op) uint64 {
 	}
 }
 
-// LoadSpec and StoreSpec expose the access width (and sign-extension,
-// for loads) of a memory opcode to the machine's block memory kernels.
-func LoadSpec(op Op) (width int, signed bool) { return loadSpec(op) }
+// IsALU reports whether op is computational: an ALU register or
+// immediate op, LI or NOP. These cannot trap, and update at most rd.
+func IsALU(op Op) bool {
+	switch op {
+	case OpNOP, OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSLL, OpSRL, OpSRA, OpSLT, OpSLTU,
+		OpMUL, OpDIVU, OpREMU, OpADDI, OpANDI, OpORI, OpXORI, OpSLLI, OpSRLI, OpSRAI,
+		OpSLTI, OpSLTIU, OpLI:
+		return true
+	}
+	return false
+}
 
-// StoreSpec is the store counterpart of LoadSpec.
-func StoreSpec(op Op) int { return storeSpec(op) }
+// IsControl reports whether op transfers control: a conditional branch,
+// JAL or JALR.
+func IsControl(op Op) bool {
+	switch op {
+	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpJAL, OpJALR:
+		return true
+	}
+	return false
+}
 
 // IsLoad reports whether op is a load instruction.
 func IsLoad(op Op) bool {
@@ -361,161 +73,8 @@ func IsStore(op Op) bool {
 	return false
 }
 
-// Trapped fills the CPU's reusable trap buffer and returns it, for
-// machine-side block kernels that must construct traps without
-// allocating — the exported face of the trapped helper Step uses. The
-// returned Trap obeys the same lifetime contract as Step's: valid until
-// the next trap on this CPU.
-func (c *CPU) Trapped(cause Cause, pc, value uint64) *Trap {
-	return c.trapped(cause, pc, value)
-}
-
 // LoadCause maps a memory fault to the trap cause a load raises.
 func (f *MemFault) LoadCause() Cause { return f.trapCause(accLoad) }
 
 // StoreCause maps a memory fault to the trap cause a store raises.
 func (f *MemFault) StoreCause() Cause { return f.trapCause(accStore) }
-
-// SignExtendVal sign-extends the low width bytes of v, as loads of
-// signed sub-word widths do.
-func SignExtendVal(v uint64, width int) uint64 { return signExtend(v, width) }
-
-// Micro-op kinds recognized by BlockUop. These are the handful of ALU
-// ops that dominate compiled blocks and whose direct-register form is a
-// single expression; the block engine executes them inline through a
-// jump-table switch instead of an indirect kernel call, which removes
-// the call/return and argument-shuffle overhead from the hottest part
-// of segment execution. UopNone (0) means "use the BlockALU kernel".
-const (
-	UopNone = iota
-	UopADD
-	UopSUB
-	UopAND
-	UopOR
-	UopXOR
-	UopADDI
-	UopANDI
-	UopORI
-	UopXORI
-	UopSLLI
-	UopSRLI
-	UopLI
-)
-
-// BlockUop classifies in as an inline micro-op: kind is one of the Uop
-// constants, rd/a/b are pre-masked register indices safe for direct
-// Regs array access, and imm is the pre-extended immediate (for the
-// shift kinds, the pre-masked shift amount). ok is false when the op
-// is outside the inlined set or any relevant operand names x0 — those
-// must go through the BlockALU kernel, whose accessor-based fallback is
-// exact for x0. The register update each kind implies is exactly the
-// direct-form BlockALU kernel for the same op; the two must stay in
-// lockstep (guarded by TestFastSlowEquivalence and the differential
-// fuzzer).
-func BlockUop(in Instr) (kind uint8, rd, a, b uint8, imm uint64, ok bool) {
-	rd, a, b = in.Rd%NumRegs, in.Rs1%NumRegs, in.Rs2%NumRegs
-	switch in.Op {
-	case OpADD, OpSUB, OpAND, OpOR, OpXOR:
-		if in.Rd == RegZero || in.Rs1 == RegZero || in.Rs2 == RegZero {
-			return 0, 0, 0, 0, 0, false
-		}
-		switch in.Op {
-		case OpADD:
-			kind = UopADD
-		case OpSUB:
-			kind = UopSUB
-		case OpAND:
-			kind = UopAND
-		case OpOR:
-			kind = UopOR
-		default:
-			kind = UopXOR
-		}
-		return kind, rd, a, b, 0, true
-	case OpADDI, OpANDI, OpORI, OpXORI:
-		if in.Rd == RegZero || in.Rs1 == RegZero {
-			return 0, 0, 0, 0, 0, false
-		}
-		switch in.Op {
-		case OpADDI:
-			kind = UopADDI
-		case OpANDI:
-			kind = UopANDI
-		case OpORI:
-			kind = UopORI
-		default:
-			kind = UopXORI
-		}
-		return kind, rd, a, 0, sext(in.Imm), true
-	case OpSLLI, OpSRLI:
-		if in.Rd == RegZero || in.Rs1 == RegZero {
-			return 0, 0, 0, 0, 0, false
-		}
-		kind = UopSLLI
-		if in.Op == OpSRLI {
-			kind = UopSRLI
-		}
-		return kind, rd, a, 0, uint64(uint32(in.Imm) & 63), true
-	case OpLI:
-		if in.Rd == RegZero {
-			return 0, 0, 0, 0, 0, false
-		}
-		return UopLI, rd, 0, 0, sext(in.Imm), true
-	}
-	return 0, 0, 0, 0, 0, false
-}
-
-// Terminal micro-op kinds recognized by BlockTermUop. These are the
-// control-flow terminals whose next PC is a choice between two
-// compile-time constants — JAL and the direct-register conditional
-// branches — which the block engine executes inline instead of through
-// the BlockTerm closure, removing an indirect call from every block
-// pass. TermNone (0) means "use the BlockTerm closure".
-const (
-	TermNone = iota
-	TermJAL
-	TermBEQ
-	TermBNE
-	TermBLT
-	TermBGE
-	TermBLTU
-	TermBGEU
-)
-
-// BlockTermUop classifies a control-flow terminal at va as an inline
-// micro-op: kind is one of the Term constants, a/b/rd are pre-masked
-// register indices, and taken/fall are the two possible next-PC values,
-// resolved at compile time. ok is false for JALR (dynamic target) and
-// for branches with an x0 operand — those keep the BlockTerm closure,
-// whose accessor-based fallback is exact for x0. The update each kind
-// implies is exactly the direct-form BlockTerm kernel for the same op
-// (for TermJAL, the link write is skipped when rd is 0, mirroring
-// SetReg); the two must stay in lockstep.
-func BlockTermUop(in Instr, va uint64) (kind uint8, a, b, rd uint8, taken, fall uint64, ok bool) {
-	a, b, rd = in.Rs1%NumRegs, in.Rs2%NumRegs, in.Rd%NumRegs
-	taken, fall = va+sext(in.Imm), va+InstrSize
-	switch in.Op {
-	case OpJAL:
-		return TermJAL, a, b, rd, taken, fall, true
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		if in.Rs1 == RegZero || in.Rs2 == RegZero {
-			return 0, 0, 0, 0, 0, 0, false
-		}
-		switch in.Op {
-		case OpBEQ:
-			kind = TermBEQ
-		case OpBNE:
-			kind = TermBNE
-		case OpBLT:
-			kind = TermBLT
-		case OpBGE:
-			kind = TermBGE
-		case OpBLTU:
-			kind = TermBLTU
-		default:
-			kind = TermBGEU
-		}
-		return kind, a, b, rd, taken, fall, true
-	}
-	return 0, 0, 0, 0, 0, 0, false
-}

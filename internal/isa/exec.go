@@ -15,6 +15,10 @@ type Bus interface {
 
 // CPU is the architectural state of one SRV64 hart.
 type CPU struct {
+	// Regs is the register file. Register fields are taken mod 32, and
+	// x0 is hardwired in storage: Regs[0] is never written (SetReg
+	// discards x0 writes, and every other writer zeroes Regs or restores
+	// a saved copy of it), so a direct Regs[r] read is exact for x0.
 	Regs   [NumRegs]uint64
 	PC     uint64
 	Mode   Priv
@@ -28,18 +32,20 @@ type CPU struct {
 	trap Trap
 }
 
-// Reg returns register r, with x0 hardwired to zero.
+// Reg returns register r, the field taken mod 32, with x0 reading as
+// zero.
 func (c *CPU) Reg(r uint8) uint64 {
-	if r == RegZero {
-		return 0
+	if r %= NumRegs; r != RegZero {
+		return c.Regs[r]
 	}
-	return c.Regs[r%NumRegs]
+	return 0
 }
 
-// SetReg writes register r; writes to x0 are discarded.
+// SetReg writes register r, the field taken mod 32; writes to x0 (and
+// to its aliases 32, 64, ...) are discarded.
 func (c *CPU) SetReg(r uint8, v uint64) {
-	if r != RegZero {
-		c.Regs[r%NumRegs] = v
+	if r %= NumRegs; r != RegZero {
+		c.Regs[r] = v
 	}
 }
 
@@ -55,8 +61,9 @@ const (
 
 func sext(imm int32) uint64 { return uint64(int64(imm)) }
 
-// trapped fills the CPU's trap buffer and returns it.
-func (c *CPU) trapped(cause Cause, pc, value uint64) *Trap {
+// Trapped fills the CPU's trap buffer and returns it. The returned Trap
+// obeys Step's lifetime contract: valid until the next trap on this CPU.
+func (c *CPU) Trapped(cause Cause, pc, value uint64) *Trap {
 	c.trap = Trap{Cause: cause, PC: pc, Value: value}
 	return &c.trap
 }
@@ -89,17 +96,17 @@ func (c *CPU) Step(bus Bus) *Trap {
 // caller should proceed to fetch at PC.
 func (c *CPU) PreStep() *Trap {
 	if c.Halted {
-		return c.trapped(CauseHalt, c.PC, 0)
+		return c.Trapped(CauseHalt, c.PC, 0)
 	}
 	if c.PC&(InstrSize-1) != 0 {
-		return c.trapped(CauseMisalignedFetch, c.PC, c.PC)
+		return c.Trapped(CauseMisalignedFetch, c.PC, c.PC)
 	}
 	return nil
 }
 
 // FetchFault converts a fetch-time memory fault into its trap.
 func (c *CPU) FetchFault(f *MemFault) *Trap {
-	return c.trapped(f.trapCause(accFetch), c.PC, f.Addr)
+	return c.Trapped(f.trapCause(accFetch), c.PC, f.Addr)
 }
 
 // ExecDecoded executes one already-fetched instruction at PC. in is
@@ -114,7 +121,7 @@ func (c *CPU) ExecDecoded(in Instr, bus Bus) *Trap {
 	case OpHALT:
 		c.Halted = true
 		c.Cycles += cycleSystem
-		return c.trapped(CauseHalt, c.PC, 0)
+		return c.Trapped(CauseHalt, c.PC, 0)
 
 	case OpADD:
 		c.SetReg(in.Rd, c.Reg(in.Rs1)+c.Reg(in.Rs2))
@@ -198,25 +205,25 @@ func (c *CPU) ExecDecoded(in Instr, bus Bus) *Trap {
 		c.Cycles += cycleALU
 
 	case OpLB, OpLBU, OpLH, OpLHU, OpLW, OpLWU, OpLD:
-		width, signed := loadSpec(in.Op)
+		width, signed := LoadSpec(in.Op)
 		addr := c.Reg(in.Rs1) + sext(in.Imm)
 		val, cyc, fault := bus.Load(addr, width)
 		c.Cycles += cyc
 		if fault != nil {
-			return c.trapped(fault.trapCause(accLoad), c.PC, fault.Addr)
+			return c.Trapped(fault.trapCause(accLoad), c.PC, fault.Addr)
 		}
 		if signed {
-			val = signExtend(val, width)
+			val = SignExtend(val, width)
 		}
 		c.SetReg(in.Rd, val)
 
 	case OpSB, OpSH, OpSW, OpSD:
-		width := storeSpec(in.Op)
+		width := StoreSpec(in.Op)
 		addr := c.Reg(in.Rs1) + sext(in.Imm)
 		cyc, fault := bus.Store(addr, width, c.Reg(in.Rs2))
 		c.Cycles += cyc
 		if fault != nil {
-			return c.trapped(fault.trapCause(accStore), c.PC, fault.Addr)
+			return c.Trapped(fault.trapCause(accStore), c.PC, fault.Addr)
 		}
 
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
@@ -241,24 +248,26 @@ func (c *CPU) ExecDecoded(in Instr, bus Bus) *Trap {
 		if c.Mode == PrivS {
 			cause = CauseECallS
 		}
-		return c.trapped(cause, c.PC, c.Reg(RegA7))
+		return c.Trapped(cause, c.PC, c.Reg(RegA7))
 	case OpEBREAK:
 		c.Cycles += cycleSystem
-		return c.trapped(CauseBreakpoint, c.PC, 0)
+		return c.Trapped(CauseBreakpoint, c.PC, 0)
 	case OpRDCYCLE:
 		c.SetReg(in.Rd, c.Cycles)
 		c.Cycles += cycleSystem
 
 	default:
 		// Decode is lossless, so the original word is reconstructible.
-		return c.trapped(CauseIllegal, c.PC, in.Encode())
+		return c.Trapped(CauseIllegal, c.PC, in.Encode())
 	}
 
 	c.PC = nextPC
 	return nil
 }
 
-func loadSpec(op Op) (width int, signed bool) {
+// LoadSpec returns the access width of a load opcode and whether it
+// sign-extends.
+func LoadSpec(op Op) (width int, signed bool) {
 	switch op {
 	case OpLB:
 		return 1, true
@@ -277,7 +286,8 @@ func loadSpec(op Op) (width int, signed bool) {
 	}
 }
 
-func storeSpec(op Op) int {
+// StoreSpec returns the access width of a store opcode.
+func StoreSpec(op Op) int {
 	switch op {
 	case OpSB:
 		return 1
@@ -307,7 +317,9 @@ func branchTaken(op Op, a, b uint64) bool {
 	}
 }
 
-func signExtend(v uint64, width int) uint64 {
+// SignExtend sign-extends the low width bytes of v, as loads of signed
+// sub-word widths do.
+func SignExtend(v uint64, width int) uint64 {
 	shift := uint(64 - 8*width)
 	return uint64(int64(v<<shift) >> shift)
 }

@@ -120,20 +120,25 @@ func TestDivByZeroRISCVSemantics(t *testing.T) {
 	}
 }
 
+// TestX0Hardwired: x0 reads as zero and its storage slot is never
+// written, whether the field names it as 0 or by an alias (register
+// fields are taken mod 32, so 32 is x0 too).
 func TestX0Hardwired(t *testing.T) {
-	bus := newFlatBus(4096)
-	bus.loadProgram(0, []Instr{
-		{Op: OpLI, Rd: 0, Imm: 99},
-		{Op: OpADDI, Rd: 1, Rs1: 0, Imm: 5},
-		{Op: OpHALT},
-	})
-	cpu := &CPU{}
-	run(t, cpu, bus, 10)
-	if cpu.Regs[0] != 0 {
-		t.Error("x0 was written")
-	}
-	if cpu.Regs[1] != 5 {
-		t.Errorf("x1 = %d, want 5 (x0 must read as zero)", cpu.Regs[1])
+	for _, zero := range []uint8{0, 32} {
+		bus := newFlatBus(4096)
+		bus.loadProgram(0, []Instr{
+			{Op: OpLI, Rd: zero, Imm: 99},
+			{Op: OpADDI, Rd: 1, Rs1: zero, Imm: 5},
+			{Op: OpHALT},
+		})
+		cpu := &CPU{}
+		run(t, cpu, bus, 10)
+		if cpu.Regs[0] != 0 {
+			t.Errorf("x%d: Regs[0] = %d, want 0 (x0 was written)", zero, cpu.Regs[0])
+		}
+		if cpu.Regs[1] != 5 {
+			t.Errorf("x%d: x1 = %d, want 5 (x0 must read as zero)", zero, cpu.Regs[1])
+		}
 	}
 }
 

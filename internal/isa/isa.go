@@ -8,7 +8,10 @@
 // The encoding is a fixed 8-byte word — opcode, rd, rs1, rs2, and a
 // 32-bit immediate — chosen for trivial decode; the semantics follow
 // RV64I closely (plus MUL/DIVU/REMU and a cycle-counter read, which the
-// attack code in internal/adversary uses as its timing source).
+// attack code in internal/adversary uses as its timing source). The
+// register fields are a byte wide and taken mod 32, so 32 names x0 just
+// as 0 does. x0 reads as zero and is hardwired in storage: CPU.Regs[0]
+// is never written.
 package isa
 
 import "fmt"
