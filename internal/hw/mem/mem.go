@@ -16,7 +16,10 @@
 // The page table itself is safe for concurrent cores: pages live in a
 // flat atomic pointer table (materialization is a compare-and-swap, so
 // two harts touching a fresh page agree on one backing array), and the
-// code-page mark set and the ZeroRange generation are atomics. This is
+// code-page mark set and the ZeroRange generation are atomics. Whole
+// pages ZeroRange drops are kept on a small free list and handed out
+// again, zeroed, by the next materialization, so a scrub-and-reuse
+// cycle (clean a region, grant it, touch it) allocates nothing. This is
 // exactly the sharing model of the hardware being simulated — a memory
 // bus that many harts address concurrently — and it costs the
 // single-threaded fast path nothing: the atomic loads compile to plain
@@ -31,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -40,6 +44,11 @@ const (
 	PageSize = 1 << PageBits
 	PageMask = PageSize - 1
 )
+
+// freeCap bounds the free list of dropped pages. It covers the pages
+// one enclave cold start scrubs (7 on the serving benchmark); a larger
+// scrub leaves the rest to the Go GC.
+const freeCap = 16
 
 // Errors reported by physical memory. Higher layers translate these into
 // architectural access faults.
@@ -70,9 +79,10 @@ type Phys struct {
 	codePages   []atomic.Uint64
 	onCodeWrite func()
 
-	// zeroGen invalidates Window pointer caches: it advances whenever
-	// ZeroRange may de-materialize pages, so a cached page pointer is
-	// never read after its page left the table.
+	// zeroGen invalidates Window pointer caches: ZeroRange advances it
+	// after its dropped pages left the table and before any of them
+	// joins the free list, so a cached page pointer is never read after
+	// its page backs another address.
 	zeroGen atomic.Uint64
 
 	// refs counts, per page, how many snapshot/alias holders reference
@@ -89,6 +99,17 @@ type Phys struct {
 	// ErrCOWProtected. The monitor's own page copies target unmarked
 	// destination pages, so the mark never blocks the fault protocol.
 	cowPages []atomic.Uint64
+
+	// free holds whole pages ZeroRange dropped, for the next
+	// materialization to reuse (zeroed) instead of allocating.
+	freeMu sync.Mutex
+	free   [freeCap]*[PageSize]byte
+	nfree  int
+
+	// dropHook, when a test sets it, runs after each whole page leaves
+	// the table inside ZeroRange, so Window refills can be interleaved
+	// with a scrub deterministically.
+	dropHook func(ppn uint64)
 }
 
 // New returns a physical memory covering addresses [0, size). Size is
@@ -227,13 +248,30 @@ func (m *Phys) cowDenies(addr, n uint64) bool {
 }
 
 // page returns the backing page for ppn, materializing it if needed.
-// Two harts materializing the same page race through a compare-and-swap
-// and agree on one winner.
 func (m *Phys) page(ppn uint64) *[PageSize]byte {
 	if p := m.pages[ppn].Load(); p != nil {
 		return p
 	}
-	p := new([PageSize]byte)
+	return m.materialize(ppn)
+}
+
+// materialize backs ppn with a zeroed page: a recycled one from the
+// free list when there is one, else a new allocation. Two harts
+// materializing the same page race through a compare-and-swap and
+// agree on one winner; the loser's page is left to the Go GC.
+func (m *Phys) materialize(ppn uint64) *[PageSize]byte {
+	var p *[PageSize]byte
+	m.freeMu.Lock()
+	if m.nfree > 0 {
+		m.nfree--
+		p, m.free[m.nfree] = m.free[m.nfree], nil
+	}
+	m.freeMu.Unlock()
+	if p == nil {
+		p = new([PageSize]byte)
+	} else {
+		*p = [PageSize]byte{}
+	}
 	if m.pages[ppn].CompareAndSwap(nil, p) {
 		m.touched.Add(1)
 		return p
@@ -241,8 +279,9 @@ func (m *Phys) page(ppn uint64) *[PageSize]byte {
 	return m.pages[ppn].Load()
 }
 
-// TouchedPages reports how many pages have been materialized; useful for
-// asserting that the simulation stays sparse.
+// TouchedPages reports how many pages are materialized (pages on the
+// free list do not count); useful for asserting that the simulation
+// stays sparse.
 func (m *Phys) TouchedPages() int { return int(m.touched.Load()) }
 
 func (m *Phys) checkRange(addr, n uint64) error {
@@ -360,7 +399,17 @@ func (m *Phys) Store(addr uint64, width int, val uint64) error {
 // ZeroRange clears [addr, addr+n). The security monitor uses this when
 // cleaning a memory resource before re-allocation (Fig 2 of the paper).
 // Whole pages are de-materialized, so cleaning a region also returns
-// its host allocation to the page table's sparse baseline.
+// its host allocation to the page table's sparse baseline, and the
+// dropped pages go to the free list for the next materialization.
+//
+// The order is what makes reuse safe for Windows: every dropped page
+// leaves the table first, then zeroGen advances, and only then do the
+// pages join the free list. A Window that refilled before the bump
+// holds a stale generation and refills on its next access; one that
+// refills after it cannot find a dropped page in the table. No Window
+// can therefore hold a recycled page under the current generation. A
+// scrub that drops no page clears bytes in place, which every cached
+// pointer sees, and leaves the generation alone.
 func (m *Phys) ZeroRange(addr, n uint64) error {
 	if err := m.checkRange(addr, n); err != nil {
 		return err
@@ -369,7 +418,8 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		return nil
 	}
 	m.noteWrite(addr, n)
-	m.zeroGen.Add(1)
+	var dropped [freeCap]*[PageSize]byte
+	nd := 0
 	end := addr + n
 	for addr < end {
 		ppn, off := addr>>PageBits, addr&PageMask
@@ -380,17 +430,29 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		if off == 0 && chunk == PageSize {
 			// A whole page reads as zero once out of the table; dropping
 			// it keeps host memory proportional to live pages.
-			if m.pages[ppn].Swap(nil) != nil {
+			if p := m.pages[ppn].Swap(nil); p != nil {
 				m.touched.Add(-1)
+				if nd < freeCap {
+					dropped[nd] = p
+				}
+				nd++
+				if m.dropHook != nil {
+					m.dropHook(ppn)
+				}
 			}
 		} else if p := m.pages[ppn].Load(); p != nil {
-			for i := off; i < off+chunk; i++ {
-				p[i] = 0
-			}
+			clear(p[off : off+chunk])
 		}
 		// Untouched pages are already zero; skip materializing them.
 		addr += chunk
 	}
+	if nd == 0 {
+		return nil // no page left the table, so every cached pointer holds
+	}
+	m.zeroGen.Add(1)
+	m.freeMu.Lock()
+	m.nfree += copy(m.free[m.nfree:], dropped[:min(nd, freeCap)])
+	m.freeMu.Unlock()
 	return nil
 }
 
@@ -405,7 +467,8 @@ func (m *Phys) ZeroPage(addr uint64) error {
 // machine's fast path, whose results the fast-vs-reference equivalence
 // tests hold to Phys.Load/Store's. A Window is single-consumer state
 // (one per core per traffic class) and is invalidated automatically
-// when ZeroRange may have de-materialized its page.
+// when ZeroRange may have de-materialized its page (see ZeroRange for
+// why a recycled page is never served under a current generation).
 type Window struct {
 	m    *Phys
 	ppn  uint64

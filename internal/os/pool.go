@@ -33,8 +33,15 @@ type Pool struct {
 	templRegions   []int
 
 	// freeRegions are OS-owned (or cleaned) regions available to back
-	// clones: page tables plus copy-on-write copies.
+	// clones: page tables plus copy-on-write copies. It is a FIFO:
+	// Acquire takes from the front and copies the rest down, Release
+	// appends. The rotation fixes which region backs each clone, hence
+	// its L2 colours and modeled cycles; copying down keeps the backing
+	// array from reallocating.
 	freeRegions []int
+
+	// reqs is the fork's batched submission, reused across Acquires.
+	reqs []api.Request
 
 	// freeTIDBases are recycled clone thread-id bases (each a run of
 	// nThreads contiguous metadata pages). AllocMetaPages can only bump
@@ -99,7 +106,7 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 	if len(p.freeRegions) < p.perClone {
 		return nil, fmt.Errorf("os: pool out of clone regions")
 	}
-	regions := append([]int(nil), p.freeRegions[:p.perClone]...)
+	regions := p.freeRegions[:p.perClone]
 	eid, err := p.o.AllocMetaPage()
 	if err != nil {
 		return nil, err
@@ -115,13 +122,12 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 		}
 	}
 
-	reqs := make([]api.Request, 0, len(regions)+2)
-	reqs = append(reqs, api.OSRequest(api.CallCreateEnclave, eid, p.evBase, p.evMask))
+	reqs := append(p.reqs[:0], api.OSRequest(api.CallCreateEnclave, eid, p.evBase, p.evMask))
 	for _, r := range regions {
 		reqs = append(reqs, api.OSRequest(api.CallGrantRegion, uint64(r), eid))
 	}
-	reqs = append(reqs, api.OSRequest(api.CallCloneEnclave, eid, p.SnapID, tidBase, sharedPA))
-	err = submit(p.o, reqs, func(i int) string {
+	p.reqs = append(reqs, api.OSRequest(api.CallCloneEnclave, eid, p.SnapID, tidBase, sharedPA))
+	err = submit(p.o, p.reqs, func(i int) string {
 		switch {
 		case i == 0:
 			return "create_enclave (clone)"
@@ -150,9 +156,8 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 		}
 		return nil, err
 	}
-	p.freeRegions = p.freeRegions[p.perClone:]
-
-	w := &Worker{EID: eid, SharedPA: sharedPA, regions: regions}
+	w := &Worker{EID: eid, SharedPA: sharedPA, regions: append([]int(nil), regions...)}
+	p.freeRegions = p.freeRegions[:copy(p.freeRegions, p.freeRegions[p.perClone:])]
 	for i := 0; i < p.nThreads; i++ {
 		w.TIDs = append(w.TIDs, tidBase+uint64(i)*4096)
 	}

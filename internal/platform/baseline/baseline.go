@@ -11,8 +11,7 @@ package baseline
 import (
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
-	"sanctorum/internal/hw/mem"
-	"sanctorum/internal/hw/tlb"
+	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
 
@@ -66,13 +65,4 @@ func (Platform) CleanRegion(m *machine.Machine, r int) error {
 
 // ShootdownRegion invalidates TLB entries into the region, via each
 // core's IPI mailbox (acknowledged at instruction boundaries).
-func (Platform) ShootdownRegion(m *machine.Machine, r int) {
-	layout := m.DRAM
-	for _, c := range m.Cores {
-		m.RunOn(c.ID, machine.NoHart, func(c *machine.Core) {
-			c.TLB.FlushIf(func(e tlb.Entry) bool {
-				return layout.RegionOf(e.PPN<<mem.PageBits) == r
-			})
-		})
-	}
-}
+func (Platform) ShootdownRegion(m *machine.Machine, r int) { clean.Shootdown(m, r) }

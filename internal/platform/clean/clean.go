@@ -2,10 +2,15 @@
 // backends share (Fig 2: clean(resource)): a DRAM region changing
 // protection domain is scrubbed and its lines leave every cache, so
 // the next owner observes neither data nor cache-tag state from the
-// previous one.
+// previous one. It also holds the region TLB shootdown all three
+// backends share.
 package clean
 
-import "sanctorum/internal/hw/machine"
+import (
+	"sanctorum/internal/hw/machine"
+	"sanctorum/internal/hw/mem"
+	"sanctorum/internal/hw/tlb"
+)
 
 // Region zeroes region r and flushes its lines from the shared L2 and
 // every core's private L1. On Sanctum's page-colored L2 the flush
@@ -25,4 +30,22 @@ func Region(m *machine.Machine, r int) error {
 		m.RunOn(c.ID, machine.NoHart, flushL1)
 	}
 	return nil
+}
+
+// Shootdown removes every TLB translation targeting region r on every
+// core (the page-walk invariant of §VII-A requires this whenever a
+// region changes protection domain). Each core's flush travels as an
+// inter-processor interrupt acknowledged at an instruction boundary;
+// Shootdown returns once all cores have acknowledged, which is when
+// the invariant holds machine-wide again.
+func Shootdown(m *machine.Machine, r int) {
+	layout := m.DRAM
+	flush := func(c *machine.Core) {
+		c.TLB.FlushIf(func(e tlb.Entry) bool {
+			return layout.RegionOf(e.PPN<<mem.PageBits) == r
+		})
+	}
+	for _, c := range m.Cores {
+		m.RunOn(c.ID, machine.NoHart, flush)
+	}
 }

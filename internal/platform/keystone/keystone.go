@@ -20,9 +20,7 @@ import (
 
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
-	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pmp"
-	"sanctorum/internal/hw/tlb"
 	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
@@ -156,15 +154,5 @@ func (p *Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) erro
 func (p *Platform) CleanRegion(m *machine.Machine, r int) error { return clean.Region(m, r) }
 
 // ShootdownRegion invalidates TLB entries into the region on all cores,
-// as IPIs acknowledged at instruction boundaries; returns once every
-// core has acknowledged.
-func (p *Platform) ShootdownRegion(m *machine.Machine, r int) {
-	layout := m.DRAM
-	for _, c := range m.Cores {
-		m.RunOn(c.ID, machine.NoHart, func(c *machine.Core) {
-			c.TLB.FlushIf(func(e tlb.Entry) bool {
-				return layout.RegionOf(e.PPN<<mem.PageBits) == r
-			})
-		})
-	}
-}
+// returning once every core has acknowledged.
+func (p *Platform) ShootdownRegion(m *machine.Machine, r int) { clean.Shootdown(m, r) }

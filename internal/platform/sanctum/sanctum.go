@@ -9,8 +9,6 @@ package sanctum
 import (
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
-	"sanctorum/internal/hw/mem"
-	"sanctorum/internal/hw/tlb"
 	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
@@ -64,18 +62,5 @@ func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
 func (Platform) CleanRegion(m *machine.Machine, r int) error { return clean.Region(m, r) }
 
 // ShootdownRegion removes all TLB translations targeting region r on
-// every core (the page-walk invariant of §VII-A requires this whenever
-// a region changes protection domain). Each core's flush travels as an
-// inter-processor interrupt acknowledged at an instruction boundary;
-// the call returns once all cores have acknowledged, which is when the
-// paper's invariant is re-established machine-wide.
-func (Platform) ShootdownRegion(m *machine.Machine, r int) {
-	layout := m.DRAM
-	for _, c := range m.Cores {
-		m.RunOn(c.ID, machine.NoHart, func(c *machine.Core) {
-			c.TLB.FlushIf(func(e tlb.Entry) bool {
-				return layout.RegionOf(e.PPN<<mem.PageBits) == r
-			})
-		})
-	}
-}
+// every core, returning once every core has acknowledged.
+func (Platform) ShootdownRegion(m *machine.Machine, r int) { clean.Shootdown(m, r) }

@@ -101,8 +101,9 @@ func (mon *Monitor) bulkGrant(req api.Request, _ *callContext) api.Response {
 // The mapping is deliberately not recorded in e.mapped: it is
 // post-measurement untrusted window state, not enclave image — a
 // snapshot of the enclave must not capture it and a clone must not
-// inherit it (each clone bulk_maps its own grant). Double-mapping is
-// excluded by the PTE-must-be-invalid check instead.
+// inherit it (each clone bulk_maps its own grant). The
+// PTE-must-be-invalid check excludes double-mapping, and overlap with a
+// measured shared window too: every such window has a valid PTE.
 func (mon *Monitor) bulkMap(req api.Request, ctx *callContext) api.Response {
 	g, st := lookup[*Grant](mon, LockGrant, req.Args[0])
 	if st != api.OK {
@@ -127,7 +128,7 @@ func (mon *Monitor) bulkMap(req api.Request, ctx *callContext) api.Response {
 	pteAddrs := make([]uint64, g.Pages)
 	for p := uint64(0); p < g.Pages; p++ {
 		pva := va + p*mem.PageSize
-		if e.InEvrange(pva) || e.mapped[pva] {
+		if e.InEvrange(pva) {
 			return fail(api.ErrInvalidValue)
 		}
 		pteAddr, okLeaf := mon.leafPTEAddr(e, pva)

@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"sort"
-
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
@@ -39,11 +37,10 @@ type Enclave struct {
 	// of its physical address space (§VI-A).
 	RootPPN uint64
 
-	// Page allocation for loading: the enclave's physical pages sorted
-	// ascending; loadCursor is the next page to consume, which enforces
-	// the paper's monotonically-increasing physical load order.
-	pages       []uint64
-	loadCursor  int
+	// Page allocation: loadCursor is the lowest physical page number
+	// the enclave may consume next, which enforces the paper's
+	// monotonically-increasing physical load order (nextPageLocked).
+	loadCursor  uint64
 	pagesFrozen bool // set at first allocation; no further region grants
 	dataStarted bool // set at first data page; no further table pages
 
@@ -63,26 +60,24 @@ type Enclave struct {
 	running   int // threads currently on cores
 	Mailboxes [api.MailboxesPerEnclave]Mailbox
 
-	// Snapshot/clone state (DESIGN.md §8). snap is non-nil while a live
-	// snapshot freezes this enclave's pages (the template side);
-	// CloneOf names the snapshot this enclave was forked from (the
-	// clone side, 0 for a directly built enclave). Borrowed is the set
-	// of template regions a clone's aliased pages live in: part of the
-	// enclave's access view but never of its owned-region accounting —
-	// deleting the clone must not block the template's regions.
+	// Snapshot/clone state (DESIGN.md §8). CloneOf names the snapshot
+	// this enclave was forked from (0 for a directly built enclave).
+	// snap is the snapshot whose table cow indexes: for a template
+	// (CloneOf == 0) the live snapshot freezing its pages, for a clone
+	// its origin. Borrowed is the set of template regions a clone's
+	// aliased pages live in: part of the enclave's access view but
+	// never of its owned-region accounting — deleting the clone must
+	// not block the template's regions.
 	snap     *Snapshot
 	CloneOf  uint64
 	Borrowed dram.Bitmap
 
-	// cow maps each virtual page still aliasing a frozen snapshot page
-	// copy-on-write (the PTE's W bit is cleared) to that frozen page; a
-	// store fault on one of these is resolved by the monitor's
-	// copy-then-retry protocol. Populated on the template when the
-	// snapshot freezes its writable pages, and on every clone. roAliases
-	// lists the frozen pages a clone aliases read-only (never copied,
-	// released at clone deletion).
-	cow       map[uint64]snapPage
-	roAliases []uint64
+	// cow is a bitmap over snap.table of the pages still aliased
+	// copy-on-write (the PTE's W bit is cleared); a store fault on one
+	// of these is resolved by the monitor's copy-then-retry protocol. A
+	// clone also aliases every read-only private page of the table,
+	// never copied and released at clone deletion.
+	cow []uint64
 }
 
 type ptKey struct {
@@ -148,33 +143,19 @@ func (e *Enclave) InEvrange(va uint64) bool {
 // accounting — deletion, blocking — uses Regions alone.
 func (e *Enclave) accessRegions() dram.Bitmap { return e.Regions | e.Borrowed }
 
-// freezePagesLocked fixes the enclave's physical page list from its
-// owned regions. After this point region grants to the loading enclave
-// are refused, so the ascending-allocation invariant is meaningful.
-func (mon *Monitor) freezePagesLocked(e *Enclave) {
-	if e.pagesFrozen {
-		return
-	}
-	e.pagesFrozen = true
-	layout := mon.machine.DRAM
-	regions := e.Regions.Regions()
-	sort.Ints(regions)
-	for _, r := range regions {
-		base := layout.Base(r) >> mem.PageBits
-		for p := uint64(0); p < layout.PagesPerRegion(); p++ {
-			e.pages = append(e.pages, base+p)
+// nextPageLocked consumes the next physical page in ascending order
+// from the regions the enclave owns now: a region it has blocked since
+// is skipped, so no page is ever taken from memory it gave up, and an
+// enclave with no page left fails the allocation.
+func (mon *Monitor) nextPageLocked(e *Enclave) (uint64, bool) {
+	per := mon.machine.DRAM.PagesPerRegion()
+	for p := e.loadCursor; p < uint64(mon.machine.DRAM.RegionCount)*per; p = (p/per + 1) * per {
+		if e.Regions.Has(int(p / per)) {
+			e.loadCursor = p + 1
+			return p, true
 		}
 	}
-}
-
-// nextPageLocked consumes the next physical page in ascending order.
-func (e *Enclave) nextPageLocked() (uint64, bool) {
-	if e.loadCursor >= len(e.pages) {
-		return 0, false
-	}
-	p := e.pages[e.loadCursor]
-	e.loadCursor++
-	return p, true
+	return 0, false
 }
 
 // allocatePageTable allocates the enclave page-table page that holds
@@ -193,7 +174,9 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 	}
 	// Tables may also serve VAs outside evrange: Keystone enclaves map
 	// an OS-provided shared window through their own tables (§VII-B).
-	mon.freezePagesLocked(e)
+	// From the first allocation on, region grants to the loading
+	// enclave are refused, so its pages come from one fixed set.
+	e.pagesFrozen = true
 
 	key := ptKey{level: level, prefix: vaPrefix(va, level)}
 	if _, dup := e.ptPages[key]; dup {
@@ -214,7 +197,7 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 		parentPPN = parent
 	}
 
-	ppn, found := e.nextPageLocked()
+	ppn, found := mon.nextPageLocked(e)
 	if !found {
 		return fail(api.ErrNoResources)
 	}
@@ -269,7 +252,7 @@ func (mon *Monitor) loadPage(e *Enclave, req api.Request) api.Response {
 	if !found {
 		return fail(api.ErrInvalidState) // leaf table missing
 	}
-	ppn, found := e.nextPageLocked()
+	ppn, found := mon.nextPageLocked(e)
 	if !found {
 		return fail(api.ErrNoResources)
 	}
@@ -369,7 +352,7 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 		return fail(st)
 	}
 	defer e.mu.Unlock()
-	if e.running > 0 || e.snap != nil { // live snapshot: release it first
+	if e.running > 0 || (e.snap != nil && e.CloneOf == 0) { // live snapshot: release it first
 		return fail(api.ErrInvalidState)
 	}
 	// One registry scan. A live ring or grant endpoint blocks deletion,
@@ -401,14 +384,11 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	if busy {
 		return fail(api.ErrInvalidState)
 	}
-	var snap *Snapshot
 	if e.CloneOf != 0 {
-		if snap, _ = get[*Snapshot](mon, e.CloneOf); snap != nil {
-			if !mon.tryLock(&snap.mu, LockSnapshot, e.CloneOf) {
-				return fail(api.ErrRetry)
-			}
-			defer snap.mu.Unlock()
+		if !mon.tryLock(&e.snap.mu, LockSnapshot, e.CloneOf) {
+			return fail(api.ErrRetry)
 		}
+		defer e.snap.mu.Unlock()
 	}
 	// Ownership is thread state, checked under each thread's own lock;
 	// holding e.mu excludes new offers and accepts racing the pass. The
@@ -468,19 +448,18 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 		}
 	}
 
-	// A clone's alias references die with it: one per page still
-	// aliased copy-on-write, one per read-only alias, and the
-	// snapshot's clone count. The frozen pages themselves live in the
-	// template's regions and are untouched.
-	if snap != nil {
-		for _, pg := range e.cow {
-			mon.machine.Mem.ReleaseRef(pg.ppn << mem.PageBits)
+	// A clone's alias references die with it: one per private page
+	// still aliased copy-on-write or read-only, and the snapshot's clone
+	// count. The frozen pages themselves live in the template's regions
+	// and are untouched; the dead clone keeps no alias state.
+	if e.CloneOf != 0 {
+		for i, pg := range e.snap.table {
+			if e.InEvrange(pg.va) && (pg.perms&pt.W == 0 || e.aliasesCOW(i)) {
+				mon.machine.Mem.ReleaseRef(pg.ppn << mem.PageBits)
+			}
 		}
-		for _, ppn := range e.roAliases {
-			mon.machine.Mem.ReleaseRef(ppn << mem.PageBits)
-		}
-		e.cow, e.roAliases = nil, nil
-		snap.clones--
+		e.snap.clones--
+		e.snap, e.cow = nil, nil
 	}
 	for _, th := range owned {
 		th.State, th.Owner = ThreadAvailable, 0

@@ -42,7 +42,7 @@ type EnclaveShot struct {
 	Running     int
 	CloneOf     uint64
 	SnapID      uint64 // live snapshot frozen over this template (0 = none)
-	LoadCursor  int
+	LoadCursor  uint64 // next physical page number the enclave may take
 	Threads     []uint64
 	Mapped      []uint64
 	COW         map[uint64]uint64 // va -> frozen ppn still aliased
@@ -171,7 +171,7 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 				EntryPC: o.EntryPC, EntrySP: o.EntrySP, CoreID: o.CoreID, AEXValid: o.AEXValid}
 		case *Snapshot:
 			s.Snapshots[id] = SnapshotShot{TemplateID: o.TemplateID, Meas: o.Meas,
-				Regions: o.Regions, Pages: len(o.pages), Clones: o.clones}
+				Regions: o.Regions, Pages: len(o.table) - o.shared, Clones: o.clones}
 		case *Ring:
 			shot := RingShot{Producer: o.Producer, Consumer: o.Consumer,
 				Capacity: len(o.slots), Count: o.count,
@@ -213,7 +213,9 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 }
 
 // captureEnclave copies one enclave's state; the caller holds its lock
-// (or the monitor is quiescent).
+// (or the monitor is quiescent). A clone's mappings, copy-on-write
+// aliases and read-only aliases are read off its snapshot's table and
+// its cow bitmap, in the shape an enclave-owned record would have.
 func captureEnclave(e *Enclave) EnclaveShot {
 	shot := EnclaveShot{
 		State: e.State, Regions: e.Regions, Borrowed: e.Borrowed,
@@ -226,16 +228,27 @@ func captureEnclave(e *Enclave) EnclaveShot {
 		shot.Threads = append(shot.Threads, tid)
 	}
 	sort.Slice(shot.Threads, func(i, j int) bool { return shot.Threads[i] < shot.Threads[j] })
-	if e.snap != nil {
+	if e.snap == nil {
+		return shot
+	}
+	clone := e.CloneOf != 0
+	if !clone {
 		shot.SnapID = e.snap.ID
 	}
-	if len(e.cow) > 0 {
-		shot.COW = make(map[uint64]uint64, len(e.cow))
-		for va, pg := range e.cow {
-			shot.COW[va] = pg.ppn
+	for i, pg := range e.snap.table {
+		if clone {
+			shot.Mapped = append(shot.Mapped, pg.va)
+		}
+		switch {
+		case e.aliasesCOW(i):
+			if shot.COW == nil {
+				shot.COW = make(map[uint64]uint64)
+			}
+			shot.COW[pg.va] = pg.ppn
+		case clone && e.InEvrange(pg.va) && pg.perms&pt.W == 0:
+			shot.ROAliases = append(shot.ROAliases, pg.ppn)
 		}
 	}
-	shot.ROAliases = append([]uint64(nil), e.roAliases...)
 	sort.Slice(shot.ROAliases, func(i, j int) bool { return shot.ROAliases[i] < shot.ROAliases[j] })
 	return shot
 }
@@ -537,8 +550,9 @@ func (mon *Monitor) checkPageTables() error {
 	}
 	for _, e := range enclaves {
 		unlock := snapLock(&e.mu)
+		shot := captureEnclave(e)
 		err := func() error {
-			for va := range e.mapped {
+			for _, va := range shot.Mapped {
 				if !e.InEvrange(va) {
 					continue // shared windows map OS pages, never COW
 				}
@@ -555,13 +569,13 @@ func (mon *Monitor) checkPageTables() error {
 					return fmt.Errorf("enclave %#x va %#x: PTE writable on COW-marked page %#x",
 						e.ID, va, pa)
 				}
-				if pg, frozen := e.cow[va]; frozen {
+				if ppn, frozen := shot.COW[va]; frozen {
 					if pte&pt.W != 0 {
 						return fmt.Errorf("enclave %#x va %#x: COW alias with W set", e.ID, va)
 					}
-					if !mon.machine.Mem.IsCOW(pg.ppn << mem.PageBits) {
+					if !mon.machine.Mem.IsCOW(ppn << mem.PageBits) {
 						return fmt.Errorf("enclave %#x va %#x: frozen page %#x not COW-marked",
-							e.ID, va, pg.ppn)
+							e.ID, va, ppn)
 					}
 				}
 			}
@@ -573,17 +587,17 @@ func (mon *Monitor) checkPageTables() error {
 		}
 	}
 	for _, sn := range snapshots {
-		unlock := snapLock(&sn.mu)
-		pages := append([]snapPage(nil), sn.pages...)
-		id := sn.ID
-		unlock()
-		for _, pg := range pages {
+		// The table never changes once snapshot_enclave has returned.
+		for _, pg := range sn.table {
+			if pg.va&sn.EvMask != sn.EvBase {
+				continue // shared windows are never frozen
+			}
 			pa := pg.ppn << mem.PageBits
 			if !mon.machine.Mem.IsCOW(pa) {
-				return fmt.Errorf("snapshot %#x frozen page %#x lost its COW mark", id, pa)
+				return fmt.Errorf("snapshot %#x frozen page %#x lost its COW mark", sn.ID, pa)
 			}
 			if mon.machine.Mem.PageRefs(pa) == 0 {
-				return fmt.Errorf("snapshot %#x frozen page %#x has zero refs", id, pa)
+				return fmt.Errorf("snapshot %#x frozen page %#x has zero refs", sn.ID, pa)
 			}
 		}
 	}

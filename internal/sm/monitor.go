@@ -142,6 +142,10 @@ type Monitor struct {
 	// lockHook is the optional transaction-lock fault hook (fault.go),
 	// consulted by tryLock before every TryLock acquisition.
 	lockHook lockHookPtr
+
+	// refresh is the view-refresh request refreshViews posts to every
+	// core, built once in New.
+	refresh func(*machine.Core)
 }
 
 // lockFault consults the fault hook (fault.go) for one acquisition;
@@ -206,6 +210,7 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range mon.cores {
 		mon.cores[i].owner = api.DomainOS
 	}
+	mon.refresh = mon.refreshView
 	var osBitmap dram.Bitmap
 	for r := range mon.regions {
 		if mon.regions[r].owner == api.DomainOS {
@@ -261,23 +266,28 @@ func (mon *Monitor) setOSOwned(r int, owned bool) {
 // on different regions can post concurrently, and FIFO mailbox order
 // need not match their bitmap-update order, so a post-time snapshot
 // could finish with a stale view installed. Reading live means the
-// last applied request always reflects every update that preceded it.
+// last applied request always reflects every update that preceded it,
+// and lets every post share one request value, built in New.
 func (mon *Monitor) refreshViews() {
 	for id := range mon.machine.Cores {
-		slot := &mon.cores[id]
-		mon.machine.PostIPI(id, func(c *machine.Core) {
-			osBitmap := mon.osRegions()
-			slot.mu.Lock()
-			osOwned := slot.owner == api.DomainOS
-			slot.mu.Unlock()
-			if osOwned {
-				mon.plat.RefreshOSRegions(c, osBitmap)
-			} else {
-				// Enclave cores keep their enclave view but see the
-				// updated OS set for shared accesses.
-				c.OSRegions = osBitmap
-			}
-		})
+		mon.machine.PostIPI(id, mon.refresh)
+	}
+}
+
+// refreshView is the posted request: it installs the live OS region
+// set on core c, from c's own hart.
+func (mon *Monitor) refreshView(c *machine.Core) {
+	osBitmap := mon.osRegions()
+	slot := &mon.cores[c.ID]
+	slot.mu.Lock()
+	osOwned := slot.owner == api.DomainOS
+	slot.mu.Unlock()
+	if osOwned {
+		mon.plat.RefreshOSRegions(c, osBitmap)
+	} else {
+		// Enclave cores keep their enclave view but see the updated OS
+		// set for shared accesses.
+		c.OSRegions = osBitmap
 	}
 }
 

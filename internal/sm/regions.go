@@ -144,7 +144,7 @@ func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response 
 	if rm.owner != ctx.domain() {
 		return fail(api.ErrUnauthorized)
 	}
-	if e != nil && e.snap != nil {
+	if e != nil && e.snap != nil && e.CloneOf == 0 {
 		// A frozen template's regions hold pages clones alias; they
 		// cannot leave the template until the snapshot is released.
 		return fail(api.ErrInvalidState)

@@ -20,6 +20,11 @@ package sm
 // order is enforced structurally — a template with a live snapshot
 // cannot be deleted, a snapshot with live clones cannot be released,
 // and a region holding referenced pages cannot be cleaned.
+//
+// The snapshot owns the one record of the template's mapped pages: an
+// immutable table sorted by VA. The template and each clone keep only
+// a bitmap over it of the entries they still alias copy-on-write, so a
+// fork allocates the same few objects for any template size.
 
 import (
 	"sort"
@@ -46,9 +51,13 @@ type Snapshot struct {
 	// clones borrow them into their access view.
 	Regions dram.Bitmap
 
-	tables  []tableSlot
-	pages   []snapPage
-	shared  []sharedSlot
+	tables []tableSlot
+	// table is every mapped page of the template, private and shared,
+	// ascending by VA; written once by snapshot_enclave and never
+	// changed after. shared counts its entries outside the evrange
+	// (untrusted windows).
+	table   []snapPage
+	shared  int
 	threads []threadTemplate
 
 	clones int
@@ -61,19 +70,14 @@ type tableSlot struct {
 	level  int
 }
 
-// snapPage is one frozen private data page: its virtual page, physical
-// page number, and original leaf-PTE flag bits (W included even when
-// the live PTEs carry it cleared).
+// snapPage is one mapped page of the template: its virtual page,
+// physical page number, and original leaf-PTE flag bits (W included
+// even when the live PTEs carry it cleared). A private page is frozen;
+// a shared window maps an OS page and is never frozen.
 type snapPage struct {
 	va    uint64
 	ppn   uint64
 	perms uint64
-}
-
-// sharedSlot is one untrusted shared-window mapping of the template.
-type sharedSlot struct {
-	va uint64
-	pa uint64
 }
 
 // threadTemplate is one measured thread's entry spec.
@@ -140,10 +144,10 @@ func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Respons
 		return fail(api.ErrInvalidValue)
 	}
 
-	if e.cow == nil {
-		e.cow = make(map[uint64]snapPage)
-	}
-	for _, va := range sortedMappedVAs(e) {
+	vas := sortedMappedVAs(e)
+	snap.table = make([]snapPage, 0, len(vas))
+	e.cow = make([]uint64, (len(vas)+63)/64)
+	for _, va := range vas {
 		pteAddr, ok := mon.leafPTEAddr(e, va)
 		if !ok {
 			continue // unreachable: every mapped VA has its leaf table
@@ -152,13 +156,13 @@ func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Respons
 		if err != nil || pte&pt.V == 0 {
 			continue
 		}
+		i := len(snap.table)
+		snap.table = append(snap.table, snapPage{va: va, ppn: pt.PPNOf(pte), perms: pte & 0xFF})
 		if !e.InEvrange(va) {
-			snap.shared = append(snap.shared, sharedSlot{va: va, pa: pt.PPNOf(pte) << mem.PageBits})
+			snap.shared++
 			continue
 		}
-		pg := snapPage{va: va, ppn: pt.PPNOf(pte), perms: pte & 0xFF}
-		snap.pages = append(snap.pages, pg)
-		pa := pg.ppn << mem.PageBits
+		pa := pt.PPNOf(pte) << mem.PageBits
 		mon.machine.Mem.Retain(pa)
 		mon.machine.Mem.MarkCOW(pa)
 		if pte&pt.W != 0 {
@@ -166,7 +170,7 @@ func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Respons
 			// copies like any clone would — the frozen page is the
 			// snapshot's, not the template's, from here on.
 			mon.machine.Mem.Store(pteAddr, 8, pte&^pt.W)
-			e.cow[va] = pg
+			e.cow[i>>6] |= 1 << (i & 63)
 		}
 	}
 
@@ -255,7 +259,7 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 		return fail(api.ErrInvalidValue) // the inherited measurement covers the evrange
 	}
 	if sharedPA != 0 {
-		if len(snap.shared) != 1 || sharedPA&mem.PageMask != 0 ||
+		if snap.shared != 1 || sharedPA&mem.PageMask != 0 ||
 			!mon.osOwnsRange(sharedPA, mem.PageSize) {
 			return fail(api.ErrInvalidValue)
 		}
@@ -289,12 +293,12 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 
 	// Replay the template's page-table shape into the clone's own
 	// memory — the O(page-table pages) part of the fork.
-	mon.freezePagesLocked(e)
+	e.pagesFrozen = true
 	for _, ts := range snap.tables {
-		ppn, okPage := e.nextPageLocked()
+		ppn, okPage := mon.nextPageLocked(e)
 		if !okPage {
-			// Unreachable: capacity was checked against the frozen page
-			// list above.
+			// Unreachable: capacity was checked against the owned
+			// regions above.
 			return fail(api.ErrNoResources)
 		}
 		mon.machine.Mem.ZeroPage(ppn << mem.PageBits)
@@ -309,38 +313,29 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(parentPTEChild(ppn), pt.V))
 	}
 
-	// Alias every data page copy-on-write; read-only pages alias with
-	// their original permissions, writable ones with W cleared.
-	if e.cow == nil {
-		e.cow = make(map[uint64]snapPage)
-	}
-	for _, pg := range snap.pages {
+	// One PTE per table entry: every private page aliases the frozen
+	// page — read-only pages with their original permissions, writable
+	// ones with W cleared and their cow bit set — and the shared window
+	// maps the template's OS page or the per-clone override.
+	e.cow = make([]uint64, (len(snap.table)+63)/64)
+	for i, pg := range snap.table {
 		pteAddr, found := mon.leafPTEAddr(e, pg.va)
 		if !found {
 			return fail(api.ErrInvalidState) // unreachable: tables replayed above
 		}
-		perms := pg.perms
-		if perms&pt.W != 0 {
-			e.cow[pg.va] = pg
-			perms &^= pt.W
+		ppn, perms := pg.ppn, pg.perms
+		if !e.InEvrange(pg.va) {
+			if sharedPA != 0 {
+				ppn = sharedPA >> mem.PageBits
+			}
 		} else {
-			e.roAliases = append(e.roAliases, pg.ppn)
+			if perms&pt.W != 0 {
+				e.cow[i>>6] |= 1 << (i & 63)
+				perms &^= pt.W
+			}
+			mon.machine.Mem.Retain(pg.ppn << mem.PageBits)
 		}
-		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pg.ppn, perms))
-		mon.machine.Mem.Retain(pg.ppn << mem.PageBits)
-		e.mapped[pg.va] = true
-	}
-	for _, sh := range snap.shared {
-		pa := sh.pa
-		if sharedPA != 0 {
-			pa = sharedPA
-		}
-		pteAddr, found := mon.leafPTEAddr(e, sh.va)
-		if !found {
-			return fail(api.ErrInvalidState) // unreachable
-		}
-		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pa>>mem.PageBits, pt.R|pt.W|pt.V|pt.U))
-		e.mapped[sh.va] = true
+		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, perms))
 	}
 
 	// Seal with the inherited identity: the clone's initial state is
@@ -351,6 +346,7 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 	e.Measurement = snap.Meas
 	e.meas = nil
 	e.CloneOf = snapID
+	e.snap = snap
 	e.Borrowed = snap.Regions
 	snap.clones++
 	mon.machine.Mem.Store(eid, 8, uint64(e.State))
@@ -386,10 +382,13 @@ func (mon *Monitor) releaseSnapshot(req api.Request, _ *callContext) api.Respons
 		return fail(api.ErrInvalidState) // park the template before thawing it
 	}
 
-	for _, pg := range snap.pages {
+	for i, pg := range snap.table {
+		if !e.InEvrange(pg.va) {
+			continue // a shared window was never frozen
+		}
 		pa := pg.ppn << mem.PageBits
 		mon.machine.Mem.ClearCOW(pa)
-		if _, frozen := e.cow[pg.va]; frozen {
+		if e.aliasesCOW(i) {
 			// Still aliased by the template: restore the original PTE.
 			// Pages the template already copied point elsewhere; the
 			// orphaned frozen page stays in the template's region until
@@ -397,11 +396,10 @@ func (mon *Monitor) releaseSnapshot(req api.Request, _ *callContext) api.Respons
 			if pteAddr, ok := mon.leafPTEAddr(e, pg.va); ok {
 				mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pg.ppn, pg.perms))
 			}
-			delete(e.cow, pg.va)
 		}
 		mon.machine.Mem.ReleaseRef(pa)
 	}
-	e.snap = nil
+	e.snap, e.cow = nil, nil
 	mon.objMu.Lock()
 	mon.unregister(snapID)
 	mon.objMu.Unlock()
@@ -412,22 +410,38 @@ func (mon *Monitor) releaseSnapshot(req api.Request, _ *callContext) api.Respons
 	return ok()
 }
 
+// aliasesCOW reports whether the enclave still aliases entry i of its
+// snapshot table copy-on-write.
+func (e *Enclave) aliasesCOW(i int) bool { return e.cow[i>>6]&(1<<(i&63)) != 0 }
+
+// cowEntry finds vaPage in the enclave's snapshot table and reports
+// whether the enclave still aliases it copy-on-write.
+func (e *Enclave) cowEntry(vaPage uint64) (int, bool) {
+	if e.snap == nil {
+		return 0, false
+	}
+	t := e.snap.table
+	i := sort.Search(len(t), func(i int) bool { return t[i].va >= vaPage })
+	return i, i < len(t) && t[i].va == vaPage && e.aliasesCOW(i)
+}
+
 // resolveCOWLocked performs the copy half of the copy-then-retry
 // protocol for one page the enclave still aliases copy-on-write: take
-// the next free physical page from the enclave's own frozen page list,
-// copy the frozen contents, and repoint the leaf PTE with write
-// permission restored. The caller holds e's transaction lock and is
+// the next free physical page from the regions the enclave owns, copy
+// the frozen contents, and repoint the leaf PTE with write permission
+// restored. The caller holds e's transaction lock and is
 // responsible for translation shootdowns. Only clones drop an alias
 // reference — a template resolving its own COW fault never Retained:
 // the single snapshot-held reference must survive (clones may still be
 // forked from, or alias, the frozen page) and is dropped exactly once
 // at release_snapshot.
 func (mon *Monitor) resolveCOWLocked(e *Enclave, vaPage uint64) bool {
-	pg, isCOW := e.cow[vaPage]
+	i, isCOW := e.cowEntry(vaPage)
 	if !isCOW {
 		return false
 	}
-	ppn, okPage := e.nextPageLocked()
+	pg := e.snap.table[i]
+	ppn, okPage := mon.nextPageLocked(e)
 	if !okPage {
 		return false // no pages left for the copy: surface the fault
 	}
@@ -441,7 +455,7 @@ func (mon *Monitor) resolveCOWLocked(e *Enclave, vaPage uint64) bool {
 		return false
 	}
 	mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, pg.perms))
-	delete(e.cow, vaPage)
+	e.cow[i>>6] &^= 1 << (i & 63)
 	if e.CloneOf != 0 {
 		mon.machine.Mem.ReleaseRef(pg.ppn << mem.PageBits)
 	}
@@ -496,7 +510,7 @@ func (mon *Monitor) cowFault(c *machine.Core, slot slotView, tr *isa.Trap) (mach
 	defer e.mu.Unlock()
 
 	vpn := (vaPage & pt.VAMask) >> mem.PageBits
-	if _, isCOW := e.cow[vaPage]; !isCOW {
+	if _, isCOW := e.cowEntry(vaPage); !isCOW {
 		// Spurious fault: another hart may have resolved this page
 		// between our fault and the lock. If the translation is now
 		// writable, only the local TLB entry was stale — drop it and

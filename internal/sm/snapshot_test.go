@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
 	"sanctorum/internal/isa"
 	"sanctorum/internal/sm/api"
@@ -281,8 +282,97 @@ func TestCOWFaultCopiesPage(t *testing.T) {
 	if _, handled := f.mon.cowFault(f.m.Cores[0], slotView{owner: clone}, tr); !handled {
 		t.Fatal("spurious refault after resolution not resumed")
 	}
-	if _, still := ce.cow[dataVA]; still {
+	if _, still := ce.cowEntry(dataVA); still {
 		t.Fatal("resolved page still in the clone's cow map")
+	}
+}
+
+// TestCOWNeverCopiesIntoBlockedRegion: a clone may block one of its
+// own regions while it still has pages aliased copy-on-write. Its next
+// COW fault must not take a page from that region — by then the OS may
+// have cleaned it and granted it to itself or to another enclave — and
+// with no page left in the regions it still owns, the fault surfaces
+// as an ordinary fault (an AEX to the OS).
+func TestCOWNeverCopiesIntoBlockedRegion(t *testing.T) {
+	f := newFixture(t)
+	const pages = 20
+	tmpl := f.metaPage(0)
+	if st := f.CreateEnclave(tmpl, testEvBase, testEvMask); st != api.OK {
+		t.Fatalf("create template: %v", st)
+	}
+	for _, r := range []int{9, 10} { // 3 table pages + 20 data pages
+		if st := f.GrantRegion(r, tmpl); st != api.OK {
+			t.Fatalf("grant template region %d: %v", r, st)
+		}
+	}
+	for _, alloc := range [][2]uint64{{0, 2}, {testEvBase, 1}, {testEvBase, 0}} {
+		if st := f.AllocatePageTable(tmpl, alloc[0], int(alloc[1])); st != api.OK {
+			t.Fatalf("alloc table: %v", st)
+		}
+	}
+	for p := 0; p < pages; p++ {
+		f.m.Mem.WriteBytes(0x1000, []byte{byte(p + 1)})
+		if st := f.LoadPage(tmpl, testEvBase+uint64(p)*mem.PageSize, 0x1000, pt.R|pt.W); st != api.OK {
+			t.Fatalf("load page %d: %v", p, st)
+		}
+	}
+	if st := f.LoadThread(tmpl, f.metaPage(1), testEvBase, testEvBase+0x800); st != api.OK {
+		t.Fatalf("load thread: %v", st)
+	}
+	if st := f.InitEnclave(tmpl); st != api.OK {
+		t.Fatalf("init: %v", st)
+	}
+	snapID := f.metaPage(2)
+	if st := f.SnapshotEnclave(tmpl, snapID); st != api.OK {
+		t.Fatalf("snapshot: %v", st)
+	}
+	clone := f.prepClone(t, 4, 11)
+	if st := f.GrantRegion(12, clone); st != api.OK {
+		t.Fatalf("grant second clone region: %v", st)
+	}
+	if st := f.CloneEnclave(clone, snapID, f.metaPage(5), 0); st != api.OK {
+		t.Fatalf("clone: %v", st)
+	}
+	ce := f.enclave(clone)
+	fault := func(p int) bool {
+		tr := &isa.Trap{Cause: isa.CauseStorePageFault, PC: testEvBase,
+			Value: testEvBase + uint64(p)*mem.PageSize}
+		_, handled := f.mon.cowFault(f.m.Cores[0], slotView{owner: clone}, tr)
+		return handled
+	}
+	// The clone's 3 table pages and 13 copies fill region 11.
+	for p := 0; p < 13; p++ {
+		if !fault(p) {
+			t.Fatalf("COW fault on page %d not resolved", p)
+		}
+	}
+	if st := f.encCall(ce, api.CallBlockRegion, 12); st != api.OK {
+		t.Fatalf("clone blocks region 12: %v", st)
+	}
+	if st := f.CleanRegion(12); st != api.OK {
+		t.Fatalf("clean region 12: %v", st)
+	}
+	if st := f.GrantRegion(12, api.DomainOS); st != api.OK {
+		t.Fatalf("OS takes region 12: %v", st)
+	}
+	osPage := f.m.DRAM.Base(12)
+	f.m.Mem.Store(osPage, 8, 0x05)
+
+	if fault(13) {
+		t.Fatal("COW fault resolved although the clone owns no free page")
+	}
+	va := testEvBase + 13*mem.PageSize
+	if pa, ok := f.mon.enclaveVAtoPA(ce, va, pt.Store); ok {
+		t.Fatalf("page 13 became writable at %#x", pa)
+	}
+	if pa, _ := f.mon.enclaveVAtoPA(ce, va, pt.Load); f.m.DRAM.RegionOf(pa) != 10 {
+		t.Fatalf("page 13 moved off the frozen page to %#x", pa)
+	}
+	if v, _ := f.m.Mem.Load(osPage, 8); v != 0x05 {
+		t.Fatalf("OS page %#x overwritten: %#x", osPage, v)
+	}
+	if err := f.mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

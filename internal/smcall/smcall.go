@@ -154,7 +154,7 @@ func (c *Client) Try(req api.Request) api.Response {
 // if the attempt bound was exhausted, in which case the unexecuted
 // tail reports ErrRetry.
 func (c *Client) Batch(reqs []api.Request) ([]api.Response, error) {
-	out := make([]api.Response, 0, len(reqs))
+	var out []api.Response // the executed prefix, once a batch is cut
 	pending := reqs
 	for attempt := 0; len(pending) > 0; attempt++ {
 		resps := c.d.DispatchBatch(pending)
@@ -166,6 +166,9 @@ func (c *Client) Batch(reqs []api.Request) ([]api.Response, error) {
 			}
 		}
 		if cut < 0 {
+			if out == nil {
+				return resps, nil // no executed prefix: resps answers every request
+			}
 			return append(out, resps...), nil
 		}
 		c.retries.Add(1)

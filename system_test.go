@@ -675,6 +675,69 @@ func TestSnapshotClonePool(t *testing.T) {
 	}
 }
 
+// coldStartAllocs is the exact number of heap objects one Sanctum cold
+// start allocates (Go 1.24): pool Acquire, Enter, Release. What is left
+// is per-enclave metadata — the enclave, its thread, maps and
+// measurement state, the COW bitmap, the worker handle — plus the
+// batched submission's responses, the cleaning and shootdown IPI
+// requests, and the trap records of the run's COW fault and exit.
+// Scrubbed pages are recycled, and a fork's bookkeeping does not grow
+// with the template. The count does not depend on the host, so it is
+// gated exactly: a rise is a regression, and a fall should lower the
+// pin.
+const coldStartAllocs = 26
+
+// TestColdStartAllocs pins the allocations of one pooled cold start on
+// Sanctum — Pool.Acquire, System.Enter, Pool.Release — the cycle the
+// serving benchmark's cold-start workload runs per request.
+func TestColdStartAllocs(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := enclaves.DefaultLayout()
+	shared, err := sys.SetupShared(l.SharedVA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := sys.OS.FreeRegions()
+	dataInit := make([]byte, 8)
+	dataInit[0] = 100
+	spec, err := enclaves.Spec(l, enclaves.StatefulAdder(l), dataInit,
+		regions[:1], []os.SharedMapping{{VA: l.SharedVA, PA: shared}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := sys.NewPool(spec, regions[1:3], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(0)
+	start := func() {
+		n++
+		w, err := pool.Acquire(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SharedWriteWord(shared, enclaves.ShInput, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Enter(0, w.EID, w.TIDs[0], 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := sys.SharedReadWord(shared, enclaves.ShOutput); got != 100+n {
+			t.Fatalf("cold start %d answered %d, want %d", n, got, 100+n)
+		}
+		if err := pool.Release(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start() // first use of each clone region
+	if got := testing.AllocsPerRun(100, start); got != coldStartAllocs {
+		t.Fatalf("one cold start allocates %.2f objects, want exactly %d", got, coldStartAllocs)
+	}
+}
+
 // TestDeterministicReplay runs the same snapshot/clone scenario on two
 // fresh systems and requires bit-identical observables — cycles,
 // steps, measurements, outputs. CI runs every TestDeterministic* twice
