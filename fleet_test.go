@@ -371,3 +371,65 @@ func TestFleetParallelServing(t *testing.T) {
 		t.Fatalf("os.gateway.served %d, shard gateways served %d", got, served)
 	}
 }
+
+// fleetServeAllocs is the exact number of heap objects one
+// Fleet.Process of fleet-kv's shape allocates (Go 1.24): the fleet's
+// response slice, and per shard the gateway's response slice and
+// arena plus, per woken worker, the wake's IPI closure and the trap
+// record of its return to the OS. Routing an established session,
+// the per-shard batches, sends, recvs, the wave's scheduler and the
+// workers' ECALLs allocate nothing. Gated exactly, as
+// gatewayServeAllocs.
+const fleetServeAllocs = 13
+
+// TestFleetServeAllocs pins the allocations of one Fleet.Process of 64
+// KV requests over 16 established sessions on a 2-shard Sanctum fleet
+// with the serial (deterministic) shard loop.
+func TestFleetServeAllocs(t *testing.T) {
+	f, err := sanctorum.NewFleet(sanctorum.FleetOptions{
+		Kind:   sanctorum.Sanctum,
+		Shards: 2,
+		Config: sanctorum.FleetConfig{Workload: "kv"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reqs := make([]sanctorum.FleetRequest, 64)
+	for i := range reqs {
+		key := uint64(i % 16)
+		op := uint64(enclaves.RingOpPut)
+		if i%4 == 3 {
+			op = enclaves.RingOpGet
+		}
+		reqs[i] = sanctorum.FleetRequest{
+			Session: key * 0x9E3779B97F4A7C15,
+			Payload: enclaves.RingKVRequest(op, key, uint64(i)),
+		}
+	}
+	// Warm up: the first calls establish the sessions and let the
+	// workers' hot loops reach the block engine, whose compilations
+	// allocate once per site.
+	for i := 0; i < 50; i++ {
+		if _, err := f.Process(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := 0
+	for _, st := range f.Stats() {
+		if st.Sessions > 0 {
+			used++
+		}
+	}
+	if used != 2 {
+		t.Fatalf("sessions on %d of 2 shards", used)
+	}
+	serve := func() {
+		if _, err := f.Process(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, serve); got != fleetServeAllocs {
+		t.Fatalf("one Fleet.Process allocates %.2f objects, want exactly %d", got, fleetServeAllocs)
+	}
+}

@@ -99,6 +99,10 @@ type Fleet struct {
 
 	rng *drbg
 
+	// batches[s] is shard s's share of a Process call, reused across
+	// calls; Process clears its payloads before returning.
+	batches []shardBatch
+
 	mu sync.Mutex // guards the counters below in parallel mode
 
 	// Served counts requests completed; Spills counts sessions placed
@@ -113,6 +117,16 @@ type Fleet struct {
 	// consumed by the next Process call.
 	tel       *fleetTelemetry
 	traceNext *telemetry.Trace
+}
+
+// shardBatch is one shard's share of a Process call: its requests'
+// session keys and payloads, their indexes in the call, and the error
+// its gateway returned.
+type shardBatch struct {
+	keys     []uint64
+	payloads [][]byte
+	idx      []int
+	err      error
 }
 
 // fleetTelemetry is the routing tier's cached instrument set.
@@ -161,6 +175,7 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, s)
 		f.addPoints(i)
 	}
+	f.batches = make([]shardBatch, len(f.shards))
 	if reg := cfg.Telemetry; reg != nil {
 		f.tel = &fleetTelemetry{
 			home:      reg.Counter("fleet.route.home"),
@@ -233,14 +248,14 @@ func (f *Fleet) Host(i int) Host { return f.shards[i].host }
 // its session's shard, shard batches serve through the per-shard
 // gateways (sequentially in shard order when deterministic, one
 // goroutine per shard in parallel mode), and responses return in
-// request order.
+// request order. The fleet keeps no reference to a request's payload
+// once Process returns.
 func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
-	type shardBatch struct {
-		keys     []uint64
-		payloads [][]byte
-		idx      []int
+	defer f.dropPayloads()
+	for s := range f.batches {
+		b := &f.batches[s]
+		b.keys, b.payloads, b.idx, b.err = b.keys[:0], b.payloads[:0], b.idx[:0], nil
 	}
-	batches := make([]shardBatch, len(f.shards))
 	// A trace armed by TraceNextRequest follows the batch's first
 	// request; the root span covers the whole Process call.
 	tr := f.traceNext
@@ -263,57 +278,35 @@ func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
 			tr.End(tr.Begin(root, "router", fmt.Sprintf("route shard=%d", s)))
 			tracedShard = s
 		}
-		b := &batches[s]
+		b := &f.batches[s]
 		b.keys = append(b.keys, r.Session)
 		b.payloads = append(b.payloads, r.Payload)
 		b.idx = append(b.idx, i)
 	}
 	out := make([][]byte, len(reqs))
-	serve := func(s int) error {
-		b := &batches[s]
-		if len(b.idx) == 0 {
-			return nil
-		}
-		span := -1
-		if tr != nil && s == tracedShard {
-			// The traced request routed first, so it is index 0 of its
-			// shard's batch; hand the trace down to the gateway.
-			span = tr.Begin(root, "shard", fmt.Sprintf("serve shard=%d", s))
-			f.shards[s].gw.TraceRequest(tr, span, 0)
-		}
-		resps, err := f.shards[s].gw.ProcessKeyed(b.keys, b.payloads)
-		if span >= 0 {
-			tr.End(span)
-		}
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", s, err)
-		}
-		for j, r := range resps {
-			out[b.idx[j]] = r
-		}
-		return nil
-	}
 	if f.cfg.Parallel {
-		errs := make([]error, len(f.shards))
+		// The trace arguments go in by value: a captured root or
+		// tracedShard would move to the heap on every call, serial
+		// ones included.
 		var wg sync.WaitGroup
 		for s := range f.shards {
 			wg.Add(1)
-			go func(s int) {
+			go func(s, root, traced int) {
 				defer wg.Done()
-				errs[s] = serve(s)
-			}(s)
+				f.batches[s].err = f.serveShard(s, out, tr, root, traced)
+			}(s, root, tracedShard)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 	} else {
 		for s := range f.shards {
-			if err := serve(s); err != nil {
-				return nil, err
+			if f.batches[s].err = f.serveShard(s, out, tr, root, tracedShard); f.batches[s].err != nil {
+				break
 			}
+		}
+	}
+	for s := range f.batches {
+		if err := f.batches[s].err; err != nil {
+			return nil, err
 		}
 	}
 	if tr != nil {
@@ -323,6 +316,41 @@ func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
 	f.Served += len(reqs)
 	f.mu.Unlock()
 	return out, nil
+}
+
+// serveShard serves shard s's batch through its gateway and places
+// each response at its request's index in out. When s is the traced
+// shard, tr follows the call's first request — index 0 of this batch,
+// since it routed first — under parent span root.
+func (f *Fleet) serveShard(s int, out [][]byte, tr *telemetry.Trace, root, traced int) error {
+	b := &f.batches[s]
+	if len(b.idx) == 0 {
+		return nil
+	}
+	span := -1
+	if tr != nil && s == traced {
+		span = tr.Begin(root, "shard", fmt.Sprintf("serve shard=%d", s))
+		f.shards[s].gw.TraceRequest(tr, span, 0)
+	}
+	resps, err := f.shards[s].gw.ProcessKeyed(b.keys, b.payloads)
+	if span >= 0 {
+		tr.End(span)
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d: %w", s, err)
+	}
+	for j, r := range resps {
+		out[b.idx[j]] = r
+	}
+	return nil
+}
+
+// dropPayloads clears every shard batch's payload references, so the
+// reused arenas never keep a caller's buffers alive.
+func (f *Fleet) dropPayloads() {
+	for s := range f.batches {
+		clear(f.batches[s].payloads)
+	}
 }
 
 // ShardStats is one shard's view in Stats.

@@ -774,7 +774,13 @@ func (c *Core) compileBlock(pc uint64) *block {
 
 	idx := (pc >> 3) & (bcEntries - 1)
 	if n < blockMinLen {
-		c.blocks[idx] = &block{entryVA: pc, icGen: icGen}
+		// A rejected-block stub is never handed out, so a stale one in
+		// the slot is refreshed in place rather than replaced.
+		if old := c.blocks[idx]; old != nil && old.n == 0 {
+			*old = block{entryVA: pc, icGen: icGen}
+		} else {
+			c.blocks[idx] = &block{entryVA: pc, icGen: icGen}
+		}
 		c.bstats.Rejected++
 		return nil
 	}

@@ -79,18 +79,17 @@ func (s *Scheduler) Drive(coreIDs []int, slice func(coreID int) bool) {
 		}
 		wg.Wait()
 	default:
-		live := make(map[int]bool, len(coreIDs))
-		for _, id := range coreIDs {
-			live[id] = true
+		// done[i] marks coreIDs[i] finished; the array keeps the
+		// common machine sizes off the heap.
+		var small [16]bool
+		done := small[:]
+		if len(coreIDs) > len(small) {
+			done = make([]bool, len(coreIDs))
 		}
-		remaining := len(live)
-		for remaining > 0 {
-			for _, id := range coreIDs {
-				if !live[id] {
-					continue
-				}
-				if !slice(id) {
-					live[id] = false
+		for remaining := len(coreIDs); remaining > 0; {
+			for i, id := range coreIDs {
+				if !done[i] && !slice(id) {
+					done[i] = true
 					remaining--
 				}
 			}

@@ -20,7 +20,8 @@ import (
 // Each pool worker gets a request ring (producer: OS, consumer:
 // worker) and a response ring (producer: worker, consumer: OS). The
 // worker — a ring server from internal/enclaves — parks on its request
-// ring; the gateway batches requests into ring sends, and the
+// ring; the gateway queues routed requests per worker and, before each
+// wave, sends every worker's queue in batched ring sends; the
 // monitor's park/wake protocol tells the gateway which workers became
 // runnable (the wake sink, fed through the IPI mailboxes — no OS
 // polling of idle workers). Woken workers are then timeshared over the
@@ -45,6 +46,20 @@ type Gateway struct {
 
 	sendPA uint64 // staging page for outbound payload batches
 	recvPA uint64 // staging page for inbound record batches
+
+	// stage and recv are the host-side buffers behind every ring send
+	// and recv: up to Batch messages staged for one send, up to Batch
+	// records read back from one recv. The gateway owns both; nothing
+	// returned to a caller points into them.
+	stage []byte
+	recv  []byte
+
+	// sched is the per-wave OS scheduler, one for the gateway's
+	// lifetime; tasks is the reused task list of a wave; space is
+	// spaceOf bound once, the free-slot function routers are handed.
+	sched *Scheduler
+	tasks []Task
+	space func(i int) int
 
 	// woken[i] marks worker i woken by the monitor; wokenIdx is the
 	// reused buffer takeWoken returns. The sink runs on whatever
@@ -110,24 +125,40 @@ type gwWorker struct {
 	bulkPA   uint64 // bulk buffer base PA
 	bulkVA   uint64 // where this worker bulk_maps the buffer
 
-	// fifo[head:] are the requests sent and not yet answered, oldest
-	// first. A send to an empty FIFO rewinds it, so the backing array
-	// is reused across waves instead of sliding. depth is this
-	// worker's queue-depth gauge.
-	fifo  []sentReq
-	head  int
-	depth *telemetry.Gauge
+	// fifo[head:] are the requests queued and not yet answered, oldest
+	// first; the last unsent of them are queued but not yet sent. A
+	// queue onto an empty FIFO rewinds it, so the backing array is
+	// reused across waves instead of sliding. depth is this worker's
+	// queue-depth gauge.
+	fifo   []sentReq
+	head   int
+	unsent int
+	depth  *telemetry.Gauge
 }
 
-// sentReq is one in-flight request: its index in the serving call and
-// its send-time cycle stamp (zero when telemetry is off).
+// sentReq is one queued request: its index in the serving call (-1 for
+// an orphan — sent by a call that then failed) and its send-time cycle
+// stamp (zero when telemetry is off).
 type sentReq struct {
 	idx   int
 	stamp uint64
 }
 
-// inflight reports the worker's requests sent but not yet answered.
+// inflight reports the worker's requests queued but not yet answered,
+// sent or not: the request-ring slots they hold or will hold.
 func (gw *gwWorker) inflight() int { return len(gw.fifo) - gw.head }
+
+// enqueue queues requests [from, from+n) of the serving call on the
+// worker's FIFO as unsent entries; the next flush sends them.
+func (gw *gwWorker) enqueue(from, n int) {
+	if gw.head == len(gw.fifo) {
+		gw.fifo, gw.head = gw.fifo[:0], 0
+	}
+	for i := from; i < from+n; i++ {
+		gw.fifo = append(gw.fifo, sentReq{idx: i})
+	}
+	gw.unsent += n
+}
 
 // The gateway's fixed shape; no caller ever varied it.
 const (
@@ -149,8 +180,9 @@ const (
 type GatewayConfig struct {
 	// Workers is the number of pool workers to acquire (default 2).
 	Workers int
-	// Batch bounds the messages per ring send/recv the gateway issues
-	// (default 8, capped at api.RingMaxBatch).
+	// Batch bounds the messages per ring send/recv the gateway issues,
+	// and so the requests per routed chunk (default 8, capped at
+	// api.RingMaxBatch).
 	Batch int
 	// Sched configures the per-wave OS scheduler (mode, quantum).
 	Sched SchedConfig
@@ -213,7 +245,11 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 		wakes: wakes,
 		cfg:   cfg,
 		byEID: make(map[uint64]int),
+		stage: make([]byte, cfg.Batch*api.RingMsgSize),
+		recv:  make([]byte, cfg.Batch*api.RingRecordSize),
+		sched: o.NewScheduler(cfg.Sched),
 	}
+	g.space = g.spaceOf
 	if reg := o.Telemetry; reg != nil {
 		g.tel = &gwTelemetry{
 			clock:     o.M.CycleNow,
@@ -494,13 +530,13 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 	if len(idxs) == 0 {
 		return nil
 	}
-	tasks := make([]Task, 0, len(idxs))
+	g.tasks = g.tasks[:0]
 	for _, i := range idxs {
 		gw := g.workers[i]
-		tasks = append(tasks, Task{EID: gw.w.EID, TID: gw.w.TIDs[0], MaxSteps: maxStepsPerWake})
+		g.tasks = append(g.tasks, Task{EID: gw.w.EID, TID: gw.w.TIDs[0], MaxSteps: maxStepsPerWake})
 	}
 	g.Waves++
-	results := g.o.NewScheduler(g.cfg.Sched).RunAll(tasks)
+	results := g.sched.RunAll(g.tasks)
 	for i, res := range results {
 		if res.Err != nil {
 			return fmt.Errorf("os: gateway worker %d: %w", idxs[i], res.Err)
@@ -513,23 +549,51 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 	return nil
 }
 
-// sendChunk stages payloads[from:from+n] in the staging page and
-// enqueues them on gw's request ring as one batched send. A worker
-// holding a grant drains requests only with bulk_recv, so its chunks
-// go out as bulk_send: the monitor validates every payload as a
-// scatter-gather descriptor message against the grant before
-// publishing any.
-func (g *Gateway) sendChunk(gw *gwWorker, payloads [][]byte, from, n int) error {
-	buf := make([]byte, n*api.RingMsgSize)
-	for i := 0; i < n; i++ {
-		p := payloads[from+i]
-		if len(p) > api.RingMsgSize {
-			return fmt.Errorf("os: gateway request %d larger than a ring message", from+i)
-		}
-		copy(buf[i*api.RingMsgSize:], p)
+// spaceOf reports worker i's free request-ring slots: capacity less
+// every request queued on it, sent or not.
+func (g *Gateway) spaceOf(i int) int { return ringCapacity - g.workers[i].inflight() }
+
+// flush sends every worker's unsent requests in FIFO order, in ring
+// sends of at most Batch messages staged through the gateway's one
+// staging buffer, so a worker's ring holds exactly what it would have
+// held had each chunk gone out when it was routed. Host-side sends
+// retire no modeled cycles, so one clock read stamps the whole flush.
+func (g *Gateway) flush(payloads [][]byte) error {
+	var now uint64
+	if g.tel != nil {
+		now = g.tel.clock()
 	}
-	if err := g.o.WriteOwned(g.sendPA, buf); err != nil {
-		return err
+	for _, gw := range g.workers {
+		for gw.unsent > 0 {
+			pending := gw.fifo[len(gw.fifo)-gw.unsent:][:min(gw.unsent, g.cfg.Batch)]
+			for j := range pending {
+				pending[j].stamp = now
+				msg := g.stage[j*api.RingMsgSize : (j+1)*api.RingMsgSize]
+				clear(msg[copy(msg, payloads[pending[j].idx]):])
+			}
+			sent, err := g.send(gw, len(pending))
+			gw.unsent -= sent
+			if t := g.tel; t != nil && sent > 0 {
+				t.chunk.Observe(uint64(sent))
+				t.inflight.Add(int64(sent))
+				gw.depth.Add(int64(sent))
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// send enqueues the n staged messages on gw's request ring as one
+// batched send and reports how many went out. A worker holding a grant
+// drains requests only with bulk_recv, so its sends go out as
+// bulk_send: the monitor validates every payload as a scatter-gather
+// descriptor message against the grant before publishing any.
+func (g *Gateway) send(gw *gwWorker, n int) (int, error) {
+	if err := g.o.WriteOwned(g.sendPA, g.stage[:n*api.RingMsgSize]); err != nil {
+		return 0, err
 	}
 	var sent int
 	var err error
@@ -539,73 +603,80 @@ func (g *Gateway) sendChunk(gw *gwWorker, payloads [][]byte, from, n int) error 
 		sent, err = g.o.SM.RingSend(gw.reqRing, g.sendPA, n)
 	}
 	if err != nil {
-		return fmt.Errorf("os: gateway send: %w", err)
+		return 0, fmt.Errorf("os: gateway send: %w", err)
 	}
 	if sent != n {
 		// Unreachable: inflight accounting keeps n within free slots.
-		return fmt.Errorf("os: gateway send transferred %d of %d", sent, n)
+		return sent, fmt.Errorf("os: gateway send transferred %d of %d", sent, n)
 	}
-	var now uint64
-	if t := g.tel; t != nil {
-		now = t.clock()
-		t.chunk.Observe(uint64(n))
-		t.inflight.Add(int64(n))
-		gw.depth.Add(int64(n))
-	}
-	if gw.head == len(gw.fifo) {
-		gw.fifo, gw.head = gw.fifo[:0], 0
-	}
-	for i := 0; i < n; i++ {
-		gw.fifo = append(gw.fifo, sentReq{idx: from + i, stamp: now})
-	}
-	return nil
+	return sent, nil
 }
 
-// drain empties gw's response ring into out, verifying the monitor's
-// sender stamp on every record, and returns how many responses landed.
-// Responses are plain messages even from a bulk worker (a reply need
-// not parse as descriptors), so one recv serves both.
-func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
-	total := 0
+// abandon ends a failed serving call. Requests it queued but never
+// sent are dropped; the ones already in a ring become orphans, whose
+// responses a later drain consumes and discards, so they never count
+// toward, or land in, a later call.
+func (g *Gateway) abandon() {
+	for _, gw := range g.workers {
+		gw.fifo = gw.fifo[:len(gw.fifo)-gw.unsent]
+		gw.unsent = 0
+		for i := gw.head; i < len(gw.fifo); i++ {
+			gw.fifo[i].idx = -1
+		}
+	}
+}
+
+// drain empties gw's response ring, verifying the monitor's sender
+// stamp on every record, and returns how many responses of this call
+// landed: response k goes into arena[k·RingMsgSize:], capacity-capped,
+// and out[k] refers to it. Responses are plain messages even from a
+// bulk worker (a reply need not parse as descriptors), so one recv
+// serves both.
+func (g *Gateway) drain(gw *gwWorker, out [][]byte, arena []byte) (int, error) {
+	total, answered := 0, 0 // records consumed; responses for this call
 	// One clock read serves the whole drain: recv is a host-side
 	// monitor call, so no modeled cycles retire while draining.
 	var now uint64
 	if g.tel != nil && gw.inflight() > 0 {
 		now = g.tel.clock()
 	}
+	meas := &g.pool.Template.Measurement
 	for gw.inflight() > 0 {
 		n, err := g.o.SM.RingRecv(gw.respRing, g.recvPA, g.cfg.Batch)
 		if errors.Is(err, api.ErrInvalidState) {
 			break // empty
 		}
 		if err != nil {
-			return total, fmt.Errorf("os: gateway recv: %w", err)
+			return answered, fmt.Errorf("os: gateway recv: %w", err)
 		}
-		records, err := g.o.ReadOwned(g.recvPA, n*api.RingRecordSize)
-		if err != nil {
-			return total, err
+		records := g.recv[:n*api.RingRecordSize]
+		if err := g.o.readOwnedInto(g.recvPA, records); err != nil {
+			return answered, err
 		}
 		for i := 0; i < n; i++ {
 			rec := records[i*api.RingRecordSize : (i+1)*api.RingRecordSize]
-			var meas [32]byte
-			copy(meas[:], rec)
 			sender := binary.LittleEndian.Uint64(rec[32:40])
-			if sender != gw.w.EID || meas != g.pool.Template.Measurement {
-				return total, fmt.Errorf("os: gateway response stamp mismatch: sender %#x meas %x",
-					sender, meas[:4])
+			if sender != gw.w.EID || [32]byte(rec[:32]) != *meas {
+				return answered, fmt.Errorf("os: gateway response stamp mismatch: sender %#x meas %x",
+					sender, rec[:4])
 			}
 			if gw.inflight() == 0 {
-				return total, fmt.Errorf("os: gateway response with no pending request")
+				return answered, fmt.Errorf("os: gateway response with no pending request")
 			}
 			req := gw.fifo[gw.head]
 			gw.head++
+			total++
+			if req.idx < 0 {
+				continue // an orphan of a failed call: discarded
+			}
 			if t := g.tel; t != nil {
 				t.reqCycles.Observe(now - req.stamp)
 			}
-			payload := make([]byte, api.RingMsgSize)
-			copy(payload, rec[api.RingStampSize:])
-			out[req.idx] = payload
-			total++
+			end := (req.idx + 1) * api.RingMsgSize
+			resp := arena[end-api.RingMsgSize : end : end]
+			copy(resp, rec[api.RingStampSize:])
+			out[req.idx] = resp
+			answered++
 		}
 	}
 	// The in-flight gauges fold the whole drain in one update each.
@@ -613,17 +684,21 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
 		t.inflight.Add(-int64(total))
 		gw.depth.Add(-int64(total))
 	}
-	return total, nil
+	return answered, nil
 }
 
 // Process serves a batch of host requests end to end and returns one
 // api.RingMsgSize response per request, in request order. Requests are
 // distributed across the workers by the configured Router (default
-// round-robin) in chunks of up to Batch messages per ring send; each
-// iteration sends what fits, runs one scheduler wave over the workers
-// the monitor woke, and drains their response rings. Under the
-// deterministic scheduler the whole run — scheduling, preemptions,
-// ring traffic — is bit-reproducible.
+// round-robin) in chunks of up to Batch requests; each iteration
+// queues what fits, sends each worker's queue in ring sends of up to
+// Batch messages, runs one scheduler wave over the workers the monitor
+// woke, and drains their response rings. The responses are
+// capacity-capped slices of one arena allocated for the call; they
+// belong to the caller. A payload longer than a ring message fails the
+// call before anything is sent. Under the deterministic scheduler the
+// whole run — scheduling, preemptions, ring traffic — is
+// bit-reproducible.
 func (g *Gateway) Process(payloads [][]byte) ([][]byte, error) {
 	return g.ProcessKeyed(nil, payloads)
 }
@@ -643,58 +718,65 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 }
 
 // serve is the gateway's one serving loop, behind ProcessKeyed and
-// ProcessBulk: send every chunk that fits to the worker router picks,
-// run one scheduler wave over the workers the sends woke, drain their
-// response rings, and repeat until every request has its response.
-func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]byte, error) {
-	out := make([][]byte, len(payloads))
+// ProcessBulk: queue every chunk that fits on the worker router picks,
+// send the queues, run one scheduler wave over the workers the sends
+// woke, drain their response rings, and repeat until every request has
+// its response. A call that fails leaves orphans, never dangling
+// requests (abandon).
+func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) (_ [][]byte, err error) {
 	tr := g.trace
 	g.trace = nil
 	if tr != nil && (tr.idx < 0 || tr.idx >= len(payloads)) {
 		tr = nil
 	}
+	for i, p := range payloads {
+		if len(p) > api.RingMsgSize {
+			return nil, fmt.Errorf("os: gateway request %d larger than a ring message", i)
+		}
+	}
+	out := make([][]byte, len(payloads))
+	arena := make([]byte, len(payloads)*api.RingMsgSize)
+	defer func() {
+		if err != nil {
+			g.abandon()
+		}
+	}()
 	cursor, done := 0, 0
-	space := func(i int) int { return ringCapacity - g.workers[i].inflight() }
 	for done < len(payloads) {
-		// Assign as many requests as ring capacity allows.
+		// Queue as many requests as ring capacity allows.
 		for cursor < len(payloads) {
 			var key uint64
 			if keys != nil {
 				key = keys[cursor]
 			}
-			i := router.Pick(key, len(g.workers), space)
+			i := router.Pick(key, len(g.workers), g.space)
 			if i < 0 {
 				break // every ring full: serve a wave first
 			}
-			gw := g.workers[i]
-			n := g.cfg.Batch
-			if s := space(i); n > s {
-				n = s
-			}
-			if rem := len(payloads) - cursor; n > rem {
-				n = rem
-			}
+			n := min(g.cfg.Batch, g.space(i), len(payloads)-cursor)
 			if keys != nil {
 				// A chunk stays within one routing key: the same key
 				// always routes the same way, so a contiguous same-key
-				// run is the unit that can share one batched send.
+				// run is the unit the router places.
 				run := 1
 				for run < n && keys[cursor+run] == key {
 					run++
 				}
 				n = run
 			}
-			if err := g.sendChunk(gw, payloads, cursor, n); err != nil {
-				return nil, err
-			}
+			g.workers[i].enqueue(cursor, n)
 			if tr != nil && tr.worker < 0 && tr.idx >= cursor && tr.idx < cursor+n {
-				// The traced request just went out: open its dispatch
-				// span and record the (host-side, hence instant) send.
+				// The traced request is queued: open its dispatch span
+				// and record its send, which the flush below issues at
+				// this same cycle (host-side calls retire none).
 				tr.worker = i
 				tr.span = tr.t.Begin(tr.parent, "gateway", fmt.Sprintf("dispatch worker=%d", i))
 				tr.t.End(tr.t.Begin(tr.span, "ring", fmt.Sprintf("send n=%d", n)))
 			}
 			cursor += n
+		}
+		if err := g.flush(payloads); err != nil {
+			return nil, err
 		}
 		// The sends woke every parked worker that got traffic; run them.
 		woken := g.takeWoken(0)
@@ -715,7 +797,7 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) ([][]by
 			tr.t.End(workSpan)
 		}
 		for _, i := range woken {
-			n, err := g.drain(g.workers[i], out)
+			n, err := g.drain(g.workers[i], out, arena)
 			if err != nil {
 				return nil, err
 			}

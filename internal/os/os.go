@@ -166,6 +166,30 @@ func (o *OS) ownsRegion(r int) bool {
 	return err == nil && st == api.RegionOwned && owner == api.DomainOS
 }
 
+// checkOwned fails unless [pa, pa+n) lies wholly in memory the OS
+// owns, asking the monitor about each region the range touches: the
+// one range-and-ownership check behind WriteOwned and readOwnedInto.
+// op names the access in the error.
+func (o *OS) checkOwned(pa uint64, n int, op string) error {
+	// The end-of-range computation must not wrap: for pa near 2^64,
+	// pa+n-1 overflows to a small address whose region lookup could
+	// succeed and bypass the ownership walk below.
+	if pa > ^uint64(0)-(uint64(n)-1) {
+		return fmt.Errorf("os: %s outside memory", op)
+	}
+	first := o.M.DRAM.RegionOf(pa)
+	last := o.M.DRAM.RegionOf(pa + uint64(n) - 1)
+	if first < 0 || last < 0 {
+		return fmt.Errorf("os: %s outside memory", op)
+	}
+	for r := first; r <= last; r++ {
+		if !o.ownsRegion(r) {
+			return fmt.Errorf("os: region %d is not ours", r)
+		}
+	}
+	return nil
+}
+
 // WriteOwned writes bytes into OS-owned physical memory after checking
 // ownership with the monitor — the simulation stand-in for an S-mode
 // kernel store into its own memory.
@@ -173,26 +197,27 @@ func (o *OS) WriteOwned(pa uint64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	// The end-of-range computation must not wrap: for pa near 2^64,
-	// pa+len-1 overflows to a small address whose region lookup could
-	// succeed and bypass the ownership walk below.
-	if pa > ^uint64(0)-(uint64(len(data))-1) {
-		return fmt.Errorf("os: write outside memory")
-	}
-	first := o.M.DRAM.RegionOf(pa)
-	last := o.M.DRAM.RegionOf(pa + uint64(len(data)) - 1)
-	if first < 0 || last < 0 {
-		return fmt.Errorf("os: write outside memory")
-	}
-	for r := first; r <= last; r++ {
-		if !o.ownsRegion(r) {
-			return fmt.Errorf("os: region %d is not ours", r)
-		}
+	if err := o.checkOwned(pa, len(data), "write"); err != nil {
+		return err
 	}
 	return o.M.Mem.WriteBytes(pa, data)
 }
 
-// ReadOwned is the read counterpart of WriteOwned.
+// readOwnedInto fills dst from OS-owned physical memory at pa, with
+// WriteOwned's ownership check: the read counterpart of WriteOwned,
+// into a buffer the caller owns and may reuse (the gateway's record
+// buffer).
+func (o *OS) readOwnedInto(pa uint64, dst []byte) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	if err := o.checkOwned(pa, len(dst), "read"); err != nil {
+		return err
+	}
+	return o.M.Mem.ReadBytes(pa, dst)
+}
+
+// ReadOwned is readOwnedInto into a fresh n-byte buffer.
 func (o *OS) ReadOwned(pa uint64, n int) ([]byte, error) {
 	if n <= 0 {
 		if n < 0 {
@@ -200,22 +225,8 @@ func (o *OS) ReadOwned(pa uint64, n int) ([]byte, error) {
 		}
 		return nil, nil
 	}
-	// Guard the same end-of-range wrap as WriteOwned.
-	if pa > ^uint64(0)-(uint64(n)-1) {
-		return nil, fmt.Errorf("os: read outside memory")
-	}
-	first := o.M.DRAM.RegionOf(pa)
-	last := o.M.DRAM.RegionOf(pa + uint64(n) - 1)
-	if first < 0 || last < 0 {
-		return nil, fmt.Errorf("os: read outside memory")
-	}
-	for r := first; r <= last; r++ {
-		if !o.ownsRegion(r) {
-			return nil, fmt.Errorf("os: region %d is not ours", r)
-		}
-	}
 	buf := make([]byte, n)
-	if err := o.M.Mem.ReadBytes(pa, buf); err != nil {
+	if err := o.readOwnedInto(pa, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil

@@ -3,7 +3,7 @@ package os
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"sanctorum/internal/hw/machine"
@@ -61,15 +61,23 @@ type SchedConfig struct {
 }
 
 // Scheduler timeshares enclave threads over cores. Create with
-// OS.NewScheduler; drive with RunAll or Serve.
+// OS.NewScheduler; drive with RunAll or Serve, one call at a time. A
+// scheduler may be driven any number of times: each call reuses the
+// buffers of the last, so a long-lived scheduler (the gateway's, one
+// RunAll per wave) allocates nothing per call once they have grown.
 type Scheduler struct {
 	o   *OS
 	cfg SchedConfig
+	drv *machine.Scheduler
+	// sliceFn is the slice method value, bound once: Drive hands it to
+	// goroutines in parallel mode, so a fresh one would escape per call.
+	sliceFn func(coreID int) bool
 
 	mu        sync.Mutex
 	queue     []*schedTask // runnable, not on any core
-	current   map[int]*schedTask
+	current   []*schedTask // indexed by core id; nil when idle
 	results   []TaskResult
+	arena     []schedTask // RunAll's task records, reused across calls
 	remaining int         // submitted but unfinished tasks
 	feed      <-chan Task // Serve's live submission channel
 	accepting bool        // feed may still yield tasks
@@ -107,12 +115,15 @@ func (o *OS) NewScheduler(cfg SchedConfig) *Scheduler {
 	if cfg.Mode == machine.SchedParallel {
 		o.M.SetConcurrent(true)
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		o:       o,
 		cfg:     cfg,
-		current: make(map[int]*schedTask),
+		drv:     machine.NewScheduler(o.M, cfg.Mode),
+		current: make([]*schedTask, len(o.M.Cores)),
 		wake:    make(chan struct{}, 1),
 	}
+	s.sliceFn = s.slice
+	return s
 }
 
 // signal makes one wake token available without blocking.
@@ -132,11 +143,17 @@ func (s *Scheduler) signal() {
 func (s *Scheduler) Retries() uint64 { return s.o.SM.Retries() }
 
 // RunAll timeshares the given tasks across the configured cores until
-// every task has finished, and returns results in submission order.
+// every task has finished, and returns their results — only theirs —
+// in submission order. The returned slice belongs to the scheduler and
+// is valid until its next RunAll or Serve.
 func (s *Scheduler) RunAll(tasks []Task) []TaskResult {
 	s.mu.Lock()
-	for _, t := range tasks {
-		s.enqueueLocked(t)
+	s.resetLocked()
+	if len(s.arena) < len(tasks) {
+		s.arena = make([]schedTask, len(tasks))
+	}
+	for i, t := range tasks {
+		s.enqueueLocked(&s.arena[i], t)
 	}
 	s.accepting = false
 	s.mu.Unlock()
@@ -147,17 +164,30 @@ func (s *Scheduler) RunAll(tasks []Task) []TaskResult {
 // accepted tasks have finished — the scheduler's long-running "system
 // under load" mode. Results come back ordered by admission; in
 // parallel mode two tasks received nearly simultaneously by different
-// idle workers may be admitted in either order.
+// idle workers may be admitted in either order. The returned slice is
+// valid until the scheduler's next RunAll or Serve.
 func (s *Scheduler) Serve(tasks <-chan Task) []TaskResult {
 	s.mu.Lock()
+	s.resetLocked()
 	s.feed = tasks
 	s.accepting = true
 	s.mu.Unlock()
 	return s.drive()
 }
 
-func (s *Scheduler) enqueueLocked(t Task) {
-	st := &schedTask{idx: s.nextIdx, res: TaskResult{Task: t}}
+// resetLocked starts a RunAll or Serve call: the previous call's
+// results and submission numbering are dropped (every task of it has
+// finished, so no record is still referenced).
+func (s *Scheduler) resetLocked() {
+	s.results = s.results[:0]
+	s.nextIdx = 0
+	s.feed = nil
+}
+
+// enqueueLocked fills st — an arena record or a fresh one — for t and
+// makes it runnable.
+func (s *Scheduler) enqueueLocked(st *schedTask, t Task) {
+	*st = schedTask{idx: s.nextIdx, res: TaskResult{Task: t}}
 	if t.MaxSteps > 0 {
 		st.bounded = true
 		st.budget = t.MaxSteps
@@ -169,12 +199,11 @@ func (s *Scheduler) enqueueLocked(t Task) {
 }
 
 func (s *Scheduler) drive() []TaskResult {
-	machine.NewScheduler(s.o.M, s.cfg.Mode).Drive(s.cfg.Cores, s.slice)
+	s.drv.Drive(s.cfg.Cores, s.sliceFn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]TaskResult(nil), s.results...)
-	sort.Slice(out, func(i, j int) bool { return out[i].submitIdx < out[j].submitIdx })
-	return out
+	slices.SortFunc(s.results, func(a, b TaskResult) int { return a.submitIdx - b.submitIdx })
+	return s.results
 }
 
 // slice performs one unit of scheduling work on coreID; false means the
@@ -207,7 +236,7 @@ func (s *Scheduler) slice(coreID int) bool {
 			task, ok := <-feed
 			s.mu.Lock()
 			if ok {
-				s.enqueueLocked(task)
+				s.enqueueLocked(new(schedTask), task)
 			} else {
 				s.accepting = false
 			}
@@ -234,7 +263,7 @@ func (s *Scheduler) park(feed <-chan Task, accepting bool) {
 	case task, ok := <-feed:
 		s.mu.Lock()
 		if ok {
-			s.enqueueLocked(task)
+			s.enqueueLocked(new(schedTask), task)
 		} else {
 			s.accepting = false
 		}
@@ -258,9 +287,14 @@ func (s *Scheduler) takeFor(coreID int) *schedTask {
 		s.mu.Unlock()
 		return nil
 	}
+	// Pop by shifting down, so the queue's backing array serves every
+	// later call instead of being resliced away (the queue is at most
+	// one task per thread, so the copy is short).
 	t := s.queue[0]
-	s.queue = s.queue[1:]
-	if len(s.queue) > 0 {
+	n := copy(s.queue, s.queue[1:])
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
+	if n > 0 {
 		// More work remains: hand the wakeup on so a parked sibling
 		// picks it up (a single token would otherwise serialize wakes).
 		s.signal()
@@ -306,7 +340,7 @@ func (s *Scheduler) pollFeedLocked() {
 				s.accepting = false
 				return
 			}
-			s.enqueueLocked(t)
+			s.enqueueLocked(new(schedTask), t)
 		default:
 			return
 		}
@@ -370,7 +404,7 @@ func (s *Scheduler) runSlice(coreID int, t *schedTask) {
 
 func (s *Scheduler) unbind(coreID int) {
 	s.mu.Lock()
-	delete(s.current, coreID)
+	s.current[coreID] = nil
 	s.mu.Unlock()
 }
 

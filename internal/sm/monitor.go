@@ -172,8 +172,9 @@ func (mon *Monitor) tryLock(mu *sync.Mutex, kind LockKind, id uint64) bool {
 // while waiting on another hart.
 type coreSlot struct {
 	mu    sync.Mutex
-	owner uint64 // api.DomainOS or an eid
-	tid   uint64 // running thread when owner is an enclave
+	owner uint64      // api.DomainOS or an eid
+	tid   uint64      // running thread when owner is an enclave
+	call  callContext // enclaveCall's context for this core's ECALL
 }
 
 // New boots the monitor on a machine: claims the SM's own regions,

@@ -129,8 +129,11 @@ func (mon *Monitor) enclaveCall(c *machine.Core, slot slotView) machine.Disposit
 			c.CPU.Reg(isa.RegA3), c.CPU.Reg(isa.RegA4), c.CPU.Reg(isa.RegA5),
 		},
 	}
-	ctx := callContext{core: c, enclave: e, thread: t}
-	resp := mon.dispatch(req, &ctx)
+	// The core's one reused context: a core traps once at a time, and
+	// no handler keeps the pointer past the call.
+	ctx := &mon.cores[c.ID].call
+	*ctx = callContext{core: c, enclave: e, thread: t}
+	resp := mon.dispatch(req, ctx)
 	if ctx.transferred {
 		// Exit or resume: the handler already programmed the core.
 		return ctx.disp

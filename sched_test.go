@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sanctorum"
 	"sanctorum/internal/enclaves"
@@ -140,7 +141,11 @@ func TestRunAllDeterministic(t *testing.T) {
 // goroutines hammer region transactions on a spare region. Requires
 // every task to finish correctly under -race and at least one monitor
 // transaction to fail with api.ErrRetry (§V-A contention observed).
+// The hammers outlive RunAll until a retry is seen or retryDeadline
+// passes: the clean's lock window is short, so whether one lands
+// while the tasks run is luck.
 func TestRunAllParallelStress(t *testing.T) {
+	const retryDeadline = 10 * time.Second
 	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum, Cores: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +169,11 @@ func TestRunAllParallelStress(t *testing.T) {
 	spare := sys.OS.FreeRegions()
 	spareRegion := spare[len(spare)-1]
 	var retries atomic.Uint64
+	var retried sync.Once
+	sawRetry := make(chan struct{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	hammer := func(work func() api.Error) {
+	hammer := func(work func()) {
 		defer wg.Done()
 		for {
 			select {
@@ -174,32 +181,41 @@ func TestRunAllParallelStress(t *testing.T) {
 				return
 			default:
 			}
-			if work() == api.ErrRetry {
-				retries.Add(1)
-			}
+			work()
 		}
 	}
 	wg.Add(2)
 	// The hammers speak the unified ABI single-shot (client Try, no
-	// retry absorption) so every ErrRetry is observed here.
+	// retry absorption), and try counts every ErrRetry, the ones the
+	// clean and grant loops below retry through included.
 	try := func(c api.Call, args ...uint64) api.Error {
-		return sys.OS.SM.Try(api.OSRequest(c, args...)).Status
+		st := sys.OS.SM.Try(api.OSRequest(c, args...)).Status
+		if st == api.ErrRetry {
+			retries.Add(1)
+			retried.Do(func() { close(sawRetry) })
+		}
+		return st
 	}
-	go hammer(func() api.Error {
-		if st := try(api.CallBlockRegion, uint64(spareRegion)); st != api.OK {
-			return st
+	go hammer(func() {
+		if try(api.CallBlockRegion, uint64(spareRegion)) != api.OK {
+			return
 		}
 		for try(api.CallCleanRegion, uint64(spareRegion)) != api.OK {
 		}
 		for try(api.CallGrantRegion, uint64(spareRegion), api.DomainOS) != api.OK {
 		}
-		return api.OK
 	})
-	go hammer(func() api.Error {
-		return try(api.CallRegionInfo, uint64(spareRegion))
+	go hammer(func() {
+		try(api.CallRegionInfo, uint64(spareRegion))
 	})
 
 	results := sched.RunAll(tasks)
+	if sched.Retries() == 0 {
+		select {
+		case <-sawRetry:
+		case <-time.After(retryDeadline):
+		}
+	}
 	close(stop)
 	wg.Wait()
 

@@ -681,11 +681,11 @@ func TestSnapshotClonePool(t *testing.T) {
 // measurement state, the COW bitmap, the worker handle — plus the
 // batched submission's responses, the cleaning and shootdown IPI
 // requests, and the trap records of the run's COW fault and exit.
-// Scrubbed pages are recycled, and a fork's bookkeeping does not grow
-// with the template. The count does not depend on the host, so it is
-// gated exactly: a rise is a regression, and a fall should lower the
-// pin.
-const coldStartAllocs = 26
+// Scrubbed pages are recycled, a fork's bookkeeping does not grow
+// with the template, and an ECALL runs on its core's reused call
+// context. The count does not depend on the host, so it is gated
+// exactly: a rise is a regression, and a fall should lower the pin.
+const coldStartAllocs = 25
 
 // TestColdStartAllocs pins the allocations of one pooled cold start on
 // Sanctum — Pool.Acquire, System.Enter, Pool.Release — the cycle the
