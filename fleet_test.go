@@ -375,12 +375,11 @@ func TestFleetParallelServing(t *testing.T) {
 // fleetServeAllocs is the exact number of heap objects one
 // Fleet.Process of fleet-kv's shape allocates (Go 1.24): the fleet's
 // response slice, and per shard the gateway's response slice and
-// arena plus, per woken worker, the wake's IPI closure and the trap
-// record of its return to the OS. Routing an established session,
-// the per-shard batches, sends, recvs, the wave's scheduler and the
-// workers' ECALLs allocate nothing. Gated exactly, as
+// arena. Routing an established session, the per-shard batches,
+// sends, recvs, the wave's scheduler, the wakes, the workers' ECALLs
+// and their trap records allocate nothing. Gated exactly, as
 // gatewayServeAllocs.
-const fleetServeAllocs = 13
+const fleetServeAllocs = 5
 
 // TestFleetServeAllocs pins the allocations of one Fleet.Process of 64
 // KV requests over 16 established sessions on a 2-shard Sanctum fleet

@@ -213,12 +213,13 @@ func TestGatewayRefusedCallThenServes(t *testing.T) {
 // gatewayServeAllocs is the exact number of heap objects one
 // Gateway.Process of one wave over two workers allocates (Go 1.24),
 // whatever its size: the response slice and the one arena the
-// responses share, and per woken worker the wake's IPI closure and the
-// trap record of its return to the OS. Routing, sends, recvs, the
-// wave's scheduler and the workers' ECALLs allocate nothing. The count
-// does not depend on the host, so it is gated exactly: a rise is a
-// regression, and a fall should lower the pin.
-const gatewayServeAllocs = 6
+// responses share. Routing, sends, recvs, the wave's scheduler, the
+// wakes of its workers (posted to the IPI mailbox by value), the
+// workers' ECALLs and the trap records of their returns to the OS (a
+// per-core buffer) allocate nothing. The count does not depend on the
+// host, so it is gated exactly: a rise is a regression, and a fall
+// should lower the pin.
+const gatewayServeAllocs = 2
 
 // TestGatewayServeAllocs pins the allocations of one Gateway.Process of
 // 32 echo requests over two workers on Sanctum: BenchmarkGatewayServe's

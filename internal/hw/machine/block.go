@@ -41,11 +41,10 @@ import (
 // the terminal. Each segment is compiled into one flat segEnv whose run
 // method:
 //
-//   - re-checks the guard word (decode-cache generation + TLB
-//     generation + privilege mode) unless the previous segment proved
-//     it could not have moved: any code write, translation mutation or
-//     domain switch bails back to the interpreter at an exact
-//     instruction boundary;
+//   - re-checks the guard word (code-write generation + TLB generation
+//     + privilege mode) unless the previous segment proved it could not
+//     have moved: any code write, translation removal or domain switch
+//     bails back to the interpreter at an exact instruction boundary;
 //   - batches the segment's instruction fetches: TLB.Hits advances by
 //     the segment length (each fetch is a guaranteed TLB hit while the
 //     guard holds), and the L1 touches collapse into one TouchFastN
@@ -91,12 +90,15 @@ import (
 // budget covers the whole block, so RunResult.Steps is unaffected.
 //
 // Invalidation rides the existing generation machinery: the guard word
-// covers icGen (code writes, TLB teardown, domain switches) and the TLB
-// generation + mode pack. A stale block is first revalidated — if the
-// decode cache holds a live entry for the same VA→PA mapping and the
-// block's words compare equal, only the generations are refreshed —
-// so the steady-state cost of a domain switch is one interpreted pass
-// per block, not a recompile.
+// covers icGen (moved only by a write into a marked code page) and the
+// TLB generation + mode pack (moved when a translation leaves the TLB,
+// e.g. by core cleaning on a domain switch). A stale block is
+// revalidated against the TLB, not recompiled: if the entry page is
+// resident with fetch permission for the current mode and still maps
+// the block's frame, and the words compare equal when icGen moved, only
+// the guard is refreshed. A domain switch therefore costs no recompile
+// and no decode, only the TLB refill the model charges; a block whose
+// frame or words changed is dropped, and its site re-heats.
 
 const (
 	// bcEntries is the per-core block cache size (direct-mapped on the
@@ -141,7 +143,8 @@ type BlockStats struct {
 	Instrs        uint64 // instructions retired inside blocks
 	GuardBails    uint64 // mid-block guard misses (fell back to interpreter)
 	Revalidations uint64 // stale blocks revived without recompiling
-	Invalidations uint64 // stale blocks that failed revalidation (dead until recompiled)
+	Invalidations uint64 // stale blocks dropped: frame or words changed, the site re-heats
+	Decodes       uint64 // decode-cache refills that ran isa.Decode
 }
 
 // BlockStats returns the core's block-engine counters.
@@ -188,7 +191,8 @@ func (c *Core) blockFor(pc uint64) *block {
 	if c.blockHot == 0 || c.CPU.Halted {
 		return nil
 	}
-	b := c.blocks[(pc>>3)&(bcEntries-1)]
+	slot := &c.blocks[(pc>>3)&(bcEntries-1)]
+	b := *slot
 	if b == nil || b.entryVA != pc {
 		h := &c.icHot[(pc>>3)&(icEntries-1)]
 		*h++
@@ -198,25 +202,33 @@ func (c *Core) blockFor(pc uint64) *block {
 		}
 		return nil
 	}
-	if b.n == 0 {
-		// Negative cache: the site head is unfusible or too short. Only
-		// a code change (icGen) can alter that verdict.
-		if b.icGen == c.icGen.Load() {
-			return nil
-		}
+	icGen := c.icGen.Load()
+	if b.n == 0 && b.icGen != icGen {
+		// A rejected site (unfusible head, or too short) whose code may
+		// have been rewritten: only new code can change the verdict.
 		return c.compileBlock(pc)
 	}
-	if b.icGen == c.icGen.Load() && b.tgMode == tgMode(c.TLB.Gen(), c.CPU.Mode) {
-		if root, _ := c.walkRoot(pc); root == b.root {
-			return b
+	live := b.icGen == icGen && b.tgMode == tgMode(c.TLB.Gen(), c.CPU.Mode)
+	if live {
+		root, _ := c.walkRoot(pc)
+		live = root == b.root
+	}
+	if !live {
+		switch c.revalidateBlock(b) {
+		case blockStale:
+			return nil
+		case blockDead:
+			// Free the slot, so the site heats up again and compiles
+			// what its VA holds now.
+			*slot = nil
+			c.bstats.Invalidations++
+			return nil
 		}
-		return nil
 	}
-	if c.revalidateBlock(b) {
-		return b
+	if b.n == 0 {
+		return nil // a rejected site, still holding the code it was traced on
 	}
-	c.bstats.Invalidations++
-	return nil
+	return b
 }
 
 // execBlock runs a validated block, looping back over it while it
@@ -775,11 +787,14 @@ func (c *Core) compileBlock(pc uint64) *block {
 	idx := (pc >> 3) & (bcEntries - 1)
 	if n < blockMinLen {
 		// A rejected-block stub is never handed out, so a stale one in
-		// the slot is refreshed in place rather than replaced.
+		// the slot is refreshed in place rather than replaced. It keeps
+		// the frame and guard it was traced under, so that a remap of
+		// its page to other code frees it as it frees a block.
+		stub := block{entryVA: pc, paPage: paPage, icGen: icGen, tgMode: tg, root: root}
 		if old := c.blocks[idx]; old != nil && old.n == 0 {
-			*old = block{entryVA: pc, icGen: icGen}
+			*old = stub
 		} else {
-			c.blocks[idx] = &block{entryVA: pc, icGen: icGen}
+			c.blocks[idx] = &stub
 		}
 		c.bstats.Rejected++
 		return nil
@@ -884,37 +899,60 @@ func (c *Core) followJump(in isa.Instr, va, root uint64, seen []uint64) (uint64,
 	return target, true
 }
 
-// revalidateBlock revives a block whose guard generations went stale
-// without its substance changing — the common case after a domain
-// switch or TLB shootdown, where recompiling every block would put a
-// compile on the enclave enter/exit path. The block is revived iff the
-// decode cache holds a live entry for the entry VA with the same
-// VA→PA mapping (so the current translation set serves the whole page,
-// at the current generations, as guaranteed TLB hits), every VA still
-// walks from the same root, and the code words compare equal. Like
-// compilation, revalidation is architecturally invisible.
-func (c *Core) revalidateBlock(b *block) bool {
-	e := &c.icache[(b.entryVA>>3)&(icEntries-1)]
-	icGen := c.icGen.Load()
-	tg := tgMode(c.TLB.Gen(), c.CPU.Mode)
-	if e.gen != icGen || e.va != b.entryVA || e.tgMode != tg || e.tgMode == 0 {
-		return false
-	}
-	if e.pa&^uint64(mem.PageMask) != b.paPage {
-		return false // page remapped: only a recompile can retarget it
+// revalidateBlock verdicts.
+const (
+	blockStale = iota // not usable now, but may be again: keep it
+	blockLive         // revived: its guard is refreshed
+	blockDead         // its frame or words changed: drop it
+)
+
+// revalidateBlock revives a block whose guard went stale without its
+// substance changing — the common case after a domain switch or TLB
+// shootdown, where recompiling every block would put a compile on the
+// enclave enter/exit path. A rejected site's stub (no words) is checked
+// the same way, for its frame. The block is revived iff every VA walks
+// from the same non-zero root (adopted as the block's root), the TLB
+// holds the entry page with fetch permission for the current mode and
+// the block's frame, and — only if a code write moved icGen since the
+// block was validated — the code words compare equal. A reference
+// fetch of any of the block's VAs would then be a TLB hit on that
+// frame, which is what the block's batched accounting charges. Like
+// compilation, revalidation is architecturally invisible: the TLB
+// probe counts no statistic.
+//
+// A block that fails only because its page is not in the TLB yet (the
+// first arrival after a flush), or because the mode or walk root
+// cannot use it now, stays in its slot for the next arrival. A block
+// whose page now maps another frame, or whose words changed, is dead.
+func (c *Core) revalidateBlock(b *block) int {
+	root, _ := c.walkRoot(b.entryVA)
+	if root == 0 {
+		return blockStale
 	}
 	for _, va := range b.vas {
-		if r, _ := c.walkRoot(va); r != e.root {
-			return false
+		if r, _ := c.walkRoot(va); r != root {
+			return blockStale
 		}
 	}
-	c.machine.markCodePage(b.paPage) // re-mark before reading (snoop race)
-	for i, w := range b.words {
-		if c.fetchWin.LoadFast(b.paPage|(b.vas[i]&uint64(mem.PageMask)), 8) != w {
-			return false
+	e, ok := c.TLB.Probe((b.entryVA & pt.VAMask) >> mem.PageBits)
+	if !ok || !tlbPermOK(e.Perms, pt.Fetch, c.CPU.Mode) {
+		return blockStale
+	}
+	if e.PPN<<mem.PageBits != b.paPage {
+		return blockDead // remapped: only a recompile can retarget the site
+	}
+	icGen := c.icGen.Load()
+	if b.icGen != icGen {
+		c.machine.markCodePage(b.paPage) // re-mark before reading (snoop race)
+		for i, w := range b.words {
+			if c.fetchWin.LoadFast(b.paPage|(b.vas[i]&uint64(mem.PageMask)), 8) != w {
+				return blockDead
+			}
 		}
 	}
-	b.icGen, b.tgMode, b.root = icGen, tg, e.root
-	c.bstats.Revalidations++
-	return true
+	b.icGen, b.tgMode, b.root = icGen, tgMode(c.TLB.Gen(), c.CPU.Mode), root
+	if b.n > 0 {
+		c.bstats.Revalidations++
+	}
+	return blockLive
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -229,8 +230,20 @@ func TestBlockFollowedJumpBail(t *testing.T) {
 			if c.CPU.Regs[3] != 42 {
 				t.Fatalf("x3 = %d: block executed a stale instruction past a code write", c.CPU.Regs[3])
 			}
-			if bs := c.BlockStats(); bs.GuardBails == 0 {
+			bs := c.BlockStats()
+			if bs.GuardBails == 0 {
 				t.Errorf("the patching store did not bail the block: %+v", bs)
+			}
+			if bs.Invalidations == 0 {
+				t.Errorf("the block survived the patch of its own word: %+v", bs)
+			}
+			// The patch kills the block, so its shape is checked on a
+			// run that stops before the patch: the setup and two passes
+			// of ten instructions, the second inside the block.
+			m, c := bfMachine(t, kind, bfBlocks, 1, words)
+			m.Firmware = &skipFirmware{}
+			if _, err := m.Run(0, 3+2*10); err != nil {
+				t.Fatal(err)
 			}
 			entry := bfCodeVA + 3*isa.InstrSize
 			b := c.blocks[(entry>>3)&(bcEntries-1)]
@@ -293,6 +306,188 @@ func TestBlockRevalidation(t *testing.T) {
 	}
 }
 
+// TestBlockRemapRecompiles: a block whose page is remapped to another
+// frame holding different code is dead for good. Its slot must be
+// freed, so the site heats up again and compiles the code the page
+// holds now, instead of failing revalidation on every arrival and
+// running interpreted forever. The page's rejected sites are freed the
+// same way: on the new frame one of them heads a block, and the other
+// (reached when the new loop's block exits) holds the HALT. The remap
+// writes no marked code page, so only the frame check can see it.
+func TestBlockRemapRecompiles(t *testing.T) {
+	const iters = 2000
+	encode := func(prog []isa.Instr) []uint64 {
+		words := make([]uint64, len(prog))
+		for i, in := range prog {
+			words[i] = in.Encode()
+		}
+		return words
+	}
+	oldCode := encode([]isa.Instr{
+		{Op: isa.OpLI, Rd: 6, Imm: iters},
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},      // loop: a block of two
+		{Op: isa.OpJAL, Rd: 1, Imm: 3 * 8},           // → the JALR
+		{Op: isa.OpBLT, Rs1: 5, Rs2: 6, Imm: -2 * 8}, // a one-instruction site: rejected
+		{Op: isa.OpHALT},
+		{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: 1},
+	})
+	newCode := encode([]isa.Instr{
+		{Op: isa.OpLI, Rd: 6, Imm: iters},
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},      // loop
+		{Op: isa.OpJAL, Rd: 1, Imm: 4 * 8},           // → the JALR
+		{Op: isa.OpADDI, Rd: 7, Rs1: 7, Imm: 1},      // the same site, now a block of two
+		{Op: isa.OpBLT, Rs1: 5, Rs2: 6, Imm: -3 * 8}, // → loop
+		{Op: isa.OpHALT},
+		{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: 1},
+	})
+	m, c := bfMachine(t, IsolationNone, bfBlocks, 1, oldCode)
+	m.Firmware = &skipFirmware{}
+	if _, err := m.Run(0, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	before := c.BlockStats()
+	if c.CPU.Regs[5] != iters || before.Compiled != 1 || before.Rejected != 2 {
+		t.Fatalf("setup: x5 = %d, %+v", c.CPU.Regs[5], before)
+	}
+	// Put the new code in the page's other frame, move the page there
+	// and shoot down the old frame, as a region re-grant does.
+	for i, w := range newCode {
+		if err := m.Mem.Store(bfAltPA+uint64(i)*isa.InstrSize, 8, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bfApply(t, m, c, bfEvent{kind: bfRemap}, nil)
+	c.CPU.PC, c.CPU.Halted = bfCodeVA, false
+	c.CPU.Regs[5] = 0
+	res, err := m.Run(0, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CPU.Regs[7] != iters {
+		t.Fatalf("x7 = %d after the remap, want %d from the new code", c.CPU.Regs[7], iters)
+	}
+	bs := c.BlockStats()
+	if n := bs.Invalidations - before.Invalidations; n != 3 {
+		t.Errorf("%d entries dropped, want the loop's block and both rejected sites: %+v", n, bs)
+	}
+	if n := bs.Compiled - before.Compiled; n != 2 {
+		t.Errorf("%d blocks compiled after the remap, want the new code's two: %+v", n, bs)
+	}
+	// Per iteration the JALR (rejected again) is the only instruction
+	// left to the interpreter: four of five retire in blocks.
+	if n := bs.Instrs - before.Instrs; float64(n) < 0.75*float64(res.Steps) {
+		t.Errorf("only %d of %d instructions retired in blocks after the remap: %+v", n, res.Steps, bs)
+	}
+}
+
+// TestCleanKeepsDecodes: core cleaning drops translations, not decodes.
+// After a warm run, ClearMicroarch and a rerun of the same code must
+// decode nothing and compile nothing — not the loop's block, which is
+// revalidated against the refilled TLB, nor its two rejected sites,
+// whose negative entries stand — while every modeled observable still
+// matches the reference interpreter doing the same.
+func TestCleanKeepsDecodes(t *testing.T) {
+	prog := []isa.Instr{
+		{Op: isa.OpLI, Rd: 5, Imm: 0},
+		{Op: isa.OpLI, Rd: 6, Imm: 500},
+		{Op: isa.OpADDI, Rd: 7, Rs1: 7, Imm: 1}, // loop: a block of three
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},
+		{Op: isa.OpJAL, Rd: 1, Imm: 3 * 8},           // → the JALR; links back
+		{Op: isa.OpBLT, Rs1: 5, Rs2: 6, Imm: -3 * 8}, // a one-instruction site: rejected
+		{Op: isa.OpHALT},
+		{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: 1}, // a one-instruction site: rejected
+	}
+	words := make([]uint64, len(prog))
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	run := func(engine bfEngine) (*Core, BlockStats) {
+		m, c := bfMachine(t, IsolationSanctum, engine, 1, words)
+		m.Firmware = &skipFirmware{}
+		if _, err := m.Run(0, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		warm := c.BlockStats()
+		c.ClearMicroarch()
+		c.CPU.PC, c.CPU.Halted = bfCodeVA, false
+		if _, err := m.Run(0, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return c, warm
+	}
+	c, warm := run(bfBlocks)
+	rc, _ := run(bfReference)
+	if c.CPU.Regs != rc.CPU.Regs || c.CPU.Cycles != rc.CPU.Cycles ||
+		c.TLB.Hits != rc.TLB.Hits || c.TLB.Misses != rc.TLB.Misses || c.TLB.Flushes != rc.TLB.Flushes {
+		t.Fatalf("diverged from the reference: cycles %d vs %d, TLB %d/%d vs %d/%d",
+			c.CPU.Cycles, rc.CPU.Cycles, c.TLB.Hits, c.TLB.Misses, rc.TLB.Hits, rc.TLB.Misses)
+	}
+	if warm.Compiled != 1 || warm.Rejected != 2 || warm.Decodes != uint64(len(words)) {
+		t.Fatalf("warm run: %+v, want 1 block, 2 rejected sites and %d decodes", warm, len(words))
+	}
+	bs := c.BlockStats()
+	if bs.Decodes != warm.Decodes || bs.Compiled != warm.Compiled || bs.Rejected != warm.Rejected {
+		t.Errorf("the rerun after cleaning decoded %d words, compiled %d blocks and rejected %d sites, want none",
+			bs.Decodes-warm.Decodes, bs.Compiled-warm.Compiled, bs.Rejected-warm.Rejected)
+	}
+	if bs.Revalidations == warm.Revalidations || bs.Invalidations != 0 {
+		t.Errorf("the block was not revalidated (or was dropped) after cleaning: %+v", bs)
+	}
+	if bs.Instrs-warm.Instrs < 3*400 {
+		t.Errorf("the rerun retired only %d instructions in blocks: %+v", bs.Instrs-warm.Instrs, bs)
+	}
+}
+
+// TestBlockDomainSwitchDifferential drives hot loops through dense
+// random schedules of domain-switch events on every backend, against
+// the reference interpreter. The fuzzer's programs reach the events
+// only now and then; these loops have blocks for each event to hit.
+// Every other round shrinks the TLB to two or three entries, so fills
+// evict live translations between and inside blocks.
+func TestBlockDomainSwitchDifferential(t *testing.T) {
+	copyLoop := []isa.Instr{
+		{Op: isa.OpLI, Rd: 5, Imm: 0},
+		{Op: isa.OpLI, Rd: 6, Imm: 4096},
+		{Op: isa.OpADDI, Rd: 12, Rs1: 8, Imm: 0x1000},
+		{Op: isa.OpBLTU, Rs1: 5, Rs2: 6, Imm: 2 * 8}, // top: → body
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: 7 * 8},
+		{Op: isa.OpADD, Rd: 13, Rs1: 8, Rs2: 5}, // body
+		{Op: isa.OpLD, Rd: 13, Rs1: 13},
+		{Op: isa.OpADD, Rd: 14, Rs1: 12, Rs2: 5},
+		{Op: isa.OpSD, Rs1: 14, Rs2: 13},
+		{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 8},
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -7 * 8}, // → top
+		{Op: isa.OpHALT},
+	}
+	programs := [][]uint64{bfLoopWords(), make([]uint64, len(copyLoop))}
+	for i, in := range copyLoop {
+		programs[1][i] = in.Encode()
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	var total BlockStats
+	for round := 0; round < 8; round++ {
+		for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+			events := make([]bfEvent, 16)
+			for i := range events {
+				events[i] = bfEvent{
+					after: 1 + rng.Intn(200),
+					kind:  bfEventKind(rng.Intn(int(bfEventKinds))),
+					arg:   uint8(rng.Intn(256)),
+				}
+			}
+			words := programs[round%len(programs)]
+			tlbEntries := []int{0, 2, 0, 3}[round%4]
+			bs := bfCompareTLB(t, kind, tlbEntries, words, nil, events).BlockStats()
+			total.Revalidations += bs.Revalidations
+			total.Invalidations += bs.Invalidations
+			total.Instrs += bs.Instrs
+		}
+	}
+	if total.Revalidations == 0 || total.Invalidations == 0 || total.Instrs == 0 {
+		t.Fatalf("the events never revived, dropped or ran a block: %+v", total)
+	}
+}
+
 // TestBlockThreshold: a site below the heat threshold stays on the
 // per-instruction path; crossing it compiles.
 func TestBlockThreshold(t *testing.T) {
@@ -311,13 +506,19 @@ func TestBlockThreshold(t *testing.T) {
 	}
 }
 
-// TestBlockEngineDisabled: the knob really disables the tier.
+// TestBlockEngineDisabled: the knob really disables the tier. The
+// decode cache belongs to the per-instruction fast path, which stays
+// on, so Decodes is the one counter that must move.
 func TestBlockEngineDisabled(t *testing.T) {
 	m, c := bfMachine(t, IsolationNone, bfNoBlocks, 1, bfLoopWords())
 	if _, err := m.Run(0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if bs := c.BlockStats(); bs != (BlockStats{}) {
+	bs := c.BlockStats()
+	if bs.Decodes != uint64(len(bfLoopWords())) {
+		t.Errorf("the fast path decoded %d words, want each of the loop's %d once", bs.Decodes, len(bfLoopWords()))
+	}
+	if bs.Decodes = 0; bs != (BlockStats{}) {
 		t.Errorf("disabled engine recorded activity: %+v", bs)
 	}
 }

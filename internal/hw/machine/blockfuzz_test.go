@@ -9,6 +9,7 @@ import (
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pmp"
 	"sanctorum/internal/hw/pt"
+	"sanctorum/internal/hw/tlb"
 	"sanctorum/internal/isa"
 )
 
@@ -24,12 +25,21 @@ import (
 // accesses that straddle the last mapped page into unmapped space,
 // mid-block faults, and system ops that must terminate block formation;
 // it also emits JALR (half with rd == rs1) and names x0 by its alias 32.
+//
+// It also emits domain-switch events, which the harness applies to both
+// engines alike between run slices: core cleaning (ClearMicroarch), a
+// FlushIf shootdown of one frame, a FlushPage, a code page remapped to
+// its other frame plus the shootdown of the old one, a host write of an
+// instruction word into a code frame, and a privilege-mode change.
+// Decodes and blocks outlive every one of them, and must be revived
+// against the TLB only where a reference fetch would hit it.
 
 const (
 	bfCodeVA   = uint64(0x10000)
 	bfCodePA   = uint64(0x10000)
 	bfDataVA   = uint64(0x40000)
 	bfDataPA   = uint64(0x50000)
+	bfAltPA    = uint64(0x60000) // each code page's other frame (remap events)
 	bfUnmapped = uint64(0x700000)
 	bfCodeLen  = 2 * mem.PageSize // two writable+executable pages
 	bfDataLen  = 3 * mem.PageSize
@@ -78,6 +88,9 @@ func bfMachine(t *testing.T, kind IsolationKind, engine bfEngine, threshold int,
 		if err := m.Mem.Store(bfCodePA+uint64(i)*isa.InstrSize, 8, w); err != nil {
 			t.Fatal(err)
 		}
+		if err := m.Mem.Store(bfAltPA+uint64(i)*isa.InstrSize, 8, bfVariant(w)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c := m.Cores[0]
 	c.Satp = b.Root
@@ -104,6 +117,91 @@ func bfMachine(t *testing.T, kind IsolationKind, engine bfEngine, threshold int,
 	return m, c
 }
 
+// bfVariant is w as the alternate code frames hold it: an ALU op's
+// immediate is bumped, so a block that survived a remap onto the other
+// frame would compute a visibly different result.
+func bfVariant(w uint64) uint64 {
+	in := isa.Decode(w)
+	if !isa.IsALU(in.Op) {
+		return w
+	}
+	in.Imm++
+	return in.Encode()
+}
+
+// bfEventKind names a domain-switch event.
+type bfEventKind uint8
+
+const (
+	bfClean     bfEventKind = iota // core cleaning: ClearMicroarch
+	bfShootdown                    // FlushIf of every translation into one frame
+	bfFlushPage                    // FlushPage of one VPN
+	bfRemap                        // a code page moves to its other frame, plus the old frame's shootdown
+	bfHostWrite                    // a host write of a program word into a code frame
+	bfMode                         // a privilege-mode change
+	bfEventKinds
+)
+
+// bfEvent is applied to both engines after `after` more instructions
+// retire; arg picks the frame, page, word or mode it acts on.
+type bfEvent struct {
+	after int
+	kind  bfEventKind
+	arg   uint8
+}
+
+// bfFrames are the frames a shootdown targets: both code pages, their
+// alternates and the data pages.
+var bfFrames = []uint64{
+	bfCodePA, bfCodePA + mem.PageSize, bfAltPA, bfAltPA + mem.PageSize,
+	bfDataPA, bfDataPA + mem.PageSize, bfDataPA + 2*mem.PageSize,
+}
+
+// bfApply applies ev to c. words is the program, the source of the
+// words a host write stores.
+func bfApply(t *testing.T, m *Machine, c *Core, ev bfEvent, words []uint64) {
+	t.Helper()
+	switch ev.kind {
+	case bfClean:
+		c.ClearMicroarch()
+	case bfShootdown:
+		ppn := bfFrames[int(ev.arg)%len(bfFrames)] >> mem.PageBits
+		c.TLB.FlushIf(func(e tlb.Entry) bool { return e.PPN == ppn })
+	case bfFlushPage:
+		vas := []uint64{bfCodeVA, bfCodeVA + mem.PageSize, bfDataVA, bfDataVA + mem.PageSize, bfUnmapped}
+		c.TLB.FlushPage(vas[int(ev.arg)%len(vas)] >> mem.PageBits)
+	case bfRemap:
+		// Flip one code page between its frame and its alternate, as a
+		// region re-grant would, then shoot down the old frame.
+		off := uint64(ev.arg%2) * mem.PageSize
+		b := &pt.Builder{Mem: m.Mem, Root: c.Satp}
+		pte, err := b.Lookup(bfCodeVA + off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, next := pt.PPNOf(pte)<<mem.PageBits, bfCodePA+off
+		if old == next {
+			next = bfAltPA + off
+		}
+		if err := b.Map(bfCodeVA+off, next, pt.R|pt.W|pt.X); err != nil {
+			t.Fatal(err)
+		}
+		c.TLB.FlushIf(func(e tlb.Entry) bool { return e.PPN == old>>mem.PageBits })
+	case bfHostWrite:
+		// One of the first 64 words of a code frame or its alternate,
+		// where the generated programs live.
+		pa := bfFrames[ev.arg%4] + uint64(ev.arg>>2)%64*isa.InstrSize
+		if err := m.Mem.Store(pa, 8, words[int(ev.arg)%len(words)]); err != nil {
+			t.Fatal(err)
+		}
+	case bfMode:
+		// S, U (where the supervisor pages fault) or M: a mode the TLB
+		// entries serve, one they do not, and a third the block guard
+		// must tell apart from S.
+		c.CPU.Mode = []isa.Priv{isa.PrivS, isa.PrivU, isa.PrivM}[ev.arg%3]
+	}
+}
+
 var bfALUOps = []isa.Op{
 	isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR,
 	isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLT, isa.OpSLTU,
@@ -120,18 +218,25 @@ var bfMemOps = []isa.Op{
 
 var bfBranchOps = []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU}
 
-// bfGenerate maps fuzz bytes to an instruction stream. Four bytes per
-// instruction: a class selector and three operand bytes. Register fields
-// are drawn mod 32, and one instruction in eight then names x0 by its
-// alias 32 in one field. The stream is capped at the code region less
-// one word for the trailing HALT.
-func bfGenerate(data []byte) []uint64 {
+// bfGenerate maps fuzz bytes to an instruction stream and a schedule of
+// domain-switch events. Four bytes per record: a class selector and
+// three operand bytes. Register fields are drawn mod 32, and one
+// instruction in eight then names x0 by its alias 32 in one field. The
+// stream is capped at the code region less one word for the trailing
+// HALT.
+func bfGenerate(data []byte) ([]uint64, []bfEvent) {
 	max := int(bfCodeLen/isa.InstrSize) - 1
 	var words []uint64
+	var events []bfEvent
 	for i := 0; i+4 <= len(data) && len(words) < max; i += 4 {
 		sel, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
 		var in isa.Instr
 		switch {
+		case sel >= 244: // a domain-switch event after up to 256 more steps
+			events = append(events, bfEvent{
+				after: 1 + int(b2), kind: bfEventKind(sel-244) % bfEventKinds, arg: b1 ^ b3,
+			})
+			continue
 		case sel < 140: // ALU: the bulk of block bodies
 			in = isa.Instr{
 				Op: bfALUOps[int(b1)%len(bfALUOps)],
@@ -197,7 +302,7 @@ func bfGenerate(data []byte) []uint64 {
 		words = append(words, in.Encode())
 	}
 	words = append(words, isa.Instr{Op: isa.OpHALT}.Encode())
-	return words
+	return words, events
 }
 
 // bfState snapshots everything the two engines must agree on.
@@ -206,6 +311,7 @@ type bfState struct {
 	regs   [isa.NumRegs]uint64
 	pc     uint64
 	cycles uint64
+	mode   isa.Priv
 	tlb    [4]uint64
 	l1     [3]uint64
 	l2     [3]uint64
@@ -214,34 +320,65 @@ type bfState struct {
 	causes []isa.Cause
 	values []uint64
 	code   []byte
+	alt    []byte
 	data   []byte
 }
 
+// bfSteps is the instruction budget of one differential run.
+const bfSteps = 4096
+
 // bfRun runs words on a fresh machine with engine, with data (if
-// non-nil) loaded at the start of the data pages, and returns the end
-// state and the core.
-func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, words []uint64, data []byte) (bfState, *Core) {
+// non-nil) loaded at the start of the data pages, applying events
+// between run slices, and returns the end state and the core. The
+// result's Steps is the total over the slices. tlbEntries, if nonzero,
+// replaces the core's TLB with one that small, so fills evict.
+func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, tlbEntries int, words []uint64, data []byte, events []bfEvent) (bfState, *Core) {
 	t.Helper()
 	m, c := bfMachine(t, kind, engine, 1, words)
+	if tlbEntries > 0 {
+		c.TLB = tlb.New(tlbEntries)
+	}
 	if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
 		t.Fatal(err)
 	}
 	fw := &skipFirmware{}
 	m.Firmware = fw
-	res, err := m.Run(0, 4096)
-	if err != nil {
-		t.Fatal(err)
+	var res RunResult
+	steps := 0
+	run := func(n int) {
+		r, err := m.Run(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += r.Steps
+		res = r
 	}
+	for _, ev := range events {
+		if ev.after >= bfSteps-steps {
+			break
+		}
+		if run(ev.after); res.Reason == StopHalt {
+			break
+		}
+		bfApply(t, m, c, ev, words)
+	}
+	if res.Reason != StopHalt {
+		run(bfSteps - steps)
+	}
+	res.Steps = steps
 	s := bfState{
-		res: res, regs: c.CPU.Regs, pc: c.CPU.PC, cycles: c.CPU.Cycles,
+		res: res, regs: c.CPU.Regs, pc: c.CPU.PC, cycles: c.CPU.Cycles, mode: c.CPU.Mode,
 		tlb:    [4]uint64{c.TLB.Hits, c.TLB.Misses, c.TLB.Flushes, c.TLB.Shootdown},
 		l1:     [3]uint64{c.L1.Hits, c.L1.Misses, c.L1.Evictions},
 		l2:     [3]uint64{m.L2.Hits, m.L2.Misses, m.L2.Evictions},
 		l1Ways: c.L1.Snapshot(), l2Ways: m.L2.Snapshot(),
 		causes: fw.causes, values: fw.values,
-		code: make([]byte, bfCodeLen), data: make([]byte, bfDataLen),
+		code: make([]byte, bfCodeLen), alt: make([]byte, bfCodeLen), data: make([]byte, bfDataLen),
 	}
 	if err := m.Mem.ReadBytes(bfCodePA, s.code); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mem.ReadBytes(bfAltPA, s.alt); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Mem.ReadBytes(bfDataPA, s.data); err != nil {
@@ -252,13 +389,20 @@ func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, words []uint64, da
 
 // bfCompare runs words on the production engine and on the reference
 // interpreter, with data (if non-nil) loaded at the start of the data
-// pages, and requires identical end states. It returns the production
-// engine's core, for checks of the block engine's own counters and
-// blocks.
-func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte) *Core {
+// pages and events applied to both between run slices, and requires
+// identical end states. It returns the production engine's core, for
+// checks of the block engine's own counters and blocks.
+func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte, events ...bfEvent) *Core {
 	t.Helper()
-	blk, c := bfRun(t, kind, bfBlocks, words, data)
-	ref, _ := bfRun(t, kind, bfReference, words, data)
+	return bfCompareTLB(t, kind, 0, words, data, events)
+}
+
+// bfCompareTLB is bfCompare on cores whose TLB holds tlbEntries
+// translations (0: the configured size).
+func bfCompareTLB(t *testing.T, kind IsolationKind, tlbEntries int, words []uint64, data []byte, events []bfEvent) *Core {
+	t.Helper()
+	blk, c := bfRun(t, kind, bfBlocks, tlbEntries, words, data, events)
+	ref, _ := bfRun(t, kind, bfReference, tlbEntries, words, data, events)
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -266,9 +410,9 @@ func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte) *C
 	if blk.regs != ref.regs {
 		t.Errorf("%v: register files differ:\nblock %v\nref   %v", kind, blk.regs, ref.regs)
 	}
-	if blk.pc != ref.pc || blk.cycles != ref.cycles {
-		t.Errorf("%v: pc/cycles block %#x/%d, reference %#x/%d",
-			kind, blk.pc, blk.cycles, ref.pc, ref.cycles)
+	if blk.pc != ref.pc || blk.cycles != ref.cycles || blk.mode != ref.mode {
+		t.Errorf("%v: pc/cycles/mode block %#x/%d/%v, reference %#x/%d/%v",
+			kind, blk.pc, blk.cycles, blk.mode, ref.pc, ref.cycles, ref.mode)
 	}
 	if blk.tlb != ref.tlb {
 		t.Errorf("%v: TLB stats block %v, reference %v", kind, blk.tlb, ref.tlb)
@@ -298,6 +442,10 @@ func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte) *C
 		if blk.code[i] != ref.code[i] {
 			t.Fatalf("%v: code byte %#x differs: block %#x, reference %#x",
 				kind, i, blk.code[i], ref.code[i])
+		}
+		if blk.alt[i] != ref.alt[i] {
+			t.Fatalf("%v: alternate code byte %#x differs: block %#x, reference %#x",
+				kind, i, blk.alt[i], ref.alt[i])
 		}
 	}
 	for i := range blk.data {
@@ -329,19 +477,25 @@ func firstWayDiff(a, b []cache.LineState) int {
 func FuzzBlockDifferential(f *testing.F) {
 	// Seeds aimed at the interesting regimes: a tight ALU loop, a
 	// store-over-code sequence, page-straddling and unmapped accesses,
-	// and raw garbage.
+	// raw garbage, and a backward-branch loop interrupted by one event
+	// of each kind.
 	f.Add([]byte{0, 0, 7, 7, 0, 13, 7, 1, 200, 0, 7, 240})
 	f.Add([]byte{150, 10, 1, 8, 150, 7, 0x11, 3, 150, 3, 2, 200})
 	f.Add([]byte{0, 22, 5, 2, 160, 1, 9, 0, 0, 0, 6, 6, 210, 0, 5, 0})
-	f.Add([]byte{255, 1, 2, 3, 230, 9, 9, 9, 220, 0, 3, 0})
+	f.Add([]byte{243, 1, 2, 3, 230, 9, 9, 9, 220, 0, 3, 0})
+	f.Add([]byte{
+		0, 13, 7, 1, 0, 0, 7, 7, 200, 0, 0xfe, 0, // ADDI, ADD, a BEQ back to the ADDI
+		244, 0, 40, 0, 245, 1, 30, 0, 246, 2, 20, 1, 247, 3, 50, 3, 248, 4, 10, 0, 249, 5, 60, 0,
+		247, 0, 5, 0, 249, 3, 80, 3, 244, 6, 70, 6,
+	})
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 256)
 	rng.Read(long)
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		words := bfGenerate(data)
+		words, events := bfGenerate(data)
 		for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
-			bfCompare(t, kind, words, nil)
+			bfCompare(t, kind, words, nil, events...)
 		}
 	})
 }
@@ -355,6 +509,7 @@ func TestBlockDifferentialRandom(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		data := make([]byte, 64+rng.Intn(192))
 		rng.Read(data)
-		bfCompare(t, kinds[i%len(kinds)], bfGenerate(data), nil)
+		words, events := bfGenerate(data)
+		bfCompare(t, kinds[i%len(kinds)], words, nil, events...)
 	}
 }

@@ -110,6 +110,7 @@ func (c *Core) fetchSlow(va uint64) (isa.Instr, uint64, *isa.MemFault) {
 	// racing store goes unsnooped and a stale decode survives.
 	c.machine.markCodePage(pa)
 	word := c.fetchWin.LoadFast(pa, 8)
+	c.bstats.Decodes++
 	*e = icEntry{
 		va: va, pa: pa, gen: icGen,
 		tgMode: tg, root: root,

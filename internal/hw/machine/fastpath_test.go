@@ -406,8 +406,8 @@ func BenchmarkDecodeCacheHit(b *testing.B) {
 }
 
 // BenchmarkDecodeCacheMiss measures the refill path: the decode cache
-// entry is dead on every fetch (as after a domain switch), but the
-// TLB and L1 still serve their hits.
+// entry is dead on every fetch (as after a code write), but the TLB
+// and L1 still serve their hits.
 func BenchmarkDecodeCacheMiss(b *testing.B) {
 	m, err := New(smallConfig(IsolationNone))
 	if err != nil {
@@ -426,7 +426,7 @@ func BenchmarkDecodeCacheMiss(b *testing.B) {
 	c.CPU.Mode = isa.PrivS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.icGen.Add(1) // kill the entry, as a flush would
+		c.icGen.Add(1) // kill the entry, as a code write would
 		if _, _, fault := c.FetchDecoded(codeVA); fault != nil {
 			b.Fatal(fault)
 		}

@@ -25,19 +25,30 @@ import (
 // to the synchronous call it used to be, byte-for-byte.
 type ipiMailbox struct {
 	mu     sync.Mutex
-	queue  []func(*Core)
-	spare  []func(*Core) // the last drained queue, cleared, for the next post
+	queue  []ipiReq
+	spare  []ipiReq      // the last drained queue, cleared, for the next post
 	posted uint64        // requests ever posted (under mu)
 	acked  atomic.Uint64 // requests executed
 }
 
+// ipiReq is one mailbox request: fn(core), or call(args...) when fn is
+// nil. The second form carries its three word arguments by value, so a
+// poster whose request is a call of a long-lived function (the
+// monitor's wake sink) builds no closure and posting allocates nothing
+// once the queue has grown.
+type ipiReq struct {
+	fn   func(*Core)
+	call func(a, b, c uint64)
+	args [3]uint64
+}
+
 // post appends a request and returns its sequence number.
-func (b *ipiMailbox) post(fn func(*Core)) uint64 {
+func (b *ipiMailbox) post(r ipiReq) uint64 {
 	b.mu.Lock()
 	if b.queue == nil {
 		b.queue, b.spare = b.spare, nil
 	}
-	b.queue = append(b.queue, fn)
+	b.queue = append(b.queue, r)
 	b.posted++
 	seq := b.posted
 	b.mu.Unlock()
@@ -48,7 +59,7 @@ func (b *ipiMailbox) post(fn func(*Core)) uint64 {
 // holds the core's runMu (the run loop at an instruction boundary, or a
 // poster that found the core idle).
 func (c *Core) drainIPIs() {
-	var done []func(*Core)
+	var done []ipiReq
 	for {
 		c.ipi.mu.Lock()
 		c.pending.And(^pendingIPI)
@@ -61,8 +72,12 @@ func (c *Core) drainIPIs() {
 		if len(fns) == 0 {
 			return
 		}
-		for _, fn := range fns {
-			fn(c)
+		for i := range fns {
+			if r := &fns[i]; r.fn != nil {
+				r.fn(c)
+			} else {
+				r.call(r.args[0], r.args[1], r.args[2])
+			}
 			c.ipi.acked.Add(1)
 		}
 		// Hand the slice back for reuse, cleared so the closures it held
@@ -116,7 +131,7 @@ func (c *Core) Release() { c.runMu.Unlock() }
 // next instruction issues.
 func (m *Machine) PostIPI(id int, fn func(*Core)) {
 	c := m.Cores[id]
-	c.ipi.post(fn)
+	c.ipi.post(ipiReq{fn: fn})
 	c.pending.Or(pendingIPI)
 	c.tryDrainIdle()
 }
@@ -137,8 +152,27 @@ func (m *Machine) RunOn(id, from int, fn func(*Core)) {
 		fn(m.Cores[id])
 		return
 	}
+	m.await(id, ipiReq{fn: fn})
+}
+
+// RunOnCall is RunOn for a call of three word arguments: fn(a, b, c)
+// runs at core id's instruction boundary (inline when id == from), and
+// RunOnCall returns once it has. The mailbox keeps fn and its arguments
+// by value, so unlike a RunOn closure that captures them, the request
+// does not allocate.
+func (m *Machine) RunOnCall(id, from int, fn func(a, b, c uint64), a, b, c uint64) {
+	if id == from {
+		fn(a, b, c)
+		return
+	}
+	m.await(id, ipiReq{call: fn, args: [3]uint64{a, b, c}})
+}
+
+// await posts r to core id's mailbox and waits for its acknowledgment,
+// executing the mailbox itself whenever the core is idle.
+func (m *Machine) await(id int, r ipiReq) {
 	c := m.Cores[id]
-	seq := c.ipi.post(fn)
+	seq := c.ipi.post(r)
 	c.pending.Or(pendingIPI)
 	for c.ipi.acked.Load() < seq {
 		if !c.tryDrainIdle() {

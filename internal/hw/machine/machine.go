@@ -165,11 +165,14 @@ func (m *Machine) publishCycles(c *Core) {
 	m.cyclePub[c.ID].v.Store(c.CPU.Cycles)
 }
 
-// flushDecodeCaches drops every core's decoded-instruction cache. It
-// is installed as the physical memory's code-write hook, so any write
+// flushDecodeCaches drops every core's decoded instructions (its
+// blocks then compare their words before they run again). It is
+// installed as the physical memory's code-write hook, so any write
 // into a page feeding a decode cache — guest stores (self-modifying
-// code), SM scrubs, DMA — lands here. The generations are atomics, so
-// the hook is safe to fire from any hart.
+// code), SM scrubs, DMA — lands here, and it is the only thing that
+// moves a core's icGen: translation teardown (core cleaning,
+// shootdowns) drops translations, not decodes. The generations are
+// atomics, so the hook is safe to fire from any hart.
 func (m *Machine) flushDecodeCaches() {
 	for _, c := range m.Cores {
 		c.icGen.Add(1)
@@ -251,9 +254,6 @@ func New(cfg Config) (*Machine, error) {
 			c.icHot = new([icEntries]uint16)
 			c.seqPC = ^uint64(0)
 		}
-		// Tearing down translations (core cleaning, shootdown on region
-		// re-allocation) also drops the decoded-instruction cache.
-		c.TLB.OnInvalidate = c.invalidateDecodeCache
 		if cfg.Kind == IsolationKeystone {
 			c.PMP = new(pmp.Unit)
 		}
@@ -313,7 +313,7 @@ type Core struct {
 	fastPath bool
 	sanctum  bool                // machine.Kind == IsolationSanctum, dereference-free
 	l1Hit    uint64              // L1 hit latency, the cycle cost of every fast-path hit
-	icGen    atomic.Uint64       // decode-cache generation; entries from older gens are dead
+	icGen    atomic.Uint64       // code-write generation; decodes from older gens are dead
 	icache   *[icEntries]icEntry // direct-mapped decoded-instruction cache, keyed by VA
 	// The last-translation caches, L1 line refs and page windows are
 	// kept per access class, so a loop that loads from one page and
@@ -348,6 +348,10 @@ type Core struct {
 	// idle core's behalf.
 	ipi   ipiMailbox
 	runMu sync.Mutex
+
+	// resTrap is the buffer RunResult.Trap points into: the trap that
+	// ended the core's last Run, valid until its next Run.
+	resTrap isa.Trap
 }
 
 // icEntries is the per-core decoded-instruction cache size (slots of
@@ -360,7 +364,10 @@ const icEntries = 1024
 // guaranteed to reproduce exactly this outcome. When every generation
 // matches, the fetch reduces to the same statistic updates the
 // reference path would make (TLB hit, L1 hit with LRU touch) at a few
-// nanoseconds; when any layer moved, the fetch re-runs that layer.
+// nanoseconds; when any layer moved, the fetch re-runs that layer. The
+// decode itself depends only on the word, so it outlives translation
+// teardown: after a TLB flush the fetch re-translates and re-charges,
+// and keeps the decode when the VA still maps to the same PA.
 // The entry is exactly one host cache line (64 bytes): the hit check
 // touches no second line. The TLB generation and the privilege mode
 // are packed into one word (tgMode) — the pack is injective, so one
@@ -369,7 +376,7 @@ const icEntries = 1024
 // cold illegal-instruction path.
 type icEntry struct {
 	va     uint64
-	gen    uint64 // core's icGen: killed by code writes, TLB teardown, domain switches
+	gen    uint64 // core's icGen: killed only by a write into a marked code page
 	tgMode uint64 // TLB generation <<2 | privilege mode at validation
 	root   uint64 // page-table root the translation came from
 	pa     uint64
@@ -379,13 +386,13 @@ type icEntry struct {
 
 // tgMode packs a TLB generation and a privilege mode into one
 // comparable word. Priv fits in two bits; generations stay far below
-// 2^62 (one bump per TLB insert or flush).
+// 2^62 (one bump per TLB eviction, replacement or flush).
 func tgMode(tlbGen uint64, mode isa.Priv) uint64 { return tlbGen<<2 | uint64(mode) }
 
 // transCache is a one-entry last-translation cache in front of the TLB
 // for one access class. It short-circuits only accesses the TLB itself
 // would serve: the entry is dead as soon as the TLB's generation moves
-// (any Insert, Flush or FlushIf), and it still charges the TLB hit
+// (a translation left the TLB), and it still charges the TLB hit
 // statistic, so Hits/Misses stay bit-identical to the reference path.
 type transCache struct {
 	gen    uint64 // TLB generation the entry was filled at; 0 = invalid
@@ -394,11 +401,6 @@ type transCache struct {
 	root   uint64 // page-table root the translation came from
 	mode   isa.Priv
 }
-
-// invalidateDecodeCache drops the core's decoded-instruction cache; it
-// is wired to the TLB's OnInvalidate hook so translation teardown
-// (domain switches, shootdowns) also kills cached decodes.
-func (c *Core) invalidateDecodeCache() { c.icGen.Add(1) }
 
 // Machine returns the machine this core belongs to.
 func (c *Core) Machine() *Machine { return c.machine }
@@ -411,9 +413,12 @@ func (c *Core) InEvrange(va uint64) bool {
 
 // ClearMicroarch flushes the core's TLB and private L1 cache: the
 // "cleaning" of a core resource on protection-domain re-allocation.
-// The TLB flush also drops the decoded-instruction cache and the
-// last-translation caches, so no fast-path state crosses a domain
-// switch.
+// It drops translations and cache lines, not decodes: the TLB flush
+// kills the last-translation caches and every cached TLB hit (decode
+// cache entries and block guards), so the next domain re-translates
+// and re-charges every fetch exactly as the reference path does, but
+// decoded instructions and compiled blocks, which depend only on the
+// code words, survive to be revalidated against the refilled TLB.
 func (c *Core) ClearMicroarch() {
 	c.TLB.Flush()
 	c.L1.FlushAll()

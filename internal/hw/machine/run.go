@@ -33,8 +33,11 @@ func (r StopReason) String() string {
 // RunResult reports how a Run ended.
 type RunResult struct {
 	Reason StopReason
-	Trap   *isa.Trap // the final trap, if any
-	Steps  int       // instructions retired
+	// Trap is the final trap, if any. It points into a per-core buffer
+	// that stays valid until that core's next Run: a caller that keeps
+	// the trap past that must copy it.
+	Trap  *isa.Trap
+	Steps int // instructions retired
 }
 
 // ErrNoFirmware is returned when a trap occurs with no firmware
@@ -214,8 +217,9 @@ func (c *Core) takeInterrupt() *isa.Trap {
 }
 
 // dispatch routes a trap to the firmware. Traps arrive in reusable
-// per-core buffers, so any trap that escapes into a RunResult is copied
-// first.
+// per-core buffers that the next step overwrites, so a trap that ends
+// the Run is copied into the core's result buffer (resTrap), which
+// nothing touches until the core's next Run.
 func (m *Machine) dispatch(c *Core, tr *isa.Trap, steps int) (RunResult, bool, error) {
 	// Publish modeled cycles before the firmware runs so monitor-side
 	// telemetry stamps see the work retired up to this trap.
@@ -226,22 +230,22 @@ func (m *Machine) dispatch(c *Core, tr *isa.Trap, steps int) (RunResult, bool, e
 		if m.Firmware != nil {
 			m.Firmware.HandleTrap(c, tr)
 		}
-		t := *tr
-		return RunResult{Reason: StopHalt, Trap: &t, Steps: steps}, true, nil
+		c.resTrap = *tr
+		return RunResult{Reason: StopHalt, Trap: &c.resTrap, Steps: steps}, true, nil
 	}
 	if m.Firmware == nil {
-		t := *tr
-		return RunResult{Trap: &t, Steps: steps}, true, ErrNoFirmware
+		c.resTrap = *tr
+		return RunResult{Trap: &c.resTrap, Steps: steps}, true, ErrNoFirmware
 	}
 	switch m.Firmware.HandleTrap(c, tr) {
 	case DispResume:
 		return RunResult{}, false, nil
 	case DispHalt:
-		t := *tr
-		return RunResult{Reason: StopHalt, Trap: &t, Steps: steps}, true, nil
+		c.resTrap = *tr
+		return RunResult{Reason: StopHalt, Trap: &c.resTrap, Steps: steps}, true, nil
 	default:
-		t := *tr
-		return RunResult{Reason: StopReturnToOS, Trap: &t, Steps: steps}, true, nil
+		c.resTrap = *tr
+		return RunResult{Reason: StopReturnToOS, Trap: &c.resTrap, Steps: steps}, true, nil
 	}
 }
 

@@ -168,6 +168,45 @@ func TestIPIRunningCoreAcknowledgesAtBoundary(t *testing.T) {
 	<-done
 }
 
+// TestRunOnCall: RunOn's by-value form runs fn with its three
+// arguments inline for the posting hart itself, and through the
+// mailbox for an idle core and for a running one, returning only once
+// the call ran. Posting it allocates nothing once the mailbox's queue
+// has grown: the monitor's wake path relies on that.
+func TestRunOnCall(t *testing.T) {
+	m := loopMachine(t, 2)
+	var got [3]uint64
+	fn := func(a, b, c uint64) { got = [3]uint64{a, b, c} }
+	for _, tc := range []struct {
+		id, from int
+		args     [3]uint64
+	}{
+		{1, 1, [3]uint64{1, 2, 3}},      // the posting hart: inline
+		{1, NoHart, [3]uint64{4, 5, 6}}, // an idle core
+		{1, 0, [3]uint64{7, 8, 9}},      // an idle core, from another hart
+	} {
+		m.RunOnCall(tc.id, tc.from, fn, tc.args[0], tc.args[1], tc.args[2])
+		if got != tc.args {
+			t.Fatalf("RunOnCall(%d, %d) ran fn%v, want fn%v", tc.id, tc.from, got, tc.args)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { m.RunOnCall(1, NoHart, fn, 1, 1, 1) }); n != 0 {
+		t.Errorf("RunOnCall allocates %.1f objects per call, want 0", n)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := m.Run(0, 5_000_000); err != nil {
+			t.Error(err)
+		}
+	}()
+	m.RunOnCall(0, NoHart, fn, 10, 11, 12)
+	if got != [3]uint64{10, 11, 12} {
+		t.Errorf("RunOnCall to a running core returned before fn ran: got fn%v", got)
+	}
+	<-done
+}
+
 // TestInterruptCoreCrossGoroutine latches an external interrupt from
 // another goroutine; without firmware the run loop must surface it as
 // an error (trap with no firmware), proving delivery at an instruction

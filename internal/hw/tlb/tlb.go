@@ -3,6 +3,12 @@
 // allocation, which requires a TLB shootdown whenever a region moves to
 // a different protection domain (paper §VII-A); FlushIf implements the
 // selective shootdown and Flush the full flush used on core cleaning.
+//
+// The TLB tears down translations only; it knows nothing of the
+// machine's decoded-instruction caches. Its generation (Gen) is the one
+// signal the machine's fast paths read: it moves exactly when a
+// translation leaves the TLB, so a TLB hit cached at one generation is
+// still a hit, on the same entry, at that generation.
 package tlb
 
 // Entry caches one translation.
@@ -26,16 +32,13 @@ type TLB struct {
 	index   map[uint64]int // VPN -> slot, valid entries only
 	next    int            // FIFO insertion cursor
 
-	// gen advances on every mutation of the translation set (Insert,
-	// Flush, FlushIf). The machine's per-core last-translation caches
-	// compare it to detect that a cached entry may have been replaced.
+	// gen advances whenever a translation may have left the TLB: an
+	// Insert that replaces its VPN's entry or evicts a valid victim, and
+	// every Flush, FlushIf and FlushPage. A fill into a free slot only
+	// adds a translation, so it leaves gen alone. The machine's fast
+	// paths compare it to prove that a translation they cached is still
+	// resident.
 	gen uint64
-
-	// OnInvalidate, when set, is called by Flush and FlushIf; the
-	// machine uses it to drop the core's decoded-instruction cache
-	// whenever translations are torn down (core cleaning, shootdowns on
-	// region re-allocation).
-	OnInvalidate func()
 
 	// Statistics.
 	Hits      uint64
@@ -60,8 +63,8 @@ func New(capacity int) *TLB {
 func (t *TLB) Capacity() int { return len(t.entries) }
 
 // Gen returns the current translation-set generation. It changes
-// whenever an Insert, Flush or FlushIf may have altered the outcome of
-// a future Lookup.
+// whenever a translation may have been removed, so every Lookup that
+// hit at one generation hits the same entry while Gen is unchanged.
 func (t *TLB) Gen() uint64 { return t.gen }
 
 // Lookup returns the cached translation for vpn, if present.
@@ -74,18 +77,30 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Probe is Lookup without the statistics: it reports what a Lookup
+// would return without being one. The machine uses it to decide, off
+// the modeled path, whether a fetch would hit.
+func (t *TLB) Probe(vpn uint64) (Entry, bool) {
+	if i, ok := t.index[vpn]; ok {
+		return t.entries[i], true
+	}
+	return Entry{}, false
+}
+
 // Insert caches a translation, evicting in FIFO order. An existing entry
-// for the same VPN is replaced in place.
+// for the same VPN is replaced in place. The generation moves only when
+// a translation is removed (the VPN's old entry or a valid victim).
 func (t *TLB) Insert(e Entry) {
 	e.Valid = true
-	t.gen++
 	if i, ok := t.index[e.VPN]; ok {
 		t.entries[i] = e
+		t.gen++
 		return
 	}
 	victim := t.next
 	if old := &t.entries[victim]; old.Valid {
 		delete(t.index, old.VPN)
+		t.gen++
 	}
 	t.entries[victim] = e
 	t.index[e.VPN] = victim
@@ -100,18 +115,15 @@ func (t *TLB) Flush() {
 	clear(t.index)
 	t.gen++
 	t.Flushes++
-	if t.OnInvalidate != nil {
-		t.OnInvalidate()
-	}
 }
 
 // FlushPage invalidates the translation for a single virtual page —
 // the targeted shootdown of the monitor's copy-on-write fault protocol
 // (a clone's leaf PTE just moved to a private copy, so exactly one VPN
-// is stale). The generation advances and OnInvalidate fires even when
-// the VPN is absent, so the core's last-translation caches and decode
-// cache can never outlive the PTE change that motivated the flush. It
-// returns whether an entry was actually dropped.
+// is stale). The generation advances even when the VPN is absent, so
+// no translation a core cached can outlive the PTE change that
+// motivated the flush. It returns whether an entry was actually
+// dropped.
 func (t *TLB) FlushPage(vpn uint64) bool {
 	invalidated := false
 	if i, ok := t.index[vpn]; ok {
@@ -121,9 +133,6 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 	}
 	t.gen++
 	t.Shootdown++
-	if t.OnInvalidate != nil {
-		t.OnInvalidate()
-	}
 	return invalidated
 }
 
@@ -141,9 +150,6 @@ func (t *TLB) FlushIf(pred func(Entry) bool) int {
 	}
 	t.gen++
 	t.Shootdown++
-	if t.OnInvalidate != nil {
-		t.OnInvalidate()
-	}
 	return n
 }
 

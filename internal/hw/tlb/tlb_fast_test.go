@@ -3,47 +3,61 @@ package tlb
 import "testing"
 
 // The indexed lookup must be invisible next to the scanning
-// implementation: same FIFO order, same statistics, plus the
-// generation/invalidation hooks the machine's fast path depends on.
+// implementation: same FIFO order, same statistics, plus the generation
+// contract the machine's fast path depends on.
 
+// TestGenAdvancesOnMutation pins the generation contract: Gen moves
+// exactly when a translation may have left the TLB. A fill into a free
+// slot leaves every earlier hit a hit, so it must not move it;
+// replacing a VPN's entry, evicting a valid victim, Flush, FlushIf and
+// FlushPage must.
 func TestGenAdvancesOnMutation(t *testing.T) {
-	tl := New(4)
-	g0 := tl.Gen()
-	tl.Lookup(1) // a probe is not a mutation
-	if tl.Gen() != g0 {
-		t.Fatal("Lookup moved the generation")
+	tl := New(2)
+	g := tl.Gen()
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		f()
+		if moved := tl.Gen() != g; moved != moves {
+			t.Fatalf("%s: generation moved = %v, want %v", what, moved, moves)
+		}
+		g = tl.Gen()
 	}
-	tl.Insert(Entry{VPN: 1, PPN: 10})
-	g1 := tl.Gen()
-	if g1 == g0 {
-		t.Fatal("Insert did not move the generation")
-	}
-	tl.Flush()
-	g2 := tl.Gen()
-	if g2 == g1 {
-		t.Fatal("Flush did not move the generation")
-	}
-	tl.FlushIf(func(Entry) bool { return false })
-	if tl.Gen() == g2 {
-		t.Fatal("FlushIf did not move the generation")
+	step("Lookup", false, func() { tl.Lookup(1) })
+	step("Probe", false, func() { tl.Probe(1) })
+	step("Insert into a free slot", false, func() { tl.Insert(Entry{VPN: 1, PPN: 10}) })
+	step("Insert into the last free slot", false, func() { tl.Insert(Entry{VPN: 2, PPN: 20}) })
+	step("Insert replacing its VPN", true, func() { tl.Insert(Entry{VPN: 2, PPN: 21}) })
+	step("Insert evicting a valid entry", true, func() { tl.Insert(Entry{VPN: 3, PPN: 30}) })
+	step("Flush", true, tl.Flush)
+	step("Insert after a Flush", false, func() { tl.Insert(Entry{VPN: 4, PPN: 40}) })
+	step("FlushIf matching nothing", true, func() { tl.FlushIf(func(Entry) bool { return false }) })
+	step("FlushIf dropping an entry", true, func() { tl.FlushIf(func(Entry) bool { return true }) })
+	step("Insert into the freed slot", false, func() { tl.Insert(Entry{VPN: 5, PPN: 50}) })
+	step("FlushPage of an absent VPN", true, func() { tl.FlushPage(9) })
+	step("FlushPage of a present VPN", true, func() { tl.FlushPage(5) })
+	if tl.Hits != 0 || tl.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d: Probe must not count", tl.Hits, tl.Misses)
 	}
 }
 
-func TestOnInvalidateFires(t *testing.T) {
-	tl := New(4)
-	fired := 0
-	tl.OnInvalidate = func() { fired++ }
-	tl.Insert(Entry{VPN: 1, PPN: 10})
-	if fired != 0 {
-		t.Fatal("Insert fired OnInvalidate")
+// TestProbeMatchesLookup: Probe answers exactly what Lookup would,
+// entry included, without touching the statistics.
+func TestProbeMatchesLookup(t *testing.T) {
+	tl := New(2)
+	tl.Insert(Entry{VPN: 1, PPN: 10, Perms: 0xB})
+	tl.Insert(Entry{VPN: 2, PPN: 20, Perms: 0x7})
+	tl.Insert(Entry{VPN: 3, PPN: 30}) // evicts VPN 1
+	for _, vpn := range []uint64{1, 2, 3, 4} {
+		pe, pok := tl.Probe(vpn)
+		hits, misses := tl.Hits, tl.Misses
+		le, lok := tl.Lookup(vpn)
+		if pe != le || pok != lok {
+			t.Errorf("VPN %d: Probe %+v/%v, Lookup %+v/%v", vpn, pe, pok, le, lok)
+		}
+		tl.Hits, tl.Misses = hits, misses
 	}
-	tl.Flush()
-	if fired != 1 {
-		t.Fatalf("after Flush fired = %d", fired)
-	}
-	tl.FlushIf(func(Entry) bool { return true })
-	if fired != 2 {
-		t.Fatalf("after FlushIf fired = %d", fired)
+	if tl.Hits != 0 || tl.Misses != 0 {
+		t.Fatalf("Probe counted %d hits, %d misses", tl.Hits, tl.Misses)
 	}
 }
 

@@ -96,8 +96,6 @@ func TestZeroCapacityClamped(t *testing.T) {
 
 func TestFlushPageTargetedShootdown(t *testing.T) {
 	tl := New(4)
-	invalidations := 0
-	tl.OnInvalidate = func() { invalidations++ }
 	tl.Insert(Entry{VPN: 1, PPN: 10, Perms: 0xF})
 	tl.Insert(Entry{VPN: 2, PPN: 20, Perms: 0xF})
 	gen := tl.Gen()
@@ -112,9 +110,6 @@ func TestFlushPageTargetedShootdown(t *testing.T) {
 	}
 	if tl.Gen() == gen {
 		t.Fatal("generation did not advance")
-	}
-	if invalidations != 1 {
-		t.Fatalf("OnInvalidate fired %d times", invalidations)
 	}
 	// Absent VPN: no entry dropped, but the generation still advances
 	// (last-translation caches must die with the PTE change).

@@ -28,7 +28,8 @@ type CPU struct {
 	// trap is the reusable buffer Step returns traps in, so the hot
 	// trap-dispatch path performs no heap allocation. A returned *Trap
 	// is valid until the next Step on this CPU; holders that outlive
-	// that must copy it (Machine.Run does before returning a RunResult).
+	// that must copy it (Machine.Run copies the trap that ends a run
+	// into its core's result buffer).
 	trap Trap
 }
 

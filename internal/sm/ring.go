@@ -129,9 +129,11 @@ func (mon *Monitor) SetWakeSink(fn func(ringID, eid, tid uint64)) {
 }
 
 // postWake routes one wake to the OS sink through core 0's IPI
-// mailbox, waiting for the acknowledgment (RunOn) so a wake is never
-// stranded in the mailbox of a core that just went idle — the wake is
-// the only signal the OS has that a parked thread became runnable.
+// mailbox with RunOnCall, which posts the sink and its arguments by
+// value, so a wake allocates nothing. It waits for the acknowledgment
+// so a wake is never stranded in the mailbox of a core that just went
+// idle — the wake is the only signal the OS has that a parked thread
+// became runnable.
 // from is the posting hart (machine.NoHart for host-side calls): a
 // sender trapping on core 0 itself delivers inline, which is exactly
 // its own instruction boundary. The wake stays advisory: a stale one
@@ -142,7 +144,7 @@ func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
 		return
 	}
 	sink := v.(func(uint64, uint64, uint64))
-	mon.machine.RunOn(0, from, func(*machine.Core) { sink(ringID, eid, tid) })
+	mon.machine.RunOnCall(0, from, sink, ringID, eid, tid)
 }
 
 // lockEndpoints registers a new ring or grant: under objMu, it claims

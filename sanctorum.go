@@ -165,6 +165,9 @@ func NewSystem(opts Options) (*System, error) {
 			reg.RegisterFunc("machine.block.compiled", func() uint64 { return c.BlockStats().Compiled })
 			reg.RegisterFunc("machine.block.executions", func() uint64 { return c.BlockStats().Executions })
 			reg.RegisterFunc("machine.block.instrs", func() uint64 { return c.BlockStats().Instrs })
+			reg.RegisterFunc("machine.block.revalidations", func() uint64 { return c.BlockStats().Revalidations })
+			reg.RegisterFunc("machine.block.invalidations", func() uint64 { return c.BlockStats().Invalidations })
+			reg.RegisterFunc("machine.block.decodes", func() uint64 { return c.BlockStats().Decodes })
 		}
 		reg.RegisterFunc("smcall.retries", kernel.SM.Retries)
 	}

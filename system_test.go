@@ -680,12 +680,13 @@ func TestSnapshotClonePool(t *testing.T) {
 // is per-enclave metadata — the enclave, its thread, maps and
 // measurement state, the COW bitmap, the worker handle — plus the
 // batched submission's responses, the cleaning and shootdown IPI
-// requests, and the trap records of the run's COW fault and exit.
-// Scrubbed pages are recycled, a fork's bookkeeping does not grow
-// with the template, and an ECALL runs on its core's reused call
-// context. The count does not depend on the host, so it is gated
-// exactly: a rise is a regression, and a fall should lower the pin.
-const coldStartAllocs = 25
+// requests, and the fault record of the run's COW fault. Scrubbed
+// pages are recycled, a fork's bookkeeping does not grow with the
+// template, an ECALL runs on its core's reused call context, and the
+// trap record of the run's exit lands in its core's result buffer.
+// The count does not depend on the host, so it is gated exactly: a
+// rise is a regression, and a fall should lower the pin.
+const coldStartAllocs = 24
 
 // TestColdStartAllocs pins the allocations of one pooled cold start on
 // Sanctum — Pool.Acquire, System.Enter, Pool.Release — the cycle the
