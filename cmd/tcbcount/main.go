@@ -50,10 +50,11 @@ var categories = []category{
 	{"enclave programs", false, "SRV64 workloads", prefix("internal/enclaves/")},
 	{"adversaries", false, "prime+probe attacker, malicious-OS battery", prefix("internal/adversary/")},
 	{"fleet infrastructure", false, "multi-machine sharding, session routing, attested channels", prefix("internal/fleet/")},
-	// The telemetry plane is observation, not policy: the monitor's
-	// dispatch/ring hooks (internal/sm/telemetry.go, counted under
-	// monitor core above) only write into these untrusted instruments,
-	// and nothing in the TCB reads them back.
+	// The telemetry plane is observation, not policy, and the TCB does
+	// not touch it: the monitor's instruments are recorded from
+	// outside, by the tap at its call and trap seams
+	// (internal/telemetry/smtap, counted here), and nothing under
+	// internal/sm imports the plane (a CI step checks).
 	{"telemetry (untrusted)", false, "metrics registry, histograms, request tracing", prefix("internal/telemetry/")},
 	{"facade/examples/tools", false, "public API, examples, commands", func(p string) bool {
 		return strings.HasPrefix(p, "examples/") || strings.HasPrefix(p, "cmd/") || !strings.Contains(p, "/")

@@ -221,8 +221,9 @@ func (c *Core) takeInterrupt() *isa.Trap {
 // the Run is copied into the core's result buffer (resTrap), which
 // nothing touches until the core's next Run.
 func (m *Machine) dispatch(c *Core, tr *isa.Trap, steps int) (RunResult, bool, error) {
-	// Publish modeled cycles before the firmware runs so monitor-side
-	// telemetry stamps see the work retired up to this trap.
+	// Publish modeled cycles before the firmware runs so telemetry
+	// stamps taken at the trap seam see the work retired up to this
+	// trap.
 	m.publishCycles(c)
 	if tr.Cause == isa.CauseHalt {
 		// The firmware is notified (it may need to scrub protection-

@@ -83,12 +83,31 @@ type Gateway struct {
 }
 
 // gwTelemetry is the gateway's cached instrument set; stamps are
-// modeled cycles from the machine, never wall time.
+// modeled cycles from the machine, never wall time. The bulk
+// instruments carry the monitor's names: what bulk_send granted
+// passage to is counted here, where the descriptor messages are staged.
 type gwTelemetry struct {
 	clock     func() uint64
 	chunk     *telemetry.Histogram // requests per batched ring send
 	reqCycles *telemetry.Histogram // per-request end-to-end cycles
 	inflight  *telemetry.Gauge     // outstanding requests, all workers
+	bulkBytes *telemetry.Counter   // bytes named by sent descriptors
+	bulkDescs *telemetry.Histogram // descriptors per sent message
+}
+
+// bulkSent counts the descriptors of sent descriptor messages and the
+// bytes they name. The monitor accepted every message, so each parses
+// (api.EncodeBulkDescs's layout).
+func (t *gwTelemetry) bulkSent(msgs []byte) {
+	var total uint64
+	for ; len(msgs) >= api.RingMsgSize; msgs = msgs[api.RingMsgSize:] {
+		n := binary.LittleEndian.Uint64(msgs[8:])
+		for i := uint64(0); i < n; i++ {
+			total += binary.LittleEndian.Uint64(msgs[24+16*i:])
+		}
+		t.bulkDescs.Observe(n)
+	}
+	t.bulkBytes.Add(0, total)
 }
 
 // gwTrace carries one armed request trace through a serving call:
@@ -256,6 +275,8 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 			chunk:     reg.Histogram("os.gateway.chunk.size"),
 			reqCycles: reg.Histogram("os.gateway.request.cycles"),
 			inflight:  reg.Gauge("os.gateway.inflight"),
+			bulkBytes: reg.Counter("sm.bulk.bytes"),
+			bulkDescs: reg.Histogram("sm.bulk.descs"),
 		}
 		reg.RegisterFunc("os.gateway.served", func() uint64 { return uint64(g.Served) })
 		reg.RegisterFunc("os.gateway.waves", func() uint64 { return uint64(g.Waves) })
@@ -604,6 +625,9 @@ func (g *Gateway) send(gw *gwWorker, n int) (int, error) {
 	}
 	if err != nil {
 		return 0, fmt.Errorf("os: gateway send: %w", err)
+	}
+	if g.tel != nil && gw.grant != 0 {
+		g.tel.bulkSent(g.stage[:sent*api.RingMsgSize])
 	}
 	if sent != n {
 		// Unreachable: inflight accounting keeps n within free slots.

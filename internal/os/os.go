@@ -17,7 +17,6 @@ import (
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
 	"sanctorum/internal/isa"
-	"sanctorum/internal/sm"
 	"sanctorum/internal/sm/api"
 	"sanctorum/internal/smcall"
 	"sanctorum/internal/telemetry"
@@ -32,8 +31,10 @@ type OS struct {
 
 	// Telemetry is the registry OS-side components (the gateway)
 	// instrument against. Set by the facade right after construction;
-	// nil leaves them uninstrumented. Untrusted like everything else
-	// here — the monitor has its own wiring via SetTelemetry.
+	// nil leaves them uninstrumented. The monitor has no instruments:
+	// the facade observes it through a tap at its call and trap seams
+	// (internal/telemetry/smtap), which is also what New's dispatcher
+	// is when telemetry is on.
 	Telemetry *telemetry.Registry
 
 	// kernelRegion is the OS region used for its own page tables,
@@ -56,9 +57,11 @@ type OS struct {
 	root *pt.Builder
 }
 
-// New sets up the OS: it claims kernelRegion for its own allocations
-// and grants metaRegion to the monitor for enclave/thread metadata.
-func New(m *machine.Machine, mon *sm.Monitor, kernelRegion, metaRegion int) (*OS, error) {
+// New sets up the OS over the monitor's call surface mon (the monitor
+// itself, or a tap wrapping it): it claims kernelRegion for its own
+// allocations and grants metaRegion to the monitor for enclave/thread
+// metadata.
+func New(m *machine.Machine, mon smcall.Dispatcher, kernelRegion, metaRegion int) (*OS, error) {
 	o := &OS{M: m, SM: smcall.New(mon), kernelRegion: kernelRegion, metaRegion: metaRegion}
 	if st, owner, err := o.SM.RegionInfo(kernelRegion); err != nil || st != api.RegionOwned || owner != api.DomainOS {
 		return nil, fmt.Errorf("os: kernel region %d not OS-owned", kernelRegion)

@@ -82,9 +82,6 @@ func (mon *Monitor) bulkGrant(req api.Request, _ *callContext) api.Response {
 		for pg := uint64(0); pg < pages; pg++ {
 			mon.machine.Mem.Retain(basePA + pg*mem.PageSize)
 		}
-		if t := mon.tele; t != nil {
-			t.bulkGrants.Add(1)
-		}
 		return &Grant{endpoints: p, BasePA: basePA, Pages: pages, maps: make(map[uint64]uint64)}
 	})
 }
@@ -228,9 +225,6 @@ func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
 			}
 		})
 	}
-	if t := mon.tele; t != nil {
-		t.bulkGrants.Add(-1)
-	}
 	return ok()
 }
 
@@ -241,42 +235,39 @@ type bulkDesc struct{ off, ln uint64 }
 // grant's byte size: the BulkTag anchor, a descriptor count in
 // 1..BulkMaxDescs, and per descriptor length > 0, no offset+length
 // wraparound, offset+length within the grant, and no pairwise overlap
-// inside the message. Returns the descriptor count and their total
-// byte count. Trailing payload bytes beyond the last descriptor are
-// application-defined (a bulk server reads its opcode there) and not
-// the monitor's concern.
-func parseBulkDescs(payload []byte, grantBytes uint64) (n int, total uint64, st api.Error) {
+// inside the message. Trailing payload bytes beyond the last
+// descriptor are application-defined (a bulk server reads its opcode
+// there) and not the monitor's concern.
+func parseBulkDescs(payload []byte, grantBytes uint64) api.Error {
 	if len(payload) < api.RingMsgSize {
-		return 0, 0, api.ErrInvalidValue
+		return api.ErrInvalidValue
 	}
 	if binary.LittleEndian.Uint64(payload) != api.BulkTag {
-		return 0, 0, api.ErrInvalidValue
+		return api.ErrInvalidValue
 	}
 	nd := binary.LittleEndian.Uint64(payload[8:])
 	if nd == 0 || nd > api.BulkMaxDescs {
-		return 0, 0, api.ErrInvalidValue
+		return api.ErrInvalidValue
 	}
 	var descs [api.BulkMaxDescs]bulkDesc
-	n = int(nd)
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(nd); i++ {
 		off := binary.LittleEndian.Uint64(payload[16+16*i:])
 		ln := binary.LittleEndian.Uint64(payload[24+16*i:])
 		if ln == 0 {
-			return 0, 0, api.ErrInvalidValue
+			return api.ErrInvalidValue
 		}
 		if off+ln < off {
-			return 0, 0, api.ErrInvalidValue // wraparound
+			return api.ErrInvalidValue // wraparound
 		}
 		if off+ln > grantBytes {
-			return 0, 0, api.ErrInvalidValue // out of bounds
+			return api.ErrInvalidValue // out of bounds
 		}
 		for j := 0; j < i; j++ {
 			if off < descs[j].off+descs[j].ln && descs[j].off < off+ln {
-				return 0, 0, api.ErrInvalidValue // overlap
+				return api.ErrInvalidValue // overlap
 			}
 		}
 		descs[i] = bulkDesc{off: off, ln: ln}
-		total += ln
 	}
-	return n, total, api.OK
+	return api.OK
 }

@@ -59,10 +59,10 @@ func (ctx *callContext) hart() int {
 	return ctx.core.ID
 }
 
-// callDef describes one ABI call: its telemetry name, which domains may
-// invoke it, and its handler. Every handler takes the request and the
-// call context (nil for a host-side call) and unpacks its own
-// arguments. Calls that operate on a caller-named enclave under its
+// callDef describes one ABI call: its name, which domains may invoke
+// it, and its handler. Every handler takes the request and the call
+// context (nil for a host-side call) and unpacks its own arguments.
+// Calls that operate on a caller-named enclave under its
 // transaction lock (the enclave-build sequence) provide encHandler
 // instead: dispatch looks the enclave named by Args[0] up and locks it,
 // and DispatchBatch keeps it locked across consecutive same-enclave
@@ -158,6 +158,17 @@ var callTable = [...]callDef{
 	api.CallReleaseSnapshot: {"release_snapshot", domainOS, (*Monitor).releaseSnapshot, nil},
 }
 
+// CallNames returns the ABI's call names indexed by call number, ""
+// where a number names no call: the names untrusted observers give
+// their per-call instruments.
+func CallNames() []string {
+	names := make([]string, len(callTable))
+	for c, def := range callTable {
+		names[c] = def.name
+	}
+	return names
+}
+
 // callDefOf returns the table entry for call number c, or nil when c
 // names no call.
 func callDefOf(c api.Call) *callDef {
@@ -195,30 +206,7 @@ func (mon *Monitor) Dispatch(req api.Request) api.Response {
 
 // dispatch is the single routing point for both entries. ctx is nil for
 // host-side (OS) calls and carries the trapping core for enclave calls.
-// When the facade wired a telemetry registry, every call is observed
-// here: count, ErrRetry count, and a cycle-clocked latency histogram,
-// sharded by the trapping core. Without one, it costs only nil checks.
 func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
-	ci := mon.tele.call(req.Call)
-	// The latency clock is the trapping core's own cycle counter, read
-	// plainly — dispatch runs on that core's goroutine, and only the
-	// core itself retires cycles during the call. Host-side calls
-	// (ctx == nil) retire zero simulated cycles by definition, so only
-	// enclave-side calls feed the cycle histogram: counting thousands
-	// of definitional zeros would cost atomics and carry no signal
-	// (DESIGN.md §13), and summing the global clock here would only
-	// pick up other cores' concurrent progress.
-	if ci == nil || ctx == nil {
-		return ci.record(0, mon.dispatchCall(req, ctx))
-	}
-	shard := ctx.core.ID
-	begin := ctx.core.CPU.Cycles
-	resp := ci.record(shard, mon.dispatchCall(req, ctx))
-	ci.cycles.ObserveOn(shard, ctx.core.CPU.Cycles-begin)
-	return resp
-}
-
-func (mon *Monitor) dispatchCall(req api.Request, ctx *callContext) api.Response {
 	def := callDefOf(req.Call)
 	if def == nil {
 		return fail(api.ErrNotSupported)
@@ -286,9 +274,7 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 				}
 				held, heldID = e, req.Args[0]
 			}
-			// Batched enclave handlers run host-side: like host-side
-			// dispatch, they count but retire no cycles.
-			out[i] = mon.tele.call(req.Call).record(0, def.encHandler(mon, held, req))
+			out[i] = def.encHandler(mon, held, req)
 		} else {
 			// Anything else — including unknown or unauthorized calls —
 			// takes the single-call path; the held lock is released

@@ -53,6 +53,9 @@ type Enclave struct {
 	// virtual→physical mapping the measurement relies on.
 	mapped map[uint64]bool
 
+	// meas is the running measurement transcript, nil until the first
+	// call that measures (measurement); a clone, sealed with its
+	// template's measurement, never starts one.
 	meas        *Measurement
 	Measurement [32]byte // valid once initialized
 
@@ -80,6 +83,17 @@ type Enclave struct {
 	cow []uint64
 }
 
+// measurement returns e's measurement transcript, starting it with the
+// create record on first use: every transcript opens with the evrange,
+// and an enclave that is only ever a clone shell never hashes at all.
+func (e *Enclave) measurement() *Measurement {
+	if e.meas == nil {
+		e.meas = NewMeasurement()
+		e.meas.ExtendCreate(e.EvBase, e.EvMask)
+	}
+	return e.meas
+}
+
 type ptKey struct {
 	level  int
 	prefix uint64 // va >> (PageBits + 9*(level+1))
@@ -100,10 +114,8 @@ func (mon *Monitor) createEnclave(req api.Request, _ *callContext) api.Response 
 		EvMask:  evMask,
 		ptPages: make(map[ptKey]uint64),
 		mapped:  make(map[uint64]bool),
-		meas:    NewMeasurement(),
 		Threads: make(map[uint64]*Thread),
 	}
-	e.meas.ExtendCreate(evBase, evMask)
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
 	if !mon.register(eid, e) {
@@ -210,7 +222,7 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, pt.V))
 	}
 	// Measure the table's normalized VA prefix, not raw caller bits.
-	e.meas.ExtendPageTable(vaPrefix(va, level)<<(mem.PageBits+9*uint(level+1)), level)
+	e.measurement().ExtendPageTable(vaPrefix(va, level)<<(mem.PageBits+9*uint(level+1)), level)
 	return ok()
 }
 
@@ -266,7 +278,7 @@ func (mon *Monitor) loadPage(e *Enclave, req api.Request) api.Response {
 
 	e.mapped[va] = true
 	e.dataStarted = true
-	e.meas.ExtendPage(va, perms, content[:])
+	e.measurement().ExtendPage(va, perms, content[:])
 	return ok()
 }
 
@@ -293,7 +305,7 @@ func (mon *Monitor) mapShared(e *Enclave, req api.Request) api.Response {
 	}
 	mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(pa>>mem.PageBits, pt.R|pt.W|pt.V|pt.U))
 	e.mapped[va] = true
-	e.meas.ExtendShared(va)
+	e.measurement().ExtendShared(va)
 	return ok()
 }
 
@@ -311,7 +323,7 @@ func (mon *Monitor) initEnclave(e *Enclave, _ api.Request) api.Response {
 	if e.State != EnclaveLoading || e.RootPPN == 0 {
 		return fail(api.ErrInvalidState)
 	}
-	e.Measurement = e.meas.Finalize()
+	e.Measurement = e.measurement().Finalize()
 	e.State = EnclaveInitialized
 	mon.machine.Mem.Store(e.ID, 8, uint64(e.State))
 	mon.machine.Mem.WriteBytes(e.ID+8, e.Measurement[:])

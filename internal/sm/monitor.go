@@ -112,11 +112,6 @@ type Monitor struct {
 
 	signingMeasurement [32]byte
 
-	// tele holds the cached telemetry instruments (telemetry.go); nil
-	// until the untrusted facade calls SetTelemetry, so an unwired
-	// monitor pays one nil check per dispatch.
-	tele *monTelemetry
-
 	// objMu guards the object registry and the metadata regions; it is
 	// held only across map reads/writes. The objects themselves carry
 	// their own transaction locks (per-object header, per-region,

@@ -72,11 +72,6 @@ type Ring struct {
 	waiterEID uint64
 	waiterTID uint64
 
-	// parkStamp is the telemetry cycle stamp taken when the waiter
-	// parked (guarded by mu); the wake path reads it to record the
-	// park→wake wait. Zero when telemetry is disabled.
-	parkStamp uint64
-
 	// records is the recv staging buffer of RingMaxBatch records,
 	// reused across calls (guarded by mu like the slots), so recv
 	// neither allocates nor zeroes a buffer per call.
@@ -96,19 +91,14 @@ type ringMsg struct {
 }
 
 // unlockAndWake releases r's transaction lock and wakes its parked
-// consumer, if any, recording the park→wake wait; from is the posting
-// hart. Reports whether a consumer was woken. Caller holds r.mu.
+// consumer, if any; from is the posting hart. Reports whether a
+// consumer was woken. Caller holds r.mu.
 func (mon *Monitor) unlockAndWake(r *Ring, from int) bool {
 	weid, wtid := r.waiterEID, r.waiterTID
 	r.waiterEID, r.waiterTID = 0, 0
-	stamp := r.parkStamp
 	r.mu.Unlock()
 	if wtid == 0 {
 		return false
-	}
-	if t := mon.tele; t != nil {
-		t.ringWakes.Inc(from)
-		t.ringParkWait.ObserveOn(from, t.clock()-stamp)
 	}
 	mon.postWake(from, r.ID, weid, wtid)
 	return true
@@ -249,7 +239,6 @@ func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
 		return fail(st)
 	}
 	weid, wtid := r.waiterEID, r.waiterTID
-	queued := r.count
 	// Undelivered scatter-gather descriptors die with the ring; their
 	// in-flight pins on the grants must die too, or the grants could
 	// never be revoked. Counted under r.mu, released under objMu so a
@@ -269,11 +258,6 @@ func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
 	}
 	mon.objMu.Unlock()
 	r.mu.Unlock()
-	if t := mon.tele; t != nil && queued > 0 {
-		// Undelivered messages die with the ring; keep the fleet-wide
-		// depth gauge honest.
-		t.ringDepth.Add(-int64(queued))
-	}
 	if wtid != 0 {
 		mon.postWake(machine.NoHart, ringID, weid, wtid)
 	}
@@ -305,10 +289,6 @@ func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, 
 		slot.sender, slot.meas, slot.grant = sender, meas, grant
 	}
 	r.count += n
-	if t := mon.tele; t != nil {
-		t.ringSendBatch.ObserveOn(from, uint64(n))
-		t.ringDepth.Add(int64(n))
-	}
 	mon.unlockAndWake(r, from)
 	return n, api.OK
 }
@@ -368,7 +348,7 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext) api.Response {
 			return fail(api.ErrUnauthorized)
 		}
 		for i := 0; i < n; i++ {
-			if _, _, st := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], g.bytes()); st != api.OK {
+			if st := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], g.bytes()); st != api.OK {
 				return fail(st)
 			}
 		}
@@ -390,18 +370,6 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext) api.Response {
 	}
 	if st != api.OK {
 		return fail(st)
-	}
-	if t := mon.tele; t != nil && g != nil {
-		// The accepted messages parsed above; parse them again for their
-		// descriptor and byte counts rather than stage counts for every
-		// send, telemetry or not.
-		var total uint64
-		for i := 0; i < sent; i++ {
-			nd, bytes, _ := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], g.bytes())
-			total += bytes
-			t.bulkDescs.ObserveOn(from, uint64(nd))
-		}
-		t.bulkBytes.Add(from, total)
 	}
 	return ok(uint64(sent))
 }
@@ -470,10 +438,6 @@ func (mon *Monitor) ringRecv(req api.Request, ctx *callContext) api.Response {
 	if g != nil {
 		g.inflight.Add(-int64(n))
 	}
-	if t := mon.tele; t != nil {
-		t.ringRecvBatch.ObserveOn(ctx.hart(), uint64(n))
-		t.ringDepth.Add(-int64(n))
-	}
 	return ok(uint64(n))
 }
 
@@ -504,10 +468,6 @@ func (mon *Monitor) ringPark(req api.Request, ctx *callContext) api.Response {
 		return fail(api.ErrInvalidState)
 	}
 	r.waiterEID, r.waiterTID = ctx.enclave.ID, ctx.thread.ID
-	if t := mon.tele; t != nil {
-		r.parkStamp = t.clock()
-		t.ringParks.Inc(ctx.core.ID)
-	}
 	r.mu.Unlock()
 	// AEX-save with the park marker: the PC is not advanced (the trap
 	// path advances it only for non-transfer calls), so resume_aex

@@ -344,7 +344,6 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 	// (FieldEnclaveIdentity reports origin=1 for evidence).
 	e.State = EnclaveInitialized
 	e.Measurement = snap.Meas
-	e.meas = nil
 	e.CloneOf = snapID
 	e.snap = snap
 	e.Borrowed = snap.Regions

@@ -92,7 +92,7 @@ func (mon *Monitor) loadThread(e *Enclave, req api.Request) api.Response {
 		return fail(api.ErrInvalidValue)
 	}
 	e.Threads[tid] = t
-	e.meas.ExtendThread(entryPC, entrySP)
+	e.measurement().ExtendThread(entryPC, entrySP)
 	return ok()
 }
 

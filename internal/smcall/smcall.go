@@ -70,6 +70,9 @@ type Client struct {
 // New returns a client over the given dispatch surface.
 func New(d Dispatcher) *Client { return &Client{d: d} }
 
+// Dispatcher returns the dispatch surface the client drives.
+func (c *Client) Dispatcher() Dispatcher { return c.d }
+
 // Retries reports how many times any call through this client observed
 // api.ErrRetry — the §V-A contention signal — whether the client
 // retried it or handed it back (Try variants). Deterministic-mode runs

@@ -27,7 +27,9 @@ import (
 	"sanctorum/internal/sm"
 	"sanctorum/internal/sm/api"
 	"sanctorum/internal/sm/boot"
+	"sanctorum/internal/smcall"
 	"sanctorum/internal/telemetry"
+	"sanctorum/internal/telemetry/smtap"
 )
 
 // Kind selects the isolation backend.
@@ -144,17 +146,25 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sanctorum: booting monitor: %w", err)
 	}
-	kernel, err := os.New(m, mon, 0, metaRegion)
-	if err != nil {
-		return nil, fmt.Errorf("sanctorum: starting OS: %w", err)
-	}
 	var reg *telemetry.Registry
+	var calls smcall.Dispatcher = mon
 	if !opts.DisableTelemetry {
 		reg = opts.Telemetry
 		if reg == nil {
 			reg = telemetry.New()
 		}
-		mon.SetTelemetry(reg)
+		// The monitor carries no instruments: a tap at its trap entry
+		// and host call ABI observes it from outside the TCB. Off, no
+		// tap is installed at all.
+		tap := smtap.New(reg, mon, m.CycleNow)
+		m.Firmware = tap
+		calls = tap
+	}
+	kernel, err := os.New(m, calls, 0, metaRegion)
+	if err != nil {
+		return nil, fmt.Errorf("sanctorum: starting OS: %w", err)
+	}
+	if reg != nil {
 		kernel.Telemetry = reg
 		// Converge the pre-existing counter surfaces (DESIGN.md §13):
 		// the block engine's per-core stats and the smcall client's
