@@ -28,7 +28,7 @@ import (
 //
 // It also emits domain-switch events, which the harness applies to both
 // engines alike between run slices: core cleaning (ClearMicroarch), a
-// FlushIf shootdown of one frame, a FlushPage, a code page remapped to
+// FlushFrames shootdown of one frame, a FlushPage, a code page remapped to
 // its other frame plus the shootdown of the old one, a host write of an
 // instruction word into a code frame, and a privilege-mode change.
 // Decodes and blocks outlive every one of them, and must be revived
@@ -134,7 +134,7 @@ type bfEventKind uint8
 
 const (
 	bfClean     bfEventKind = iota // core cleaning: ClearMicroarch
-	bfShootdown                    // FlushIf of every translation into one frame
+	bfShootdown                    // FlushFrames of every translation into one frame
 	bfFlushPage                    // FlushPage of one VPN
 	bfRemap                        // a code page moves to its other frame, plus the old frame's shootdown
 	bfHostWrite                    // a host write of a program word into a code frame
@@ -166,7 +166,7 @@ func bfApply(t *testing.T, m *Machine, c *Core, ev bfEvent, words []uint64) {
 		c.ClearMicroarch()
 	case bfShootdown:
 		ppn := bfFrames[int(ev.arg)%len(bfFrames)] >> mem.PageBits
-		c.TLB.FlushIf(func(e tlb.Entry) bool { return e.PPN == ppn })
+		c.TLB.FlushFrames(ppn, 1)
 	case bfFlushPage:
 		vas := []uint64{bfCodeVA, bfCodeVA + mem.PageSize, bfDataVA, bfDataVA + mem.PageSize, bfUnmapped}
 		c.TLB.FlushPage(vas[int(ev.arg)%len(vas)] >> mem.PageBits)
@@ -186,7 +186,7 @@ func bfApply(t *testing.T, m *Machine, c *Core, ev bfEvent, words []uint64) {
 		if err := b.Map(bfCodeVA+off, next, pt.R|pt.W|pt.X); err != nil {
 			t.Fatal(err)
 		}
-		c.TLB.FlushIf(func(e tlb.Entry) bool { return e.PPN == old>>mem.PageBits })
+		c.TLB.FlushFrames(old>>mem.PageBits, 1)
 	case bfHostWrite:
 		// One of the first 64 words of a code frame or its alternate,
 		// where the generated programs live.

@@ -8,7 +8,6 @@ import (
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pmp"
 	"sanctorum/internal/hw/pt"
-	"sanctorum/internal/hw/tlb"
 	"sanctorum/internal/isa"
 )
 
@@ -326,7 +325,7 @@ func TestShootdownDropsFastPathState(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldPPN := paA >> mem.PageBits
-	c.TLB.FlushIf(func(e tlb.Entry) bool { return e.PPN == oldPPN })
+	c.TLB.FlushFrames(oldPPN, 1)
 	if c.TLB.Shootdown == 0 {
 		t.Fatal("shootdown not recorded")
 	}

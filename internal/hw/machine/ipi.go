@@ -31,14 +31,16 @@ type ipiMailbox struct {
 	acked  atomic.Uint64 // requests executed
 }
 
-// ipiReq is one mailbox request: fn(core), or call(args...) when fn is
-// nil. The second form carries its three word arguments by value, so a
-// poster whose request is a call of a long-lived function (the
-// monitor's wake sink) builds no closure and posting allocates nothing
-// once the queue has grown.
+// IPIFunc is the one form of mailbox request: fn(core, a, b, c) runs
+// on the target core with three word arguments. The mailbox carries fn
+// and its arguments by value, so a poster whose fn is a plain function
+// or a method value bound once builds no closure, and posting
+// allocates nothing once the queue has grown.
+type IPIFunc func(core *Core, a, b, c uint64)
+
+// ipiReq is one queued request.
 type ipiReq struct {
-	fn   func(*Core)
-	call func(a, b, c uint64)
+	fn   IPIFunc
 	args [3]uint64
 }
 
@@ -73,15 +75,12 @@ func (c *Core) drainIPIs() {
 			return
 		}
 		for i := range fns {
-			if r := &fns[i]; r.fn != nil {
-				r.fn(c)
-			} else {
-				r.call(r.args[0], r.args[1], r.args[2])
-			}
+			r := &fns[i]
+			r.fn(c, r.args[0], r.args[1], r.args[2])
 			c.ipi.acked.Add(1)
 		}
-		// Hand the slice back for reuse, cleared so the closures it held
-		// can be freed. A request executed above may itself have posted
+		// Hand the slice back for reuse, cleared so the functions it
+		// held can be freed. A request executed above may itself have posted
 		// to this core; loop so the ack sequence stays dense.
 		clear(fns)
 		done = fns[:0]
@@ -100,8 +99,9 @@ func (c *Core) tryDrainIdle() bool {
 	return true
 }
 
-// NoHart is the RunOn `from` value for callers not executing on any
-// simulated hart (Go-level untrusted-OS code, boot).
+// NoHart is the `from` value of RunOnCall and Broadcast for callers
+// not executing on any simulated hart (Go-level untrusted-OS code,
+// boot).
 const NoHart = -1
 
 // TryAcquire claims run ownership of an idle core without blocking:
@@ -118,62 +118,55 @@ func (c *Core) TryAcquire() bool { return c.runMu.TryLock() }
 // next Run (or by their posters once the mutex is free).
 func (c *Core) Release() { c.runMu.Unlock() }
 
-// PostIPI delivers fn to core id's mailbox. If the core is running, fn
-// executes at its next instruction boundary (the hot loop polls the
-// pending word every step); if it is idle, fn executes before PostIPI
-// returns, on the caller's goroutine. Fire-and-forget: use RunOn to
-// wait for the acknowledgment. fn must not block on monitor locks that
-// its poster may hold.
-//
-// Posting to the hart one is currently executing on (a trap handler
-// updating its own core) is legal: the request sits in the mailbox and
-// drains at the boundary immediately after the trap returns, before the
-// next instruction issues.
-func (m *Machine) PostIPI(id int, fn func(*Core)) {
-	c := m.Cores[id]
-	c.ipi.post(ipiReq{fn: fn})
-	c.pending.Or(pendingIPI)
-	c.tryDrainIdle()
-}
-
-// RunOn delivers fn to core id's mailbox and waits until it has been
-// acknowledged. from is the core ID of the posting hart (-1 when the
-// caller is not executing on any simulated hart, e.g. Go-level OS
-// code); a hart targeting itself executes fn inline — it is at an
-// instruction boundary inside its own trap handler, which is exactly
-// the acknowledgment point.
+// RunOnCall delivers fn(core, a, b, c) to core id's mailbox and
+// returns once core id has run it. from is the core ID of the posting
+// hart (NoHart when the caller is not executing on any simulated hart,
+// e.g. Go-level OS code); a hart targeting itself runs fn inline — it
+// is at an instruction boundary inside its own trap handler, which is
+// exactly the acknowledgment point.
 //
 // The wait cannot deadlock provided fn and the poster respect the
 // monitor's lock discipline: a running target acknowledges within one
 // instruction, an idle target is executed by this goroutine, and a
 // target that exits Run leaves its runMu free for us to take.
-func (m *Machine) RunOn(id, from int, fn func(*Core)) {
+func (m *Machine) RunOnCall(id, from int, fn IPIFunc, a, b, c uint64) {
 	if id == from {
-		fn(m.Cores[id])
+		fn(m.Cores[id], a, b, c)
 		return
 	}
-	m.await(id, ipiReq{fn: fn})
+	m.Cores[id].send(ipiReq{fn, [3]uint64{a, b, c}}, true)
 }
 
-// RunOnCall is RunOn for a call of three word arguments: fn(a, b, c)
-// runs at core id's instruction boundary (inline when id == from), and
-// RunOnCall returns once it has. The mailbox keeps fn and its arguments
-// by value, so unlike a RunOn closure that captures them, the request
-// does not allocate.
-func (m *Machine) RunOnCall(id, from int, fn func(a, b, c uint64), a, b, c uint64) {
-	if id == from {
-		fn(a, b, c)
-		return
+// Broadcast delivers fn(core, a, b, c) to every core: inline on the
+// posting hart from (NoHart when the caller runs on none), through the
+// mailbox to the others. An idle core runs fn on the caller's goroutine
+// before Broadcast moves on; a running core runs it at its next
+// instruction boundary. With wait, Broadcast returns only once every
+// core has run fn. Without, it does not wait for running cores, as a
+// poster holding a lock a running hart may block on must not. A trap
+// handler posting with from == NoHart leaves its own core's copy in the
+// mailbox, to run at the boundary right after the trap returns, before
+// the next instruction executes.
+func (m *Machine) Broadcast(from int, wait bool, fn IPIFunc, a, b, c uint64) {
+	r := ipiReq{fn, [3]uint64{a, b, c}}
+	for _, core := range m.Cores {
+		if core.ID == from {
+			fn(core, a, b, c)
+		} else {
+			core.send(r, wait)
+		}
 	}
-	m.await(id, ipiReq{call: fn, args: [3]uint64{a, b, c}})
 }
 
-// await posts r to core id's mailbox and waits for its acknowledgment,
-// executing the mailbox itself whenever the core is idle.
-func (m *Machine) await(id int, r ipiReq) {
-	c := m.Cores[id]
+// send posts r to the core's mailbox and raises the IPI, running the
+// mailbox on this goroutine if the core is idle. With wait it returns
+// only once the core has run r.
+func (c *Core) send(r ipiReq, wait bool) {
 	seq := c.ipi.post(r)
 	c.pending.Or(pendingIPI)
+	if c.tryDrainIdle() || !wait {
+		return
+	}
 	for c.ipi.acked.Load() < seq {
 		if !c.tryDrainIdle() {
 			runtime.Gosched()

@@ -126,57 +126,82 @@ func TestSchedulerParallelRunsAllCores(t *testing.T) {
 	}
 }
 
-// TestIPIIdleCoreExecutesSynchronously posts to a core that is not
-// running and requires the request to have run before PostIPI returns.
+// TestIPIIdleCoreExecutesSynchronously broadcasts without waiting to
+// cores that are not running: each must have run the request, on
+// itself and with its arguments, before Broadcast returns — and the
+// posting hart runs its own copy inline.
 func TestIPIIdleCoreExecutesSynchronously(t *testing.T) {
-	m := loopMachine(t, 2)
-	ran := false
-	m.PostIPI(1, func(c *Core) {
-		if c.ID != 1 {
-			t.Errorf("IPI ran on core %d", c.ID)
+	m := loopMachine(t, 3)
+	var ran [3][3]uint64
+	fn := func(c *Core, a, b, d uint64) { ran[c.ID] = [3]uint64{a, b, d} }
+	for _, from := range []int{NoHart, 1} {
+		ran = [3][3]uint64{}
+		m.Broadcast(from, false, fn, 4, 5, uint64(from))
+		for id, args := range ran {
+			if args != [3]uint64{4, 5, uint64(from)} {
+				t.Fatalf("from %d: core %d ran fn%v before Broadcast returned", from, id, args)
+			}
 		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("IPI to idle core did not execute synchronously")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Broadcast(NoHart, false, fn, 1, 1, 1) }); n != 0 {
+		t.Errorf("Broadcast allocates %.1f objects per call, want 0", n)
 	}
 }
 
-// TestIPIRunningCoreAcknowledgesAtBoundary targets a running core with
-// RunOn from another goroutine: the request must execute on the core
-// between instructions (or, if the run already finished, on the idle
-// core), and RunOn must not return before the acknowledgment.
+// TestIPIRunningCoreAcknowledgesAtBoundary broadcasts with wait to two
+// running cores from another goroutine: each request must execute on
+// its core between instructions (or, if the run already finished, on
+// the idle core), and Broadcast must not return before every core has
+// acknowledged. A request posted without wait reaches a running core
+// too, by the end of its run.
 func TestIPIRunningCoreAcknowledgesAtBoundary(t *testing.T) {
-	m := loopMachine(t, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Long-running slice; the IPI is typically served mid-run.
-		if _, err := m.Run(0, 5_000_000); err != nil {
-			t.Error(err)
+	m := loopMachine(t, 2)
+	m.SetConcurrent(true)
+	run := func() chan struct{} {
+		done := make(chan struct{})
+		for id := range m.Cores {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				// Long-running slice; the IPI is typically served mid-run.
+				if _, err := m.Run(id, 1_000_000); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
-	}()
-	acked := make(chan uint64, 1)
-	m.RunOn(0, NoHart, func(c *Core) {
-		acked <- c.CPU.Cycles
-	})
-	select {
-	case <-acked:
-	default:
-		t.Fatal("RunOn returned before the IPI was acknowledged")
+		return done
 	}
+	var acked [2]atomic.Uint64
+	fn := func(c *Core, a, _, _ uint64) { acked[c.ID].Store(a) }
+	done := run()
+	m.Broadcast(NoHart, true, fn, 1, 0, 0)
+	for id := range acked {
+		if acked[id].Load() != 1 {
+			t.Fatalf("Broadcast returned before core %d acknowledged", id)
+		}
+	}
+	m.Broadcast(NoHart, false, fn, 2, 0, 0)
 	<-done
+	<-done
+	for id := range acked {
+		if acked[id].Load() != 2 {
+			t.Fatalf("core %d finished its run without the posted request", id)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Broadcast(NoHart, true, fn, 3, 0, 0) }); n != 0 {
+		t.Errorf("a waited Broadcast allocates %.1f objects per call, want 0", n)
+	}
 }
 
-// TestRunOnCall: RunOn's by-value form runs fn with its three
-// arguments inline for the posting hart itself, and through the
-// mailbox for an idle core and for a running one, returning only once
-// the call ran. Posting it allocates nothing once the mailbox's queue
-// has grown: the monitor's wake path relies on that.
+// TestRunOnCall: the one-core form runs fn with its three arguments
+// inline for the posting hart itself, and through the mailbox for an
+// idle core and for a running one, returning only once the call ran.
+// Posting it allocates nothing once the mailbox's queue has grown: the
+// monitor's wake path relies on that.
 func TestRunOnCall(t *testing.T) {
 	m := loopMachine(t, 2)
 	var got [3]uint64
-	fn := func(a, b, c uint64) { got = [3]uint64{a, b, c} }
+	on := -1
+	fn := func(c *Core, a, b, d uint64) { on, got = c.ID, [3]uint64{a, b, d} }
 	for _, tc := range []struct {
 		id, from int
 		args     [3]uint64
@@ -186,8 +211,9 @@ func TestRunOnCall(t *testing.T) {
 		{1, 0, [3]uint64{7, 8, 9}},      // an idle core, from another hart
 	} {
 		m.RunOnCall(tc.id, tc.from, fn, tc.args[0], tc.args[1], tc.args[2])
-		if got != tc.args {
-			t.Fatalf("RunOnCall(%d, %d) ran fn%v, want fn%v", tc.id, tc.from, got, tc.args)
+		if on != tc.id || got != tc.args {
+			t.Fatalf("RunOnCall(%d, %d) ran fn%v on core %d, want fn%v on core %d",
+				tc.id, tc.from, got, on, tc.args, tc.id)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { m.RunOnCall(1, NoHart, fn, 1, 1, 1) }); n != 0 {

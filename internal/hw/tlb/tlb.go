@@ -1,8 +1,9 @@
 // Package tlb models a per-core translation lookaside buffer. Sanctum's
 // page-walk invariant guarantees TLB entries conform to the DRAM region
 // allocation, which requires a TLB shootdown whenever a region moves to
-// a different protection domain (paper §VII-A); FlushIf implements the
-// selective shootdown and Flush the full flush used on core cleaning.
+// a different protection domain (paper §VII-A); FlushFrames implements
+// the selective shootdown and Flush the full flush used on core
+// cleaning.
 //
 // The TLB tears down translations only; it knows nothing of the
 // machine's decoded-instruction caches. Its generation (Gen) is the one
@@ -33,11 +34,11 @@ type TLB struct {
 	next    int            // FIFO insertion cursor
 
 	// gen advances whenever a translation may have left the TLB: an
-	// Insert that replaces its VPN's entry or evicts a valid victim, and
-	// every Flush, FlushIf and FlushPage. A fill into a free slot only
-	// adds a translation, so it leaves gen alone. The machine's fast
-	// paths compare it to prove that a translation they cached is still
-	// resident.
+	// Insert that replaces its VPN's entry or evicts a valid victim,
+	// and every Flush, FlushFrames and FlushPage. A fill into a free
+	// slot only adds a translation, so it leaves gen alone. The
+	// machine's fast paths compare it to prove that a translation they
+	// cached is still resident.
 	gen uint64
 
 	// Statistics.
@@ -136,21 +137,21 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 	return invalidated
 }
 
-// FlushIf invalidates entries matching pred (selective shootdown, e.g.
-// all translations into a DRAM region being re-allocated). It returns
-// the number of entries invalidated.
-func (t *TLB) FlushIf(pred func(Entry) bool) int {
-	n := 0
+// FlushFrames invalidates every entry translating to a frame in
+// [first, first+n): the selective shootdown of a DRAM region leaving a
+// protection domain. It returns the number of entries invalidated.
+func (t *TLB) FlushFrames(first, n uint64) int {
+	k := 0
 	for i := range t.entries {
-		if t.entries[i].Valid && pred(t.entries[i]) {
-			t.entries[i].Valid = false
-			delete(t.index, t.entries[i].VPN)
-			n++
+		if e := &t.entries[i]; e.Valid && e.PPN-first < n {
+			e.Valid = false
+			delete(t.index, e.VPN)
+			k++
 		}
 	}
 	t.gen++
 	t.Shootdown++
-	return n
+	return k
 }
 
 // Live returns the number of valid entries.

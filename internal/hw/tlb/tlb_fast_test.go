@@ -9,8 +9,8 @@ import "testing"
 // TestGenAdvancesOnMutation pins the generation contract: Gen moves
 // exactly when a translation may have left the TLB. A fill into a free
 // slot leaves every earlier hit a hit, so it must not move it;
-// replacing a VPN's entry, evicting a valid victim, Flush, FlushIf and
-// FlushPage must.
+// replacing a VPN's entry, evicting a valid victim, Flush, FlushFrames
+// and FlushPage must.
 func TestGenAdvancesOnMutation(t *testing.T) {
 	tl := New(2)
 	g := tl.Gen()
@@ -30,8 +30,8 @@ func TestGenAdvancesOnMutation(t *testing.T) {
 	step("Insert evicting a valid entry", true, func() { tl.Insert(Entry{VPN: 3, PPN: 30}) })
 	step("Flush", true, tl.Flush)
 	step("Insert after a Flush", false, func() { tl.Insert(Entry{VPN: 4, PPN: 40}) })
-	step("FlushIf matching nothing", true, func() { tl.FlushIf(func(Entry) bool { return false }) })
-	step("FlushIf dropping an entry", true, func() { tl.FlushIf(func(Entry) bool { return true }) })
+	step("FlushFrames matching nothing", true, func() { tl.FlushFrames(0, 0) })
+	step("FlushFrames dropping an entry", true, func() { tl.FlushFrames(40, 1) })
 	step("Insert into the freed slot", false, func() { tl.Insert(Entry{VPN: 5, PPN: 50}) })
 	step("FlushPage of an absent VPN", true, func() { tl.FlushPage(9) })
 	step("FlushPage of a present VPN", true, func() { tl.FlushPage(5) })

@@ -60,20 +60,22 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestFlushIfSelective(t *testing.T) {
+// TestFlushFramesSelective shoots down the translations into one
+// frame range: entries inside it go, the ones below and above stay.
+func TestFlushFramesSelective(t *testing.T) {
 	tl := New(8)
 	for i := uint64(0); i < 8; i++ {
 		tl.Insert(Entry{VPN: i, PPN: i * 0x100})
 	}
-	// Shoot down translations into "region" ppn >= 0x400.
-	n := tl.FlushIf(func(e Entry) bool { return e.PPN >= 0x400 })
-	if n != 4 {
+	// Shoot down translations into the "region" of frames
+	// [0x300, 0x700): entries 3..6.
+	if n := tl.FlushFrames(0x300, 0x400); n != 4 {
 		t.Fatalf("shot down %d entries, want 4", n)
 	}
 	if tl.Live() != 4 {
 		t.Fatalf("live = %d, want 4", tl.Live())
 	}
-	for i := uint64(0); i < 4; i++ {
+	for _, i := range []uint64{0, 1, 2, 7} {
 		if _, ok := tl.Lookup(i); !ok {
 			t.Errorf("entry %d should have survived", i)
 		}

@@ -11,7 +11,6 @@ package baseline
 import (
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
-	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
 
@@ -46,23 +45,11 @@ func (Platform) ApplyEnclaveView(c *machine.Core, v sm.EnclaveView) error {
 	return nil
 }
 
-// RefreshOSRegions records the bitmap; it is not enforced.
-func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
-	c.OSRegions = osRegions
+// RefreshRegions records the OS bitmap; it is not enforced.
+func (Platform) RefreshRegions(c *machine.Core, _, os dram.Bitmap) error {
+	c.OSRegions = os
 	return nil
 }
 
-// CleanRegion still scrubs contents (the monitor logic requires it)
-// and flushes the region's lines from the shared L2.
-func (Platform) CleanRegion(m *machine.Machine, r int) error {
-	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
-	if err := m.Mem.ZeroRange(base, size); err != nil {
-		return err
-	}
-	m.L2.FlushRange(base, size)
-	return nil
-}
-
-// ShootdownRegion invalidates TLB entries into the region, via each
-// core's IPI mailbox (acknowledged at instruction boundaries).
-func (Platform) ShootdownRegion(m *machine.Machine, r int) { clean.Shootdown(m, r) }
+// Expresses implements sm.Platform: nothing is enforced, so any set is.
+func (Platform) Expresses(dram.Bitmap) bool { return true }

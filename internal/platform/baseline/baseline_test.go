@@ -46,18 +46,49 @@ func TestViewsCarryNoProtection(t *testing.T) {
 	}
 }
 
+// newMonitor boots the monitor on m, the top region its own.
+func newMonitor(t *testing.T, m *machine.Machine) *sm.Monitor {
+	t.Helper()
+	dev := boot.NewManufacturer("acme", []byte("seed")).Provision("dev", []byte("root-secret"))
+	id, err := dev.Boot([]byte("baseline test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := sm.New(sm.Config{
+		Machine: m, Platform: New(), Identity: id, SMRegions: []int{m.DRAM.RegionCount - 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mon
+}
+
+// call makes an OS monitor call that must succeed.
+func call(t *testing.T, mon *sm.Monitor, c api.Call, args ...uint64) {
+	t.Helper()
+	if st := mon.Dispatch(api.OSRequest(c, args...)).Status; st != api.OK {
+		t.Fatalf("call %#x: %v", uint64(c), st)
+	}
+}
+
+// TestCleanRegionStillScrubs: with nothing protected, clean_region
+// still zeroes the blocked region and flushes its lines from the L2
+// and from every core's L1, like every other backend.
 func TestCleanRegionStillScrubs(t *testing.T) {
 	m := newMachine(t)
-	p := New()
+	mon := newMonitor(t, m)
 	r := 2
+	call(t, mon, api.CallBlockRegion, uint64(r))
 	base := m.DRAM.Base(r)
 	if err := m.Mem.WriteBytes(base, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	m.L2.Access(base)
-	if err := p.CleanRegion(m, r); err != nil {
-		t.Fatal(err)
+	for _, c := range m.Cores {
+		c.L1.Access(base)
+		c.L1.Access(base - 64)
 	}
+	call(t, mon, api.CallCleanRegion, uint64(r))
 	b := make([]byte, 1)
 	if err := m.Mem.ReadBytes(base, b); err != nil {
 		t.Fatal(err)
@@ -68,17 +99,29 @@ func TestCleanRegionStillScrubs(t *testing.T) {
 	if m.L2.Probe(base) {
 		t.Fatal("L2 footprint survived cleaning")
 	}
+	for i, c := range m.Cores {
+		if c.L1.Probe(base) {
+			t.Fatalf("core %d L1 footprint survived cleaning", i)
+		}
+		if !c.L1.Probe(base - 64) {
+			t.Fatalf("core %d lost a neighbouring region's L1 line", i)
+		}
+	}
 }
 
+// TestShootdownRegionFlushesTLBs: clean_region drops the region's
+// translations from every core's TLB and keeps the ones into its
+// neighbour.
 func TestShootdownRegionFlushesTLBs(t *testing.T) {
 	m := newMachine(t)
-	p := New()
+	mon := newMonitor(t, m)
 	r := 4
+	call(t, mon, api.CallBlockRegion, uint64(r))
 	for _, c := range m.Cores {
 		c.TLB.Insert(tlb.Entry{VPN: 1, PPN: m.DRAM.Base(r) >> mem.PageBits})
 		c.TLB.Insert(tlb.Entry{VPN: 2, PPN: m.DRAM.Base(r+1) >> mem.PageBits})
 	}
-	p.ShootdownRegion(m, r)
+	call(t, mon, api.CallCleanRegion, uint64(r))
 	for i, c := range m.Cores {
 		if _, hit := c.TLB.Lookup(1); hit {
 			t.Fatalf("core %d kept a shot-down translation", i)
@@ -95,19 +138,7 @@ func TestShootdownRegionFlushesTLBs(t *testing.T) {
 // even when the platform provides no physical isolation.
 func TestUnifiedABIOnBaseline(t *testing.T) {
 	m := newMachine(t)
-	mfr := boot.NewManufacturer("acme", []byte("seed"))
-	dev := mfr.Provision("dev", []byte("root-secret"))
-	id, err := dev.Boot([]byte("baseline abi test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := sm.New(sm.Config{
-		Machine: m, Platform: New(), Identity: id,
-		SMRegions: []int{m.DRAM.RegionCount - 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := newMonitor(t, m)
 	o, err := os.New(m, mon, 0, m.DRAM.RegionCount-2)
 	if err != nil {
 		t.Fatal(err)

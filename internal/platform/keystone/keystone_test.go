@@ -14,15 +14,31 @@ import (
 	"sanctorum/internal/sm/boot"
 )
 
-func newMachine(t *testing.T) (*machine.Machine, *Platform) {
+func newMachine(t *testing.T) (*machine.Machine, Platform) {
 	t.Helper()
 	cfg := machine.DefaultConfig(machine.IsolationKeystone)
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smRegion := cfg.DRAM.RegionCount - 1
-	return m, New(cfg.DRAM, []int{smRegion})
+	return m, New(cfg.DRAM)
+}
+
+// newMonitor boots the monitor on m, the top region its own.
+func newMonitor(t *testing.T, m *machine.Machine, p Platform) *sm.Monitor {
+	t.Helper()
+	dev := boot.NewManufacturer("acme", []byte("seed")).Provision("dev", []byte("root-secret"))
+	id, err := dev.Boot([]byte("keystone test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := sm.New(sm.Config{
+		Machine: m, Platform: p, Identity: id, SMRegions: []int{m.DRAM.RegionCount - 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mon
 }
 
 func TestOSViewDeniesSMAndEnclaveRegions(t *testing.T) {
@@ -31,7 +47,6 @@ func TestOSViewDeniesSMAndEnclaveRegions(t *testing.T) {
 	smRegion := m.DRAM.RegionCount - 1
 	encRegion := 4
 
-	p.NoteEnclaveRegions(dram.Bitmap(0).Set(encRegion))
 	osSet := m.DRAM.Full().Clear(smRegion).Clear(encRegion)
 	if err := p.ApplyOSView(c, osSet); err != nil {
 		t.Fatal(err)
@@ -53,11 +68,11 @@ func TestEnclaveViewOpensOwnRegionsOnly(t *testing.T) {
 	smRegion := m.DRAM.RegionCount - 1
 	own := dram.Bitmap(0).Set(6)
 	other := dram.Bitmap(0).Set(7)
-	p.NoteEnclaveRegions(own | other)
 
 	if err := p.ApplyEnclaveView(c, sm.EnclaveView{
-		RootPPN: 99,
-		Regions: own,
+		RootPPN:   99,
+		Regions:   own,
+		OSRegions: m.DRAM.Full() &^ own &^ other &^ dram.Bitmap(0).Set(smRegion),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +82,9 @@ func TestEnclaveViewOpensOwnRegionsOnly(t *testing.T) {
 	if !c.PMP.Check(m.DRAM.Base(6), 8, pmp.R|pmp.W|pmp.X, pmp.ModeU) {
 		t.Fatal("enclave denied its own region")
 	}
+	if !c.PMP.Check(m.DRAM.Base(1), 8, pmp.R|pmp.W, pmp.ModeU) {
+		t.Fatal("enclave denied the OS's shared memory")
+	}
 	if c.PMP.Check(m.DRAM.Base(7), 8, pmp.R, pmp.ModeU) {
 		t.Fatal("enclave granted another enclave's region")
 	}
@@ -75,28 +93,45 @@ func TestEnclaveViewOpensOwnRegionsOnly(t *testing.T) {
 	}
 }
 
-func TestRefreshOSRegionsRecomputesDenySet(t *testing.T) {
+// TestRefreshRegionsRecomputesDenySet: a refresh denies every region in
+// neither of the sets it is handed. On an OS core, regions granted away
+// become inaccessible without a full ApplyOSView; on an enclave core, a
+// region the enclave blocked leaves its view at once.
+func TestRefreshRegionsRecomputesDenySet(t *testing.T) {
 	m, p := newMachine(t)
 	c := m.Cores[0]
 	smRegion := m.DRAM.RegionCount - 1
-	// Regions 2 and 3 leave the OS set (granted away): they must become
-	// inaccessible on refresh without a full ApplyOSView.
-	osSet := m.DRAM.Full().Clear(smRegion).Clear(2).Clear(3)
-	if err := p.RefreshOSRegions(c, osSet); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{2, 3, smRegion} {
-		if c.PMP.Check(m.DRAM.Base(r), 8, pmp.R, pmp.ModeS) {
-			t.Fatalf("refresh left region %d accessible", r)
+	osSet := m.DRAM.Full().Clear(smRegion).Clear(2).Clear(3).Clear(4)
+	for _, tc := range []struct {
+		name          string
+		own           dram.Bitmap
+		allow, denied []int
+	}{
+		{"OS core", 0, []int{1, 5}, []int{2, 3, 4, smRegion}},
+		{"enclave core", dram.Bitmap(0).Set(2), []int{1, 2}, []int{3, 4, smRegion}},
+	} {
+		if err := p.RefreshRegions(c, tc.own, osSet); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !c.PMP.Check(m.DRAM.Base(1), 8, pmp.R, pmp.ModeS) {
-		t.Fatal("refresh revoked an OS-owned region")
+		for _, r := range tc.allow {
+			if !c.PMP.Check(m.DRAM.Base(r), 8, pmp.R, pmp.ModeS) {
+				t.Fatalf("%s: refresh denied region %d", tc.name, r)
+			}
+		}
+		for _, r := range tc.denied {
+			if c.PMP.Check(m.DRAM.Base(r), 8, pmp.R, pmp.ModeS) {
+				t.Fatalf("%s: refresh left region %d accessible", tc.name, r)
+			}
+		}
+		if c.OSRegions != osSet {
+			t.Fatalf("%s: OS regions %#x, want %#x", tc.name, c.OSRegions, osSet)
+		}
 	}
 }
 
 // TestPMPEntryExhaustion models the real Keystone limitation: more
-// protected regions than PMP entries cannot be expressed.
+// protected regions than PMP entries cannot be expressed, and Expresses
+// says so before anything is programmed.
 func TestPMPEntryExhaustion(t *testing.T) {
 	m, p := newMachine(t)
 	c := m.Cores[0]
@@ -104,22 +139,28 @@ func TestPMPEntryExhaustion(t *testing.T) {
 	for r := 0; r < pmp.NumEntries; r++ { // denies + catch-all > NumEntries
 		deny = deny.Set(r)
 	}
-	p.NoteEnclaveRegions(deny)
+	if p.Expresses(m.DRAM.Full() &^ deny) {
+		t.Fatal("Expresses accepted more deny entries than the PMP holds")
+	}
+	if !p.Expresses(m.DRAM.Full() &^ deny.Clear(0)) {
+		t.Fatal("Expresses refused a view that fills the PMP exactly")
+	}
 	if err := p.ApplyOSView(c, m.DRAM.Full()&^deny); err == nil {
 		t.Fatal("programming more deny entries than the PMP holds succeeded")
 	}
 }
 
-// TestUnifiedABIOnKeystone drives the enclave-build sequence over the
-// unified call ABI on the PMP backend: the batched client path must
-// produce the canonical measurement, and a granted region must vanish
-// from the OS's PMP-checked view.
-// TestCleanRegionScrubsMemoryAndCaches cleans a region on Keystone's
-// shared LLC: its memory is zeroed, its lines leave the L2 and every
-// L1, and every line of any other region stays exactly as it was.
+// TestCleanRegionScrubsMemoryAndCaches blocks a region over the ABI
+// and runs clean_region on Keystone's shared LLC: the region's memory
+// is zeroed, its lines leave the L2 and every L1, and every line of any
+// other region stays exactly as it was.
 func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	m, p := newMachine(t)
+	mon := newMonitor(t, m, p)
 	r := 2
+	if st := mon.Dispatch(api.OSRequest(api.CallBlockRegion, uint64(r))).Status; st != api.OK {
+		t.Fatalf("block_region: %v", st)
+	}
 	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
 	if err := m.Mem.WriteBytes(base+size-1, []byte{0xCC}); err != nil {
 		t.Fatal(err)
@@ -138,8 +179,8 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 		before[name] = c.Snapshot()
 	}
 
-	if err := p.CleanRegion(m, r); err != nil {
-		t.Fatal(err)
+	if st := mon.Dispatch(api.OSRequest(api.CallCleanRegion, uint64(r))).Status; st != api.OK {
+		t.Fatalf("clean_region: %v", st)
 	}
 	b := make([]byte, 1)
 	if err := m.Mem.ReadBytes(base+size-1, b); err != nil {
@@ -174,21 +215,13 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	}
 }
 
+// TestUnifiedABIOnKeystone drives the enclave-build sequence over the
+// unified call ABI on the PMP backend: the batched client path must
+// produce the canonical measurement, and a granted region must vanish
+// from the OS's PMP-checked view.
 func TestUnifiedABIOnKeystone(t *testing.T) {
 	m, p := newMachine(t)
-	mfr := boot.NewManufacturer("acme", []byte("seed"))
-	dev := mfr.Provision("dev", []byte("root-secret"))
-	id, err := dev.Boot([]byte("keystone abi test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := sm.New(sm.Config{
-		Machine: m, Platform: p, Identity: id,
-		SMRegions: []int{m.DRAM.RegionCount - 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := newMonitor(t, m, p)
 	o, err := os.New(m, mon, 0, m.DRAM.RegionCount-2)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package sanctum
 import (
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/machine"
-	"sanctorum/internal/platform/clean"
 	"sanctorum/internal/sm"
 )
 
@@ -50,17 +49,12 @@ func (Platform) ApplyEnclaveView(c *machine.Core, v sm.EnclaveView) error {
 	return nil
 }
 
-// RefreshOSRegions updates the OS bitmap without disturbing the rest of
-// the core state.
-func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
-	c.OSRegions = osRegions
+// RefreshRegions installs a core's current region bitmaps without
+// disturbing the rest of its state.
+func (Platform) RefreshRegions(c *machine.Core, own, os dram.Bitmap) error {
+	c.EncRegions, c.OSRegions = own, os
 	return nil
 }
 
-// CleanRegion zeroes a region's memory and flushes its footprint from
-// the page-colored LLC and every private L1 (Fig 2: clean(resource)).
-func (Platform) CleanRegion(m *machine.Machine, r int) error { return clean.Region(m, r) }
-
-// ShootdownRegion removes all TLB translations targeting region r on
-// every core, returning once every core has acknowledged.
-func (Platform) ShootdownRegion(m *machine.Machine, r int) { clean.Shootdown(m, r) }
+// Expresses implements sm.Platform: a region bitmap expresses any set.
+func (Platform) Expresses(dram.Bitmap) bool { return true }

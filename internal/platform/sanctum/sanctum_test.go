@@ -23,6 +23,31 @@ func newMachine(t *testing.T) *machine.Machine {
 	return m
 }
 
+// newMonitor boots the monitor on m, the top region its own.
+func newMonitor(t *testing.T, m *machine.Machine) *sm.Monitor {
+	t.Helper()
+	dev := boot.NewManufacturer("acme", []byte("seed")).Provision("dev", []byte("root-secret"))
+	id, err := dev.Boot([]byte("sanctum test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := sm.New(sm.Config{
+		Machine: m, Platform: New(), Identity: id, SMRegions: []int{m.DRAM.RegionCount - 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mon
+}
+
+// call makes an OS monitor call that must succeed.
+func call(t *testing.T, mon *sm.Monitor, c api.Call, args ...uint64) {
+	t.Helper()
+	if st := mon.Dispatch(api.OSRequest(c, args...)).Status; st != api.OK {
+		t.Fatalf("call %#x: %v", uint64(c), st)
+	}
+}
+
 func TestApplyViewsProgramCoreState(t *testing.T) {
 	m := newMachine(t)
 	p := New()
@@ -54,24 +79,29 @@ func TestApplyViewsProgramCoreState(t *testing.T) {
 		t.Fatalf("enclave view not programmed: %+v", c)
 	}
 
-	refreshed := osSet.Clear(3)
-	if err := p.RefreshOSRegions(c, refreshed); err != nil {
+	own, refreshed := view.Regions.Clear(5), osSet.Clear(3)
+	if err := p.RefreshRegions(c, own, refreshed); err != nil {
 		t.Fatal(err)
 	}
-	if c.OSRegions != refreshed || !c.EnclaveMode {
+	if c.OSRegions != refreshed || c.EncRegions != own {
+		t.Fatalf("refresh installed %#x/%#x, want %#x/%#x", c.EncRegions, c.OSRegions, own, refreshed)
+	}
+	if !c.EnclaveMode || c.ESatp != 42 || c.EvBase != view.EvBase {
 		t.Fatal("refresh disturbed the enclave view")
 	}
 }
 
-// TestCleanRegionScrubsMemoryAndCaches fills the L2 and both L1s with
-// lines from every region — the first and last lines of r and of its
-// neighbours last, so they are resident — then cleans r: its memory is
-// zeroed, no line of r survives in any cache, and every other way is
-// exactly as it was, LRU stamp included.
+// TestCleanRegionScrubsMemoryAndCaches blocks region r over the ABI,
+// fills the L2 and both L1s with lines from every region — the first
+// and last lines of r and of its neighbours last, so they are resident
+// — then runs clean_region: r's memory is zeroed, no line of r
+// survives in any cache, and every other way is exactly as it was, LRU
+// stamp included.
 func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	m := newMachine(t)
-	p := New()
+	mon := newMonitor(t, m)
 	r := 3
+	call(t, mon, api.CallBlockRegion, uint64(r))
 	base, size := m.DRAM.Base(r), m.DRAM.RegionSize()
 	if err := m.Mem.WriteBytes(base+100, []byte{0xAA, 0xBB}); err != nil {
 		t.Fatal(err)
@@ -94,9 +124,7 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 		before[name] = c.Snapshot()
 	}
 
-	if err := p.CleanRegion(m, r); err != nil {
-		t.Fatal(err)
-	}
+	call(t, mon, api.CallCleanRegion, uint64(r))
 	b := make([]byte, 2)
 	if err := m.Mem.ReadBytes(base+100, b); err != nil {
 		t.Fatal(err)
@@ -134,23 +162,33 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	}
 }
 
+// TestShootdownRegionFlushesAllTLBs: clean_region drops every core's
+// translations into the region — its first and last frame — and
+// keeps the ones into its neighbours.
 func TestShootdownRegionFlushesAllTLBs(t *testing.T) {
 	m := newMachine(t)
-	p := New()
+	mon := newMonitor(t, m)
 	r := 5
-	inside := m.DRAM.Base(r) >> mem.PageBits
-	outside := m.DRAM.Base(r+1) >> mem.PageBits
+	call(t, mon, api.CallBlockRegion, uint64(r))
+	first := m.DRAM.Base(r) >> mem.PageBits
+	last := first + m.DRAM.PagesPerRegion() - 1
 	for _, c := range m.Cores {
-		c.TLB.Insert(tlb.Entry{VPN: 0x100, PPN: inside})
-		c.TLB.Insert(tlb.Entry{VPN: 0x200, PPN: outside})
+		c.TLB.Insert(tlb.Entry{VPN: 0x100, PPN: first})
+		c.TLB.Insert(tlb.Entry{VPN: 0x101, PPN: last})
+		c.TLB.Insert(tlb.Entry{VPN: 0x200, PPN: first - 1})
+		c.TLB.Insert(tlb.Entry{VPN: 0x201, PPN: last + 1})
 	}
-	p.ShootdownRegion(m, r)
+	call(t, mon, api.CallCleanRegion, uint64(r))
 	for i, c := range m.Cores {
-		if _, hit := c.TLB.Lookup(0x100); hit {
-			t.Fatalf("core %d kept a translation into the shot-down region", i)
+		for _, vpn := range []uint64{0x100, 0x101} {
+			if _, hit := c.TLB.Lookup(vpn); hit {
+				t.Fatalf("core %d kept translation %#x into the cleaned region", i, vpn)
+			}
 		}
-		if _, hit := c.TLB.Lookup(0x200); !hit {
-			t.Fatalf("core %d lost an unrelated translation", i)
+		for _, vpn := range []uint64{0x200, 0x201} {
+			if _, hit := c.TLB.Lookup(vpn); !hit {
+				t.Fatalf("core %d lost translation %#x into a neighbouring region", i, vpn)
+			}
 		}
 	}
 }
@@ -161,19 +199,7 @@ func TestShootdownRegionFlushesAllTLBs(t *testing.T) {
 // layer's per-domain authorization holds with region isolation active.
 func TestUnifiedABIOnSanctum(t *testing.T) {
 	m := newMachine(t)
-	mfr := boot.NewManufacturer("acme", []byte("seed"))
-	dev := mfr.Provision("dev", []byte("root-secret"))
-	id, err := dev.Boot([]byte("sanctum abi test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	smRegion := m.DRAM.RegionCount - 1
-	mon, err := sm.New(sm.Config{
-		Machine: m, Platform: New(), Identity: id, SMRegions: []int{smRegion},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := newMonitor(t, m)
 	o, err := os.New(m, mon, 0, m.DRAM.RegionCount-2)
 	if err != nil {
 		t.Fatal(err)

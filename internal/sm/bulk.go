@@ -155,13 +155,14 @@ func (mon *Monitor) bulkMap(req api.Request, ctx *callContext) api.Response {
 // Endpoint enclaves are locked in the fixed producer-then-consumer
 // order (never Go map order — replay determinism), and every lock is
 // taken before the first mutation so contention fails with ErrRetry
-// having changed nothing. The shootdown runs after all locks are
-// released: RunOn waits for instruction boundaries, and a hart blocked
-// in stopThread's lock acquisition never reaches one, so waiting on
-// acknowledgments while holding enclave locks could deadlock. The
-// window is benign — the grant is already unregistered, and a stale
-// translation reaches only OS-owned memory the enclave could touch
-// moments earlier; by return, every core has acknowledged the flush.
+// having changed nothing. The shootdown — one waited round of every
+// core per mapping — runs after all locks are released: it waits for
+// instruction boundaries, and a hart blocked in stopThread's lock
+// acquisition never reaches one, so waiting on acknowledgments while
+// holding enclave locks could deadlock. The window is benign — the
+// grant is already unregistered, and a stale translation reaches only
+// OS-owned memory the enclave could touch moments earlier; by return,
+// every core has acknowledged the flush.
 func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
 	grantID := req.Args[0]
 	g, st := lookup[*Grant](mon, LockGrant, grantID)
@@ -199,15 +200,12 @@ func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
 		unwind()
 		return fail(api.ErrInvalidState)
 	}
-	var vpns []uint64
 	for _, m := range mappings {
 		for p := uint64(0); p < g.Pages; p++ {
-			pva := m.va + p*mem.PageSize
-			pteAddr, okLeaf := mon.leafPTEAddr(m.e, pva)
+			pteAddr, okLeaf := mon.leafPTEAddr(m.e, m.va+p*mem.PageSize)
 			if okLeaf { // always true: bulk_map verified the leaf
 				mon.machine.Mem.Store(pteAddr, 8, 0)
 			}
-			vpns = append(vpns, (pva&pt.VAMask)>>mem.PageBits)
 		}
 		delete(g.maps, m.e.ID)
 	}
@@ -218,12 +216,8 @@ func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
 	mon.unregister(grantID)
 	mon.objMu.Unlock()
 	unwind()
-	for id := range mon.machine.Cores {
-		mon.machine.RunOn(id, machine.NoHart, func(c *machine.Core) {
-			for _, vpn := range vpns {
-				c.TLB.FlushPage(vpn)
-			}
-		})
+	for _, m := range mappings {
+		mon.machine.Broadcast(machine.NoHart, true, flushPages, m.va, g.Pages, 0)
 	}
 	return ok()
 }

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"sync/atomic"
+
 	"sanctorum/internal/hw/dram"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
@@ -30,8 +32,13 @@ type Enclave struct {
 	EvBase uint64
 	EvMask uint64
 
-	// Regions is the set of DRAM regions this enclave owns.
+	// Regions is the set of DRAM regions this enclave owns, Pending the
+	// regions granted to it and not yet accepted.
 	Regions dram.Bitmap
+	Pending dram.Bitmap
+	// access is accessRegions' set, published by every change to
+	// Regions or Borrowed so the view refresh reads it without e.mu.
+	access atomic.Uint64
 
 	// RootPPN is the enclave's private page-table root, the first page
 	// of its physical address space (§VI-A).
@@ -59,6 +66,8 @@ type Enclave struct {
 	meas        *Measurement
 	Measurement [32]byte // valid once initialized
 
+	// Threads holds every thread whose Owner is this enclave: offered,
+	// assigned or running.
 	Threads   map[uint64]*Thread
 	running   int // threads currently on cores
 	Mailboxes [api.MailboxesPerEnclave]Mailbox
@@ -153,7 +162,11 @@ func (e *Enclave) InEvrange(va uint64) bool {
 // reach: the regions it owns plus any borrowed from a snapshot
 // template (a clone reads its aliased pages there). Ownership
 // accounting — deletion, blocking — uses Regions alone.
-func (e *Enclave) accessRegions() dram.Bitmap { return e.Regions | e.Borrowed }
+func (e *Enclave) accessRegions() dram.Bitmap { return dram.Bitmap(e.access.Load()) }
+
+// publishAccess republishes the access set after a change to Regions
+// or Borrowed. The caller holds e's transaction lock.
+func (e *Enclave) publishAccess() { e.access.Store(uint64(e.Regions | e.Borrowed)) }
 
 // nextPageLocked consumes the next physical page in ascending order
 // from the regions the enclave owns now: a region it has blocked since
@@ -343,7 +356,7 @@ func (mon *Monitor) enclaveStatus(e *Enclave, req api.Request) api.Response {
 // deleteEnclave tears enclave a0 down (Fig 3: delete_enclave by the
 // OS, CallDeleteEnclave): refused while any thread is scheduled; all
 // owned regions become blocked and must be cleaned before
-// re-allocation; threads revert to the available pool.
+// re-allocation; pending grants and threads revert to the OS.
 //
 // Snapshot interactions: a template with a live snapshot cannot be
 // deleted (its frozen pages back outstanding clones — the snapshot
@@ -354,9 +367,10 @@ func (mon *Monitor) enclaveStatus(e *Enclave, req api.Request) api.Response {
 // tables, COW copies) block and clean normally.
 //
 // The transaction acquires every lock it will need — the enclave, the
-// snapshot it clones (if any), every thread, and every region it owns
-// or has pending — with TryLock before mutating anything, so under
-// contention it fails with ErrRetry having changed no state (§V-A).
+// snapshot it clones (if any), and exactly its own threads and its
+// owned and pending regions — with TryLock before mutating anything,
+// so under contention it fails with ErrRetry having changed no state
+// (§V-A), and a lock held on some other object never fails it.
 func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response {
 	eid := req.Args[0]
 	e, st := lookup[*Enclave](mon, LockEnclave, eid)
@@ -367,25 +381,18 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	if e.running > 0 || (e.snap != nil && e.CloneOf == 0) { // live snapshot: release it first
 		return fail(api.ErrInvalidState)
 	}
-	// One registry scan. A live ring or grant endpoint blocks deletion,
-	// like a live snapshot: a freed eid could otherwise be recreated and
-	// inherit the dead enclave's rings — including undelivered messages
-	// meant for the previous tenant — and a revoke relies on its
-	// endpoints existing. The OS destroys and revokes them first.
-	// Endpoint identities are immutable, and lockEndpoints registers only
-	// while holding the endpoint enclave's lock (held here for the whole
-	// transaction), so the scan cannot race a new attachment. The scan
-	// also collects every thread: threads offered to this enclave are not
-	// in e.Threads, but their Owner names it, and leaving that dangling
-	// would let a new enclave recreated under the freed eid accept_thread
-	// a thread the dead tenant was offered.
+	// A live ring or grant endpoint blocks deletion, like a live
+	// snapshot: a freed eid could otherwise be recreated and inherit the
+	// dead enclave's rings — including undelivered messages meant for
+	// the previous tenant — and a revoke relies on its endpoints
+	// existing. The OS destroys and revokes them first. Endpoint
+	// identities are immutable, and lockEndpoints registers only while
+	// holding the endpoint enclave's lock (held here for the whole
+	// transaction), so the scan cannot race a new attachment.
 	busy := false
 	mon.objMu.RLock()
-	threads := make([]*Thread, 0, len(mon.objects))
 	for _, o := range mon.objects {
 		switch o := o.(type) {
-		case *Thread:
-			threads = append(threads, o)
 		case *Ring:
 			busy = busy || o.isEndpoint(eid)
 		case *Grant:
@@ -402,61 +409,48 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 		}
 		defer e.snap.mu.Unlock()
 	}
-	// Ownership is thread state, checked under each thread's own lock;
-	// holding e.mu excludes new offers and accepts racing the pass. The
-	// kept threads reuse the scan's slice.
-	owned := threads[:0]
-	var lockedRegions []int
-	unlockAll := func() {
-		for _, th := range owned {
+	// Holding e.mu excludes new offers and grants, so e.Threads and
+	// e.Regions|e.Pending are exactly the threads and regions the delete
+	// touches. held collects the threads locked so far, since a second
+	// pass over the map would not repeat the order; up to four fit on
+	// the stack.
+	var heldBuf [4]*Thread
+	held, regions := heldBuf[:0], e.Regions|e.Pending
+	unlockAll := func(below int) {
+		for _, th := range held {
 			th.mu.Unlock()
 		}
-		for _, r := range lockedRegions {
-			mon.regions[r].mu.Unlock()
+		for r := 0; r < below; r++ {
+			if regions.Has(r) {
+				mon.regions[r].mu.Unlock()
+			}
 		}
 	}
-	for _, th := range threads {
+	for _, th := range e.Threads {
 		if !mon.tryLock(&th.mu, LockThread, th.ID) {
-			unlockAll()
+			unlockAll(0)
 			return fail(api.ErrRetry)
 		}
-		if th.Owner == eid {
-			owned = append(owned, th)
-		} else {
-			th.mu.Unlock()
-		}
+		held = append(held, th)
 	}
-	// Every region lock, owned or pending, before the first mutation. A
-	// contended region — even one that turns out not to involve this
-	// enclave — fails the delete; conservative, and the caller retries.
 	for r := range mon.regions {
-		rm := &mon.regions[r]
-		if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-			unlockAll()
+		if regions.Has(r) && !mon.tryLock(&mon.regions[r].mu, LockRegion, uint64(r)) {
+			unlockAll(r)
 			return fail(api.ErrRetry)
 		}
-		if e.Regions.Has(r) || (rm.state == RegionPending && rm.owner == eid) {
-			lockedRegions = append(lockedRegions, r)
-		} else {
-			rm.mu.Unlock()
-		}
 	}
-	// All locks held; mutate — only regions whose locks we kept (the
-	// others may be mid-transaction on another hart, and holding e.mu
-	// guarantees no new grant can attach this enclave to them). Owned
-	// regions hold enclave secrets until cleaned; pending grants revert
+	// All locks held; mutate. Owned regions hold enclave secrets until
+	// cleaned: ownership reverts to the OS pool at block time (a blocked
+	// region must never name a dead enclave), and the secrets stay
+	// sealed until clean_region scrubs the region. Pending grants revert
 	// to the OS.
-	for _, r := range lockedRegions {
-		rm := &mon.regions[r]
-		if e.Regions.Has(r) {
-			// Ownership reverts to the OS pool at block time (the owner
-			// field has no meaning once the bitmap link is severed, and a
-			// blocked region must never name a dead enclave); the secrets
-			// stay sealed until clean_region scrubs the region.
-			rm.state, rm.owner = RegionBlocked, api.DomainOS
-		} else if rm.state == RegionPending && rm.owner == eid {
-			rm.state, rm.owner = RegionOwned, api.DomainOS
-			mon.setOSOwned(r, true)
+	for r := range mon.regions {
+		switch {
+		case e.Regions.Has(r):
+			mon.regions[r].state, mon.regions[r].owner = RegionBlocked, api.DomainOS
+		case e.Pending.Has(r):
+			mon.regions[r].state, mon.regions[r].owner = RegionOwned, api.DomainOS
+			mon.osBitmap.Or(1 << uint(r))
 		}
 	}
 
@@ -473,14 +467,14 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 		e.snap.clones--
 		e.snap, e.cow = nil, nil
 	}
-	for _, th := range owned {
+	for _, th := range held {
 		th.State, th.Owner = ThreadAvailable, 0
 		th.clearContext()
 	}
 	mon.objMu.Lock()
 	mon.unregister(eid)
 	mon.objMu.Unlock()
-	unlockAll()
+	unlockAll(len(mon.regions))
 	mon.refreshViews()
 	// The lifecycle state follows the dead flag, so a transaction that
 	// fetched e before the delete and locks it without the lookup (a

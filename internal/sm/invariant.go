@@ -6,8 +6,8 @@ package sm
 // global consistency conditions the lifecycle state machine promises:
 // metadata-page accounting, region-ownership partition, refcount sums,
 // the no-writable-while-COW rule, ring waiter liveness, grant endpoint
-// liveness and in-flight accounting, and the thread/enclave/core
-// cross-references. One suite serves three consumers —
+// liveness and in-flight accounting, and the thread/enclave/core and
+// pending-region cross-references. One suite serves three consumers —
 // dispatch_test's error-leaves-state-untouched sweeps, the internal/mc
 // interleaving explorer, and the adversary battery — replacing the
 // ad-hoc per-test copies the dispatch fuzz harness grew.
@@ -36,6 +36,7 @@ import (
 type EnclaveShot struct {
 	State       EnclaveState
 	Regions     dram.Bitmap
+	Pending     dram.Bitmap
 	Borrowed    dram.Bitmap
 	RootPPN     uint64
 	Measurement [32]byte
@@ -218,7 +219,7 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 // its cow bitmap, in the shape an enclave-owned record would have.
 func captureEnclave(e *Enclave) EnclaveShot {
 	shot := EnclaveShot{
-		State: e.State, Regions: e.Regions, Borrowed: e.Borrowed,
+		State: e.State, Regions: e.Regions, Pending: e.Pending, Borrowed: e.Borrowed,
 		RootPPN: e.RootPPN, Measurement: e.Measurement,
 		Running: e.running, CloneOf: e.CloneOf,
 		LoadCursor: e.loadCursor, Mailboxes: e.Mailboxes,
@@ -351,12 +352,21 @@ func (mon *Monitor) CheckInvariants() error {
 			if rm.State == RegionOwned && !e.Regions.Has(r) {
 				return fmt.Errorf("region %d owned by %#x but not in its bitmap", r, rm.Owner)
 			}
+			if rm.State == RegionPending && !e.Pending.Has(r) {
+				return fmt.Errorf("region %d pending for %#x but not in its pending bitmap", r, rm.Owner)
+			}
 		}
 	}
 	for eid, e := range s.Enclaves {
 		for _, r := range e.Regions.Regions() {
 			if s.Regions[r].State != RegionOwned || s.Regions[r].Owner != eid {
 				return fmt.Errorf("enclave %#x claims region %d held as %v/%#x",
+					eid, r, s.Regions[r].State, s.Regions[r].Owner)
+			}
+		}
+		for _, r := range e.Pending.Regions() {
+			if s.Regions[r].State != RegionPending || s.Regions[r].Owner != eid {
+				return fmt.Errorf("enclave %#x lists region %d pending, held as %v/%#x",
 					eid, r, s.Regions[r].State, s.Regions[r].Owner)
 			}
 		}
@@ -393,7 +403,7 @@ func (mon *Monitor) CheckInvariants() error {
 			if !live {
 				return fmt.Errorf("enclave %#x lists dead thread %#x", eid, tid)
 			}
-			if t.Owner != eid || (t.State != ThreadAssigned && t.State != ThreadRunning) {
+			if t.Owner != eid {
 				return fmt.Errorf("enclave %#x lists thread %#x in state %v owner %#x",
 					eid, tid, t.State, t.Owner)
 			}
@@ -432,8 +442,8 @@ func (mon *Monitor) CheckInvariants() error {
 			for _, m := range e.Threads {
 				member = member || m == tid
 			}
-			if member == (t.State == ThreadOffered) {
-				return fmt.Errorf("thread %#x state %v, enclave membership %v", tid, t.State, member)
+			if !member {
+				return fmt.Errorf("thread %#x %v to %#x but not in its table", tid, t.State, t.Owner)
 			}
 		}
 		if t.State == ThreadRunning {

@@ -55,8 +55,11 @@ import (
 )
 
 // Platform abstracts the isolation backend (§VII): the monitor's logic
-// is identical for Sanctum and Keystone; only how a protection domain's
-// memory is made exclusive differs.
+// is identical for Sanctum and Keystone; only how a core is confined to
+// a protection domain's regions differs. A platform only programs cores
+// from the region sets it is handed: the monitor keeps all region
+// state, and does the scrubbing, cache flushes and TLB shootdowns a
+// region change needs itself (regions.go).
 type Platform interface {
 	// Kind identifies the backend.
 	Kind() machine.IsolationKind
@@ -67,19 +70,18 @@ type Platform interface {
 	// ApplyEnclaveView programs a core to run an enclave thread. Called
 	// with the target core quiescent.
 	ApplyEnclaveView(c *machine.Core, view EnclaveView) error
-	// RefreshOSRegions updates the OS-accessible region set on a core
-	// without otherwise disturbing it (used on region re-allocation).
-	// The monitor delivers it via the core's IPI mailbox.
-	RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error
-	// CleanRegion scrubs a DRAM region: zeroes its memory and flushes
-	// its cache footprint everywhere. Per-core cache flushes are
-	// delivered as IPIs. Called from OS (no-hart) context only.
-	CleanRegion(m *machine.Machine, r int) error
-	// ShootdownRegion invalidates all TLB translations into region r on
-	// every core (the paper's page-walk invariant maintenance), as IPIs
-	// the cores acknowledge at instruction boundaries. Called from OS
-	// (no-hart) context only; returns once every core has acknowledged.
-	ShootdownRegion(m *machine.Machine, r int)
+	// RefreshRegions reprograms a core's region sets after a region
+	// transition without otherwise disturbing it: own is the access set
+	// of the enclave the core runs (empty on an OS core), os the
+	// OS-owned set. The monitor delivers it via the core's IPI mailbox.
+	RefreshRegions(c *machine.Core, own, os dram.Bitmap) error
+	// Expresses reports whether the platform can program an OS view of
+	// osRegions (Keystone's PMP has a fixed number of entries). An
+	// enclave view opens the enclave's regions on top of the OS set, so
+	// it fits whenever the OS view does; the monitor refuses any
+	// transition that would leave an OS set the platform cannot
+	// express, and no view it programs fails.
+	Expresses(osRegions dram.Bitmap) bool
 }
 
 // EnclaveView is the per-core state describing a running enclave.
@@ -138,9 +140,9 @@ type Monitor struct {
 	// consulted by tryLock before every TryLock acquisition.
 	lockHook lockHookPtr
 
-	// refresh is the view-refresh request refreshViews posts to every
-	// core, built once in New.
-	refresh func(*machine.Core)
+	// refresh and wake are the view-refresh and wake requests posted
+	// to the cores, bound once in New so posting builds no closure.
+	refresh, wake machine.IPIFunc
 }
 
 // lockFault consults the fault hook (fault.go) for one acquisition;
@@ -206,7 +208,7 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range mon.cores {
 		mon.cores[i].owner = api.DomainOS
 	}
-	mon.refresh = mon.refreshView
+	mon.refresh, mon.wake = mon.refreshView, mon.wakeOS
 	var osBitmap dram.Bitmap
 	for r := range mon.regions {
 		if mon.regions[r].owner == api.DomainOS {
@@ -239,52 +241,63 @@ func (mon *Monitor) osRegions() dram.Bitmap {
 	return dram.Bitmap(mon.osBitmap.Load())
 }
 
-// setOSOwned adds or removes region r from the live OS-owned bitmap.
-// Called by region transactions while holding the region's lock.
-func (mon *Monitor) setOSOwned(r int, owned bool) {
-	if owned {
-		mon.osBitmap.Or(1 << uint(r))
-	} else {
-		mon.osBitmap.And(^uint64(1 << uint(r)))
+// leaveOS removes region r from the live OS-owned bitmap, or reports
+// false, changing nothing, when the platform could not express the OS
+// view without r (PMP entry exhaustion on Keystone). The
+// compare-and-swap keeps two transactions that shrink the set on
+// different regions from passing the check jointly. Called by region
+// transactions while holding the region's lock, before their first
+// mutation.
+func (mon *Monitor) leaveOS(r int) bool {
+	for {
+		old := mon.osBitmap.Load()
+		next := old &^ (1 << uint(r))
+		if !mon.plat.Expresses(dram.Bitmap(next)) {
+			return false
+		}
+		if mon.osBitmap.CompareAndSwap(old, next) {
+			return true
+		}
 	}
 }
 
-// refreshViews pushes the current OS region set to every core through
-// its IPI mailbox: running harts pick the update up at their next
+// refreshViews pushes the live region sets to every core through its
+// IPI mailbox: running harts pick the update up at their next
 // instruction boundary, idle harts are programmed synchronously on the
 // calling goroutine, and a hart refreshing itself from a trap handler
 // applies it at the boundary right after the trap returns. Called after
-// any region transition; the DMA policy needs no republish (it reads
-// the live bitmap).
+// any transition that changes the OS-owned set or an enclave's access
+// set; the DMA policy needs no republish (it reads the live bitmap).
+// It does not wait for acknowledgments: its posters hold region or
+// enclave locks a running hart may be trying for.
 //
-// The bitmap is read inside the posted request — at apply time, on the
+// The sets are read inside the posted request — at apply time, on the
 // target hart — not snapshotted at post time: two region transactions
 // on different regions can post concurrently, and FIFO mailbox order
-// need not match their bitmap-update order, so a post-time snapshot
-// could finish with a stale view installed. Reading live means the
-// last applied request always reflects every update that preceded it,
-// and lets every post share one request value, built in New.
+// need not match their update order, so a post-time snapshot could
+// finish with a stale view installed. Reading live means the last
+// applied request always reflects every update that preceded it.
 func (mon *Monitor) refreshViews() {
-	for id := range mon.machine.Cores {
-		mon.machine.PostIPI(id, mon.refresh)
-	}
+	mon.machine.Broadcast(machine.NoHart, false, mon.refresh, 0, 0, 0)
 }
 
-// refreshView is the posted request: it installs the live OS region
-// set on core c, from c's own hart.
-func (mon *Monitor) refreshView(c *machine.Core) {
-	osBitmap := mon.osRegions()
-	slot := &mon.cores[c.ID]
-	slot.mu.Lock()
-	osOwned := slot.owner == api.DomainOS
-	slot.mu.Unlock()
-	if osOwned {
-		mon.plat.RefreshOSRegions(c, osBitmap)
-	} else {
-		// Enclave cores keep their enclave view but see the updated OS
-		// set for shared accesses.
-		c.OSRegions = osBitmap
+// refreshView is the posted request: it installs the live OS-owned set
+// on core c and, when c runs an enclave, that enclave's live access
+// set, so a region the enclave blocked leaves its view at once. It runs
+// on c's own hart, or on the poster's goroutine when c is idle — which
+// may hold the enclave's lock, so the access set is read atomically,
+// like the OS set. Core c's run ownership keeps its slot from changing
+// underneath.
+func (mon *Monitor) refreshView(c *machine.Core, _, _, _ uint64) {
+	var own dram.Bitmap
+	if owner := mon.readSlot(c.ID).owner; owner != api.DomainOS {
+		if e, found := get[*Enclave](mon, owner); found {
+			own = e.accessRegions()
+		}
 	}
+	// Cannot fail: leaveOS keeps every OS set expressible, and every
+	// view a core holds reaches at least the OS set.
+	_ = mon.plat.RefreshRegions(c, own, mon.osRegions())
 }
 
 // objHeader is what every monitor object — enclave, thread, snapshot,

@@ -1,8 +1,11 @@
 package sm
 
 import (
+	"math/bits"
 	"sync"
 
+	"sanctorum/internal/hw/machine"
+	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/sm/api"
 )
 
@@ -49,7 +52,9 @@ func (mon *Monitor) regionInfo(req api.Request, _ *callContext) api.Response {
 // or — for a loading enclave or the SM — transfers it directly. Called
 // by the untrusted OS (grant(resource, new_owner) in Fig 2,
 // CallGrantRegion). Granting to the SM turns the region into a metadata
-// region (§V-B: metadata must wholly reside in SM-owned memory).
+// region (§V-B: metadata must wholly reside in SM-owned memory). Giving
+// away an OS-owned region fails with ErrNoResources, changing nothing,
+// when the platform could not express the OS view without it.
 func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
 	r, newOwner := indexArg(req.Args[0]), req.Args[1]
 	if r < 0 || r >= len(mon.regions) {
@@ -76,10 +81,12 @@ func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
 	switch newOwner {
 	case api.DomainOS:
 		rm.state, rm.owner = RegionOwned, api.DomainOS
-		mon.setOSOwned(r, true)
+		mon.osBitmap.Or(1 << uint(r))
 	case api.DomainSM:
+		if !mon.leaveOS(r) {
+			return fail(api.ErrNoResources)
+		}
 		rm.state, rm.owner = RegionOwned, api.DomainSM
-		mon.setOSOwned(r, false)
 		mon.objMu.Lock()
 		mon.metaRgn[r] = true
 		mon.objMu.Unlock()
@@ -92,23 +99,25 @@ func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
 			return fail(api.ErrRetry)
 		}
 		defer e.mu.Unlock()
-		switch e.State {
-		case EnclaveLoading:
-			// Grants during loading take effect immediately; they must
-			// precede any page loads so the ascending-page invariant
-			// can be established over the final region set.
-			if e.pagesFrozen {
-				return fail(api.ErrInvalidState)
-			}
-			rm.state, rm.owner = RegionOwned, newOwner
-			e.Regions = e.Regions.Set(r)
-		case EnclaveInitialized:
-			// Running enclaves must accept offered resources (Fig 2).
-			rm.state, rm.owner = RegionPending, newOwner
-		default:
+		// Grants during loading take effect immediately; they must
+		// precede any page loads so the ascending-page invariant can be
+		// established over the final region set. Running enclaves must
+		// accept offered resources (Fig 2).
+		loading := e.State == EnclaveLoading && !e.pagesFrozen
+		if !loading && e.State != EnclaveInitialized {
 			return fail(api.ErrInvalidState)
 		}
-		mon.setOSOwned(r, false)
+		if !mon.leaveOS(r) {
+			return fail(api.ErrNoResources)
+		}
+		if loading {
+			rm.state, rm.owner = RegionOwned, newOwner
+			e.Regions = e.Regions.Set(r)
+			e.publishAccess()
+		} else {
+			rm.state, rm.owner = RegionPending, newOwner
+			e.Pending = e.Pending.Set(r)
+		}
 	}
 
 	mon.refreshViews()
@@ -117,7 +126,8 @@ func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
 
 // blockRegion relinquishes region a0 on behalf of its owner, the
 // caller (block(resource) in Fig 2, CallBlockRegion): the OS from a
-// host-side Request, an enclave from its trap context.
+// host-side Request, an enclave from its trap context. The OS is
+// refused like a grant when its view could not lose the region.
 func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response {
 	r := indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
@@ -149,16 +159,19 @@ func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response 
 		// cannot leave the template until the snapshot is released.
 		return fail(api.ErrInvalidState)
 	}
+	if e == nil {
+		if !mon.leaveOS(r) {
+			return fail(api.ErrNoResources)
+		}
+	} else {
+		e.Regions = e.Regions.Clear(r)
+		e.publishAccess()
+	}
 	// Ownership reverts to the OS pool immediately: nothing reads the
 	// old owner once the state is Blocked (clean_region resets it
 	// anyway), and leaving it would let a region name an enclave that
 	// has since been deleted.
 	rm.state, rm.owner = RegionBlocked, api.DomainOS
-	if e == nil {
-		mon.setOSOwned(r, false)
-	} else {
-		e.Regions = e.Regions.Clear(r)
-	}
 
 	mon.refreshViews()
 	return ok()
@@ -166,11 +179,14 @@ func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response 
 
 // cleanRegion scrubs the blocked region a0 and makes it available
 // (clean(resource) by the OS in Fig 2, CallCleanRegion). The monitor
-// zeroes the region, flushes its cache footprint, and shoots down TLB
-// entries on every core — the cross-core work travels as
-// inter-processor mailbox requests that running harts acknowledge at
-// instruction boundaries — before the region can reach a new protection
-// domain. OS (no-hart) context only.
+// zeroes the region and flushes its lines from the shared L2, then
+// makes one round of every core — running harts acknowledge at their
+// next instruction boundary — that flushes the region's lines from the
+// core's L1 and drops the core's TLB translations into it, before the
+// region can reach a new protection domain. The OS-owned set and every
+// enclave's access set are as they were, so no view needs a refresh.
+// OS (no-hart) context only: it waits for every core, holding only the
+// region's lock, which no hart ever blocks on.
 func (mon *Monitor) cleanRegion(req api.Request, _ *callContext) api.Response {
 	r := indexArg(req.Args[0])
 	if r < 0 || r >= len(mon.regions) {
@@ -189,17 +205,31 @@ func (mon *Monitor) cleanRegion(req api.Request, _ *callContext) api.Response {
 	// clones) must never be scrubbed — the block/delete guards already
 	// prevent reaching here, but the refcount is the ground truth.
 	layout := mon.machine.DRAM
-	if mon.machine.Mem.RangeHasRefs(layout.Base(r), layout.RegionSize()) {
+	base, size := layout.Base(r), layout.RegionSize()
+	if mon.machine.Mem.RangeHasRefs(base, size) {
 		return fail(api.ErrInvalidState)
 	}
-	if err := mon.plat.CleanRegion(mon.machine, r); err != nil {
+	if mon.machine.Mem.ZeroRange(base, size) != nil {
 		return fail(api.ErrInvalidValue)
 	}
-	mon.plat.ShootdownRegion(mon.machine, r)
+	mon.machine.L2.FlushRange(base, size)
+	mon.machine.Broadcast(machine.NoHart, true, flushRegions, 1<<uint(r), uint64(layout.RegionShift), 1)
 	rm.state, rm.owner = RegionAvailable, api.DomainOS
-
-	mon.refreshViews()
 	return ok()
+}
+
+// flushRegions is the request a region change sends every core: it
+// drops core c's TLB translations into each region of the bitmap set
+// and, when l1 is non-zero, the regions' lines from c's L1. shift is
+// the DRAM region shift.
+func flushRegions(c *machine.Core, set, shift, l1 uint64) {
+	for ; set != 0; set &= set - 1 {
+		base, size := uint64(bits.TrailingZeros64(set))<<shift, uint64(1)<<shift
+		if l1 != 0 {
+			c.L1.FlushRange(base, size)
+		}
+		c.TLB.FlushFrames(base>>mem.PageBits, size>>mem.PageBits)
+	}
 }
 
 // acceptRegion completes a pending grant of region a0 (accept_resource
@@ -222,7 +252,9 @@ func (mon *Monitor) acceptRegion(req api.Request, ctx *callContext) api.Response
 		return fail(api.ErrInvalidState)
 	}
 	rm.state = RegionOwned
+	e.Pending = e.Pending.Clear(r)
 	e.Regions = e.Regions.Set(r)
+	e.publishAccess()
 
 	mon.refreshViews()
 	return ok()

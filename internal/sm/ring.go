@@ -119,22 +119,24 @@ func (mon *Monitor) SetWakeSink(fn func(ringID, eid, tid uint64)) {
 }
 
 // postWake routes one wake to the OS sink through core 0's IPI
-// mailbox with RunOnCall, which posts the sink and its arguments by
-// value, so a wake allocates nothing. It waits for the acknowledgment
-// so a wake is never stranded in the mailbox of a core that just went
-// idle — the wake is the only signal the OS has that a parked thread
-// became runnable.
+// mailbox with RunOnCall, as the wake request bound in New with the
+// wake's words as its arguments, so a wake allocates nothing. It waits
+// for the acknowledgment so a wake is never stranded in the mailbox of
+// a core that just went idle — the wake is the only signal the OS has
+// that a parked thread became runnable.
 // from is the posting hart (machine.NoHart for host-side calls): a
 // sender trapping on core 0 itself delivers inline, which is exactly
 // its own instruction boundary. The wake stays advisory: a stale one
 // costs the OS a failed enter_enclave, never monitor state.
 func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
-	v := mon.wakeSink.Load()
-	if v == nil {
-		return
+	if mon.wakeSink.Load() != nil {
+		mon.machine.RunOnCall(0, from, mon.wake, ringID, eid, tid)
 	}
-	sink := v.(func(uint64, uint64, uint64))
-	mon.machine.RunOnCall(0, from, sink, ringID, eid, tid)
+}
+
+// wakeOS is the wake request: it hands one wake to the OS sink.
+func (mon *Monitor) wakeOS(_ *machine.Core, ringID, eid, tid uint64) {
+	mon.wakeSink.Load().(func(uint64, uint64, uint64))(ringID, eid, tid)
 }
 
 // lockEndpoints registers a new ring or grant: under objMu, it claims

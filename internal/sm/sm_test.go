@@ -3,6 +3,7 @@ package sm
 import (
 	"bytes"
 	"crypto/ed25519"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,10 +17,9 @@ import (
 )
 
 // mockPlatform is a no-isolation platform for white-box monitor tests;
-// the real backends are exercised by internal/integration.
+// the real backends are exercised by their own packages and the root
+// system tests.
 type mockPlatform struct {
-	cleaned    []int
-	shotdown   []int
 	enterCalls int
 }
 
@@ -36,17 +36,11 @@ func (p *mockPlatform) ApplyEnclaveView(c *machine.Core, v EnclaveView) error {
 	c.EvBase, c.EvMask = v.EvBase, v.EvMask
 	return nil
 }
-func (p *mockPlatform) RefreshOSRegions(c *machine.Core, b dram.Bitmap) error {
-	c.OSRegions = b
+func (p *mockPlatform) RefreshRegions(c *machine.Core, own, os dram.Bitmap) error {
+	c.EncRegions, c.OSRegions = own, os
 	return nil
 }
-func (p *mockPlatform) CleanRegion(m *machine.Machine, r int) error {
-	p.cleaned = append(p.cleaned, r)
-	return m.Mem.ZeroRange(m.DRAM.Base(r), m.DRAM.RegionSize())
-}
-func (p *mockPlatform) ShootdownRegion(m *machine.Machine, r int) {
-	p.shotdown = append(p.shotdown, r)
-}
+func (p *mockPlatform) Expresses(dram.Bitmap) bool { return true }
 
 type fixture struct {
 	m    *machine.Machine
@@ -323,6 +317,77 @@ func TestEnclaveLifecycleHappyPath(t *testing.T) {
 	}
 }
 
+// TestDeleteEnclaveLocksOnlyItsOwnObjects: a delete takes the locks of
+// its enclave, the enclave's threads and its regions, and nothing else
+// — however many other objects are live — so a lock another hart holds
+// on an unrelated region does not make it retry.
+func TestDeleteEnclaveLocksOnlyItsOwnObjects(t *testing.T) {
+	f := newFixture(t)
+	eid := f.createLoading(t, 0, 10)
+	tid := f.loadMinimal(t, eid, 1)
+	other := f.createLoading(t, 2, 11)
+	f.loadMinimal(t, other, 3)
+	for _, id := range []uint64{eid, other} {
+		if st := f.InitEnclave(id); st != api.OK {
+			t.Fatalf("init: %v", st)
+		}
+	}
+	var took []LockPoint
+	f.mon.SetLockFaultHook(func(lp LockPoint) bool {
+		took = append(took, lp)
+		return lp.Kind == LockRegion && lp.ID == 11 // held by another hart
+	})
+	st := f.DeleteEnclave(eid)
+	f.mon.SetLockFaultHook(nil)
+	if st != api.OK {
+		t.Fatalf("delete beside a held unrelated region lock: %v", st)
+	}
+	want := []LockPoint{{LockEnclave, eid}, {LockThread, tid}, {LockRegion, 10}}
+	if !reflect.DeepEqual(took, want) {
+		t.Fatalf("delete took locks %v, want exactly %v", took, want)
+	}
+	if err := f.mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteEnclaveReturnsOfferedThreadAndPendingRegion: a delete that
+// finds a thread offered to the enclave and a region granted to it but
+// not yet accepted returns both to the OS, so an enclave recreated
+// under the freed eid inherits neither.
+func TestDeleteEnclaveReturnsOfferedThreadAndPendingRegion(t *testing.T) {
+	f := newFixture(t)
+	eid := f.createLoading(t, 0, 10)
+	f.loadMinimal(t, eid, 1)
+	offered := f.metaPage(2)
+	for _, st := range []api.Error{
+		f.InitEnclave(eid), f.CreateThread(offered), f.AssignThread(eid, offered), f.GrantRegion(11, eid),
+	} {
+		if st != api.OK {
+			t.Fatalf("setup: %v", st)
+		}
+	}
+	if st := f.DeleteEnclave(eid); st != api.OK {
+		t.Fatalf("delete: %v", st)
+	}
+	s := f.mon.CaptureState()
+	if th := s.Threads[offered]; th.State != ThreadAvailable || th.Owner != 0 {
+		t.Fatalf("offered thread after delete: %v owner %#x", th.State, th.Owner)
+	}
+	if r := s.Regions[11]; r.State != RegionOwned || r.Owner != api.DomainOS || s.OSBitmap&(1<<11) == 0 {
+		t.Fatalf("pending region after delete: %v/%#x, OS bitmap %#x", r.State, r.Owner, s.OSBitmap)
+	}
+	if r := s.Regions[10]; r.State != RegionBlocked {
+		t.Fatalf("owned region after delete: %v", r.State)
+	}
+	if err := f.mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.DeleteThread(offered); st != api.OK {
+		t.Fatalf("delete the returned thread: %v", st)
+	}
+}
+
 func TestEnclaveLifecycleIllegalEdges(t *testing.T) {
 	f := newFixture(t)
 	eid := f.createLoading(t, 0, 10)
@@ -560,10 +625,7 @@ func TestThreadStateMachine(t *testing.T) {
 		t.Fatalf("delete: %v", st)
 	}
 	// Deleting an assigned (measured) thread must fail.
-	var measuredTID uint64
-	for id := range e.Threads {
-		measuredTID = id
-	}
+	measuredTID := f.metaPage(1) // loadMinimal's thread
 	if st := f.DeleteThread(measuredTID); st != api.ErrInvalidState {
 		t.Fatalf("delete assigned thread: %v", st)
 	}

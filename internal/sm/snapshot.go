@@ -183,11 +183,18 @@ func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Respons
 	// The template last ran before this transaction (running == 0, and
 	// every exit cleans the core), so no writable translations linger;
 	// the region shootdown is the §VII-A page-walk-invariant hygiene
-	// for the permission downgrade, delivered over the IPI mailboxes.
-	for _, r := range snap.Regions.Regions() {
-		mon.plat.ShootdownRegion(mon.machine, r)
-	}
+	// for the permission downgrade, one round of every core. Waiting
+	// for it under e.mu is safe: no hart runs the template, so none can
+	// block on its lock.
+	mon.shootdown(snap.Regions)
 	return ok()
+}
+
+// shootdown drops every core's TLB translations into the regions of
+// set, returning once every core has acknowledged. OS (no-hart)
+// context only.
+func (mon *Monitor) shootdown(set dram.Bitmap) {
+	mon.machine.Broadcast(machine.NoHart, true, flushRegions, uint64(set), uint64(mon.machine.DRAM.RegionShift), 0)
 }
 
 // canonicalTables lists an enclave's page-table pages in the canonical
@@ -347,6 +354,7 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 	e.CloneOf = snapID
 	e.snap = snap
 	e.Borrowed = snap.Regions
+	e.publishAccess()
 	snap.clones++
 	mon.machine.Mem.Store(eid, 8, uint64(e.State))
 	mon.machine.Mem.WriteBytes(eid+8, e.Measurement[:])
@@ -403,9 +411,7 @@ func (mon *Monitor) releaseSnapshot(req api.Request, _ *callContext) api.Respons
 	mon.unregister(snapID)
 	mon.objMu.Unlock()
 
-	for _, r := range snap.Regions.Regions() {
-		mon.plat.ShootdownRegion(mon.machine, r)
-	}
+	mon.shootdown(snap.Regions)
 	return ok()
 }
 
@@ -467,9 +473,9 @@ func (mon *Monitor) resolveCOWLocked(e *Enclave, vaPage uint64) bool {
 // would, so a clone behaves exactly like its directly built template.
 // Contention on the enclave's transaction lock fails the resolution
 // (the caller's call reports a retryable failure). Every hart gets a
-// targeted shootdown through its IPI mailbox — including the current
-// one, whose mailbox drains at the instruction boundary right after
-// the trap returns; the monitor's own writes go through physical
+// targeted shootdown through its IPI mailbox, unwaited — including the
+// current one, whose mailbox drains at the instruction boundary right
+// after the trap returns; the monitor's own writes go through physical
 // memory and never consult a TLB.
 func (mon *Monitor) resolveCOWForWrite(e *Enclave, va uint64) bool {
 	vaPage := va &^ uint64(mem.PageMask)
@@ -478,16 +484,10 @@ func (mon *Monitor) resolveCOWForWrite(e *Enclave, va uint64) bool {
 	}
 	resolved := mon.resolveCOWLocked(e, vaPage)
 	e.mu.Unlock()
-	if !resolved {
-		return false
+	if resolved {
+		mon.machine.Broadcast(machine.NoHart, false, flushPages, vaPage, 1, 0)
 	}
-	vpn := (vaPage & pt.VAMask) >> mem.PageBits
-	for _, c := range mon.machine.Cores {
-		mon.machine.PostIPI(c.ID, func(oc *machine.Core) {
-			oc.TLB.FlushPage(vpn)
-		})
-	}
-	return true
+	return resolved
 }
 
 // cowFault resolves a store page fault on a copy-on-write alias: copy
@@ -526,17 +526,18 @@ func (mon *Monitor) cowFault(c *machine.Core, slot slotView, tr *isa.Trap) (mach
 
 	// The faulting hart drops its own stale translation inline (it owns
 	// its core inside the trap); other harts get a targeted shootdown
-	// through their IPI mailboxes, fire-and-forget — a hart that races
-	// ahead on a stale read-only entry refaults into the spurious path
-	// above. RunOn must not be used here: two harts in simultaneous COW
+	// through their IPI mailboxes, unwaited — a hart that races ahead
+	// on a stale read-only entry refaults into the spurious path above.
+	// Waiting is not an option here: two harts in simultaneous COW
 	// faults would wait on each other's instruction boundaries.
-	c.TLB.FlushPage(vpn)
-	for _, other := range mon.machine.Cores {
-		if other.ID != c.ID {
-			mon.machine.PostIPI(other.ID, func(oc *machine.Core) {
-				oc.TLB.FlushPage(vpn)
-			})
-		}
-	}
+	mon.machine.Broadcast(c.ID, false, flushPages, vaPage, 1, 0)
 	return machine.DispResume, true
+}
+
+// flushPages is the request a page-table change sends the cores: it
+// drops core c's translations of the n virtual pages from va.
+func flushPages(c *machine.Core, va, n, _ uint64) {
+	for i := uint64(0); i < n; i++ {
+		c.TLB.FlushPage((va + i*mem.PageSize) & pt.VAMask >> mem.PageBits)
+	}
 }

@@ -130,6 +130,7 @@ func (mon *Monitor) assignThread(req api.Request, _ *callContext) api.Response {
 		return fail(api.ErrInvalidState)
 	}
 	t.State, t.Owner = ThreadOffered, eid
+	e.Threads[tid] = t
 	return ok()
 }
 
@@ -162,8 +163,8 @@ func (mon *Monitor) unassignThread(req api.Request, _ *callContext) api.Response
 
 // acceptThread completes the OS's offer of thread a0 with entry a1/a2
 // (Fig 4: accept_thread by the enclave). Called from the enclave's trap
-// context with no locks held; the enclave's own lock is taken because
-// the thread table is enclave state.
+// context with no locks held. The offer already entered the thread in
+// the enclave's table, so only the thread's own lock is taken.
 func (mon *Monitor) acceptThread(req api.Request, ctx *callContext) api.Response {
 	e, tid, entryPC, entrySP := ctx.enclave, req.Args[0], req.Args[1], req.Args[2]
 	if !e.InEvrange(entryPC) {
@@ -177,13 +178,8 @@ func (mon *Monitor) acceptThread(req api.Request, ctx *callContext) api.Response
 	if t.State != ThreadOffered || t.Owner != e.ID {
 		return fail(api.ErrInvalidState)
 	}
-	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {
-		return fail(api.ErrRetry)
-	}
-	defer e.mu.Unlock()
 	t.State = ThreadAssigned
 	t.EntryPC, t.EntrySP = entryPC, entrySP
-	e.Threads[tid] = t
 	return ok()
 }
 

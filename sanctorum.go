@@ -51,7 +51,7 @@ const (
 type Options struct {
 	Kind         Kind
 	Cores        int    // default 2
-	RegionShift  uint   // log2 region size; default 16 (64 KiB)
+	RegionShift  uint   // log2 region size; default 17 (128 KiB, 32 pages)
 	RegionCount  int    // default 64 (Sanctum's region count)
 	MonitorImage []byte // measured by secure boot; default a fixed image
 	Seed         []byte // deterministic entropy seed; default fixed
@@ -132,7 +132,7 @@ func NewSystem(opts Options) (*System, error) {
 	case Sanctum:
 		plat = sanctum.New()
 	case Keystone:
-		plat = keystone.New(layout, []int{smRegion})
+		plat = keystone.New(layout)
 	default:
 		plat = baseline.New()
 	}

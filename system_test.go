@@ -678,15 +678,17 @@ func TestSnapshotClonePool(t *testing.T) {
 // coldStartAllocs is the exact number of heap objects one Sanctum cold
 // start allocates (Go 1.24): pool Acquire, Enter, Release. What is left
 // is per-enclave metadata — the enclave, its thread, maps, the COW
-// bitmap, the worker handle — plus the batched submission's responses,
-// the cleaning and shootdown IPI requests, and the fault record of the
-// run's COW fault. Scrubbed pages are recycled, a fork's bookkeeping
-// does not grow with the template, a clone shell never starts a
-// measurement, an ECALL runs on its core's reused call context, and
-// the trap record of the run's exit lands in its core's result buffer.
+// bitmap, the worker handle — plus the batched submission's responses
+// and the fault record of the run's COW fault. Scrubbed pages are
+// recycled, a fork's bookkeeping does not grow with the template, a
+// clone shell never starts a measurement, an ECALL runs on its core's
+// reused call context, the trap record of the run's exit lands in its
+// core's result buffer, every request posted to the cores is a plain
+// function or a method value bound once, and a delete collects the
+// threads it locks on the stack.
 // The count does not depend on the host, so it is gated exactly: a
 // rise is a regression, and a fall should lower the pin.
-const coldStartAllocs = 19
+const coldStartAllocs = 14
 
 // TestColdStartAllocs pins the allocations of one pooled cold start on
 // Sanctum — Pool.Acquire, System.Enter, Pool.Release — the cycle the
