@@ -104,14 +104,16 @@ func (l Layout) Full() Bitmap {
 }
 
 // ContainsRange reports whether the whole physical range [pa, pa+n) lies
-// within regions of the set.
+// within regions of the set. A range whose end wraps past 2^64 is
+// refused: its last byte would otherwise land in a low region and the
+// region walk below would run zero times.
 func (b Bitmap) ContainsRange(l Layout, pa, n uint64) bool {
 	if n == 0 {
 		return true
 	}
-	first := l.RegionOf(pa)
-	last := l.RegionOf(pa + n - 1)
-	if first < 0 || last < 0 {
+	end := pa + n - 1
+	first, last := l.RegionOf(pa), l.RegionOf(end)
+	if end < pa || first < 0 || last < 0 {
 		return false
 	}
 	for r := first; r <= last; r++ {

@@ -123,6 +123,18 @@ func TestContainsRange(t *testing.T) {
 	}
 }
 
+// TestContainsRangeRefusesWrappingEnd: a range whose end wraps past
+// 2^64 into region 0 must be refused, even with its first and wrapped
+// last byte in member regions — region 3 lies between them.
+func TestContainsRangeRefusesWrappingEnd(t *testing.T) {
+	l := Layout{RegionShift: 16, RegionCount: 4}
+	b := Bitmap(0).Set(0).Set(1).Set(2)
+	pa := l.Base(2)
+	if b.ContainsRange(l, pa, ^uint64(0)-pa+17) {
+		t.Error("range wrapping into region 0 accepted")
+	}
+}
+
 // Property: a bitmap containing region r accepts any in-region range, and
 // the exclusive-ownership check (Intersects) is symmetric.
 func TestBitmapProperties(t *testing.T) {

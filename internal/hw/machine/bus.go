@@ -22,7 +22,7 @@ func (c *Core) FetchInstr(va uint64) (uint64, uint64, *isa.MemFault) {
 	cyc := c.cachedAccess(pa)
 	word, err := c.machine.Mem.Load(pa, 8)
 	if err != nil {
-		return 0, walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+		return 0, walkCyc + cyc, c.memFault(isa.FaultAccess, va)
 	}
 	return word, walkCyc + cyc, nil
 }
@@ -122,7 +122,7 @@ func (c *Core) fetchSlow(va uint64) (isa.Instr, uint64, *isa.MemFault) {
 // Load implements isa.Bus.
 func (c *Core) Load(va uint64, width int) (uint64, uint64, *isa.MemFault) {
 	if va&(uint64(width)-1) != 0 {
-		return 0, 0, &isa.MemFault{Kind: isa.FaultMisaligned, Addr: va}
+		return 0, 0, c.memFault(isa.FaultMisaligned, va)
 	}
 	if c.fastPath {
 		pa, walkCyc, fault := c.translateFast(&c.loadTC, va, uint64(width), pt.Load)
@@ -144,7 +144,7 @@ func (c *Core) Load(va uint64, width int) (uint64, uint64, *isa.MemFault) {
 	cyc := c.cachedAccess(pa)
 	val, err := c.machine.Mem.Load(pa, width)
 	if err != nil {
-		return 0, walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+		return 0, walkCyc + cyc, c.memFault(isa.FaultAccess, va)
 	}
 	return val, walkCyc + cyc, nil
 }
@@ -157,7 +157,7 @@ func (c *Core) Load(va uint64, width int) (uint64, uint64, *isa.MemFault) {
 // state stay identical between the fast and reference paths.
 func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 	if va&(uint64(width)-1) != 0 {
-		return 0, &isa.MemFault{Kind: isa.FaultMisaligned, Addr: va}
+		return 0, c.memFault(isa.FaultMisaligned, va)
 	}
 	if c.fastPath {
 		pa, walkCyc, fault := c.translateFast(&c.storeTC, va, uint64(width), pt.Store)
@@ -169,7 +169,7 @@ func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 			cyc = c.cachedAccessRef(pa, &c.storeRef)
 		}
 		if cow, _ := c.storeWin.StoreFast(pa, width, val); cow {
-			return walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+			return walkCyc + cyc, c.memFault(isa.FaultAccess, va)
 		}
 		return walkCyc + cyc, nil
 	}
@@ -179,7 +179,7 @@ func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 	}
 	cyc := c.cachedAccess(pa)
 	if err := c.machine.Mem.Store(pa, width, val); err != nil {
-		return walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+		return walkCyc + cyc, c.memFault(isa.FaultAccess, va)
 	}
 	return walkCyc + cyc, nil
 }

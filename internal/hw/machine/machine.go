@@ -352,6 +352,9 @@ type Core struct {
 	// resTrap is the buffer RunResult.Trap points into: the trap that
 	// ended the core's last Run, valid until its next Run.
 	resTrap isa.Trap
+	// faultRec is the buffer a failed access's fault record points
+	// into (memFault), valid until the core's next failed access.
+	faultRec isa.MemFault
 }
 
 // icEntries is the per-core decoded-instruction cache size (slots of

@@ -375,6 +375,20 @@ func TestDMADefaultDeny(t *testing.T) {
 	}
 }
 
+// TestDMATransferRefusesWrappingRange: a transfer whose length wraps
+// the source range past 2^64 into region 0 comes back as the filter's
+// refusal instead of reaching the copy, with region 7 outside the
+// allowed set between its first and its wrapped last byte.
+func TestDMATransferRefusesWrappingRange(t *testing.T) {
+	m, _ := newTestMachine(t, IsolationNone)
+	l := m.DRAM
+	allowed := l.Full().Clear(7)
+	m.DMAAllowed = func(pa, n uint64) bool { return allowed.ContainsRange(l, pa, n) }
+	if err := m.DMATransfer(l.Base(5), l.Base(6), ^uint64(0)-l.Base(5)+17); err == nil {
+		t.Fatal("wrapping DMA transfer allowed")
+	}
+}
+
 func TestClearMicroarch(t *testing.T) {
 	m, _ := newTestMachine(t, IsolationNone)
 	c := m.Cores[0]

@@ -65,6 +65,15 @@ func (c *Core) walkRoot(va uint64) (root uint64, regions dram.Bitmap) {
 	return c.Satp, c.OSRegions
 }
 
+// memFault returns the record of a failed access of the given kind at
+// va: the core's fault buffer, as resTrap is for trap records, so a
+// failed access allocates nothing. Every consumer turns the record
+// into a trap before the core's next access.
+func (c *Core) memFault(kind isa.FaultKind, va uint64) *isa.MemFault {
+	c.faultRec = isa.MemFault{Kind: kind, Addr: va}
+	return &c.faultRec
+}
+
 // translate resolves va for an access of width bytes of the given
 // access class and privilege mode, returning the physical address and
 // the cycle cost of any page walk. The width is what the isolation
@@ -76,7 +85,7 @@ func (c *Core) translate(va uint64, width uint64, acc pt.Access, mode isa.Priv) 
 	// Bare translation: identity map, physical checks still apply.
 	if root == 0 {
 		if !c.physOK(va, width, acc, mode, regions) {
-			return 0, 0, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+			return 0, 0, c.memFault(isa.FaultAccess, va)
 		}
 		return va, 0, nil
 	}
@@ -84,7 +93,7 @@ func (c *Core) translate(va uint64, width uint64, acc pt.Access, mode isa.Priv) 
 	vpn := (va & pt.VAMask) >> mem.PageBits
 	if e, ok := c.TLB.Lookup(vpn); ok {
 		if !tlbPermOK(e.Perms, acc, mode) {
-			return 0, 0, &isa.MemFault{Kind: isa.FaultPage, Addr: va}
+			return 0, 0, c.memFault(isa.FaultPage, va)
 		}
 		return e.PPN<<mem.PageBits | va&mem.PageMask, 0, nil
 	}
@@ -112,10 +121,10 @@ func (c *Core) translate(va uint64, width uint64, acc pt.Access, mode isa.Priv) 
 		if wfault.Kind == pt.FaultPhysAccess {
 			kind = isa.FaultAccess
 		}
-		return 0, walkCycles, &isa.MemFault{Kind: kind, Addr: va}
+		return 0, walkCycles, c.memFault(kind, va)
 	}
 	if !c.physOK(res.PA, width, acc, mode, regions) {
-		return 0, walkCycles, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
+		return 0, walkCycles, c.memFault(isa.FaultAccess, va)
 	}
 	c.TLB.Insert(tlb.Entry{VPN: vpn, PPN: res.PA >> mem.PageBits, Perms: res.Perms})
 	return res.PA, walkCycles, nil

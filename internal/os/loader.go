@@ -1,6 +1,7 @@
 package os
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -114,20 +115,57 @@ func submit(o *OS, reqs []api.Request, label func(i int) string) error {
 	return nil
 }
 
+// discard unwinds a failed build or fork of enclave eid: it deletes the
+// enclave, cleans each of regions the deletion left blocked, and
+// returns eid's metadata page to the allocator. It returns the regions
+// it cleaned; a region the enclave never received is not blocked, so
+// its clean is refused and it stays as it was. Best-effort — the
+// failure being unwound is the one reported.
+func (o *OS) discard(eid uint64, regions []int) (cleaned []int) {
+	if o.SM.DeleteEnclave(eid) == nil {
+		for _, r := range regions {
+			if o.SM.CleanRegion(r) == nil {
+				cleaned = append(cleaned, r)
+			}
+		}
+	}
+	o.ReleaseMetaPage(eid)
+	return cleaned
+}
+
 // BuildEnclave drives the monitor's loading API (Fig 3) end to end:
 // create, grant, allocate tables, load pages, map shared windows, load
 // threads, init. The call sequence is canonical so that
 // ExpectedMeasurement predicts the result exactly. Calls that need no
-// inter-call staging travel as batched submissions, which lets the
-// monitor hold the enclave's transaction lock across the sequence
-// instead of re-acquiring it per call; page loads are staged through
-// the kernel's staging page one at a time, exactly as an S-mode kernel
-// would reuse a bounce buffer.
-func (o *OS) BuildEnclave(spec *EnclaveSpec) (*BuiltEnclave, error) {
+// inter-call staging travel as batched submissions, each element a
+// lone monitor call; page loads are staged through the kernel's
+// staging page one at a time, exactly as an S-mode kernel would reuse
+// a bounce buffer. A failed build leaves nothing behind: the enclave is
+// deleted, the regions it was granted are cleaned and granted back to
+// the OS, and its threads are deleted, all pages returned.
+func (o *OS) BuildEnclave(spec *EnclaveSpec) (_ *BuiltEnclave, err error) {
 	eid, err := o.AllocMetaPage()
 	if err != nil {
 		return nil, err
 	}
+	built := &BuiltEnclave{EID: eid}
+	defer func() {
+		if err == nil {
+			return
+		}
+		// Best-effort, like discard: the build's own error is the one
+		// reported, so a refused grant-back leaves its region cleaned.
+		for _, r := range o.discard(eid, spec.Regions) {
+			_ = o.SM.GrantRegion(r, api.DomainOS)
+		}
+		for _, tid := range built.TIDs {
+			// A thread never loaded is unknown to the monitor: its page
+			// is free as well.
+			if terr := o.SM.DeleteThread(tid); terr == nil || errors.Is(terr, api.ErrInvalidValue) {
+				o.ReleaseMetaPage(tid)
+			}
+		}
+	}()
 
 	var vas []uint64
 	for _, p := range spec.Pages {
@@ -179,7 +217,6 @@ func (o *OS) BuildEnclave(spec *EnclaveSpec) (*BuiltEnclave, error) {
 	// load — sealing a partially built enclave would finalize a bogus
 	// measurement instead of leaving the enclave Loading (and
 	// deletable).
-	built := &BuiltEnclave{EID: eid}
 	contents := &batch{}
 	for _, s := range spec.Shared {
 		contents.add(fmt.Sprintf("map_shared(va=%#x)", s.VA),

@@ -11,7 +11,6 @@ package os
 
 import (
 	"fmt"
-	"sort"
 
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/mem"
@@ -63,13 +62,13 @@ type OS struct {
 // metadata.
 func New(m *machine.Machine, mon smcall.Dispatcher, kernelRegion, metaRegion int) (*OS, error) {
 	o := &OS{M: m, SM: smcall.New(mon), kernelRegion: kernelRegion, metaRegion: metaRegion}
-	if st, owner, err := o.SM.RegionInfo(kernelRegion); err != nil || st != api.RegionOwned || owner != api.DomainOS {
+	layout := m.DRAM
+	if !o.owns(layout.Base(kernelRegion), layout.RegionSize()) {
 		return nil, fmt.Errorf("os: kernel region %d not OS-owned", kernelRegion)
 	}
 	if err := o.SM.GrantRegion(metaRegion, api.DomainSM); err != nil {
 		return nil, fmt.Errorf("os: granting metadata region: %w", err)
 	}
-	layout := m.DRAM
 	o.nextPage = layout.Base(kernelRegion) >> mem.PageBits
 	o.endPage = o.nextPage + layout.PagesPerRegion()
 	if o.nextPage == 0 {
@@ -161,40 +160,26 @@ func (o *OS) StagePage() (uint64, error) {
 	return o.stagePA, nil
 }
 
-// ownsRegion checks one region is Owned by the OS, through the client
-// (which absorbs ErrRetry centrally — the hand-rolled per-caller loops
-// of the pre-ABI surface are gone).
-func (o *OS) ownsRegion(r int) bool {
-	st, owner, err := o.SM.RegionInfo(r)
-	return err == nil && st == api.RegionOwned && owner == api.DomainOS
+// owns reports whether [pa, pa+n) lies wholly in memory the OS owns,
+// as the hardware sees it: the live OS-owned set the monitor installs
+// as the machine's DMA filter (Machine.DMAAllowed), which refuses a
+// range whose end wraps. An S-mode kernel just stores; the hardware
+// refuses a region that is not the OS's, so no monitor call is needed.
+func (o *OS) owns(pa, n uint64) bool {
+	return o.M.DMAAllowed != nil && o.M.DMAAllowed(pa, n)
 }
 
-// checkOwned fails unless [pa, pa+n) lies wholly in memory the OS
-// owns, asking the monitor about each region the range touches: the
-// one range-and-ownership check behind WriteOwned and readOwnedInto.
+// checkOwned is owns as the error behind WriteOwned and readOwnedInto;
 // op names the access in the error.
 func (o *OS) checkOwned(pa uint64, n int, op string) error {
-	// The end-of-range computation must not wrap: for pa near 2^64,
-	// pa+n-1 overflows to a small address whose region lookup could
-	// succeed and bypass the ownership walk below.
-	if pa > ^uint64(0)-(uint64(n)-1) {
-		return fmt.Errorf("os: %s outside memory", op)
-	}
-	first := o.M.DRAM.RegionOf(pa)
-	last := o.M.DRAM.RegionOf(pa + uint64(n) - 1)
-	if first < 0 || last < 0 {
-		return fmt.Errorf("os: %s outside memory", op)
-	}
-	for r := first; r <= last; r++ {
-		if !o.ownsRegion(r) {
-			return fmt.Errorf("os: region %d is not ours", r)
-		}
+	if !o.owns(pa, uint64(n)) {
+		return fmt.Errorf("os: %s of %d bytes at %#x outside OS-owned memory", op, n, pa)
 	}
 	return nil
 }
 
-// WriteOwned writes bytes into OS-owned physical memory after checking
-// ownership with the monitor — the simulation stand-in for an S-mode
+// WriteOwned writes bytes into OS-owned physical memory after the
+// hardware's ownership check — the simulation stand-in for an S-mode
 // kernel store into its own memory.
 func (o *OS) WriteOwned(pa uint64, data []byte) error {
 	if len(data) == 0 {
@@ -343,17 +328,14 @@ func (o *OS) GetField(f api.Field) ([]byte, error) {
 func (o *OS) ABIVersion() (uint64, error) { return o.SM.ABIVersion() }
 
 // FreeRegions returns the OS-owned regions other than the kernel
-// region, sorted ascending — candidates for granting to enclaves.
+// region, ascending — candidates for granting to enclaves.
 func (o *OS) FreeRegions() []int {
 	var out []int
-	for r := 0; r < o.M.DRAM.RegionCount; r++ {
-		if r == o.kernelRegion {
-			continue
-		}
-		if o.ownsRegion(r) {
+	layout := o.M.DRAM
+	for r := 0; r < layout.RegionCount; r++ {
+		if r != o.kernelRegion && o.owns(layout.Base(r), layout.RegionSize()) {
 			out = append(out, r)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -141,16 +141,8 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 		// exist and may own some of the regions (deleting it blocks
 		// them; cleaning makes them grantable again). The regions were
 		// never removed from freeRegions, and the metadata pages return
-		// to their allocators. Best-effort — the original error is the
-		// one reported.
-		if delErr := p.o.SM.DeleteEnclave(eid); delErr == nil {
-			for _, r := range regions {
-				if st, _, infoErr := p.o.SM.RegionInfo(r); infoErr == nil && st == api.RegionBlocked {
-					p.o.SM.CleanRegion(r)
-				}
-			}
-		}
-		p.o.ReleaseMetaPage(eid)
+		// to their allocators.
+		p.o.discard(eid, regions)
 		if p.nThreads > 0 {
 			p.freeTIDBases = append(p.freeTIDBases, tidBase)
 		}

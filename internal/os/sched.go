@@ -56,19 +56,18 @@ type SchedConfig struct {
 	// SliceSteps bounds host instructions per drive slice (the
 	// deterministic interleave granularity). Default 50000.
 	SliceSteps int
-	// Cores lists the cores to schedule on. Default: all cores.
-	Cores []int
 }
 
-// Scheduler timeshares enclave threads over cores. Create with
-// OS.NewScheduler; drive with RunAll or Serve, one call at a time. A
+// Scheduler timeshares enclave threads over every core of the machine.
+// Create with OS.NewScheduler; drive with RunAll, one call at a time. A
 // scheduler may be driven any number of times: each call reuses the
 // buffers of the last, so a long-lived scheduler (the gateway's, one
 // RunAll per wave) allocates nothing per call once they have grown.
 type Scheduler struct {
-	o   *OS
-	cfg SchedConfig
-	drv *machine.Scheduler
+	o     *OS
+	cfg   SchedConfig
+	drv   *machine.Scheduler
+	cores []int // every core id, the cores Drive slices
 	// sliceFn is the slice method value, bound once: Drive hands it to
 	// goroutines in parallel mode, so a fresh one would escape per call.
 	sliceFn func(coreID int) bool
@@ -79,9 +78,6 @@ type Scheduler struct {
 	results   []TaskResult
 	arena     []schedTask // RunAll's task records, reused across calls
 	remaining int         // submitted but unfinished tasks
-	feed      <-chan Task // Serve's live submission channel
-	accepting bool        // feed may still yield tasks
-	nextIdx   int         // submission order, for stable results
 
 	// wake parks idle parallel workers: one buffered token, sent by
 	// whatever makes work available (enqueue, requeue, finish) and by
@@ -107,11 +103,6 @@ func (o *OS) NewScheduler(cfg SchedConfig) *Scheduler {
 	if cfg.SliceSteps <= 0 {
 		cfg.SliceSteps = 50_000
 	}
-	if len(cfg.Cores) == 0 {
-		for i := range o.M.Cores {
-			cfg.Cores = append(cfg.Cores, i)
-		}
-	}
 	if cfg.Mode == machine.SchedParallel {
 		o.M.SetConcurrent(true)
 	}
@@ -121,6 +112,9 @@ func (o *OS) NewScheduler(cfg SchedConfig) *Scheduler {
 		drv:     machine.NewScheduler(o.M, cfg.Mode),
 		current: make([]*schedTask, len(o.M.Cores)),
 		wake:    make(chan struct{}, 1),
+	}
+	for i := range o.M.Cores {
+		s.cores = append(s.cores, i)
 	}
 	s.sliceFn = s.slice
 	return s
@@ -142,64 +136,30 @@ func (s *Scheduler) signal() {
 // never contends; parallel mode counts real cross-hart collisions.
 func (s *Scheduler) Retries() uint64 { return s.o.SM.Retries() }
 
-// RunAll timeshares the given tasks across the configured cores until
-// every task has finished, and returns their results — only theirs —
-// in submission order. The returned slice belongs to the scheduler and
-// is valid until its next RunAll or Serve.
+// RunAll timeshares the given tasks across every core until every task
+// has finished, and returns their results in submission order. The
+// returned slice belongs to the scheduler and is valid until its next
+// RunAll. The previous call's records are reused: every task of it has
+// finished, so none is still referenced.
 func (s *Scheduler) RunAll(tasks []Task) []TaskResult {
 	s.mu.Lock()
-	s.resetLocked()
+	s.results = s.results[:0]
 	if len(s.arena) < len(tasks) {
 		s.arena = make([]schedTask, len(tasks))
 	}
 	for i, t := range tasks {
-		s.enqueueLocked(&s.arena[i], t)
+		st := &s.arena[i]
+		*st = schedTask{idx: i, res: TaskResult{Task: t}}
+		if t.MaxSteps > 0 {
+			st.bounded = true
+			st.budget = t.MaxSteps
+		}
+		s.queue = append(s.queue, st)
 	}
-	s.accepting = false
+	s.remaining += len(tasks)
 	s.mu.Unlock()
-	return s.drive()
-}
-
-// Serve consumes tasks from a channel until it is closed and all
-// accepted tasks have finished — the scheduler's long-running "system
-// under load" mode. Results come back ordered by admission; in
-// parallel mode two tasks received nearly simultaneously by different
-// idle workers may be admitted in either order. The returned slice is
-// valid until the scheduler's next RunAll or Serve.
-func (s *Scheduler) Serve(tasks <-chan Task) []TaskResult {
-	s.mu.Lock()
-	s.resetLocked()
-	s.feed = tasks
-	s.accepting = true
-	s.mu.Unlock()
-	return s.drive()
-}
-
-// resetLocked starts a RunAll or Serve call: the previous call's
-// results and submission numbering are dropped (every task of it has
-// finished, so no record is still referenced).
-func (s *Scheduler) resetLocked() {
-	s.results = s.results[:0]
-	s.nextIdx = 0
-	s.feed = nil
-}
-
-// enqueueLocked fills st — an arena record or a fresh one — for t and
-// makes it runnable.
-func (s *Scheduler) enqueueLocked(st *schedTask, t Task) {
-	*st = schedTask{idx: s.nextIdx, res: TaskResult{Task: t}}
-	if t.MaxSteps > 0 {
-		st.bounded = true
-		st.budget = t.MaxSteps
-	}
-	s.nextIdx++
-	s.remaining++
-	s.queue = append(s.queue, st)
 	s.signal()
-}
-
-func (s *Scheduler) drive() []TaskResult {
-	s.drv.Drive(s.cfg.Cores, s.sliceFn)
+	s.drv.Drive(s.cores, s.sliceFn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slices.SortFunc(s.results, func(a, b TaskResult) int { return a.submitIdx - b.submitIdx })
@@ -212,65 +172,29 @@ func (s *Scheduler) slice(coreID int) bool {
 	t := s.takeFor(coreID)
 	if t == nil {
 		s.mu.Lock()
-		done := s.remaining == 0 && !s.accepting
-		feed, accepting := s.feed, s.accepting
+		done := s.remaining == 0
 		s.mu.Unlock()
 		if done {
 			s.signal() // chain the wakeup so every parked sibling drains too
 			return false
 		}
 		if s.cfg.Mode == machine.SchedParallel {
-			s.park(feed, accepting)
+			// Park until work may exist again: a wake token from an
+			// enqueue, requeue, finish or drain. Without parking, cores
+			// with no runnable task would spin at full host speed —
+			// wasting a host CPU per idle core and distorting the
+			// scaling numbers the benchmarks measure.
+			<-s.wake
 			return true
 		}
 		// Deterministic mode is one goroutine round-robining every
 		// core; it must not block while work is in flight — what it is
-		// "waiting" for sits on another core of this same loop. But
-		// when nothing is in flight at all and the feed is still open,
-		// a blocking receive is provably safe and avoids spinning the
-		// host CPU between Serve submissions.
-		s.mu.Lock()
-		quiescent := s.remaining == 0 && len(s.queue) == 0 && s.accepting
-		s.mu.Unlock()
-		if quiescent && feed != nil {
-			task, ok := <-feed
-			s.mu.Lock()
-			if ok {
-				s.enqueueLocked(new(schedTask), task)
-			} else {
-				s.accepting = false
-			}
-			s.mu.Unlock()
-			return true
-		}
+		// "waiting" for sits on another core of this same loop.
 		runtime.Gosched()
 		return true
 	}
 	s.runSlice(coreID, t)
 	return true
-}
-
-// park blocks an idle parallel worker until work may exist again: a
-// wake token (enqueue, requeue, finish, drain) or a Serve submission.
-// Without parking, cores with no runnable task would spin at full host
-// speed — wasting a host CPU per idle core and distorting the scaling
-// numbers the benchmarks measure.
-func (s *Scheduler) park(feed <-chan Task, accepting bool) {
-	if !accepting {
-		feed = nil // a nil channel never selects: wait on wake alone
-	}
-	select {
-	case task, ok := <-feed:
-		s.mu.Lock()
-		if ok {
-			s.enqueueLocked(new(schedTask), task)
-		} else {
-			s.accepting = false
-		}
-		s.mu.Unlock()
-		s.signal()
-	case <-s.wake:
-	}
 }
 
 // takeFor returns the task bound to the core (mid-execution from an
@@ -282,7 +206,6 @@ func (s *Scheduler) takeFor(coreID int) *schedTask {
 		s.mu.Unlock()
 		return t
 	}
-	s.pollFeedLocked()
 	if len(s.queue) == 0 {
 		s.mu.Unlock()
 		return nil
@@ -326,25 +249,6 @@ func (s *Scheduler) takeFor(coreID int) *schedTask {
 	s.current[coreID] = t
 	s.mu.Unlock()
 	return t
-}
-
-// pollFeedLocked moves any ready Serve submissions onto the run queue.
-func (s *Scheduler) pollFeedLocked() {
-	if !s.accepting || s.feed == nil {
-		return
-	}
-	for {
-		select {
-		case t, ok := <-s.feed:
-			if !ok {
-				s.accepting = false
-				return
-			}
-			s.enqueueLocked(new(schedTask), t)
-		default:
-			return
-		}
-	}
 }
 
 // runSlice drives the task currently on coreID for one bounded slice

@@ -55,7 +55,7 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 		if caller == nil {
 			return nil, api.ErrUnauthorized
 		}
-		return mon.directory(caller.ID, false), api.OK
+		return mon.directory(caller, false), api.OK
 	case api.FieldEnclaveGrants:
 		// Grant id[8] ‖ role[8] ‖ byte size[8] per grant the caller is
 		// an endpoint of, in creation order — how a cloned worker
@@ -63,7 +63,7 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 		if caller == nil {
 			return nil, api.ErrUnauthorized
 		}
-		return mon.directory(caller.ID, true), api.OK
+		return mon.directory(caller, true), api.OK
 	default:
 		return nil, api.ErrInvalidValue
 	}

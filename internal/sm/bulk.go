@@ -78,7 +78,7 @@ func (mon *Monitor) bulkGrant(req api.Request, _ *callContext) api.Response {
 		!mon.osOwnsRange(basePA, size) {
 		return fail(api.ErrInvalidValue)
 	}
-	return mon.lockEndpoints(req.Args[0], req.Args[3], req.Args[4], func(p endpoints) object {
+	return mon.lockEndpoints(req.Args[0], req.Args[3], req.Args[4], func(p endpoints) link {
 		for pg := uint64(0); pg < pages; pg++ {
 			mon.machine.Mem.Retain(basePA + pg*mem.PageSize)
 		}
@@ -213,7 +213,7 @@ func (mon *Monitor) bulkRevoke(req api.Request, _ *callContext) api.Response {
 		mon.machine.Mem.ReleaseRef(g.BasePA + p*mem.PageSize)
 	}
 	mon.objMu.Lock()
-	mon.unregister(grantID)
+	mon.unlink(g)
 	mon.objMu.Unlock()
 	unwind()
 	for _, m := range mappings {

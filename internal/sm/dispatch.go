@@ -64,9 +64,8 @@ func (ctx *callContext) hart() int {
 // context (nil for a host-side call) and unpacks its own arguments.
 // Calls that operate on a caller-named enclave under its
 // transaction lock (the enclave-build sequence) provide encHandler
-// instead: dispatch looks the enclave named by Args[0] up and locks it,
-// and DispatchBatch keeps it locked across consecutive same-enclave
-// requests to amortize the per-call locking.
+// instead: dispatch looks the enclave named by Args[0] up and holds its
+// lock for the handler's transaction.
 type callDef struct {
 	name       string
 	domains    uint8
@@ -231,64 +230,21 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 
 // DispatchBatch submits a sequence of OS-domain calls in order,
 // returning one Response per Request. A batch is a sequence, not a
-// transaction: each element has exactly the semantics of a lone
-// Dispatch, and an element's failure does not roll back its
-// predecessors. Two things distinguish it from a caller-side loop:
-//
-//   - Lock amortization: consecutive requests naming the same enclave
-//     (the hot enclave-build sequence — allocate tables, load N pages,
-//     init) hold the enclave's transaction lock once across the run
-//     instead of acquiring and releasing it per call.
-//   - Contention cut: the first ErrRetry stops the batch at that
-//     element; it and every later element return ErrRetry unexecuted,
-//     so the caller can re-submit the tail without re-running the
-//     completed prefix (the smcall client does this automatically).
+// transaction: each element is exactly a lone Dispatch, holding no lock
+// once it returns, and an element's failure does not roll back its
+// predecessors. The one thing a batch adds to a caller-side loop is the
+// contention cut: the first ErrRetry stops the batch at that element;
+// it and every later element return ErrRetry unexecuted, so the caller
+// can re-submit the tail without re-running the completed prefix (the
+// smcall client does this automatically).
 func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 	out := make([]api.Response, len(reqs))
-	var held *Enclave
-	var heldID uint64
-	release := func() {
-		if held != nil {
-			held.mu.Unlock()
-			held = nil
-		}
-	}
-	defer release()
 	for i := range reqs {
-		req := reqs[i]
-		def := callDefOf(req.Call)
-		if def != nil && def.encHandler != nil &&
-			req.Caller == api.DomainOS && def.domains&domainOS != 0 {
-			if held == nil || heldID != req.Args[0] {
-				release()
-				e, st := lookup[*Enclave](mon, LockEnclave, req.Args[0])
-				if st == api.ErrRetry {
-					for j := i; j < len(reqs); j++ {
-						out[j] = fail(api.ErrRetry)
-					}
-					return out
-				}
-				if st != api.OK {
-					out[i] = fail(st)
-					continue
-				}
-				held, heldID = e, req.Args[0]
-			}
-			out[i] = def.encHandler(mon, held, req)
-		} else {
-			// Anything else — including unknown or unauthorized calls —
-			// takes the single-call path; the held lock is released
-			// first so a call touching the same enclave through another
-			// lock order (grant, delete) cannot self-deadlock.
-			release()
-			out[i] = mon.dispatch(req, nil)
-		}
-		if out[i].Status == api.ErrRetry {
-			release()
+		if out[i] = mon.dispatch(reqs[i], nil); out[i].Status == api.ErrRetry {
 			for j := i + 1; j < len(reqs); j++ {
 				out[j] = fail(api.ErrRetry)
 			}
-			return out
+			break
 		}
 	}
 	return out

@@ -94,9 +94,8 @@ func teardownBuilt(b *testing.B, f *fixture, slot, region int) {
 
 // BenchmarkDispatchBatch compares the hot multi-call sequence — an
 // enclave build of create + tables + 12 load_page + init — submitted as
-// individual Dispatch calls versus one DispatchBatch, which holds the
-// enclave's transaction lock across consecutive same-enclave elements
-// instead of re-acquiring it per call.
+// individual Dispatch calls versus one DispatchBatch, which runs the
+// same lone calls behind one entry and one contention cut.
 func BenchmarkDispatchBatch(b *testing.B) {
 	const nPages = 12
 	run := func(b *testing.B, batched bool) {
@@ -124,37 +123,4 @@ func BenchmarkDispatchBatch(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, false) })
 	b.Run("batched", func(b *testing.B) { run(b, true) })
-
-	// The build sequence is dominated by page copies and measurement
-	// hashing, which drown the locking cost — so also isolate the
-	// amortization itself with a metadata-only burst: 64 enclave_status
-	// calls against one enclave, where per-call lock traffic is the
-	// entire cost.
-	const burst = 64
-	statusRun := func(b *testing.B, batched bool) {
-		f := newFixture(b)
-		eid := f.createLoading(b, 0, 10)
-		reqs := make([]api.Request, burst)
-		for i := range reqs {
-			reqs[i] = api.OSRequest(api.CallEnclaveStatus, eid, 0)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if batched {
-				for _, resp := range f.mon.DispatchBatch(reqs) {
-					if resp.Status != api.OK {
-						b.Fatal(resp.Status)
-					}
-				}
-			} else {
-				for j := range reqs {
-					if resp := f.mon.Dispatch(reqs[j]); resp.Status != api.OK {
-						b.Fatal(resp.Status)
-					}
-				}
-			}
-		}
-	}
-	b.Run("status-burst-sequential", func(b *testing.B) { statusRun(b, false) })
-	b.Run("status-burst-batched", func(b *testing.B) { statusRun(b, true) })
 }

@@ -304,6 +304,34 @@ func TestDispatchBatchContentionCut(t *testing.T) {
 	}
 }
 
+// TestDispatchBatchElementsAreLoneCalls: a batch holds no lock between
+// elements, so every element naming an enclave takes that enclave's
+// transaction lock itself, exactly as a lone Dispatch does.
+func TestDispatchBatchElementsAreLoneCalls(t *testing.T) {
+	f := newFixture(t)
+	eid := f.createLoading(t, 0, 10)
+	acquired := 0
+	f.mon.SetLockFaultHook(func(lp LockPoint) bool {
+		if lp.Kind == LockEnclave && lp.ID == eid {
+			acquired++
+		}
+		return false
+	})
+	defer f.mon.SetLockFaultHook(nil)
+	reqs := make([]api.Request, 4)
+	for i := range reqs {
+		reqs[i] = api.OSRequest(api.CallEnclaveStatus, eid, 0)
+	}
+	for i, resp := range f.mon.DispatchBatch(reqs) {
+		if resp.Status != api.OK {
+			t.Fatalf("element %d: %v", i, resp.Status)
+		}
+	}
+	if acquired != len(reqs) {
+		t.Fatalf("batch of %d took the enclave lock %d times, want once per element", len(reqs), acquired)
+	}
+}
+
 // FuzzDispatch throws arbitrary requests at the monitor: nothing may
 // panic, and any request claiming a non-OS caller must be refused
 // without reaching a handler.

@@ -72,6 +72,12 @@ type Enclave struct {
 	running   int // threads currently on cores
 	Mailboxes [api.MailboxesPerEnclave]Mailbox
 
+	// links are the live rings and grants naming this enclave as an
+	// endpoint, in creation order, guarded by the monitor's objMu:
+	// lockEndpoints appends under e's lock, and ring_destroy and
+	// bulk_revoke remove at unregister.
+	links []link
+
 	// Snapshot/clone state (DESIGN.md §8). CloneOf names the snapshot
 	// this enclave was forked from (0 for a directly built enclave).
 	// snap is the snapshot whose table cow indexes: for a template
@@ -385,22 +391,13 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	// snapshot: a freed eid could otherwise be recreated and inherit the
 	// dead enclave's rings — including undelivered messages meant for
 	// the previous tenant — and a revoke relies on its endpoints
-	// existing. The OS destroys and revokes them first. Endpoint
-	// identities are immutable, and lockEndpoints registers only while
-	// holding the endpoint enclave's lock (held here for the whole
-	// transaction), so the scan cannot race a new attachment.
-	busy := false
+	// existing. The OS destroys and revokes them first. lockEndpoints
+	// links only while holding the endpoint enclave's lock (held here
+	// for the whole transaction), so no link can appear after the check.
 	mon.objMu.RLock()
-	for _, o := range mon.objects {
-		switch o := o.(type) {
-		case *Ring:
-			busy = busy || o.isEndpoint(eid)
-		case *Grant:
-			busy = busy || o.isEndpoint(eid)
-		}
-	}
+	linked := len(e.links) > 0
 	mon.objMu.RUnlock()
-	if busy {
+	if linked {
 		return fail(api.ErrInvalidState)
 	}
 	if e.CloneOf != 0 {

@@ -49,6 +49,7 @@ type EnclaveShot struct {
 	COW         map[uint64]uint64 // va -> frozen ppn still aliased
 	ROAliases   []uint64
 	Mailboxes   [api.MailboxesPerEnclave]Mailbox
+	Links       []uint64 // ids of its linked rings and grants, in list order
 }
 
 // ThreadShot is one thread's invariant-relevant state.
@@ -166,7 +167,13 @@ func (mon *Monitor) CaptureState() *StateSnapshot {
 		unlock := snapLock(&o.hdr().mu)
 		switch o := o.(type) {
 		case *Enclave:
-			s.Enclaves[id] = captureEnclave(o)
+			shot := captureEnclave(o)
+			mon.objMu.RLock()
+			for _, l := range o.links {
+				shot.Links = append(shot.Links, l.ends().ID)
+			}
+			mon.objMu.RUnlock()
+			s.Enclaves[id] = shot
 		case *Thread:
 			s.Threads[id] = ThreadShot{State: o.State, Owner: o.Owner,
 				EntryPC: o.EntryPC, EntrySP: o.EntrySP, CoreID: o.CoreID, AEXValid: o.AEXValid}
@@ -479,10 +486,47 @@ func (mon *Monitor) CheckInvariants() error {
 	// non-empty ring holding one is a lost wake. A grant's in-flight
 	// count is exactly its descriptor messages queued across rings, and
 	// queued descriptors name live grants (revoke refuses while any is
-	// queued).
+	// queued). Each enclave links exactly the live rings and grants
+	// naming it, each once, in creation order; a capture carries no
+	// creation clock, so the order law it can check is that enclaves
+	// sharing links list them in the same order.
+	linkAt := make(map[uint64]map[uint64]int) // eid -> link id -> index
+	for eid, e := range s.Enclaves {
+		at := make(map[uint64]int, len(e.Links))
+		for i, id := range e.Links {
+			r, ring := s.Rings[id]
+			g, grant := s.Grants[id]
+			_, dup := at[id]
+			if dup || !(ring && (r.Producer == eid || r.Consumer == eid)) &&
+				!(grant && (g.Producer == eid || g.Consumer == eid)) {
+				return fmt.Errorf("enclave %#x links %#x, not a live ring or grant naming it once", eid, id)
+			}
+			at[id] = i
+		}
+		linkAt[eid] = at
+	}
+	for a := range linkAt {
+		for b, bt := range linkAt {
+			if a >= b {
+				continue
+			}
+			last := -1
+			for _, id := range s.Enclaves[a].Links {
+				if j, shared := bt[id]; shared {
+					if j < last {
+						return fmt.Errorf("enclaves %#x and %#x list their shared links in different orders", a, b)
+					}
+					last = j
+				}
+			}
+		}
+	}
 	endpointLive := func(kind string, id, who uint64) error {
 		if _, ok := s.Enclaves[who]; who != api.DomainOS && !ok {
 			return fmt.Errorf("%s %#x endpoint %#x is dead", kind, id, who)
+		}
+		if _, ok := linkAt[who][id]; who != api.DomainOS && !ok {
+			return fmt.Errorf("%s %#x endpoint %#x does not link it", kind, id, who)
 		}
 		return nil
 	}

@@ -36,17 +36,24 @@ func TestCheckInvariantsThroughLifecycle(t *testing.T) {
 	}
 	check("snapshot with live clone")
 
-	ring := f.metaPage(6)
+	ring, ring2 := f.metaPage(6), f.metaPage(7)
 	if st := f.call(api.CallRingCreate, ring, api.DomainOS, clone, 8); st != api.OK {
 		t.Fatalf("ring create: %v", st)
 	}
-	check("ring attached")
+	if st := f.call(api.CallRingCreate, ring2, tmpl, clone, 8); st != api.OK {
+		t.Fatalf("second ring create: %v", st)
+	}
+	check("rings attached")
 
 	grant := f.metaPage(8)
 	if st := f.call(api.CallBulkGrant, grant, f.m.DRAM.Base(2), 2, api.DomainOS, clone); st != api.OK {
 		t.Fatalf("bulk grant: %v", st)
 	}
 	check("grant live")
+	if st := f.call(api.CallRingDestroy, ring); st != api.OK {
+		t.Fatalf("ring destroy: %v", st)
+	}
+	check("first ring destroyed")
 	if st := f.call(api.CallBulkRevoke, grant); st != api.OK {
 		t.Fatalf("bulk revoke: %v", st)
 	}
@@ -59,7 +66,10 @@ func TestCheckInvariantsThroughLifecycle(t *testing.T) {
 		t.Fatalf("clean: %v", st)
 	}
 
-	if st := f.call(api.CallRingDestroy, ring); st != api.OK {
+	if st := f.DeleteEnclave(clone); st != api.ErrInvalidState {
+		t.Fatalf("delete of a linked clone: %v, want invalid_state", st)
+	}
+	if st := f.call(api.CallRingDestroy, ring2); st != api.OK {
 		t.Fatalf("ring destroy: %v", st)
 	}
 	if st := f.DeleteEnclave(clone); st != api.OK {
@@ -119,6 +129,33 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("skewed in-flight count not caught: %v", err)
 	}
 	g.inflight.Add(-1)
+
+	// An enclave whose links lose a ring that names it (its delete would
+	// no longer be refused), then two enclaves listing their two shared
+	// rings in opposite orders.
+	a, b := f.createLoading(t, 0, 20), f.createLoading(t, 1, 21)
+	r1, r2 := f.metaPage(2), f.metaPage(3)
+	for _, r := range []uint64{r1, r2} {
+		if st := f.call(api.CallRingCreate, r, a, b, 8); st != api.OK {
+			t.Fatalf("ring create: %v", st)
+		}
+	}
+	ea, eb := f.enclave(a), f.enclave(b)
+	links := ea.links
+	ea.links = links[:1]
+	err = f.mon.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "does not link it") {
+		t.Fatalf("dropped link not caught: %v", err)
+	}
+	ea.links = []link{links[1], links[0]}
+	err = f.mon.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "different orders") {
+		t.Fatalf("reordered links not caught: %v", err)
+	}
+	ea.links = links
+	if got := f.mon.CaptureState().Enclaves[b].Links; len(got) != 2 || got[0] != r1 || got[1] != r2 || len(eb.links) != 2 {
+		t.Fatalf("consumer links %#x, want [%#x %#x]", got, r1, r2)
+	}
 
 	if err := f.mon.CheckInvariants(); err != nil {
 		t.Fatalf("state not restored: %v", err)

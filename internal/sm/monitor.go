@@ -26,10 +26,11 @@
 //     api.ErrRetry ("the SM fails transactions in case of a concurrent
 //     operation") without having changed any state; callers retry.
 //   - The object registry — one map from metadata page to enclave,
-//     thread, snapshot, ring or grant — sits behind objMu, a
-//     reader/writer lock held only for map operations, never while
-//     waiting for another hart. One generic lookup fetches an object,
-//     TryLocks it and re-checks its dead flag.
+//     thread, snapshot, ring or grant — and each enclave's links to the
+//     rings and grants naming it sit behind objMu, a reader/writer lock
+//     held only for map and list operations, never while waiting for
+//     another hart. One generic lookup fetches an object, TryLocks it
+//     and re-checks its dead flag.
 //   - The OS-owned region set is a single atomic bitmap (osBitmap),
 //     updated by whichever transaction moves a region and read without
 //     locks by the DMA policy and ownership checks.
@@ -114,15 +115,14 @@ type Monitor struct {
 
 	signingMeasurement [32]byte
 
-	// objMu guards the object registry and the metadata regions; it is
-	// held only across map reads/writes. The objects themselves carry
-	// their own transaction locks (per-object header, per-region,
-	// per-core-slot), taken with TryLock so transactions fail with
-	// ErrRetry instead of blocking (§V-A).
+	// objMu guards the object registry, the metadata regions and every
+	// enclave's links; it is held only across map and list operations.
+	// The objects themselves carry their own transaction locks
+	// (per-object header, per-region, per-core-slot), taken with TryLock
+	// so transactions fail with ErrRetry instead of blocking (§V-A).
 	objMu   sync.RWMutex
 	metaRgn map[int]bool      // SM regions usable for metadata
 	objects map[uint64]object // every live object, by its metadata page
-	pairSeq uint64            // ring and grant creation order (under objMu)
 
 	regions []regionMeta
 	cores   []coreSlot

@@ -24,7 +24,6 @@ package sm
 // monitor still verifies).
 
 import (
-	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -32,16 +31,22 @@ import (
 	"sanctorum/internal/sm/api"
 )
 
-// endpoints is what rings and grants share: the object's id, its fixed
-// producer and consumer domains (api.DomainOS or an eid), and its
-// creation order for the FieldEnclaveRings/FieldEnclaveGrants
-// directories. Immutable after creation.
+// endpoints is what rings and grants share: the object's id and its
+// fixed producer and consumer domains (api.DomainOS or an eid).
+// Immutable after creation.
 type endpoints struct {
 	ID       uint64
 	Producer uint64
 	Consumer uint64
-	seq      uint64
 }
+
+// link is a ring or a grant, as an enclave's links hold it.
+type link interface {
+	object
+	ends() *endpoints
+}
+
+func (p *endpoints) ends() *endpoints { return p }
 
 // isEndpoint reports whether who is the producer or the consumer.
 func (p *endpoints) isEndpoint(who uint64) bool {
@@ -140,15 +145,17 @@ func (mon *Monitor) wakeOS(_ *machine.Core, ringID, eid, tid uint64) {
 }
 
 // lockEndpoints registers a new ring or grant: under objMu, it claims
-// id — a free metadata page, like every other monitor object id — and
-// registers the object build returns, while every enclave endpoint is
-// held under its transaction lock. Paired with deleteEnclave's
-// endpoint guard, this excludes the race where an object attaches to an
-// enclave mid-deletion and survives it: either the create sees the
+// id — a free metadata page, like every other monitor object id —
+// registers the object build returns and appends it to each endpoint
+// enclave's links, while every enclave endpoint is held under its
+// transaction lock. Paired with deleteEnclave's refusal of a linked
+// enclave, this excludes the race where an object attaches to an
+// enclave mid-deletion and survives it: either the create links the
 // enclave and the delete then refuses, or the delete wins and the
 // create fails (retry or unknown id).
-func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, build func(p endpoints) object) api.Response {
+func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, build func(p endpoints) link) api.Response {
 	p := endpoints{ID: id, Producer: producer, Consumer: consumer}
+	ends := make([]*Enclave, 0, 2)
 	for _, who := range p.distinct() {
 		if who == api.DomainOS {
 			continue
@@ -158,57 +165,56 @@ func (mon *Monitor) lockEndpoints(id, producer, consumer uint64, build func(p en
 			return fail(st)
 		}
 		defer e.mu.Unlock()
+		ends = append(ends, e)
 	}
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
 	if !mon.metaPageFree(id) {
 		return fail(api.ErrInvalidValue)
 	}
-	mon.pairSeq++
-	p.seq = mon.pairSeq
-	mon.objects[id] = build(p)
+	l := build(p)
+	mon.objects[id] = l
+	for _, e := range ends {
+		e.links = append(e.links, l)
+	}
 	return ok()
 }
 
+// unlink unregisters ring or grant l and drops it from each endpoint
+// enclave's links. Caller holds objMu for writing and l's lock.
+func (mon *Monitor) unlink(l link) {
+	p := l.ends()
+	for _, who := range p.distinct() {
+		if e, found := mon.objects[who].(*Enclave); found {
+			e.links = slices.DeleteFunc(e.links, func(x link) bool { return x == l })
+		}
+	}
+	mon.unregister(p.ID)
+}
+
 // directory serves FieldEnclaveRings and, with grants set,
-// FieldEnclaveGrants: the rings (grants) eid is an endpoint of, in
-// creation order, as id[8] ‖ role[8] entries (role 0 = consumer, 1 =
-// producer), each grant's followed by its byte size[8].
-func (mon *Monitor) directory(eid uint64, grants bool) []byte {
-	type entry struct {
-		endpoints
-		role, size uint64
-	}
-	var entries []entry
-	add := func(p endpoints, size uint64) {
-		if p.Consumer == eid {
-			entries = append(entries, entry{p, 0, size})
-		}
-		if p.Producer == eid {
-			entries = append(entries, entry{p, 1, size})
-		}
-	}
+// FieldEnclaveGrants: the rings (grants) in e's links, in creation
+// order, as id[8] ‖ role[8] entries (role 0 = consumer, 1 = producer),
+// each grant's followed by its byte size[8].
+func (mon *Monitor) directory(e *Enclave, grants bool) []byte {
 	mon.objMu.RLock()
-	for _, o := range mon.objects {
-		switch o := o.(type) {
-		case *Grant:
-			if grants {
-				add(o.endpoints, o.bytes())
-			}
-		case *Ring:
-			if !grants {
-				add(o.endpoints, 0)
-			}
+	defer mon.objMu.RUnlock()
+	out := make([]byte, 0, len(e.links)*24)
+	for _, l := range e.links {
+		g, isGrant := l.(*Grant)
+		if isGrant != grants {
+			continue
 		}
-	}
-	mon.objMu.RUnlock()
-	slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
-	out := make([]byte, 0, len(entries)*24)
-	for _, en := range entries {
-		out = binary.LittleEndian.AppendUint64(out, en.ID)
-		out = binary.LittleEndian.AppendUint64(out, en.role)
-		if grants {
-			out = binary.LittleEndian.AppendUint64(out, en.size)
+		p := l.ends()
+		for role, who := range [2]uint64{p.Consumer, p.Producer} {
+			if who != e.ID {
+				continue
+			}
+			out = binary.LittleEndian.AppendUint64(out, p.ID)
+			out = binary.LittleEndian.AppendUint64(out, uint64(role))
+			if grants {
+				out = binary.LittleEndian.AppendUint64(out, g.bytes())
+			}
 		}
 	}
 	return out
@@ -223,7 +229,7 @@ func (mon *Monitor) ringCreate(req api.Request, _ *callContext) api.Response {
 	if capacity == 0 || capacity > api.RingMaxCapacity {
 		return fail(api.ErrInvalidValue)
 	}
-	return mon.lockEndpoints(req.Args[0], req.Args[1], req.Args[2], func(p endpoints) object {
+	return mon.lockEndpoints(req.Args[0], req.Args[1], req.Args[2], func(p endpoints) link {
 		return &Ring{endpoints: p, slots: make([]ringMsg, capacity),
 			records: make([]byte, api.RingMaxBatch*api.RingRecordSize)}
 	})
@@ -243,21 +249,16 @@ func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
 	weid, wtid := r.waiterEID, r.waiterTID
 	// Undelivered scatter-gather descriptors die with the ring; their
 	// in-flight pins on the grants must die too, or the grants could
-	// never be revoked. Counted under r.mu, released under objMu so a
-	// concurrent bulk_revoke sees a consistent grant table.
-	sgQueued := make(map[uint64]int64)
-	for i := 0; i < r.count; i++ {
-		if gid := r.slots[(r.head+i)%len(r.slots)].grant; gid != 0 {
-			sgQueued[gid]++
-		}
-	}
+	// never be revoked. Released under objMu, in the pass that
+	// unregisters the ring, so a concurrent bulk_revoke sees a
+	// consistent grant table.
 	mon.objMu.Lock()
-	mon.unregister(ringID)
-	for gid, c := range sgQueued {
-		if g, found := mon.objects[gid].(*Grant); found {
-			g.inflight.Add(-c)
+	for i := 0; i < r.count; i++ {
+		if g, found := mon.objects[r.slots[(r.head+i)%len(r.slots)].grant].(*Grant); found {
+			g.inflight.Add(-1)
 		}
 	}
+	mon.unlink(r)
 	mon.objMu.Unlock()
 	r.mu.Unlock()
 	if wtid != 0 {

@@ -8,10 +8,9 @@
 // metric reads it).
 //
 // The client also owns batched submission: Batch forwards a request
-// sequence to Monitor.DispatchBatch — which amortizes per-call enclave
-// locking across consecutive same-enclave calls — and resubmits the
-// unexecuted tail whenever the monitor cuts the batch at a contended
-// element.
+// sequence to Monitor.DispatchBatch — which runs each element as a lone
+// call, holding no lock between them — and resubmits the unexecuted
+// tail whenever the monitor cuts the batch at a contended element.
 package smcall
 
 import (

@@ -164,7 +164,57 @@ func TestKeystoneRefusesInexpressibleRegionChange(t *testing.T) {
 	if st, owner, err := sys.OS.SM.RegionInfo(refused); err != nil || st != api.RegionOwned || owner != api.DomainOS {
 		t.Fatalf("refused region %d: %v/%#x (%v), want OS-owned", refused, st, owner, err)
 	}
+	// The failed build leaves nothing behind: one enclave and one thread
+	// per build that succeeded.
+	if s := sys.Monitor.CaptureState(); len(s.Enclaves) != len(built) || len(s.Threads) != len(built) {
+		t.Fatalf("%d enclaves and %d threads live after %d builds, want %d of each",
+			len(s.Enclaves), len(s.Threads), len(built), len(built))
+	}
 	if err := sys.Monitor.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedBuildLeavesNothing: a build refused after its threads
+// loaded — the shared window names a page the OS does not own, so
+// map_shared fails while load_thread succeeds — deletes the enclave
+// and its threads and hands its region back to the OS, so the same
+// spec with a valid window then builds in the same region.
+func TestFailedBuildLeavesNothing(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := enclaves.DefaultLayout()
+	r := sys.OS.FreeRegions()[0]
+	foreign := sys.Machine.DRAM.Base(sys.Machine.DRAM.RegionCount - 1)
+	spec, err := enclaves.SpecN(l, enclaves.Adder(l), nil, []int{r},
+		[]os.SharedMapping{{VA: l.SharedVA, PA: foreign}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Monitor.CaptureState()
+	if _, err := sys.BuildEnclave(spec); !errors.Is(err, api.ErrInvalidValue) {
+		t.Fatalf("build with a foreign shared page: %v, want invalid_value", err)
+	}
+	after := sys.Monitor.CaptureState()
+	if len(after.MetaPages) != len(before.MetaPages) || after.OSBitmap != before.OSBitmap {
+		t.Fatalf("failed build left %d enclaves, %d threads, OS set %#x (was %#x)",
+			len(after.Enclaves), len(after.Threads), after.OSBitmap, before.OSBitmap)
+	}
+	if err := sys.Monitor.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := sys.SetupShared(l.SharedVA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Shared[0].PA = shared
+	built, err := sys.BuildEnclave(spec)
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if st, owner, _ := sys.OS.SM.RegionInfo(r); st != api.RegionOwned || owner != built.EID {
+		t.Fatalf("region %d: %v/%#x after rebuild, want owned by %#x", r, st, owner, built.EID)
 	}
 }

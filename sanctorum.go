@@ -271,14 +271,6 @@ func (s *System) RunAll(cfg SchedConfig, tasks []Task) []TaskResult {
 	return s.OS.NewScheduler(cfg).RunAll(tasks)
 }
 
-// Serve consumes tasks from a channel until it is closed and every
-// accepted task has finished: the system's long-running load-serving
-// mode. Results return ordered by admission (near-simultaneous
-// parallel-mode admissions may order arbitrarily between themselves).
-func (s *System) Serve(cfg SchedConfig, tasks <-chan Task) []TaskResult {
-	return s.OS.NewScheduler(cfg).Serve(tasks)
-}
-
 // GatewayConfig configures a request-serving gateway (internal/os).
 type GatewayConfig = os.GatewayConfig
 

@@ -243,32 +243,6 @@ func TestRunAllParallelStress(t *testing.T) {
 	_ = stRegion
 }
 
-// TestServeStreamsTasks feeds tasks through the Serve channel in
-// parallel mode — the long-running "system under load" entry point.
-func TestServeStreamsTasks(t *testing.T) {
-	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum, Cores: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, verify := workerFarm(t, sys, 4, 1, 10_000)
-	ch := make(chan sanctorum.Task)
-	go func() {
-		for _, task := range tasks {
-			ch <- task
-		}
-		close(ch)
-	}()
-	results := sys.Serve(sanctorum.SchedConfig{
-		Mode:          sanctorum.Parallel,
-		QuantumCycles: 40_000,
-	}, ch)
-	if len(results) != len(tasks) {
-		t.Fatalf("served %d results for %d tasks", len(results), len(tasks))
-	}
-	checkResults(t, results, false)
-	verify()
-}
-
 // TestRunAllKeystone runs the deterministic scheduler on the Keystone
 // backend, exercising PMP reprogramming across timeshared entries.
 func TestRunAllKeystone(t *testing.T) {
