@@ -92,6 +92,13 @@ type Cache struct {
 	// enter/exit.
 	epoch uint64
 
+	// live counts the resident lines: a fill into a non-resident way
+	// adds one, a flushed line removes one and FlushAll zeroes it. It
+	// makes Live O(1) and lets FlushRange skip an empty cache — a core
+	// cleaned on its last domain switch holds nothing when a region
+	// is cleaned after it.
+	live int
+
 	// Statistics.
 	Hits      uint64
 	Misses    uint64
@@ -252,6 +259,7 @@ func (c *Cache) access(pa uint64) (hit bool, cycles uint64, l *line) {
 	for i := range set {
 		if !set[i].live(c.epoch) {
 			victim = i
+			c.live++
 			goto fill
 		}
 		if set[i].lru < set[victim].lru {
@@ -287,25 +295,26 @@ func (c *Cache) Probe(pa uint64) bool {
 func (c *Cache) FlushAll() {
 	if c.shared {
 		c.mu.Lock()
-		c.epoch++
+		c.epoch, c.live = c.epoch+1, 0
 		c.mu.Unlock()
 		return
 	}
-	c.epoch++
+	c.epoch, c.live = c.epoch+1, 0
 }
 
 // FlushRange invalidates every resident line overlapping [pa, pa+n),
 // returning the count: the cache half of cleaning a DRAM region on
 // re-allocation. It visits only the sets those lines index — on a
 // partitioned cache a region is its own partition's sets — and sweeps
-// the whole cache when the range could index every set. No other
-// line's state or statistic changes.
+// the whole cache when the range could index every set, and returns
+// at once from a cache that holds no line. No other line's state or
+// statistic changes.
 func (c *Cache) FlushRange(pa, n uint64) int {
 	if c.shared {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	if n == 0 {
+	if n == 0 || c.live == 0 {
 		return 0
 	}
 	first, last := pa>>c.lineBits, (pa+n-1)>>c.lineBits
@@ -350,24 +359,17 @@ func (c *Cache) flushSet(set []line, first, last uint64) int {
 			n++
 		}
 	}
+	c.live -= n
 	return n
 }
 
-// Live returns the number of valid lines.
+// Live returns the number of resident lines.
 func (c *Cache) Live() int {
 	if c.shared {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].live(c.epoch) {
-				n++
-			}
-		}
-	}
-	return n
+	return c.live
 }
 
 // LineState is one way's white-box state.

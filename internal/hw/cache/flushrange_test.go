@@ -64,7 +64,8 @@ func fillAround(c *Cache, seed int64, pa, n uint64) {
 // checkFlushRange fills twin caches identically, runs FlushRange on one
 // and the oracle on the other, and requires the same count and the same
 // state for every line — tag, valid bit, epoch and LRU stamp — and the
-// same statistics. It returns the number of lines flushed.
+// same statistics, and the flushed cache's Live() to equal its resident
+// ways. It returns the number of lines flushed.
 func checkFlushRange(t *testing.T, cfg Config, seed int64, pa, n uint64) int {
 	t.Helper()
 	got, want := New(cfg), New(cfg)
@@ -84,6 +85,11 @@ func checkFlushRange(t *testing.T, cfg Config, seed int64, pa, n uint64) int {
 	if got.Hits != want.Hits || got.Misses != want.Misses || got.Evictions != want.Evictions ||
 		got.stamp != want.stamp || got.epoch != want.epoch {
 		t.Fatalf("%+v FlushRange(%#x, %#x) moved the statistics", cfg, pa, n)
+	}
+	// The oracle writes valid bits without keeping the count, so only
+	// the flushed cache's counter is checked, against the sweep.
+	if live, res := got.Live(), resident(got); live != res {
+		t.Fatalf("%+v FlushRange(%#x, %#x): Live() = %d, %d ways resident", cfg, pa, n, live, res)
 	}
 	return gotN
 }

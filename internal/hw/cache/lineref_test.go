@@ -24,7 +24,8 @@ var lineRefConfigs = []Config{
 // cache, interleaved with FlushAll and FlushRange on both caches. A
 // failed touch falls back to AccessRef, as the machine's callers do.
 // After every operation the caches' ways and statistics must be equal,
-// and a touch may hit only when the twin's Probe finds the line.
+// each cache's Live() must equal its resident ways, and a touch may hit
+// only when the twin's Probe finds the line.
 func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
 	c, twin := New(cfg), New(cfg)
@@ -106,7 +107,24 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 		if !slices.Equal(c.Snapshot(), twin.Snapshot()) {
 			t.Fatalf("%+v: op %d (%d): ways differ from the twin's", cfg, i/4, op)
 		}
+		for _, x := range []*Cache{c, twin} {
+			if got, want := x.Live(), resident(x); got != want {
+				t.Fatalf("%+v: op %d (%d): Live() = %d, %d ways resident", cfg, i/4, op, got, want)
+			}
+		}
 	}
+}
+
+// resident counts the resident ways of c's Snapshot: the sweep Live's
+// counter must agree with.
+func resident(c *Cache) int {
+	n := 0
+	for _, l := range c.Snapshot() {
+		if l.Resident {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLineRefMatchesScan is the fixed-seed slice of FuzzLineRef: 300

@@ -19,10 +19,13 @@ import (
 // core's runMu. Machine.Run holds it for the whole run, so a running
 // core executes its own mailbox at instruction boundaries (takeInterrupt
 // → drainIPIs). For a core that is not running, the poster acquires
-// runMu itself and executes the request on the core's behalf — the
-// simulation analogue of programming a parked hart. In deterministic
-// single-goroutine execution every target is idle, so posting degrades
-// to the synchronous call it used to be, byte-for-byte.
+// runMu itself and runs the request directly on the core's behalf —
+// the simulation analogue of programming a parked hart — after
+// anything already queued for the core, so the queue and its
+// acknowledgment counters serve only cores that were running, or held,
+// when a request arrived. In deterministic single-goroutine execution
+// every target is idle, so posting is the synchronous call it always
+// was, byte-for-byte.
 type ipiMailbox struct {
 	mu     sync.Mutex
 	queue  []ipiReq
@@ -87,14 +90,21 @@ func (c *Core) drainIPIs() {
 	}
 }
 
-// tryDrainIdle executes the core's mailbox if the core is not running,
-// returning whether it got to run. Posters use it so that requests to
-// idle cores complete synchronously.
-func (c *Core) tryDrainIdle() bool {
+// tryRunIdle is the one way a poster runs requests on a core that is
+// not running: it executes whatever the core's mailbox holds, then r
+// if r is not nil, and reports whether it got to run. A post completes
+// by raising the IPI, so every request queued before the call has its
+// bit set.
+func (c *Core) tryRunIdle(r *ipiReq) bool {
 	if !c.runMu.TryLock() {
 		return false
 	}
-	c.drainIPIs()
+	if c.pending.Load()&pendingIPI != 0 {
+		c.drainIPIs()
+	}
+	if r != nil {
+		r.fn(c, r.args[0], r.args[1], r.args[2])
+	}
 	c.runMu.Unlock()
 	return true
 }
@@ -158,17 +168,23 @@ func (m *Machine) Broadcast(from int, wait bool, fn IPIFunc, a, b, c uint64) {
 	}
 }
 
-// send posts r to the core's mailbox and raises the IPI, running the
-// mailbox on this goroutine if the core is idle. With wait it returns
-// only once the core has run r.
+// send delivers r to the core. An idle core runs r on this goroutine,
+// after whatever its mailbox already holds; otherwise r is posted to
+// the mailbox and the IPI raised, and with wait send returns only once
+// the core has run r.
 func (c *Core) send(r ipiReq, wait bool) {
+	if c.tryRunIdle(&r) {
+		return
+	}
+	// The core is running or held. Post r, and run the mailbox here if
+	// the core has gone idle since the try.
 	seq := c.ipi.post(r)
 	c.pending.Or(pendingIPI)
-	if c.tryDrainIdle() || !wait {
+	if c.tryRunIdle(nil) || !wait {
 		return
 	}
 	for c.ipi.acked.Load() < seq {
-		if !c.tryDrainIdle() {
+		if !c.tryRunIdle(nil) {
 			runtime.Gosched()
 		}
 	}

@@ -233,6 +233,37 @@ func TestRunOnCall(t *testing.T) {
 	<-done
 }
 
+// TestIPIQueuedRunsBeforeDirect pins mailbox order on the direct
+// path: a request posted while core 1 was held stays queued, and the
+// next request to the core, sent once it is idle, runs it first and
+// itself second, both before RunOnCall returns. Only the held core's
+// request passes through the queue.
+func TestIPIQueuedRunsBeforeDirect(t *testing.T) {
+	m := loopMachine(t, 2)
+	var order []uint64 // the requests core 1 ran
+	fn := func(c *Core, a, _, _ uint64) {
+		if c.ID == 1 {
+			order = append(order, a)
+		}
+	}
+	core := m.Cores[1]
+	if !core.TryAcquire() {
+		t.Fatal("core 1 is not idle")
+	}
+	m.Broadcast(NoHart, false, fn, 1, 0, 0)
+	if len(order) != 0 {
+		t.Fatalf("a held core ran the broadcast: order %v", order)
+	}
+	core.Release()
+	m.RunOnCall(1, NoHart, fn, 2, 0, 0)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("core 1 ran %v, want the queued request 1 then the new request 2", order)
+	}
+	if n := core.ipi.acked.Load(); n != 1 {
+		t.Fatalf("core 1's mailbox carried %d requests, want only the 1 posted while it was held", n)
+	}
+}
+
 // TestInterruptCoreCrossGoroutine latches an external interrupt from
 // another goroutine; without firmware the run loop must surface it as
 // an error (trap with no firmware), proving delivery at an instruction

@@ -18,8 +18,9 @@
 // two harts touching a fresh page agree on one backing array), and the
 // code-page mark set and the ZeroRange generation are atomics. Whole
 // pages ZeroRange drops are kept on a small free list and handed out
-// again, zeroed, by the next materialization, so a scrub-and-reuse
-// cycle (clean a region, grant it, touch it) allocates nothing. This is
+// again, zeroed by the next materialization or overwritten by a page
+// copy, so a scrub-and-reuse cycle (clean a region, grant it, touch
+// it) allocates nothing. This is
 // exactly the sharing model of the hardware being simulated — a memory
 // bus that many harts address concurrently — and it costs the
 // single-threaded fast path nothing: the atomic loads compile to plain
@@ -256,10 +257,20 @@ func (m *Phys) page(ppn uint64) *[PageSize]byte {
 }
 
 // materialize backs ppn with a zeroed page: a recycled one from the
-// free list when there is one, else a new allocation. Two harts
-// materializing the same page race through a compare-and-swap and
-// agree on one winner; the loser's page is left to the Go GC.
+// free list when there is one, else a new allocation.
 func (m *Phys) materialize(ppn uint64) *[PageSize]byte {
+	p := m.recycled()
+	if p == nil {
+		p = new([PageSize]byte)
+	} else {
+		*p = [PageSize]byte{}
+	}
+	return m.install(ppn, p)
+}
+
+// recycled pops a page off the free list, or returns nil. Its contents
+// are stale: the caller zeroes or overwrites it.
+func (m *Phys) recycled() *[PageSize]byte {
 	var p *[PageSize]byte
 	m.freeMu.Lock()
 	if m.nfree > 0 {
@@ -267,11 +278,14 @@ func (m *Phys) materialize(ppn uint64) *[PageSize]byte {
 		p, m.free[m.nfree] = m.free[m.nfree], nil
 	}
 	m.freeMu.Unlock()
-	if p == nil {
-		p = new([PageSize]byte)
-	} else {
-		*p = [PageSize]byte{}
-	}
+	return p
+}
+
+// install backs ppn with p unless it is already backed, returning the
+// page that backs it. Two harts materializing the same page race
+// through a compare-and-swap and agree on one winner; the loser's page
+// is left to the Go GC.
+func (m *Phys) install(ppn uint64, p *[PageSize]byte) *[PageSize]byte {
 	if m.pages[ppn].CompareAndSwap(nil, p) {
 		m.touched.Add(1)
 		return p
@@ -430,7 +444,7 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		if off == 0 && chunk == PageSize {
 			// A whole page reads as zero once out of the table; dropping
 			// it keeps host memory proportional to live pages.
-			if p := m.pages[ppn].Swap(nil); p != nil {
+			if p := m.drop(ppn); p != nil {
 				m.touched.Add(-1)
 				if nd < freeCap {
 					dropped[nd] = p
@@ -456,9 +470,60 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 	return nil
 }
 
+// drop takes ppn's page out of the table and returns it, or nil when
+// the page was never materialized; that common case in a scrub costs a
+// load, not an atomic swap.
+func (m *Phys) drop(ppn uint64) *[PageSize]byte {
+	if m.pages[ppn].Load() == nil {
+		return nil
+	}
+	return m.pages[ppn].Swap(nil)
+}
+
 // ZeroPage clears the page containing addr.
 func (m *Phys) ZeroPage(addr uint64) error {
 	return m.ZeroRange(addr&^uint64(PageMask), PageSize)
+}
+
+// CopyPage copies the page at src over the page at dst; both addresses
+// must be page-aligned. Like WriteBytes it refuses a copy-on-write
+// frozen destination, writing nothing, and fires the code-write hook
+// for a marked one. It moves the page once: a materialized destination
+// is overwritten in place, so a Window on it reads the copy, and an
+// unmaterialized one is backed by a recycled or new page filled
+// straight from the source, with no zero fill first. A source that was
+// never materialized reads as zero, and so does the destination after:
+// it is dropped like a ZeroRange drops it.
+func (m *Phys) CopyPage(dst, src uint64) error {
+	for _, a := range [2]uint64{dst, src} {
+		if a&PageMask != 0 {
+			return fmt.Errorf("%w: page copy at %#x", ErrUnaligned, a)
+		}
+		if err := m.checkRange(a, PageSize); err != nil {
+			return err
+		}
+	}
+	if m.IsCOW(dst) {
+		return fmt.Errorf("%w: %#x", ErrCOWProtected, dst)
+	}
+	sp := m.pages[src>>PageBits].Load()
+	if sp == nil {
+		return m.ZeroRange(dst, PageSize)
+	}
+	m.noteWrite(dst, PageSize)
+	if dp := m.pages[dst>>PageBits].Load(); dp != nil {
+		*dp = *sp
+		return nil
+	}
+	p := m.recycled()
+	if p == nil {
+		p = new([PageSize]byte)
+	}
+	*p = *sp
+	if q := m.install(dst>>PageBits, p); q != p {
+		*q = *sp // another hart materialized dst first: copy into its page
+	}
+	return nil
 }
 
 // Window is a last-page pointer cache in front of a Phys: the common

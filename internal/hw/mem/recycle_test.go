@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -216,5 +217,144 @@ func TestRecycleRace(t *testing.T) {
 	wg.Wait()
 	if got := m.TouchedPages(); got != 0 {
 		t.Fatalf("touched = %d after every worker scrubbed its pages", got)
+	}
+}
+
+// TestCopyPage covers the page copy the monitor's copy-on-write faults
+// use: the refusals write nothing, a marked destination fires the
+// code-write hook, a copy into a materialized page reaches a live
+// Window on it, and a source that was never materialized leaves the
+// destination unmaterialized and zero.
+func TestCopyPage(t *testing.T) {
+	const src, dst = 0x10000, 0x20000
+	t.Run("refusals", func(t *testing.T) {
+		m := New(1 << 20)
+		fill(t, m, src, 0x0101010101010101)
+		fill(t, m, dst, 0x0202020202020202)
+		m.MarkCOW(dst)
+		if err := m.CopyPage(dst, src); !errors.Is(err, ErrCOWProtected) {
+			t.Fatalf("copy into a frozen page: %v, want ErrCOWProtected", err)
+		}
+		m.ClearCOW(dst)
+		for _, tc := range []struct {
+			dst, src uint64
+			want     error
+		}{
+			{dst + 8, src, ErrUnaligned},
+			{dst, src + 8, ErrUnaligned},
+			{m.Size(), src, ErrOutOfRange},
+			{dst, m.Size(), ErrOutOfRange},
+		} {
+			if err := m.CopyPage(tc.dst, tc.src); !errors.Is(err, tc.want) {
+				t.Fatalf("CopyPage(%#x, %#x) = %v, want %v", tc.dst, tc.src, err, tc.want)
+			}
+		}
+		if v, _ := m.Load(dst+8, 8); v != 0x0202020202020202^8 {
+			t.Fatalf("a refused copy wrote the destination: %#x", v)
+		}
+	})
+	t.Run("code-hook", func(t *testing.T) {
+		m := New(1 << 20)
+		fired := 0
+		m.SetCodeWriteHook(func() { fired++ })
+		fill(t, m, src, 0x0303030303030303)
+		m.MarkCodePage(dst)
+		if err := m.CopyPage(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if fired != 1 {
+			t.Fatalf("copy into a marked page fired the hook %d times, want 1", fired)
+		}
+	})
+	t.Run("materialized", func(t *testing.T) {
+		m := New(1 << 20)
+		fill(t, m, src, 0x0404040404040404)
+		fill(t, m, dst, 0x0505050505050505)
+		var w Window
+		w.Reset(m)
+		w.LoadFast(dst, 8)
+		touched := m.TouchedPages()
+		if err := m.CopyPage(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < PageSize; off += 8 {
+			if v := w.LoadFast(dst+off, 8); v != 0x0404040404040404^off {
+				t.Fatalf("window reads %#x at %#x after the copy, want the source's word", v, dst+off)
+			}
+		}
+		if got := m.TouchedPages(); got != touched {
+			t.Fatalf("touched %d after copying over a live page, want %d", got, touched)
+		}
+	})
+	t.Run("fresh", func(t *testing.T) {
+		m := New(1 << 20)
+		fill(t, m, src, 0x0606060606060606)
+		if err := m.CopyPage(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < PageSize; off += 8 {
+			if v, _ := m.Load(dst+off, 8); v != 0x0606060606060606^off {
+				t.Fatalf("copy reads %#x at %#x, want the source's word", v, dst+off)
+			}
+		}
+	})
+	t.Run("unmaterialized-source", func(t *testing.T) {
+		m := New(1 << 20)
+		if err := m.CopyPage(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.TouchedPages(); got != 0 {
+			t.Fatalf("copying a never-materialized page materialized %d pages", got)
+		}
+		fill(t, m, dst, 0x0707070707070707)
+		if err := m.CopyPage(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.TouchedPages(); got != 0 {
+			t.Fatalf("copying a never-materialized page over a live one left %d pages", got)
+		}
+		if !pageIsZero(m, dst) {
+			t.Fatal("the destination of a zero page reads non-zero")
+		}
+	})
+}
+
+// TestZeroRangePartlyMaterialized scrubs a region where only some pages
+// were ever touched: exactly those pages leave the table for the free
+// list, and a partial page at the end is cleared in place.
+func TestZeroRangePartlyMaterialized(t *testing.T) {
+	m := New(1 << 20)
+	const base = 0x40000
+	touchedPages := []uint64{1, 4, 5, 14}
+	for _, p := range touchedPages {
+		fill(t, m, base+p*PageSize, 0x0808080808080808)
+	}
+	fill(t, m, base+16*PageSize, 0x0909090909090909)
+	partial := m.pages[(base+16*PageSize)>>PageBits].Load()
+	if err := m.ZeroRange(base, 16*PageSize+64); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TouchedPages(); got != 1 {
+		t.Fatalf("touched %d after the scrub, want 1 (the partial page)", got)
+	}
+	if m.nfree != len(touchedPages) {
+		t.Fatalf("free list holds %d pages, want the %d materialized ones", m.nfree, len(touchedPages))
+	}
+	for p := uint64(0); p < 16; p++ {
+		if m.pages[(base+p*PageSize)>>PageBits].Load() != nil {
+			t.Fatalf("page %d is materialized after the scrub", p)
+		}
+	}
+	if m.pages[(base+16*PageSize)>>PageBits].Load() != partial {
+		t.Fatal("the partial page was replaced, not cleared in place")
+	}
+	for off := uint64(0); off < PageSize; off += 8 {
+		want := uint64(0)
+		if off >= 64 {
+			want = 0x0909090909090909 ^ off
+		}
+		if v, _ := m.Load(base+16*PageSize+off, 8); v != want {
+			t.Fatalf("partial page word %#x = %#x, want %#x", off, v, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"sanctorum/internal/hw/dram"
@@ -51,13 +52,15 @@ type Enclave struct {
 	pagesFrozen bool // set at first allocation; no further region grants
 	dataStarted bool // set at first data page; no further table pages
 
-	// ptPages maps (level, index-path prefix) to the PPN of an
-	// allocated page-table page, so the monitor can validate top-down
-	// construction without re-walking memory.
-	ptPages map[ptKey]uint64
+	// ptPages lists the allocated page-table pages in canonical order
+	// (root first, then each level top-down by ascending prefix), so the
+	// monitor can validate top-down construction without re-walking
+	// memory. An enclave has a few; a linear scan finds one.
+	ptPages []ptPage
 
 	// mapped tracks loaded VAs to enforce the injective, no-alias
-	// virtual→physical mapping the measurement relies on.
+	// virtual→physical mapping the measurement relies on. The root
+	// table's allocation creates it, so a clone never has one.
 	mapped map[uint64]bool
 
 	// meas is the running measurement transcript, nil until the first
@@ -66,9 +69,9 @@ type Enclave struct {
 	meas        *Measurement
 	Measurement [32]byte // valid once initialized
 
-	// Threads holds every thread whose Owner is this enclave: offered,
-	// assigned or running.
-	Threads   map[uint64]*Thread
+	// Threads lists every thread whose Owner is this enclave, offered,
+	// assigned or running, each once.
+	Threads   []*Thread
 	running   int // threads currently on cores
 	Mailboxes [api.MailboxesPerEnclave]Mailbox
 
@@ -109,9 +112,39 @@ func (e *Enclave) measurement() *Measurement {
 	return e.meas
 }
 
+// ptKey names a page-table page: its level (2 = root, 0 = leaf) and
+// the normalized prefix of the VAs it serves.
 type ptKey struct {
 	level  int
 	prefix uint64 // va >> (PageBits + 9*(level+1))
+}
+
+// ptPage is one allocated page-table page.
+type ptPage struct {
+	ptKey
+	ppn uint64
+}
+
+// tableIndex finds k in e.ptPages: its index and true, or the index
+// that keeps the list canonical if k were inserted, and false.
+func (e *Enclave) tableIndex(k ptKey) (int, bool) {
+	for i, t := range e.ptPages {
+		if t.ptKey == k {
+			return i, true
+		}
+		if t.level < k.level || t.level == k.level && t.prefix > k.prefix {
+			return i, false
+		}
+	}
+	return len(e.ptPages), false
+}
+
+// table returns the PPN of e's page-table page k.
+func (e *Enclave) table(level int, prefix uint64) (uint64, bool) {
+	if i, found := e.tableIndex(ptKey{level, prefix}); found {
+		return e.ptPages[i].ppn, true
+	}
+	return 0, false
 }
 
 // createEnclave starts the lifecycle (Fig 3: create_enclave by the OS,
@@ -122,15 +155,7 @@ func (mon *Monitor) createEnclave(req api.Request, _ *callContext) api.Response 
 	if !validEvrange(evBase, evMask) {
 		return fail(api.ErrInvalidValue)
 	}
-	e := &Enclave{
-		ID:      eid,
-		State:   EnclaveLoading,
-		EvBase:  evBase,
-		EvMask:  evMask,
-		ptPages: make(map[ptKey]uint64),
-		mapped:  make(map[uint64]bool),
-		Threads: make(map[uint64]*Thread),
-	}
+	e := &Enclave{ID: eid, State: EnclaveLoading, EvBase: evBase, EvMask: evMask}
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
 	if !mon.register(eid, e) {
@@ -210,7 +235,8 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 	e.pagesFrozen = true
 
 	key := ptKey{level: level, prefix: vaPrefix(va, level)}
-	if _, dup := e.ptPages[key]; dup {
+	at, dup := e.tableIndex(key)
+	if dup {
 		return fail(api.ErrInvalidValue)
 	}
 
@@ -221,7 +247,7 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 			return fail(api.ErrInvalidValue) // root already allocated
 		}
 	} else {
-		parent, found := e.ptPages[ptKey{level: level + 1, prefix: vaPrefix(va, level+1)}]
+		parent, found := e.table(level+1, vaPrefix(va, level+1))
 		if !found {
 			return fail(api.ErrInvalidState)
 		}
@@ -233,9 +259,9 @@ func (mon *Monitor) allocatePageTable(e *Enclave, req api.Request) api.Response 
 		return fail(api.ErrNoResources)
 	}
 	mon.machine.Mem.ZeroPage(ppn << mem.PageBits)
-	e.ptPages[key] = ppn
+	e.ptPages = slices.Insert(e.ptPages, at, ptPage{key, ppn})
 	if level == pt.Levels-1 {
-		e.RootPPN = ppn
+		e.RootPPN, e.mapped = ppn, make(map[uint64]bool)
 	} else {
 		pteAddr := parentPPN<<mem.PageBits + pt.VPN(va, level+1)*pt.EntrySize
 		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, pt.V))
@@ -279,7 +305,7 @@ func (mon *Monitor) loadPage(e *Enclave, req api.Request) api.Response {
 	if !mon.osOwnsRange(srcPA, mem.PageSize) {
 		return fail(api.ErrInvalidValue)
 	}
-	leaf, found := e.ptPages[ptKey{level: 0, prefix: vaPrefix(va, 0)}]
+	leaf, found := e.table(0, vaPrefix(va, 0))
 	if !found {
 		return fail(api.ErrInvalidState) // leaf table missing
 	}
@@ -408,13 +434,10 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	}
 	// Holding e.mu excludes new offers and grants, so e.Threads and
 	// e.Regions|e.Pending are exactly the threads and regions the delete
-	// touches. held collects the threads locked so far, since a second
-	// pass over the map would not repeat the order; up to four fit on
-	// the stack.
-	var heldBuf [4]*Thread
-	held, regions := heldBuf[:0], e.Regions|e.Pending
-	unlockAll := func(below int) {
-		for _, th := range held {
+	// touches.
+	regions := e.Regions | e.Pending
+	unlockAll := func(threads, below int) {
+		for _, th := range e.Threads[:threads] {
 			th.mu.Unlock()
 		}
 		for r := 0; r < below; r++ {
@@ -423,16 +446,15 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 			}
 		}
 	}
-	for _, th := range e.Threads {
+	for i, th := range e.Threads {
 		if !mon.tryLock(&th.mu, LockThread, th.ID) {
-			unlockAll(0)
+			unlockAll(i, 0)
 			return fail(api.ErrRetry)
 		}
-		held = append(held, th)
 	}
 	for r := range mon.regions {
 		if regions.Has(r) && !mon.tryLock(&mon.regions[r].mu, LockRegion, uint64(r)) {
-			unlockAll(r)
+			unlockAll(len(e.Threads), r)
 			return fail(api.ErrRetry)
 		}
 	}
@@ -464,14 +486,14 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 		e.snap.clones--
 		e.snap, e.cow = nil, nil
 	}
-	for _, th := range held {
+	for _, th := range e.Threads {
 		th.State, th.Owner = ThreadAvailable, 0
 		th.clearContext()
 	}
 	mon.objMu.Lock()
 	mon.unregister(eid)
 	mon.objMu.Unlock()
-	unlockAll(len(mon.regions))
+	unlockAll(len(e.Threads), len(mon.regions))
 	mon.refreshViews()
 	// The lifecycle state follows the dead flag, so a transaction that
 	// fetched e before the delete and locks it without the lookup (a

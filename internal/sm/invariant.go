@@ -232,8 +232,8 @@ func captureEnclave(e *Enclave) EnclaveShot {
 		LoadCursor: e.loadCursor, Mailboxes: e.Mailboxes,
 		Mapped: sortedU64(e.mapped),
 	}
-	for tid := range e.Threads {
-		shot.Threads = append(shot.Threads, tid)
+	for _, t := range e.Threads {
+		shot.Threads = append(shot.Threads, t.ID)
 	}
 	sort.Slice(shot.Threads, func(i, j int) bool { return shot.Threads[i] < shot.Threads[j] })
 	if e.snap == nil {
@@ -405,7 +405,10 @@ func (mon *Monitor) CheckInvariants() error {
 			return fmt.Errorf("enclave %#x in map with state %v", eid, e.State)
 		}
 		running := 0
-		for _, tid := range e.Threads {
+		for i, tid := range e.Threads {
+			if i > 0 && e.Threads[i-1] == tid { // the capture sorts them
+				return fmt.Errorf("enclave %#x lists thread %#x twice", eid, tid)
+			}
 			t, live := s.Threads[tid]
 			if !live {
 				return fmt.Errorf("enclave %#x lists dead thread %#x", eid, tid)

@@ -157,6 +157,17 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("consumer links %#x, want [%#x %#x]", got, r1, r2)
 	}
 
+	// An enclave that lists one of its threads twice: a map could not
+	// hold it twice, a list can, and a delete would then fail to lock
+	// the thread a second time and retry forever.
+	f.loadMinimal(t, a, 4)
+	ea.Threads = append(ea.Threads, ea.Threads[0])
+	err = f.mon.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("repeated thread not caught: %v", err)
+	}
+	ea.Threads = ea.Threads[:1]
+
 	if err := f.mon.CheckInvariants(); err != nil {
 		t.Fatalf("state not restored: %v", err)
 	}

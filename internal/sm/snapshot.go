@@ -27,6 +27,8 @@ package sm
 // fork allocates the same few objects for any template size.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sanctorum/internal/hw/dram"
@@ -51,7 +53,7 @@ type Snapshot struct {
 	// clones borrow them into their access view.
 	Regions dram.Bitmap
 
-	tables []tableSlot
+	tables []ptKey // the template's page-table pages, in canonical order
 	// table is every mapped page of the template, private and shared,
 	// ascending by VA; written once by snapshot_enclave and never
 	// changed after. shared counts its entries outside the evrange
@@ -61,13 +63,6 @@ type Snapshot struct {
 	threads []threadTemplate
 
 	clones int
-}
-
-// tableSlot records one page-table page of the template in canonical
-// allocation order (root first, then top-down by normalized prefix).
-type tableSlot struct {
-	prefix uint64
-	level  int
 }
 
 // snapPage is one mapped page of the template: its virtual page,
@@ -104,15 +99,10 @@ func (mon *Monitor) snapshotEnclave(req api.Request, _ *callContext) api.Respons
 
 	// Collect thread entry specs first — the only step that can still
 	// fail with ErrRetry — so a contended transaction changes nothing.
-	var tids []uint64
-	for tid := range e.Threads {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	// Clones number their threads in the template's thread-id order.
 	var threads []threadTemplate
-	for _, tid := range tids {
-		t := e.Threads[tid]
-		if !mon.tryLock(&t.mu, LockThread, tid) {
+	for _, t := range slices.SortedFunc(slices.Values(e.Threads), func(a, b *Thread) int { return cmp.Compare(a.ID, b.ID) }) {
+		if !mon.tryLock(&t.mu, LockThread, t.ID) {
 			return fail(api.ErrRetry)
 		}
 		if t.State == ThreadAssigned {
@@ -198,20 +188,14 @@ func (mon *Monitor) shootdown(set dram.Bitmap) {
 }
 
 // canonicalTables lists an enclave's page-table pages in the canonical
-// build order: root first, then each level top-down by ascending
-// normalized prefix — the order cloneEnclave replays so parents always
-// exist before children.
-func canonicalTables(e *Enclave) []tableSlot {
-	out := make([]tableSlot, 0, len(e.ptPages))
-	for key := range e.ptPages {
-		out = append(out, tableSlot{prefix: key.prefix, level: key.level})
+// build order its list keeps: root first, then each level top-down by
+// ascending normalized prefix — the order cloneEnclave replays so
+// parents always exist before children.
+func canonicalTables(e *Enclave) []ptKey {
+	out := make([]ptKey, len(e.ptPages))
+	for i, t := range e.ptPages {
+		out[i] = t.ptKey
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].level != out[j].level {
-			return out[i].level > out[j].level
-		}
-		return out[i].prefix < out[j].prefix
-	})
 	return out
 }
 
@@ -229,7 +213,7 @@ func sortedMappedVAs(e *Enclave) []uint64 {
 // leafPTEAddr returns the physical address of the leaf PTE mapping va
 // in the enclave's own tables.
 func (mon *Monitor) leafPTEAddr(e *Enclave, va uint64) (uint64, bool) {
-	leaf, ok := e.ptPages[ptKey{level: 0, prefix: vaPrefix(va, 0)}]
+	leaf, ok := e.table(0, vaPrefix(va, 0))
 	if !ok {
 		return 0, false
 	}
@@ -294,14 +278,16 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 		t := &Thread{ID: tid, State: ThreadAssigned, Owner: eid,
 			EntryPC: spec.entryPC, EntrySP: spec.entrySP}
 		mon.register(tid, t) // cannot fail: validated above under objMu
-		e.Threads[tid] = t
+		e.Threads = append(e.Threads, t)
 	}
 	mon.objMu.Unlock()
 
 	// Replay the template's page-table shape into the clone's own
-	// memory — the O(page-table pages) part of the fork.
+	// memory — the O(page-table pages) part of the fork. The list stays
+	// canonical by appending in the snapshot's order.
 	e.pagesFrozen = true
-	for _, ts := range snap.tables {
+	e.ptPages = make([]ptPage, 0, len(snap.tables))
+	for _, k := range snap.tables {
 		ppn, okPage := mon.nextPageLocked(e)
 		if !okPage {
 			// Unreachable: capacity was checked against the owned
@@ -309,14 +295,14 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 			return fail(api.ErrNoResources)
 		}
 		mon.machine.Mem.ZeroPage(ppn << mem.PageBits)
-		e.ptPages[ptKey{level: ts.level, prefix: ts.prefix}] = ppn
-		if ts.level == pt.Levels-1 {
+		e.ptPages = append(e.ptPages, ptPage{k, ppn})
+		if k.level == pt.Levels-1 {
 			e.RootPPN = ppn
 			continue
 		}
-		parent := e.ptPages[ptKey{level: ts.level + 1, prefix: ts.prefix >> 9}]
-		va := ts.prefix << (mem.PageBits + 9*uint(ts.level+1))
-		pteAddr := parent<<mem.PageBits + pt.VPN(va, ts.level+1)*pt.EntrySize
+		parent, _ := e.table(k.level+1, k.prefix>>9)
+		va := k.prefix << (mem.PageBits + 9*uint(k.level+1))
+		pteAddr := parent<<mem.PageBits + pt.VPN(va, k.level+1)*pt.EntrySize
 		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(parentPTEChild(ppn), pt.V))
 	}
 
@@ -450,9 +436,7 @@ func (mon *Monitor) resolveCOWLocked(e *Enclave, vaPage uint64) bool {
 	if !okPage {
 		return false // no pages left for the copy: surface the fault
 	}
-	var buf [mem.PageSize]byte
-	if mon.machine.Mem.ReadBytes(pg.ppn<<mem.PageBits, buf[:]) != nil ||
-		mon.machine.Mem.WriteBytes(ppn<<mem.PageBits, buf[:]) != nil {
+	if mon.machine.Mem.CopyPage(ppn<<mem.PageBits, pg.ppn<<mem.PageBits) != nil {
 		return false
 	}
 	pteAddr, ok := mon.leafPTEAddr(e, vaPage)

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"slices"
+
 	"sanctorum/internal/isa"
 	"sanctorum/internal/sm/api"
 )
@@ -91,7 +93,7 @@ func (mon *Monitor) loadThread(e *Enclave, req api.Request) api.Response {
 	if !mon.register(tid, t) {
 		return fail(api.ErrInvalidValue)
 	}
-	e.Threads[tid] = t
+	e.Threads = append(e.Threads, t)
 	e.measurement().ExtendThread(entryPC, entrySP)
 	return ok()
 }
@@ -130,7 +132,7 @@ func (mon *Monitor) assignThread(req api.Request, _ *callContext) api.Response {
 		return fail(api.ErrInvalidState)
 	}
 	t.State, t.Owner = ThreadOffered, eid
-	e.Threads[tid] = t
+	e.Threads = append(e.Threads, t)
 	return ok()
 }
 
@@ -153,7 +155,7 @@ func (mon *Monitor) unassignThread(req api.Request, _ *callContext) api.Response
 		if !mon.tryLock(&e.mu, LockEnclave, t.Owner) {
 			return fail(api.ErrRetry)
 		}
-		delete(e.Threads, tid)
+		e.Threads = slices.DeleteFunc(e.Threads, func(x *Thread) bool { return x == t })
 		e.mu.Unlock()
 	}
 	t.State, t.Owner = ThreadAvailable, 0
@@ -199,7 +201,7 @@ func (mon *Monitor) releaseThread(req api.Request, ctx *callContext) api.Respons
 		return fail(api.ErrRetry)
 	}
 	defer e.mu.Unlock()
-	delete(e.Threads, tid)
+	e.Threads = slices.DeleteFunc(e.Threads, func(x *Thread) bool { return x == t })
 	t.State, t.Owner = ThreadAvailable, 0
 	t.clearContext()
 	return ok()
