@@ -248,6 +248,49 @@ func TestBulkKVService(t *testing.T) {
 	}
 }
 
+// TestBulkKVCopyLoopRunsSteady pins that the bulk KV server's copy
+// loops, the data plane's hot code, run in the block engine's steady
+// form: on every backend, across puts and gets of 0.5–4 KiB values at
+// several buffer offsets, at least half of the chained block passes
+// must run steady (DESIGN.md §11).
+func TestBulkKVCopyLoopRunsSteady(t *testing.T) {
+	for _, kind := range []sanctorum.Kind{sanctorum.Sanctum, sanctorum.Keystone, sanctorum.Baseline} {
+		t.Run(kind.String(), func(t *testing.T) {
+			sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, gw := bulkService(t, sys, "kv", 1, 8)
+			for i := uint64(0); i < 48; i++ {
+				valLen := 512 + i*72%3584&^7
+				off := i * 40 % 4096
+				op := uint64(enclaves.RingOpPut)
+				if i%2 == 1 {
+					op = enclaves.RingOpGet
+				}
+				if _, err := gw.ProcessBulk(0, [][]byte{enclaves.BulkKVRequest(op, i/2, off, valLen)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var loops, steady uint64
+			for _, c := range sys.Machine.Cores {
+				bs := c.BlockStats()
+				loops, steady = loops+bs.Loops, steady+bs.Steady
+			}
+			t.Logf("%d of %d chained passes ran steady", steady, loops)
+			if loops == 0 || 2*steady < loops {
+				t.Errorf("%d of %d chained passes ran steady, want at least half", steady, loops)
+			}
+			if err := gw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestFailedAddWorkerLeavesServingSet pins the rule that a failed
 // AddWorker leaves the gateway's serving set as it was. Two workers'
 // 16-page bulk buffers fill the bulk region, so a third worker forks

@@ -60,18 +60,20 @@ func (c Config) Validate() error {
 
 type line struct {
 	tag   uint64 // full line address (pa >> LineBits)
-	valid bool
-	epoch uint64 // flush epoch the line was filled in
+	epoch uint64 // flush epoch the line was filled in; 0 marks an empty way
 	lru   uint64 // last-access stamp
 }
 
-// live reports whether the line is resident in the current epoch.
-func (l *line) live(epoch uint64) bool { return l.valid && l.epoch == epoch }
+// live reports whether the line is resident in the current epoch. A
+// cache's epoch starts at 1, so an emptied way (epoch 0) and a line of
+// an older epoch both fail the one comparison.
+func (l *line) live(epoch uint64) bool { return l.epoch == epoch }
 
 // Cache is a set-associative cache with LRU replacement.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // Sets*Ways ways, set by set
+	ways     int
 	stamp    uint64
 	lineBits uint
 
@@ -89,8 +91,14 @@ type Cache struct {
 	// epoch are not resident, so FlushAll is one increment instead of
 	// a sweep over every way. Core cleaning runs on every protection-
 	// domain switch, which makes this the hot path of enclave
-	// enter/exit.
+	// enter/exit. It starts at 1: epoch 0 marks an empty way.
 	epoch uint64
+
+	// changes counts the events that can take a line out of its way:
+	// fills, FlushAll, and flushes that drop a line. A hit only moves
+	// LRU stamps, so while the count stands still every LineRef that
+	// held its line when its holder last confirmed it still holds it.
+	changes uint64
 
 	// live counts the resident lines: a fill into a non-resident way
 	// adds one, a flushed line removes one and FlushAll zeroes it. It
@@ -148,18 +156,28 @@ type LineRef struct {
 	line *line
 }
 
-// holds reports whether ref's way holds pa's line in the current epoch.
-func (c *Cache) holds(pa uint64, ref *LineRef) bool {
+// Holds reports whether ref's way holds pa's line in the current epoch:
+// the check TouchFast makes, without the touch. Like TouchFast it takes
+// no lock.
+func (c *Cache) Holds(pa uint64, ref *LineRef) bool {
 	l := ref.line
 	return l != nil && l.live(c.epoch) && l.tag == pa>>c.lineBits
 }
+
+// Changes returns the cache's change count: it moves on every fill,
+// every FlushAll and every flush that drops a line, and on nothing
+// else. A caller that confirmed a LineRef's hold (Holds or TouchFast
+// succeeded, or AccessRef pointed it) at some count knows the ref still
+// holds that line while Changes returns the same count. Like TouchFast
+// it takes no lock: it is for per-core caches.
+func (c *Cache) Changes() uint64 { return c.changes }
 
 // TouchFast re-performs a hit through the ref if its way still holds
 // pa's line; the hit latency is the cache's Config().HitCycles, which
 // hot callers keep in a local. false means the caller must fall back
 // to Access/AccessRef.
 func (c *Cache) TouchFast(pa uint64, ref *LineRef) bool {
-	if !c.holds(pa, ref) {
+	if !c.Holds(pa, ref) {
 		return false
 	}
 	c.stamp++
@@ -176,13 +194,24 @@ func (c *Cache) TouchFast(pa uint64, ref *LineRef) bool {
 // stamps, and n hits are recorded. false means the caller must fall
 // back to per-access TouchFast/AccessRef, which re-establishes the ref.
 func (c *Cache) TouchFastN(pa uint64, ref *LineRef, n uint64) bool {
-	if !c.holds(pa, ref) {
+	if !c.Holds(pa, ref) {
 		return false
 	}
 	c.stamp += n
 	ref.line.lru = c.stamp
 	c.Hits += n
 	return true
+}
+
+// TouchHeldN is TouchFastN without the hold check, for a caller that
+// has proved the hold through Changes: the ref held its line when last
+// confirmed and the count has not moved since. Its bookkeeping is
+// TouchFastN's. Calling it on a ref that does not hold its line
+// corrupts the LRU order and the hit statistic.
+func (c *Cache) TouchHeldN(ref *LineRef, n uint64) {
+	c.stamp += n
+	ref.line.lru = c.stamp
+	c.Hits += n
 }
 
 // AccessRef is Access, additionally pointing ref at the touched line so
@@ -198,21 +227,22 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets)
-	lines := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
 	parts, partShift := 1, uint(64)
 	if cfg.Partitions != 0 {
 		parts, partShift = cfg.Partitions, cfg.PartitionShift
 	}
 	per := cfg.Sets / parts
 	return &Cache{
-		cfg: cfg, sets: sets, lineBits: cfg.LineBits,
+		cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), ways: cfg.Ways,
+		lineBits: cfg.LineBits, epoch: 1,
 		partShift: partShift, partMask: uint64(parts - 1),
 		perBits: uint(bits.TrailingZeros(uint(per))), perMask: uint64(per - 1),
 	}
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line {
+	return c.lines[i*c.ways : (i+1)*c.ways : (i+1)*c.ways]
 }
 
 // Config returns the cache configuration.
@@ -241,34 +271,41 @@ func (c *Cache) Access(pa uint64) (hit bool, cycles uint64) {
 }
 
 // access is the shared body of Access and AccessRef; it also returns
-// the line that was hit or filled.
+// the line that was hit or filled. One scan of the set finds the hit,
+// or else the fill's victim: the first non-resident way, else the
+// least recently used one (the lowest way among equal stamps).
 func (c *Cache) access(pa uint64) (hit bool, cycles uint64, l *line) {
 	c.stamp++
-	set := c.sets[c.setIndex(pa)]
-	tag := pa >> c.lineBits
+	set := c.set(c.setIndex(pa))
+	tag, epoch := pa>>c.lineBits, c.epoch
+	empty, lru, oldest := -1, 0, ^uint64(0)
 	for i := range set {
-		if set[i].live(c.epoch) && set[i].tag == tag {
-			set[i].lru = c.stamp
+		w := &set[i]
+		if w.epoch != epoch {
+			if empty < 0 {
+				empty = i
+			}
+			continue
+		}
+		if w.tag == tag {
+			w.lru = c.stamp
 			c.Hits++
-			return true, c.cfg.HitCycles, &set[i]
+			return true, c.cfg.HitCycles, w
+		}
+		if w.lru < oldest {
+			lru, oldest = i, w.lru
 		}
 	}
 	c.Misses++
-	// Fill: choose a non-resident way, else LRU.
-	victim := 0
-	for i := range set {
-		if !set[i].live(c.epoch) {
-			victim = i
-			c.live++
-			goto fill
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
+	c.changes++
+	victim := empty
+	if victim < 0 {
+		victim = lru
+		c.Evictions++
+	} else {
+		c.live++
 	}
-	c.Evictions++
-fill:
-	set[victim] = line{tag: tag, valid: true, epoch: c.epoch, lru: c.stamp}
+	set[victim] = line{tag: tag, epoch: epoch, lru: c.stamp}
 	return false, c.cfg.MissCycles, &set[victim]
 }
 
@@ -279,7 +316,7 @@ func (c *Cache) Probe(pa uint64) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	set := c.sets[c.setIndex(pa)]
+	set := c.set(c.setIndex(pa))
 	tag := pa >> c.cfg.LineBits
 	for i := range set {
 		if set[i].live(c.epoch) && set[i].tag == tag {
@@ -295,11 +332,11 @@ func (c *Cache) Probe(pa uint64) bool {
 func (c *Cache) FlushAll() {
 	if c.shared {
 		c.mu.Lock()
-		c.epoch, c.live = c.epoch+1, 0
+		c.epoch, c.live, c.changes = c.epoch+1, 0, c.changes+1
 		c.mu.Unlock()
 		return
 	}
-	c.epoch, c.live = c.epoch+1, 0
+	c.epoch, c.live, c.changes = c.epoch+1, 0, c.changes+1
 }
 
 // FlushRange invalidates every resident line overlapping [pa, pa+n),
@@ -328,34 +365,36 @@ func (c *Cache) FlushRange(pa, n uint64) int {
 	runBits := c.partShift - c.lineBits
 	runs := last>>runBits - first>>runBits + 1
 	span := min(c.perMask+1, uint64(1)<<runBits)
-	sets := uint64(len(c.sets))
+	sets := uint64(c.cfg.Sets)
 	flushed := 0
 	if last-first >= sets-1 && runs >= sets/span {
-		for _, set := range c.sets {
-			flushed += c.flushSet(set, first, last)
+		flushed = c.flushWays(c.lines, first, last)
+	} else {
+		for l := first; ; {
+			runEnd := min(last, (l>>runBits+1)<<runBits-1)
+			base := (l >> runBits & c.partMask) << c.perBits
+			for i, end := l, min(runEnd, l+span-1); i <= end; i++ {
+				flushed += c.flushWays(c.set(int(base|i&c.perMask)), first, last)
+			}
+			if runEnd == last {
+				break
+			}
+			l = runEnd + 1
 		}
-		return flushed
 	}
-	for l := first; ; {
-		runEnd := min(last, (l>>runBits+1)<<runBits-1)
-		base := (l >> runBits & c.partMask) << c.perBits
-		for i, end := l, min(runEnd, l+span-1); i <= end; i++ {
-			flushed += c.flushSet(c.sets[base|i&c.perMask], first, last)
-		}
-		if runEnd == last {
-			return flushed
-		}
-		l = runEnd + 1
+	if flushed > 0 {
+		c.changes++
 	}
+	return flushed
 }
 
-// flushSet invalidates the resident lines of set whose line address
+// flushWays empties the resident lines among ways whose line address
 // lies in [first, last].
-func (c *Cache) flushSet(set []line, first, last uint64) int {
+func (c *Cache) flushWays(ways []line, first, last uint64) int {
 	n := 0
-	for i := range set {
-		if set[i].live(c.epoch) && set[i].tag >= first && set[i].tag <= last {
-			set[i].valid = false
+	for i := range ways {
+		if ways[i].live(c.epoch) && ways[i].tag >= first && ways[i].tag <= last {
+			ways[i].epoch = 0
 			n++
 		}
 	}
@@ -386,11 +425,9 @@ func (c *Cache) Snapshot() []LineState {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	out := make([]LineState, 0, c.cfg.Sets*c.cfg.Ways)
-	for _, set := range c.sets {
-		for i := range set {
-			out = append(out, LineState{Tag: set[i].tag, Resident: set[i].live(c.epoch), LRU: set[i].lru})
-		}
+	out := make([]LineState, len(c.lines))
+	for i := range c.lines {
+		out[i] = LineState{Tag: c.lines[i].tag, Resident: c.lines[i].live(c.epoch), LRU: c.lines[i].lru}
 	}
 	return out
 }

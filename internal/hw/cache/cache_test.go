@@ -60,6 +60,40 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestFillVictimWay pins which way a fill takes, by position: the first
+// way holding no resident line, else the least recently used one. The
+// LRU model in lineref_test.go checks residency and recency but not
+// positions, which Snapshot exposes.
+func TestFillVictimWay(t *testing.T) {
+	c := New(sharedCfg()) // 4 ways; lines 0x1000 apart share set 0
+	lineAt := func(way int) LineState { return c.Snapshot()[way] }
+	for w := uint64(0); w < 4; w++ {
+		c.Access(w * 0x1000)
+	}
+	// Empty ways 1 and 3; a fill takes way 1, the next way 3.
+	c.FlushRange(0x1000, 1)
+	c.FlushRange(0x3000, 1)
+	c.Access(0x8000)
+	if l := lineAt(1); !l.Resident || l.Tag != 0x8000>>6 {
+		t.Fatalf("way 1 holds %+v, want the fill of 0x8000", l)
+	}
+	c.Access(0x9000)
+	if l := lineAt(3); !l.Resident || l.Tag != 0x9000>>6 {
+		t.Fatalf("way 3 holds %+v, want the fill of 0x9000", l)
+	}
+	// Full: touch ways 0, 1 and 3, so way 2 (0x2000) is the LRU victim.
+	c.Access(0x0000)
+	c.Access(0x8000)
+	c.Access(0x9000)
+	c.Access(0xa000)
+	if l := lineAt(2); !l.Resident || l.Tag != 0xa000>>6 {
+		t.Fatalf("way 2 holds %+v, want 0xa000 in place of the LRU line", l)
+	}
+	if c.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", c.Evictions)
+	}
+}
+
 func TestFlushAll(t *testing.T) {
 	c := New(sharedCfg())
 	for i := uint64(0); i < 32; i++ {

@@ -8,8 +8,9 @@ import (
 )
 
 // oracleFlush is the brute-force sweep FlushRange must agree with: every
-// live line of every set whose bytes overlap [pa, pa+n) is invalidated,
-// clipped at the top of the address space.
+// live line of every set whose bytes overlap [pa, pa+n) is emptied,
+// clipped at the top of the address space, and the change count moves
+// once if any line was.
 func oracleFlush(c *Cache, pa, n uint64) int {
 	if n == 0 {
 		return 0
@@ -20,21 +21,23 @@ func oracleFlush(c *Cache, pa, n uint64) int {
 	}
 	size := uint64(1) << c.cfg.LineBits
 	flushed := 0
-	for _, set := range c.sets {
-		for i := range set {
-			start := set[i].tag << c.cfg.LineBits
-			if set[i].live(c.epoch) && start <= end && start+size-1 >= pa {
-				set[i].valid = false
-				flushed++
-			}
+	for i := range c.lines {
+		l := &c.lines[i]
+		start := l.tag << c.cfg.LineBits
+		if l.live(c.epoch) && start <= end && start+size-1 >= pa {
+			l.epoch = 0
+			flushed++
 		}
+	}
+	if flushed > 0 {
+		c.changes++
 	}
 	return flushed
 }
 
 // fillAround fills c from a seeded generator: lines straddling both ends
 // of [pa, pa+n), lines inside it, and lines anywhere, with a FlushAll
-// partway so lines of a stale epoch (valid but not resident) exist too.
+// partway so lines of a stale epoch (filled but not resident) exist too.
 func fillAround(c *Cache, seed int64, pa, n uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	line := uint64(1) << c.cfg.LineBits
@@ -63,9 +66,9 @@ func fillAround(c *Cache, seed int64, pa, n uint64) {
 
 // checkFlushRange fills twin caches identically, runs FlushRange on one
 // and the oracle on the other, and requires the same count and the same
-// state for every line — tag, valid bit, epoch and LRU stamp — and the
-// same statistics, and the flushed cache's Live() to equal its resident
-// ways. It returns the number of lines flushed.
+// state for every line — tag, epoch and LRU stamp — the same statistics
+// and change count, and the flushed cache's Live() to equal its
+// resident ways. It returns the number of lines flushed.
 func checkFlushRange(t *testing.T, cfg Config, seed int64, pa, n uint64) int {
 	t.Helper()
 	got, want := New(cfg), New(cfg)
@@ -75,19 +78,21 @@ func checkFlushRange(t *testing.T, cfg Config, seed int64, pa, n uint64) int {
 	if gotN != wantN {
 		t.Fatalf("%+v FlushRange(%#x, %#x) flushed %d lines, oracle %d", cfg, pa, n, gotN, wantN)
 	}
-	for s := range got.sets {
-		for w := range got.sets[s] {
-			if g, o := got.sets[s][w], want.sets[s][w]; g != o {
-				t.Fatalf("%+v FlushRange(%#x, %#x): set %d way %d is %+v, oracle %+v", cfg, pa, n, s, w, g, o)
-			}
+	for i := range got.lines {
+		if g, o := got.lines[i], want.lines[i]; g != o {
+			t.Fatalf("%+v FlushRange(%#x, %#x): set %d way %d is %+v, oracle %+v",
+				cfg, pa, n, i/cfg.Ways, i%cfg.Ways, g, o)
 		}
 	}
 	if got.Hits != want.Hits || got.Misses != want.Misses || got.Evictions != want.Evictions ||
 		got.stamp != want.stamp || got.epoch != want.epoch {
 		t.Fatalf("%+v FlushRange(%#x, %#x) moved the statistics", cfg, pa, n)
 	}
-	// The oracle writes valid bits without keeping the count, so only
-	// the flushed cache's counter is checked, against the sweep.
+	if got.Changes() != want.Changes() {
+		t.Fatalf("%+v FlushRange(%#x, %#x): change count %d, oracle %d", cfg, pa, n, got.Changes(), want.Changes())
+	}
+	// The oracle empties ways without keeping the resident count, so
+	// only the flushed cache's counter is checked, against the sweep.
 	if live, res := got.Live(), resident(got); live != res {
 		t.Fatalf("%+v FlushRange(%#x, %#x): Live() = %d, %d ways resident", cfg, pa, n, live, res)
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,25 +11,132 @@ import (
 // may hit through it only while that way holds the line a scanning
 // Access would hit, with bookkeeping identical to that scan. These tests
 // drive refs and a twin cache that takes every access through Access,
-// and require the two caches to stay equal way by way.
+// and require the two caches to stay equal way by way. The twin runs the
+// same set scan as the cache under test, so a third model checks that
+// scan: lruModel, which keeps each set as a recency list.
 
-// lineRefConfigs are a shared cache and a page-coloured one, both small
-// enough that a pool of a few dozen lines conflicts, evicts and refills.
+// lineRefConfigs are a shared cache, a page-coloured one and a 4-way
+// one, all small enough that a pool of a few dozen lines conflicts,
+// evicts and refills.
 var lineRefConfigs = []Config{
 	{Sets: 8, Ways: 2, LineBits: 6, HitCycles: 2, MissCycles: 40},
 	{Sets: 8, Ways: 2, LineBits: 6, HitCycles: 2, MissCycles: 40, Partitions: 2, PartitionShift: 12},
+	{Sets: 4, Ways: 4, LineBits: 6, HitCycles: 2, MissCycles: 40},
+}
+
+// lruModel is a set-associative LRU cache written from the definition,
+// with no stamps, epochs or ways: each set is the list of its resident
+// line addresses, least recently used first. A hit moves its line to
+// the end, a miss appends it and, in a full set, evicts the first.
+type lruModel struct {
+	cfg                     Config
+	sets                    [][]uint64
+	hits, misses, evictions uint64
+}
+
+func newLRUModel(cfg Config) *lruModel {
+	return &lruModel{cfg: cfg, sets: make([][]uint64, cfg.Sets)}
+}
+
+// setOf is Config's documented set mapping: the line address modulo the
+// sets, or on a partitioned cache the partition's first set plus the
+// line address modulo the partition's sets.
+func (m *lruModel) setOf(line uint64) int {
+	if m.cfg.Partitions == 0 {
+		return int(line % uint64(m.cfg.Sets))
+	}
+	per := uint64(m.cfg.Sets / m.cfg.Partitions)
+	part := (line << m.cfg.LineBits >> m.cfg.PartitionShift) % uint64(m.cfg.Partitions)
+	return int(part*per + line%per)
+}
+
+// access reports whether pa hits, updating recency, statistics and,
+// on a miss, residency.
+func (m *lruModel) access(pa uint64) bool {
+	line := pa >> m.cfg.LineBits
+	s := m.setOf(line)
+	set := m.sets[s]
+	if i := slices.Index(set, line); i >= 0 {
+		m.sets[s] = append(slices.Delete(set, i, i+1), line)
+		m.hits++
+		return true
+	}
+	m.misses++
+	if len(set) == m.cfg.Ways {
+		set = slices.Delete(set, 0, 1)
+		m.evictions++
+	}
+	m.sets[s] = append(set, line)
+	return false
+}
+
+// flushRange drops every resident line whose bytes overlap [pa, pa+n),
+// clipped at the top of the address space, and returns the count.
+func (m *lruModel) flushRange(pa, n uint64) int {
+	if n == 0 {
+		return 0
+	}
+	end := pa + n - 1
+	if end < pa {
+		end = ^uint64(0)
+	}
+	first, last := pa>>m.cfg.LineBits, end>>m.cfg.LineBits
+	dropped := 0
+	for s, set := range m.sets {
+		kept := slices.DeleteFunc(set, func(l uint64) bool { return l >= first && l <= last })
+		dropped += len(set) - len(kept)
+		m.sets[s] = kept
+	}
+	return dropped
+}
+
+// flushAll empties every set.
+func (m *lruModel) flushAll() {
+	for s := range m.sets {
+		m.sets[s] = m.sets[s][:0]
+	}
+}
+
+// check requires c to agree with the model after operation op: the same
+// statistics, and in every set the same resident lines in the same
+// recency order (c's resident ways sorted by LRU stamp).
+func (m *lruModel) check(t *testing.T, c *Cache, op int) {
+	t.Helper()
+	if c.Hits != m.hits || c.Misses != m.misses || c.Evictions != m.evictions {
+		t.Fatalf("%+v: op %d: statistics %d/%d/%d, LRU model %d/%d/%d", m.cfg, op,
+			c.Hits, c.Misses, c.Evictions, m.hits, m.misses, m.evictions)
+	}
+	ways := c.Snapshot()
+	for s, want := range m.sets {
+		var res []LineState
+		for _, l := range ways[s*m.cfg.Ways : (s+1)*m.cfg.Ways] {
+			if l.Resident {
+				res = append(res, l)
+			}
+		}
+		slices.SortFunc(res, func(a, b LineState) int { return cmp.Compare(a.LRU, b.LRU) })
+		got := make([]uint64, len(res))
+		for i, l := range res {
+			got[i] = l.Tag
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v: op %d: set %d holds %#x by recency, LRU model %#x", m.cfg, op, s, got, want)
+		}
+	}
 }
 
 // runLineRefOps decodes data, four bytes per operation, into Access,
 // AccessRef, TouchFast and TouchFastN calls through three refs on one
-// cache, interleaved with FlushAll and FlushRange on both caches. A
-// failed touch falls back to AccessRef, as the machine's callers do.
-// After every operation the caches' ways and statistics must be equal,
-// each cache's Live() must equal its resident ways, and a touch may hit
-// only when the twin's Probe finds the line.
+// cache, interleaved with FlushAll and FlushRange on both caches and the
+// LRU model. A failed touch falls back to AccessRef, as the machine's
+// callers do. After every operation the caches' ways and statistics
+// must be equal, each cache's Live() must equal its resident ways, a
+// touch may hit only when the twin's Probe finds the line, and the
+// cache must agree with the LRU model on every hit and miss, on its
+// statistics and on each set's lines in recency order.
 func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
-	c, twin := New(cfg), New(cfg)
+	c, twin, model := New(cfg), New(cfg), newLRUModel(cfg)
 	var refs [3]LineRef
 	var armed [3]uint64 // the address each ref was last pointed at
 	size := uint64(1) << cfg.LineBits
@@ -38,6 +146,16 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 		twinHit, twinCyc := twin.Access(pa)
 		if hit != twinHit || cyc != twinCyc {
 			t.Fatalf("%+v: AccessRef(%#x) = %v/%d, twin Access %v/%d", cfg, pa, hit, cyc, twinHit, twinCyc)
+		}
+		if modelHit := model.access(pa); hit != modelHit {
+			t.Fatalf("%+v: AccessRef(%#x) hit %v, LRU model %v", cfg, pa, hit, modelHit)
+		}
+	}
+	// touched records a touch that hit through its ref: the model must
+	// hit too.
+	touched := func(pa uint64) {
+		if !model.access(pa) {
+			t.Fatalf("%+v: a touch of %#x hit a line the LRU model does not hold", cfg, pa)
 		}
 	}
 	for i := 0; i+4 <= len(data); i += 4 {
@@ -57,6 +175,9 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 			if hit != twinHit || cyc != twinCyc {
 				t.Fatalf("%+v: Access(%#x) = %v/%d, twin %v/%d", cfg, pa, hit, cyc, twinHit, twinCyc)
 			}
+			if modelHit := model.access(pa); hit != modelHit {
+				t.Fatalf("%+v: Access(%#x) hit %v, LRU model %v", cfg, pa, hit, modelHit)
+			}
 		case op < 16:
 			access(pa, &refs[k])
 			armed[k] = pa
@@ -67,6 +188,7 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 					t.Fatalf("%+v: TouchFast(%#x) hit a line the twin does not hold", cfg, pa)
 				}
 				twin.Access(pa)
+				touched(pa)
 			} else {
 				access(pa, &refs[k])
 				armed[k] = pa
@@ -80,6 +202,7 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 				}
 				for j := uint64(0); j < n; j++ {
 					twin.Access(pa)
+					touched(pa)
 				}
 			} else {
 				for j := uint64(0); j < n; j++ {
@@ -88,16 +211,22 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 						continue
 					}
 					twin.Access(pa)
+					touched(pa)
 				}
 				armed[k] = pa
 			}
 		case op == 29:
 			c.FlushAll()
 			twin.FlushAll()
+			model.flushAll()
 		default:
 			n := uint64(b1>>2&7) * size / 2
-			if got, want := c.FlushRange(pa, n), twin.FlushRange(pa, n); got != want {
+			got, want := c.FlushRange(pa, n), twin.FlushRange(pa, n)
+			if got != want {
 				t.Fatalf("%+v: FlushRange(%#x, %#x) flushed %d lines, twin %d", cfg, pa, n, got, want)
+			}
+			if dropped := model.flushRange(pa, n); got != dropped {
+				t.Fatalf("%+v: FlushRange(%#x, %#x) flushed %d lines, LRU model %d", cfg, pa, n, got, dropped)
 			}
 		}
 		if c.Hits != twin.Hits || c.Misses != twin.Misses || c.Evictions != twin.Evictions {
@@ -112,6 +241,7 @@ func runLineRefOps(t *testing.T, cfg Config, data []byte) {
 				t.Fatalf("%+v: op %d (%d): Live() = %d, %d ways resident", cfg, i/4, op, got, want)
 			}
 		}
+		model.check(t, c, i/4)
 	}
 }
 

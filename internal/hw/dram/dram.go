@@ -78,6 +78,11 @@ func (b Bitmap) Has(r int) bool {
 	return r >= 0 && r < 64 && b&(1<<uint(r)) != 0
 }
 
+// Lowest returns the lowest region in the set, or 64 for the empty
+// set. With b &= b-1 dropping it, a loop visits the set's regions in
+// ascending order without testing the others.
+func (b Bitmap) Lowest() int { return bits.TrailingZeros64(uint64(b)) }
+
 // Count returns the number of regions in the set.
 func (b Bitmap) Count() int { return bits.OnesCount64(uint64(b)) }
 

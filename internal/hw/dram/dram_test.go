@@ -78,6 +78,17 @@ func TestBitmapOps(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 63 {
 		t.Fatalf("regions = %v", got)
 	}
+	// Lowest with b &= b-1 visits the same regions in the same order.
+	var walked []int
+	for rest := b.Set(17); rest != 0; rest &= rest - 1 {
+		walked = append(walked, rest.Lowest())
+	}
+	if len(walked) != 3 || walked[0] != 0 || walked[1] != 17 || walked[2] != 63 {
+		t.Fatalf("walk by Lowest = %v", walked)
+	}
+	if r := Bitmap(0).Lowest(); r != 64 {
+		t.Fatalf("empty set's Lowest = %d, want 64", r)
+	}
 }
 
 func TestBitmapIntersects(t *testing.T) {

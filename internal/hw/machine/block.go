@@ -49,7 +49,8 @@ import (
 //     the segment length (each fetch is a guaranteed TLB hit while the
 //     guard holds), and the L1 touches collapse into one TouchFastN
 //     per cache line, bit-exact to the per-fetch sequence because
-//     nothing else touches the cache between them;
+//     nothing else touches the cache between them (a steady pass, see
+//     execBlock, skips their hold checks);
 //   - batches the base cycle cost of the segment's fused ops into one
 //     addition (exact: fused ALU ops cannot trap, so entering the
 //     segment implies they all retire);
@@ -126,11 +127,13 @@ const (
 // lets every cpu.Regs access elide its bounds check.
 const regIdxMask = isa.NumRegs - 1
 
-// segEnv.run status codes.
+// segEnv.run status codes. execBlock passes the previous segment's
+// status into the next one.
 const (
-	segStop  = iota // trap or guard bail; details in Core.brun
-	segDirty        // continue; the next segment must re-check the guard
-	segClean        // continue; the guard word provably did not move
+	segStop   = iota // trap or guard bail; details in Core.brun
+	segDirty         // continue; the next segment must re-check the guard
+	segClean         // continue; the guard word provably did not move
+	segSteady        // segClean, and the pass is still steady (see execBlock)
 )
 
 // BlockStats counts the block engine's activity on one core; purely
@@ -140,6 +143,7 @@ type BlockStats struct {
 	Rejected      uint64 // hot sites refused (too short / unfusible head)
 	Executions    uint64 // completed straight-line passes
 	Loops         uint64 // back-to-back re-entries without leaving the engine
+	Steady        uint64 // chained passes that ran steady from start to end
 	Instrs        uint64 // instructions retired inside blocks
 	GuardBails    uint64 // mid-block guard misses (fell back to interpreter)
 	Revalidations uint64 // stale blocks revived without recompiling
@@ -152,12 +156,19 @@ func (c *Core) BlockStats() BlockStats { return c.bstats }
 
 // blockRun is the per-core scratch a block execution communicates
 // through: base is the instruction count retired by completed passes,
-// retired/trap are set by a segment returning segStop.
+// retired/trap are set by a segment returning segStop. ldLine and stLine
+// are the VA lines (va >> L1 line bits) of the execution's last load and
+// store through the checked path, the lines a steady pass tests its
+// data accesses against; noLine matches no address.
 type blockRun struct {
 	base    int
 	retired int
 	trap    *isa.Trap
+	ldLine  uint64
+	stLine  uint64
 }
+
+const noLine = ^uint64(0)
 
 // fetchRun is one run of consecutive instruction fetches from a single
 // L1 line within a segment.
@@ -180,6 +191,7 @@ type block struct {
 	words   []uint64        // original instruction words, for revalidation
 	vas     []uint64        // each instruction's VA, in execution order
 	lrefs   []cache.LineRef // L1 refs for the code lines, shared by segments
+	lpas    []uint64        // each code line's physical address
 	segs    []segEnv        // fused segments, in execution order
 }
 
@@ -237,15 +249,35 @@ func (c *Core) blockFor(pc uint64) *block {
 // and the trap that ended execution, if any. On any exit — completion,
 // guard bail, trap — CPU.PC and the modeled state sit exactly where the
 // per-instruction engine would have left them.
+//
+// A chained pass runs steady when the L1 has neither filled nor flushed
+// a line since every line ref the block uses — its code lines' refs and
+// the core's load and store refs — was last confirmed. A pass whose
+// change count (cache.Changes) did not move from start to end confirmed
+// every one of them at that count, each fetch run and data access
+// through a hold check or a scan; a pass that moved it is followed by
+// confirmRefs, which checks each ref's hold at the new count; and a
+// steady pass, which makes no change, keeps the proof for the next. A
+// steady pass charges each fetch run and each data hit through its ref
+// without re-proving the hold, and tests a data access only for the VA
+// line of its class's last checked access: the same line means the same
+// last-translation cache hit and the same L1 line. The first access
+// that fails the test, or a store that lands in a code page, hands
+// over: that access and the rest of the pass run the checked path.
 func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 	c.brun.base = 0
 	c.brun.trap = nil
-	passes := 0
+	c.brun.ldLine, c.brun.stLine = noLine, noLine
+	passes, steady := 0, 0
 	// blockFor validated the guard word on entry, so the first segment
 	// starts clean.
 	st := segClean
 	segs := b.segs
 	cpu := &c.CPU
+	// The VA-line test names one walk root only while evrange does not
+	// split a line; a monitor only programs page-aligned ranges.
+	steadyOK := c.EvMask&(1<<c.l1LineBits-1) == 0
+	proved := c.L1.Changes() // every ref holds while the count stays here
 	// Guard re-checks and event polls are batched across chained passes
 	// up to the block cap, so a short loop body pays the atomic loads at
 	// the same ≤blockCap-instruction interval a maximal block would.
@@ -262,14 +294,19 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 	for {
 		c.TLB.Hits += nHits
 		for i := range segs {
-			if st = segs[i].run(c, cpu, st == segClean); st == segStop {
+			if st = segs[i].run(c, cpu, st); st == segStop {
 				c.TLB.Hits -= nHits - uint64(c.brun.retired-c.brun.base)
 				c.bstats.Instrs += uint64(c.brun.retired)
 				c.bstats.Executions += uint64(passes)
+				c.bstats.Loops += uint64(passes) // the stopped pass was a re-entry too
+				c.bstats.Steady += uint64(steady)
 				return c.brun.retired, c.brun.trap
 			}
 		}
 		passes++
+		if st == segSteady {
+			steady++
+		}
 		c.brun.base += b.n
 		if !b.hasTerm {
 			cpu.PC = b.fallPC
@@ -278,7 +315,17 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 			c.bstats.Instrs += uint64(c.brun.base)
 			c.bstats.Executions += uint64(passes)
 			c.bstats.Loops += uint64(passes - 1)
+			c.bstats.Steady += uint64(steady)
 			return c.brun.base, nil
+		}
+		// The next pass inherits the last segment's verdict — a store
+		// into code already forced dirty, and clean segments provably
+		// left the guard word unmoved — and runs steady if every ref is
+		// proved to hold.
+		if now := c.L1.Changes(); st != segDirty && steadyOK && (now == proved || c.confirmRefs(b)) {
+			proved, st = now, segSteady
+		} else if st == segSteady {
+			st = segClean
 		}
 		if sincePoll++; sincePoll >= stride {
 			sincePoll = 0
@@ -286,16 +333,46 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 				c.bstats.Instrs += uint64(c.brun.base)
 				c.bstats.Executions += uint64(passes)
 				c.bstats.Loops += uint64(passes - 1)
+				c.bstats.Steady += uint64(steady)
 				return c.brun.base, nil
 			}
 			// Poll boundary: re-check the guard, so a cross-hart code
 			// write is seen within blockCap retired instructions even by
-			// an all-clean loop. Between polls the next pass inherits the
-			// last segment's verdict — a store already forced dirty, and
-			// clean segments provably left the guard word unmoved.
-			st = segDirty
+			// an all-clean or steady loop. A failed check leaves it to
+			// the first segment, which bails.
+			if st != segSteady || !c.guardHolds(b) {
+				st = segDirty
+			}
 		}
 	}
+}
+
+// confirmRefs checks, after a pass that moved L1 lines, the hold of
+// every ref a steady pass would use. It reports whether each of b's
+// code line refs still holds its line, and forgets a data class's last
+// line whose ref no longer holds it, so that class's next access takes
+// the checked path.
+func (c *Core) confirmRefs(b *block) bool {
+	for i := range b.lrefs {
+		if !c.L1.Holds(b.lpas[i], &b.lrefs[i]) {
+			return false
+		}
+	}
+	lb, off := c.l1LineBits, uint64(mem.PageMask)
+	if l := c.brun.ldLine; l != noLine && !c.L1.Holds(c.loadTC.paPage|l<<lb&off, &c.loadRef) {
+		c.brun.ldLine = noLine
+	}
+	if l := c.brun.stLine; l != noLine && !c.L1.Holds(c.storeTC.paPage|l<<lb&off, &c.storeRef) {
+		c.brun.stLine = noLine
+	}
+	return true
+}
+
+// guardHolds reports whether b's guard word still holds: no code write
+// and no translation left the TLB since b was validated, in the same
+// privilege mode.
+func (c *Core) guardHolds(b *block) bool {
+	return b.icGen == c.icGen.Load() && b.tgMode == tgMode(c.TLB.Gen(), c.CPU.Mode)
 }
 
 // guardFail records a guard bail at the start of segment e and points
@@ -455,7 +532,7 @@ type segEnv struct {
 	fetch1    bool
 	pa0       uint64 // physical address of the first fetch
 	fn0       uint64 // fetches on the line
-	hit0      uint64 // fn0 * L1 hit cycles
+	hits      uint64 // L1 hit cycles of the segment's fetches
 	ref0      *cache.LineRef
 	fetchRest []fetchRun
 
@@ -483,7 +560,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 		fetch1:  len(s.fetch) == 1,
 		pa0:     b.paPage | f0.off,
 		fn0:     f0.n,
-		hit0:    f0.n * c.l1Hit,
+		hits:    uint64(s.n) * c.l1Hit,
 		ref0:    &b.lrefs[f0.line],
 		ops:     s.ops,
 		last:    newUop(s.last, s.lastVA),
@@ -506,28 +583,38 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 	return e
 }
 
-// run executes the segment. clean elides the guard (the previous
-// segment proved the guard word stable). c and cpu are passed in so
-// the per-segment prologue does no pointer chasing of its own.
-func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
+// run executes the segment; st is the previous segment's status. The
+// guard is re-checked only after segDirty (segClean and segSteady
+// proved the guard word stable), and under segSteady the segment runs
+// steady (see execBlock). c and cpu are passed in so the per-segment
+// prologue does no pointer chasing of its own.
+func (e *segEnv) run(c *Core, cpu *isa.CPU, st int) int {
 	// Guard (elided when the previous segment proved it stable).
-	if !clean && (e.b.icGen != c.icGen.Load() || e.b.tgMode != tgMode(c.TLB.Gen(), cpu.Mode)) {
+	if st == segDirty && !c.guardHolds(e.b) {
 		c.guardFail(e)
 		return segStop
 	}
 	// Batched fetch accounting for the whole segment: each fetch is a
 	// guaranteed TLB hit under the guard (execBlock advances TLB.Hits
 	// for the whole pass at once), and the L1 touches collapse per
-	// line. A dead line ref falls back to the exact per-fetch sequence.
+	// line. A steady pass knows every code line's ref holds; otherwise a
+	// dead ref falls back to the exact per-fetch sequence.
 	cyc := e.static
-	if e.fetch1 {
-		if c.L1.TouchFastN(e.pa0, e.ref0, e.fn0) {
-			cyc += e.hit0
-		} else {
-			cyc += c.fetchChargeSlow(e.pa0, e.ref0, e.fn0)
+	switch {
+	case st == segSteady && e.fetch1:
+		c.L1.TouchHeldN(e.ref0, e.fn0)
+		cyc += e.hits
+	case st == segSteady:
+		for fi := range e.fetchRest {
+			c.L1.TouchHeldN(&e.b.lrefs[e.fetchRest[fi].line], e.fetchRest[fi].n)
 		}
-	} else {
+		cyc += e.hits
+	case !e.fetch1:
 		cyc += c.segFetchMulti(e.b, e.fetchRest)
+	case c.L1.TouchFastN(e.pa0, e.ref0, e.fn0):
+		cyc += e.hits
+	default:
+		cyc += c.fetchChargeSlow(e.pa0, e.ref0, e.fn0)
 	}
 	cpu.Cycles += cyc
 
@@ -605,31 +692,49 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			c.segAlignTrap(e.isLoad, e.lastVA, addr, e.segEnd)
 			return segStop
 		}
-		clean := true
-		tc, ref := &c.storeTC, &c.storeRef
+		tc, ref, line := &c.storeTC, &c.storeRef, &c.brun.stLine
 		if e.isLoad {
-			tc, ref = &c.loadTC, &c.loadRef
+			tc, ref, line = &c.loadTC, &c.loadRef, &c.brun.ldLine
 		}
+		next := segSteady
 		var pa uint64
-		root, _ := c.walkRoot(addr)
-		if root != 0 && tc.gen == c.TLB.Gen() && tc.vpn == (addr&pt.VAMask)>>mem.PageBits &&
-			tc.root == root && tc.mode == cpu.Mode {
-			// Last-translation cache hit: same statistic update as
-			// translateFast's short-circuit, and provably no TLB or
-			// decode-cache mutation.
+		if st == segSteady && addr>>c.l1LineBits == *line {
+			// Steady: the line of the class's last access, so a hit in
+			// its last-translation cache and through its ref.
 			c.TLB.Hits++
+			c.L1.TouchHeldN(ref, 1)
+			cpu.Cycles += c.l1Hit
 			pa = tc.paPage | addr&uint64(mem.PageMask)
 		} else {
-			var ok bool
-			if pa, ok = c.segMemWalk(tc, e.isLoad, addr, e.w64, e.lastVA, e.segEnd); !ok {
-				return segStop
+			// The checked path, which also hands a steady pass over. It
+			// records the access's line, unless the access was bare and
+			// so filled no last-translation cache.
+			next = segClean
+			rec := addr >> c.l1LineBits
+			root, _ := c.walkRoot(addr)
+			if root != 0 && tc.gen == c.TLB.Gen() && tc.vpn == (addr&pt.VAMask)>>mem.PageBits &&
+				tc.root == root && tc.mode == cpu.Mode {
+				// Last-translation cache hit: same statistic update as
+				// translateFast's short-circuit, and provably no TLB or
+				// decode-cache mutation.
+				c.TLB.Hits++
+				pa = tc.paPage | addr&uint64(mem.PageMask)
+			} else {
+				var ok bool
+				if pa, ok = c.segMemWalk(tc, e.isLoad, addr, e.w64, e.lastVA, e.segEnd); !ok {
+					return segStop
+				}
+				next = segDirty
+				if root == 0 {
+					rec = noLine
+				}
 			}
-			clean = false
-		}
-		if c.L1.TouchFast(pa, ref) {
-			cpu.Cycles += c.l1Hit
-		} else {
-			cpu.Cycles += c.cachedAccessRef(pa, ref)
+			if c.L1.TouchFast(pa, ref) {
+				cpu.Cycles += c.l1Hit
+			} else {
+				cpu.Cycles += c.cachedAccessRef(pa, ref)
+			}
+			*line = rec
 		}
 		if e.isLoad {
 			var val uint64
@@ -644,10 +749,7 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			if u.rd != isa.RegZero {
 				cpu.Regs[u.rd&regIdxMask] = val
 			}
-			if clean {
-				return segClean
-			}
-			return segDirty
+			return next
 		}
 		// Store: the fused window store runs the copy-on-write backstop
 		// (Core.Store's), the code-page check and the write in one call.
@@ -666,16 +768,21 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			c.segCOWTrap(e.lastVA, addr, e.segEnd)
 			return segStop
 		}
-		if hitCode || !clean {
+		if hitCode {
 			return segDirty
 		}
-		return segClean
+		return next
 	}
 
 	// Terminal, by the same rule. A branch picks between its burned-in
 	// target and the fall-through; JAL and JALR write their link unless
 	// rd is x0, and JALR reads rs1 first, so rd == rs1 jumps to the old
-	// value. A block without a terminal leaves PC to execBlock.
+	// value. A block without a terminal leaves PC to execBlock. The pass
+	// stays steady if it was.
+	next := segClean
+	if st == segSteady {
+		next = segSteady
+	}
 	x, y := cpu.Regs[u.a&regIdxMask], cpu.Regs[u.b&regIdxMask]
 	var taken bool
 	switch u.op {
@@ -701,16 +808,16 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			cpu.Regs[u.rd&regIdxMask] = e.lastVA + isa.InstrSize
 		}
 		cpu.PC = x + u.imm
-		return segClean
+		return next
 	default:
-		return segClean
+		return next
 	}
 	if taken {
 		cpu.PC = u.imm
 	} else {
 		cpu.PC = e.lastVA + isa.InstrSize
 	}
-	return segClean
+	return next
 }
 
 func b2u(b bool) uint64 {
@@ -805,14 +912,10 @@ func (c *Core) compileBlock(pc uint64) *block {
 		icGen: icGen, tgMode: tg, root: root,
 		n: n, hasTerm: hasTerm,
 	}
-	buf := make([]uint64, 2*n)
-	b.words, b.vas = buf[:n:n], buf[n:]
-	copy(b.words, words[:n])
-	copy(b.vas, vas[:n])
-
 	// Each distinct L1 line of the trace gets one ref, in first-fetch
 	// order; a memory op ends its segment, and so does the last op. The
-	// block's register ops share one exact-size array.
+	// block's register ops share one exact-size array, and its words,
+	// VAs and code line addresses another.
 	var (
 		lines  [blockCap]uint64
 		lineOf [blockCap]int
@@ -820,7 +923,7 @@ func (c *Core) compileBlock(pc uint64) *block {
 		nsegs  int
 		nops   int
 	)
-	lineBits := c.L1.Config().LineBits
+	lineBits := c.l1LineBits
 	for i := 0; i < n; i++ {
 		line := (vas[i] & pageMask) >> lineBits
 		j := slices.Index(lines[:nl], line)
@@ -835,6 +938,13 @@ func (c *Core) compileBlock(pc uint64) *block {
 		if fusesOp(ins[i]) {
 			nops++
 		}
+	}
+	buf := make([]uint64, 2*n+nl)
+	b.words, b.vas, b.lpas = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	copy(b.words, words[:n])
+	copy(b.vas, vas[:n])
+	for j, line := range lines[:nl] {
+		b.lpas[j] = paPage | line<<lineBits
 	}
 	b.lrefs = make([]cache.LineRef, nl)
 	b.segs = make([]segEnv, 0, nsegs)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sanctorum/internal/hw/mem"
+	"sanctorum/internal/hw/pt"
 	"sanctorum/internal/isa"
 )
 
@@ -477,7 +478,7 @@ func TestBlockDomainSwitchDifferential(t *testing.T) {
 			}
 			words := programs[round%len(programs)]
 			tlbEntries := []int{0, 2, 0, 3}[round%4]
-			bs := bfCompareTLB(t, kind, tlbEntries, words, nil, events).BlockStats()
+			bs := bfCompareShape(t, kind, bfShape{tlbEntries: tlbEntries}, words, nil, events).BlockStats()
 			total.Revalidations += bs.Revalidations
 			total.Invalidations += bs.Invalidations
 			total.Instrs += bs.Instrs
@@ -485,6 +486,164 @@ func TestBlockDomainSwitchDifferential(t *testing.T) {
 	}
 	if total.Revalidations == 0 || total.Invalidations == 0 || total.Instrs == 0 {
 		t.Fatalf("the events never revived, dropped or ran a block: %+v", total)
+	}
+}
+
+// TestBlockSteadyPasses drives copy loops of the bulk KV server's shape
+// through the cases a steady pass must hand over on, each against the
+// reference interpreter on every observable, on every backend: load and
+// store streams crossing L1 lines at different phases and widths, a
+// stream crossing a page mid-loop, overlapping streams, a direct-mapped
+// L1 where the data fills evict the loop's own code lines, a descending
+// store stream that reaches the loop's own code page at pass 9, and a
+// destination page frozen copy-on-write that traps from mid-loop on.
+// Every loop runs once whole and once in run slices ended mid-loop by
+// domain-switch events. The loops whose passes fill no line in steady
+// stretches must run steady passes, and the plain copy loop must run at
+// least half of its chained passes steady.
+func TestBlockSteadyPasses(t *testing.T) {
+	const page = mem.PageSize
+	rows := []struct {
+		name   string
+		loop   bfLoop
+		shape  bfShape
+		steady bool // the loop must run steady passes
+	}{
+		{"phases", bfLoop{width: 8, stride: 8, trip: 400, src: 0, dst: page + 24}, bfShape{}, true},
+		{"phases-narrow", bfLoop{width: 4, stride: 4, trip: 500, src: 44, dst: page + 8}, bfShape{}, true},
+		{"bytes", bfLoop{width: 1, stride: 1, trip: 600, src: 3, dst: page + 61}, bfShape{}, true},
+		{"stride-16", bfLoop{width: 8, stride: 16, trip: 250, src: 16, dst: page + 40}, bfShape{}, true},
+		{"stride-24", bfLoop{width: 8, stride: 24, trip: 150, src: 16, dst: page + 40}, bfShape{}, false},
+		{"page-cross", bfLoop{width: 8, stride: 8, trip: 128, src: page - 0x200, dst: 2*page - 0x1c8}, bfShape{}, true},
+		{"overlap-ahead", bfLoop{width: 8, stride: 8, trip: 300, src: 0x100, dst: 0x108}, bfShape{}, true},
+		{"overlap-behind", bfLoop{width: 8, stride: 8, trip: 300, src: 0x108, dst: 0x100}, bfShape{}, true},
+		{"evicts-code", bfLoop{width: 8, stride: 8, trip: 700, src: 0, dst: page + 24}, bfShape{l1Ways: 1}, false},
+		{"code-store", bfLoop{width: 8, stride: 8, trip: 32, src: 0x200, dstReg: 9, dst: page + 0x40, down: true}, bfShape{}, true},
+		{"cow", bfLoop{width: 8, stride: 8, trip: 64, src: 0, dst: 2*page - 0x100}, bfShape{cow: []uint64{bfDataPA + 2*page}}, true},
+	}
+	data := make([]byte, bfDataLen)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	rng := rand.New(rand.NewSource(20261019))
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			loop := r.loop
+			loop.srcReg = 8
+			if loop.dstReg == 0 {
+				loop.dstReg = 8
+			}
+			prog := append(loop.instrs(), isa.Instr{Op: isa.OpHALT})
+			words := make([]uint64, len(prog))
+			for i, in := range prog {
+				words[i] = in.Encode()
+			}
+			for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+				bs := bfCompareShape(t, kind, r.shape, words, data, nil).BlockStats()
+				if bs.Loops == 0 {
+					t.Fatalf("%v: the loop never chained: %+v", kind, bs)
+				}
+				if r.steady && bs.Steady == 0 {
+					t.Errorf("%v: no chained pass ran steady: %+v", kind, bs)
+				}
+				if r.name == "phases" && 2*bs.Steady < bs.Loops {
+					t.Errorf("%v: %d of %d chained passes ran steady, want at least half", kind, bs.Steady, bs.Loops)
+				}
+				events := make([]bfEvent, 12)
+				for i := range events {
+					events[i] = bfEvent{
+						after: 1 + rng.Intn(300),
+						kind:  bfEventKind(rng.Intn(int(bfEventKinds))),
+						arg:   uint8(rng.Intn(256)),
+					}
+				}
+				bfCompareShape(t, kind, r.shape, words, data, events)
+			}
+		})
+	}
+}
+
+// TestBlockSteadyProofs covers the two ways a steady pass's proof can
+// lapse without its own data test failing, against the reference
+// interpreter on every observable.
+//
+// A code line evicted after its last fetch of the pass: a bottom-tested
+// copy loop whose first two instructions end one L1 line, so that line
+// is fetched only by the first segment, runs on a direct-mapped L1 with
+// both streams stepping a line a pass; whenever the streams reach that
+// line's set, a data fill evicts it after its fetch, and the next pass
+// must not charge it through its dead ref.
+//
+// Bare data accesses: on a Sanctum core in enclave mode whose evrange
+// covers only the code, with a bare OS root, the copy loop's data
+// accesses translate bare. They fill no last-translation cache and
+// count no TLB hit, so a steady pass must never take them as repeats.
+//
+// An evrange that splits a line: the enclave range is bare and the OS
+// range paged, and the range's mask has a bit below the line size, so
+// half of each 64-byte line of the loop's source translates through the
+// OS table and half is bare. A line names no single walk root, so the
+// core must never run steady.
+func TestBlockSteadyProofs(t *testing.T) {
+	const trip, stride = 120, 64
+	late := []isa.Instr{
+		{Op: isa.OpLI, Rd: 20, Imm: 0},
+		{Op: isa.OpLI, Rd: 21, Imm: trip * stride},
+		{Op: isa.OpADDI, Rd: 23, Rs1: 8, Imm: mem.PageSize},
+		{Op: isa.OpNOP}, {Op: isa.OpNOP}, {Op: isa.OpNOP},
+		{Op: isa.OpADD, Rd: 24, Rs1: 8, Rs2: 20}, // body, at the end of the first line
+		{Op: isa.OpLD, Rd: 24, Rs1: 24},
+		{Op: isa.OpADD, Rd: 25, Rs1: 23, Rs2: 20}, // the next line
+		{Op: isa.OpSD, Rs1: 25, Rs2: 24},
+		{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: stride},
+		{Op: isa.OpBLTU, Rs1: 20, Rs2: 21, Imm: -5 * 8}, // → body
+		{Op: isa.OpHALT},
+	}
+	bare := append(bfLoop{width: 8, stride: 8, trip: 300, srcReg: 8, dstReg: 8, dst: mem.PageSize + 24}.instrs(),
+		isa.Instr{Op: isa.OpHALT})
+	enclaveCode := func(c *Core) {
+		c.EnclaveMode = true
+		c.ESatp, c.Satp = c.Satp, 0
+		c.EvBase, c.EvMask = bfCodeVA, ^uint64(bfCodeLen-1)
+		c.EncRegions = c.OSRegions
+		c.CPU.Regs[8] = bfDataPA // bare: VA is PA
+	}
+	data := make([]byte, bfDataLen)
+	for i := range data {
+		data[i] = byte(i*5 + i>>9)
+	}
+	encode := func(prog []isa.Instr) []uint64 {
+		words := make([]uint64, len(prog))
+		for i, in := range prog {
+			words[i] = in.Encode()
+		}
+		return words
+	}
+	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+		if bs := bfCompareShape(t, kind, bfShape{l1Ways: 1}, encode(late), data, nil).BlockStats(); bs.Loops == 0 {
+			t.Fatalf("%v: the late-eviction loop never chained: %+v", kind, bs)
+		}
+	}
+	if bs := bfCompareShape(t, IsolationSanctum, bfShape{core: enclaveCode}, encode(bare), data, nil).BlockStats(); bs.Loops == 0 {
+		t.Fatalf("the bare-data loop never chained: %+v", bs)
+	}
+	const splitVA = 1 << 20
+	splitEvrange := func(c *Core) {
+		next := uint64(0x38000) >> mem.PageBits
+		b := &pt.Builder{Mem: c.machine.Mem, Root: c.Satp, Alloc: func() (uint64, error) { next++; return next - 1, nil }}
+		if err := b.Map(splitVA, bfDataPA, pt.R|pt.W); err != nil {
+			t.Fatal(err)
+		}
+		c.EnclaveMode = true
+		c.ESatp, c.EncRegions = 0, c.OSRegions
+		c.EvBase, c.EvMask = splitVA|1<<5, splitVA|1<<5
+		c.CPU.Regs[12] = splitVA
+	}
+	split := append(bfLoop{width: 8, stride: 8, trip: 256, srcReg: 12, dstReg: 8, dst: mem.PageSize}.instrs(),
+		isa.Instr{Op: isa.OpHALT})
+	bs := bfCompareShape(t, IsolationSanctum, bfShape{core: splitEvrange}, encode(split), data, nil).BlockStats()
+	if bs.Loops == 0 || bs.Steady != 0 {
+		t.Fatalf("the split-evrange loop chained %d passes, %d steady; want some, none steady", bs.Loops, bs.Steady)
 	}
 }
 

@@ -24,7 +24,9 @@ import (
 // own bail-out machinery: self-modifying stores over the code pages,
 // accesses that straddle the last mapped page into unmapped space,
 // mid-block faults, and system ops that must terminate block formation;
-// it also emits JALR (half with rd == rs1) and names x0 by its alias 32.
+// it also emits JALR (half with rd == rs1), names x0 by its alias 32,
+// and emits whole top-tested stride loops whose chained passes run
+// steady.
 //
 // It also emits domain-switch events, which the harness applies to both
 // engines alike between run slices: core cleaning (ClearMicroarch), a
@@ -218,12 +220,78 @@ var bfMemOps = []isa.Op{
 
 var bfBranchOps = []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU}
 
+// bfLoop is a top-tested stride loop of the bulk KV server's copy shape
+// (body; j top; top: bltu i, n, body), which compiles to one block that
+// chains: trip passes load width bytes from src+i and store them to
+// dst+i (dst-i when down), i stepping by stride. src and dst are offsets
+// from the base registers srcReg and dstReg. It uses x20–x25 only.
+type bfLoop struct {
+	width          int // 1, 2, 4 or 8
+	stride, trip   int32
+	srcReg, dstReg uint8
+	src, dst       int32
+	down           bool
+}
+
+// instrs is the loop, falling through past its end when done.
+func (l bfLoop) instrs() []isa.Instr {
+	load := map[int]isa.Op{1: isa.OpLBU, 2: isa.OpLH, 4: isa.OpLWU, 8: isa.OpLD}[l.width]
+	store := map[int]isa.Op{1: isa.OpSB, 2: isa.OpSH, 4: isa.OpSW, 8: isa.OpSD}[l.width]
+	dstOp := isa.OpADD
+	if l.down {
+		dstOp = isa.OpSUB
+	}
+	return []isa.Instr{
+		{Op: isa.OpLI, Rd: 20, Imm: 0},
+		{Op: isa.OpLI, Rd: 21, Imm: l.stride * l.trip},
+		{Op: isa.OpADDI, Rd: 22, Rs1: l.srcReg, Imm: l.src},
+		{Op: isa.OpADDI, Rd: 23, Rs1: l.dstReg, Imm: l.dst},
+		{Op: isa.OpBLTU, Rs1: 20, Rs2: 21, Imm: 2 * 8}, // top: → body
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: 7 * 8},   // → past the loop
+		{Op: isa.OpADD, Rd: 24, Rs1: 22, Rs2: 20},      // body
+		{Op: load, Rd: 24, Rs1: 24},
+		{Op: dstOp, Rd: 25, Rs1: 23, Rs2: 20},
+		{Op: store, Rs1: 25, Rs2: 24},
+		{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: l.stride},
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -7 * 8}, // → top
+	}
+}
+
+// bfLoopFrom decodes a stride loop from three fuzz bytes: its width,
+// stride (one to four widths), trip count (8 to 68), source offset in
+// the data pages, and destination: overlapping the source eight bytes
+// ahead or behind, on the next data page at another line phase, or
+// descending from there. Both streams stay inside the data pages, and
+// may cross a page.
+func bfLoopFrom(b1, b2, b3 uint8) bfLoop {
+	l := bfLoop{
+		width:  1 << (b1 & 3),
+		trip:   8 + int32(b1>>4)*4,
+		srcReg: 8, dstReg: 8,
+		src: int32(b2) * 8,
+	}
+	l.stride = int32(l.width) * (int32(b1>>2&3) + 1)
+	switch b3 & 3 {
+	case 0:
+		l.dst = l.src + 8
+	case 1:
+		l.dst = max(l.src-8, 0)
+	case 2:
+		l.dst = l.src + mem.PageSize + int32(b3>>2)*8
+	default:
+		l.dst = l.src + 2*mem.PageSize + int32(b3>>2)*8
+		l.down = true
+	}
+	return l
+}
+
 // bfGenerate maps fuzz bytes to an instruction stream and a schedule of
 // domain-switch events. Four bytes per record: a class selector and
 // three operand bytes. Register fields are drawn mod 32, and one
-// instruction in eight then names x0 by its alias 32 in one field. The
-// stream is capped at the code region less one word for the trailing
-// HALT.
+// instruction in eight then names x0 by its alias 32 in one field. A
+// stride-loop record emits a whole bfLoop, so chained passes — and the
+// steady ones among them — are common. The stream is capped at the code
+// region less one word for the trailing HALT.
 func bfGenerate(data []byte) ([]uint64, []bfEvent) {
 	max := int(bfCodeLen/isa.InstrSize) - 1
 	var words []uint64
@@ -243,6 +311,13 @@ func bfGenerate(data []byte) ([]uint64, []bfEvent) {
 				Rd: b2 % isa.NumRegs, Rs1: b3 % isa.NumRegs, Rs2: (b2 >> 3) % isa.NumRegs,
 				Imm: int32(int8(b3)) * int32(b1),
 			}
+		case sel >= 184 && sel < 190: // a stride loop, if it fits
+			if loop := bfLoopFrom(b1, b2, b3).instrs(); len(words)+len(loop) <= max {
+				for _, in := range loop {
+					words = append(words, in.Encode())
+				}
+			}
+			continue
 		case sel < 190: // memory: base register picks the fault class
 			// rd comes from b2's upper bits, so it does not fix the base:
 			// a load into x0 runs through every fault class.
@@ -327,19 +402,38 @@ type bfState struct {
 // bfSteps is the instruction budget of one differential run.
 const bfSteps = 4096
 
-// bfRun runs words on a fresh machine with engine, with data (if
-// non-nil) loaded at the start of the data pages, applying events
-// between run slices, and returns the end state and the core. The
-// result's Steps is the total over the slices. tlbEntries, if nonzero,
-// replaces the core's TLB with one that small, so fills evict.
-func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, tlbEntries int, words []uint64, data []byte, events []bfEvent) (bfState, *Core) {
+// bfShape reshapes a differential run's machine so that paths rare on
+// the configured one become common. The zero value changes nothing.
+type bfShape struct {
+	tlbEntries int         // nonzero: the TLB holds this many translations, so fills evict
+	l1Ways     int         // nonzero: the L1 has this many ways a set, so data fills evict code lines
+	cow        []uint64    // physical pages frozen copy-on-write before the run
+	core       func(*Core) // if set, reprograms the core before the run
+}
+
+// bfRun runs words on a fresh machine with engine, reshaped by shape,
+// with data (if non-nil) loaded at the start of the data pages,
+// applying events between run slices, and returns the end state and
+// the core. The result's Steps is the total over the slices.
+func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, shape bfShape, words []uint64, data []byte, events []bfEvent) (bfState, *Core) {
 	t.Helper()
 	m, c := bfMachine(t, kind, engine, 1, words)
-	if tlbEntries > 0 {
-		c.TLB = tlb.New(tlbEntries)
+	if shape.tlbEntries > 0 {
+		c.TLB = tlb.New(shape.tlbEntries)
+	}
+	if shape.l1Ways > 0 {
+		cfg := c.L1.Config()
+		cfg.Ways = shape.l1Ways
+		c.L1 = cache.New(cfg)
 	}
 	if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
 		t.Fatal(err)
+	}
+	for _, pa := range shape.cow {
+		m.Mem.MarkCOW(pa)
+	}
+	if shape.core != nil {
+		shape.core(c)
 	}
 	fw := &skipFirmware{}
 	m.Firmware = fw
@@ -394,15 +488,14 @@ func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, tlbEntries int, wo
 // checks of the block engine's own counters and blocks.
 func bfCompare(t *testing.T, kind IsolationKind, words []uint64, data []byte, events ...bfEvent) *Core {
 	t.Helper()
-	return bfCompareTLB(t, kind, 0, words, data, events)
+	return bfCompareShape(t, kind, bfShape{}, words, data, events)
 }
 
-// bfCompareTLB is bfCompare on cores whose TLB holds tlbEntries
-// translations (0: the configured size).
-func bfCompareTLB(t *testing.T, kind IsolationKind, tlbEntries int, words []uint64, data []byte, events []bfEvent) *Core {
+// bfCompareShape is bfCompare on machines reshaped by shape.
+func bfCompareShape(t *testing.T, kind IsolationKind, shape bfShape, words []uint64, data []byte, events []bfEvent) *Core {
 	t.Helper()
-	blk, c := bfRun(t, kind, bfBlocks, tlbEntries, words, data, events)
-	ref, _ := bfRun(t, kind, bfReference, tlbEntries, words, data, events)
+	blk, c := bfRun(t, kind, bfBlocks, shape, words, data, events)
+	ref, _ := bfRun(t, kind, bfReference, shape, words, data, events)
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -502,14 +595,20 @@ func FuzzBlockDifferential(f *testing.F) {
 
 // TestBlockDifferentialRandom is the always-on slice of the fuzzer: a
 // fixed-seed batch of generated programs through the same comparator,
-// so tier-1 CI exercises the differential property without -fuzz.
+// so tier-1 CI exercises the differential property without -fuzz. The
+// generated stride loops must reach steady passes.
 func TestBlockDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	kinds := []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone}
+	var steady uint64
 	for i := 0; i < 150; i++ {
 		data := make([]byte, 64+rng.Intn(192))
 		rng.Read(data)
 		words, events := bfGenerate(data)
-		bfCompare(t, kinds[i%len(kinds)], words, nil, events...)
+		steady += bfCompare(t, kinds[i%len(kinds)], words, nil, events...).BlockStats().Steady
 	}
+	if steady == 0 {
+		t.Fatal("no generated program ran a steady pass")
+	}
+	t.Logf("%d steady passes", steady)
 }

@@ -232,14 +232,15 @@ func New(cfg Config) (*Machine, error) {
 	m.cyclePub = make([]cycleSlot, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{
-			ID:       i,
-			TLB:      tlb.New(cfg.TLBEntries),
-			L1:       cache.New(cfg.L1),
-			machine:  m,
-			fastPath: !cfg.DisableFastPath,
-			sanctum:  cfg.Kind == IsolationSanctum,
-			l1Hit:    cfg.L1.HitCycles,
-			icache:   new([icEntries]icEntry),
+			ID:         i,
+			TLB:        tlb.New(cfg.TLBEntries),
+			L1:         cache.New(cfg.L1),
+			machine:    m,
+			fastPath:   !cfg.DisableFastPath,
+			sanctum:    cfg.Kind == IsolationSanctum,
+			l1Hit:      cfg.L1.HitCycles,
+			l1LineBits: cfg.L1.LineBits,
+			icache:     new([icEntries]icEntry),
 		}
 		c.icGen.Store(1)
 		c.fetchWin.Reset(m.Mem)
@@ -310,11 +311,12 @@ type Core struct {
 	// of it affects modeled cycles or cache/TLB statistics; it only
 	// removes host-side work (map lookups, per-step Decode) from the
 	// hot loop. fastPath selects it; Config.DisableFastPath clears it.
-	fastPath bool
-	sanctum  bool                // machine.Kind == IsolationSanctum, dereference-free
-	l1Hit    uint64              // L1 hit latency, the cycle cost of every fast-path hit
-	icGen    atomic.Uint64       // code-write generation; decodes from older gens are dead
-	icache   *[icEntries]icEntry // direct-mapped decoded-instruction cache, keyed by VA
+	fastPath   bool
+	sanctum    bool                // machine.Kind == IsolationSanctum, dereference-free
+	l1Hit      uint64              // L1 hit latency, the cycle cost of every fast-path hit
+	l1LineBits uint                // log2 of the L1 line size
+	icGen      atomic.Uint64       // code-write generation; decodes from older gens are dead
+	icache     *[icEntries]icEntry // direct-mapped decoded-instruction cache, keyed by VA
 	// The last-translation caches, L1 line refs and page windows are
 	// kept per access class, so a loop that loads from one page and
 	// stores to another keeps every one of them hitting.

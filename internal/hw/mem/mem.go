@@ -133,12 +133,12 @@ func (m *Phys) Size() uint64 { return m.size }
 func (m *Phys) Pages() uint64 { return m.size >> PageBits }
 
 // SetCodeWriteHook installs fn to be called whenever a write — a guest
-// store, a Go-level WriteBytes (loaders, DMA), or a ZeroRange scrub —
-// lands in a page marked by MarkCodePage. The mark set is cleared
-// before fn runs; the consumer re-marks pages as it refills. fn must be
-// safe to call from any hart (the machine's implementation only bumps
-// per-core atomic generations). Install once at machine construction,
-// before any concurrent execution.
+// store, a Go-level WriteBytes (loaders, DMA), or a ZeroRange or
+// ClearPage scrub — lands in a page marked by MarkCodePage. The mark
+// set is cleared before fn runs; the consumer re-marks pages as it
+// refills. fn must be safe to call from any hart (the machine's
+// implementation only bumps per-core atomic generations). Install once
+// at machine construction, before any concurrent execution.
 func (m *Phys) SetCodeWriteHook(fn func()) { m.onCodeWrite = fn }
 
 // MarkCodePage records that the page containing addr feeds a
@@ -483,6 +483,26 @@ func (m *Phys) drop(ppn uint64) *[PageSize]byte {
 // ZeroPage clears the page containing addr.
 func (m *Phys) ZeroPage(addr uint64) error {
 	return m.ZeroRange(addr&^uint64(PageMask), PageSize)
+}
+
+// ClearPage clears the page containing addr where it sits: a
+// materialized page is zeroed in place and stays materialized, so every
+// Window on it reads the zeros and zeroGen does not move, and a page
+// never materialized already reads as zero and stays unmaterialized.
+// The write is noted for the code-page snoop. ZeroPage drops the page
+// instead, which keeps the host allocation sparse; ClearPage suits a
+// page about to be written again, such as a freed monitor metadata
+// page the next create reuses.
+func (m *Phys) ClearPage(addr uint64) error {
+	if err := m.checkRange(addr, 1); err != nil {
+		return err
+	}
+	base := addr &^ uint64(PageMask)
+	m.noteWrite(base, PageSize)
+	if p := m.pages[base>>PageBits].Load(); p != nil {
+		*p = [PageSize]byte{}
+	}
+	return nil
 }
 
 // CopyPage copies the page at src over the page at dst; both addresses

@@ -49,6 +49,54 @@ func TestRecycledPageReadsZero(t *testing.T) {
 	}
 }
 
+// TestClearPageInPlace: ClearPage zeroes a materialized page where it
+// sits — it stays materialized under the same backing array, a live
+// Window reads the zeros without a refill, no generation moves and the
+// free list is untouched — fires the code-write hook for a marked page,
+// and leaves a never-materialized page unmaterialized.
+func TestClearPageInPlace(t *testing.T) {
+	m := New(1 << 20)
+	hooks := 0
+	m.SetCodeWriteHook(func() { hooks++ })
+	const pa, untouched = 0x10000, 0x20000
+	fill(t, m, pa, 0x5A5A5A5A5A5A5A5A)
+	old := m.pages[pa>>PageBits].Load()
+	var w Window
+	w.Reset(m)
+	if w.Load64(pa+0x80) == 0 {
+		t.Fatal("setup: the window reads zero before the clear")
+	}
+	gen, touched, free := m.zeroGen.Load(), m.TouchedPages(), m.nfree
+	m.MarkCodePage(pa)
+	if err := m.ClearPage(pa + 0x123); err != nil {
+		t.Fatal(err)
+	}
+	if !pageIsZero(m, pa) {
+		t.Fatal("the cleared page reads non-zero")
+	}
+	if m.pages[pa>>PageBits].Load() != old {
+		t.Fatal("the cleared page left the table")
+	}
+	if v := w.Load64(pa + 0x80); v != 0 || w.gen != gen {
+		t.Fatalf("the live window reads %#x at generation %d, want 0 at %d", v, w.gen, gen)
+	}
+	if m.zeroGen.Load() != gen || m.TouchedPages() != touched || m.nfree != free {
+		t.Fatal("ClearPage moved the generation, the page count or the free list")
+	}
+	if hooks != 1 {
+		t.Fatalf("the code-write hook fired %d times, want 1", hooks)
+	}
+	if err := m.ClearPage(untouched); err != nil {
+		t.Fatal(err)
+	}
+	if m.pages[untouched>>PageBits].Load() != nil || m.TouchedPages() != touched {
+		t.Fatal("ClearPage materialized a page that was never touched")
+	}
+	if err := m.ClearPage(m.Size()); err == nil {
+		t.Fatal("ClearPage past the end of memory succeeded")
+	}
+}
+
 // TestTouchedPagesCountsLivePagesOnly checks that pages waiting on the
 // free list are not counted as materialized.
 func TestTouchedPagesCountsLivePagesOnly(t *testing.T) {

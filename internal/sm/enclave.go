@@ -434,16 +434,14 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	}
 	// Holding e.mu excludes new offers and grants, so e.Threads and
 	// e.Regions|e.Pending are exactly the threads and regions the delete
-	// touches.
+	// touches; the region loops visit only those, in ascending order.
 	regions := e.Regions | e.Pending
-	unlockAll := func(threads, below int) {
+	unlockAll := func(threads int, held dram.Bitmap) {
 		for _, th := range e.Threads[:threads] {
 			th.mu.Unlock()
 		}
-		for r := 0; r < below; r++ {
-			if regions.Has(r) {
-				mon.regions[r].mu.Unlock()
-			}
+		for ; held != 0; held &= held - 1 {
+			mon.regions[held.Lowest()].mu.Unlock()
 		}
 	}
 	for i, th := range e.Threads {
@@ -452,9 +450,9 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 			return fail(api.ErrRetry)
 		}
 	}
-	for r := range mon.regions {
-		if regions.Has(r) && !mon.tryLock(&mon.regions[r].mu, LockRegion, uint64(r)) {
-			unlockAll(len(e.Threads), r)
+	for rest := regions; rest != 0; rest &= rest - 1 {
+		if r := rest.Lowest(); !mon.tryLock(&mon.regions[r].mu, LockRegion, uint64(r)) {
+			unlockAll(len(e.Threads), regions&^rest)
 			return fail(api.ErrRetry)
 		}
 	}
@@ -463,11 +461,10 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	// region must never name a dead enclave), and the secrets stay
 	// sealed until clean_region scrubs the region. Pending grants revert
 	// to the OS.
-	for r := range mon.regions {
-		switch {
-		case e.Regions.Has(r):
+	for rest := regions; rest != 0; rest &= rest - 1 {
+		if r := rest.Lowest(); e.Regions.Has(r) {
 			mon.regions[r].state, mon.regions[r].owner = RegionBlocked, api.DomainOS
-		case e.Pending.Has(r):
+		} else {
 			mon.regions[r].state, mon.regions[r].owner = RegionOwned, api.DomainOS
 			mon.osBitmap.Or(1 << uint(r))
 		}
@@ -493,7 +490,7 @@ func (mon *Monitor) deleteEnclave(req api.Request, _ *callContext) api.Response 
 	mon.objMu.Lock()
 	mon.unregister(eid)
 	mon.objMu.Unlock()
-	unlockAll(len(e.Threads), len(mon.regions))
+	unlockAll(len(e.Threads), regions)
 	mon.refreshViews()
 	// The lifecycle state follows the dead flag, so a transaction that
 	// fetched e before the delete and locks it without the lookup (a

@@ -335,11 +335,12 @@ func (mon *Monitor) register(id uint64, o object) bool {
 }
 
 // unregister marks the object dead, frees its metadata page and zeroes
-// it. Caller holds objMu for writing and the object's lock.
+// it in place, for the next object it names. Caller holds objMu for
+// writing and the object's lock.
 func (mon *Monitor) unregister(id uint64) {
 	mon.objects[id].hdr().dead.Store(true)
 	delete(mon.objects, id)
-	mon.machine.Mem.ZeroPage(id)
+	mon.machine.Mem.ClearPage(id)
 }
 
 // get fetches the object of type T named id without locking it: false
