@@ -2,8 +2,8 @@
 // layer end to end (monitor calls 0x40–0x45, DESIGN.md §9): a
 // key-value service runs inside enclave workers forked from one
 // measured template, requests travel as batched mailbox-ring sends,
-// parked workers wake through the monitor's IPI-routed park/wake
-// protocol instead of OS polling, and every response comes back
+// parked workers wake through the monitor's park/wake protocol
+// instead of OS polling, and every response comes back
 // stamped by the monitor with the worker's identity and the template
 // measurement — attestation-grade provenance at streaming rates.
 package main

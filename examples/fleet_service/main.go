@@ -93,9 +93,9 @@ func main() {
 	show("after drain + second wave")
 
 	// A cross-machine attested channel between shards 0 and 2: hellos
-	// and offers travel over the NIC rings, each side verifies the
-	// other's evidence against its pinned manufacturer root, and the
-	// binding commits to both transcripts.
+	// and offers travel over the fleet's untrusted wire, each side
+	// verifies the other's evidence against its pinned manufacturer
+	// root, and the binding commits to both transcripts.
 	ch, err := f.Connect(0, 2)
 	if err != nil {
 		log.Fatal(err)

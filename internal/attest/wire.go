@@ -41,9 +41,10 @@ func UnmarshalEvidence(blob []byte) (*Evidence, error) {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: truncated field length", ErrBadEvidence)
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
+		// Compared unsigned: on a 32-bit platform int(0xFFFFFFFF) is -1.
+		n := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
-		if n > len(rest) {
+		if uint64(n) > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: field of %d bytes in %d remaining", ErrBadEvidence, n, len(rest))
 		}
 		*field = append([]byte(nil), rest[:n]...)

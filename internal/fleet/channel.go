@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"sanctorum/internal/attest"
@@ -14,7 +13,7 @@ import (
 // Cross-machine attested channels (DESIGN.md §12): two shards bind a
 // pipe between their attested-client enclaves by running the paper's
 // Fig 7 remote-attestation handshake twice, once per direction, over
-// the NIC ring transport. Each direction gives one side's runtime a
+// the fleet's untrusted wire. Each direction gives one side's runtime a
 // session key it shares only with the *peer machine's enclave* — the
 // attestation proves which enclave, on which monitor, under which
 // manufacturer root. The channel binding hashes both transcripts, and
@@ -160,9 +159,9 @@ type Channel struct {
 }
 
 // Connect establishes a channel between shards a and b by running the
-// mutual handshake over the NIC rings: hellos and offers travel as
-// ring fragments machine to machine, each side verifies the other's
-// evidence, and the channel binding commits to both transcripts.
+// mutual handshake over the wire: hellos and offers travel as byte
+// blobs machine to machine, each side verifies the other's evidence,
+// and the channel binding commits to both transcripts.
 func (f *Fleet) Connect(a, b int) (*Channel, error) {
 	if a == b {
 		return nil, fmt.Errorf("fleet: channel endpoints must differ")
@@ -271,8 +270,8 @@ func (c *Channel) Deliver(to int, wire []byte) ([]byte, error) {
 	return append([]byte(nil), msg...), nil
 }
 
-// Transfer seals msg, carries it across the NIC rings, and delivers it
-// at the peer, returning the authenticated message as received.
+// Transfer seals msg, carries it across the wire, and delivers it at
+// the peer, returning the authenticated message as received.
 func (c *Channel) Transfer(from int, msg []byte) ([]byte, error) {
 	wire, err := c.Seal(from, msg)
 	if err != nil {
@@ -302,7 +301,7 @@ func (c *Channel) direction(from int) (key []byte, to int, err error) {
 	return nil, 0, fmt.Errorf("fleet: shard %d is not a channel endpoint", from)
 }
 
-// --- wire forms and the NIC transport ---
+// --- wire forms and transport ---
 
 func marshalHello(h *Hello) []byte {
 	out := make([]byte, 0, attest.NonceSize+len(h.Share))
@@ -347,65 +346,26 @@ func unmarshalOffer(blob []byte) (*Offer, error) {
 	return o, nil
 }
 
-// send moves one blob from one machine to another: out through the
-// sender's monitor (tx ring), across the untrusted wire (the pump),
-// in through the receiver's monitor (rx ring).
+// send puts a copy of blob on the wire to shard to. The wire sits
+// exactly where a network would — outside both monitors, able to drop,
+// duplicate or corrupt what it carries — which is why channels
+// authenticate end to end.
 func (f *Fleet) send(from, to int, blob []byte) error {
 	if from == to {
 		return fmt.Errorf("fleet: send to self")
 	}
-	a, b := f.shards[from], f.shards[to]
-	if err := a.host.OS.SM.SendBytes(a.txRing, a.stagePA, a.host.OS.WriteOwned, blob); err != nil {
-		return fmt.Errorf("fleet: shard %d tx: %w", from, err)
-	}
-	return f.pump(a, b)
+	f.inbox[to] = append(f.inbox[to], bytes.Clone(blob))
+	return nil
 }
 
-// recv reassembles one blob at a machine's rx ring.
+// recv takes the oldest blob that arrived at shard at.
 func (f *Fleet) recv(at int) ([]byte, error) {
-	s := f.shards[at]
-	blob, err := s.host.OS.SM.RecvBytes(s.rxRing, s.stagePA, s.host.OS.ReadOwned)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: shard %d rx: %w", at, err)
+	q := f.inbox[at]
+	if len(q) == 0 {
+		return nil, fmt.Errorf("fleet: shard %d rx: nothing arrived", at)
 	}
+	blob := q[0]
+	q[0] = nil
+	f.inbox[at] = q[1:]
 	return blob, nil
-}
-
-// pump is the wire: it drains raw frames from one machine's tx ring
-// and injects them into the other's rx ring. It sits exactly where a
-// network would — outside both monitors, able to drop, duplicate or
-// corrupt frames, which is why channels authenticate end to end.
-func (f *Fleet) pump(from, to *shard) error {
-	for {
-		n, err := from.host.OS.SM.RingRecv(from.txRing, from.stagePA, api.RingMaxBatch)
-		if errors.Is(err, api.ErrInvalidState) {
-			return nil // tx drained
-		}
-		if err != nil {
-			return fmt.Errorf("fleet: pump rx: %w", err)
-		}
-		records, err := from.host.OS.ReadOwned(from.stagePA, n*api.RingRecordSize)
-		if err != nil {
-			return err
-		}
-		frames := make([]byte, 0, n*api.RingMsgSize)
-		for i := 0; i < n; i++ {
-			frames = append(frames,
-				records[i*api.RingRecordSize+api.RingStampSize:(i+1)*api.RingRecordSize]...)
-		}
-		for off := 0; off < len(frames); {
-			cnt := (len(frames) - off) / api.RingMsgSize
-			if cnt > api.RingMaxBatch {
-				cnt = api.RingMaxBatch
-			}
-			if err := to.host.OS.WriteOwned(to.stagePA, frames[off:off+cnt*api.RingMsgSize]); err != nil {
-				return err
-			}
-			sent, err := to.host.OS.SM.RingSend(to.rxRing, to.stagePA, cnt)
-			if err != nil {
-				return fmt.Errorf("fleet: pump tx: %w", err)
-			}
-			off += sent * api.RingMsgSize
-		}
-	}
 }

@@ -7,8 +7,9 @@
 // by warming a snapshot-clone worker on the target before traffic
 // cuts over), and enclaves on different machines get channels only by
 // running the paper's Fig 7 mutual remote-attestation handshake over
-// ring IPC, yielding a measurement-bound pipe whose every message is
-// authenticated together with the channel binding.
+// an untrusted wire between the machines, yielding a measurement-bound
+// pipe whose every message is authenticated together with the channel
+// binding.
 //
 // The package operates on pre-booted hosts so the facade can assemble
 // them (sanctorum.NewFleet); it never imports the facade itself.
@@ -103,6 +104,10 @@ type Fleet struct {
 	// calls; Process clears its payloads before returning.
 	batches []shardBatch
 
+	// inbox[s] is the wire's FIFO of blobs sent to shard s and not yet
+	// received (channel.go).
+	inbox [][][]byte
+
 	mu sync.Mutex // guards the counters below in parallel mode
 
 	// Served counts requests completed; Spills counts sessions placed
@@ -152,8 +157,8 @@ func SigningMeasurement() ([32]byte, error) {
 
 // New assembles a fleet over the given hosts: per host, an attestation
 // enclave pair (signing enclave + attested client), a snapshot/clone
-// worker pool, a key-affinity gateway, and a NIC ring pair for
-// cross-machine byte transport.
+// worker pool and a key-affinity gateway. Bytes between machines
+// travel on a wire the fleet itself carries, outside every monitor.
 func New(hosts []Host, cfg Config) (*Fleet, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("fleet: no hosts")
@@ -176,6 +181,7 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 		f.addPoints(i)
 	}
 	f.batches = make([]shardBatch, len(f.shards))
+	f.inbox = make([][][]byte, len(f.shards))
 	if reg := cfg.Telemetry; reg != nil {
 		f.tel = &fleetTelemetry{
 			home:      reg.Counter("fleet.route.home"),
@@ -192,9 +198,7 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 			defer f.mu.Unlock()
 			return uint64(f.Served)
 		})
-		spills := func() uint64 { return uint64(f.Spills) }
-		reg.RegisterFunc("fleet.spills", spills)
-		reg.RegisterFunc("fleet.route.spill", spills)
+		reg.RegisterFunc("fleet.route.spill", func() uint64 { return uint64(f.Spills) })
 		reg.RegisterFunc("fleet.rebalanced", func() uint64 { return uint64(f.Rebalanced) })
 		for i := range f.shards {
 			i := i
@@ -375,8 +379,8 @@ func (f *Fleet) Stats() []ShardStats {
 	return out
 }
 
-// Close tears every shard down (gateway, pool, NIC rings),
-// best-effort; the first error is the one reported.
+// Close tears every shard down (gateway, pool), best-effort; the
+// first error is the one reported.
 func (f *Fleet) Close() error {
 	var firstErr error
 	for _, s := range f.shards {

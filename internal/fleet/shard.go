@@ -9,18 +9,12 @@ import (
 	"sanctorum/internal/sm/api"
 )
 
-// nicCapacity sizes each shard's NIC rings (in ring messages); a whole
-// handshake message must fit, and the largest — marshalled evidence
-// plus key-confirmation MAC — is well under a quarter of this.
-const nicCapacity = 64
-
 // workersPerShard is each shard's initial gateway size.
 const workersPerShard = 2
 
 // shard is one machine's serving stack plus its fleet wiring: the
 // attestation enclave pair (signing enclave ES and attested client
-// E1), the clone pool and key-affinity gateway serving requests, and
-// an OS→OS NIC ring pair carrying cross-machine bytes.
+// E1), and the clone pool and key-affinity gateway serving requests.
 type shard struct {
 	id   int
 	host Host
@@ -30,9 +24,6 @@ type shard struct {
 
 	es, e1     *ios.BuiltEnclave
 	shES, shE1 uint64 // shared-page PAs of ES and E1
-
-	txRing, rxRing uint64 // NIC: outbound and inbound OS→OS rings
-	stagePA        uint64 // staging page for NIC byte transport
 
 	clientMeas  [32]byte // expected measurement of E1 (same program fleet-wide)
 	monitorMeas [32]byte
@@ -97,26 +88,6 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 	}); err != nil {
 		return nil, err
 	}
-
-	// NIC rings: OS→OS loopback rings on this machine. Outbound bytes
-	// leave through this machine's monitor (txRing); inbound bytes
-	// arrive through it (rxRing); the fleet pumps raw frames between
-	// machines — the untrusted network.
-	if s.txRing, err = o.AllocMetaPage(); err != nil {
-		return nil, err
-	}
-	if err := o.SM.RingCreate(s.txRing, api.DomainOS, api.DomainOS, nicCapacity); err != nil {
-		return nil, fmt.Errorf("NIC tx ring: %w", err)
-	}
-	if s.rxRing, err = o.AllocMetaPage(); err != nil {
-		return nil, err
-	}
-	if err := o.SM.RingCreate(s.rxRing, api.DomainOS, api.DomainOS, nicCapacity); err != nil {
-		return nil, fmt.Errorf("NIC rx ring: %w", err)
-	}
-	if s.stagePA, err = o.AllocPagePA(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -156,17 +127,6 @@ func (s *shard) close() error {
 	}
 	if s.pool != nil {
 		keep(s.pool.Close())
-	}
-	o := s.host.OS
-	for _, ring := range []uint64{s.txRing, s.rxRing} {
-		if ring == 0 {
-			continue
-		}
-		if err := o.SM.RingDestroy(ring); err == nil {
-			o.ReleaseMetaPage(ring)
-		} else {
-			keep(fmt.Errorf("fleet: shard %d NIC ring: %w", s.id, err))
-		}
 	}
 	return firstErr
 }

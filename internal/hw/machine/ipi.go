@@ -9,10 +9,12 @@ import (
 // Inter-processor mailboxes. The paper's monitor coordinates harts with
 // per-core mailboxes and inter-processor interrupts: a hart that needs
 // another hart's microarchitectural state changed (TLB shootdown on
-// region re-allocation, per-core view reprogramming) posts a message
-// and raises an IPI; the target acknowledges at an instruction
-// boundary, where its pipeline is architecturally quiescent. This file
-// is that mechanism for the simulated machine.
+// region re-allocation, an L1 flush, per-core view reprogramming)
+// posts a message and raises an IPI; the target acknowledges at an
+// instruction boundary, where its pipeline is architecturally
+// quiescent. This file is that mechanism for the simulated machine,
+// and it carries only such work on a core: a notification that needs
+// no core's state, such as the monitor's ring wake, is a plain call.
 //
 // Ownership model: a core's microarchitectural state (TLB, L1, decode
 // caches, isolation registers) may only be touched while holding the
@@ -109,9 +111,8 @@ func (c *Core) tryRunIdle(r *ipiReq) bool {
 	return true
 }
 
-// NoHart is the `from` value of RunOnCall and Broadcast for callers
-// not executing on any simulated hart (Go-level untrusted-OS code,
-// boot).
+// NoHart is the `from` value of Broadcast for callers not executing
+// on any simulated hart (Go-level untrusted-OS code, boot).
 const NoHart = -1
 
 // TryAcquire claims run ownership of an idle core without blocking:
@@ -128,35 +129,21 @@ func (c *Core) TryAcquire() bool { return c.runMu.TryLock() }
 // next Run (or by their posters once the mutex is free).
 func (c *Core) Release() { c.runMu.Unlock() }
 
-// RunOnCall delivers fn(core, a, b, c) to core id's mailbox and
-// returns once core id has run it. from is the core ID of the posting
-// hart (NoHart when the caller is not executing on any simulated hart,
-// e.g. Go-level OS code); a hart targeting itself runs fn inline — it
-// is at an instruction boundary inside its own trap handler, which is
-// exactly the acknowledgment point.
-//
-// The wait cannot deadlock provided fn and the poster respect the
-// monitor's lock discipline: a running target acknowledges within one
-// instruction, an idle target is executed by this goroutine, and a
-// target that exits Run leaves its runMu free for us to take.
-func (m *Machine) RunOnCall(id, from int, fn IPIFunc, a, b, c uint64) {
-	if id == from {
-		fn(m.Cores[id], a, b, c)
-		return
-	}
-	m.Cores[id].send(ipiReq{fn, [3]uint64{a, b, c}}, true)
-}
-
 // Broadcast delivers fn(core, a, b, c) to every core: inline on the
-// posting hart from (NoHart when the caller runs on none), through the
+// posting hart from (NoHart when the caller runs on none), which is at
+// an instruction boundary inside its own trap handler, through the
 // mailbox to the others. An idle core runs fn on the caller's goroutine
 // before Broadcast moves on; a running core runs it at its next
 // instruction boundary. With wait, Broadcast returns only once every
-// core has run fn. Without, it does not wait for running cores, as a
-// poster holding a lock a running hart may block on must not. A trap
-// handler posting with from == NoHart leaves its own core's copy in the
-// mailbox, to run at the boundary right after the trap returns, before
-// the next instruction executes.
+// core has run fn; the wait cannot deadlock provided fn and the poster
+// respect the monitor's lock discipline, since a running target
+// acknowledges within one instruction and a target that exits Run
+// leaves its runMu free for the poster to take. Without wait, it does
+// not wait for running cores, as a poster holding a lock a running
+// hart may block on must not. A trap handler posting with from ==
+// NoHart leaves its own core's copy in the mailbox, to run at the
+// boundary right after the trap returns, before the next instruction
+// executes.
 func (m *Machine) Broadcast(from int, wait bool, fn IPIFunc, a, b, c uint64) {
 	r := ipiReq{fn, [3]uint64{a, b, c}}
 	for _, core := range m.Cores {

@@ -192,33 +192,21 @@ func TestIPIRunningCoreAcknowledgesAtBoundary(t *testing.T) {
 	}
 }
 
-// TestRunOnCall: the one-core form runs fn with its three arguments
-// inline for the posting hart itself, and through the mailbox for an
-// idle core and for a running one, returning only once the call ran.
-// Posting it allocates nothing once the mailbox's queue has grown: the
-// monitor's wake path relies on that.
-func TestRunOnCall(t *testing.T) {
-	m := loopMachine(t, 2)
-	var got [3]uint64
-	on := -1
-	fn := func(c *Core, a, b, d uint64) { on, got = c.ID, [3]uint64{a, b, d} }
-	for _, tc := range []struct {
-		id, from int
-		args     [3]uint64
-	}{
-		{1, 1, [3]uint64{1, 2, 3}},      // the posting hart: inline
-		{1, NoHart, [3]uint64{4, 5, 6}}, // an idle core
-		{1, 0, [3]uint64{7, 8, 9}},      // an idle core, from another hart
-	} {
-		m.RunOnCall(tc.id, tc.from, fn, tc.args[0], tc.args[1], tc.args[2])
-		if on != tc.id || got != tc.args {
-			t.Fatalf("RunOnCall(%d, %d) ran fn%v on core %d, want fn%v on core %d",
-				tc.id, tc.from, got, on, tc.args, tc.id)
-		}
+// TestIPIBroadcastWait: a waited Broadcast runs fn with its three
+// arguments on every core before it returns: inline on the posting
+// hart, which holds its own core as a trap handler does, on the
+// poster's goroutine for an idle core, and at an instruction boundary
+// for a core that is running. Posting it allocates nothing once the
+// mailbox's queue has grown.
+func TestIPIBroadcastWait(t *testing.T) {
+	m := loopMachine(t, 3)
+	var ran [3][3]uint64
+	fn := func(c *Core, a, b, d uint64) { ran[c.ID] = [3]uint64{a, b, d} }
+	poster := m.Cores[2]
+	if !poster.TryAcquire() {
+		t.Fatal("core 2 is not idle")
 	}
-	if n := testing.AllocsPerRun(100, func() { m.RunOnCall(1, NoHart, fn, 1, 1, 1) }); n != 0 {
-		t.Errorf("RunOnCall allocates %.1f objects per call, want 0", n)
-	}
+	defer poster.Release()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -226,17 +214,22 @@ func TestRunOnCall(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	m.RunOnCall(0, NoHart, fn, 10, 11, 12)
-	if got != [3]uint64{10, 11, 12} {
-		t.Errorf("RunOnCall to a running core returned before fn ran: got fn%v", got)
+	m.Broadcast(2, true, fn, 7, 8, 9)
+	for id, args := range ran {
+		if args != [3]uint64{7, 8, 9} {
+			t.Fatalf("core %d ran fn%v before the waited Broadcast returned, want fn[7 8 9]", id, args)
+		}
 	}
 	<-done
+	if n := testing.AllocsPerRun(100, func() { m.Broadcast(2, true, fn, 1, 1, 1) }); n != 0 {
+		t.Errorf("a waited Broadcast from a hart allocates %.1f objects per call, want 0", n)
+	}
 }
 
 // TestIPIQueuedRunsBeforeDirect pins mailbox order on the direct
 // path: a request posted while core 1 was held stays queued, and the
 // next request to the core, sent once it is idle, runs it first and
-// itself second, both before RunOnCall returns. Only the held core's
+// itself second, both before Broadcast returns. Only the held core's
 // request passes through the queue.
 func TestIPIQueuedRunsBeforeDirect(t *testing.T) {
 	m := loopMachine(t, 2)
@@ -255,7 +248,7 @@ func TestIPIQueuedRunsBeforeDirect(t *testing.T) {
 		t.Fatalf("a held core ran the broadcast: order %v", order)
 	}
 	core.Release()
-	m.RunOnCall(1, NoHart, fn, 2, 0, 0)
+	m.Broadcast(NoHart, false, fn, 2, 0, 0)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("core 1 ran %v, want the queued request 1 then the new request 2", order)
 	}

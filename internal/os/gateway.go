@@ -23,9 +23,9 @@ import (
 // ring; the gateway queues routed requests per worker and, before each
 // wave, sends every worker's queue in batched ring sends; the
 // monitor's park/wake protocol tells the gateway which workers became
-// runnable (the wake sink, fed through the IPI mailboxes — no OS
-// polling of idle workers). Woken workers are then timeshared over the
-// machine's cores by the existing OS scheduler for one wave; each
+// runnable (the wake sink, which the monitor calls on each wake — no
+// OS polling of idle workers). Woken workers are then timeshared over
+// the machine's cores by the existing OS scheduler for one wave; each
 // drains its ring, serves every request, streams the responses into
 // its response ring, and parks again. The gateway drains the response
 // rings, verifies the monitor's sender stamp on every record (worker

@@ -51,14 +51,6 @@ func (ctx *callContext) domain() uint64 {
 	return ctx.enclave.ID
 }
 
-// hart is the trapping core, or machine.NoHart for a host-side call.
-func (ctx *callContext) hart() int {
-	if ctx == nil {
-		return machine.NoHart
-	}
-	return ctx.core.ID
-}
-
 // callDef describes one ABI call: its name, which domains may invoke
 // it, and its handler. Every handler takes the request and the call
 // context (nil for a host-side call) and unpacks its own arguments.

@@ -34,13 +34,16 @@
 //   - The OS-owned region set is a single atomic bitmap (osBitmap),
 //     updated by whichever transaction moves a region and read without
 //     locks by the DMA policy and ownership checks.
-//   - Cross-core state (TLB shootdowns, per-core view refreshes) moves
-//     through the machine's inter-processor mailboxes: the monitor
-//     posts IPIs that target harts acknowledge at instruction
-//     boundaries; requests to idle harts execute synchronously on the
-//     poster. Blocking lock acquisitions (stopThread's AEX save) never
-//     nest and never wait on IPI acknowledgments, which keeps the
-//     monitor deadlock-free; see DESIGN.md §5 for the full discipline.
+//   - Cross-core state (TLB shootdowns, L1 flushes, per-core view
+//     refreshes) moves through the machine's inter-processor mailboxes:
+//     the monitor posts IPIs that target harts acknowledge at
+//     instruction boundaries; requests to idle harts execute
+//     synchronously on the poster. A ring wake changes no core's
+//     state, so it is no IPI: the monitor calls the OS's sink directly
+//     once the ring lock is released. Blocking lock acquisitions
+//     (stopThread's AEX save) never nest and never wait on IPI
+//     acknowledgments, which keeps the monitor deadlock-free; see
+//     DESIGN.md §5 for the full discipline.
 package sm
 
 import (
@@ -128,7 +131,7 @@ type Monitor struct {
 	cores   []coreSlot
 
 	// wakeSink is the OS's park/wake notification handler (SetWakeSink);
-	// wakes travel to it through the IPI mailboxes (ring.go).
+	// a wake calls it directly on the sending goroutine (ring.go).
 	wakeSink atomic.Value
 
 	// osBitmap is the live set of OS-owned regions (state==Owned &&
@@ -140,9 +143,9 @@ type Monitor struct {
 	// consulted by tryLock before every TryLock acquisition.
 	lockHook lockHookPtr
 
-	// refresh and wake are the view-refresh and wake requests posted
-	// to the cores, bound once in New so posting builds no closure.
-	refresh, wake machine.IPIFunc
+	// refresh is the view-refresh request posted to the cores, bound
+	// once in New so posting builds no closure.
+	refresh machine.IPIFunc
 }
 
 // lockFault consults the fault hook (fault.go) for one acquisition;
@@ -208,7 +211,7 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range mon.cores {
 		mon.cores[i].owner = api.DomainOS
 	}
-	mon.refresh, mon.wake = mon.refreshView, mon.wakeOS
+	mon.refresh = mon.refreshView
 	var osBitmap dram.Bitmap
 	for r := range mon.regions {
 		if mon.regions[r].owner == api.DomainOS {

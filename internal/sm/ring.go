@@ -16,12 +16,11 @@ package sm
 // (CallRingPark) — the monitor registers it as the ring's waiter and
 // performs an AEX-style exit with api.ParkedExitValue, saving a
 // context whose resume re-executes the park ECALL — and the next send
-// wakes it by posting a request through the PR 2 inter-processor
-// mailboxes to the OS's registered wake sink. The sink is the
-// simulation's analogue of the inter-processor interrupt a hardware
-// monitor would raise at the kernel: a notification only, carrying no
-// authority (the OS still schedules through enter_enclave, and the
-// monitor still verifies).
+// wakes it by calling the OS's registered wake sink once the ring lock
+// is released. The sink is the simulation's analogue of the
+// interrupt a hardware monitor would raise at the kernel: a
+// notification only, carrying no authority (the OS still schedules
+// through enter_enclave, and the monitor still verifies).
 
 import (
 	"encoding/binary"
@@ -96,52 +95,30 @@ type ringMsg struct {
 }
 
 // unlockAndWake releases r's transaction lock and wakes its parked
-// consumer, if any; from is the posting hart. Reports whether a
-// consumer was woken. Caller holds r.mu.
-func (mon *Monitor) unlockAndWake(r *Ring, from int) bool {
+// consumer, if any: once the lock is released, it hands the wake to the
+// OS's sink on this goroutine. The wake stays advisory: a stale one
+// costs the OS a failed enter_enclave, never monitor state. Reports
+// whether a consumer was woken. Caller holds r.mu.
+func (mon *Monitor) unlockAndWake(r *Ring) bool {
 	weid, wtid := r.waiterEID, r.waiterTID
 	r.waiterEID, r.waiterTID = 0, 0
 	r.mu.Unlock()
-	if wtid == 0 {
-		return false
+	if sink := mon.wakeSink.Load(); wtid != 0 && sink != nil {
+		sink.(func(uint64, uint64, uint64))(r.ID, weid, wtid)
 	}
-	mon.postWake(from, r.ID, weid, wtid)
-	return true
+	return wtid != 0
 }
 
 // SetWakeSink registers the untrusted OS's wake notification handler.
 // When a send (or explicit wake, or destroy) finds a parked consumer,
-// the monitor posts a request through a core's IPI mailbox whose body
-// invokes fn(ringID, eid, tid) — the simulation analogue of the
-// inter-processor interrupt a hardware monitor raises to tell the
-// kernel a thread became runnable. fn runs on whatever goroutine
-// drains the mailbox (the posting one if the core is idle, the core's
-// own at its next instruction boundary if it is running), so it must
-// be quick and goroutine-safe, and must not call back into the
-// monitor.
+// the monitor calls fn(ringID, eid, tid) — the simulation analogue of
+// the interrupt a hardware monitor raises to tell the kernel a thread
+// became runnable. fn runs on the sending goroutine after the ring
+// lock is released, which in trap context is the trapping hart's own,
+// so it must be quick and goroutine-safe, and must never call back
+// into the monitor.
 func (mon *Monitor) SetWakeSink(fn func(ringID, eid, tid uint64)) {
 	mon.wakeSink.Store(fn)
-}
-
-// postWake routes one wake to the OS sink through core 0's IPI
-// mailbox with RunOnCall, as the wake request bound in New with the
-// wake's words as its arguments, so a wake allocates nothing. It waits
-// for the acknowledgment so a wake is never stranded in the mailbox of
-// a core that just went idle — the wake is the only signal the OS has
-// that a parked thread became runnable.
-// from is the posting hart (machine.NoHart for host-side calls): a
-// sender trapping on core 0 itself delivers inline, which is exactly
-// its own instruction boundary. The wake stays advisory: a stale one
-// costs the OS a failed enter_enclave, never monitor state.
-func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
-	if mon.wakeSink.Load() != nil {
-		mon.machine.RunOnCall(0, from, mon.wake, ringID, eid, tid)
-	}
-}
-
-// wakeOS is the wake request: it hands one wake to the OS sink.
-func (mon *Monitor) wakeOS(_ *machine.Core, ringID, eid, tid uint64) {
-	mon.wakeSink.Load().(func(uint64, uint64, uint64))(ringID, eid, tid)
 }
 
 // lockEndpoints registers a new ring or grant: under objMu, it claims
@@ -241,12 +218,10 @@ func (mon *Monitor) ringCreate(req api.Request, _ *callContext) api.Response {
 // signal. Undelivered messages are dropped (the ring is monitor
 // memory; nothing leaks to any untrusted domain).
 func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
-	ringID := req.Args[0]
-	r, st := lookup[*Ring](mon, LockRing, ringID)
+	r, st := lookup[*Ring](mon, LockRing, req.Args[0])
 	if st != api.OK {
 		return fail(st)
 	}
-	weid, wtid := r.waiterEID, r.waiterTID
 	// Undelivered scatter-gather descriptors die with the ring; their
 	// in-flight pins on the grants must die too, or the grants could
 	// never be revoked. Released under objMu, in the pass that
@@ -260,10 +235,7 @@ func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
 	}
 	mon.unlink(r)
 	mon.objMu.Unlock()
-	r.mu.Unlock()
-	if wtid != 0 {
-		mon.postWake(machine.NoHart, ringID, weid, wtid)
-	}
+	mon.unlockAndWake(r)
 	return ok()
 }
 
@@ -272,7 +244,7 @@ func (mon *Monitor) ringDestroy(req api.Request, _ *callContext) api.Response {
 // wakes a parked consumer. sender and meas are the monitor-attested
 // stamp; grant is zero for plain messages and the grant id for
 // scatter-gather descriptors (bulk.go). Returns the count enqueued.
-func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, msgs []byte) (int, api.Error) {
+func (mon *Monitor) ringEnqueue(ringID, sender uint64, meas [32]byte, grant uint64, msgs []byte) (int, api.Error) {
 	r, st := lookup[*Ring](mon, LockRing, ringID)
 	if st != api.OK {
 		return 0, st
@@ -292,7 +264,7 @@ func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, 
 		slot.sender, slot.meas, slot.grant = sender, meas, grant
 	}
 	r.count += n
-	mon.unlockAndWake(r, from)
+	mon.unlockAndWake(r)
 	return n, api.OK
 }
 
@@ -340,7 +312,7 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext) api.Response {
 	if !mon.readCaller(ctx, req.Args[1], msgs) {
 		return fail(api.ErrInvalidValue)
 	}
-	sender, from := ctx.domain(), ctx.hart()
+	sender := ctx.domain()
 	var meas [32]byte
 	if ctx != nil {
 		meas = ctx.enclave.Measurement
@@ -365,7 +337,7 @@ func (mon *Monitor) ringSend(req api.Request, ctx *callContext) api.Response {
 		}
 		gid = g.ID
 	}
-	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, gid, msgs)
+	sent, st := mon.ringEnqueue(req.Args[0], sender, meas, gid, msgs)
 	if g != nil {
 		// Unsent messages — all of them on failure, the tail when the
 		// ring filled mid-batch — are not in flight.
@@ -491,7 +463,7 @@ func (mon *Monitor) ringWake(req api.Request, ctx *callContext) api.Response {
 		r.mu.Unlock()
 		return fail(api.ErrUnauthorized)
 	}
-	if mon.unlockAndWake(r, ctx.hart()) {
+	if mon.unlockAndWake(r) {
 		return ok(1)
 	}
 	return ok(0)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sanctorum"
 	"sanctorum/internal/enclaves"
@@ -169,6 +170,54 @@ func TestDoubleParkRefused(t *testing.T) {
 	}
 	if err := sys.Monitor.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWakeWithCoreHeld parks a worker, then holds core 0 as another
+// owner would (an OS programming it, a run about to start) and sends
+// to the worker's ring from the host. The wake is no work on any core,
+// so the send must return OK with the OS's sink already run, instead
+// of waiting for core 0 to come free.
+func TestWakeWithCoreHeld(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eid, tids, reqRing, _ := ringWorker(t, sys, 1)
+	if a0 := runWorker(t, sys, 0, eid, tids[0]); a0 != api.ParkedExitValue {
+		t.Fatalf("worker did not park: a0=%#x", a0)
+	}
+	wakes := make(chan [3]uint64, 1)
+	sys.Monitor.SetWakeSink(func(ring, weid, wtid uint64) { wakes <- [3]uint64{ring, weid, wtid} })
+	stage, err := sys.OS.AllocPagePA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := sys.Machine.Cores[0]
+	if !core.TryAcquire() {
+		t.Fatal("core 0 is not idle")
+	}
+	t.Cleanup(core.Release)
+	sent := make(chan error, 1)
+	go func() {
+		_, err := sys.OS.SM.RingSend(reqRing, stage, 1)
+		sent <- err
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatalf("ring_send with core 0 held: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ring_send waited on held core 0 to deliver its wake")
+	}
+	select {
+	case w := <-wakes:
+		if w != [3]uint64{reqRing, eid, tids[0]} {
+			t.Fatalf("wake %#x, want ring %#x eid %#x tid %#x", w, reqRing, eid, tids[0])
+		}
+	default:
+		t.Fatal("ring_send returned before the OS's wake sink ran")
 	}
 }
 

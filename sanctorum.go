@@ -282,8 +282,8 @@ func (s *System) NewPool(spec *os.EnclaveSpec, cloneRegions []int, perClone int)
 
 // NewGateway builds a ring-IPC request-serving gateway over pool
 // workers (DESIGN.md §9): host requests are batched into mailbox-ring
-// sends, parked workers wake through the monitor's IPI-routed wake
-// sink, run under the OS scheduler, and stream stamped responses back.
+// sends, parked workers wake through the monitor's wake sink, run
+// under the OS scheduler, and stream stamped responses back.
 func (s *System) NewGateway(pool *os.Pool, cfg GatewayConfig) (*os.Gateway, error) {
 	return os.NewGateway(s.OS, s.Monitor, pool, cfg)
 }
