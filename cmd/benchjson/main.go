@@ -137,25 +137,27 @@ var checks = []check{
 		num: ns("BenchmarkServeThroughput/per-message"), den: ns("BenchmarkServeThroughput/batched"), floor: 5},
 	{name: "snapshot clone vs full build (E15)", kind: benchRows,
 		num: ns("BenchmarkCloneColdStart/full-build"), den: ns("BenchmarkCloneColdStart/clone"), floor: 5},
-	// The block-compilation tier (E18). Two families of floors, both
-	// within-run ratios (one process, so host-speed drift cancels to
-	// first order — but the rows still run ~tens of seconds apart, so
-	// the shared-host window drift of up to ±30% does NOT cancel; the
-	// floors below are the measured steady ratios with that margin
-	// taken off):
+	// The block-compilation tier (E18), two families of floors.
 	//
 	//   fast-noblock/fast — the block tier's own contribution on top of
-	//   the per-instruction fast path. Interleaved A/B measurement puts
-	//   the true ratio at ~2.0x per kind; floor 1.4.
+	//   the per-instruction fast path, read from one interleaved row
+	//   per kind (BenchmarkThroughput/tiers/<kind>): alternating slices
+	//   of the two engines, so host-speed drift cancels from the ratio.
+	//   The interleaved ratio measures ~2.2x per kind; floor 1.4.
 	//
-	//   reference/fast — the whole fast-path stack. Measured 4-6x
-	//   across windows; floor 3.
+	//   reference/fast — the whole fast-path stack, a ratio of two rows
+	//   that run tens of seconds apart, so the shared host's window
+	//   drift of up to ±30% does not cancel. Measured 4-6x across
+	//   windows; floor 3, which leaves that margin.
 	{name: "block tier over per-instruction fast path, none (E18)", kind: benchRows,
-		num: ns("BenchmarkThroughput/fast-noblock/none"), den: ns("BenchmarkThroughput/fast/none"), floor: 1.4},
+		num: metric{"BenchmarkThroughput/tiers/none", "fast-noblock-ns/kinstr"},
+		den: metric{"BenchmarkThroughput/tiers/none", "fast-ns/kinstr"}, floor: 1.4},
 	{name: "block tier over per-instruction fast path, sanctum (E18)", kind: benchRows,
-		num: ns("BenchmarkThroughput/fast-noblock/sanctum"), den: ns("BenchmarkThroughput/fast/sanctum"), floor: 1.4},
+		num: metric{"BenchmarkThroughput/tiers/sanctum", "fast-noblock-ns/kinstr"},
+		den: metric{"BenchmarkThroughput/tiers/sanctum", "fast-ns/kinstr"}, floor: 1.4},
 	{name: "block tier over per-instruction fast path, keystone (E18)", kind: benchRows,
-		num: ns("BenchmarkThroughput/fast-noblock/keystone"), den: ns("BenchmarkThroughput/fast/keystone"), floor: 1.4},
+		num: metric{"BenchmarkThroughput/tiers/keystone", "fast-noblock-ns/kinstr"},
+		den: metric{"BenchmarkThroughput/tiers/keystone", "fast-ns/kinstr"}, floor: 1.4},
 	{name: "full fast path vs reference, none (E18)", kind: benchRows,
 		num: ns("BenchmarkThroughput/reference/none"), den: ns("BenchmarkThroughput/fast/none"), floor: 3},
 	{name: "full fast path vs reference, sanctum (E18)", kind: benchRows,

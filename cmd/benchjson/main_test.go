@@ -66,16 +66,24 @@ func TestMissingNumberFails(t *testing.T) {
 
 func TestFailingCheckNamesSuspects(t *testing.T) {
 	f := passing(benchRows)
-	f.Benchmarks["BenchmarkThroughput/fast-noblock/none"] = Result{NsPerOp: 1.2}
+	f.Benchmarks["BenchmarkThroughput/tiers/none"].Metrics["fast-noblock-ns/kinstr"] = 1.2
+	f.Benchmarks["BenchmarkThroughput/reference/sanctum"] = Result{NsPerOp: 2.5}
 	r := f.Benchmarks["BenchmarkTelemetryOverhead/fleet"]
 	r.Metrics["off-ns/req"] = 0.9
 	failures, suspects := evaluate(File{}, f, 0.15)
-	want := "block tier over per-instruction fast path, none (E18): ratio 1.20× below the 1.4× floor"
-	if !slices.Contains(failures, want) {
-		t.Errorf("failures %q lack %q", failures, want)
+	for _, want := range []string{
+		"block tier over per-instruction fast path, none (E18): ratio 1.20× below the 1.4× floor",
+		"full fast path vs reference, sanctum (E18): ratio 2.50× below the 3× floor",
+	} {
+		if !slices.Contains(failures, want) {
+			t.Errorf("failures %q lack %q", failures, want)
+		}
 	}
+	// A failing ratio of two rows names both; one read off a single
+	// interleaved row names that row once.
 	wantSuspects := []string{
-		"BenchmarkThroughput/fast-noblock/none", "BenchmarkThroughput/fast/none",
+		"BenchmarkThroughput/tiers/none",
+		"BenchmarkThroughput/reference/sanctum", "BenchmarkThroughput/fast/sanctum",
 		"BenchmarkTelemetryOverhead/fleet",
 	}
 	if !slices.Equal(suspects, wantSuspects) {

@@ -10,7 +10,6 @@ import (
 
 	"sanctorum"
 	"sanctorum/internal/enclaves"
-	ios "sanctorum/internal/os"
 	"sanctorum/internal/sm/api"
 )
 
@@ -20,8 +19,8 @@ func ringSends(sys *sanctorum.System) uint64 {
 	return sys.Telemetry.Snapshot().Counters["sm.call.mailbox_ring_send.count"]
 }
 
-// TestGatewayBatchedSendsChangeOnlyCallCount serves one KV batch under
-// KeyAffinity twice, each time on a fresh system: with the two keys
+// TestGatewayBatchedSendsChangeOnlyCallCount serves one KV batch through
+// ProcessKeyed twice, each time on a fresh system: with the two keys
 // interleaved (A B A B …), and with the same requests grouped by
 // worker. Each worker's ring receives the same messages in the same
 // order either way, so responses and modeled cycles must be identical,
@@ -29,7 +28,7 @@ func ringSends(sys *sanctorum.System) uint64 {
 // wave: the gateway sends per worker, not per routed chunk.
 func TestGatewayBatchedSendsChangeOnlyCallCount(t *testing.T) {
 	const perKey, batch = 12, 4
-	keys := [2]uint64{0, 1} // KeyAffinity homes: worker 0 and worker 1
+	keys := [2]uint64{0, 1} // key affinity homes: worker 0 and worker 1
 	var interleaved, grouped []uint64
 	for i := 0; i < perKey; i++ {
 		interleaved = append(interleaved, keys[0], keys[1])
@@ -57,9 +56,8 @@ func TestGatewayBatchedSendsChangeOnlyCallCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool, gw := ringService(t, sys, "kv", 2, sanctorum.GatewayConfig{
-			Batch:  batch,
-			Router: ios.KeyAffinity{},
-			Sched:  sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
+			Batch: batch,
+			Sched: sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
 		})
 		var reqs [][]byte
 		var ids [][2]uint64

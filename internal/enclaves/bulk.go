@@ -244,12 +244,33 @@ func BulkEchoExpected(payload, buf []byte) []byte {
 	out := make([]byte, api.RingMsgSize)
 	copy(out, payload)
 	var acc uint64
-	for _, d := range api.DecodeBulkDescs(payload) {
+	for _, d := range decodeBulkDescs(payload) {
 		for p := d[0]; p < d[0]+d[1]; p += mem.PageSize {
 			acc += binary.LittleEndian.Uint64(buf[p:])
 		}
 	}
 	binary.LittleEndian.PutUint64(out, acc)
+	return out
+}
+
+// decodeBulkDescs parses a delivered descriptor payload back into
+// (offset, length) pairs (api.EncodeBulkDescs's layout), with no
+// validation beyond the tag and count shape — the monitor already
+// validated a delivered message at send time. Returns nil if the
+// payload is not a descriptor message.
+func decodeBulkDescs(payload []byte) [][2]uint64 {
+	if len(payload) < api.RingMsgSize || binary.LittleEndian.Uint64(payload) != api.BulkTag {
+		return nil
+	}
+	n := binary.LittleEndian.Uint64(payload[8:])
+	if n == 0 || n > api.BulkMaxDescs {
+		return nil
+	}
+	out := make([][2]uint64, n)
+	for i := range out {
+		out[i][0] = binary.LittleEndian.Uint64(payload[16+16*i:])
+		out[i][1] = binary.LittleEndian.Uint64(payload[24+16*i:])
+	}
 	return out
 }
 

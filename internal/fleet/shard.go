@@ -67,8 +67,8 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 		return nil, fmt.Errorf("attested client: %w", err)
 	}
 
-	// The serving pool and gateway, exactly the PR 4–5 stack, with the
-	// key-affinity router so a session stays on one worker.
+	// The serving pool and gateway; Fleet serves a shard through
+	// ProcessKeyed, whose key affinity keeps a session on one worker.
 	lW := enclaves.DefaultLayout()
 	var prog = enclaves.RingEchoServer(lW)
 	if cfg.Workload == "kv" {
@@ -84,7 +84,6 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 	if s.gw, err = ios.NewGateway(o, h.Monitor, s.pool, ios.GatewayConfig{
 		Workers: workersPerShard,
 		Sched:   cfg.Sched,
-		Router:  ios.KeyAffinity{},
 	}); err != nil {
 		return nil, err
 	}

@@ -56,16 +56,20 @@ type Gateway struct {
 
 	// sched is the per-wave OS scheduler, one for the gateway's
 	// lifetime; tasks is the reused task list of a wave; space is
-	// spaceOf bound once, the free-slot function routers are handed.
+	// spaceOf bound once, the free-slot function routers are handed;
+	// rr is Process's round-robin cursor.
 	sched *Scheduler
 	tasks []Task
 	space func(i int) int
+	rr    roundRobin
 
 	// woken[i] marks worker i woken by the monitor; wokenIdx is the
-	// reused buffer takeWoken returns. The sink runs on whatever
-	// goroutine drains the posted IPI — during gateway sends the cores
-	// are idle, so in practice the gateway's own — but it is locked for
-	// the parallel-scheduler case regardless.
+	// reused buffer takeWoken returns. The monitor calls the sink on
+	// the sending goroutine once the ring lock is released: for the
+	// gateway's request sends and ring destroys, the gateway's own. It
+	// is locked regardless, since a send by an enclave runs on its
+	// core's goroutine, which under the parallel scheduler is not the
+	// gateway's.
 	wokenMu  sync.Mutex
 	woken    []bool
 	wokenIdx []int
@@ -205,9 +209,6 @@ type GatewayConfig struct {
 	Batch int
 	// Sched configures the per-wave OS scheduler (mode, quantum).
 	Sched SchedConfig
-	// Router selects the worker for each request chunk (default a
-	// RoundRobin; fleet shards install KeyAffinity).
-	Router Router
 	// BulkPages, when nonzero, turns on the zero-copy bulk data plane
 	// (DESIGN.md §14): each worker gets a contiguous BulkPages-page
 	// OS buffer under a monitor grant, mapped at a distinct per-worker
@@ -238,9 +239,6 @@ func (cfg *GatewayConfig) fill() {
 	}
 	if cfg.Batch > api.RingMaxBatch {
 		cfg.Batch = api.RingMaxBatch
-	}
-	if cfg.Router == nil {
-		cfg.Router = &RoundRobin{}
 	}
 	if cfg.BulkPages > api.BulkMaxPages {
 		cfg.BulkPages = api.BulkMaxPages
@@ -713,8 +711,8 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte, arena []byte) (int, error) {
 
 // Process serves a batch of host requests end to end and returns one
 // api.RingMsgSize response per request, in request order. Requests are
-// distributed across the workers by the configured Router (default
-// round-robin) in chunks of up to Batch requests; each iteration
+// distributed round-robin across the workers, on a cursor the gateway
+// keeps across calls, in chunks of up to Batch requests; each iteration
 // queues what fits, sends each worker's queue in ring sends of up to
 // Batch messages, runs one scheduler wave over the workers the monitor
 // woke, and drains their response rings. The responses are
@@ -724,30 +722,31 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte, arena []byte) (int, error) {
 // whole run — scheduling, preemptions, ring traffic — is
 // bit-reproducible.
 func (g *Gateway) Process(payloads [][]byte) ([][]byte, error) {
-	return g.ProcessKeyed(nil, payloads)
+	return g.serve(&g.rr, nil, payloads)
 }
 
-// ProcessKeyed is Process with an explicit routing key per request —
-// the fleet's per-shard serving entry point, where keys are session
-// ids and the KeyAffinity router keeps a session on one worker. A nil
-// keys slice routes every request with key 0 (round-robin ignores the
-// key entirely). Response matching is unchanged: FIFO per worker,
-// every record's monitor stamp verified against the worker identity
-// and the pool template measurement.
+// ProcessKeyed is Process with a routing key per request, routed by
+// key affinity: a key's chunks go to its home worker (key mod the
+// worker count), spilling to the roomiest worker only when the home
+// ring is full. It is the fleet's per-shard serving entry point, where
+// keys are session ids, so a session's requests stay on its home
+// worker while that worker's ring has room. Response matching is
+// Process's: FIFO per worker, every record's monitor stamp verified
+// against the worker identity and the pool template measurement.
 func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, error) {
-	if keys != nil && len(keys) != len(payloads) {
+	if len(keys) != len(payloads) {
 		return nil, fmt.Errorf("os: gateway: %d keys for %d payloads", len(keys), len(payloads))
 	}
-	return g.serve(g.cfg.Router, keys, payloads)
+	return g.serve(keyAffinity{}, keys, payloads)
 }
 
-// serve is the gateway's one serving loop, behind ProcessKeyed and
-// ProcessBulk: queue every chunk that fits on the worker router picks,
-// send the queues, run one scheduler wave over the workers the sends
-// woke, drain their response rings, and repeat until every request has
-// its response. A call that fails leaves orphans, never dangling
-// requests (abandon).
-func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) (_ [][]byte, err error) {
+// serve is the gateway's one serving loop, behind Process, ProcessKeyed
+// and ProcessBulk: queue every chunk that fits on the worker policy
+// picks, send the queues, run one scheduler wave over the workers the
+// sends woke, drain their response rings, and repeat until every
+// request has its response. A call that fails leaves orphans, never
+// dangling requests (abandon).
+func (g *Gateway) serve(policy router, keys []uint64, payloads [][]byte) (_ [][]byte, err error) {
 	tr := g.trace
 	g.trace = nil
 	if tr != nil && (tr.idx < 0 || tr.idx >= len(payloads)) {
@@ -773,7 +772,7 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) (_ [][]
 			if keys != nil {
 				key = keys[cursor]
 			}
-			i := router.Pick(key, len(g.workers), g.space)
+			i := policy.Pick(key, len(g.workers), g.space)
 			if i < 0 {
 				break // every ring full: serve a wave first
 			}
@@ -781,7 +780,7 @@ func (g *Gateway) serve(router Router, keys []uint64, payloads [][]byte) (_ [][]
 			if keys != nil {
 				// A chunk stays within one routing key: the same key
 				// always routes the same way, so a contiguous same-key
-				// run is the unit the router places.
+				// run is the unit the policy places.
 				run := 1
 				for run < n && keys[cursor+run] == key {
 					run++

@@ -1,13 +1,14 @@
 package os
 
-// Router picks which worker serves the next chunk of requests. It is
-// the seam the fleet layer drives (DESIGN.md §12): the single-machine
-// gateway defaults to RoundRobin, while a fleet shard plugs in
-// KeyAffinity so one session's requests serialize through one worker's
-// rings. Response matching — FIFO per worker under the monitor's
-// sender stamp — stays in the gateway core and is shared by every
-// router; only the selection policy varies.
-type Router interface {
+// router picks which worker serves the next chunk of requests. The
+// serving call names the policy (DESIGN.md §9): Process rotates with
+// the gateway's roundRobin cursor, ProcessKeyed routes by keyAffinity
+// so one session's requests serialize through one worker's rings (what
+// a fleet shard needs, §12), and ProcessBulk pins the worker whose
+// buffer holds the data. Response matching — FIFO per worker under the
+// monitor's sender stamp — stays in the gateway core and is shared by
+// every policy.
+type router interface {
 	// Pick returns the index of the worker that should take the next
 	// chunk, whose first routing key is key, or -1 when no worker has
 	// request-ring space left (the gateway then runs a scheduler wave
@@ -16,16 +17,16 @@ type Router interface {
 	Pick(key uint64, n int, space func(int) int) int
 }
 
-// RoundRobin rotates chunks across the workers, skipping full rings —
-// the original single-machine gateway policy. The cursor persists
-// across Process calls, so sustained load keeps rotating instead of
-// restarting at worker 0 every batch.
-type RoundRobin struct {
+// roundRobin rotates chunks across the workers, skipping full rings —
+// the original single-machine gateway policy. The gateway owns one
+// cursor for its lifetime, so sustained load keeps rotating instead of
+// restarting at worker 0 every call.
+type roundRobin struct {
 	next int
 }
 
 // Pick scans from the cursor for a worker with ring space.
-func (r *RoundRobin) Pick(_ uint64, n int, space func(int) int) int {
+func (r *roundRobin) Pick(_ uint64, n int, space func(int) int) int {
 	for scanned := 0; scanned < n; scanned++ {
 		i := r.next % n
 		r.next++
@@ -36,16 +37,16 @@ func (r *RoundRobin) Pick(_ uint64, n int, space func(int) int) int {
 	return -1
 }
 
-// KeyAffinity pins a routing key to its home worker (key mod n), so a
+// keyAffinity pins a routing key to its home worker (key mod n), so a
 // session's requests stay on one worker's rings — what a fleet shard
 // wants for cache locality and per-session ordering. When the home
 // ring is full the key spills to the roomiest worker rather than
 // stalling the whole batch behind one hot session.
-type KeyAffinity struct{}
+type keyAffinity struct{}
 
 // Pick returns the key's home worker, or the roomiest worker when the
 // home ring is full.
-func (KeyAffinity) Pick(key uint64, n int, space func(int) int) int {
+func (keyAffinity) Pick(key uint64, n int, space func(int) int) int {
 	home := int(key % uint64(n))
 	if space(home) > 0 {
 		return home

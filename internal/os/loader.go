@@ -79,42 +79,6 @@ type BuiltEnclave struct {
 	Measurement [32]byte
 }
 
-// batch is a labelled ABI request sequence: the labels keep loader
-// errors as descriptive as the direct calls they replaced.
-type batch struct {
-	labels []string
-	reqs   []api.Request
-}
-
-func (b *batch) add(label string, req api.Request) {
-	b.labels = append(b.labels, label)
-	b.reqs = append(b.reqs, req)
-}
-
-// run submits the sequence through the client's batched path and
-// converts the first failed element into an error.
-func (b *batch) run(o *OS) error {
-	return submit(o, b.reqs, func(i int) string { return b.labels[i] })
-}
-
-// submit is batch.run for callers that name a failed element only
-// once it failed: label(i) is called for the first non-OK element.
-func submit(o *OS, reqs []api.Request, label func(i int) string) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	resps, err := o.SM.Batch(reqs)
-	if err != nil {
-		return fmt.Errorf("os: batched monitor call: %w", err)
-	}
-	for i, resp := range resps {
-		if resp.Status != api.OK {
-			return fmt.Errorf("os: %s: %w", label(i), resp.Status)
-		}
-	}
-	return nil
-}
-
 // discard unwinds a failed build or fork of enclave eid: it deletes the
 // enclave, cleans each of regions the deletion left blocked, and
 // returns eid's metadata page to the allocator. It returns the regions
@@ -136,13 +100,14 @@ func (o *OS) discard(eid uint64, regions []int) (cleaned []int) {
 // BuildEnclave drives the monitor's loading API (Fig 3) end to end:
 // create, grant, allocate tables, load pages, map shared windows, load
 // threads, init. The call sequence is canonical so that
-// ExpectedMeasurement predicts the result exactly. Calls that need no
-// inter-call staging travel as batched submissions, each element a
-// lone monitor call; page loads are staged through the kernel's
-// staging page one at a time, exactly as an S-mode kernel would reuse
-// a bounce buffer. A failed build leaves nothing behind: the enclave is
-// deleted, the regions it was granted are cleaned and granted back to
-// the OS, and its threads are deleted, all pages returned.
+// ExpectedMeasurement predicts the result exactly. Each step is one
+// monitor call, and the build stops at the first refusal, so
+// init_enclave never seals a partially loaded enclave. Page loads are
+// staged through the kernel's staging page one at a time, exactly as
+// an S-mode kernel would reuse a bounce buffer. A failed build leaves
+// nothing behind: the enclave is deleted, the regions it was granted
+// are cleaned and granted back to the OS, and its threads are deleted,
+// all pages returned.
 func (o *OS) BuildEnclave(spec *EnclaveSpec) (_ *BuiltEnclave, err error) {
 	eid, err := o.AllocMetaPage()
 	if err != nil {
@@ -175,24 +140,21 @@ func (o *OS) BuildEnclave(spec *EnclaveSpec) (_ *BuiltEnclave, err error) {
 		vas = append(vas, s.VA)
 	}
 
-	// Phase 1 — create, grants, page tables: pure register calls, one
-	// batch.
-	setup := &batch{}
-	setup.add("create_enclave",
-		api.OSRequest(api.CallCreateEnclave, eid, spec.EvBase, spec.EvMask))
+	if err := o.SM.CreateEnclave(eid, spec.EvBase, spec.EvMask); err != nil {
+		return nil, fmt.Errorf("os: create_enclave: %w", err)
+	}
 	for _, r := range spec.Regions {
-		setup.add(fmt.Sprintf("grant region %d", r),
-			api.OSRequest(api.CallGrantRegion, uint64(r), eid))
+		if err := o.SM.GrantRegion(r, eid); err != nil {
+			return nil, fmt.Errorf("os: grant region %d: %w", r, err)
+		}
 	}
 	for _, ta := range TablePlan(vas) {
-		setup.add(fmt.Sprintf("allocate_page_table(va=%#x, level=%d)", ta.VA, ta.Level),
-			api.OSRequest(api.CallAllocPageTable, eid, ta.VA, uint64(ta.Level)))
-	}
-	if err := setup.run(o); err != nil {
-		return nil, err
+		if err := o.SM.AllocatePageTable(eid, ta.VA, ta.Level); err != nil {
+			return nil, fmt.Errorf("os: allocate_page_table(va=%#x, level=%d): %w", ta.VA, ta.Level, err)
+		}
 	}
 
-	// Phase 2 — stage each page in kernel memory and load it.
+	// Stage each page in kernel memory and load it.
 	stagePA, err := o.StagePage()
 	if err != nil {
 		return nil, err
@@ -211,39 +173,30 @@ func (o *OS) BuildEnclave(spec *EnclaveSpec) (_ *BuiltEnclave, err error) {
 		}
 	}
 
-	// Phase 3 — shared windows and threads. Batched, but sealed
-	// separately: a batch reports the first failure only after running
-	// every element, and init_enclave must never execute past a failed
-	// load — sealing a partially built enclave would finalize a bogus
-	// measurement instead of leaving the enclave Loading (and
-	// deletable).
-	contents := &batch{}
 	for _, s := range spec.Shared {
-		contents.add(fmt.Sprintf("map_shared(va=%#x)", s.VA),
-			api.OSRequest(api.CallMapShared, eid, s.VA, s.PA))
+		if err := o.SM.MapShared(eid, s.VA, s.PA); err != nil {
+			return nil, fmt.Errorf("os: map_shared(va=%#x): %w", s.VA, err)
+		}
 	}
 	for _, t := range spec.Threads {
 		tid, err := o.AllocMetaPage()
 		if err != nil {
 			return nil, err
 		}
-		contents.add(fmt.Sprintf("load_thread(entry=%#x)", t.EntryVA),
-			api.OSRequest(api.CallLoadThread, eid, tid, t.EntryVA, t.StackVA))
 		built.TIDs = append(built.TIDs, tid)
-	}
-	if err := contents.run(o); err != nil {
-		return nil, err
-	}
-
-	// Phase 4 — seal and read the measurement back through OS memory:
-	// the monitor writes it to the staging page in the same batch.
-	seal := &batch{}
-	seal.add("init_enclave", api.OSRequest(api.CallInitEnclave, eid))
-	seal.add("enclave_status", api.OSRequest(api.CallEnclaveStatus, eid, stagePA))
-	if err := seal.run(o); err != nil {
-		return nil, err
+		if err := o.SM.LoadThread(eid, tid, t.EntryVA, t.StackVA); err != nil {
+			return nil, fmt.Errorf("os: load_thread(entry=%#x): %w", t.EntryVA, err)
+		}
 	}
 
+	// Seal, and read the measurement back through OS memory: the
+	// monitor writes it to the staging page.
+	if err := o.SM.InitEnclave(eid); err != nil {
+		return nil, fmt.Errorf("os: init_enclave: %w", err)
+	}
+	if _, err := o.SM.EnclaveStatus(eid, stagePA); err != nil {
+		return nil, fmt.Errorf("os: enclave_status: %w", err)
+	}
 	meas, err := o.ReadOwned(stagePA, len(built.Measurement))
 	if err != nil {
 		return nil, fmt.Errorf("os: reading measurement: %w", err)

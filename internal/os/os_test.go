@@ -3,15 +3,19 @@ package os
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
 	"sanctorum/internal/platform/baseline"
+	"sanctorum/internal/platform/keystone"
+	"sanctorum/internal/platform/sanctum"
 	"sanctorum/internal/sm"
 	"sanctorum/internal/sm/api"
 	"sanctorum/internal/sm/boot"
+	"sanctorum/internal/smcall"
 )
 
 // newSystem boots machine + monitor + OS with region 0 as the kernel
@@ -19,8 +23,13 @@ import (
 // facade's layout. The OS talks to the monitor exclusively through its
 // smcall client (o.SM), so these tests exercise the unified ABI.
 func newSystem(t *testing.T) (*machine.Machine, *sm.Monitor, *OS) {
+	return newSystemOn(t, machine.IsolationNone)
+}
+
+// newSystemOn is newSystem on the given platform kind.
+func newSystemOn(t *testing.T, kind machine.IsolationKind) (*machine.Machine, *sm.Monitor, *OS) {
 	t.Helper()
-	cfg := machine.DefaultConfig(machine.IsolationNone)
+	cfg := machine.DefaultConfig(kind)
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,9 +42,16 @@ func newSystem(t *testing.T) (*machine.Machine, *sm.Monitor, *OS) {
 	}
 	smRegion := cfg.DRAM.RegionCount - 1
 	metaRegion := cfg.DRAM.RegionCount - 2
+	var plat sm.Platform = baseline.New()
+	switch kind {
+	case machine.IsolationSanctum:
+		plat = sanctum.New()
+	case machine.IsolationKeystone:
+		plat = keystone.New(cfg.DRAM)
+	}
 	mon, err := sm.New(sm.Config{
 		Machine:   m,
-		Platform:  baseline.New(),
+		Platform:  plat,
 		Identity:  id,
 		SMRegions: []int{smRegion},
 	})
@@ -207,5 +223,113 @@ func TestLoaderRejectsOversizedPage(t *testing.T) {
 	}
 	if _, err := o.BuildEnclave(spec); err == nil {
 		t.Fatal("oversized page accepted")
+	}
+}
+
+// callLog is a monitor call surface that forwards every call and logs
+// it, lone or batched, in issue order with its status.
+type callLog struct {
+	inner smcall.Dispatcher
+	calls []api.Call
+	stats []api.Error
+}
+
+func (l *callLog) Dispatch(req api.Request) api.Response {
+	resp := l.inner.Dispatch(req)
+	l.calls = append(l.calls, req.Call)
+	l.stats = append(l.stats, resp.Status)
+	return resp
+}
+
+func (l *callLog) DispatchBatch(reqs []api.Request) []api.Response {
+	resps := l.inner.DispatchBatch(reqs)
+	for i, resp := range resps {
+		l.calls = append(l.calls, reqs[i].Call)
+		l.stats = append(l.stats, resp.Status)
+	}
+	return resps
+}
+
+// names lists the logged calls from index from on by name.
+func (l *callLog) names(from int) []string {
+	table := sm.CallNames()
+	var out []string
+	for _, c := range l.calls[from:] {
+		out = append(out, table[c])
+	}
+	return out
+}
+
+// metaInUse is the set of metadata pages the OS allocator has handed
+// out and not taken back; a page released twice fails the test.
+func metaInUse(t *testing.T, o *OS) map[uint64]bool {
+	t.Helper()
+	used := map[uint64]bool{}
+	for p := o.M.DRAM.Base(o.metaRegion); p < o.nextMetaPage; p += mem.PageSize {
+		used[p] = true
+	}
+	for _, p := range o.metaFree {
+		if !used[p] {
+			t.Fatalf("metadata page %#x released twice or never handed out", p)
+		}
+		delete(used, p)
+	}
+	return used
+}
+
+// TestBuildStopsAtFirstRefusal: a build whose map_shared names a page
+// outside OS-owned memory is refused there, and the loader issues
+// nothing past the refusal — no load_thread, no init_enclave, no
+// enclave_status — before it unwinds. The unwind leaves the monitor's
+// state exactly as it was and every metadata page back in the OS
+// allocator.
+func TestBuildStopsAtFirstRefusal(t *testing.T) {
+	for _, kind := range []machine.IsolationKind{
+		machine.IsolationSanctum, machine.IsolationKeystone, machine.IsolationNone,
+	} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, mon, o := newSystemOn(t, kind)
+			log := &callLog{inner: o.SM.Dispatcher()}
+			o.SM = smcall.New(log)
+			evBase := uint64(0x4000000000)
+			spec := &EnclaveSpec{
+				EvBase:  evBase,
+				EvMask:  ^uint64(1<<21 - 1),
+				Regions: []int{3},
+				Pages: []EnclavePage{
+					{VA: evBase, Perms: pt.R | pt.X, Data: bytes.Repeat([]byte{0x13, 0, 0, 0}, 8)},
+				},
+				Shared: []SharedMapping{{VA: 0x50000000, PA: m.DRAM.Base(m.DRAM.RegionCount - 1)}},
+				Threads: []ThreadSpec{
+					{EntryVA: evBase, StackVA: evBase + 0x2000},
+					{EntryVA: evBase, StackVA: evBase + 0x3000},
+				},
+			}
+			before, inUse := mon.CaptureState(), metaInUse(t, o)
+			if _, err := o.BuildEnclave(spec); !errors.Is(err, api.ErrInvalidValue) {
+				t.Fatalf("build with a foreign shared page: %v, want invalid_value", err)
+			}
+			refused := -1
+			for i, st := range log.stats {
+				if st != api.OK {
+					refused = i
+					break
+				}
+			}
+			if refused < 0 || log.calls[refused] != api.CallMapShared {
+				t.Fatalf("first refusal at %d in %v, want map_shared", refused, log.names(0))
+			}
+			for _, c := range log.calls[refused+1:] {
+				if c == api.CallLoadThread || c == api.CallInitEnclave || c == api.CallEnclaveStatus {
+					t.Fatalf("calls issued from the refused map_shared on: %v", log.names(refused))
+				}
+			}
+			if after := mon.CaptureState(); !before.Equal(after) {
+				t.Fatalf("failed build changed the monitor: %s", before.Diff(after))
+			}
+			if after := metaInUse(t, o); !maps.Equal(after, inUse) {
+				t.Fatalf("metadata pages in use: %d after the failed build, %d before", len(after), len(inUse))
+			}
+		})
 	}
 }

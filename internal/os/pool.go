@@ -1,10 +1,6 @@
 package os
 
-import (
-	"fmt"
-
-	"sanctorum/internal/sm/api"
-)
+import "fmt"
 
 // Pool is the OS-side enclave pool manager over the monitor's
 // snapshot/clone calls (0x30–0x32): one template enclave is built and
@@ -39,9 +35,6 @@ type Pool struct {
 	// its L2 colours and modeled cycles; copying down keeps the backing
 	// array from reallocating.
 	freeRegions []int
-
-	// reqs is the fork's batched submission, reused across Acquires.
-	reqs []api.Request
 
 	// freeTIDBases are recycled clone thread-id bases (each a run of
 	// nThreads contiguous metadata pages). AllocMetaPages can only bump
@@ -99,9 +92,7 @@ func (p *Pool) FreeWorkers() int { return len(p.freeRegions) / p.perClone }
 
 // Acquire forks a worker from the template. sharedPA, when non-zero,
 // becomes the worker's private untrusted buffer (it must be an
-// OS-owned page); zero aliases the template's buffer. The whole fork
-// travels as one batched submission — create, grants, clone — so the
-// monitor's contention cut applies once.
+// OS-owned page); zero aliases the template's buffer.
 func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 	if len(p.freeRegions) < p.perClone {
 		return nil, fmt.Errorf("os: pool out of clone regions")
@@ -122,21 +113,7 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 		}
 	}
 
-	reqs := append(p.reqs[:0], api.OSRequest(api.CallCreateEnclave, eid, p.evBase, p.evMask))
-	for _, r := range regions {
-		reqs = append(reqs, api.OSRequest(api.CallGrantRegion, uint64(r), eid))
-	}
-	p.reqs = append(reqs, api.OSRequest(api.CallCloneEnclave, eid, p.SnapID, tidBase, sharedPA))
-	err = submit(p.o, p.reqs, func(i int) string {
-		switch {
-		case i == 0:
-			return "create_enclave (clone)"
-		case i <= len(regions):
-			return fmt.Sprintf("grant region %d (clone)", regions[i-1])
-		}
-		return "clone_enclave"
-	})
-	if err != nil {
+	if err := p.fork(eid, regions, tidBase, sharedPA); err != nil {
 		// Unwind a partial fork so the pool stays usable: the shell may
 		// exist and may own some of the regions (deleting it blocks
 		// them; cleaning makes them grantable again). The regions were
@@ -155,6 +132,24 @@ func (p *Pool) Acquire(sharedPA uint64) (*Worker, error) {
 	}
 	p.Clones++
 	return w, nil
+}
+
+// fork issues a clone's monitor calls in order — create the shell,
+// grant it the regions, clone the snapshot into it — and stops at the
+// first refusal.
+func (p *Pool) fork(eid uint64, regions []int, tidBase, sharedPA uint64) error {
+	if err := p.o.SM.CreateEnclave(eid, p.evBase, p.evMask); err != nil {
+		return fmt.Errorf("os: create_enclave (clone): %w", err)
+	}
+	for _, r := range regions {
+		if err := p.o.SM.GrantRegion(r, eid); err != nil {
+			return fmt.Errorf("os: grant region %d (clone): %w", r, err)
+		}
+	}
+	if err := p.o.SM.CloneEnclave(eid, p.SnapID, tidBase, sharedPA); err != nil {
+		return fmt.Errorf("os: clone_enclave: %w", err)
+	}
+	return nil
 }
 
 // Release recycles a worker: delete its enclave (threads revert to the

@@ -194,8 +194,8 @@ func TestShootdownRegionFlushesAllTLBs(t *testing.T) {
 }
 
 // TestUnifiedABIOnSanctum drives the full enclave-build sequence over
-// the monitor's unified call ABI — batched submissions through the
-// smcall client — on the Sanctum backend, and checks the dispatch
+// the monitor's unified call ABI — lone calls through the smcall
+// client — on the Sanctum backend, and checks the dispatch
 // layer's per-domain authorization holds with region isolation active.
 func TestUnifiedABIOnSanctum(t *testing.T) {
 	m := newMachine(t)

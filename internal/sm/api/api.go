@@ -10,9 +10,9 @@
 // call number in a7 and arguments in a0..a5; the status returns in a0
 // and the first result value in a1. The untrusted OS — host Go code
 // standing in for an S-mode kernel in this reproduction — submits the
-// same Requests through Monitor.Dispatch (or batched through
-// Monitor.DispatchBatch), normally via the typed smcall client, which
-// also centralizes the §V-A retry discipline for ErrRetry.
+// same Requests through Monitor.Dispatch, one call at a time, normally
+// via the typed smcall client, which also centralizes the §V-A retry
+// discipline for ErrRetry.
 //
 // The ABI is versioned: CallGetABIVersion reports Version, and callers
 // are expected to probe it before relying on calls newer than major 1.
@@ -449,26 +449,6 @@ func EncodeBulkDescs(descs ...[2]uint64) [RingMsgSize]byte {
 		binary.LittleEndian.PutUint64(msg[24+16*i:], d[1])
 	}
 	return msg
-}
-
-// DecodeBulkDescs parses a received descriptor payload back into
-// (offset, length) pairs, with no validation beyond the tag and count
-// shape — the monitor already validated a delivered message at send
-// time. Returns nil if the payload is not a descriptor message.
-func DecodeBulkDescs(payload []byte) [][2]uint64 {
-	if len(payload) < RingMsgSize || binary.LittleEndian.Uint64(payload) != BulkTag {
-		return nil
-	}
-	n := binary.LittleEndian.Uint64(payload[8:])
-	if n == 0 || n > BulkMaxDescs {
-		return nil
-	}
-	out := make([][2]uint64, n)
-	for i := range out {
-		out[i][0] = binary.LittleEndian.Uint64(payload[16+16*i:])
-		out[i][1] = binary.LittleEndian.Uint64(payload[24+16*i:])
-	}
-	return out
 }
 
 // Ring geometry. Messages are fixed-size; recv prepends the

@@ -20,6 +20,10 @@ func (mon *Monitor) GetField(f api.Field) ([]byte, api.Error) {
 
 // fieldBytes serves get_field for both OS and enclave callers.
 func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error) {
+	// The enclave fields describe the calling enclave: the OS has none.
+	if caller == nil && f >= api.FieldEnclaveMeasurement && f <= api.FieldEnclaveGrants {
+		return nil, api.ErrUnauthorized
+	}
 	switch f {
 	case api.FieldSMMeasurement:
 		return append([]byte(nil), mon.id.Measurement[:]...), api.OK
@@ -28,9 +32,6 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 	case api.FieldCertChain:
 		return mon.id.Chain.Marshal(), api.OK
 	case api.FieldEnclaveMeasurement:
-		if caller == nil {
-			return nil, api.ErrUnauthorized
-		}
 		return append([]byte(nil), caller.Measurement[:]...), api.OK
 	case api.FieldEnclaveIdentity:
 		// measurement[32] ‖ eid[8] ‖ origin[8]: the full attestation
@@ -38,9 +39,6 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 		// a per-clone enclave ID, and origin=1 marks the measurement as
 		// inherited through a snapshot fork rather than measured over
 		// this enclave's own load sequence (DESIGN.md §8).
-		if caller == nil {
-			return nil, api.ErrUnauthorized
-		}
 		out := make([]byte, 48)
 		copy(out, caller.Measurement[:])
 		binary.LittleEndian.PutUint64(out[32:], caller.ID)
@@ -52,17 +50,11 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 		// Ring id[8] ‖ role[8] per ring the caller is an endpoint of,
 		// in creation order — how a cloned worker, whose measured image
 		// cannot embed per-clone names, discovers its own rings.
-		if caller == nil {
-			return nil, api.ErrUnauthorized
-		}
 		return mon.directory(caller, false), api.OK
 	case api.FieldEnclaveGrants:
 		// Grant id[8] ‖ role[8] ‖ byte size[8] per grant the caller is
 		// an endpoint of, in creation order — how a cloned worker
 		// discovers the shared buffer it should bulk_map.
-		if caller == nil {
-			return nil, api.ErrUnauthorized
-		}
 		return mon.directory(caller, true), api.OK
 	default:
 		return nil, api.ErrInvalidValue

@@ -227,8 +227,10 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 // predecessors. The one thing a batch adds to a caller-side loop is the
 // contention cut: the first ErrRetry stops the batch at that element;
 // it and every later element return ErrRetry unexecuted, so the caller
-// can re-submit the tail without re-running the completed prefix (the
-// smcall client does this automatically).
+// can re-submit the tail without re-running the completed prefix.
+// The OS never batches — it issues lone calls through the smcall
+// client — and the entry stays only because the serving benchmark's
+// ledger tap (servebench/ledger.go) forwards it.
 func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 	out := make([]api.Response, len(reqs))
 	for i := range reqs {

@@ -11,9 +11,9 @@
 // speaks one call ABI (internal/sm/api): enclaves reach it through the
 // ECALL instruction and the trap path (trap.go); the untrusted OS —
 // host Go code standing in for S-mode — submits the same api.Request
-// values through Monitor.Dispatch or DispatchBatch, normally via the
-// smcall client. Both entries land in the single routing table in
-// dispatch.go, where the per-caller-domain authorization lives.
+// values through Monitor.Dispatch, normally via the smcall client. Both
+// entries land in the single routing table in dispatch.go, where the
+// per-caller-domain authorization lives.
 //
 // # Concurrency model (paper §V-A)
 //

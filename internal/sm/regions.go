@@ -33,15 +33,26 @@ type regionMeta struct {
 	owner uint64 // DomainOS, DomainSM, or eid
 }
 
+// lockRegion is the region transactions' shared prologue: it checks
+// the region index a and takes the region's transaction lock. On OK
+// the caller holds rm.mu; otherwise it holds nothing.
+func (mon *Monitor) lockRegion(a uint64) (r int, rm *regionMeta, st api.Error) {
+	r = indexArg(a)
+	if r < 0 || r >= len(mon.regions) {
+		return r, nil, api.ErrInvalidValue
+	}
+	rm = &mon.regions[r]
+	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
+		return r, nil, api.ErrRetry
+	}
+	return r, rm, api.OK
+}
+
 // regionInfo reports region a0's state and owner (CallRegionInfo).
 func (mon *Monitor) regionInfo(req api.Request, _ *callContext) api.Response {
-	r := indexArg(req.Args[0])
-	if r < 0 || r >= len(mon.regions) {
-		return fail(api.ErrInvalidValue)
-	}
-	rm := &mon.regions[r]
-	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return fail(api.ErrRetry)
+	_, rm, st := mon.lockRegion(req.Args[0])
+	if st != api.OK {
+		return fail(st)
 	}
 	resp := api.Response{Status: api.OK, Values: [2]uint64{uint64(rm.state), rm.owner}}
 	rm.mu.Unlock()
@@ -56,13 +67,10 @@ func (mon *Monitor) regionInfo(req api.Request, _ *callContext) api.Response {
 // away an OS-owned region fails with ErrNoResources, changing nothing,
 // when the platform could not express the OS view without it.
 func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
-	r, newOwner := indexArg(req.Args[0]), req.Args[1]
-	if r < 0 || r >= len(mon.regions) {
-		return fail(api.ErrInvalidValue)
-	}
-	rm := &mon.regions[r]
-	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return fail(api.ErrRetry)
+	newOwner := req.Args[1]
+	r, rm, st := mon.lockRegion(req.Args[0])
+	if st != api.OK {
+		return fail(st)
 	}
 	defer rm.mu.Unlock()
 
@@ -129,13 +137,9 @@ func (mon *Monitor) grantRegion(req api.Request, _ *callContext) api.Response {
 // host-side Request, an enclave from its trap context. The OS is
 // refused like a grant when its view could not lose the region.
 func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response {
-	r := indexArg(req.Args[0])
-	if r < 0 || r >= len(mon.regions) {
-		return fail(api.ErrInvalidValue)
-	}
-	rm := &mon.regions[r]
-	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return fail(api.ErrRetry)
+	r, rm, st := mon.lockRegion(req.Args[0])
+	if st != api.OK {
+		return fail(st)
 	}
 	defer rm.mu.Unlock()
 	// Take every lock the transaction needs before mutating anything,
@@ -188,13 +192,9 @@ func (mon *Monitor) blockRegion(req api.Request, ctx *callContext) api.Response 
 // OS (no-hart) context only: it waits for every core, holding only the
 // region's lock, which no hart ever blocks on.
 func (mon *Monitor) cleanRegion(req api.Request, _ *callContext) api.Response {
-	r := indexArg(req.Args[0])
-	if r < 0 || r >= len(mon.regions) {
-		return fail(api.ErrInvalidValue)
-	}
-	rm := &mon.regions[r]
-	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return fail(api.ErrRetry)
+	r, rm, st := mon.lockRegion(req.Args[0])
+	if st != api.OK {
+		return fail(st)
 	}
 	defer rm.mu.Unlock()
 	if rm.state != RegionBlocked {
@@ -235,13 +235,10 @@ func flushRegions(c *machine.Core, set, shift, l1 uint64) {
 // acceptRegion completes a pending grant of region a0 (accept_resource
 // by the enclave, Fig 2).
 func (mon *Monitor) acceptRegion(req api.Request, ctx *callContext) api.Response {
-	e, r := ctx.enclave, indexArg(req.Args[0])
-	if r < 0 || r >= len(mon.regions) {
-		return fail(api.ErrInvalidValue)
-	}
-	rm := &mon.regions[r]
-	if !mon.tryLock(&rm.mu, LockRegion, uint64(r)) {
-		return fail(api.ErrRetry)
+	e := ctx.enclave
+	r, rm, st := mon.lockRegion(req.Args[0])
+	if st != api.OK {
+		return fail(st)
 	}
 	defer rm.mu.Unlock()
 	if !mon.tryLock(&e.mu, LockEnclave, e.ID) {

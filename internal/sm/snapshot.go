@@ -303,7 +303,7 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 		parent, _ := e.table(k.level+1, k.prefix>>9)
 		va := k.prefix << (mem.PageBits + 9*uint(k.level+1))
 		pteAddr := parent<<mem.PageBits + pt.VPN(va, k.level+1)*pt.EntrySize
-		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(parentPTEChild(ppn), pt.V))
+		mon.machine.Mem.Store(pteAddr, 8, pt.MakePTE(ppn, pt.V))
 	}
 
 	// One PTE per table entry: every private page aliases the frozen
@@ -346,10 +346,6 @@ func (mon *Monitor) cloneEnclave(req api.Request, _ *callContext) api.Response {
 	mon.machine.Mem.WriteBytes(eid+8, e.Measurement[:])
 	return ok()
 }
-
-// parentPTEChild is the PPN stored in a parent table entry for a child
-// table page (identity — named for readability at the call site).
-func parentPTEChild(ppn uint64) uint64 { return ppn }
 
 // releaseSnapshot implements CallReleaseSnapshot: dissolve the
 // snapshot a0, which must have no outstanding clones. The template

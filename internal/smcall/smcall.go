@@ -7,10 +7,10 @@
 // bounded backoff and a shared retry counter (the scheduler's `retries`
 // metric reads it).
 //
-// The client also owns batched submission: Batch forwards a request
-// sequence to Monitor.DispatchBatch — which runs each element as a lone
-// call, holding no lock between them — and resubmits the unexecuted
-// tail whenever the monitor cuts the batch at a contended element.
+// Every call is a lone transaction, as in the paper's API: the OS
+// issues a multi-call sequence (an enclave build, a pool fork) as one
+// call after another and stops at the first refusal. No OS path
+// batches.
 package smcall
 
 import (
@@ -22,7 +22,9 @@ import (
 )
 
 // Dispatcher is the monitor surface the client drives; *sm.Monitor
-// implements it. Tests substitute fakes.
+// implements it. Tests substitute fakes. The client only calls
+// Dispatch: DispatchBatch stays in the interface because the serving
+// benchmark's ledger tap (servebench/ledger.go) forwards it.
 type Dispatcher interface {
 	Dispatch(api.Request) api.Response
 	DispatchBatch([]api.Request) []api.Response
@@ -144,45 +146,6 @@ func (c *Client) Try(req api.Request) api.Response {
 		c.retries.Add(1)
 	}
 	return resp
-}
-
-// Batch submits the requests in order through the monitor's batched
-// path and returns one Response per Request. When the monitor cuts the
-// batch at a contended element (see Monitor.DispatchBatch), the client
-// backs off and resubmits the unexecuted tail, so the caller sees
-// sequential semantics: every element was executed exactly once, in
-// order. Non-retry element failures do not stop the batch — callers
-// inspect the statuses. The error is non-nil (a *StarvationError) only
-// if the attempt bound was exhausted, in which case the unexecuted
-// tail reports ErrRetry.
-func (c *Client) Batch(reqs []api.Request) ([]api.Response, error) {
-	var out []api.Response // the executed prefix, once a batch is cut
-	pending := reqs
-	for attempt := 0; len(pending) > 0; attempt++ {
-		resps := c.d.DispatchBatch(pending)
-		cut := -1
-		for i := range resps {
-			if resps[i].Status == api.ErrRetry {
-				cut = i
-				break
-			}
-		}
-		if cut < 0 {
-			if out == nil {
-				return resps, nil // no executed prefix: resps answers every request
-			}
-			return append(out, resps...), nil
-		}
-		c.retries.Add(1)
-		out = append(out, resps[:cut]...)
-		pending = pending[cut:]
-		if attempt+1 >= c.maxAttempts() {
-			return append(out, resps[cut:]...),
-				&StarvationError{Call: pending[0].Call, Attempts: attempt + 1}
-		}
-		backoff(attempt)
-	}
-	return out, nil
 }
 
 // call is the shared typed-wrapper body.

@@ -2,19 +2,19 @@ package smcall
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sanctorum/internal/sm/api"
 )
 
-// fakeMonitor scripts Dispatch results and mimics the monitor's
-// batch contract (stop at the first ErrRetry, fill the tail).
+// fakeMonitor scripts Dispatch results.
 type fakeMonitor struct {
 	// retriesBeforeOK makes each distinct request key fail with
 	// ErrRetry this many times before succeeding.
 	retriesBeforeOK map[api.Call]int
 	status          map[api.Call]api.Error // terminal status (default OK)
-	calls           []api.Call             // executed (non-cut) calls, in order
+	calls           []api.Call             // executed (uncontended) calls, in order
 }
 
 func newFake() *fakeMonitor {
@@ -34,18 +34,10 @@ func (f *fakeMonitor) Dispatch(req api.Request) api.Response {
 	return api.Response{Status: st, Values: [2]uint64{req.Args[0] + 1}}
 }
 
-func (f *fakeMonitor) DispatchBatch(reqs []api.Request) []api.Response {
-	out := make([]api.Response, len(reqs))
-	for i := range reqs {
-		out[i] = f.Dispatch(reqs[i])
-		if out[i].Status == api.ErrRetry {
-			for j := i + 1; j < len(reqs); j++ {
-				out[j] = api.Response{Status: api.ErrRetry}
-			}
-			break
-		}
-	}
-	return out
+// DispatchBatch completes the Dispatcher interface; the client never
+// batches.
+func (f *fakeMonitor) DispatchBatch([]api.Request) []api.Response {
+	panic("smcall: the client submitted a batch")
 }
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
@@ -106,10 +98,11 @@ func TestTryHandsBackRetryButCountsIt(t *testing.T) {
 	}
 }
 
-func TestBatchResumesAfterContentionCut(t *testing.T) {
+// TestDoSequenceRunsEachCallOnce: a multi-call sequence is lone calls
+// issued one after another. A contended call is retried alone: the
+// calls before it are not re-run, and the calls after it wait for it.
+func TestDoSequenceRunsEachCallOnce(t *testing.T) {
 	f := newFake()
-	// The third element contends twice; the batch must cut there and
-	// resume without re-running the first two.
 	f.retriesBeforeOK[api.CallInitEnclave] = 2
 	c := New(f)
 	reqs := []api.Request{
@@ -118,71 +111,22 @@ func TestBatchResumesAfterContentionCut(t *testing.T) {
 		api.OSRequest(api.CallInitEnclave, 3),
 		api.OSRequest(api.CallEnclaveStatus, 4),
 	}
-	resps, err := c.Batch(reqs)
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if len(resps) != len(reqs) {
-		t.Fatalf("%d responses for %d requests", len(resps), len(reqs))
-	}
-	for i, r := range resps {
-		if r.Status != api.OK {
-			t.Fatalf("element %d: %v", i, r.Status)
+	for i, req := range reqs {
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
-		if r.Values[0] != reqs[i].Args[0]+1 {
-			t.Fatalf("element %d executed out of order: %+v", i, r)
+		if resp.Values[0] != req.Args[0]+1 {
+			t.Fatalf("call %d answered out of order: %+v", i, resp)
 		}
 	}
 	want := []api.Call{api.CallCreateEnclave, api.CallLoadPage,
 		api.CallInitEnclave, api.CallEnclaveStatus}
-	if len(f.calls) != len(want) {
-		t.Fatalf("monitor executed %v, want each element exactly once (%v)", f.calls, want)
-	}
-	for i := range want {
-		if f.calls[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", f.calls, want)
-		}
+	if !slices.Equal(f.calls, want) {
+		t.Fatalf("monitor executed %v, want each call exactly once (%v)", f.calls, want)
 	}
 	if got := c.Retries(); got != 2 {
 		t.Fatalf("retry counter = %d, want 2", got)
-	}
-}
-
-func TestBatchKeepsNonRetryFailuresInPlace(t *testing.T) {
-	f := newFake()
-	f.status[api.CallLoadPage] = api.ErrInvalidValue
-	c := New(f)
-	resps, err := c.Batch([]api.Request{
-		api.OSRequest(api.CallCreateEnclave, 1),
-		api.OSRequest(api.CallLoadPage, 2),
-		api.OSRequest(api.CallInitEnclave, 3),
-	})
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if resps[0].Status != api.OK || resps[1].Status != api.ErrInvalidValue || resps[2].Status != api.OK {
-		t.Fatalf("statuses %v %v %v", resps[0].Status, resps[1].Status, resps[2].Status)
-	}
-}
-
-func TestBatchAttemptBound(t *testing.T) {
-	f := newFake()
-	f.retriesBeforeOK[api.CallInitEnclave] = 1 << 30
-	c := New(f)
-	c.MaxAttempts = 3
-	resps, err := c.Batch([]api.Request{
-		api.OSRequest(api.CallCreateEnclave, 1),
-		api.OSRequest(api.CallInitEnclave, 2),
-		api.OSRequest(api.CallEnclaveStatus, 3),
-	})
-	if !errors.Is(err, api.ErrRetry) {
-		t.Fatalf("exhausted batch returned %v, want ErrRetry", err)
-	}
-	if resps[0].Status != api.OK {
-		t.Fatalf("completed prefix lost: %v", resps[0].Status)
-	}
-	if resps[1].Status != api.ErrRetry || resps[2].Status != api.ErrRetry {
-		t.Fatalf("unexecuted tail should report ErrRetry: %v %v", resps[1].Status, resps[2].Status)
 	}
 }
 
@@ -208,34 +152,6 @@ func TestStarvationErrorTyped(t *testing.T) {
 	}
 	if errors.Is(err, api.ErrInvalidState) {
 		t.Fatal("starvation matches an unrelated sentinel")
-	}
-}
-
-// TestBatchStarvationTyped is the batched-path variant: the error
-// names the element the monitor kept cutting at.
-func TestBatchStarvationTyped(t *testing.T) {
-	f := newFake()
-	f.retriesBeforeOK[api.CallAssignThread] = 1 << 30
-	c := New(f)
-	c.MaxAttempts = 4
-	reqs := []api.Request{
-		api.OSRequest(api.CallCreateThread, 1),
-		api.OSRequest(api.CallAssignThread, 2, 1),
-		api.OSRequest(api.CallCreateThread, 3),
-	}
-	resps, err := c.Batch(reqs)
-	var se *StarvationError
-	if !errors.As(err, &se) {
-		t.Fatalf("exhausted Batch returned %T (%v), want *StarvationError", err, err)
-	}
-	if se.Call != api.CallAssignThread || se.Attempts != 4 {
-		t.Fatalf("starvation verdict %+v, want call %v after 4 attempts", se, api.CallAssignThread)
-	}
-	if resps[0].Status != api.OK {
-		t.Fatalf("executed head lost: %v", resps[0].Status)
-	}
-	if resps[1].Status != api.ErrRetry || resps[2].Status != api.ErrRetry {
-		t.Fatalf("unexecuted tail should report ErrRetry: %v %v", resps[1].Status, resps[2].Status)
 	}
 }
 

@@ -97,7 +97,9 @@ func (t *Tap) Dispatch(req api.Request) api.Response {
 
 // DispatchBatch forwards a batch and records every element the monitor
 // executed: the prefix up to and including a contended element, after
-// which the monitor cut the batch.
+// which the monitor cut the batch. No OS path batches; the method keeps
+// the Tap a complete smcall.Dispatcher, whose DispatchBatch stays only
+// because the serving benchmark's ledger tap forwards it.
 func (t *Tap) DispatchBatch(reqs []api.Request) []api.Response {
 	resps := t.mon.DispatchBatch(reqs)
 	for i, resp := range resps {

@@ -175,11 +175,11 @@ func TestKeystoneRefusesInexpressibleRegionChange(t *testing.T) {
 	}
 }
 
-// TestFailedBuildLeavesNothing: a build refused after its threads
-// loaded — the shared window names a page the OS does not own, so
-// map_shared fails while load_thread succeeds — deletes the enclave
-// and its threads and hands its region back to the OS, so the same
-// spec with a valid window then builds in the same region.
+// TestFailedBuildLeavesNothing: a build refused part-way — the shared
+// window names a page the OS does not own, so map_shared fails after
+// the enclave was created, granted its region and loaded — deletes the
+// enclave and hands its region back to the OS, so the same spec with a
+// valid window then builds in the same region.
 func TestFailedBuildLeavesNothing(t *testing.T) {
 	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
 	if err != nil {

@@ -678,9 +678,9 @@ func TestSnapshotClonePool(t *testing.T) {
 // coldStartAllocs is the exact number of heap objects one Sanctum cold
 // start allocates (Go 1.24): pool Acquire, Enter, Release. What is left
 // is per-enclave metadata — the enclave, its thread, its page-table and
-// thread lists, the COW bitmap, the worker handle — plus the batched
-// submission's responses. A clone keeps no map: its tables and threads
-// are short lists, and it never has a mapped-VA set.
+// thread lists, the COW bitmap, the worker handle. A clone keeps no
+// map: its tables and threads are short lists, and it never has a
+// mapped-VA set.
 // Scrubbed pages are recycled, a fork's bookkeeping does not grow with
 // the template, a clone shell never starts a measurement, an ECALL runs
 // on its core's reused call context, the trap record of the run's exit
@@ -689,7 +689,7 @@ func TestSnapshotClonePool(t *testing.T) {
 // cores is a plain function or a method value bound once.
 // The count does not depend on the host, so it is gated exactly: a
 // rise is a regression, and a fall should lower the pin.
-const coldStartAllocs = 10
+const coldStartAllocs = 9
 
 // TestColdStartAllocs pins the allocations of one pooled cold start on
 // Sanctum — Pool.Acquire, System.Enter, Pool.Release — the cycle the

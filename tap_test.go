@@ -10,7 +10,6 @@ import (
 	"sanctorum"
 	"sanctorum/internal/enclaves"
 	"sanctorum/internal/hw/machine"
-	ios "sanctorum/internal/os"
 	"sanctorum/internal/sm/api"
 	"sanctorum/internal/smcall"
 )
@@ -19,7 +18,7 @@ import (
 // every backend, each on a fresh system, and pins the monitor
 // instruments to the values the serving path implies.
 //
-// KV: two workers under KeyAffinity, Batch 4, 12 requests per worker.
+// KV: two workers served by key, Batch 4, 12 requests per worker.
 // Each worker parks once at startup. The gateway queues all 24
 // requests, then sends each worker's 12 in 3 host sends of 4; the
 // first send pops the worker's park, a wake. In the wave each worker
@@ -44,14 +43,13 @@ func tapKV(t *testing.T, kind sanctorum.Kind) {
 		t.Fatal(err)
 	}
 	pool, gw := ringService(t, sys, "kv", 2, sanctorum.GatewayConfig{
-		Batch:  4,
-		Router: ios.KeyAffinity{},
-		Sched:  sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
+		Batch: 4,
+		Sched: sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
 	})
 	var keys []uint64
 	var reqs [][]byte
 	for i := uint64(0); i < 24; i++ {
-		k := i % 2 // KeyAffinity homes key k on worker k
+		k := i % 2 // key affinity homes key k on worker k
 		keys = append(keys, k)
 		reqs = append(reqs, enclaves.RingKVRequest(enclaves.RingOpPut, k, i))
 	}
