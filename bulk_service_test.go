@@ -251,8 +251,8 @@ func TestBulkKVService(t *testing.T) {
 // TestBulkKVCopyLoopRunsSteady pins that the bulk KV server's copy
 // loops, the data plane's hot code, run in the block engine's steady
 // form: on every backend, across puts and gets of 0.5–4 KiB values at
-// several buffer offsets, at least half of the chained block passes
-// must run steady (DESIGN.md §11).
+// several buffer offsets, at least 95% of the chained block passes
+// must run steady (DESIGN.md §11; they measure 99.9%).
 func TestBulkKVCopyLoopRunsSteady(t *testing.T) {
 	for _, kind := range []sanctorum.Kind{sanctorum.Sanctum, sanctorum.Keystone, sanctorum.Baseline} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -278,8 +278,8 @@ func TestBulkKVCopyLoopRunsSteady(t *testing.T) {
 				loops, steady = loops+bs.Loops, steady+bs.Steady
 			}
 			t.Logf("%d of %d chained passes ran steady", steady, loops)
-			if loops == 0 || 2*steady < loops {
-				t.Errorf("%d of %d chained passes ran steady, want at least half", steady, loops)
+			if loops == 0 || 100*steady < 95*loops {
+				t.Errorf("%d of %d chained passes ran steady, want at least 95%%", steady, loops)
 			}
 			if err := gw.Close(); err != nil {
 				t.Fatal(err)

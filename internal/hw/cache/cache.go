@@ -203,16 +203,41 @@ func (c *Cache) TouchFastN(pa uint64, ref *LineRef, n uint64) bool {
 	return true
 }
 
-// TouchHeldN is TouchFastN without the hold check, for a caller that
-// has proved the hold through Changes: the ref held its line when last
-// confirmed and the count has not moved since. Its bookkeeping is
-// TouchFastN's. Calling it on a ref that does not hold its line
-// corrupts the LRU order and the hit statistic.
-func (c *Cache) TouchHeldN(ref *LineRef, n uint64) {
-	c.stamp += n
-	ref.line.lru = c.stamp
-	c.Hits += n
+// HeldTouch is the last touch through one ref in a run of hits through
+// held refs: the run's At-th touch, counting from one.
+type HeldTouch struct {
+	Ref *LineRef
+	At  uint64
 }
+
+// TouchHeldRun performs touches from+1 through to of a sequence of hits,
+// each through a ref whose hold the caller proved through Changes (it
+// held its line when last confirmed, and the count has not moved since),
+// in one call, for a caller that knows the sequence's shape in advance
+// and has already performed its first from touches. The sequence ends
+// in a run that starts after its off-th touch; last lists, in ascending
+// At, each ref that run touched, at its last touch counted from the
+// run's start, and the run touches every ref the sequence touched after
+// its from-th touch. Two refs may name one way, which keeps the later
+// stamp. It is bit-exact to touching through each ref in turn with
+// TouchFast: the stamp ends at the sequence's to-th touch, to-from hits
+// are recorded, and each way touched after the from-th touch holds the
+// stamp of its last touch. Calling it on a ref that does not hold its
+// line corrupts the LRU order and the hit statistic.
+func (c *Cache) TouchHeldRun(from, to, off uint64, last []HeldTouch) {
+	base := c.stamp - from + off
+	for i := range last {
+		if at := last[i].At; off+at > from {
+			last[i].Ref.line.lru = base + at
+		}
+	}
+	c.stamp += to - from
+	c.Hits += to - from
+}
+
+// SameWay reports whether r and o name the same way. After a fill
+// through r, it tells whether o's way was the victim.
+func (r *LineRef) SameWay(o *LineRef) bool { return r.line == o.line }
 
 // AccessRef is Access, additionally pointing ref at the touched line so
 // the next same-line access can go through TouchFast.

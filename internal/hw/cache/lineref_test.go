@@ -286,3 +286,70 @@ func FuzzLineRef(f *testing.F) {
 		runLineRefOps(t, lineRefConfigs[int(shape)%len(lineRefConfigs)], data)
 	})
 }
+
+// TestTouchHeldRun checks TouchHeldRun against the TouchFast calls it
+// stands for. A run of hits goes through a few refs, two of them on one
+// line; one cache makes it touch by touch, and its twin pays the same
+// sequence — repetitions of the run, then part of one more — in pieces
+// cut at random points, each paid with the run's held-touch list at that
+// point, as the block engine pays a chain of steady passes. The ways and
+// statistics must agree after every piece.
+func TestTouchHeldRun(t *testing.T) {
+	cfg := lineRefConfigs[2]
+	size := uint64(1) << cfg.LineBits
+	rng := rand.New(rand.NewSource(28))
+	for round := 0; round < 200; round++ {
+		c, twin := New(cfg), New(cfg)
+		var refs, twinRefs [4]LineRef
+		pas := [4]uint64{0, size, 2 * size, 0} // refs 0 and 3 name one line
+		for k, pa := range pas {
+			c.AccessRef(pa, &refs[k])
+			twin.AccessRef(pa, &twinRefs[k])
+		}
+		// The run: each touch names a ref; every ref is touched.
+		run := []int{0, 1, 2, 3}
+		for len(run) < 4+rng.Intn(8) {
+			run = append(run, rng.Intn(4))
+		}
+		rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+		n := uint64(len(run))
+		// held(p) is the run's list after its first p touches.
+		held := func(p uint64) []HeldTouch {
+			var last []HeldTouch
+			for i, k := range run[:p] {
+				last = slices.DeleteFunc(last, func(h HeldTouch) bool { return h.Ref == &twinRefs[k] })
+				last = append(last, HeldTouch{Ref: &twinRefs[k], At: uint64(i + 1)})
+			}
+			return last
+		}
+		var paid, made uint64 // touches of the sequence paid on the twin, made on c
+		for piece := 0; piece < 6; piece++ {
+			// Pay up to a random later point: whole repetitions, then a
+			// point inside the run, as settle does at a break.
+			reps, p := uint64(rng.Intn(3)), uint64(rng.Intn(int(n)+1))
+			end := (paid/n+reps)*n + p
+			if end <= paid {
+				continue
+			}
+			for ; made < end; made++ {
+				k := run[made%n]
+				if !c.TouchFast(pas[k], &refs[k]) {
+					t.Fatalf("round %d: ref %d lost its line", round, k)
+				}
+			}
+			// The passes completed since paid, the first from its
+			// offset on; then the current pass up to end.
+			if k := end/n - paid/n; k > 0 {
+				twin.TouchHeldRun(paid%n, k*n, (k-1)*n, held(n))
+				paid = end / n * n
+			}
+			if end > paid {
+				twin.TouchHeldRun(paid%n, end%n, 0, held(end%n))
+				paid = end
+			}
+			if c.Hits != twin.Hits || !slices.Equal(c.Snapshot(), twin.Snapshot()) {
+				t.Fatalf("round %d, piece %d: paying up to touch %d diverged from touching", round, piece, end)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"slices"
 
 	"sanctorum/internal/hw/cache"
@@ -14,12 +15,12 @@ import (
 // The per-instruction fast path (bus.go) still pays fetch validation,
 // decode dispatch and statistic updates once per instruction. This file
 // adds a second tier on top of it: straight-line runs of hot code are
-// compiled into blocks of fused segments that execute the whole run
-// with the scaffolding hoisted to segment granularity. Like the rest of
-// the fast path, the tier is purely a host-side accelerator: modeled
-// cycles, TLB and cache statistics, trap causes and deterministic
-// replay are bit-identical to the reference interpreter, which the
-// equivalence and differential-fuzz tests enforce.
+// compiled into blocks that execute the whole run with the scaffolding
+// hoisted out of the instructions. Like the rest of the fast path, the
+// tier is purely a host-side accelerator: modeled cycles, TLB and cache
+// statistics, trap causes and deterministic replay are bit-identical to
+// the reference interpreter, which the equivalence and differential-
+// fuzz tests enforce.
 //
 // A block is discovered when a control-transfer target crosses the heat
 // threshold, and traces decoded instructions from its entry VA up to and
@@ -33,32 +34,39 @@ import (
 // one block whose terminal branches back to its own entry, which
 // execBlock chains. Blocks never span pages, so one translation covers
 // every fetch in the block; a block records each instruction's VA, and
-// each segment records its first VA, the resume PC of a guard bail.
+// each fetch run its segment's first VA, the resume PC of a guard bail.
 //
 // The block is divided into segments: a segment is a maximal run whose
 // only observable effects are register updates, ended by a memory
 // access (which must stay ordered against the fetches around it) or by
-// the terminal. Each segment is compiled into one flat segEnv whose run
-// method:
+// the terminal. A block compiles to one flat op list, which execBlock
+// walks in one loop, a chained pass after another: each segment's
+// register ops, then its memory op or the terminal, each one case of
+// the same switch. A segment's fetches are charged where it starts — at
+// the pass start for the first segment, else right after the memory
+// op before it, since nothing between the two touches the caches —
+// as its fetch runs (its consecutive fetches from one L1 line each).
+// Starting a segment (enter)
 //
 //   - re-checks the guard word (code-write generation + TLB generation
-//     + privilege mode) unless the previous segment proved it could not
-//     have moved: any code write, translation removal or domain switch
-//     bails back to the interpreter at an exact instruction boundary;
-//   - batches the segment's instruction fetches: TLB.Hits advances by
-//     the segment length (each fetch is a guaranteed TLB hit while the
-//     guard holds), and the L1 touches collapse into one TouchFastN
-//     per cache line, bit-exact to the per-fetch sequence because
-//     nothing else touches the cache between them (a steady pass, see
-//     execBlock, skips their hold checks);
-//   - batches the base cycle cost of the segment's fused ops into one
-//     addition (exact: fused ALU ops cannot trap, so entering the
-//     segment implies they all retire);
-//   - runs the segment's register ops through one switch over the
-//     opcode, then the memory-op body (the exact Core.Load/Store
-//     fast-path sequence) or the terminal through a second.
+//     + privilege mode) when the op before it left the guard dirty: any
+//     code write, translation removal or domain switch bails back to
+//     the interpreter at an exact instruction boundary;
+//   - charges each fetch run at once: TLB.Hits advances by the run
+//     length (each fetch is a guaranteed TLB hit while the guard holds),
+//     and the L1 touches collapse into one TouchFastN, bit-exact to the
+//     per-fetch sequence because nothing else touches the cache between
+//     them;
+//   - adds the batched base cycle cost of the segment's instructions
+//     (exact: fused ALU ops cannot trap, so entering the segment implies
+//     they all retire).
 //
-// Every fused instruction is one uop: opcode, register fields reduced
+// A memory op is the exact Core.Load/Store fast-path sequence. A steady
+// pass (see execBlock) starts no segment and charges none of its data
+// hits as it goes; what it owes is paid when a chain of steady passes
+// breaks.
+//
+// Every fused instruction is one op: opcode, register fields reduced
 // mod 32, immediate pre-extended. Each switch case is ExecDecoded's
 // update for its op, applied to the register file directly. That is
 // exact for x0 because x0 is hardwired in storage (CPU.Regs[0] is never
@@ -127,12 +135,14 @@ const (
 // lets every cpu.Regs access elide its bounds check.
 const regIdxMask = isa.NumRegs - 1
 
-// segEnv.run status codes. execBlock passes the previous segment's
-// status into the next one.
+// opFetch is a fetch run's opcode (block.runs). It lies past the ISA's
+// last opcode, so it names no instruction.
+const opFetch = isa.OpRDCYCLE + 1
+
+// How the ops after the current one may run.
 const (
-	segStop   = iota // trap or guard bail; details in Core.brun
-	segDirty         // continue; the next segment must re-check the guard
-	segClean         // continue; the guard word provably did not move
+	segDirty  = iota // the next segment's start must re-check the guard
+	segClean         // the guard word provably did not move
 	segSteady        // segClean, and the pass is still steady (see execBlock)
 )
 
@@ -143,7 +153,7 @@ type BlockStats struct {
 	Rejected      uint64 // hot sites refused (too short / unfusible head)
 	Executions    uint64 // completed straight-line passes
 	Loops         uint64 // back-to-back re-entries without leaving the engine
-	Steady        uint64 // chained passes that ran steady from start to end
+	Steady        uint64 // chained passes that ran steady from start to end (through fills that spared every ref)
 	Instrs        uint64 // instructions retired inside blocks
 	GuardBails    uint64 // mid-block guard misses (fell back to interpreter)
 	Revalidations uint64 // stale blocks revived without recompiling
@@ -154,45 +164,84 @@ type BlockStats struct {
 // BlockStats returns the core's block-engine counters.
 func (c *Core) BlockStats() BlockStats { return c.bstats }
 
-// blockRun is the per-core scratch a block execution communicates
-// through: base is the instruction count retired by completed passes,
-// retired/trap are set by a segment returning segStop. ldLine and stLine
-// are the VA lines (va >> L1 line bits) of the execution's last load and
-// store through the checked path, the lines a steady pass tests its
-// data accesses against; noLine matches no address.
+// blockRun is the state of one block execution, which execBlock shares
+// with the helpers its passes call. st says how the next op may run.
+// While passes run steady, what they owe is paid only when the chain of
+// steady passes breaks: owed completed passes are unpaid, the first of
+// them from its point from on, and the current pass from its start; with
+// none owed, the current pass is unpaid from from on. proved is the L1
+// change count at which every ref was last confirmed. ldLine and stLine are the VA lines (va >> L1 line
+// bits) of the execution's last load and store through the checked
+// path, the lines a steady pass tests its data accesses against; noLine
+// matches no address.
 type blockRun struct {
-	base    int
-	retired int
-	trap    *isa.Trap
-	ldLine  uint64
-	stLine  uint64
+	st     int
+	from   debt
+	owed   int
+	proved uint64
+	ldLine uint64
+	stLine uint64
+
+	done      int  // instructions retired by completed passes
+	passes    int  // completed passes
+	steady    int  // completed passes that ran steady
+	budget    int  // the step budget the passes must fit in
+	sincePoll int  // passes since the last poll
+	steadyOK  bool // the core's evrange splits no L1 line
 }
 
 const noLine = ^uint64(0)
 
-// fetchRun is one run of consecutive instruction fetches from a single
-// L1 line within a segment.
-type fetchRun struct {
-	line int    // index into block.lrefs
-	off  uint64 // page offset of the run's first instruction word
-	n    uint64 // number of fetches in the run
-}
-
 // block is one compiled superinstruction chain.
 type block struct {
 	entryVA uint64
-	fallPC  uint64          // PC after a pass with no terminal
-	paPage  uint64          // physical page holding the block's code
-	icGen   uint64          // guard: core's decode-cache generation at (re)validation
-	tgMode  uint64          // guard: TLB generation + privilege mode pack
-	root    uint64          // page-table root every VA in the block walks from
-	n       int             // total instructions; 0 marks a negative-cache entry
-	hasTerm bool            // ends in control flow (else falls through to fallPC)
-	words   []uint64        // original instruction words, for revalidation
-	vas     []uint64        // each instruction's VA, in execution order
-	lrefs   []cache.LineRef // L1 refs for the code lines, shared by segments
-	lpas    []uint64        // each code line's physical address
-	segs    []segEnv        // fused segments, in execution order
+	fallPC  uint64            // PC after a pass with no terminal
+	paPage  uint64            // physical page holding the block's code
+	icGen   uint64            // guard: core's decode-cache generation at (re)validation
+	tgMode  uint64            // guard: TLB generation + privilege mode pack
+	root    uint64            // page-table root every VA in the block walks from
+	n       int               // total instructions; 0 marks a negative-cache entry
+	stride  int               // chained passes between polls: blockCap/n
+	hasTerm bool              // ends in control flow (else falls through to fallPC)
+	words   []uint64          // original instruction words, for revalidation
+	vas     []uint64          // each instruction's VA, in execution order
+	ops     []bop             // one pass's ops, in execution order
+	runs    []bop             // the fetch runs, segment by segment
+	head    uint8             // the first segment's fetch runs: runs[:head]
+	end     debt              // what a whole steady pass owes
+	held    []cache.HeldTouch // the refs of every debt, held[d.lo:d.hi] for debt d
+}
+
+// debt is what a steady pass owes at one point of the pass, counted from
+// its start and fixed at compile time: every fetch and data access so
+// far was a hit through a held ref, so the pass owes their cycles, their
+// L1 touches (each also a TLB hit), and for each ref it touched the
+// stamp of its last touch, which block.held[lo:hi] lists in ascending
+// order.
+type debt struct {
+	cycles  uint32
+	touches uint16
+	lo, hi  uint16
+}
+
+// bop is one op of a block's list — a register op, a memory op or the
+// terminal — or one of its fetch runs, with every constant its
+// execution needs resolved at compile time. Register fields are reduced mod 32 and the immediate
+// pre-extended: for an immediate shift the masked amount, for a branch
+// or JAL the absolute taken target.
+type bop struct {
+	imm       uint64        // the immediate or taken target; a fetch run's first word's PA
+	va        uint64        // a memory op's or terminal's VA; a fetch run's segment's first VA
+	ref       cache.LineRef // fetch run: the L1 ref of its line
+	op        isa.Op        // the opcode; a fetch run's is opFetch
+	rd, a, b  uint8
+	width     uint8  // memory op: access width in bytes
+	signed    bool   // load: sign-extends
+	n         uint8  // fetch run: the fetches it charges
+	retired   uint8  // memory op: instructions a stop here retires, itself included
+	lo, hi    uint8  // memory op: the next segment's fetch runs, block.runs[lo:hi]
+	static    uint32 // fetch run: on its segment's first run, the segment's batched base cycle cost
+	pre, post debt   // memory op: what a steady pass owes before and after its data access
 }
 
 // blockFor returns a ready-to-execute block for pc, or nil to stay on
@@ -251,119 +300,439 @@ func (c *Core) blockFor(pc uint64) *block {
 // per-instruction engine would have left them.
 //
 // A chained pass runs steady when the L1 has neither filled nor flushed
-// a line since every line ref the block uses — its code lines' refs and
+// a line since every line ref the block uses — its fetch runs' refs and
 // the core's load and store refs — was last confirmed. A pass whose
 // change count (cache.Changes) did not move from start to end confirmed
 // every one of them at that count, each fetch run and data access
 // through a hold check or a scan; a pass that moved it is followed by
-// confirmRefs, which checks each ref's hold at the new count; and a
-// steady pass, which makes no change, keeps the proof for the next. A
-// steady pass charges each fetch run and each data hit through its ref
-// without re-proving the hold, and tests a data access only for the VA
-// line of its class's last checked access: the same line means the same
-// last-translation cache hit and the same L1 line. The first access
-// that fails the test, or a store that lands in a code page, hands
-// over: that access and the rest of the pass run the checked path.
+// confirmRefs, which checks each ref's hold at the new count. A steady
+// pass tests a data access only for the VA line of its class's last
+// checked access: the same line means the same last-translation cache
+// hit and the same L1 line. It charges nothing as it goes: each of its
+// fetches and data accesses is a hit through a held ref, so a pass owes
+// debts fixed at compile time (owe), and a chain of steady passes is
+// paid in one step (settle) only when it breaks.
+//
+// The first access that fails the test crosses a line. The chain is
+// first paid up to that access, in order, and the access takes the
+// checked path (blockData); if it hit the L1, or its fill spared every
+// ref, the pass stays steady and owes only for the ops after it, and
+// otherwise they run checked. Every other stop inside a steady pass — a
+// misaligned access, a copy-on-write refusal, a store into a marked code
+// page — first pays what it retired as well, since a fill picks its
+// victim by the stamps the payment leaves, and so does every exit.
 func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
-	c.brun.base = 0
-	c.brun.trap = nil
-	c.brun.ldLine, c.brun.stLine = noLine, noLine
-	passes, steady := 0, 0
-	// blockFor validated the guard word on entry, so the first segment
-	// starts clean.
-	st := segClean
-	segs := b.segs
-	cpu := &c.CPU
+	// blockFor validated the guard word on entry, so the first pass
+	// starts clean; every ref holds while the change count stays here.
 	// The VA-line test names one walk root only while evrange does not
-	// split a line; a monitor only programs page-aligned ranges.
-	steadyOK := c.EvMask&(1<<c.l1LineBits-1) == 0
-	proved := c.L1.Changes() // every ref holds while the count stays here
-	// Guard re-checks and event polls are batched across chained passes
-	// up to the block cap, so a short loop body pays the atomic loads at
-	// the same ≤blockCap-instruction interval a maximal block would.
-	stride := blockCap / b.n
-	sincePoll := 0
-	// Fetch TLB hits advance once per pass: every fetch in the block is
-	// a guaranteed TLB hit while the guard holds. A mid-pass stop rolls
-	// back the fetches that did not happen — the bailing point's retired
-	// count is exactly the instructions whose fetches were accounted
-	// (a guard bail counted only the prior segments, a memory trap also
-	// counted the trapping segment's own fetches, which precede its
-	// memory access).
-	nHits := uint64(b.n)
+	// split a line; a monitor only programs page-aligned ranges. Guard
+	// re-checks and event polls are batched across chained passes up to
+	// the block cap, so a short loop body pays the atomic loads at the
+	// same ≤blockCap-instruction interval a maximal block would.
+	run := blockRun{
+		st: segClean, proved: c.L1.Changes(), ldLine: noLine, stLine: noLine,
+		steadyOK: c.EvMask&(1<<c.l1LineBits-1) == 0, budget: budget,
+	}
+	r, ops := &c.CPU.Regs, b.ops
 	for {
-		c.TLB.Hits += nHits
-		for i := range segs {
-			if st = segs[i].run(c, cpu, st); st == segStop {
-				c.TLB.Hits -= nHits - uint64(c.brun.retired-c.brun.base)
-				c.bstats.Instrs += uint64(c.brun.retired)
-				c.bstats.Executions += uint64(passes)
-				c.bstats.Loops += uint64(passes) // the stopped pass was a re-entry too
-				c.bstats.Steady += uint64(steady)
-				return c.brun.retired, c.brun.trap
+		if run.st != segSteady && !c.enter(b, &run, b.runs[:b.head]) {
+			return c.blockEnd(run.done, run.passes, run.passes, run.steady), nil
+		}
+		for i := range ops {
+			u := &ops[i]
+			switch u.op {
+			// Register ops: each case is ExecDecoded's update for its op,
+			// on the register file directly (see the file comment for why
+			// that is exact for x0).
+			case isa.OpADD:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] + r[u.b&regIdxMask]
+			case isa.OpSUB:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] - r[u.b&regIdxMask]
+			case isa.OpAND:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] & r[u.b&regIdxMask]
+			case isa.OpOR:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] | r[u.b&regIdxMask]
+			case isa.OpXOR:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] ^ r[u.b&regIdxMask]
+			case isa.OpSLL:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] << (r[u.b&regIdxMask] & 63)
+			case isa.OpSRL:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] >> (r[u.b&regIdxMask] & 63)
+			case isa.OpSRA:
+				r[u.rd&regIdxMask] = uint64(int64(r[u.a&regIdxMask]) >> (r[u.b&regIdxMask] & 63))
+			case isa.OpSLT:
+				r[u.rd&regIdxMask] = b2u(int64(r[u.a&regIdxMask]) < int64(r[u.b&regIdxMask]))
+			case isa.OpSLTU:
+				r[u.rd&regIdxMask] = b2u(r[u.a&regIdxMask] < r[u.b&regIdxMask])
+			case isa.OpMUL:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] * r[u.b&regIdxMask]
+			case isa.OpDIVU:
+				v := ^uint64(0) // RISC-V semantics: no trap
+				if y := r[u.b&regIdxMask]; y != 0 {
+					v = r[u.a&regIdxMask] / y
+				}
+				r[u.rd&regIdxMask] = v
+			case isa.OpREMU:
+				v := r[u.a&regIdxMask]
+				if y := r[u.b&regIdxMask]; y != 0 {
+					v %= y
+				}
+				r[u.rd&regIdxMask] = v
+			case isa.OpADDI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] + u.imm
+			case isa.OpANDI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] & u.imm
+			case isa.OpORI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] | u.imm
+			case isa.OpXORI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] ^ u.imm
+			case isa.OpSLLI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] << u.imm
+			case isa.OpSRLI:
+				r[u.rd&regIdxMask] = r[u.a&regIdxMask] >> u.imm
+			case isa.OpSRAI:
+				r[u.rd&regIdxMask] = uint64(int64(r[u.a&regIdxMask]) >> u.imm)
+			case isa.OpSLTI:
+				r[u.rd&regIdxMask] = b2u(int64(r[u.a&regIdxMask]) < int64(u.imm))
+			case isa.OpSLTIU:
+				r[u.rd&regIdxMask] = b2u(r[u.a&regIdxMask] < u.imm)
+			case isa.OpLI:
+				r[u.rd&regIdxMask] = u.imm
+
+			// Memory ops: the exact Core.Load/Store fast-path sequence
+			// plus ExecDecoded's register update, minus everything the
+			// fetch runs hoist (fetch, base cycles, PC). A steady access
+			// on its class's last line is a hit in its last-translation
+			// cache and through its ref, which the pass owes. A pass that
+			// is not steady then starts the next segment.
+			case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD:
+				addr := r[u.a&regIdxMask] + u.imm
+				if addr&(uint64(u.width)-1) != 0 {
+					tr := c.blockTrap(b, &run, u, &u.pre, isa.CauseMisalignedLoad, addr)
+					return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), tr
+				}
+				var pa uint64
+				if run.st == segSteady && addr>>c.l1LineBits == run.ldLine {
+					pa = c.loadTC.paPage | addr&uint64(mem.PageMask)
+				} else {
+					var tr *isa.Trap
+					if pa, tr = c.blockData(b, &run, u, addr, true); tr != nil {
+						return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), tr
+					}
+				}
+				var val uint64
+				if u.width == 8 {
+					val = c.loadWin.Load64(pa)
+				} else {
+					val = c.loadWin.LoadFast(pa, int(u.width))
+				}
+				if u.signed {
+					val = isa.SignExtend(val, int(u.width))
+				}
+				if u.rd != isa.RegZero {
+					r[u.rd&regIdxMask] = val
+				}
+				if run.st != segSteady && !c.enter(b, &run, b.runs[u.lo:u.hi]) {
+					return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), nil
+				}
+			case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
+				addr := r[u.a&regIdxMask] + u.imm
+				if addr&(uint64(u.width)-1) != 0 {
+					tr := c.blockTrap(b, &run, u, &u.pre, isa.CauseMisalignedStore, addr)
+					return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), tr
+				}
+				var pa uint64
+				if run.st == segSteady && addr>>c.l1LineBits == run.stLine {
+					pa = c.storeTC.paPage | addr&uint64(mem.PageMask)
+				} else {
+					var tr *isa.Trap
+					if pa, tr = c.blockData(b, &run, u, addr, false); tr != nil {
+						return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), tr
+					}
+				}
+				// The fused window store runs the copy-on-write backstop
+				// (Core.Store's), the code-page check and the write in one
+				// call. A store into a marked code page bumped icGen and
+				// must force the next guard, while a plain data-page store
+				// (through a still-live translation) provably left the
+				// guard word unmoved.
+				val := r[u.b&regIdxMask]
+				var cow, hitCode bool
+				if u.width == 8 {
+					cow, hitCode = c.storeWin.Store64(pa, val)
+				} else {
+					cow, hitCode = c.storeWin.StoreFast(pa, int(u.width), val)
+				}
+				if cow {
+					tr := c.blockTrap(b, &run, u, &u.post, isa.CauseStoreAccess, addr)
+					return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), tr
+				}
+				if hitCode {
+					if run.st == segSteady {
+						c.settle(b, &run, &u.post)
+					}
+					run.st = segDirty
+				}
+				if run.st != segSteady && !c.enter(b, &run, b.runs[u.lo:u.hi]) {
+					return c.blockEnd(run.done+int(u.retired), run.passes, run.passes, run.steady), nil
+				}
+
+			// The terminal. A branch picks between its burned-in target
+			// and the fall-through; JAL and JALR write their link unless
+			// rd is x0, and JALR reads rs1 first, so rd == rs1 jumps to
+			// the old value. A block without a terminal leaves PC to the
+			// pass end.
+			case isa.OpBEQ:
+				c.CPU.PC = u.next(r[u.a&regIdxMask] == r[u.b&regIdxMask])
+			case isa.OpBNE:
+				c.CPU.PC = u.next(r[u.a&regIdxMask] != r[u.b&regIdxMask])
+			case isa.OpBLT:
+				c.CPU.PC = u.next(int64(r[u.a&regIdxMask]) < int64(r[u.b&regIdxMask]))
+			case isa.OpBGE:
+				c.CPU.PC = u.next(int64(r[u.a&regIdxMask]) >= int64(r[u.b&regIdxMask]))
+			case isa.OpBLTU:
+				c.CPU.PC = u.next(r[u.a&regIdxMask] < r[u.b&regIdxMask])
+			case isa.OpBGEU:
+				c.CPU.PC = u.next(r[u.a&regIdxMask] >= r[u.b&regIdxMask])
+			case isa.OpJAL:
+				if u.rd != isa.RegZero {
+					r[u.rd&regIdxMask] = u.va + isa.InstrSize
+				}
+				c.CPU.PC = u.imm
+			case isa.OpJALR:
+				target := r[u.a&regIdxMask] + u.imm
+				if u.rd != isa.RegZero {
+					r[u.rd&regIdxMask] = u.va + isa.InstrSize
+				}
+				c.CPU.PC = target
 			}
 		}
-		passes++
-		if st == segSteady {
-			steady++
-		}
-		c.brun.base += b.n
-		if !b.hasTerm {
-			cpu.PC = b.fallPC
-		}
-		if cpu.PC != b.entryVA || c.brun.base+b.n > budget {
-			c.bstats.Instrs += uint64(c.brun.base)
-			c.bstats.Executions += uint64(passes)
-			c.bstats.Loops += uint64(passes - 1)
-			c.bstats.Steady += uint64(steady)
-			return c.brun.base, nil
-		}
-		// The next pass inherits the last segment's verdict — a store
-		// into code already forced dirty, and clean segments provably
-		// left the guard word unmoved — and runs steady if every ref is
-		// proved to hold.
-		if now := c.L1.Changes(); st != segDirty && steadyOK && (now == proved || c.confirmRefs(b)) {
-			proved, st = now, segSteady
-		} else if st == segSteady {
-			st = segClean
-		}
-		if sincePoll++; sincePoll >= stride {
-			sincePoll = 0
-			if c.pending.Load() != 0 {
-				c.bstats.Instrs += uint64(c.brun.base)
-				c.bstats.Executions += uint64(passes)
-				c.bstats.Loops += uint64(passes - 1)
-				c.bstats.Steady += uint64(steady)
-				return c.brun.base, nil
-			}
-			// Poll boundary: re-check the guard, so a cross-hart code
-			// write is seen within blockCap retired instructions even by
-			// an all-clean or steady loop. A failed check leaves it to
-			// the first segment, which bails.
-			if st != segSteady || !c.guardHolds(b) {
-				st = segDirty
-			}
+		if !c.passEnd(b, &run) {
+			return c.blockEnd(run.done, run.passes, run.passes-1, run.steady), nil
 		}
 	}
 }
 
+// passEnd closes a completed pass of b and reports whether the next
+// pass chains. The next pass inherits the last op's verdict — a store
+// into code already forced dirty, and clean ops provably left the guard
+// word unmoved — and runs steady if every ref is proved to hold. A
+// steady pass joins the unpaid chain, which is paid when the next pass
+// will not run steady (only another hart can fail the guard of a steady
+// chain) or does not run.
+func (c *Core) passEnd(b *block, run *blockRun) bool {
+	if run.st == segSteady {
+		run.owed++
+		run.steady++
+	} else {
+		run.from = debt{}
+	}
+	run.passes++
+	run.done += b.n
+	if !b.hasTerm {
+		c.CPU.PC = b.fallPC
+	}
+	chain := c.CPU.PC == b.entryVA && run.done+b.n <= run.budget
+	if chain {
+		if now := c.L1.Changes(); run.st != segDirty && run.steadyOK && (now == run.proved || c.confirmRefs(b, run)) {
+			run.proved, run.st = now, segSteady
+		} else if run.st == segSteady {
+			run.st = segClean
+		}
+		if run.sincePoll++; run.sincePoll >= b.stride {
+			run.sincePoll = 0
+			// Poll boundary: stop for a pending event, else re-check the
+			// guard, so a cross-hart code write is seen within blockCap
+			// retired instructions even by an all-clean or steady loop. A
+			// failed check leaves it to the next pass's start, which
+			// bails.
+			if c.pending.Load() != 0 {
+				chain = false
+			} else if run.st != segSteady || !c.guardHolds(b) {
+				run.st = segDirty
+			}
+		}
+	}
+	if run.owed > 0 && (!chain || run.st != segSteady) {
+		c.settle(b, run, nil)
+	}
+	return chain
+}
+
+// enter starts a segment of a pass that is not steady: it re-checks the
+// guard if the op before left it dirty, then charges the segment's
+// fetch runs (runs). Each fetch is a guaranteed TLB hit under the
+// guard; a dead ref falls back to the exact per-fetch sequence. A guard
+// miss bails before the segment's first instruction — after a followed
+// jump it is not entry + offset — and enter reports false. A memory op
+// that ends the block starts no segment.
+func (c *Core) enter(b *block, run *blockRun, runs []bop) bool {
+	if len(runs) == 0 {
+		return true
+	}
+	if run.st == segDirty {
+		if !c.guardHolds(b) {
+			c.CPU.PC = runs[0].va
+			c.bstats.GuardBails++
+			return false
+		}
+		run.st = segClean
+	}
+	for i := range runs {
+		u := &runs[i]
+		n := uint64(u.n)
+		c.TLB.Hits += n
+		cyc := uint64(u.static)
+		if c.L1.TouchFastN(u.imm, &u.ref, n) {
+			cyc += n * c.l1Hit
+		} else {
+			cyc += c.fetchChargeSlow(u.imm, &u.ref, n)
+		}
+		c.CPU.Cycles += cyc
+	}
+	return true
+}
+
+// blockEnd adds one execution to the block counters and returns the
+// instructions it retired: passes completed, of which steady ran steady,
+// and loops chained re-entries (a pass stopped inside was one too).
+func (c *Core) blockEnd(retired, passes, loops, steady int) int {
+	c.bstats.Instrs += uint64(retired)
+	c.bstats.Executions += uint64(passes)
+	c.bstats.Loops += uint64(loops)
+	c.bstats.Steady += uint64(steady)
+	return retired
+}
+
+// settle pays what the chain of steady passes owes: the completed
+// passes, in one step whatever their number, and then, unless to is
+// nil, the current pass up to point to, which run.from becomes. Every
+// pass touches every ref of b.end, so only the last completed pass's
+// stamps survive.
+func (c *Core) settle(b *block, run *blockRun, to *debt) {
+	if k := uint64(run.owed); k > 0 {
+		e := uint64(b.end.touches)
+		from := uint64(run.from.touches)
+		c.L1.TouchHeldRun(from, k*e, (k-1)*e, b.held[b.end.lo:b.end.hi])
+		c.TLB.Hits += k*e - from
+		c.CPU.Cycles += k*uint64(b.end.cycles) - uint64(run.from.cycles)
+		run.from, run.owed = debt{}, 0
+	}
+	if to != nil {
+		c.L1.TouchHeldRun(uint64(run.from.touches), uint64(to.touches), 0, b.held[to.lo:to.hi])
+		c.TLB.Hits += uint64(to.touches - run.from.touches)
+		c.CPU.Cycles += uint64(to.cycles - run.from.cycles)
+		run.from = *to
+	}
+}
+
+// blockData is memory op u's checked data access, a load or a store: through its class's
+// last-translation cache (or a walk) and L1 ref, recording the access's
+// VA line unless the access was bare and so filled no last-translation
+// cache. It returns the PA, or the trap of a failed translation, with PC
+// on the op. A steady pass hands over here: it first settles what it
+// owes before the access, and stays steady if the access walked nothing
+// and hit the L1 or its fill spared every ref; proved then moves to the
+// new change count, and the pass owes from after the access. A walk
+// leaves the guard dirty.
+func (c *Core) blockData(b *block, run *blockRun, u *bop, addr uint64, isLoad bool) (uint64, *isa.Trap) {
+	tc, ref, line := &c.storeTC, &c.storeRef, &run.stLine
+	if isLoad {
+		tc, ref, line = &c.loadTC, &c.loadRef, &run.ldLine
+	}
+	wasSteady := run.st == segSteady
+	if wasSteady {
+		c.settle(b, run, &u.pre)
+	}
+	run.st = segClean
+	rec := addr >> c.l1LineBits
+	var pa uint64
+	root, _ := c.walkRoot(addr)
+	if root != 0 && tc.gen == c.TLB.Gen() && tc.vpn == (addr&pt.VAMask)>>mem.PageBits &&
+		tc.root == root && tc.mode == c.CPU.Mode {
+		// Last-translation cache hit: same statistic update as
+		// translateFast's short-circuit, and provably no TLB or
+		// decode-cache mutation.
+		c.TLB.Hits++
+		pa = tc.paPage | addr&uint64(mem.PageMask)
+	} else {
+		acc := pt.Store
+		if isLoad {
+			acc = pt.Load
+		}
+		var walkCyc uint64
+		var fault *isa.MemFault
+		pa, walkCyc, fault = c.translateFast(tc, addr, uint64(u.width), acc)
+		c.CPU.Cycles += walkCyc
+		if fault != nil {
+			c.CPU.PC = u.va
+			cause := fault.StoreCause()
+			if isLoad {
+				cause = fault.LoadCause()
+			}
+			return 0, c.CPU.Trapped(cause, u.va, fault.Addr)
+		}
+		run.st = segDirty
+		if root == 0 {
+			rec = noLine
+		}
+	}
+	if c.L1.TouchFast(pa, ref) {
+		c.CPU.Cycles += c.l1Hit
+	} else {
+		c.CPU.Cycles += c.cachedAccessRef(pa, ref)
+	}
+	*line = rec
+	if wasSteady && run.st == segClean {
+		if now := c.L1.Changes(); now == run.proved || c.spares(b, ref) {
+			run.proved, run.st, run.from = now, segSteady, u.post
+		}
+	}
+	return pa, nil
+}
+
+// spares reports whether the fill a data access just made through ref,
+// which now names the victim way, left every other ref of b's passes
+// holding: the victim is none of the fetch runs' ways and not the other
+// data class's.
+func (c *Core) spares(b *block, ref *cache.LineRef) bool {
+	for _, h := range b.held[b.end.lo:b.end.hi] {
+		if h.Ref != ref && ref.SameWay(h.Ref) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockTrap stops a pass at memory op u with cause and returns the
+// trap. Like the interpreter, the op counts as retired and leaves PC on
+// it. A steady pass first settles what it owes at to: before u's data
+// access, or after it when the trap came after the access.
+func (c *Core) blockTrap(b *block, run *blockRun, u *bop, to *debt, cause isa.Cause, addr uint64) *isa.Trap {
+	if run.st == segSteady {
+		c.settle(b, run, to)
+	}
+	c.CPU.PC = u.va
+	return c.CPU.Trapped(cause, u.va, addr)
+}
+
 // confirmRefs checks, after a pass that moved L1 lines, the hold of
 // every ref a steady pass would use. It reports whether each of b's
-// code line refs still holds its line, and forgets a data class's last
+// fetch runs' refs still holds its line, and forgets a data class's last
 // line whose ref no longer holds it, so that class's next access takes
 // the checked path.
-func (c *Core) confirmRefs(b *block) bool {
-	for i := range b.lrefs {
-		if !c.L1.Holds(b.lpas[i], &b.lrefs[i]) {
+func (c *Core) confirmRefs(b *block, run *blockRun) bool {
+	for i := range b.runs {
+		if u := &b.runs[i]; !c.L1.Holds(u.imm, &u.ref) {
 			return false
 		}
 	}
 	lb, off := c.l1LineBits, uint64(mem.PageMask)
-	if l := c.brun.ldLine; l != noLine && !c.L1.Holds(c.loadTC.paPage|l<<lb&off, &c.loadRef) {
-		c.brun.ldLine = noLine
+	if l := run.ldLine; l != noLine && !c.L1.Holds(c.loadTC.paPage|l<<lb&off, &c.loadRef) {
+		run.ldLine = noLine
 	}
-	if l := c.brun.stLine; l != noLine && !c.L1.Holds(c.storeTC.paPage|l<<lb&off, &c.storeRef) {
-		c.brun.stLine = noLine
+	if l := run.stLine; l != noLine && !c.L1.Holds(c.storeTC.paPage|l<<lb&off, &c.storeRef) {
+		run.stLine = noLine
 	}
 	return true
 }
@@ -375,27 +744,7 @@ func (c *Core) guardHolds(b *block) bool {
 	return b.icGen == c.icGen.Load() && b.tgMode == tgMode(c.TLB.Gen(), c.CPU.Mode)
 }
 
-// guardFail records a guard bail at the start of segment e and points
-// the PC at its first, un-executed instruction. The resume PC is the
-// segment's own first VA — after a followed jump it is not entry +
-// offset — while the retired count also carries the chained passes
-// completed before this one.
-func (c *Core) guardFail(e *segEnv) {
-	c.CPU.PC = e.startVA
-	c.brun.retired = c.brun.base + e.segBase
-	c.bstats.GuardBails++
-}
-
-// memTrap records a trap from a segment's memory op, which is the
-// segment's last instruction: like the interpreter, the trapping
-// instruction counts as a retired step, and the segment already left
-// PC on it.
-func (c *Core) memTrap(segEnd int, tr *isa.Trap) {
-	c.brun.retired = c.brun.base + segEnd
-	c.brun.trap = tr
-}
-
-// fetchChargeSlow is the exact per-fetch fallback when a segment's
+// fetchChargeSlow is the exact per-fetch fallback when a fetch run's
 // batched L1 touch fails (the line left its way, or a flush took it): the
 // hit-or-refill sequence of the per-instruction fetch path, which also
 // re-arms the ref for the next pass.
@@ -411,97 +760,32 @@ func (c *Core) fetchChargeSlow(pa uint64, ref *cache.LineRef, n uint64) uint64 {
 	return cyc
 }
 
-// segSpec collects one segment during compilation, before it is built
-// into its segEnv.
-type segSpec struct {
-	base    int    // instructions retired before this segment
-	n       int    // instructions in this segment
-	startVA uint64 // VA of the segment's first instruction
-	static  uint64 // batched base cycle cost
-	fetch   []fetchRun
-	ops     []uop     // register ops, in execution order
-	last    isa.Instr // the trailing load/store or terminal; NOP if none
-	lastVA  uint64
-}
-
-// segFetchMulti is the fetch-accounting loop for the rare segment that
-// straddles L1 lines; split out so the common single-line case keeps
-// segEnv.run's frame small.
-func (c *Core) segFetchMulti(b *block, runs []fetchRun) uint64 {
-	var cyc uint64
-	for fi := range runs {
-		f := &runs[fi]
-		pa := b.paPage | f.off
-		if c.L1.TouchFastN(pa, &b.lrefs[f.line], f.n) {
-			cyc += f.n * c.l1Hit
-		} else {
-			cyc += c.fetchChargeSlow(pa, &b.lrefs[f.line], f.n)
-		}
-	}
-	return cyc
-}
-
-// segMemWalk is a segment memory op's translation miss: the full
-// translateFast path, recording the trap on a fault. Split out of
-// segEnv.run so its hot frame holds no fault pointer.
-func (c *Core) segMemWalk(tc *transCache, isLoad bool, addr, w64, memVA uint64, segEnd int) (uint64, bool) {
-	acc := pt.Store
-	if isLoad {
-		acc = pt.Load
-	}
-	pa, walkCyc, fault := c.translateFast(tc, addr, w64, acc)
-	c.CPU.Cycles += walkCyc
-	if fault == nil {
-		return pa, true
-	}
-	c.CPU.PC = memVA
-	cause := fault.StoreCause()
-	if isLoad {
-		cause = fault.LoadCause()
-	}
-	c.memTrap(segEnd, c.CPU.Trapped(cause, memVA, fault.Addr))
-	return 0, false
-}
-
-// segAlignTrap records a misaligned segment memory op.
-func (c *Core) segAlignTrap(isLoad bool, memVA, addr uint64, segEnd int) {
-	cpu := &c.CPU
-	cpu.PC = memVA
-	cause := isa.CauseMisalignedStore
-	if isLoad {
-		cause = isa.CauseMisalignedLoad
-	}
-	c.memTrap(segEnd, cpu.Trapped(cause, memVA, addr))
-}
-
-// segCOWTrap records a segment store hitting a copy-on-write page.
-func (c *Core) segCOWTrap(memVA, addr uint64, segEnd int) {
-	c.CPU.PC = memVA
-	c.memTrap(segEnd, c.CPU.Trapped(isa.CauseStoreAccess, memVA, addr))
-}
-
-// uop is one fused instruction: its opcode, its register fields reduced
-// mod 32, and its immediate pre-extended — for an immediate shift the
-// masked amount, for a branch or JAL the absolute taken target.
-type uop struct {
-	imm      uint64
-	op       isa.Op
-	rd, a, b uint8
-}
-
-// newUop fuses in, the instruction at va.
-func newUop(in isa.Instr, va uint64) uop {
-	u := uop{
-		imm: uint64(int64(in.Imm)), op: in.Op,
+// newBop fuses in, the instruction at va, into an op.
+func newBop(in isa.Instr, va uint64) bop {
+	u := bop{
+		imm: uint64(int64(in.Imm)), va: va, op: in.Op,
 		rd: in.Rd % isa.NumRegs, a: in.Rs1 % isa.NumRegs, b: in.Rs2 % isa.NumRegs,
 	}
-	switch in.Op {
-	case isa.OpSLLI, isa.OpSRLI, isa.OpSRAI:
+	switch op := in.Op; {
+	case op == isa.OpSLLI || op == isa.OpSRLI || op == isa.OpSRAI:
 		u.imm &= 63
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU, isa.OpJAL:
+	case isa.IsControl(op) && op != isa.OpJALR:
 		u.imm += va
+	case isa.IsLoad(op):
+		width, signed := isa.LoadSpec(op)
+		u.width, u.signed = uint8(width), signed
+	case isa.IsStore(op):
+		u.width = uint8(isa.StoreSpec(op))
 	}
 	return u
+}
+
+// next is a branch's new PC: its taken target, or the fall-through.
+func (u *bop) next(taken bool) uint64 {
+	if taken {
+		return u.imm
+	}
+	return u.va + isa.InstrSize
 }
 
 // fusesOp reports whether in compiles to a register op: a computational
@@ -509,315 +793,6 @@ func newUop(in isa.Instr, va uint64) uop {
 // x0, retires with its fetch and base cycles only.
 func fusesOp(in isa.Instr) bool {
 	return isa.IsALU(in.Op) && in.Op != isa.OpNOP && in.Rd%isa.NumRegs != isa.RegZero
-}
-
-// segEnv is one fused segment: every constant its run method needs,
-// resolved at compile time and laid out flat so a pass touches only
-// this struct (the block's segs slice is contiguous), its uops, the
-// register file and the guarded machine state — no interpretive
-// structures. A plain struct + method beats a closure here: the method
-// call is static, and fields are loaded on demand instead of the closure
-// prologue copying the whole environment per call.
-type segEnv struct {
-	b *block
-
-	segBase int    // instructions retired before this segment
-	segEnd  int    // segBase + segment length
-	startVA uint64 // VA of the first instruction: a guard bail resumes here
-	static  uint64 // batched base cycle cost of the fused ops
-
-	// Fetch accounting. The single-line case covers nearly every
-	// segment (a segment spans two L1 lines only when it straddles
-	// one); multi-line segments keep their runs in fetchRest.
-	fetch1    bool
-	pa0       uint64 // physical address of the first fetch
-	fn0       uint64 // fetches on the line
-	hits      uint64 // L1 hit cycles of the segment's fetches
-	ref0      *cache.LineRef
-	fetchRest []fetchRun
-
-	ops []uop // register ops, in execution order
-
-	// The segment's last instruction when it is a load or store (isMem)
-	// or, on the last segment, the block's terminal; otherwise the zero
-	// uop, a NOP.
-	last                  uop
-	lastVA                uint64
-	isMem, isLoad, signed bool
-	width                 int
-	w64, wmask            uint64
-}
-
-// buildSeg fuses one segment.
-func (c *Core) buildSeg(b *block, s segSpec) segEnv {
-	f0 := s.fetch[0]
-	e := segEnv{
-		b:       b,
-		segBase: s.base,
-		segEnd:  s.base + s.n,
-		startVA: s.startVA,
-		static:  s.static,
-		fetch1:  len(s.fetch) == 1,
-		pa0:     b.paPage | f0.off,
-		fn0:     f0.n,
-		hits:    uint64(s.n) * c.l1Hit,
-		ref0:    &b.lrefs[f0.line],
-		ops:     s.ops,
-		last:    newUop(s.last, s.lastVA),
-		lastVA:  s.lastVA,
-	}
-	if !e.fetch1 {
-		e.fetchRest = slices.Clone(s.fetch) // s.fetch is compileBlock's scratch
-	}
-	if op := s.last.Op; isa.IsLoad(op) || isa.IsStore(op) {
-		e.isMem = true
-		e.isLoad = isa.IsLoad(op)
-		if e.isLoad {
-			e.width, e.signed = isa.LoadSpec(op)
-		} else {
-			e.width = isa.StoreSpec(op)
-		}
-		e.w64 = uint64(e.width)
-		e.wmask = e.w64 - 1
-	}
-	return e
-}
-
-// run executes the segment; st is the previous segment's status. The
-// guard is re-checked only after segDirty (segClean and segSteady
-// proved the guard word stable), and under segSteady the segment runs
-// steady (see execBlock). c and cpu are passed in so the per-segment
-// prologue does no pointer chasing of its own.
-func (e *segEnv) run(c *Core, cpu *isa.CPU, st int) int {
-	// Guard (elided when the previous segment proved it stable).
-	if st == segDirty && !c.guardHolds(e.b) {
-		c.guardFail(e)
-		return segStop
-	}
-	// Batched fetch accounting for the whole segment: each fetch is a
-	// guaranteed TLB hit under the guard (execBlock advances TLB.Hits
-	// for the whole pass at once), and the L1 touches collapse per
-	// line. A steady pass knows every code line's ref holds; otherwise a
-	// dead ref falls back to the exact per-fetch sequence.
-	cyc := e.static
-	switch {
-	case st == segSteady && e.fetch1:
-		c.L1.TouchHeldN(e.ref0, e.fn0)
-		cyc += e.hits
-	case st == segSteady:
-		for fi := range e.fetchRest {
-			c.L1.TouchHeldN(&e.b.lrefs[e.fetchRest[fi].line], e.fetchRest[fi].n)
-		}
-		cyc += e.hits
-	case !e.fetch1:
-		cyc += c.segFetchMulti(e.b, e.fetchRest)
-	case c.L1.TouchFastN(e.pa0, e.ref0, e.fn0):
-		cyc += e.hits
-	default:
-		cyc += c.fetchChargeSlow(e.pa0, e.ref0, e.fn0)
-	}
-	cpu.Cycles += cyc
-
-	// Register ops: each case is ExecDecoded's update for its op, on
-	// the register file directly (see the file comment for why that is
-	// exact for x0).
-	for i := range e.ops {
-		u := &e.ops[i]
-		x, y := cpu.Regs[u.a&regIdxMask], cpu.Regs[u.b&regIdxMask]
-		var v uint64
-		switch u.op {
-		case isa.OpADD:
-			v = x + y
-		case isa.OpSUB:
-			v = x - y
-		case isa.OpAND:
-			v = x & y
-		case isa.OpOR:
-			v = x | y
-		case isa.OpXOR:
-			v = x ^ y
-		case isa.OpSLL:
-			v = x << (y & 63)
-		case isa.OpSRL:
-			v = x >> (y & 63)
-		case isa.OpSRA:
-			v = uint64(int64(x) >> (y & 63))
-		case isa.OpSLT:
-			v = b2u(int64(x) < int64(y))
-		case isa.OpSLTU:
-			v = b2u(x < y)
-		case isa.OpMUL:
-			v = x * y
-		case isa.OpDIVU:
-			v = ^uint64(0) // RISC-V semantics: no trap
-			if y != 0 {
-				v = x / y
-			}
-		case isa.OpREMU:
-			v = x
-			if y != 0 {
-				v = x % y
-			}
-		case isa.OpADDI:
-			v = x + u.imm
-		case isa.OpANDI:
-			v = x & u.imm
-		case isa.OpORI:
-			v = x | u.imm
-		case isa.OpXORI:
-			v = x ^ u.imm
-		case isa.OpSLLI:
-			v = x << u.imm
-		case isa.OpSRLI:
-			v = x >> u.imm
-		case isa.OpSRAI:
-			v = uint64(int64(x) >> u.imm)
-		case isa.OpSLTI:
-			v = b2u(int64(x) < int64(u.imm))
-		case isa.OpSLTIU:
-			v = b2u(x < u.imm)
-		case isa.OpLI:
-			v = u.imm
-		}
-		cpu.Regs[u.rd&regIdxMask] = v
-	}
-
-	u := &e.last
-	if e.isMem {
-		// Memory-op body: the exact Core.Load/Store fast-path sequence
-		// plus ExecDecoded's register update, minus everything
-		// segment-hoisted (fetch, base cycles, PC).
-		addr := cpu.Regs[u.a&regIdxMask] + u.imm
-		if addr&e.wmask != 0 {
-			c.segAlignTrap(e.isLoad, e.lastVA, addr, e.segEnd)
-			return segStop
-		}
-		tc, ref, line := &c.storeTC, &c.storeRef, &c.brun.stLine
-		if e.isLoad {
-			tc, ref, line = &c.loadTC, &c.loadRef, &c.brun.ldLine
-		}
-		next := segSteady
-		var pa uint64
-		if st == segSteady && addr>>c.l1LineBits == *line {
-			// Steady: the line of the class's last access, so a hit in
-			// its last-translation cache and through its ref.
-			c.TLB.Hits++
-			c.L1.TouchHeldN(ref, 1)
-			cpu.Cycles += c.l1Hit
-			pa = tc.paPage | addr&uint64(mem.PageMask)
-		} else {
-			// The checked path, which also hands a steady pass over. It
-			// records the access's line, unless the access was bare and
-			// so filled no last-translation cache.
-			next = segClean
-			rec := addr >> c.l1LineBits
-			root, _ := c.walkRoot(addr)
-			if root != 0 && tc.gen == c.TLB.Gen() && tc.vpn == (addr&pt.VAMask)>>mem.PageBits &&
-				tc.root == root && tc.mode == cpu.Mode {
-				// Last-translation cache hit: same statistic update as
-				// translateFast's short-circuit, and provably no TLB or
-				// decode-cache mutation.
-				c.TLB.Hits++
-				pa = tc.paPage | addr&uint64(mem.PageMask)
-			} else {
-				var ok bool
-				if pa, ok = c.segMemWalk(tc, e.isLoad, addr, e.w64, e.lastVA, e.segEnd); !ok {
-					return segStop
-				}
-				next = segDirty
-				if root == 0 {
-					rec = noLine
-				}
-			}
-			if c.L1.TouchFast(pa, ref) {
-				cpu.Cycles += c.l1Hit
-			} else {
-				cpu.Cycles += c.cachedAccessRef(pa, ref)
-			}
-			*line = rec
-		}
-		if e.isLoad {
-			var val uint64
-			if e.width == 8 {
-				val = c.loadWin.Load64(pa)
-			} else {
-				val = c.loadWin.LoadFast(pa, e.width)
-			}
-			if e.signed {
-				val = isa.SignExtend(val, e.width)
-			}
-			if u.rd != isa.RegZero {
-				cpu.Regs[u.rd&regIdxMask] = val
-			}
-			return next
-		}
-		// Store: the fused window store runs the copy-on-write backstop
-		// (Core.Store's), the code-page check and the write in one call.
-		// The code-page verdict decides the guard: a store into a marked
-		// code page bumped icGen and must force the next guard, while a
-		// plain data-page store (through a still-live translation)
-		// provably left the guard word unmoved.
-		val := cpu.Regs[u.b&regIdxMask]
-		var cow, hitCode bool
-		if e.width == 8 {
-			cow, hitCode = c.storeWin.Store64(pa, val)
-		} else {
-			cow, hitCode = c.storeWin.StoreFast(pa, e.width, val)
-		}
-		if cow {
-			c.segCOWTrap(e.lastVA, addr, e.segEnd)
-			return segStop
-		}
-		if hitCode {
-			return segDirty
-		}
-		return next
-	}
-
-	// Terminal, by the same rule. A branch picks between its burned-in
-	// target and the fall-through; JAL and JALR write their link unless
-	// rd is x0, and JALR reads rs1 first, so rd == rs1 jumps to the old
-	// value. A block without a terminal leaves PC to execBlock. The pass
-	// stays steady if it was.
-	next := segClean
-	if st == segSteady {
-		next = segSteady
-	}
-	x, y := cpu.Regs[u.a&regIdxMask], cpu.Regs[u.b&regIdxMask]
-	var taken bool
-	switch u.op {
-	case isa.OpBEQ:
-		taken = x == y
-	case isa.OpBNE:
-		taken = x != y
-	case isa.OpBLT:
-		taken = int64(x) < int64(y)
-	case isa.OpBGE:
-		taken = int64(x) >= int64(y)
-	case isa.OpBLTU:
-		taken = x < y
-	case isa.OpBGEU:
-		taken = x >= y
-	case isa.OpJAL:
-		if u.rd != isa.RegZero {
-			cpu.Regs[u.rd&regIdxMask] = e.lastVA + isa.InstrSize
-		}
-		taken = true
-	case isa.OpJALR:
-		if u.rd != isa.RegZero {
-			cpu.Regs[u.rd&regIdxMask] = e.lastVA + isa.InstrSize
-		}
-		cpu.PC = x + u.imm
-		return next
-	default:
-		return next
-	}
-	if taken {
-		cpu.PC = u.imm
-	} else {
-		cpu.PC = e.lastVA + isa.InstrSize
-	}
-	return next
 }
 
 func b2u(b bool) uint64 {
@@ -910,84 +885,189 @@ func (c *Core) compileBlock(pc uint64) *block {
 	b := &block{
 		entryVA: pc, fallPC: va, paPage: paPage,
 		icGen: icGen, tgMode: tg, root: root,
-		n: n, hasTerm: hasTerm,
+		n: n, stride: blockCap / n, hasTerm: hasTerm,
 	}
-	// Each distinct L1 line of the trace gets one ref, in first-fetch
-	// order; a memory op ends its segment, and so does the last op. The
-	// block's register ops share one exact-size array, and its words,
-	// VAs and code line addresses another.
-	var (
-		lines  [blockCap]uint64
-		lineOf [blockCap]int
-		nl     int
-		nsegs  int
-		nops   int
-	)
-	lineBits := c.l1LineBits
-	for i := 0; i < n; i++ {
-		line := (vas[i] & pageMask) >> lineBits
-		j := slices.Index(lines[:nl], line)
-		if j < 0 {
-			j, lines[nl] = nl, line
-			nl++
-		}
-		lineOf[i] = j
-		if isa.IsLoad(ins[i].Op) || isa.IsStore(ins[i].Op) || i == n-1 {
-			nsegs++
-		}
-		if fusesOp(ins[i]) {
-			nops++
-		}
-	}
-	buf := make([]uint64, 2*n+nl)
-	b.words, b.vas, b.lpas = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	// The block's words and VAs share one exact-size array.
+	buf := make([]uint64, 2*n)
+	b.words, b.vas = buf[:n:n], buf[n:]
 	copy(b.words, words[:n])
 	copy(b.vas, vas[:n])
-	for j, line := range lines[:nl] {
-		b.lpas[j] = paPage | line<<lineBits
-	}
-	b.lrefs = make([]cache.LineRef, nl)
-	b.segs = make([]segEnv, 0, nsegs)
-	ops := make([]uop, 0, nops)
 
-	var runs [blockCap]fetchRun
-	var seg segSpec
-	r0, nr, o0 := 0, 0, 0 // the open segment's runs[r0:nr] and ops[o0:]
+	// The op list, segment by segment: a memory op always ends its
+	// segment (its data access must stay ordered between the fetch
+	// before it and the fetch after it), and so does the last
+	// instruction. A segment's ops are its register ops, then its memory
+	// op or the terminal; a followed plain jump, a NOP or an ALU op
+	// writing x0 charges only its fetch and base cycles. A segment's
+	// fetch runs — its consecutive fetches from one L1 line each, with a
+	// ref of their own — are charged where it starts: by the pass start
+	// for the first segment, else by the memory op before it, since
+	// nothing between the two touches the caches. Each instruction adds
+	// at most an op and a fetch run, and the block keeps exact-size
+	// copies of both, in one array.
+	var (
+		ops   [blockCap]bop
+		runs  [blockCap]bop
+		body  [blockCap]bop // the open segment's register ops
+		nops  int
+		nruns int
+		nbody int
+		seg   int  // the open segment's first instruction
+		prev  = -1 // the memory op before it, if any
+	)
+	lineOf := func(i int) uint64 { return vas[i] & pageMask >> c.l1LineBits }
 	for i := 0; i < n; i++ {
-		in, va := ins[i], vas[i]
-		if nr > r0 && runs[nr-1].line == lineOf[i] {
-			runs[nr-1].n++
-		} else {
-			runs[nr] = fetchRun{line: lineOf[i], off: va & pageMask, n: 1}
-			nr++
-		}
-		if seg.n == 0 {
-			seg.startVA = va
-		}
-		seg.n++
-		seg.static += isa.BlockCost(in.Op)
-		// A memory op always ends its segment: its data access must stay
-		// ordered between the fetch before it and the fetch after it, so
-		// the next fetch batch starts a new segment. A followed plain
-		// jump, a NOP or an ALU op writing x0 charges only its fetch and
-		// base cycles.
+		in := ins[i]
 		isMem := isa.IsLoad(in.Op) || isa.IsStore(in.Op)
-		switch {
-		case isMem || i == n-1 && hasTerm:
-			seg.last, seg.lastVA = in, va
-		case fusesOp(in):
-			ops = append(ops, newUop(in, va))
+		last := isMem || i == n-1 && hasTerm
+		if !last && fusesOp(in) {
+			body[nbody] = newBop(in, vas[i])
+			nbody++
 		}
-		if isMem || i == n-1 {
-			seg.fetch, seg.ops = runs[r0:nr], ops[o0:]
-			b.segs = append(b.segs, c.buildSeg(b, seg))
-			seg = segSpec{base: seg.base + seg.n}
-			r0, o0 = nr, len(ops)
+		if !isMem && i < n-1 {
+			continue
 		}
+		var static uint64
+		for k := seg; k <= i; k++ {
+			static += isa.BlockCost(ins[k].Op)
+		}
+		r0 := nruns
+		for k := seg; k <= i; {
+			end := k + 1
+			for end <= i && lineOf(end) == lineOf(k) {
+				end++
+			}
+			runs[nruns] = bop{
+				imm: paPage | vas[k]&pageMask, va: vas[seg], op: opFetch,
+				n: uint8(end - k), static: uint32(static),
+			}
+			nruns++
+			static, k = 0, end
+		}
+		if prev < 0 {
+			b.head = uint8(nruns)
+		} else {
+			ops[prev].lo, ops[prev].hi = uint8(r0), uint8(nruns)
+		}
+		nops += copy(ops[nops:], body[:nbody])
+		if last {
+			ops[nops] = newBop(in, vas[i])
+			ops[nops].retired = uint8(i + 1)
+			if isMem {
+				prev = nops
+			}
+			nops++
+		}
+		nbody, seg = 0, i+1
 	}
+	all := make([]bop, nops+nruns)
+	copy(all, ops[:nops])
+	copy(all[nops:], runs[:nruns])
+	b.ops, b.runs = all[:nops:nops], all[nops:]
+	c.owe(b)
 	c.blocks[idx] = b
 	c.bstats.Compiled++
 	return b
+}
+
+// owe fixes what a steady pass of b owes at each point where it may
+// stop or hand over — before and after each memory op's data access —
+// and at its end. Every fetch and data access of a steady pass is a hit
+// through a held ref, made in op order: each fetch run's through its own
+// ref, each load's and store's through the core's ref for its class.
+// The fetch runs of one code line all name its way, so a debt lists the
+// line once, through its latest run's ref.
+func (c *Core) owe(b *block) {
+	// A debt's refs are keyed by what they name: a code line by its line
+	// address, which never has the top bit set, and a data class by a
+	// key that has it.
+	const loadKey, storeKey = ^uint64(0), ^uint64(1)
+	key := func(u *bop) uint64 {
+		switch {
+		case u.op == opFetch:
+			return u.imm >> c.l1LineBits
+		case isa.IsLoad(u.op):
+			return loadKey
+		}
+		return storeKey
+	}
+	// The debts' ref lists share one exact-size array: each debt lists
+	// every ref touched before it.
+	// The pass, in execution order: the first segment's fetch runs,
+	// then the ops, each memory op followed by the next segment's.
+	var (
+		pass  [3 * blockCap]*bop
+		np    int
+		keys  [blockCap + 2]uint64
+		nkeys int
+		size  int
+	)
+	for i := range b.runs[:b.head] {
+		pass[np] = &b.runs[i]
+		np++
+	}
+	for i := range b.ops {
+		u := &b.ops[i]
+		pass[np] = u
+		np++
+		for j := u.lo; j < u.hi; j++ {
+			pass[np] = &b.runs[j]
+			np++
+		}
+	}
+	for _, u := range pass[:np] {
+		isMem := isa.IsLoad(u.op) || isa.IsStore(u.op)
+		if isMem {
+			size += nkeys
+		}
+		if k := key(u); (u.op == opFetch || isMem) && !slices.Contains(keys[:nkeys], k) {
+			keys[nkeys] = k
+			nkeys++
+		}
+		if isMem {
+			size += nkeys
+		}
+	}
+	b.held = make([]cache.HeldTouch, 0, size+nkeys)
+
+	var (
+		last            [blockCap + 2]cache.HeldTouch // each key's ref, at its last touch so far
+		touches, static uint64
+	)
+	touch := func(k uint64, ref *cache.LineRef, n uint64) {
+		touches += n
+		j := slices.Index(keys[:nkeys], k)
+		last[j] = cache.HeldTouch{Ref: ref, At: touches}
+	}
+	owed := func() debt {
+		lo := len(b.held)
+		for _, h := range last[:nkeys] {
+			if h.At > 0 {
+				b.held = append(b.held, h)
+			}
+		}
+		slices.SortFunc(b.held[lo:], func(x, y cache.HeldTouch) int { return cmp.Compare(x.At, y.At) })
+		return debt{
+			cycles: uint32(static + touches*c.l1Hit), touches: uint16(touches),
+			lo: uint16(lo), hi: uint16(len(b.held)),
+		}
+	}
+	for _, u := range pass[:np] {
+		switch {
+		case u.op == opFetch:
+			static += uint64(u.static)
+			touch(key(u), &u.ref, uint64(u.n))
+		case isa.IsLoad(u.op):
+			u.pre = owed()
+			touch(loadKey, &c.loadRef, 1)
+			u.post = owed()
+		case isa.IsStore(u.op):
+			u.pre = owed()
+			touch(storeKey, &c.storeRef, 1)
+			u.post = owed()
+		}
+	}
+	b.end = owed()
 }
 
 // followJump reports whether the trace continues through in at va: a

@@ -490,17 +490,24 @@ func TestBlockDomainSwitchDifferential(t *testing.T) {
 }
 
 // TestBlockSteadyPasses drives copy loops of the bulk KV server's shape
-// through the cases a steady pass must hand over on, each against the
-// reference interpreter on every observable, on every backend: load and
-// store streams crossing L1 lines at different phases and widths, a
-// stream crossing a page mid-loop, overlapping streams, a direct-mapped
-// L1 where the data fills evict the loop's own code lines, a descending
-// store stream that reaches the loop's own code page at pass 9, and a
-// destination page frozen copy-on-write that traps from mid-loop on.
-// Every loop runs once whole and once in run slices ended mid-loop by
-// domain-switch events. The loops whose passes fill no line in steady
-// stretches must run steady passes, and the plain copy loop must run at
-// least half of its chained passes steady.
+// through the cases a steady pass must hand over or stop on, each
+// against the reference interpreter on every observable, on every
+// backend: load and store streams crossing L1 lines at different phases
+// and widths, a stream crossing a page mid-loop, overlapping streams, a
+// direct-mapped L1 where the data fills evict the loop's own code lines,
+// a descending store stream that reaches the loop's own code page at
+// pass 9, and a destination page frozen copy-on-write that traps from
+// mid-loop on. Each point where a steady pass settles what it owes has
+// a row of its own: a stride of 12 over 8-byte accesses, whose second
+// pass of each execution runs steady and stops at a misaligned load,
+// or, with 4-byte loads, at a misaligned store; on a direct-mapped L1, a
+// crossing fill that evicts the other stream's line (both streams in
+// one set, the code in others), and one that evicts a code line the
+// rest of the pass fetches again. Every loop runs once whole and once in
+// run slices ended mid-loop by domain-switch events. The loops whose
+// passes fill no line in steady stretches must run steady passes, and
+// the plain copy loop, whose crossing fills spare every ref, must run
+// every chained pass steady.
 func TestBlockSteadyPasses(t *testing.T) {
 	const page = mem.PageSize
 	rows := []struct {
@@ -520,6 +527,10 @@ func TestBlockSteadyPasses(t *testing.T) {
 		{"evicts-code", bfLoop{width: 8, stride: 8, trip: 700, src: 0, dst: page + 24}, bfShape{l1Ways: 1}, false},
 		{"code-store", bfLoop{width: 8, stride: 8, trip: 32, src: 0x200, dstReg: 9, dst: page + 0x40, down: true}, bfShape{}, true},
 		{"cow", bfLoop{width: 8, stride: 8, trip: 64, src: 0, dst: 2*page - 0x100}, bfShape{cow: []uint64{bfDataPA + 2*page}}, true},
+		{"misaligned-load", bfLoop{width: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false},
+		{"misaligned-store", bfLoop{width: 4, stWidth: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false},
+		{"evicts-other", bfLoop{width: 8, stride: 8, trip: 200, src: 0x200, dst: page + 0x200}, bfShape{l1Ways: 1}, false},
+		{"evicts-code-mid-pass", bfLoop{width: 8, stride: 8, trip: 40, src: page + 0x20, dst: 2*page + 0x500}, bfShape{l1Ways: 1}, true},
 	}
 	data := make([]byte, bfDataLen)
 	for i := range data {
@@ -546,8 +557,8 @@ func TestBlockSteadyPasses(t *testing.T) {
 				if r.steady && bs.Steady == 0 {
 					t.Errorf("%v: no chained pass ran steady: %+v", kind, bs)
 				}
-				if r.name == "phases" && 2*bs.Steady < bs.Loops {
-					t.Errorf("%v: %d of %d chained passes ran steady, want at least half", kind, bs.Steady, bs.Loops)
+				if r.name == "phases" && bs.Steady != bs.Loops {
+					t.Errorf("%v: %d of %d chained passes ran steady, want all", kind, bs.Steady, bs.Loops)
 				}
 				events := make([]bfEvent, 12)
 				for i := range events {
@@ -682,8 +693,8 @@ func TestBlockEngineDisabled(t *testing.T) {
 	}
 }
 
-// TestBlockEveryUop covers every case of segEnv.run's two switches
-// inside blocks. A hot loop runs three blocks: the first fuses every
+// TestBlockEveryUop covers every register-op and terminal case of
+// execBlock's switch inside blocks. A hot loop runs three blocks: the first fuses every
 // ALU op with x0 and its alias 32 as operands, loads into x0 and x32,
 // and ends in a linking JAL; the second gives every ALU op an x0 or x32
 // destination (compiled to nothing) and ends in a JALR with rd == rs1;

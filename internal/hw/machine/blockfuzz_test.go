@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -26,7 +27,10 @@ import (
 // mid-block faults, and system ops that must terminate block formation;
 // it also emits JALR (half with rd == rs1), names x0 by its alias 32,
 // and emits whole top-tested stride loops whose chained passes run
-// steady.
+// steady, some of them with strides that misalign every other pass or
+// only their stores. The fuzzer also picks the L1's associativity: on
+// a direct-mapped or 2-way L1 a line crossing's fill often evicts a
+// code line or the other stream's line, so the pass must hand over.
 //
 // It also emits domain-switch events, which the harness applies to both
 // engines alike between run slices: core cleaning (ClearMicroarch), a
@@ -222,11 +226,13 @@ var bfBranchOps = []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLT
 
 // bfLoop is a top-tested stride loop of the bulk KV server's copy shape
 // (body; j top; top: bltu i, n, body), which compiles to one block that
-// chains: trip passes load width bytes from src+i and store them to
-// dst+i (dst-i when down), i stepping by stride. src and dst are offsets
-// from the base registers srcReg and dstReg. It uses x20–x25 only.
+// chains: trip passes load width bytes from src+i and store stWidth
+// bytes (width, if zero) of them to dst+i (dst-i when down), i stepping
+// by stride. src and dst are offsets from the base registers srcReg and
+// dstReg. It uses x20–x25 only.
 type bfLoop struct {
 	width          int // 1, 2, 4 or 8
+	stWidth        int // the store's width, if not width
 	stride, trip   int32
 	srcReg, dstReg uint8
 	src, dst       int32
@@ -236,7 +242,7 @@ type bfLoop struct {
 // instrs is the loop, falling through past its end when done.
 func (l bfLoop) instrs() []isa.Instr {
 	load := map[int]isa.Op{1: isa.OpLBU, 2: isa.OpLH, 4: isa.OpLWU, 8: isa.OpLD}[l.width]
-	store := map[int]isa.Op{1: isa.OpSB, 2: isa.OpSH, 4: isa.OpSW, 8: isa.OpSD}[l.width]
+	store := map[int]isa.Op{1: isa.OpSB, 2: isa.OpSH, 4: isa.OpSW, 8: isa.OpSD}[cmp.Or(l.stWidth, l.width)]
 	dstOp := isa.OpADD
 	if l.down {
 		dstOp = isa.OpSUB
@@ -258,28 +264,35 @@ func (l bfLoop) instrs() []isa.Instr {
 }
 
 // bfLoopFrom decodes a stride loop from three fuzz bytes: its width,
-// stride (one to four widths), trip count (8 to 68), source offset in
-// the data pages, and destination: overlapping the source eight bytes
-// ahead or behind, on the next data page at another line phase, or
-// descending from there. Both streams stay inside the data pages, and
-// may cross a page.
+// stride (one to four widths, plus half a width when b1's bit 4 is set,
+// so that every other pass misaligns), trip count (8 to 64), source
+// offset in the data pages, store width (twice the load's, up to 8
+// bytes, when b3's bit 7 is set, so that a stride of an odd number of
+// load widths misaligns only the stores), and destination: overlapping
+// the source eight bytes ahead or behind, on the next data page at
+// another line phase, or descending from there. Both streams stay
+// inside the data pages, and may cross a page.
 func bfLoopFrom(b1, b2, b3 uint8) bfLoop {
 	l := bfLoop{
 		width:  1 << (b1 & 3),
-		trip:   8 + int32(b1>>4)*4,
+		trip:   8 + int32(b1>>5)*8,
 		srcReg: 8, dstReg: 8,
 		src: int32(b2) * 8,
 	}
-	l.stride = int32(l.width) * (int32(b1>>2&3) + 1)
+	l.stride = int32(l.width)*(int32(b1>>2&3)+1) + int32(b1>>4&1)*int32(l.width/2)
+	if b3&0x80 != 0 {
+		l.stWidth = min(2*l.width, 8)
+	}
+	off := int32(b3>>2&0x1f) * 8
 	switch b3 & 3 {
 	case 0:
 		l.dst = l.src + 8
 	case 1:
 		l.dst = max(l.src-8, 0)
 	case 2:
-		l.dst = l.src + mem.PageSize + int32(b3>>2)*8
+		l.dst = l.src + mem.PageSize + off
 	default:
-		l.dst = l.src + 2*mem.PageSize + int32(b3>>2)*8
+		l.dst = l.src + 2*mem.PageSize + off
 		l.down = true
 	}
 	return l
@@ -564,39 +577,54 @@ func firstWayDiff(a, b []cache.LineState) int {
 	return -1
 }
 
+// bfL1Ways maps a fuzz byte to the L1's associativity: the default 4
+// ways, or a direct-mapped or 2-way L1 where data fills evict code lines
+// and the other stream's line, so crossing fills that spare no ref are
+// common.
+func bfL1Ways(b uint8) int { return []int{0, 1, 2}[b%3] }
+
 // FuzzBlockDifferential is the open-ended harness; CI runs it with
 // -fuzz, briefly on every change and for an extended period nightly.
-// Each input drives all three isolation backends.
+// Each input — an L1 shape byte (bfL1Ways) and the program and event
+// bytes (bfGenerate) — drives all three isolation backends.
 func FuzzBlockDifferential(f *testing.F) {
 	// Seeds aimed at the interesting regimes: a tight ALU loop, a
 	// store-over-code sequence, page-straddling and unmapped accesses,
 	// raw garbage, and a backward-branch loop interrupted by one event
 	// of each kind.
-	f.Add([]byte{0, 0, 7, 7, 0, 13, 7, 1, 200, 0, 7, 240})
-	f.Add([]byte{150, 10, 1, 8, 150, 7, 0x11, 3, 150, 3, 2, 200})
-	f.Add([]byte{0, 22, 5, 2, 160, 1, 9, 0, 0, 0, 6, 6, 210, 0, 5, 0})
-	f.Add([]byte{243, 1, 2, 3, 230, 9, 9, 9, 220, 0, 3, 0})
-	f.Add([]byte{
+	f.Add(uint8(0), []byte{0, 0, 7, 7, 0, 13, 7, 1, 200, 0, 7, 240})
+	f.Add(uint8(0), []byte{150, 10, 1, 8, 150, 7, 0x11, 3, 150, 3, 2, 200})
+	f.Add(uint8(0), []byte{0, 22, 5, 2, 160, 1, 9, 0, 0, 0, 6, 6, 210, 0, 5, 0})
+	f.Add(uint8(0), []byte{243, 1, 2, 3, 230, 9, 9, 9, 220, 0, 3, 0})
+	f.Add(uint8(0), []byte{
 		0, 13, 7, 1, 0, 0, 7, 7, 200, 0, 0xfe, 0, // ADDI, ADD, a BEQ back to the ADDI
 		244, 0, 40, 0, 245, 1, 30, 0, 246, 2, 20, 1, 247, 3, 50, 3, 248, 4, 10, 0, 249, 5, 60, 0,
 		247, 0, 5, 0, 249, 3, 80, 3, 244, 6, 70, 6,
 	})
+	// Stride loops: a width-8 loop with a stride of 12, whose passes
+	// misalign every other time, on a direct-mapped L1; and 4-byte loads
+	// with 8-byte stores at a stride of 12, whose stores alone misalign,
+	// on a 2-way L1.
+	f.Add(uint8(1), []byte{184, 0x33, 0x40, 0x0a})
+	f.Add(uint8(2), []byte{184, 0x2a, 0x40, 0x8a})
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 256)
 	rng.Read(long)
-	f.Add(long)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), long)
+	f.Fuzz(func(t *testing.T, l1 uint8, data []byte) {
 		words, events := bfGenerate(data)
+		shape := bfShape{l1Ways: bfL1Ways(l1)}
 		for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
-			bfCompare(t, kind, words, nil, events...)
+			bfCompareShape(t, kind, shape, words, nil, events)
 		}
 	})
 }
 
 // TestBlockDifferentialRandom is the always-on slice of the fuzzer: a
 // fixed-seed batch of generated programs through the same comparator,
-// so tier-1 CI exercises the differential property without -fuzz. The
-// generated stride loops must reach steady passes.
+// on every L1 shape the fuzzer draws, so tier-1 CI exercises the
+// differential property without -fuzz. The generated stride loops must
+// reach steady passes.
 func TestBlockDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	kinds := []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone}
@@ -605,7 +633,8 @@ func TestBlockDifferentialRandom(t *testing.T) {
 		data := make([]byte, 64+rng.Intn(192))
 		rng.Read(data)
 		words, events := bfGenerate(data)
-		steady += bfCompare(t, kinds[i%len(kinds)], words, nil, events...).BlockStats().Steady
+		shape := bfShape{l1Ways: bfL1Ways(uint8(i / len(kinds)))}
+		steady += bfCompareShape(t, kinds[i%len(kinds)], shape, words, nil, events).BlockStats().Steady
 	}
 	if steady == 0 {
 		t.Fatal("no generated program ran a steady pass")

@@ -338,7 +338,6 @@ type Core struct {
 	blockHot uint16
 	blocks   *[bcEntries]*block
 	icHot    *[icEntries]uint16
-	brun     blockRun
 	bstats   BlockStats
 
 	// Cold cross-hart coordination state, kept at the end so it never
