@@ -2,6 +2,7 @@ package machine
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"sanctorum/internal/hw/cache"
@@ -65,6 +66,26 @@ import (
 // pass (see execBlock) starts no segment and charges none of its data
 // hits as it goes; what it owes is paid when a chain of steady passes
 // breaks.
+//
+// Batches. A block is strided (see strided) when one pass is a copy
+// step: one load, then one store of what it loaded, where both
+// addresses and the terminal's outcome follow from the registers at the
+// pass start by adding a constant per pass. A steady pass of a strided
+// block owes nothing the op list computes: its accesses hit the lines
+// of its class's last checked access, so it charges no cache until the
+// chain settles, and its register updates only feed those accesses and
+// the registers it leaves. So from a steady pass start, execBlock hands
+// the passes that need nothing else to batch, which makes only their
+// loads and stores, in program order and word by word through the
+// windows, then sets the registers the last one leaves and adds the
+// passes to the chain's debt. A batch ends before the first pass that
+// would cross a line, leave the chain, or store to a page the window
+// would refuse or flag: each is found from the pass's affine addresses
+// and branch operands before any of its accesses, and the op loop runs
+// that pass from its start, exactly as before. The batch polls at the
+// pass ends passEnd would, so a pending event or a failed guard stops
+// it where it stops the chain, and the accounting (cycles, TLB and L1
+// statistics and every way's stamp) is the chain's own settle.
 //
 // Every fused instruction is one op: opcode, register fields reduced
 // mod 32, immediate pre-extended. Each switch case is ExecDecoded's
@@ -154,6 +175,7 @@ type BlockStats struct {
 	Executions    uint64 // completed straight-line passes
 	Loops         uint64 // back-to-back re-entries without leaving the engine
 	Steady        uint64 // chained passes that ran steady from start to end (through fills that spared every ref)
+	Batched       uint64 // steady passes of strided blocks run inside a batch (see batch)
 	Instrs        uint64 // instructions retired inside blocks
 	GuardBails    uint64 // mid-block guard misses (fell back to interpreter)
 	Revalidations uint64 // stale blocks revived without recompiling
@@ -202,14 +224,15 @@ type block struct {
 	root    uint64            // page-table root every VA in the block walks from
 	n       int               // total instructions; 0 marks a negative-cache entry
 	stride  int               // chained passes between polls: blockCap/n
-	hasTerm bool              // ends in control flow (else falls through to fallPC)
 	words   []uint64          // original instruction words, for revalidation
 	vas     []uint64          // each instruction's VA, in execution order
 	ops     []bop             // one pass's ops, in execution order
 	runs    []bop             // the fetch runs, segment by segment
 	head    uint8             // the first segment's fetch runs: runs[:head]
+	hasTerm bool              // ends in control flow (else falls through to fallPC); beside head, so a block packs in 208 bytes
 	end     debt              // what a whole steady pass owes
 	held    []cache.HeldTouch // the refs of every debt, held[d.lo:d.hi] for debt d
+	strided *strided          // a pass as a batch runs it, if the block is strided
 }
 
 // debt is what a steady pass owes at one point of the pass, counted from
@@ -320,7 +343,9 @@ func (c *Core) blockFor(pc uint64) *block {
 // otherwise they run checked. Every other stop inside a steady pass — a
 // misaligned access, a copy-on-write refusal, a store into a marked code
 // page — first pays what it retired as well, since a fill picks its
-// victim by the stamps the payment leaves, and so does every exit.
+// victim by the stamps the payment leaves, and so does every exit. A
+// steady pass of a strided block may instead run in a batch (batch),
+// with the passes after it that stay on both lines.
 func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 	// blockFor validated the guard word on entry, so the first pass
 	// starts clean; every ref holds while the change count stays here.
@@ -335,6 +360,9 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 	}
 	r, ops := &c.CPU.Regs, b.ops
 	for {
+		if run.st == segSteady && b.strided != nil && !c.batch(b, &run) {
+			return c.blockEnd(run.done, run.passes, run.passes-1, run.steady), nil
+		}
 		if run.st != segSteady && !c.enter(b, &run, b.runs[:b.head]) {
 			return c.blockEnd(run.done, run.passes, run.passes, run.steady), nil
 		}
@@ -557,6 +585,123 @@ func (c *Core) passEnd(b *block, run *blockRun) bool {
 		c.settle(b, run, nil)
 	}
 	return chain
+}
+
+// batch runs chained passes of the strided block b from a steady pass
+// start as one batch, and reports whether the pass after them chains.
+// It runs each pass, up to the first that would cross a line (a load
+// off run.ldLine's or a store off run.stLine's), leave the chain (its
+// terminal does not return to the entry, or the budget does not cover
+// it) or store to a page the window would refuse or flag (Writable).
+// That pass, which the op loop then runs from its start, is found
+// before any of its accesses, since an address or branch outcome is
+// affine in the pass and reads no memory. A batched pass is a steady
+// pass that makes only its load and its store, in that order, through
+// the windows, each with its window's page check; it owes what the op
+// loop's would and joins the chain's debt. Its store falls on
+// run.stLine, so one check of that page's copy-on-write and code bits
+// before the pass covers it: a freeze or mark another hart makes after
+// it is ordered after the pass, as one made after Store64's own check
+// is ordered after its write. Poll boundaries fall at the same pass
+// ends as passEnd's, and a pending event or a failed guard ends the
+// batch there, as it ends the chain or the pass there. The registers
+// the passes write are set at the end, to what the last one leaves.
+func (c *Core) batch(b *block, run *blockRun) bool {
+	s, r, lb := b.strided, &c.CPU.Regs, c.l1LineBits
+	ld, st := s.ld.at(r), s.st.at(r) // the current pass's load and store VAs
+	if ld&(uint64(s.ldWidth)-1) != 0 || ld>>lb != run.ldLine ||
+		st&(uint64(s.stWidth)-1) != 0 || st>>lb != run.stLine {
+		return true
+	}
+	k := min(linePasses(ld, s.ld.step, lb), linePasses(st, s.st.step, lb))
+	x, y := s.x.at(r), s.y.at(r)
+	const off = uint64(mem.PageMask)
+	left := run.budget - run.done - b.n // steps the budget covers after this pass
+	since := run.sincePoll
+	n, chain := 0, true
+	var v uint64 // the value the last pass copied
+	for n < k {
+		if t := s.term; t != nil && t.next(isa.BranchTaken(t.op, x, y)) != b.entryVA {
+			break
+		}
+		if !c.storeWin.Writable(c.storeTC.paPage) {
+			break
+		}
+		// The pass's load, then its store of what it read, each reading
+		// or writing its window's page without a call while the window
+		// holds it.
+		la, sa := c.loadTC.paPage|ld&off, c.storeTC.paPage|st&off
+		p := c.loadWin.Hit(la)
+		if p == nil {
+			p = c.loadWin.Page(la)
+		}
+		v = mem.LoadFrom(p, la, int(s.ldWidth))
+		if s.signed {
+			v = isa.SignExtend(v, int(s.ldWidth))
+		}
+		if p = c.storeWin.Hit(sa); p == nil {
+			p = c.storeWin.Page(sa)
+		}
+		mem.StoreTo(p, sa, int(s.stWidth), v)
+		ld, st = ld+s.ld.step, st+s.st.step
+		x, y = x+s.x.step, y+s.y.step
+		n++
+		if left < b.n {
+			chain = false
+			break
+		}
+		left -= b.n
+		if since++; since >= b.stride {
+			since = 0
+			if c.pending.Load() != 0 {
+				chain = false
+				break
+			}
+			if !c.guardHolds(b) {
+				run.st = segDirty
+				break
+			}
+		}
+	}
+	run.sincePoll = since
+	if n == 0 {
+		return true
+	}
+	// Temporaries first: their values read the induction registers as
+	// the batch found them.
+	for i := range s.regs[:s.nregs] {
+		g := &s.regs[i]
+		if g.loaded {
+			r[g.r&regIdxMask] = v
+		} else {
+			r[g.r&regIdxMask] = g.at(r) + uint64(n-1)*g.step
+		}
+	}
+	run.owed += n
+	run.steady += n
+	run.passes += n
+	run.done += n * b.n
+	c.bstats.Batched += uint64(n)
+	if !chain || run.st != segSteady {
+		c.settle(b, run, nil)
+	}
+	return chain
+}
+
+// linePasses returns how many passes, from the one at va on, an access
+// that moves by step each pass keeps to va's line.
+func linePasses(va, step uint64, lb uint) int {
+	line := va >> lb
+	var left uint64 // the bytes the access may move before it leaves the line
+	switch {
+	case int64(step) > 0:
+		left = (line+1)<<lb - 1 - va
+	case int64(step) < 0:
+		left, step = va-line<<lb, -step
+	default:
+		return math.MaxInt
+	}
+	return int(left/step) + 1
 }
 
 // enter starts a segment of a pass that is not steady: it re-checks the
@@ -882,16 +1027,18 @@ func (c *Core) compileBlock(pc uint64) *block {
 		return nil
 	}
 
-	b := &block{
+	// The block is built here and copied into its allocation once its
+	// shape is known: a strided block shares one with its pass.
+	nb := block{
 		entryVA: pc, fallPC: va, paPage: paPage,
 		icGen: icGen, tgMode: tg, root: root,
 		n: n, stride: blockCap / n, hasTerm: hasTerm,
 	}
 	// The block's words and VAs share one exact-size array.
 	buf := make([]uint64, 2*n)
-	b.words, b.vas = buf[:n:n], buf[n:]
-	copy(b.words, words[:n])
-	copy(b.vas, vas[:n])
+	nb.words, nb.vas = buf[:n:n], buf[n:]
+	copy(nb.words, words[:n])
+	copy(nb.vas, vas[:n])
 
 	// The op list, segment by segment: a memory op always ends its
 	// segment (its data access must stay ordered between the fetch
@@ -945,7 +1092,7 @@ func (c *Core) compileBlock(pc uint64) *block {
 			static, k = 0, end
 		}
 		if prev < 0 {
-			b.head = uint8(nruns)
+			nb.head = uint8(nruns)
 		} else {
 			ops[prev].lo, ops[prev].hi = uint8(r0), uint8(nruns)
 		}
@@ -963,8 +1110,17 @@ func (c *Core) compileBlock(pc uint64) *block {
 	all := make([]bop, nops+nruns)
 	copy(all, ops[:nops])
 	copy(all[nops:], runs[:nruns])
-	b.ops, b.runs = all[:nops:nops], all[nops:]
-	c.owe(b)
+	nb.ops, nb.runs = all[:nops:nops], all[nops:]
+	c.owe(&nb)
+	var b *block
+	if pass, ok := strideOf(&nb); ok {
+		sb := &stridedBlock{block: nb, pass: pass}
+		sb.strided = &sb.pass
+		b = &sb.block
+	} else {
+		b = new(block)
+		*b = nb
+	}
 	c.blocks[idx] = b
 	c.bstats.Compiled++
 	return b
@@ -1068,6 +1224,162 @@ func (c *Core) owe(b *block) {
 		}
 	}
 	b.end = owed()
+}
+
+// maxStrided bounds the registers a strided pass writes, so that the
+// pass is a fixed-size part of its block's allocation. A copy step
+// writes three: its two addresses and the value it copies, or one
+// induction register, one address and the value.
+const maxStrided = 4
+
+// strided is a pass of a strided block as a batch runs it: a copy step.
+// A block is strided when
+//
+//   - its terminal is a plain jump to its entry, or a branch that may
+//     return there and compares only induction and invariant registers;
+//   - every register the pass writes is an induction register, whose
+//     only write is ADDI r, r, c, or a temporary, written before the
+//     pass reads it: by its load, or by one ADD or SUB of two induction
+//     or invariant registers (an invariant is written nowhere in the
+//     pass);
+//   - it makes one load, then one store of the value the load left in
+//     its register, each at an induction or invariant register or such
+//     an ADD/SUB temporary plus the immediate, and each address moves
+//     by a multiple of its access width each pass;
+//   - it writes at most maxStrided registers.
+//
+// Every address, ADD/SUB result and branch operand is then affine in the
+// pass, and the stored value is the loaded one.
+type strided struct {
+	ld, st           affine           // the load's and the store's address
+	ldWidth, stWidth uint8            // their widths
+	signed           bool             // the load sign-extends
+	nregs            uint8            // regs[:nregs]
+	regs             [maxStrided]sreg // what the pass leaves in each register it writes, temporaries first
+	term             *bop             // the branch terminal, or nil for a jump to the entry
+	x, y             affine           // the branch's operands
+}
+
+// stridedBlock is a strided block and its pass, in one allocation:
+// compiling a strided block allocates no more objects than compiling
+// any other.
+type stridedBlock struct {
+	block
+	pass strided
+}
+
+// affine is a value a strided pass computes without memory: in the
+// batch's first pass R[a] + R[b] + off, or R[a] - R[b] + off when neg,
+// where R is the register file at the batch's start, and step more in
+// each pass after it.
+type affine struct {
+	off, step uint64
+	a, b      uint8
+	neg       bool
+}
+
+// at is v in the batch's first pass.
+func (v *affine) at(r *[isa.NumRegs]uint64) uint64 {
+	if v.neg {
+		return r[v.a&regIdxMask] - r[v.b&regIdxMask] + v.off
+	}
+	return r[v.a&regIdxMask] + r[v.b&regIdxMask] + v.off
+}
+
+// sreg is the value a strided pass leaves in register r: an affine one,
+// or the value its load read when loaded.
+type sreg struct {
+	affine
+	r      uint8
+	loaded bool
+}
+
+// strideOf returns b's pass as a batch runs it, and whether b is
+// strided.
+func strideOf(b *block) (strided, bool) {
+	if !b.hasTerm {
+		return strided{}, false
+	}
+	ops, t := b.ops[:len(b.ops)-1], &b.ops[len(b.ops)-1]
+	// The registers the pass writes (register ops never write x0), and
+	// its induction registers.
+	var (
+		writes [isa.NumRegs]int
+		induct [isa.NumRegs]bool
+		cur    [isa.NumRegs]sreg // each register's value so far
+		set    [isa.NumRegs]bool // a temporary has none until its first write
+	)
+	for i := range ops {
+		if u := &ops[i]; !isa.IsStore(u.op) && u.rd != isa.RegZero {
+			writes[u.rd]++
+			if u.op == isa.OpADDI && u.a == u.rd {
+				induct[u.rd], cur[u.rd].step = true, u.imm
+			}
+		}
+	}
+	fixed := func(r uint8) bool { return writes[r] == 0 || induct[r] }
+	for r := range cur {
+		induct[r] = induct[r] && writes[r] == 1
+		cur[r].a, set[r] = uint8(r), fixed(uint8(r))
+	}
+	// addr is the address of the memory op u, if it is affine and moves
+	// by a multiple of u's width each pass.
+	addr := func(u *bop) (affine, bool) {
+		v := cur[u.a]
+		v.off += u.imm
+		return v.affine, set[u.a] && !v.loaded && int64(v.step)%int64(u.width) == 0
+	}
+	var s strided
+	loaded, stored := false, false
+	for i := range ops {
+		var ok bool
+		switch u := &ops[i]; {
+		case u.op == isa.OpADDI && induct[u.rd]:
+			cur[u.rd].off += u.imm
+			ok = true
+		case (u.op == isa.OpADD || u.op == isa.OpSUB) && fixed(u.a) && fixed(u.b):
+			x, y := cur[u.a], cur[u.b]
+			v := affine{off: x.off + y.off, step: x.step + y.step, a: u.a, b: u.b}
+			if u.op == isa.OpSUB {
+				v.off, v.step, v.neg = x.off-y.off, x.step-y.step, true
+			}
+			cur[u.rd], set[u.rd], ok = sreg{affine: v}, true, true
+		case isa.IsLoad(u.op) && !loaded && u.rd != isa.RegZero:
+			s.ld, ok = addr(u)
+			s.ldWidth, s.signed, loaded = u.width, u.signed, true
+			cur[u.rd], set[u.rd] = sreg{loaded: true}, true
+		case isa.IsStore(u.op) && loaded && !stored && cur[u.b].loaded:
+			s.st, ok = addr(u)
+			s.stWidth, stored = u.width, true
+		}
+		if !ok {
+			return strided{}, false
+		}
+	}
+	switch {
+	case !stored:
+		return strided{}, false
+	case t.op == isa.OpJAL && t.rd == isa.RegZero && t.imm == b.entryVA:
+	case t.op == isa.OpJAL || t.op == isa.OpJALR || !fixed(t.a) || !fixed(t.b) ||
+		t.imm != b.entryVA && t.va+isa.InstrSize != b.entryVA:
+		return strided{}, false
+	default:
+		s.term = t
+	}
+	s.x, s.y = cur[t.a].affine, cur[t.b].affine
+	for _, temps := range []bool{true, false} {
+		for r := range writes {
+			if writes[r] > 0 && induct[r] != temps {
+				if s.nregs == maxStrided {
+					return strided{}, false
+				}
+				cur[r].r = uint8(r)
+				s.regs[s.nregs] = cur[r]
+				s.nregs++
+			}
+		}
+	}
+	return s, true
 }
 
 // followJump reports whether the trace continues through in at va: a

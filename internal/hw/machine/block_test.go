@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
@@ -508,29 +509,48 @@ func TestBlockDomainSwitchDifferential(t *testing.T) {
 // passes fill no line in steady stretches must run steady passes, and
 // the plain copy loop, whose crossing fills spare every ref, must run
 // every chained pass steady.
+//
+// Each row also says whether its loop batches (batch in block.go). The
+// rows for the batch's own stops: a descending store stream; narrow
+// loads and stores; a block of 16 instructions, whose poll boundaries
+// (every 2 passes) fall inside a line; a step budget that ends batches
+// mid-line (the run is cut into 45-step slices); a copy-on-write page
+// and the loop's own code page, each reached by the store stream while
+// the load stream is mid-line; and a loop-carried accumulator, which is
+// not strided and must not batch.
 func TestBlockSteadyPasses(t *testing.T) {
 	const page = mem.PageSize
 	rows := []struct {
-		name   string
-		loop   bfLoop
-		shape  bfShape
-		steady bool // the loop must run steady passes
+		name    string
+		loop    bfLoop
+		shape   bfShape
+		steady  bool // the loop must run steady passes
+		batched bool // the loop must run batched passes, else none
+		slice   int  // nonzero: the first run is cut into slices of this many steps
 	}{
-		{"phases", bfLoop{width: 8, stride: 8, trip: 400, src: 0, dst: page + 24}, bfShape{}, true},
-		{"phases-narrow", bfLoop{width: 4, stride: 4, trip: 500, src: 44, dst: page + 8}, bfShape{}, true},
-		{"bytes", bfLoop{width: 1, stride: 1, trip: 600, src: 3, dst: page + 61}, bfShape{}, true},
-		{"stride-16", bfLoop{width: 8, stride: 16, trip: 250, src: 16, dst: page + 40}, bfShape{}, true},
-		{"stride-24", bfLoop{width: 8, stride: 24, trip: 150, src: 16, dst: page + 40}, bfShape{}, false},
-		{"page-cross", bfLoop{width: 8, stride: 8, trip: 128, src: page - 0x200, dst: 2*page - 0x1c8}, bfShape{}, true},
-		{"overlap-ahead", bfLoop{width: 8, stride: 8, trip: 300, src: 0x100, dst: 0x108}, bfShape{}, true},
-		{"overlap-behind", bfLoop{width: 8, stride: 8, trip: 300, src: 0x108, dst: 0x100}, bfShape{}, true},
-		{"evicts-code", bfLoop{width: 8, stride: 8, trip: 700, src: 0, dst: page + 24}, bfShape{l1Ways: 1}, false},
-		{"code-store", bfLoop{width: 8, stride: 8, trip: 32, src: 0x200, dstReg: 9, dst: page + 0x40, down: true}, bfShape{}, true},
-		{"cow", bfLoop{width: 8, stride: 8, trip: 64, src: 0, dst: 2*page - 0x100}, bfShape{cow: []uint64{bfDataPA + 2*page}}, true},
-		{"misaligned-load", bfLoop{width: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false},
-		{"misaligned-store", bfLoop{width: 4, stWidth: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false},
-		{"evicts-other", bfLoop{width: 8, stride: 8, trip: 200, src: 0x200, dst: page + 0x200}, bfShape{l1Ways: 1}, false},
-		{"evicts-code-mid-pass", bfLoop{width: 8, stride: 8, trip: 40, src: page + 0x20, dst: 2*page + 0x500}, bfShape{l1Ways: 1}, true},
+		{"phases", bfLoop{width: 8, stride: 8, trip: 400, src: 0, dst: page + 24}, bfShape{}, true, true, 0},
+		{"phases-narrow", bfLoop{width: 4, stride: 4, trip: 500, src: 44, dst: page + 8}, bfShape{}, true, true, 0},
+		{"bytes", bfLoop{width: 1, stride: 1, trip: 600, src: 3, dst: page + 61}, bfShape{}, true, true, 0},
+		{"stride-16", bfLoop{width: 8, stride: 16, trip: 250, src: 16, dst: page + 40}, bfShape{}, true, true, 0},
+		{"stride-24", bfLoop{width: 8, stride: 24, trip: 150, src: 16, dst: page + 40}, bfShape{}, false, true, 0},
+		{"page-cross", bfLoop{width: 8, stride: 8, trip: 128, src: page - 0x200, dst: 2*page - 0x1c8}, bfShape{}, true, true, 0},
+		{"overlap-ahead", bfLoop{width: 8, stride: 8, trip: 300, src: 0x100, dst: 0x108}, bfShape{}, true, true, 0},
+		{"overlap-behind", bfLoop{width: 8, stride: 8, trip: 300, src: 0x108, dst: 0x100}, bfShape{}, true, true, 0},
+		{"evicts-code", bfLoop{width: 8, stride: 8, trip: 700, src: 0, dst: page + 24}, bfShape{l1Ways: 1}, false, true, 0},
+		{"code-store", bfLoop{width: 8, stride: 8, trip: 32, src: 0x200, dstReg: 9, dst: page + 0x40, down: true}, bfShape{}, true, true, 0},
+		{"cow", bfLoop{width: 8, stride: 8, trip: 64, src: 0, dst: 2*page - 0x100}, bfShape{cow: []uint64{bfDataPA + 2*page}}, true, true, 0},
+		{"misaligned-load", bfLoop{width: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false, false, 0},
+		{"misaligned-store", bfLoop{width: 4, stWidth: 8, stride: 12, trip: 40, src: 0x200, dst: page + 0x300}, bfShape{}, false, false, 0},
+		{"evicts-other", bfLoop{width: 8, stride: 8, trip: 200, src: 0x200, dst: page + 0x200}, bfShape{l1Ways: 1}, false, false, 0},
+		{"evicts-code-mid-pass", bfLoop{width: 8, stride: 8, trip: 40, src: page + 0x20, dst: 2*page + 0x500}, bfShape{l1Ways: 1}, true, true, 0},
+		{"down", bfLoop{width: 8, stride: 8, trip: 300, src: 0x40, dst: 2*page + 0x7f8, down: true}, bfShape{}, true, true, 0},
+		{"width-4", bfLoop{width: 4, stride: 8, trip: 300, src: 4, dst: page + 12, down: true}, bfShape{}, true, true, 0},
+		{"width-1", bfLoop{width: 1, stride: 2, trip: 600, src: 1, dst: page + 7}, bfShape{}, true, true, 0},
+		{"poll-in-line", bfLoop{width: 8, stride: 8, trip: 300, src: 0x10, dst: page + 0x28, pad: 9}, bfShape{}, true, true, 0},
+		{"budget-mid-batch", bfLoop{width: 8, stride: 8, trip: 500, src: 0, dst: page + 0x18}, bfShape{}, true, true, 45},
+		{"cow-mid-batch", bfLoop{width: 8, stride: 8, trip: 64, src: 0x18, dst: 2*page - 0x100}, bfShape{cow: []uint64{bfDataPA + 2*page}}, true, true, 0},
+		{"code-store-mid-batch", bfLoop{width: 8, stride: 8, trip: 32, src: 0x228, dstReg: 9, dst: page + 0x40, down: true}, bfShape{}, true, true, 0},
+		{"accumulator", bfLoop{width: 8, stride: 8, trip: 300, src: 0, dst: page + 24, acc: true}, bfShape{}, true, false, 0},
 	}
 	data := make([]byte, bfDataLen)
 	for i := range data {
@@ -549,8 +569,13 @@ func TestBlockSteadyPasses(t *testing.T) {
 			for i, in := range prog {
 				words[i] = in.Encode()
 			}
+			// A slice ends at a no-op event: the core is in S mode already.
+			var cuts []bfEvent
+			for n := r.slice; n > 0 && n*len(cuts) < bfSteps; {
+				cuts = append(cuts, bfEvent{after: n, kind: bfMode})
+			}
 			for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
-				bs := bfCompareShape(t, kind, r.shape, words, data, nil).BlockStats()
+				bs := bfCompareShape(t, kind, r.shape, words, data, cuts).BlockStats()
 				if bs.Loops == 0 {
 					t.Fatalf("%v: the loop never chained: %+v", kind, bs)
 				}
@@ -559,6 +584,9 @@ func TestBlockSteadyPasses(t *testing.T) {
 				}
 				if r.name == "phases" && bs.Steady != bs.Loops {
 					t.Errorf("%v: %d of %d chained passes ran steady, want all", kind, bs.Steady, bs.Loops)
+				}
+				if (bs.Batched > 0) != r.batched {
+					t.Errorf("%v: %d chained passes ran batched, want batched %v: %+v", kind, bs.Batched, r.batched, bs)
 				}
 				events := make([]bfEvent, 12)
 				for i := range events {
@@ -655,6 +683,208 @@ func TestBlockSteadyProofs(t *testing.T) {
 	bs := bfCompareShape(t, IsolationSanctum, bfShape{core: splitEvrange}, encode(split), data, nil).BlockStats()
 	if bs.Loops == 0 || bs.Steady != 0 {
 		t.Fatalf("the split-evrange loop chained %d passes, %d steady; want some, none steady", bs.Loops, bs.Steady)
+	}
+}
+
+// TestBlockSteadyCrossHart covers the stops a chain of steady passes
+// meets only through another hart. Core 1 runs a copy loop, over and
+// over, whose chained passes run steady and batch, while another
+// goroutine does one of three things at random points: it freezes the
+// destination page copy-on-write, so the next store traps; it marks the
+// destination page as code, so the next store flags a code write and
+// the block bails after it; or it rewrites a word of the loop's code
+// page with the value it holds, which moves the code-write generation,
+// so the guard fails at the next poll boundary. The streams cross lines
+// at passes 3 and 5 of every 8, so half of the poll boundaries (every 4
+// passes) end a pass the op loop ran and half end a batched one. The
+// goroutine starts once the first slice of the core's run has published
+// its cycles, and the core runs slices until the goroutine is done and
+// one slice more, or until a trap. Every fast run is replayed on the
+// reference interpreter, for as many steps, and compared on every
+// observable: the replay applies a freeze just before the store that
+// trapped, and leaves out the code marks and rewrites, which change no
+// architectural state and are made eight times a run. Each action must
+// land inside the loop's block at least once: a trap, or a guard bail.
+func TestBlockSteadyCrossHart(t *testing.T) {
+	const page = mem.PageSize
+	loop := bfLoop{width: 8, stride: 8, trip: 496, srcReg: 8, dstReg: 8, src: 0x28, dst: page + 0x18}.instrs()
+	prog := append(loop, isa.Instr{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -int32(len(loop)) * 8}) // again
+	words := make([]uint64, len(prog))
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	data := make([]byte, bfDataLen)
+	for i := range data {
+		data[i] = byte(i*3 + i>>7)
+	}
+	const dst = bfDataPA + page    // the destination page
+	const spare = bfCodePA + 0x800 // a word of the code page no instruction reaches
+	actions := []struct {
+		name  string
+		act   func(m *Machine)
+		times int
+	}{
+		{"freeze", func(m *Machine) { m.Mem.MarkCOW(dst) }, 1},
+		{"mark-code", func(m *Machine) { m.Mem.MarkCodePage(dst) }, 8},
+		{"rewrite-code", func(m *Machine) {
+			if err := m.Mem.Store(spare, 8, 0); err != nil {
+				t.Error(err)
+			}
+		}, 8},
+	}
+	// start builds core 1's machine with the program and data loaded.
+	start := func(kind IsolationKind, engine bfEngine) (*Machine, *Core, *skipFirmware) {
+		m, c := bfMachineOn(t, kind, engine, 1, words, 1)
+		if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
+			t.Fatal(err)
+		}
+		fw := &skipFirmware{stop: true}
+		m.Firmware = fw
+		return m, c, fw
+	}
+	run := func(m *Machine, steps int) RunResult {
+		res, err := m.Run(1, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const slice = 20_000
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	kinds := []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone}
+	for _, a := range actions {
+		// Every backend once; then, if the action has not yet landed
+		// inside the block, more runs until it does.
+		hits := 0
+		for i := 0; i < len(kinds) || hits == 0 && i < 4*len(kinds); i++ {
+			kind := kinds[i%len(kinds)]
+			m, c, fw := start(kind, bfBlocks)
+			gaps := make([]time.Duration, a.times)
+			for j := range gaps {
+				gaps[j] = time.Duration(rng.Intn(100)) * time.Microsecond
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for m.CycleNow() == 0 { // until the first slice has run
+				}
+				for _, d := range gaps {
+					for t0 := time.Now(); time.Since(t0) < d; {
+					}
+					a.act(m)
+				}
+			}()
+			res := run(m, slice)
+			for last := false; res.Reason == StopMaxSteps && !last; {
+				select {
+				case <-done:
+					last = true
+				default:
+				}
+				r := run(m, slice)
+				r.Steps += res.Steps
+				res = r
+			}
+			<-done
+			fast := bfSnapshot(t, m, c, res, fw)
+			if res.Reason == StopReturnToOS || c.BlockStats().GuardBails > 0 {
+				hits++
+			}
+			rm, rc, rfw := start(kind, bfReference)
+			ref := run(rm, res.Steps-1)
+			if res.Reason == StopReturnToOS {
+				a.act(rm)
+			}
+			r := run(rm, 1)
+			r.Steps += ref.Steps
+			bfDiff(t, kind, fast, bfSnapshot(t, rm, rc, r, rfw))
+		}
+		if hits == 0 {
+			t.Errorf("%s never landed inside the loop's block", a.name)
+		}
+	}
+}
+
+// TestBatchStopsBeforeRefusedStore: a batch makes no pass that stores
+// to a page the window would refuse or flag, however warm its chain.
+// The copy loop runs until its chain is steady and the core sits at the
+// loop's entry with both streams mid-line; then the destination page is
+// frozen copy-on-write, or marked as code, as another hart may do
+// between two passes, and batch is called there, as execBlock calls it
+// at a steady pass start. It must make no pass and leave the registers
+// and the destination page as they were, so that the op loop runs the
+// pass and its store traps or flags. Left writable, the same call must
+// batch, so the stop is the page check's and not the chain's.
+func TestBatchStopsBeforeRefusedStore(t *testing.T) {
+	const page = mem.PageSize
+	prog := append(bfLoop{width: 8, stride: 8, trip: 400, srcReg: 8, dstReg: 8, dst: page + 24}.instrs(),
+		isa.Instr{Op: isa.OpHALT})
+	words := make([]uint64, len(prog))
+	for i, in := range prog {
+		words[i] = in.Encode()
+	}
+	data := make([]byte, bfDataLen)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	const entry = bfCodeVA + 6*isa.InstrSize // the loop body
+	const dst = bfDataPA + page              // the destination page
+	marks := []struct {
+		name    string
+		mark    func(*mem.Phys)
+		batched bool
+	}{
+		{"writable", func(*mem.Phys) {}, true},
+		{"freeze", func(m *mem.Phys) { m.MarkCOW(dst) }, false},
+		{"mark-code", func(m *mem.Phys) { m.MarkCodePage(dst) }, false},
+	}
+	step := func(m *Machine, steps int) {
+		if _, err := m.Run(0, steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kind := range []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone} {
+		for _, mk := range marks {
+			m, c := bfMachine(t, kind, bfBlocks, 1, words)
+			if err := m.Mem.WriteBytes(bfDataPA, data); err != nil {
+				t.Fatal(err)
+			}
+			m.Firmware = &skipFirmware{}
+			r, lb := &c.CPU.Regs, c.l1LineBits
+			ld := func() uint64 { return r[22] + r[20] }
+			st := func() uint64 { return r[23] + r[20] }
+			mid := func(va uint64) bool { return va&(1<<lb-1) != 0 }
+			step(m, 1000)
+			for c.CPU.PC != entry || !mid(ld()) || !mid(st()) {
+				step(m, 1)
+			}
+			bs := c.BlockStats()
+			b := c.blockFor(entry)
+			if bs.Steady == 0 || b == nil || b.strided == nil {
+				t.Fatalf("%v: the copy loop is not a steady strided chain: %+v", kind, bs)
+			}
+			run := blockRun{
+				st: segSteady, proved: c.L1.Changes(), ldLine: ld() >> lb, stLine: st() >> lb,
+				steadyOK: true, budget: 1000,
+			}
+			regs := c.CPU.Regs
+			before, after := make([]byte, page), make([]byte, page)
+			if err := m.Mem.ReadBytes(dst, before); err != nil {
+				t.Fatal(err)
+			}
+			mk.mark(m.Mem)
+			chain := c.batch(b, &run)
+			if err := m.Mem.ReadBytes(dst, after); err != nil {
+				t.Fatal(err)
+			}
+			if batched := run.passes > 0; batched != mk.batched || !chain {
+				t.Errorf("%v %s: batch made %d passes and chain %v, want batched %v and chain",
+					kind, mk.name, run.passes, chain, mk.batched)
+			}
+			if !mk.batched && (c.CPU.Regs != regs || !bytes.Equal(before, after) || c.BlockStats() != bs) {
+				t.Errorf("%v %s: a refused batch moved the registers, the destination page or the block stats", kind, mk.name)
+			}
+		}
 	}
 }
 

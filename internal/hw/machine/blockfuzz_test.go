@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sanctorum/internal/hw/cache"
@@ -27,8 +28,9 @@ import (
 // mid-block faults, and system ops that must terminate block formation;
 // it also emits JALR (half with rd == rs1), names x0 by its alias 32,
 // and emits whole top-tested stride loops whose chained passes run
-// steady, some of them with strides that misalign every other pass or
-// only their stores. The fuzzer also picks the L1's associativity: on
+// steady, and batch where the strides are whole access widths, some of
+// them with strides that misalign every other pass or only their
+// stores. The fuzzer also picks the L1's associativity: on
 // a direct-mapped or 2-way L1 a line crossing's fill often evicts a
 // code line or the other stream's line, so the pass must hand over.
 //
@@ -66,6 +68,12 @@ const (
 // maximal block coverage).
 func bfMachine(t *testing.T, kind IsolationKind, engine bfEngine, threshold int, words []uint64) (*Machine, *Core) {
 	t.Helper()
+	return bfMachineOn(t, kind, engine, threshold, words, 0)
+}
+
+// bfMachineOn is bfMachine with the program on core id.
+func bfMachineOn(t *testing.T, kind IsolationKind, engine bfEngine, threshold int, words []uint64, id int) (*Machine, *Core) {
+	t.Helper()
 	cfg := smallConfig(kind)
 	cfg.DisableFastPath = engine == bfReference
 	cfg.DisableBlockEngine = engine == bfNoBlocks
@@ -98,7 +106,7 @@ func bfMachine(t *testing.T, kind IsolationKind, engine bfEngine, threshold int,
 			t.Fatal(err)
 		}
 	}
-	c := m.Cores[0]
+	c := m.Cores[id]
 	c.Satp = b.Root
 	c.CPU.Mode = isa.PrivS
 	c.CPU.PC = bfCodeVA
@@ -229,7 +237,9 @@ var bfBranchOps = []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLT
 // chains: trip passes load width bytes from src+i and store stWidth
 // bytes (width, if zero) of them to dst+i (dst-i when down), i stepping
 // by stride. src and dst are offsets from the base registers srcReg and
-// dstReg. It uses x20–x25 only.
+// dstReg. pad NOPs after the store lengthen the block, and acc makes the
+// stored value a running sum of the loaded ones, carried from pass to
+// pass in x26. It uses x20–x26 only.
 type bfLoop struct {
 	width          int // 1, 2, 4 or 8
 	stWidth        int // the store's width, if not width
@@ -237,6 +247,8 @@ type bfLoop struct {
 	srcReg, dstReg uint8
 	src, dst       int32
 	down           bool
+	pad            int
+	acc            bool
 }
 
 // instrs is the loop, falling through past its end when done.
@@ -247,20 +259,31 @@ func (l bfLoop) instrs() []isa.Instr {
 	if l.down {
 		dstOp = isa.OpSUB
 	}
-	return []isa.Instr{
+	body := []isa.Instr{
+		{Op: isa.OpADD, Rd: 24, Rs1: 22, Rs2: 20},
+		{Op: load, Rd: 24, Rs1: 24},
+		{Op: dstOp, Rd: 25, Rs1: 23, Rs2: 20},
+		{Op: store, Rs1: 25, Rs2: 24},
+	}
+	if l.acc {
+		body = slices.Insert(body, 2, isa.Instr{Op: isa.OpADD, Rd: 26, Rs1: 26, Rs2: 24})
+		body[4].Rs2 = 26
+	}
+	for range l.pad {
+		body = append(body, isa.Instr{Op: isa.OpNOP})
+	}
+	body = append(body, isa.Instr{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: l.stride})
+	n := int32(len(body)) + 2 // each jump spans the body, the jump back and the top
+	prog := []isa.Instr{
 		{Op: isa.OpLI, Rd: 20, Imm: 0},
 		{Op: isa.OpLI, Rd: 21, Imm: l.stride * l.trip},
 		{Op: isa.OpADDI, Rd: 22, Rs1: l.srcReg, Imm: l.src},
 		{Op: isa.OpADDI, Rd: 23, Rs1: l.dstReg, Imm: l.dst},
 		{Op: isa.OpBLTU, Rs1: 20, Rs2: 21, Imm: 2 * 8}, // top: → body
-		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: 7 * 8},   // → past the loop
-		{Op: isa.OpADD, Rd: 24, Rs1: 22, Rs2: 20},      // body
-		{Op: load, Rd: 24, Rs1: 24},
-		{Op: dstOp, Rd: 25, Rs1: 23, Rs2: 20},
-		{Op: store, Rs1: 25, Rs2: 24},
-		{Op: isa.OpADDI, Rd: 20, Rs1: 20, Imm: l.stride},
-		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -7 * 8}, // → top
+		{Op: isa.OpJAL, Rd: isa.RegZero, Imm: n * 8},   // → past the loop
 	}
+	prog = append(prog, body...)
+	return append(prog, isa.Instr{Op: isa.OpJAL, Rd: isa.RegZero, Imm: -n * 8}) // → top
 }
 
 // bfLoopFrom decodes a stride loop from three fuzz bytes: its width,
@@ -473,6 +496,13 @@ func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, shape bfShape, wor
 		run(bfSteps - steps)
 	}
 	res.Steps = steps
+	return bfSnapshot(t, m, c, res, fw), c
+}
+
+// bfSnapshot captures the end state of a run of core c of m that ended
+// with res, whose traps fw recorded.
+func bfSnapshot(t *testing.T, m *Machine, c *Core, res RunResult, fw *skipFirmware) bfState {
+	t.Helper()
 	s := bfState{
 		res: res, regs: c.CPU.Regs, pc: c.CPU.PC, cycles: c.CPU.Cycles, mode: c.CPU.Mode,
 		tlb:    [4]uint64{c.TLB.Hits, c.TLB.Misses, c.TLB.Flushes, c.TLB.Shootdown},
@@ -491,7 +521,7 @@ func bfRun(t *testing.T, kind IsolationKind, engine bfEngine, shape bfShape, wor
 	if err := m.Mem.ReadBytes(bfDataPA, s.data); err != nil {
 		t.Fatal(err)
 	}
-	return s, c
+	return s
 }
 
 // bfCompare runs words on the production engine and on the reference
@@ -509,6 +539,14 @@ func bfCompareShape(t *testing.T, kind IsolationKind, shape bfShape, words []uin
 	t.Helper()
 	blk, c := bfRun(t, kind, bfBlocks, shape, words, data, events)
 	ref, _ := bfRun(t, kind, bfReference, shape, words, data, events)
+	bfDiff(t, kind, blk, ref)
+	return c
+}
+
+// bfDiff requires identical end states of the production engine (blk)
+// and the reference interpreter (ref).
+func bfDiff(t *testing.T, kind IsolationKind, blk, ref bfState) {
+	t.Helper()
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -560,7 +598,6 @@ func bfCompareShape(t *testing.T, kind IsolationKind, shape bfShape, words []uin
 				kind, i, blk.data[i], ref.data[i])
 		}
 	}
-	return c
 }
 
 // firstWayDiff returns the index of the first way two cache snapshots
@@ -607,6 +644,12 @@ func FuzzBlockDifferential(f *testing.F) {
 	// on a 2-way L1.
 	f.Add(uint8(1), []byte{184, 0x33, 0x40, 0x0a})
 	f.Add(uint8(2), []byte{184, 0x2a, 0x40, 0x8a})
+	// Stride loops whose steady passes batch: 8-byte words to the next
+	// page; 4-byte words at a stride of 8 down from two pages on, on a
+	// 2-way L1; and bytes.
+	f.Add(uint8(0), []byte{184, 0xe3, 0x40, 0x0a})
+	f.Add(uint8(2), []byte{184, 0xe6, 0x40, 0x0f})
+	f.Add(uint8(0), []byte{184, 0xe0, 0x05, 0x0a})
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 256)
 	rng.Read(long)
@@ -624,20 +667,21 @@ func FuzzBlockDifferential(f *testing.F) {
 // fixed-seed batch of generated programs through the same comparator,
 // on every L1 shape the fuzzer draws, so tier-1 CI exercises the
 // differential property without -fuzz. The generated stride loops must
-// reach steady passes.
+// reach steady passes, and batched ones.
 func TestBlockDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	kinds := []IsolationKind{IsolationNone, IsolationSanctum, IsolationKeystone}
-	var steady uint64
+	var steady, batched uint64
 	for i := 0; i < 150; i++ {
 		data := make([]byte, 64+rng.Intn(192))
 		rng.Read(data)
 		words, events := bfGenerate(data)
 		shape := bfShape{l1Ways: bfL1Ways(uint8(i / len(kinds)))}
-		steady += bfCompareShape(t, kinds[i%len(kinds)], shape, words, nil, events).BlockStats().Steady
+		bs := bfCompareShape(t, kinds[i%len(kinds)], shape, words, nil, events).BlockStats()
+		steady, batched = steady+bs.Steady, batched+bs.Batched
 	}
-	if steady == 0 {
-		t.Fatal("no generated program ran a steady pass")
+	if steady == 0 || batched == 0 {
+		t.Fatalf("the generated programs ran %d steady passes, %d batched; want some of each", steady, batched)
 	}
-	t.Logf("%d steady passes", steady)
+	t.Logf("%d steady passes, %d batched", steady, batched)
 }

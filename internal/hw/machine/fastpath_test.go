@@ -128,17 +128,22 @@ func mixedWorkload() *asm.Program {
 }
 
 // skipFirmware resumes after every non-halt trap by skipping the
-// trapping instruction, recording the trap stream.
+// trapping instruction, recording the trap stream. With stop set it
+// instead returns to the OS at the first, leaving PC on it.
 type skipFirmware struct {
 	causes []isa.Cause
 	values []uint64
+	stop   bool
 }
 
 func (f *skipFirmware) HandleTrap(c *Core, tr *isa.Trap) Disposition {
 	f.causes = append(f.causes, tr.Cause)
 	f.values = append(f.values, tr.Value)
-	if tr.Cause == isa.CauseHalt {
+	switch {
+	case tr.Cause == isa.CauseHalt:
 		return DispHalt
+	case f.stop:
+		return DispReturnToOS
 	}
 	c.CPU.PC += isa.InstrSize
 	return DispResume

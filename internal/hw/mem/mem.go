@@ -354,10 +354,11 @@ func (m *Phys) checkAccess(addr uint64, width int) error {
 	return m.checkRange(addr, uint64(width))
 }
 
-// loadFrom reads a little-endian value from a page. The access is
-// naturally aligned, so it never crosses the page. The masks bound the
-// slice offsets so the compiler drops its bounds checks.
-func loadFrom(p *[PageSize]byte, off uint64, width int) uint64 {
+// LoadFrom reads the little-endian value of width bytes at off in page
+// p. The access is naturally aligned, so it never crosses the page.
+// The masks bound the slice offsets so the compiler drops its bounds
+// checks.
+func LoadFrom(p *[PageSize]byte, off uint64, width int) uint64 {
 	off &= PageMask
 	switch width {
 	case 1:
@@ -371,8 +372,9 @@ func loadFrom(p *[PageSize]byte, off uint64, width int) uint64 {
 	}
 }
 
-// storeTo writes a little-endian value into a page.
-func storeTo(p *[PageSize]byte, off uint64, width int, val uint64) {
+// StoreTo writes the little-endian value of width bytes at off in page
+// p, under LoadFrom's alignment contract.
+func StoreTo(p *[PageSize]byte, off uint64, width int, val uint64) {
 	off &= PageMask
 	switch width {
 	case 1:
@@ -392,7 +394,7 @@ func (m *Phys) Load(addr uint64, width int) (uint64, error) {
 	if err := m.checkAccess(addr, width); err != nil {
 		return 0, err
 	}
-	return loadFrom(m.page(addr>>PageBits), addr&PageMask, width), nil
+	return LoadFrom(m.page(addr>>PageBits), addr&PageMask, width), nil
 }
 
 // Store writes a naturally-aligned little-endian value of width 1, 2, 4
@@ -406,7 +408,7 @@ func (m *Phys) Store(addr uint64, width int, val uint64) error {
 		return fmt.Errorf("%w: %#x", ErrCOWProtected, addr)
 	}
 	m.noteWrite(addr, uint64(width))
-	storeTo(m.page(addr>>PageBits), addr&PageMask, width, val)
+	StoreTo(m.page(addr>>PageBits), addr&PageMask, width, val)
 	return nil
 }
 
@@ -588,7 +590,7 @@ func (w *Window) LoadFast(addr uint64, width int) uint64 {
 	if p == nil || w.ppn != ppn || w.gen != w.m.zeroGen.Load() {
 		p = w.refill(ppn)
 	}
-	return loadFrom(p, addr&PageMask, width)
+	return LoadFrom(p, addr&PageMask, width)
 }
 
 // Load64 is LoadFast specialized to the 8-byte width — the dominant
@@ -624,7 +626,7 @@ func (w *Window) StoreFast(addr uint64, width int, val uint64) (cow, hitCode boo
 	if p == nil || w.ppn != pg || w.gen != w.m.zeroGen.Load() {
 		p = w.refill(pg)
 	}
-	storeTo(p, addr&PageMask, width, val)
+	StoreTo(p, addr&PageMask, width, val)
 	return false, hitCode
 }
 
@@ -645,3 +647,30 @@ func (w *Window) Store64(addr, val uint64) (cow, hitCode bool) {
 	binary.LittleEndian.PutUint64(p[addr&PageMask&^uint64(7):], val)
 	return false, false
 }
+
+// Writable reports whether a store to addr's page would be neither
+// refused (a page frozen copy-on-write) nor flagged (a marked code
+// page): the page bits StoreFast and Store64 read before they write.
+// A caller that found it true may write the page with StoreTo, which
+// reads no page bits, for as long as the ordering of its writes after
+// this check is one the other harts may observe.
+func (w *Window) Writable(addr uint64) bool {
+	pg := addr >> PageBits
+	return (w.m.cowPages[pg>>6].Load()|w.m.codePages[pg>>6].Load())&(1<<(pg&63)) == 0
+}
+
+// Hit returns the page the window holds when that is still addr's page,
+// or nil when an access to addr would refill the window: the check every
+// accessor makes first. It inlines, so a caller's hit makes no call; a
+// caller that missed takes the page from Page, and reads or writes it
+// with LoadFrom or StoreTo, under LoadFast's caller contract.
+func (w *Window) Hit(addr uint64) *[PageSize]byte {
+	if p := w.page; p != nil && w.ppn == addr>>PageBits && w.gen == w.m.zeroGen.Load() {
+		return p
+	}
+	return nil
+}
+
+// Page refills the window with addr's page and returns it: the miss
+// path of Hit.
+func (w *Window) Page(addr uint64) *[PageSize]byte { return w.refill(addr >> PageBits) }

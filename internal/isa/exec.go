@@ -228,7 +228,7 @@ func (c *CPU) ExecDecoded(in Instr, bus Bus) *Trap {
 		}
 
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		if branchTaken(in.Op, c.Reg(in.Rs1), c.Reg(in.Rs2)) {
+		if BranchTaken(in.Op, c.Reg(in.Rs1), c.Reg(in.Rs2)) {
 			nextPC = c.PC + sext(in.Imm)
 		}
 		c.Cycles += cycleBranch
@@ -301,7 +301,9 @@ func StoreSpec(op Op) int {
 	}
 }
 
-func branchTaken(op Op, a, b uint64) bool {
+// BranchTaken reports whether the conditional branch op is taken on
+// operands a and b.
+func BranchTaken(op Op, a, b uint64) bool {
 	switch op {
 	case OpBEQ:
 		return a == b
