@@ -56,10 +56,10 @@ func main() {
 	fmt.Println("gateway up: 2 ring-served workers forked from the template, parked")
 
 	// Each worker keeps its own private store (clones diverge through
-	// COW), so a get must reach the worker that holds the key. The
-	// gateway's chunked round-robin is deterministic: with Batch=8 and
-	// 16 requests per phase, each worker sees the same 8 keys in the
-	// put phase and the get phase.
+	// COW), so a get must reach the worker that holds the key. Process
+	// places request i on worker i mod the worker count, and key k is
+	// request k of both phases, so its get reaches worker k mod 2: the
+	// worker its put stored it on.
 	var puts, gets [][]byte
 	for k := uint64(0); k < 16; k++ {
 		puts = append(puts, enclaves.RingKVRequest(enclaves.RingOpPut, k, 1000+k*k))
@@ -69,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored 16 keys across %d workers (%d scheduler waves so far)\n",
-		len(puts)/8, gw.Waves)
+		gw.NumWorkers(), gw.Waves)
 	resps, err := gw.Process(gets)
 	if err != nil {
 		log.Fatal(err)

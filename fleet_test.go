@@ -4,11 +4,16 @@
 package sanctorum_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"sanctorum"
 	"sanctorum/internal/enclaves"
+	"sanctorum/internal/sm"
+	"sanctorum/internal/sm/api"
 )
 
 func fleetRequests(n, sessions int) []sanctorum.FleetRequest {
@@ -34,8 +39,8 @@ func checkEcho(t *testing.T, reqs []sanctorum.FleetRequest, resps [][]byte) {
 
 // TestFleetServe serves an echo workload through a two-shard fleet on
 // every platform backend: requests consistent-hash to shards by
-// session, each shard's key-affinity gateway serves its batch, and
-// responses come back in request order.
+// session, each shard's gateway serves its batch on the workers the
+// session table recorded, and responses come back in request order.
 func TestFleetServe(t *testing.T) {
 	for _, kind := range []sanctorum.Kind{sanctorum.Sanctum, sanctorum.Keystone, sanctorum.Baseline} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -230,6 +235,238 @@ func TestFleetSessionRebalance(t *testing.T) {
 	if _, err := f.Drain(others[1]); err == nil {
 		t.Fatal("drained the last live shard")
 	}
+}
+
+// TestFleetReadYourWrites serves a KV workload through a 3-shard fleet
+// in admissions larger than a worker's 64-message request ring, drains
+// the shard holding the most sessions, and keeps serving. Sessions 0–127
+// each own one of the KV server's 128 slots, and their Zipf skew
+// overfills the hottest session's ring within one admission. Every get
+// must return its session's last put: the fleet's session table keeps
+// each session on one worker, a full ring holds the session's requests
+// back rather than sending them to another worker's store, and the
+// worker a drain warms on an inheriting shard moves none of that
+// shard's own sessions. A session the drain moved lands on a worker
+// that never served it, so it reads 0 until its first put after the
+// drain, and its own writes after that.
+func TestFleetReadYourWrites(t *testing.T) {
+	const (
+		sessions   = 128
+		admit      = 256
+		admissions = 12 // before the drain, and again after it
+		putShare   = 0.2
+	)
+	for _, kind := range []sanctorum.Kind{sanctorum.Sanctum, sanctorum.Keystone, sanctorum.Baseline} {
+		t.Run(kind.String(), func(t *testing.T) {
+			f, err := sanctorum.NewFleet(sanctorum.FleetOptions{
+				Kind:   kind,
+				Shards: 3,
+				Config: sanctorum.FleetConfig{Workload: "kv"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var last, puts [sessions]uint64 // model: last value put per session
+			var moved [sessions]bool
+			// stale[0] and stale[1] count wrong gets before and after the
+			// drain by sessions that stayed put; movedStale by the rest.
+			var stale [2]int
+			movedStale, phase := 0, 0
+			serve := func(reqs []sanctorum.FleetRequest, ops []uint64) {
+				t.Helper()
+				resps, err := f.Process(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, q := range reqs {
+					key := q.Session
+					val := binary.LittleEndian.Uint64(q.Payload[16:])
+					if got := binary.LittleEndian.Uint64(resps[i][8:]); got != key {
+						t.Fatalf("response %d echoes key %d, want %d", i, got, key)
+					}
+					got := binary.LittleEndian.Uint64(resps[i])
+					if ops[i] == enclaves.RingOpPut {
+						last[key] = val
+						if got != val {
+							t.Fatalf("put %d of session %d stored %#x", val, key, got)
+						}
+						continue
+					}
+					if got != last[key] {
+						if moved[key] {
+							movedStale++
+						} else {
+							stale[phase]++
+						}
+					}
+				}
+			}
+			r := rand.New(rand.NewPCG(7, 9001))
+			zipf := rand.NewZipf(r, 1.1, 1, sessions-1)
+			admission := func() {
+				reqs := make([]sanctorum.FleetRequest, admit)
+				ops := make([]uint64, admit)
+				for i := range reqs {
+					s := zipf.Uint64()
+					ops[i] = enclaves.RingOpGet
+					var val uint64
+					if r.Float64() < putShare {
+						puts[s]++
+						ops[i], val = enclaves.RingOpPut, (s+1)<<32|puts[s]
+					}
+					reqs[i] = sanctorum.FleetRequest{Session: s, Payload: enclaves.RingKVRequest(ops[i], s, val)}
+				}
+				serve(reqs, ops)
+			}
+
+			// Establish every session with one put, so each has a shard
+			// and a worker before the skewed traffic starts.
+			reqs := make([]sanctorum.FleetRequest, sessions)
+			ops := make([]uint64, sessions)
+			for s := range reqs {
+				puts[s]++
+				ops[s] = enclaves.RingOpPut
+				reqs[s] = sanctorum.FleetRequest{
+					Session: uint64(s),
+					Payload: enclaves.RingKVRequest(ops[s], uint64(s), uint64(s+1)<<32|puts[s]),
+				}
+			}
+			serve(reqs, ops)
+			waves := func() uint64 { return f.Telemetry().Snapshot().Counters["os.gateway.waves"] }
+			w0 := waves()
+			for i := 0; i < admissions; i++ {
+				admission()
+			}
+			// Without a full ring, each admission takes one wave per
+			// shard; the skew must overfill rings for this test to mean
+			// anything.
+			if w := waves() - w0; w <= 3*admissions {
+				t.Fatalf("%d admissions took %d waves: no ring filled", admissions, w)
+			}
+
+			var before [sessions]int
+			for s := range before {
+				before[s], _ = f.Where(uint64(s))
+			}
+			victim, most := 0, -1
+			for i, st := range f.Stats() {
+				if st.Sessions > most {
+					victim, most = i, st.Sessions
+				}
+			}
+			n, err := f.Drain(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range before {
+				if now, _ := f.Where(uint64(s)); now != before[s] {
+					moved[s], last[s] = true, 0 // a moved session starts over empty
+					n--
+				}
+			}
+			if n != 0 {
+				t.Fatalf("drain of shard %d reported %d more moves than Where shows", victim, n)
+			}
+			phase = 1
+			for i := 0; i < admissions; i++ {
+				admission()
+			}
+			if stale[0]+stale[1]+movedStale > 0 {
+				t.Fatalf("stale reads in %d requests at %d per admission: %d before the drain; after it, %d by sessions that stayed put and %d by sessions it moved",
+					sessions+2*admissions*admit, admit, stale[0], stale[1], movedStale)
+			}
+		})
+	}
+}
+
+// TestFleetFailedDrainUndoesWarmUps makes a drain's second warm-up
+// fail and requires the fleet to be exactly as before: the first
+// target's warm worker is taken out again, so no shard's worker count
+// changes and no session moves. The failure is lock contention the
+// monitor reports as retry: the second target's monitor refuses its
+// first snapshot-lock acquisition, which is clone_enclave's, and that
+// shard's OS client makes one attempt per call. A retried drain, with
+// the fault gone, then finds every spare clone region it needs.
+func TestFleetFailedDrainUndoesWarmUps(t *testing.T) {
+	f, err := sanctorum.NewFleet(sanctorum.FleetOptions{Kind: sanctorum.Sanctum, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reqs := fleetRequests(48, 48)
+	resps, err := f.Process(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEcho(t, reqs, resps)
+	victim, most := 0, -1
+	for i, st := range f.Stats() {
+		if st.Sessions > most {
+			victim, most = i, st.Sessions
+		}
+	}
+	// Targets warm in shard order, so the second is the higher of the
+	// two other shards.
+	second := 2
+	if victim == 2 {
+		second = 1
+	}
+	before := f.Stats()
+	where := map[uint64]int{}
+	for _, q := range reqs {
+		where[q.Session], _ = f.Where(q.Session)
+	}
+
+	h := f.Host(second)
+	attempts := h.OS.SM.MaxAttempts
+	h.OS.SM.MaxAttempts = 1
+	refused := false
+	h.Monitor.SetLockFaultHook(func(p sm.LockPoint) bool {
+		if p.Kind == sm.LockSnapshot && !refused {
+			refused = true
+			return true
+		}
+		return false
+	})
+	_, err = f.Drain(victim)
+	if !refused {
+		t.Fatalf("drain of shard %d never warmed shard %d (err %v): want a drain with two targets", victim, second, err)
+	}
+	if !errors.Is(err, api.ErrRetry) {
+		t.Fatalf("drain with a refused clone = %v, want a retry failure", err)
+	}
+	for i, st := range f.Stats() {
+		if st != before[i] {
+			t.Fatalf("failed drain left shard %d at %+v, was %+v", i, st, before[i])
+		}
+	}
+	for k, s := range where {
+		if now, _ := f.Where(k); now != s {
+			t.Fatalf("failed drain moved session %#x from shard %d to %d", k, s, now)
+		}
+	}
+
+	h.Monitor.SetLockFaultHook(nil)
+	h.OS.SM.MaxAttempts = attempts
+	moved, err := f.Drain(victim)
+	if err != nil {
+		t.Fatalf("retried drain: %v", err)
+	}
+	if moved != most {
+		t.Fatalf("retried drain moved %d sessions, victim held %d", moved, most)
+	}
+	after := f.Stats()
+	for i := range after {
+		if i != victim && after[i].Workers != before[i].Workers+1 {
+			t.Fatalf("shard %d has %d workers after the drain, want %d", i, after[i].Workers, before[i].Workers+1)
+		}
+	}
+	resps, err = f.Process(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEcho(t, reqs, resps)
 }
 
 // TestDeterministicFleetReplay runs an identical fleet lifecycle —

@@ -28,7 +28,7 @@ func ringSends(sys *sanctorum.System) uint64 {
 // wave: the gateway sends per worker, not per routed chunk.
 func TestGatewayBatchedSendsChangeOnlyCallCount(t *testing.T) {
 	const perKey, batch = 12, 4
-	keys := [2]uint64{0, 1} // key affinity homes: worker 0 and worker 1
+	keys := [2]uint64{0, 1} // ProcessKeyed places them on workers 0 and 1
 	var interleaved, grouped []uint64
 	for i := 0; i < perKey; i++ {
 		interleaved = append(interleaved, keys[0], keys[1])

@@ -93,9 +93,9 @@ type Fleet struct {
 	cfg    Config
 	shards []*shard
 
-	points   []hashPoint    // consistent-hash ring, sorted
-	sessions map[uint64]int // session key → shard
-	load     []int          // live sessions per shard
+	points   []hashPoint          // consistent-hash ring, sorted
+	sessions map[uint64]placement // session key → shard and worker
+	load     []int                // live sessions per shard
 	draining []bool
 
 	rng *drbg
@@ -125,10 +125,10 @@ type Fleet struct {
 }
 
 // shardBatch is one shard's share of a Process call: its requests'
-// session keys and payloads, their indexes in the call, and the error
-// its gateway returned.
+// workers (from the session table) and payloads, their indexes in the
+// call, and the error its gateway returned.
 type shardBatch struct {
-	keys     []uint64
+	workers  []uint64
 	payloads [][]byte
 	idx      []int
 	err      error
@@ -157,8 +157,8 @@ func SigningMeasurement() ([32]byte, error) {
 
 // New assembles a fleet over the given hosts: per host, an attestation
 // enclave pair (signing enclave + attested client), a snapshot/clone
-// worker pool and a key-affinity gateway. Bytes between machines
-// travel on a wire the fleet itself carries, outside every monitor.
+// worker pool and a gateway. Bytes between machines travel on a wire
+// the fleet itself carries, outside every monitor.
 func New(hosts []Host, cfg Config) (*Fleet, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("fleet: no hosts")
@@ -166,7 +166,7 @@ func New(hosts []Host, cfg Config) (*Fleet, error) {
 	cfg.fill()
 	f := &Fleet{
 		cfg:      cfg,
-		sessions: make(map[uint64]int),
+		sessions: make(map[uint64]placement),
 		load:     make([]int, len(hosts)),
 		draining: make([]bool, len(hosts)),
 		rng:      newDRBG(cfg.Seed),
@@ -258,7 +258,7 @@ func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
 	defer f.dropPayloads()
 	for s := range f.batches {
 		b := &f.batches[s]
-		b.keys, b.payloads, b.idx, b.err = b.keys[:0], b.payloads[:0], b.idx[:0], nil
+		b.workers, b.payloads, b.idx, b.err = b.workers[:0], b.payloads[:0], b.idx[:0], nil
 	}
 	// A trace armed by TraceNextRequest follows the batch's first
 	// request; the root span covers the whole Process call.
@@ -274,16 +274,16 @@ func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
 	// Routing mutates the session table; it runs up front on the
 	// caller's goroutine, in request order, deterministically.
 	for i, r := range reqs {
-		s, err := f.route(r.Session)
+		p, err := f.route(r.Session)
 		if err != nil {
 			return nil, err
 		}
 		if tr != nil && i == 0 {
-			tr.End(tr.Begin(root, "router", fmt.Sprintf("route shard=%d", s)))
-			tracedShard = s
+			tr.End(tr.Begin(root, "router", fmt.Sprintf("route shard=%d", p.shard)))
+			tracedShard = p.shard
 		}
-		b := &f.batches[s]
-		b.keys = append(b.keys, r.Session)
+		b := &f.batches[p.shard]
+		b.workers = append(b.workers, uint64(p.worker))
 		b.payloads = append(b.payloads, r.Payload)
 		b.idx = append(b.idx, i)
 	}
@@ -322,10 +322,11 @@ func (f *Fleet) Process(reqs []Request) ([][]byte, error) {
 	return out, nil
 }
 
-// serveShard serves shard s's batch through its gateway and places
-// each response at its request's index in out. When s is the traced
-// shard, tr follows the call's first request — index 0 of this batch,
-// since it routed first — under parent span root.
+// serveShard serves shard s's batch through its gateway, each request
+// on the worker the session table recorded, and places each response
+// at its request's index in out. When s is the traced shard, tr
+// follows the call's first request — index 0 of this batch, since it
+// routed first — under parent span root.
 func (f *Fleet) serveShard(s int, out [][]byte, tr *telemetry.Trace, root, traced int) error {
 	b := &f.batches[s]
 	if len(b.idx) == 0 {
@@ -336,7 +337,7 @@ func (f *Fleet) serveShard(s int, out [][]byte, tr *telemetry.Trace, root, trace
 		span = tr.Begin(root, "shard", fmt.Sprintf("serve shard=%d", s))
 		f.shards[s].gw.TraceRequest(tr, span, 0)
 	}
-	resps, err := f.shards[s].gw.ProcessKeyed(b.keys, b.payloads)
+	resps, err := f.shards[s].gw.ProcessKeyed(b.workers, b.payloads)
 	if span >= 0 {
 		tr.End(span)
 	}

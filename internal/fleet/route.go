@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -9,8 +10,23 @@ import (
 // onto the shard ring (replicas virtual nodes per shard, so a shard's
 // departure only re-homes its own arc). New sessions land on their
 // hash home unless the home is overloaded relative to the least-loaded
-// shard, in which case they spill there; established sessions stay put
-// until a drain re-homes them.
+// shard, in which case they spill there. The session table records
+// each session's shard and its worker there, and it is the only
+// placement decision: established sessions stay on both until a drain
+// re-homes them.
+
+// placement is one session table entry: the shard serving the session
+// and the index of its worker in that shard's gateway.
+type placement struct {
+	shard, worker int
+}
+
+// place gives a session arriving on shard s its worker there: the
+// session mod the shard's worker count at that moment. An entry never
+// changes afterwards, so a worker added later moves no session.
+func (f *Fleet) place(session uint64, s int) placement {
+	return placement{shard: s, worker: int(session % uint64(f.shards[s].gw.NumWorkers()))}
+}
 
 type hashPoint struct {
 	hash  uint64
@@ -63,8 +79,8 @@ func (f *Fleet) Home(key uint64) (int, error) {
 
 // Where reports the shard currently serving a session, if assigned.
 func (f *Fleet) Where(session uint64) (int, bool) {
-	s, ok := f.sessions[session]
-	return s, ok
+	p, ok := f.sessions[session]
+	return p.shard, ok
 }
 
 // replicas is the number of virtual nodes per shard on the ring.
@@ -79,16 +95,16 @@ const (
 	spillSlack  = 8
 )
 
-// route returns the shard serving this session, assigning new sessions
-// to their consistent-hash home or — when the home is overloaded —
-// spilling them to the least-loaded live shard.
-func (f *Fleet) route(session uint64) (int, error) {
-	if s, ok := f.sessions[session]; ok {
-		return s, nil
+// route returns the session's placement, placing a new session on its
+// consistent-hash home or — when the home is overloaded — spilling it
+// to the least-loaded live shard.
+func (f *Fleet) route(session uint64) (placement, error) {
+	if p, ok := f.sessions[session]; ok {
+		return p, nil
 	}
 	home, err := f.Home(session)
 	if err != nil {
-		return 0, err
+		return placement{}, err
 	}
 	least := -1
 	for s := range f.shards {
@@ -106,18 +122,22 @@ func (f *Fleet) route(session uint64) (int, error) {
 	} else if t := f.tel; t != nil {
 		t.home.Inc(0)
 	}
-	f.sessions[session] = target
+	p := f.place(session, target)
+	f.sessions[session] = p
 	f.load[target]++
-	return target, nil
+	return p, nil
 }
 
 // Drain rebalances shard away: its virtual nodes leave the ring, every
 // target shard that will inherit sessions warms one extra snapshot-
 // clone worker (capacity lands before traffic does), and only then do
 // the drained shard's sessions cut over to their new consistent-hash
-// homes. The drained shard serves nothing afterwards but stays up —
-// its machine, monitor and attestation enclaves remain for channels.
-// Returns the number of sessions moved.
+// homes, each placed on a worker there as a new session would be. A
+// moved session's state does not move with it: the worker it lands on
+// has never served it, so the session starts over empty. The drained
+// shard serves nothing afterwards but stays up — its machine, monitor
+// and attestation enclaves remain for channels. Returns the number of
+// sessions moved.
 func (f *Fleet) Drain(shard int) (int, error) {
 	if shard < 0 || shard >= len(f.shards) {
 		return 0, fmt.Errorf("fleet: no shard %d", shard)
@@ -139,8 +159,8 @@ func (f *Fleet) Drain(shard int) (int, error) {
 	// Sessions re-home deterministically: sorted key order, ring
 	// lookup against the remaining shards.
 	var keys []uint64
-	for k, s := range f.sessions {
-		if s == shard {
+	for k, p := range f.sessions {
+		if p.shard == shard {
 			keys = append(keys, k)
 		}
 	}
@@ -159,23 +179,31 @@ func (f *Fleet) Drain(shard int) (int, error) {
 
 	// Warm-up before cutover: each inheriting shard forks one more
 	// worker from its snapshot. A failed warm-up aborts the drain with
-	// the ring restored — no session moved.
+	// the ring restored and the warm-ups made so far undone, newest
+	// first — no session sits on a warm worker before cutover, so no
+	// session moved.
 	var targetList []int
 	for t := range targets {
 		targetList = append(targetList, t)
 	}
 	sort.Ints(targetList)
-	for _, t := range targetList {
+	for i, t := range targetList {
 		if err := f.shards[t].gw.AddWorker(); err != nil {
+			err = fmt.Errorf("fleet: warming shard %d: %w", t, err)
+			for j := i - 1; j >= 0; j-- {
+				if uerr := f.shards[targetList[j]].gw.RemoveWorker(); uerr != nil {
+					err = errors.Join(err, fmt.Errorf("fleet: undoing shard %d's warm-up: %w", targetList[j], uerr))
+				}
+			}
 			f.addPoints(shard)
-			return 0, fmt.Errorf("fleet: warming shard %d: %w", t, err)
+			return 0, err
 		}
 	}
 
 	// Cutover.
 	f.draining[shard] = true
 	for i, k := range keys {
-		f.sessions[k] = moves[i]
+		f.sessions[k] = f.place(k, moves[i])
 		f.load[moves[i]]++
 	}
 	f.load[shard] = 0

@@ -14,7 +14,7 @@ const workersPerShard = 2
 
 // shard is one machine's serving stack plus its fleet wiring: the
 // attestation enclave pair (signing enclave ES and attested client
-// E1), and the clone pool and key-affinity gateway serving requests.
+// E1), and the clone pool and gateway serving requests.
 type shard struct {
 	id   int
 	host Host
@@ -68,7 +68,7 @@ func buildShard(id int, h Host, cfg *Config) (*shard, error) {
 	}
 
 	// The serving pool and gateway; Fleet serves a shard through
-	// ProcessKeyed, whose key affinity keeps a session on one worker.
+	// ProcessKeyed, keyed by the worker its session table recorded.
 	lW := enclaves.DefaultLayout()
 	var prog = enclaves.RingEchoServer(lW)
 	if cfg.Workload == "kv" {

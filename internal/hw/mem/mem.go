@@ -594,9 +594,10 @@ func (w *Window) LoadFast(addr uint64, width int) uint64 {
 }
 
 // Load64 is LoadFast specialized to the 8-byte width — the dominant
-// access on the block engine's hot path — shaped to inline at the call
-// site: the open-coded window hit check and one fixed-width load, with
-// the refill outlined.
+// access on the block engine's hot path. It is one call frame, not an
+// inlined one (it is over the compiler's inlining budget): the
+// open-coded window hit check and one fixed-width load, with the refill
+// outlined. Over LoadFast it saves the width switch.
 func (w *Window) Load64(addr uint64) uint64 {
 	p := w.page
 	if p == nil || w.ppn != addr>>PageBits || w.gen != w.m.zeroGen.Load() {
@@ -630,11 +631,12 @@ func (w *Window) StoreFast(addr uint64, width int, val uint64) (cow, hitCode boo
 	return false, hitCode
 }
 
-// Store64 is StoreFast specialized to the 8-byte width: the two
-// page-bit checks fold into one OR-ed branch and the write is
-// fixed-width, with the refused and marked-page cases left to
-// StoreFast. Both bitmaps are still read directly — the OR is a pure
-// fast-path fold, not a derived union.
+// Store64 is StoreFast specialized to the 8-byte width, in one call
+// frame like Load64 and, like it, not inlined: the two page-bit checks
+// fold into one OR-ed branch and the write is fixed-width, with the
+// refused and marked-page cases left to StoreFast. Over StoreFast it
+// saves a branch and the width switch. Both bitmaps are still read
+// directly — the OR is a pure fast-path fold, not a derived union.
 func (w *Window) Store64(addr, val uint64) (cow, hitCode bool) {
 	pg := addr >> PageBits
 	if (w.m.cowPages[pg>>6].Load()|w.m.codePages[pg>>6].Load())&(1<<(pg&63)) != 0 {

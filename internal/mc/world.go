@@ -92,12 +92,6 @@ func (w *World) Call(c api.Call, args ...uint64) api.Error {
 	return w.Sys.Monitor.Dispatch(api.OSRequest(c, args...)).Status
 }
 
-// CallV is Call returning the a1 result value as well.
-func (w *World) CallV(c api.Call, args ...uint64) (uint64, api.Error) {
-	resp := w.Sys.Monitor.Dispatch(api.OSRequest(c, args...))
-	return resp.Values[0], resp.Status
-}
-
 // MetaPage allocates a metadata page for a new object id and records
 // it under name.
 func (w *World) MetaPage(name string) (uint64, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sanctorum/internal/hw/machine"
@@ -55,13 +56,9 @@ type Gateway struct {
 	recv  []byte
 
 	// sched is the per-wave OS scheduler, one for the gateway's
-	// lifetime; tasks is the reused task list of a wave; space is
-	// spaceOf bound once, the free-slot function routers are handed;
-	// rr is Process's round-robin cursor.
+	// lifetime; tasks is the reused task list of a wave.
 	sched *Scheduler
 	tasks []Task
-	space func(i int) int
-	rr    roundRobin
 
 	// woken[i] marks worker i woken by the monitor; wokenIdx is the
 	// reused buffer takeWoken returns. The monitor calls the sink on
@@ -266,7 +263,6 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 		recv:  make([]byte, cfg.Batch*api.RingRecordSize),
 		sched: o.NewScheduler(cfg.Sched),
 	}
-	g.space = g.spaceOf
 	if reg := o.Telemetry; reg != nil {
 		g.tel = &gwTelemetry{
 			clock:     o.M.CycleNow,
@@ -303,6 +299,21 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 func (g *Gateway) AddWorker() error {
 	if err := g.addWorkers(1); err != nil {
 		return fmt.Errorf("os: gateway add worker: %w", err)
+	}
+	return nil
+}
+
+// RemoveWorker undoes the newest AddWorker: it takes the last worker
+// out of the serving set through unwire and releases it to the pool.
+// Keyed requests place by the worker count, so it is meant for a
+// worker no key has reached yet — the fleet undoes the warm-ups of a
+// failed drain with it.
+func (g *Gateway) RemoveWorker() error {
+	if len(g.workers) == 0 {
+		return fmt.Errorf("os: gateway has no worker to remove")
+	}
+	if err := g.unwire(len(g.workers) - 1); err != nil {
+		return fmt.Errorf("os: gateway remove worker: %w", err)
 	}
 	return nil
 }
@@ -456,10 +467,11 @@ func (g *Gateway) sendBulkSetup(gw *gwWorker) error {
 }
 
 // unwire tears down workers[from:] and removes them from the serving
-// set — Close's whole set, or what a failed addWorkers added: destroy
-// each ring pair (waking the parked workers into failing parks, their
-// shutdown signal), revoke each grant, run the wave in which the woken
-// workers exit cleanly, and release every worker back to the pool.
+// set — Close's whole set, RemoveWorker's newest worker, or what a
+// failed addWorkers added: destroy each ring pair (waking the parked
+// workers into failing parks, their shutdown signal), revoke each
+// grant, run the wave in which the woken workers exit cleanly, and
+// release every worker back to the pool.
 // Best-effort — every step runs and the first error is the one
 // reported — so a failed wave still returns what it can to the pool.
 func (g *Gateway) unwire(from int) error {
@@ -567,10 +579,6 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 	}
 	return nil
 }
-
-// spaceOf reports worker i's free request-ring slots: capacity less
-// every request queued on it, sent or not.
-func (g *Gateway) spaceOf(i int) int { return ringCapacity - g.workers[i].inflight() }
 
 // flush sends every worker's unsent requests in FIFO order, in ring
 // sends of at most Batch messages staged through the gateway's one
@@ -710,43 +718,58 @@ func (g *Gateway) drain(gw *gwWorker, out [][]byte, arena []byte) (int, error) {
 }
 
 // Process serves a batch of host requests end to end and returns one
-// api.RingMsgSize response per request, in request order. Requests are
-// distributed round-robin across the workers, on a cursor the gateway
-// keeps across calls, in chunks of up to Batch requests; each iteration
-// queues what fits, sends each worker's queue in ring sends of up to
-// Batch messages, runs one scheduler wave over the workers the monitor
-// woke, and drains their response rings. The responses are
-// capacity-capped slices of one arena allocated for the call; they
-// belong to the caller. A payload longer than a ring message fails the
-// call before anything is sent. Under the deterministic scheduler the
-// whole run — scheduling, preemptions, ring traffic — is
-// bit-reproducible.
+// api.RingMsgSize response per request, in request order. Request i
+// goes to worker i mod the worker count; each iteration queues what
+// fits, sends each worker's queue in ring sends of up to Batch
+// messages, runs one scheduler wave over the workers the monitor woke,
+// and drains their response rings. The responses are capacity-capped
+// slices of one arena allocated for the call; they belong to the
+// caller. A payload longer than a ring message fails the call before
+// anything is sent. Under the deterministic scheduler the whole run —
+// scheduling, preemptions, ring traffic — is bit-reproducible.
 func (g *Gateway) Process(payloads [][]byte) ([][]byte, error) {
-	return g.serve(&g.rr, nil, payloads)
+	return g.serve(-1, nil, payloads)
 }
 
-// ProcessKeyed is Process with a routing key per request, routed by
-// key affinity: a key's chunks go to its home worker (key mod the
-// worker count), spilling to the roomiest worker only when the home
-// ring is full. It is the fleet's per-shard serving entry point, where
-// keys are session ids, so a session's requests stay on its home
-// worker while that worker's ring has room. Response matching is
-// Process's: FIFO per worker, every record's monitor stamp verified
-// against the worker identity and the pool template measurement.
+// ProcessKeyed is Process with a routing key per request: request i
+// goes to worker keys[i] mod the worker count, so equal keys always
+// reach the same worker and its private state. It is the fleet's
+// per-shard serving entry point, where each key is the worker the
+// fleet's session table recorded for the request's session. Response
+// matching is Process's: FIFO per worker, every record's monitor stamp
+// verified against the worker identity and the pool template
+// measurement.
 func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, error) {
 	if len(keys) != len(payloads) {
 		return nil, fmt.Errorf("os: gateway: %d keys for %d payloads", len(keys), len(payloads))
 	}
-	return g.serve(keyAffinity{}, keys, payloads)
+	return g.serve(-1, keys, payloads)
+}
+
+// place is the gateway's one placement rule: request i of a serving
+// call goes to ProcessBulk's worker pin when there is one (pin ≥ 0),
+// else to keys[i] mod the worker count when the call is keyed, else to
+// i mod the worker count.
+func (g *Gateway) place(pin int, keys []uint64, i int) int {
+	switch {
+	case pin >= 0:
+		return pin
+	case keys != nil:
+		return int(keys[i] % uint64(len(g.workers)))
+	}
+	return i % len(g.workers)
 }
 
 // serve is the gateway's one serving loop, behind Process, ProcessKeyed
-// and ProcessBulk: queue every chunk that fits on the worker policy
-// picks, send the queues, run one scheduler wave over the workers the
-// sends woke, drain their response rings, and repeat until every
-// request has its response. A call that fails leaves orphans, never
-// dangling requests (abandon).
-func (g *Gateway) serve(policy router, keys []uint64, payloads [][]byte) (_ [][]byte, err error) {
+// and ProcessBulk: queue the requests in chunks, each a run of
+// consecutive requests that place gives one worker, send the queues,
+// run one scheduler wave over the workers the sends woke, drain their
+// response rings, and repeat until every request has its response. A
+// full request ring is backpressure: queueing stops at the first
+// request whose worker has no free slot, and resumes after the wave
+// has drained it. A call that fails leaves orphans, never dangling
+// requests (abandon).
+func (g *Gateway) serve(pin int, keys []uint64, payloads [][]byte) (_ [][]byte, err error) {
 	tr := g.trace
 	g.trace = nil
 	if tr != nil && (tr.idx < 0 || tr.idx >= len(payloads)) {
@@ -766,26 +789,18 @@ func (g *Gateway) serve(policy router, keys []uint64, payloads [][]byte) (_ [][]
 	}()
 	cursor, done := 0, 0
 	for done < len(payloads) {
-		// Queue as many requests as ring capacity allows.
+		// Queue chunks of at most Batch requests until the next one's
+		// worker has a full ring. A worker's free slots count every
+		// request queued on it, sent or not.
 		for cursor < len(payloads) {
-			var key uint64
-			if keys != nil {
-				key = keys[cursor]
+			i := g.place(pin, keys, cursor)
+			limit := min(g.cfg.Batch, ringCapacity-g.workers[i].inflight(), len(payloads)-cursor)
+			if limit == 0 {
+				break // backpressure: serve a wave first
 			}
-			i := policy.Pick(key, len(g.workers), g.space)
-			if i < 0 {
-				break // every ring full: serve a wave first
-			}
-			n := min(g.cfg.Batch, g.space(i), len(payloads)-cursor)
-			if keys != nil {
-				// A chunk stays within one routing key: the same key
-				// always routes the same way, so a contiguous same-key
-				// run is the unit the policy places.
-				run := 1
-				for run < n && keys[cursor+run] == key {
-					run++
-				}
-				n = run
+			n := 1
+			for n < limit && g.place(pin, keys, cursor+n) == i {
+				n++
 			}
 			g.workers[i].enqueue(cursor, n)
 			if tr != nil && tr.worker < 0 && tr.idx >= cursor && tr.idx < cursor+n {
@@ -808,7 +823,7 @@ func (g *Gateway) serve(policy router, keys []uint64, payloads [][]byte) (_ [][]
 				len(payloads)-done)
 		}
 		workSpan := -1
-		if tr != nil && tr.worker >= 0 && !tr.done && containsInt(woken, tr.worker) {
+		if tr != nil && tr.worker >= 0 && !tr.done && slices.Contains(woken, tr.worker) {
 			// This wave runs the traced worker's enclave: the only part
 			// of the journey where modeled cycles actually retire.
 			workSpan = tr.t.Begin(tr.span, "worker", "execute")
@@ -864,27 +879,7 @@ func (g *Gateway) ProcessBulk(worker int, payloads [][]byte) ([][]byte, error) {
 	if g.workers[worker].grant == 0 {
 		return nil, fmt.Errorf("os: gateway: bulk plane not configured")
 	}
-	return g.serve(pinned(worker), nil, payloads)
-}
-
-// pinned is ProcessBulk's router: every chunk goes to the one worker.
-type pinned int
-
-// Pick returns the pinned worker while its request ring has space.
-func (p pinned) Pick(_ uint64, _ int, space func(int) int) int {
-	if space(int(p)) > 0 {
-		return int(p)
-	}
-	return -1
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return g.serve(worker, nil, payloads)
 }
 
 // Close shuts the service down: unwire every worker — rings destroyed,

@@ -229,32 +229,6 @@ func (o *OS) MapUser(va, pa uint64, flags uint64) error {
 // Satp when running OS-scheduled user code.
 func (o *OS) Root() uint64 { return o.root.Root }
 
-// LoadUserProgram stages a binary into kernel memory and maps it
-// executable (and writable, for simplicity of test programs) at baseVA
-// in the OS page tables.
-func (o *OS) LoadUserProgram(bin []byte, baseVA uint64) error {
-	if baseVA&mem.PageMask != 0 {
-		return fmt.Errorf("os: program base %#x not page aligned", baseVA)
-	}
-	for off := 0; off < len(bin); off += mem.PageSize {
-		pa, err := o.AllocPagePA()
-		if err != nil {
-			return err
-		}
-		end := off + mem.PageSize
-		if end > len(bin) {
-			end = len(bin)
-		}
-		if err := o.WriteOwned(pa, bin[off:end]); err != nil {
-			return err
-		}
-		if err := o.MapUser(baseVA+uint64(off), pa, pt.R|pt.W|pt.X|pt.U); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MapUserPage allocates a fresh kernel page and maps it rw at va,
 // returning its physical address (shared buffers, stacks).
 func (o *OS) MapUserPage(va uint64) (uint64, error) {

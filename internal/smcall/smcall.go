@@ -292,13 +292,6 @@ func (c *Client) RingRecv(ringID, outPA uint64, max int) (int, error) {
 	return int(resp.Values[0]), err
 }
 
-// RingWake explicitly wakes the ring's parked consumer, if any,
-// reporting whether one was woken. Producer-only.
-func (c *Client) RingWake(ringID uint64) (bool, error) {
-	resp, err := c.call(api.CallRingWake, ringID)
-	return resp.Values[0] != 0, err
-}
-
 // RingDestroy unregisters a ring, dropping undelivered messages and
 // waking any parked consumer (whose re-executed park then fails — the
 // shutdown signal).
@@ -333,16 +326,6 @@ func (c *Client) BulkRevoke(grantID uint64) error {
 // descriptors count as in-flight on the grant until bulk-received.
 func (c *Client) BulkSend(ringID, srcPA uint64, count int, grantID uint64) (int, error) {
 	resp, err := c.call(api.CallBulkSend, ringID, srcPA, uint64(count), grantID)
-	return int(resp.Values[0]), err
-}
-
-// BulkRecv drains up to max of grantID's descriptor records from the
-// ring head (stopping early at a plain message or another grant's)
-// into OS-owned memory at outPA, one api.RingRecordSize record each,
-// releasing their in-flight pins. The caller must be both the ring's
-// consumer and a grant endpoint.
-func (c *Client) BulkRecv(ringID, outPA uint64, max int, grantID uint64) (int, error) {
-	resp, err := c.call(api.CallBulkRecv, ringID, outPA, uint64(max), grantID)
 	return int(resp.Values[0]), err
 }
 

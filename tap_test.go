@@ -49,7 +49,7 @@ func tapKV(t *testing.T, kind sanctorum.Kind) {
 	var keys []uint64
 	var reqs [][]byte
 	for i := uint64(0); i < 24; i++ {
-		k := i % 2 // key affinity homes key k on worker k
+		k := i % 2 // ProcessKeyed places key k on worker k mod 2
 		keys = append(keys, k)
 		reqs = append(reqs, enclaves.RingKVRequest(enclaves.RingOpPut, k, i))
 	}
